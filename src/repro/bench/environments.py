@@ -27,6 +27,7 @@ from repro.transport.inproc import InprocTransport
 from repro.transport.modeled import ModeledTransport
 from repro.transport.netmodel import ENVIRONMENTS, NetworkModel
 from repro.transport.socket_tcp import SocketTransport
+from repro.transport.wire import recv_exact
 from repro.util.clock import VirtualClock
 
 
@@ -126,10 +127,7 @@ def _raw_socket_oneway(size: int, reps: int) -> float:
     def echo():
         try:
             while not stop.is_set():
-                data = _recv_exact(b, size)
-                if data is None:
-                    return
-                b.sendall(data)
+                b.sendall(recv_exact(b, size))
         except OSError:
             pass
 
@@ -139,29 +137,13 @@ def _raw_socket_oneway(size: int, reps: int) -> float:
     t0 = time.perf_counter()
     for _ in range(reps):
         a.sendall(payload)
-        got = _recv_exact(a, size)
-        assert got is not None
+        recv_exact(a, size)
     t1 = time.perf_counter()
     stop.set()
     a.close()
     b.close()
     t.join(timeout=2.0)
     return (t1 - t0) / (2 * reps)
-
-
-def _recv_exact(sock, n):
-    chunks = []
-    remaining = n
-    while remaining:
-        try:
-            chunk = sock.recv(remaining)
-        except OSError:
-            return None
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
 
 
 def _raw_queue_oneway(size: int, reps: int) -> float:

@@ -363,14 +363,9 @@ class Sanitizer:
                        payload=pickle.dumps(probe, protocol=4),
                        is_object=True)
         transport = self.universe.transport
-        send = transport.send
-        if oob:
-            # probes for transport-level waits must not ride the wedged
-            # data path; transports without an oob lane drop them (the
-            # probe re-originates every tick, so nothing is lost)
-            send = getattr(transport, "send_oob", None)
-            if send is None:
-                return
+        # probes for transport-level waits must not ride the wedged
+        # data path
+        send = transport.send_oob if oob else transport.send
         try:
             send(env)
         except Exception:

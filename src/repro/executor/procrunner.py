@@ -4,7 +4,7 @@ The thread executor (:mod:`repro.executor.runner`) keeps every rank inside
 one Python process, so no workload ever escapes the GIL.  This launcher
 spawns ``nprocs`` OS processes — each hosting a *single-rank view* of the
 :class:`~repro.runtime.engine.Universe` — and wires them into a full TCP
-mesh (:class:`~repro.transport.socket_tcp.TCPMeshTransport`), which is how
+mesh (:func:`~repro.transport.socket_tcp.TCPMeshTransport`), which is how
 the paper's distributed-memory experiments actually ran (``mpirun``/WMPI
 daemons, one process per rank).
 
@@ -66,8 +66,8 @@ from repro.obs.metrics import REGISTRY
 from repro.runtime.envelope import (dump_exception_chain,
                                     load_exception_chain)
 from repro.transport import shm as shm_transport
-from repro.transport.socket_tcp import BOOTSTRAP_TIMEOUT, _recv_exact
-from repro.transport.wire import set_nodelay
+from repro.transport.socket_tcp import BOOTSTRAP_TIMEOUT
+from repro.transport.wire import recv_exact, set_nodelay
 
 _LEN = struct.Struct("!I")
 
@@ -109,8 +109,8 @@ def send_msg(sock: socket.socket, obj: Any) -> None:
 
 
 def recv_msg(sock: socket.socket) -> Any:
-    (n,) = _LEN.unpack(_recv_exact(sock, _LEN.size))
-    return pickle.loads(_recv_exact(sock, n))
+    (n,) = _LEN.unpack(recv_exact(sock, _LEN.size))
+    return pickle.loads(recv_exact(sock, n))
 
 
 # -- exception marshalling ---------------------------------------------------

@@ -31,11 +31,10 @@ from repro.obs.trace import TRACE
 from repro.runtime.engine import RankRuntime, Universe, bind_thread, \
     unbind_thread
 from repro.transport import shm as shm_transport
-from repro.transport.shm import (HierarchicalTransport, ShmChannel,
-                                 ShmTransport)
-from repro.transport.socket_tcp import (BOOTSTRAP_TIMEOUT, TCPMeshTransport,
-                                        build_mesh, mesh_listener)
-from repro.transport.wire import set_nodelay
+from repro.transport.shm import ShmChannel
+from repro.transport.socket_tcp import (BOOTSTRAP_TIMEOUT, build_mesh,
+                                        mesh_channels, mesh_listener)
+from repro.transport.wire import WireTransport, set_nodelay
 from repro.util import faultinject
 
 
@@ -92,9 +91,8 @@ def _heartbeat_loop(ctl: socket.socket, rank: int, interval: float,
             return
 
 
-def _hierarchical(tcp, rank: int, nprocs: int, nonce,
-                  inbound: dict, book: dict):
-    """Compose the per-peer transport stack from the address book.
+def _ring_channels(rank: int, nonce, inbound: dict, book: dict) -> list:
+    """This rank's ring channels, from the address book.
 
     A peer is an shm peer when the book says it shares this host's node
     identity *and* its inbound segments exist.  Inbound segments for
@@ -103,36 +101,23 @@ def _hierarchical(tcp, rank: int, nprocs: int, nonce,
     TCP rather than failing the job — the rings are an optimization,
     the mesh is the contract.
     """
-    if nonce is None or not inbound:
-        for seg in inbound.values():
-            seg.close()
-        return tcp
     my_node = shm_transport.node_id()
-    shm_peers = set()
-    for peer, entry in book.items():
-        if peer == rank or len(entry) < 4:
-            continue
-        _, _, node, shm_ok = entry[:4]
-        if shm_ok and node == my_node:
-            shm_peers.add(peer)
-    channels = {}
-    for (src, dst), seg in list(inbound.items()):
+    shm_peers = {peer for peer, entry in book.items()
+                 if peer != rank and len(entry) >= 4
+                 and entry[3] and entry[2] == my_node} if inbound else set()
+    segs = {}
+    for (src, dst), seg in inbound.items():
         if src in shm_peers:
-            channels[(src, dst)] = ShmChannel(seg, src, dst)
+            segs[src, dst] = seg
         else:
             seg.close()   # owner close unlinks the unused segment
     try:
-        outbound = shm_transport.attach_outbound(nonce, rank, shm_peers)
+        segs.update(shm_transport.attach_outbound(nonce, rank, shm_peers))
     except (OSError, ValueError):
-        for chan in channels.values():
-            chan.seg.close()
-        return tcp
-    for (src, dst), seg in outbound.items():
-        channels[(src, dst)] = ShmChannel(seg, src, dst)
-    if not channels:
-        return tcp
-    shm = ShmTransport(nprocs, (rank,), channels)
-    return HierarchicalTransport(nprocs, rank, tcp, shm)
+        for seg in segs.values():
+            seg.close()
+        return []
+    return [ShmChannel(seg, src, dst) for (src, dst), seg in segs.items()]
 
 
 def main(argv=None) -> int:
@@ -199,9 +184,12 @@ def main(argv=None) -> int:
                          name="repro-proc-heartbeat", daemon=True).start()
     peers = build_mesh(opts.rank, opts.nprocs, listener, msg["book"])
 
-    tcp = TCPMeshTransport(opts.nprocs, opts.rank, peers)
-    transport = _hierarchical(tcp, opts.rank, opts.nprocs, shm_nonce,
-                              inbound, msg["book"])
+    # control plane first: each pair's socket carries abort/peerfail/
+    # revoke, the same-host ring listed after it carries the data
+    transport = WireTransport(
+        opts.nprocs, (opts.rank,),
+        mesh_channels(opts.nprocs, opts.rank, peers)
+        + _ring_channels(opts.rank, shm_nonce, inbound, msg["book"]))
     universe = Universe(opts.nprocs, transport=transport,
                         local_ranks=(opts.rank,))
     ctl.settimeout(None)

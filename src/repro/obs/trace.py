@@ -13,9 +13,9 @@ Design constraints, in order:
    singleton — before touching anything else.  No clock read, no tuple
    build, no lock.
 2. **Bounded memory.**  Each rank's events live in a fixed-capacity
-   ring (:data:`DEFAULT_RING_CAPACITY`, tune with ``REPRO_TRACE_RING``);
-   overflow drops the *oldest* events and counts the drops, so a trace
-   that wrapped says so instead of lying by omission.
+   ring (:data:`DEFAULT_RING_CAPACITY`); overflow drops the *oldest*
+   events and counts the drops, so a trace that wrapped says so
+   instead of lying by omission.
 3. **Lock-light.**  One small lock per rank ring, held only to append
    one tuple.  Rank threads, transport pumps and the rendezvous writer
    all record into the rank they act for, so contention is between at
@@ -43,8 +43,8 @@ import time
 from collections import deque
 from typing import Optional
 
-#: per-rank ring capacity (events); REPRO_TRACE_RING overrides
-DEFAULT_RING_CAPACITY = int(os.environ.get("REPRO_TRACE_RING", 65536))
+#: per-rank ring capacity (events)
+DEFAULT_RING_CAPACITY = 65536
 
 #: rank used for events recorded outside any rank context
 NO_RANK = -1

@@ -21,7 +21,6 @@ in-flight schedule, so no collective can strand a peer in a wait.
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 
 import numpy as np
@@ -50,8 +49,7 @@ DEFAULT_ALGORITHMS = {k: v[0] for k, v in ALGORITHM_CHOICES.items()}
 #: bandwidth-optimal pipelines/rings, segmented through the wire fast
 #: path).  Every rank computes the size from (count, datatype), which
 #: MPI requires to agree, so the selection agrees without negotiation.
-LARGE_MESSAGE_BYTES = int(os.environ.get("REPRO_COLL_LARGE_BYTES",
-                                         256 * 1024))
+LARGE_MESSAGE_BYTES = 256 * 1024
 
 #: dense-element segment size for pipelined algorithms; kept below the
 #: wire eager limit so segments stream without rendezvous handshakes

@@ -131,10 +131,9 @@ class Universe:
         if os.environ.get("REPRO_SANITIZE") == "1":
             from repro.check.sanitizer import Sanitizer
             self.sanitizer = Sanitizer(self).install()
-            if hasattr(transport, "set_sanitizer"):
-                # transports with internal wait states (shm ring space /
-                # ring data) feed them into the wait-for graph
-                transport.set_sanitizer(self.sanitizer)
+            # transports with internal wait states (shm ring space /
+            # ring data) feed them into the wait-for graph
+            transport.set_sanitizer(self.sanitizer)
         for r in self.local_ranks:
             mb = Mailbox(r, self)
             self.mailboxes[r] = mb

@@ -4,22 +4,22 @@
   (the paper's SM): direct handoff between threads, one copy per side.
 * :class:`~repro.transport.chunked.ChunkedTransport` — an "MPICH-like"
   portable path: packetized staging copies on top of another transport.
-* :class:`~repro.transport.socket_tcp.SocketTransport` — distributed-memory
-  mode (the paper's DM): every rank pair exchanges frames over a kernel
-  socket pair, with per-rank receiver pumps.
-* :class:`~repro.transport.socket_tcp.TCPMeshTransport` — process-per-rank
-  distributed memory (the paper's real ``mpirun`` model): a full TCP mesh
-  between OS processes, bootstrapped by the launcher's rendezvous (see
-  :mod:`repro.executor.procrunner`).
+* :class:`~repro.transport.wire.WireTransport` — distributed-memory mode
+  (the paper's DM) and the only transport that speaks the wire format:
+  one eager/rendezvous protocol engine over a per-peer table of
+  channels.  Its constructors pick the channels:
+  :func:`~repro.transport.socket_tcp.SocketTransport` (every rank in one
+  process, a kernel socketpair per pair),
+  :func:`~repro.transport.socket_tcp.TCPMeshTransport` (one rank of a
+  process-per-rank job — the paper's real ``mpirun`` model — over a full
+  TCP mesh bootstrapped by :mod:`repro.executor.procrunner`),
+  :func:`~repro.transport.shm.shm_world` (every rank in one process,
+  shared-memory rings only), and the process worker, which lists each
+  peer's socket and — for same-host peers in the bootstrap address
+  book — a :class:`~repro.transport.shm.ShmChannel` ring after it.
 * :class:`~repro.transport.modeled.ModeledTransport` — charges a calibrated
   latency/bandwidth cost model to a virtual clock so the benchmark harness
   can regenerate the paper's published 1999 numbers deterministically.
-* :class:`~repro.transport.shm.ShmTransport` — intra-node shared memory:
-  per-pair SPSC rings over ``multiprocessing.shared_memory`` plus a
-  zero-copy rendezvous region (the paper's native-MPI intra-node path).
-* :class:`~repro.transport.shm.HierarchicalTransport` — per-peer
-  composite: shm within a host, the TCP mesh across hosts, selected
-  from the bootstrap address book.
 """
 
 from repro.transport.base import Transport
@@ -27,7 +27,7 @@ from repro.transport.inproc import InprocTransport
 from repro.transport.chunked import ChunkedTransport
 from repro.transport.socket_tcp import SocketTransport, TCPMeshTransport
 from repro.transport.modeled import ModeledTransport
-from repro.transport.shm import HierarchicalTransport, ShmTransport
+from repro.transport.wire import WireTransport
 from repro.transport import netmodel
 
 TRANSPORTS = {
@@ -49,5 +49,5 @@ def make_transport(name: str, nprocs: int, **kwargs) -> Transport:
 
 __all__ = ["Transport", "InprocTransport", "ChunkedTransport",
            "SocketTransport", "TCPMeshTransport", "ModeledTransport",
-           "ShmTransport", "HierarchicalTransport",
+           "WireTransport",
            "make_transport", "netmodel", "TRANSPORTS"]

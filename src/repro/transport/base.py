@@ -46,6 +46,16 @@ class Transport:
         """Move ``env`` to ``env.dst``.  Must preserve per-pair FIFO order."""
         raise NotImplementedError
 
+    def send_oob(self, env: Envelope) -> None:
+        """Control delivery for a wait blocked *inside* the transport (a
+        sanitizer probe); transports whose data path can wedge override
+        this with a lane that cannot.  Default: the data path."""
+        self.send(env)
+
+    def set_sanitizer(self, san) -> None:
+        """Feed the transport's internal wait states (if it has any)
+        into the sanitizer's wait-for graph.  Default: nothing to arm."""
+
     def broadcast_control(self, env: Envelope) -> None:
         """Deliver a control envelope (e.g. abort) to every rank.
 

@@ -1,56 +1,63 @@
-"""Shared-memory intra-node transport + hierarchical per-peer selection.
+"""Shared-memory intra-node carrier: per-pair rings behind the channel
+interface of :mod:`repro.transport.wire`.
 
-On one host, procs-DM ranks used to talk through loopback TCP — two
-kernel crossings plus wire framing per message.  This module moves
-same-host traffic into ``multiprocessing.shared_memory`` segments, the
-way production MPIs structure their fastest path (MPICH Nemesis,
-Open MPI sm/vader):
+On one host, procs-DM ranks would otherwise talk through loopback TCP —
+two kernel crossings per message.  This module moves same-host traffic
+into ``multiprocessing.shared_memory`` segments, the way production
+MPIs structure their fastest path (MPICH Nemesis, Open MPI sm/vader).
+It holds no transport of its own: a :class:`ShmChannel` is one more
+entry in :class:`~repro.transport.wire.WireTransport`'s channel table,
+listed after the pair's socket so that data prefers it.
 
 * **Per-pair SPSC ring** (:class:`_SpscRing`) — each directed pair
   (src -> dst) owns one segment, created by the *receiver* during
   bootstrap, containing a byte-stream frame ring and a separate
-  rendezvous region.  Eager frames are written into the frame ring in
-  exactly the socket wire format (:mod:`repro.runtime.envelope`); the
-  receiver's progress thread drains them through the same
-  ``Envelope.decode`` choke point the TCP path uses.  The ring is a
-  *byte stream* with 64-bit monotonic head/tail counters: the producer
-  only ever advances ``head``, the consumer only ever advances ``tail``
-  (see the ``shm-ring-discipline`` lint rule), frames of any size
-  stream through (a frame larger than the ring flows in pieces as the
-  consumer drains), and a full ring blocks the producer through an
-  adaptive yield-then-sleep backoff — never a hot spin.
-* **Claimable rendezvous region** — RTS/CTS ride the frame ring (so
-  matching order stays FIFO with eager data), then the payload bytes
-  land in the segment's rendezvous region and the receiver scatters
-  them *directly into the posted buffer* via the layout IR's run views
-  (:meth:`repro.datatypes.layout.LayoutIR.byte_views` /
-  ``scatter_range`` walk) — strided receives stay zero-staging.  The
+  rendezvous region.  Frames are written into the frame ring in exactly
+  the socket wire format (:mod:`repro.runtime.envelope`) and drained by
+  the same ``_read_frame`` the socket pump runs.  The ring is a *byte
+  stream* with 64-bit monotonic head/tail counters: the producer only
+  ever advances ``head``, the consumer only ever advances ``tail`` (see
+  the ``shm-ring-discipline`` lint rule), frames of any size stream
+  through (a frame larger than the ring flows in pieces as the consumer
+  drains), and a full ring blocks the producer through an adaptive
+  yield-then-sleep backoff — never a hot spin.
+* **Bulk lane = a claimable rendezvous region** — RTS/CTS ride the
+  frame ring (so matching order stays FIFO with eager data), then the
+  payload bytes land in the segment's rendezvous region and the
+  receiver scatters them *directly into the posted buffer* via the
+  layout IR's run views — strided receives stay zero-staging.  The
   region is itself SPSC flow-controlled: the notify frame goes first
-  and the payload streams behind it, so payloads larger than the
-  region never deadlock.  Keeping bulk payloads out of the frame ring
-  means CTS/ACK/probe frames never queue behind megabytes of data.
-* **Hierarchical selection** (:class:`HierarchicalTransport`) — the
-  bootstrap address book carries a host identity and an shm nonce per
-  rank; a composite transport picks the shared ring for same-host
-  peers and the TCP mesh for everyone else, per peer.  The control
-  plane stays on TCP: aborts, ``KIND_PEERFAIL``, ``KIND_REVOKE`` and
-  the launcher heartbeats.  **A dead peer produces no EOF on a shared
-  ring** — the heartbeat plane remains the failure detector; on a
-  ``peerfail`` delivery the composite marks the dead peer's channels so
-  blocked ring waits unwind with ``ConnectionError``, and the launcher
-  sweeps the job's segments so fault-injected runs never leak
-  ``/dev/shm`` entries.
+  and the payload streams behind it, so payloads larger than the region
+  never deadlock.  Keeping bulk payloads out of the frame ring means
+  CTS/ACK/probe frames never queue behind megabytes of data.
+* **Eager capacity** — on a wire, rendezvous also bounds the
+  eager-staging copy; on shared rings both paths cost the same two
+  copies, so the RTS/CTS round trip only pays for itself once a frame
+  cannot sit in the ring whole.  ``eager_capacity`` is the ring size.
+* **No EOF** — a dead peer produces nothing on a shared ring, so a ring
+  error never means peer loss: the sockets and the launcher heartbeats
+  stay the failure detector, the transport marks a failed peer's
+  channels ``dead`` so blocked ring waits unwind with
+  ``ConnectionError``, and the launcher sweeps the job's segments so
+  fault-injected runs never leak ``/dev/shm`` entries.
 
 Escape hatch: ``REPRO_SHM=0`` disables the shm path entirely (procs-DM
-falls back to loopback TCP).  Sizing: ``REPRO_SHM_RING_BYTES`` (frame
-ring, default 1 MiB) and ``REPRO_SHM_RNDV_BYTES`` (rendezvous region,
-default 4 MiB) — both are recorded in the segment header, so attachers
-never need to agree on environment variables.
+stays on loopback TCP).  Sizing: ``REPRO_SHM_RING_BYTES`` (frame ring,
+default 4 MiB); capacities are recorded in the segment header, so
+attachers never need to agree on environment variables.
 
-Atomicity note: the head/tail counters are aligned 8-byte stores
-(single ``memcpy`` of 8 bytes in CPython); on x86-64's TSO model the
-data write is visible before the index publish.  The counters sit on
-separate cache lines to avoid producer/consumer false sharing.
+Atomicity note: the head/tail counters are aligned 8-byte words read
+and written as single items of a ``memoryview.cast("Q")`` of the
+control block.  What is relied on, and not guaranteed by the language:
+CPython stores such an item with one fixed-size 8-byte copy, which
+compilers lower to one aligned store, and aligned 8-byte stores are
+single-copy atomic on x86-64 and AArch64 — a reader in another process
+sees the old value or the new one, never a mix (``struct.pack_into``
+does *not* qualify: it zero-fills the field before packing, and a
+concurrent reader sees the zero).  A two-process probe in the unit
+tests holds this.  On x86-64's TSO model the data write is visible
+before the index publish.  The counters sit on separate cache lines to
+avoid producer/consumer false sharing.
 """
 
 from __future__ import annotations
@@ -63,16 +70,11 @@ import threading
 import time
 from multiprocessing import shared_memory
 
-from repro.obs.trace import TRACE
-from repro.runtime import envelope as ev
-from repro.runtime.envelope import Envelope
-from repro.transport.base import Transport
-from repro.transport.wire import (RecvPool, WireProtocol, body_nbytes,
-                                  wants_rendezvous)
+from repro.runtime.envelope import HEADER_SIZE
+from repro.transport.wire import WireTransport, framed_send
 from repro.util import faultinject
 
-__all__ = ["ShmTransport", "HierarchicalTransport", "ShmChannel",
-           "ShmSegment", "shm_enabled", "ring_bytes", "rndv_bytes",
+__all__ = ["ShmChannel", "ShmSegment", "shm_enabled", "ring_bytes",
            "node_id", "segment_name", "create_inbound", "attach_outbound",
            "shm_world", "unlink_job_segments", "leaked_segments"]
 
@@ -80,7 +82,7 @@ __all__ = ["ShmTransport", "HierarchicalTransport", "ShmChannel",
 #: Sized so whole multi-megabyte eager frames fit without streaming —
 #: a frame that fits the ring costs exactly one consumer wakeup
 DEFAULT_RING_BYTES = 4 << 20
-#: default rendezvous-region capacity; REPRO_SHM_RNDV_BYTES overrides
+#: rendezvous-region capacity
 DEFAULT_RNDV_BYTES = 4 << 20
 
 #: segment header: magic(8) | ring_bytes(8) | rndv_bytes(8) |
@@ -118,21 +120,13 @@ def shm_enabled() -> bool:
     return os.environ.get("REPRO_SHM", "1") != "0"
 
 
-def _env_bytes(name: str, default: int, floor: int) -> int:
-    try:
-        return max(floor, int(os.environ.get(name, default)))
-    except ValueError:
-        return default
-
-
 def ring_bytes() -> int:
     """Frame-ring capacity in bytes (``REPRO_SHM_RING_BYTES``)."""
-    return _env_bytes("REPRO_SHM_RING_BYTES", DEFAULT_RING_BYTES, 4096)
-
-
-def rndv_bytes() -> int:
-    """Rendezvous-region capacity in bytes (``REPRO_SHM_RNDV_BYTES``)."""
-    return _env_bytes("REPRO_SHM_RNDV_BYTES", DEFAULT_RNDV_BYTES, 4096)
+    try:
+        return max(4096, int(os.environ.get("REPRO_SHM_RING_BYTES",
+                                            DEFAULT_RING_BYTES)))
+    except ValueError:
+        return DEFAULT_RING_BYTES
 
 
 def node_id() -> str:
@@ -178,9 +172,11 @@ class _SpscRing:
 
     def __init__(self, ctrl: memoryview, head_off: int, tail_off: int,
                  data: memoryview):
-        self._ctrl = ctrl
-        self._head_off = head_off
-        self._tail_off = tail_off
+        #: the control block as 64-bit words (see the module's
+        #: atomicity note); the counter offsets index it
+        self._ctrl = ctrl.cast("Q")
+        self._head_off = head_off // 8
+        self._tail_off = tail_off // 8
         self._data = data
         self._cap = len(data)
 
@@ -194,10 +190,10 @@ class _SpscRing:
         self._data.release()
 
     def _load(self, off: int) -> int:
-        return _SZ.unpack_from(self._ctrl, off)[0]
+        return self._ctrl[off]
 
     def _store(self, off: int, value: int) -> None:
-        _SZ.pack_into(self._ctrl, off, value)
+        self._ctrl[off] = value
 
     # -- producer side ------------------------------------------------------
     def write_free(self) -> int:
@@ -205,44 +201,17 @@ class _SpscRing:
         return self._cap - (self._load(self._head_off)
                             - self._load(self._tail_off))
 
-    def write(self, buf, stall) -> None:
-        """Stream ``buf`` into the ring, blocking via ``stall`` on a
-        full ring; frames larger than the capacity flow through in
-        pieces as the consumer drains."""
-        mv = buf if isinstance(buf, memoryview) else memoryview(buf)
-        if mv.format != "B":
-            mv = mv.cast("B")
-        n = len(mv)
-        sent = 0
-        head = self._load(self._head_off)
-        while sent < n:
-            free = self._cap - (head - self._load(self._tail_off))
-            if free == 0:
-                stall()
-                continue
-            take = min(free, n - sent)
-            pos = head % self._cap
-            first = min(take, self._cap - pos)
-            self._data[pos:pos + first] = mv[sent:sent + first]
-            if take > first:
-                self._data[:take - first] = mv[sent + first:sent + take]
-            sent += take
-            head += take
-            # data first, then the publish: a consumer that sees the
-            # new head is guaranteed to see the bytes (x86-64 TSO)
-            self._store(self._head_off, head)
-            stall.reset()
-
     def write_views(self, views, stall) -> int:
         """Vectored write: stream every view into the ring in order.
 
-        A strided frame is thousands of small runs; paying the full
-        per-call cost of :meth:`write` for each one dominates the copy
-        itself.  This loop hoists the counter loads out of the per-view
-        path and publishes ``head`` once per filled stretch — the
-        consumer still overlaps (the publish happens before any stall),
-        so frames larger than the ring flow through.  Returns the byte
-        count written."""
+        A strided frame is thousands of small runs, so the counter
+        loads are hoisted out of the per-view path and ``head`` is
+        published once per filled stretch (data first, then the
+        publish: a consumer that sees the new head is guaranteed to see
+        the bytes on x86-64 TSO).  A full ring blocks via ``stall``
+        after publishing what was copied, so the consumer overlaps and
+        frames larger than the ring flow through in pieces.  Returns
+        the byte count written."""
         data, cap = self._data, self._cap
         head = self._load(self._head_off)
         free = cap - (head - self._load(self._tail_off))
@@ -326,21 +295,6 @@ class _SpscRing:
                     off += got
                     got = 0
 
-    def read_discard(self, nbytes: int, stall) -> None:
-        """Consume and drop ``nbytes`` (unsinkable rendezvous payload)."""
-        tail = self._load(self._tail_off)
-        left = nbytes
-        while left:
-            avail = self._load(self._head_off) - tail
-            if not avail:
-                stall()
-                continue
-            take = min(avail, left)
-            tail += take
-            left -= take
-            self._store(self._tail_off, tail)
-            stall.reset()
-
 
 # ---------------------------------------------------------------------------
 # segment lifecycle
@@ -371,7 +325,7 @@ class ShmSegment:
         self.owner = create
         if create:
             ring = ring if ring is not None else ring_bytes()
-            rndv = rndv if rndv is not None else rndv_bytes()
+            rndv = rndv if rndv is not None else DEFAULT_RNDV_BYTES
             size = _DATA_OFF + ring + rndv
             self.shm = shared_memory.SharedMemory(name=name, create=True,
                                                   size=size)
@@ -576,7 +530,7 @@ class _Stall:
         if chan.dead.is_set():
             self.finish()
             raise ConnectionError(
-                f"shm peer rank dead ({chan.src}->{chan.dst})")
+                f"shm peer rank dead ({chan.tx[0]}->{chan.tx[1]})")
         closing = chan.closing
         if closing is not None and closing.is_set():
             self.finish()
@@ -622,47 +576,101 @@ class _Stall:
             self._bw = None
 
 
-class ShmChannel:
-    """One direction (src -> dst) of a pair: socket-shaped endpoint.
+class RingWait:
+    """The ring pump's wait step: poll the inbound rings, yield the
+    core a couple of times, then advertise a sleep, re-check, and park
+    in ``select()`` on the segments' doorbells — a sleeping pump costs
+    the scheduler nothing, which matters when every local rank shares
+    one core.  Channels marked dead (by the pump on an error, or by the
+    failure plane) are skipped."""
 
-    Exposes exactly the byte-level surface :mod:`repro.transport.wire`
-    drives (``sendall`` / ``sendmsg`` / ``recv_into`` /
-    ``recvmsg_into``) so the whole eager protocol — framing, header
-    peek, direct landing into posted-buffer views — runs unchanged over
-    the ring.  The rendezvous region has its own producer/consumer API
-    (``write_rndv`` / ``read_rndv_*``), used only by the transport's
-    writer thread and pump.  Frame atomicity on the ring comes from the
-    transport's per-channel send lock (the single-producer discipline);
-    the region's single producer is the writer thread by construction.
+    def __init__(self, chans):
+        self._chans = list(chans)
+        self._idle = 0
+
+    def ready(self) -> list:
+        live = [ch for ch in self._chans if not ch.dead.is_set()]
+        ready = [ch for ch in live if ch.frame_readable() >= HEADER_SIZE]
+        if ready:
+            self._idle = 0
+            return ready
+        self._idle += 1
+        if self._idle < _PUMP_YIELDS:
+            time.sleep(0)
+            return ready
+        self._idle = 0
+        # advertise the sleep, then re-check occupancy: a producer that
+        # published before seeing the flag is caught here, one that
+        # published after will poke the doorbell
+        for chan in live:
+            chan.seg.set_sleeping()
+        woken = []
+        if not any(ch.frame_readable() >= HEADER_SIZE for ch in live):
+            try:
+                woken = select.select([ch.seg.doorbell for ch in live],
+                                      [], [], _DOORBELL_TIMEOUT)[0]
+            except OSError:  # pragma: no cover - teardown closed a fd
+                pass
+        for chan in live:
+            chan.seg.clear_sleeping()
+            if chan.seg.doorbell in woken:
+                chan.seg.drain_doorbell()
+        return ready
+
+    def drop(self, chan) -> None:
+        self._chans.remove(chan)
+
+    def close(self) -> None:
+        pass
+
+
+class ShmChannel:
+    """One direction (src -> dst) of a pair, as a wire channel.
+
+    Implements the channel surface :mod:`repro.transport.wire` drives
+    (see its module docstring): ``sendall`` / ``sendmsg`` /
+    ``recv_into`` / ``recvmsg_into`` over the frame ring, so the whole
+    eager protocol — framing, header peek, direct landing into
+    posted-buffer views — runs unchanged; the bulk lane
+    (``send_rndv`` / ``read_rndv_views``) over the rendezvous region.
+    Frame atomicity on the ring comes from ``lock`` (the
+    single-producer discipline); the region's single producer is the
+    transport's writer thread by construction.
     """
 
-    __slots__ = ("seg", "src", "dst", "dead", "closing", "stats",
-                 "sanitizer")
+    __slots__ = ("seg", "tx", "rx", "lock", "dead", "eager_capacity",
+                 "closing", "stats", "sanitizer")
+
+    #: a ring has no EOF: an error here says a wait was cut short, not
+    #: that the peer is gone — the heartbeat plane owns that diagnosis
+    eof_is_peer_loss = False
+    waiter = RingWait
 
     def __init__(self, seg: ShmSegment, src: int, dst: int):
         self.seg = seg
-        self.src = src
-        self.dst = dst
+        self.tx = self.rx = (src, dst)
+        self.lock = threading.Lock()
         #: set when the peer rank is declared failed: a ring has no EOF,
         #: so this flag is how blocked waits learn the peer is gone
         self.dead = threading.Event()
-        self.closing: threading.Event | None = None
-        self.stats = None
-        self.sanitizer = None
+        #: a frame that fits the ring whole stays eager: same two
+        #: copies as rendezvous, without the handshake's two wakeups
+        self.eager_capacity = seg.ring_bytes
+        self.bind(None, None)
 
-    def bind(self, closing: threading.Event, stats, sanitizer=None) -> None:
+    def bind(self, closing, stats, sanitizer=None) -> None:
         self.closing = closing
         self.stats = stats
         self.sanitizer = sanitizer
 
     def _send_stall(self, what: str) -> _Stall:
-        return _Stall(self, what, edge=(self.src, self.dst))
+        return _Stall(self, what, edge=self.tx)
 
     # -- producer (sender process) -----------------------------------------
     def sendall(self, data) -> None:
         stall = self._send_stall("ring-space")
         try:
-            self.seg.frame.write(data, stall)
+            self.seg.frame.write_views([data], stall)
             self.seg.poke()
         finally:
             stall.finish()
@@ -673,27 +681,26 @@ class ShmChannel:
         sits between the header and the body, so an injected death
         leaves a half-written frame for the survivor to cope with."""
         stall = self._send_stall("ring-space")
-        total = 0
         try:
-            bufs = list(bufs)
-            self.seg.frame.write(bufs[0], stall)
-            total += len(bufs[0])
+            total = self.seg.frame.write_views(bufs[:1], stall)
             if len(bufs) > 1:
-                faultinject.maybe_fail("shm.ring", self.src)
+                faultinject.maybe_fail("shm.ring", self.tx[0])
                 total += self.seg.frame.write_views(bufs[1:], stall)
             self.seg.poke()
         finally:
             stall.finish()
         return total
 
-    def write_rndv(self, body) -> None:
-        """Stream a rendezvous payload into the region (writer thread)."""
+    def send_rndv(self, header: bytes, body) -> None:
+        """Bulk lane: notify on the frame ring, payload into the region
+        (writer thread).  Notify first, then stream: the receiver
+        consumes the region while the payload is still landing, so a
+        payload larger than the region flows through it."""
+        framed_send(self, header)
         stall = self._send_stall("rndv-space")
         try:
-            if isinstance(body, (list, tuple)):
-                self.seg.rndv.write_views(body, stall)
-            else:
-                self.seg.rndv.write(body, stall)
+            self.seg.rndv.write_views(
+                body if isinstance(body, (list, tuple)) else [body], stall)
             self.seg.poke()
         finally:
             stall.finish()
@@ -725,434 +732,37 @@ class ShmChannel:
         finally:
             stall.finish()
 
-    def read_rndv_discard(self, nbytes: int) -> None:
-        stall = _Stall(self, "rndv-data")
-        try:
-            self.seg.rndv.read_discard(nbytes, stall)
-        finally:
-            stall.finish()
-
-
-# ---------------------------------------------------------------------------
-# the transport
-# ---------------------------------------------------------------------------
-
-class ShmTransport(WireProtocol, Transport):
-    """Shared-ring transport over a set of per-pair channels.
-
-    Hosts one local rank per worker process, or every rank of an
-    in-process job (tests, thread backends).  All of the wire protocol
-    — eager framing, header-peek direct landing, RTS/CTS, Ssend ACKs,
-    sanitizer probes, the writer-thread discipline — is inherited from
-    :class:`~repro.transport.wire.WireProtocol`; the channels stand in
-    for sockets.  Only the rendezvous *payload* path is overridden: the
-    notify frame rides the frame ring, the bytes ride the segment's
-    rendezvous region, and the receiver scatters them straight into the
-    posted buffer.
-    """
-
-    mode = "DM"
-
-    def __init__(self, nprocs: int, local_ranks,
-                 channels: dict[tuple[int, int], ShmChannel]):
-        Transport.__init__(self, nprocs)
-        self.local_ranks = tuple(sorted(set(int(r) for r in local_ranks)))
-        self._chan = dict(channels)
-        self._clock = {pair: threading.Lock() for pair in self._chan}
-        self._closing = threading.Event()
-        self._pumps: list[threading.Thread] = []
-        self._started = False
-        self._sanitizer = None
-        self._wire_init(self.local_ranks)
-        for chan in self._chan.values():
-            chan.bind(self._closing, self.wire_stats)
-
-    # -- wire-protocol routing hooks ---------------------------------------
-    def _peer_sock(self, src: int, dst: int):
-        return self._chan.get((src, dst))
-
-    def _wants_rendezvous(self, env: Envelope) -> bool:
-        """Ring-capacity-aware protocol choice.
-
-        On a wire, rendezvous also bounds the eager-staging copy; on
-        shared rings both paths cost the same two copies, so the RTS/CTS
-        round trip (two extra cross-process wakeups) only pays for
-        itself once the frame cannot sit in the ring whole — flow
-        control, not copy avoidance.  Frames that fit stay eager no
-        matter what the global threshold says."""
-        if not wants_rendezvous(env):
-            return False
-        chan = self._chan.get((env.src, env.dst))
-        if chan is None:
-            return True
-        return env.payload.nbytes + ev.HEADER_SIZE > chan.seg.ring_bytes
-
-    def _peer_lock(self, src: int, dst: int):
-        return self._clock[(src, dst)]
-
-    def set_sanitizer(self, san) -> None:
-        """Arm ring waits with the sanitizer's wait-for bookkeeping."""
-        self._sanitizer = san
-        for chan in self._chan.values():
-            chan.sanitizer = san
-
-    def shm_peers(self, rank: int) -> set[int]:
-        """Peers this rank can send to over shared memory."""
-        return {dst for (src, dst) in self._chan if src == rank}
-
-    # -- lifecycle ---------------------------------------------------------
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        for rank in self.local_ranks:
-            t = threading.Thread(target=self._pump, args=(rank,),
-                                 name=f"repro-shmpump-{rank}", daemon=True)
-            self._pumps.append(t)
-            t.start()
-        self._wire_start(name=f"repro-shm-writer-{self.local_ranks[0]}")
+    def shutdown(self) -> None:
+        """Nothing to wake: ring waits poll the transport's teardown
+        flag every pause."""
 
     def close(self) -> None:
-        if self._closing.is_set():
-            return
-        self._closing.set()
-        self._wire_close()
-        for t in self._pumps:
-            t.join(timeout=2.0)
-        segs = {id(ch.seg): ch.seg for ch in self._chan.values()}
-        for seg in segs.values():
-            seg.close()
-
-    def mark_peer_dead(self, rank: int) -> None:
-        """A peer was declared failed (heartbeat plane): wake every ring
-        wait touching it — shared memory has no EOF to notice."""
-        for (src, dst), chan in self._chan.items():
-            if src == rank or dst == rank:
-                chan.dead.set()
-
-    def peer_dead(self, rank: int) -> bool:
-        for (src, dst), chan in self._chan.items():
-            if (src == rank or dst == rank) and chan.dead.is_set():
-                return True
-        return False
-
-    # -- sending -----------------------------------------------------------
-    def send(self, env: Envelope) -> None:
-        if env.dst == env.src and env.src in self.local_ranks:
-            deliver = self._deliver[env.dst]
-            if deliver is None:
-                raise RuntimeError(f"rank {env.dst} has no mailbox attached")
-            deliver(env)
-            return
-        if self._chan.get((env.src, env.dst)) is None:
-            raise RuntimeError(f"no shm channel {env.src}->{env.dst}")
-        self._wire_send(env)
-
-    def send_oob(self, env: Envelope) -> None:
-        """Out-of-band control delivery for waits blocked *inside* the
-        transport (a sanitizer probe from a rank stalled on a full ring
-        cannot ride that same ring).  In-process peers get a direct
-        deliver; anything else is dropped — the probe re-originates
-        every tick, so nothing is lost."""
-        deliver = self._deliver[env.dst] if env.dst < self.nprocs else None
-        if env.dst in self.local_ranks and deliver is not None:
-            deliver(env)
-
-    # -- rendezvous payload path (region, not the frame ring) ---------------
-    def _writer_loop(self) -> None:
-        """Writer thread: control frames verbatim, rendezvous payloads
-        into the region.  Mirrors the socket writer's discipline — this
-        thread plus rank threads do all ring writing; pumps never do."""
-        while True:
-            item = self._writeq.get()
-            if item is None:
-                return
-            if isinstance(item, tuple):
-                src, dst, header = item
-                try:
-                    self._framed_send(src, dst, header)
-                    self._count(tx_frames=1, tx_bytes=len(header))
-                except (OSError, RuntimeError, ConnectionError):
-                    if self._closing.is_set():
-                        return
-                continue
-            env = item
-            try:
-                env.kind = ev.KIND_RNDV_DATA
-                header, body = ev.encode(env)
-                chan = self._chan.get((env.src, env.dst))
-                if chan is None:
-                    raise RuntimeError(
-                        f"no shm channel {env.src}->{env.dst}")
-                nbytes = body_nbytes(body)
-                t_flush = TRACE.now() if TRACE.enabled else 0.0
-                # Notify first, then stream: the receiver consumes the
-                # region while the payload is still landing, so a
-                # payload larger than the region flows through it.
-                with self._peer_lock(env.src, env.dst):
-                    # repro: allow(blocking-under-lock) -- single-writer discipline
-                    chan.sendall(header)
-                chan.write_rndv(body)
-                self._count(tx_frames=1, tx_bytes=len(header) + nbytes)
-                if TRACE.enabled:
-                    TRACE.span(env.src, "wire.flush", "wire", t_flush,
-                               {"dst": env.dst, "bytes": nbytes})
-                    st = self._rndv.get(env.src)
-                    t0 = None
-                    if st is not None:
-                        with st.lock:
-                            t0 = st.t0.pop(env.seq, None)
-                    if t0 is not None:
-                        TRACE.span(env.src, "wire.rndv", "wire", t0,
-                                   {"dst": env.dst, "seq": env.seq,
-                                    "bytes": nbytes})
-            except (OSError, RuntimeError, ConnectionError):
-                if self._closing.is_set():
-                    return
-                continue   # peer death surfaces via the failure plane
-            if env.on_flushed is not None:
-                env.on_flushed()
-            if env.mode == ev.MODE_SYNCHRONOUS:
-                deliver = self._deliver[env.src]
-                if deliver is not None:
-                    deliver(Envelope(kind=ev.KIND_ACK, src=env.dst,
-                                     dst=env.src, context=env.context,
-                                     tag=env.tag, seq=env.seq))
-
-    def _handle_rndv_data(self, rank: int, chan, pool: RecvPool, src: int,
-                          tag: int, seq: int, nelems: int,
-                          nbytes: int) -> None:
-        """Land a rendezvous payload from the region onto its sink."""
-        st = self._rndv[rank]
-        with st.lock:
-            sink = st.sinks.pop((src, seq), None)
-        if sink is None:  # pragma: no cover - protocol guarantees a sink
-            chan.read_rndv_discard(nbytes)
-            return
-        t0 = TRACE.now() if TRACE.enabled else 0.0
-        if sink.views is not None and body_nbytes(sink.views) == nbytes:
-            # the zero-staging path: region -> posted user buffer, every
-            # layout run filled in serialization order (scatter walk)
-            chan.read_rndv_views(sink.views)
-            self._count(rndv_direct_frames=1, rndv_direct_bytes=nbytes)
-            if TRACE.enabled:
-                TRACE.span(rank, "wire.rndv_land", "wire", t0,
-                           {"src": src, "bytes": nbytes, "direct": True})
-            sink.posted.req.complete(source_world=src, tag=tag,
-                                     count_elements=nelems)
-            return
-        body = pool.body(nbytes)
-        chan.read_rndv_views([body])
-        env = ev.decode(pool.header, body)
-        env.borrowed = True
-        count, error, message = sink.posted.land(env)
-        self._count(rndv_staged_frames=1, rndv_staged_bytes=nbytes)
-        if TRACE.enabled:
-            TRACE.span(rank, "wire.rndv_land", "wire", t0,
-                       {"src": src, "bytes": nbytes, "direct": False})
-        sink.posted.req.complete(source_world=src, tag=tag,
-                                 count_elements=count, error=error,
-                                 error_message=message)
-
-    # -- receiving ---------------------------------------------------------
-    def _pump(self, rank: int) -> None:
-        """Progress thread for ``rank``: drain every inbound ring.
-
-        Spins briefly between frames, then parks in ``select()`` on the
-        inbound segments' doorbells — a sleeping pump costs the
-        scheduler nothing, which matters when every local rank shares
-        one core.  A channel whose producer died mid-frame raises out
-        of the blocking read and is abandoned — the failure plane, fed
-        by the TCP heartbeats, owns the diagnosis.
-        """
-        pool = RecvPool()
-        chans = [ch for (src, dst), ch in sorted(self._chan.items())
-                 if dst == rank and src != rank]
-        idle = 0
-        while not self._closing.is_set():
-            progressed = False
-            for chan in chans:
-                if chan.dead.is_set():
-                    continue
-                if chan.frame_readable() < ev.HEADER_SIZE:
-                    continue
-                try:
-                    self._read_frame(rank, chan, pool)
-                    progressed = True
-                except (ConnectionError, OSError):
-                    if self._closing.is_set():
-                        return
-                    chan.dead.set()
-            if progressed:
-                idle = 0
-                continue
-            idle += 1
-            if idle < _PUMP_YIELDS:
-                time.sleep(0)
-                continue
-            # advertise the sleep, then re-check occupancy: a producer
-            # that published before seeing the flag is caught here, one
-            # that published after will poke the doorbell
-            live = [ch for ch in chans if not ch.dead.is_set()]
-            for chan in live:
-                chan.seg.set_sleeping()
-            if any(ch.frame_readable() >= ev.HEADER_SIZE for ch in live):
-                for chan in live:
-                    chan.seg.clear_sleeping()
-                idle = 0
-                continue
-            try:
-                ready, _, _ = select.select(
-                    [ch.seg.doorbell for ch in live], [], [],
-                    _DOORBELL_TIMEOUT)
-            except OSError:  # pragma: no cover - teardown closed a fd
-                ready = []
-            for chan in live:
-                chan.seg.clear_sleeping()
-            for sock in ready:
-                for chan in live:
-                    if chan.seg.doorbell is sock:
-                        chan.seg.drain_doorbell()
-            idle = 0
-
-    def describe(self) -> str:
-        return (f"ShmTransport(nprocs={self.nprocs}, "
-                f"local={self.local_ranks}, pairs={len(self._chan)})")
+        self.seg.close()
 
 
 def shm_world(nprocs: int, nonce: str | None = None,
               ring: int | None = None, rndv: int | None = None) \
-        -> ShmTransport:
-    """In-process shm transport hosting every rank (tests, thread mode).
+        -> WireTransport:
+    """In-process ring-only transport hosting every rank (tests, thread
+    mode).
 
     Creates all pair segments locally; closing the transport unlinks
     them.  The data path is byte-for-byte the one worker processes use
-    — same rings, same framing, same region — minus the bootstrap.
+    — same rings, same framing, same region — minus the bootstrap and
+    the sockets (so control kinds ride the rings too).
     """
     if nonce is None:
         nonce = f"w{os.getpid():x}{int(time.monotonic_ns()) & 0xffffff:x}"
-    channels: dict[tuple[int, int], ShmChannel] = {}
-    segs: list[ShmSegment] = []
+    chans: list[ShmChannel] = []
     try:
         for src in range(nprocs):
             for dst in range(nprocs):
-                if src == dst:
-                    continue
-                seg = ShmSegment(segment_name(nonce, src, dst), create=True,
-                                 ring=ring, rndv=rndv)
-                segs.append(seg)
-                channels[(src, dst)] = ShmChannel(seg, src, dst)
+                if src != dst:
+                    chans.append(ShmChannel(ShmSegment(
+                        segment_name(nonce, src, dst), create=True,
+                        ring=ring, rndv=rndv), src, dst))
     except Exception:
-        for seg in segs:
-            seg.close()
+        for chan in chans:
+            chan.close()
         raise
-    return ShmTransport(nprocs, range(nprocs), channels)
-
-
-# ---------------------------------------------------------------------------
-# hierarchical composite
-# ---------------------------------------------------------------------------
-
-#: kinds that must stay on TCP even for shm peers: teardown and failure
-#: notifications may not block behind a wedged ring (a dead consumer
-#: never drains it), and PR 9's detection latency depends on them
-_TCP_ONLY_KINDS = frozenset((ev.KIND_ABORT, ev.KIND_PEERFAIL,
-                             ev.KIND_REVOKE))
-
-
-class HierarchicalTransport(Transport):
-    """Per-peer transport selection: shared rings within the host, the
-    TCP mesh across hosts — chosen from the bootstrap address book.
-
-    Data-plane kinds (DATA, RTS, ACK, sanitizer probes) ride shm for
-    same-host peers, preserving the per-pair FIFO the matching order
-    depends on; everything else — and every remote peer — rides TCP.
-    The control plane (abort/peerfail/revoke broadcasts, launcher
-    heartbeats) never leaves TCP: a dead peer produces no EOF on a
-    shared ring, so the heartbeat plane must stay the detector.  A
-    ``KIND_PEERFAIL`` delivery is observed on its way to the mailbox
-    and poisons the dead peer's ring channels, unblocking stalled
-    waits.
-    """
-
-    mode = "DM"
-
-    def __init__(self, nprocs: int, rank: int, tcp: Transport,
-                 shm: ShmTransport | None):
-        super().__init__(nprocs)
-        self.rank = int(rank)
-        self.tcp = tcp
-        self.shm = shm
-        self._shm_peers = shm.shm_peers(self.rank) if shm is not None \
-            else set()
-
-    # -- engine wiring: fan out to both legs --------------------------------
-    def set_deliver(self, rank: int, fn) -> None:
-        super().set_deliver(rank, fn)
-        wrapped = self._observe_failures(fn)
-        self.tcp.set_deliver(rank, wrapped)
-        if self.shm is not None:
-            self.shm.set_deliver(rank, wrapped)
-
-    def set_direct_claim(self, rank: int, fn) -> None:
-        super().set_direct_claim(rank, fn)
-        self.tcp.set_direct_claim(rank, fn)
-        if self.shm is not None:
-            self.shm.set_direct_claim(rank, fn)
-
-    def set_sanitizer(self, san) -> None:
-        if self.shm is not None:
-            self.shm.set_sanitizer(san)
-
-    def _observe_failures(self, fn):
-        def deliver(env: Envelope) -> None:
-            if env.kind == ev.KIND_PEERFAIL and self.shm is not None:
-                # no EOF exists on a ring: poison the dead peer's
-                # channels here so blocked sends/reads unwind
-                self.shm.mark_peer_dead(env.src)
-            fn(env)
-        return deliver
-
-    # -- lifecycle ---------------------------------------------------------
-    def start(self) -> None:
-        self.tcp.start()
-        if self.shm is not None:
-            self.shm.start()
-
-    def close(self) -> None:
-        if self.shm is not None:
-            self.shm.close()
-        self.tcp.close()
-
-    # -- routing -----------------------------------------------------------
-    def send(self, env: Envelope) -> None:
-        shm = self.shm
-        if (shm is not None and env.dst in self._shm_peers
-                and env.dst != self.rank
-                and env.kind not in _TCP_ONLY_KINDS
-                and not shm.peer_dead(env.dst)):
-            shm.send(env)
-            return
-        self.tcp.send(env)
-
-    def send_oob(self, env: Envelope) -> None:
-        """Probes from transport-level waits bypass the (possibly
-        wedged) rings entirely: TCP always has an independent path."""
-        self.tcp.send(env)
-
-    def broadcast_control(self, env: Envelope) -> None:
-        # teardown fan-out must not depend on ring space
-        self.tcp.broadcast_control(env)
-
-    # -- introspection -----------------------------------------------------
-    @property
-    def wire_stats(self):
-        """The TCP leg's counters (remote/control traffic); the shm
-        leg's live under ``.shm.wire_stats``."""
-        return self.tcp.wire_stats
-
-    def describe(self) -> str:
-        n_shm = len(self._shm_peers)
-        return (f"HierarchicalTransport(rank={self.rank}, "
-                f"shm_peers={n_shm}, tcp_peers="
-                f"{self.nprocs - 1 - n_shm})")
+    return WireTransport(nprocs, range(nprocs), chans)

@@ -1,166 +1,47 @@
-"""Distributed-memory (DM) transports: kernel sockets between rank pairs.
+"""Distributed-memory (DM) carriers: kernel sockets between rank pairs.
 
 The paper's DM mode ran each rank in its own process on a separate machine,
-talking over 10BaseT Ethernet.  Two carriers live here:
+talking over 10BaseT Ethernet.  Both socket worlds here are channel
+lists handed to the one :class:`~repro.transport.wire.WireTransport`:
 
-* :class:`SocketTransport` — ranks are threads of one Python process; each
+* :func:`SocketTransport` — ranks are threads of one Python process; each
   rank pair shares a ``socket.socketpair()`` so every byte still crosses
   the kernel's socket layer (syscalls, kernel buffering, the
   serialize/deserialize round trip), which is what gives the DM path its
   genuinely higher per-message cost.
-* :class:`TCPMeshTransport` — ranks are separate OS *processes* (the
+* :func:`TCPMeshTransport` — ranks are separate OS *processes* (the
   paper's actual ``mpirun`` model).  A bootstrap rendezvous builds a full
   TCP mesh: every rank opens a listener, the launcher gossips the
   (host, port) address book over the control plane, then rank *j* dials
   every rank *i < j* and accepts from every rank *k > j*; each connection
-  opens with a fixed hello frame declaring the dialer's rank.  One pump
-  thread per process drains frames from all peers.
+  opens with a fixed hello frame declaring the dialer's rank.
 
-Messages are framed with the wire format from
-:mod:`repro.runtime.envelope` and move through the zero-copy fast path in
-:mod:`repro.transport.wire` (vectored ``sendmsg`` writes, pooled
-``recv_into`` receives, eager/rendezvous protocol for large payloads).
 Stream sockets preserve per-pair ordering, which carries MPI's
 non-overtaking guarantee.
 """
 
 from __future__ import annotations
 
-import selectors
 import socket
 import struct
-import threading
 import time
 
-from repro.runtime import envelope as ev
-from repro.runtime.envelope import Envelope
-from repro.transport.base import Transport
-from repro.transport.wire import RecvPool, WireProtocol, set_nodelay
+from repro.transport.wire import Channel, WireTransport, recv_exact, \
+    set_nodelay
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    """Read exactly ``n`` bytes or raise ConnectionError on EOF."""
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise ConnectionError("peer closed")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-class SocketTransport(WireProtocol, Transport):
-    """Full mesh of socket pairs with one receiver pump per rank."""
-
-    mode = "DM"
-
-    def __init__(self, nprocs: int, sndbuf: int | None = None):
-        super().__init__(nprocs)
-        # _sock[i][j] is rank i's endpoint of the (i, j) pair; None for i==j.
-        self._sock: list[list[socket.socket | None]] = \
-            [[None] * nprocs for _ in range(nprocs)]
-        self._wlock: list[list[threading.Lock | None]] = \
-            [[None] * nprocs for _ in range(nprocs)]
-        for i in range(nprocs):
-            for j in range(i + 1, nprocs):
-                a, b = socket.socketpair()
+def SocketTransport(nprocs: int, sndbuf: int | None = None) -> WireTransport:
+    """Every rank in this process, a socketpair per rank pair."""
+    chans = []
+    for i in range(nprocs):
+        for j in range(i + 1, nprocs):
+            a, b = socket.socketpair()
+            if sndbuf:
                 for s in (a, b):
-                    set_nodelay(s)   # no-op on AF_UNIX pairs
-                    if sndbuf:
-                        s.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
-                                     sndbuf)
-                        s.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF,
-                                     sndbuf)
-                self._sock[i][j] = a
-                self._sock[j][i] = b
-                self._wlock[i][j] = threading.Lock()
-                self._wlock[j][i] = threading.Lock()
-        self._pumps: list[threading.Thread] = []
-        self._closing = threading.Event()
-        self._started = False
-        self._wire_init(range(nprocs))
-
-    # -- wire-protocol routing hooks ---------------------------------------
-    def _peer_sock(self, src: int, dst: int):
-        return self._sock[src][dst]
-
-    def _peer_lock(self, src: int, dst: int):
-        return self._wlock[src][dst]
-
-    # -- lifecycle ---------------------------------------------------------
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        for rank in range(self.nprocs):
-            t = threading.Thread(target=self._pump, args=(rank,),
-                                 name=f"repro-sockpump-{rank}", daemon=True)
-            self._pumps.append(t)
-            t.start()
-        self._wire_start(name="repro-sock-writer")
-
-    def close(self) -> None:
-        if self._closing.is_set():
-            return
-        self._closing.set()
-        self._wire_close()
-        for row in self._sock:
-            for s in row:
-                if s is not None:
-                    try:
-                        s.shutdown(socket.SHUT_RDWR)
-                    except OSError:
-                        pass
-                    try:
-                        s.close()
-                    except OSError:
-                        pass
-        for t in self._pumps:
-            t.join(timeout=2.0)
-
-    # -- sending -------------------------------------------------------------
-    def send(self, env: Envelope) -> None:
-        if env.dst == env.src:
-            # loopback: no wire; deliver directly like real MPI self-sends
-            self._deliver_local(env)
-            return
-        self._wire_send(env)
-
-    def _deliver_local(self, env: Envelope) -> None:
-        deliver = self._deliver[env.dst]
-        if deliver is None:
-            raise RuntimeError(f"rank {env.dst} has no mailbox attached")
-        deliver(env)
-
-    # -- receiving -------------------------------------------------------------
-    def _pump(self, rank: int) -> None:
-        """Receiver loop for ``rank``: drain frames from all peers."""
-        sel = selectors.DefaultSelector()
-        pool = RecvPool()
-        for peer in range(self.nprocs):
-            if peer == rank:
-                continue
-            sock = self._sock[rank][peer]
-            sel.register(sock, selectors.EVENT_READ, peer)
-        try:
-            while not self._closing.is_set():
-                for key, _ in sel.select(timeout=0.2):
-                    try:
-                        self._read_frame(rank, key.fileobj, pool)
-                    except (ConnectionError, OSError):
-                        if not self._closing.is_set():
-                            raise
-                        return
-        except (ConnectionError, OSError):
-            if not self._closing.is_set():  # pragma: no cover - hard failure
-                raise
-        finally:
-            sel.close()
-
-    def describe(self) -> str:
-        return f"SocketTransport(nprocs={self.nprocs}, kernel socketpairs)"
+                    s.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, sndbuf)
+                    s.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, sndbuf)
+            chans += [Channel(a, i, j), Channel(b, j, i)]
+    return WireTransport(nprocs, range(nprocs), chans)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +118,7 @@ def build_mesh(rank: int, nprocs: int, listener: socket.socket,
             # CTS / small frame this side writes can stall in Nagle
             set_nodelay(s)
             s.settimeout(timeout)
-            (peer,) = MESH_HELLO.unpack(_recv_exact(s, MESH_HELLO.size))
+            (peer,) = MESH_HELLO.unpack(recv_exact(s, MESH_HELLO.size))
             if not rank < peer < nprocs or peer in peers:
                 raise ConnectionError(f"bad mesh hello from rank {peer}")
             s.settimeout(None)
@@ -253,124 +134,17 @@ def build_mesh(rank: int, nprocs: int, listener: socket.socket,
     return peers
 
 
-class TCPMeshTransport(WireProtocol, Transport):
-    """Full TCP mesh between rank *processes*; one socket per pair.
+def mesh_channels(nprocs: int, rank: int,
+                  peer_socks: dict[int, socket.socket]) -> list[Channel]:
+    """``rank``'s mesh sockets as channels; the mesh must be full."""
+    if sorted(peer_socks) != [r for r in range(nprocs) if r != rank]:
+        raise ValueError(f"mesh for rank {rank} must cover all "
+                         f"{nprocs - 1} peers, got {sorted(peer_socks)}")
+    return [Channel(s, rank, peer) for peer, s in peer_socks.items()]
 
-    Hosts exactly one local rank.  Sends to any peer are framed vectored
-    writes on that pair's socket (under a per-peer lock — the rank
-    thread, the pump control path, the rendezvous writer and the abort
-    broadcast may write concurrently); the single pump thread drains
-    frames from every peer into the local mailbox.  A peer connection
-    dying outside teardown is classified as a KIND_PEERFAIL delivery:
-    the failure plane marks the rank dead and fails exactly the
-    operations that depended on it, so a hard-killed process unblocks
-    its peers without poisoning the whole job.
-    """
 
-    mode = "DM"
-
-    def __init__(self, nprocs: int, rank: int,
-                 peer_socks: dict[int, socket.socket]):
-        super().__init__(nprocs)
-        self.rank = int(rank)
-        if sorted(peer_socks) != [r for r in range(nprocs)
-                                  if r != self.rank]:
-            raise ValueError(f"mesh for rank {self.rank} must cover all "
-                             f"{nprocs - 1} peers, got {sorted(peer_socks)}")
-        self._peer = dict(peer_socks)
-        self._plock = {p: threading.Lock() for p in self._peer}
-        for s in self._peer.values():
-            set_nodelay(s)
-        self._pump_thread: threading.Thread | None = None
-        self._closing = threading.Event()
-        self._started = False
-        self._wire_init((self.rank,))
-
-    # -- wire-protocol routing hooks ---------------------------------------
-    def _peer_sock(self, src: int, dst: int):
-        return self._peer.get(dst)
-
-    def _peer_lock(self, src: int, dst: int):
-        return self._plock[dst]
-
-    # -- lifecycle ---------------------------------------------------------
-    def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        self._pump_thread = threading.Thread(
-            target=self._pump, name=f"repro-meshpump-{self.rank}",
-            daemon=True)
-        self._pump_thread.start()
-        self._wire_start(name=f"repro-mesh-writer-{self.rank}")
-
-    def close(self) -> None:
-        if self._closing.is_set():
-            return
-        self._closing.set()
-        self._wire_close()
-        for s in self._peer.values():
-            try:
-                s.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                s.close()
-            except OSError:
-                pass
-        if self._pump_thread is not None:
-            self._pump_thread.join(timeout=2.0)
-
-    # -- sending -----------------------------------------------------------
-    def send(self, env: Envelope) -> None:
-        if env.dst == self.rank:
-            deliver = self._deliver[self.rank]
-            if deliver is None:
-                raise RuntimeError(f"rank {self.rank} has no mailbox "
-                                   f"attached")
-            deliver(env)
-            return
-        if self._peer.get(env.dst) is None:
-            raise RuntimeError(f"no mesh connection {self.rank}->{env.dst}")
-        self._wire_send(env)
-
-    # -- receiving ---------------------------------------------------------
-    def _pump(self) -> None:
-        sel = selectors.DefaultSelector()
-        pool = RecvPool()
-        for peer, s in self._peer.items():
-            sel.register(s, selectors.EVENT_READ, peer)
-        try:
-            while not self._closing.is_set():
-                for key, _ in sel.select(timeout=0.2):
-                    try:
-                        self._read_frame(self.rank, key.fileobj, pool)
-                    except (ConnectionError, OSError):
-                        if self._closing.is_set():
-                            return
-                        sel.unregister(key.fileobj)
-                        self._peer_lost(key.data)
-        finally:
-            sel.close()
-
-    def _peer_lost(self, peer: int) -> None:
-        """Peer connection died outside teardown: classified peer loss.
-
-        Delivered as a KIND_PEERFAIL envelope — the failure plane marks
-        the rank dead and completes exactly the operations that depended
-        on it with ERR_PROC_FAILED — instead of the synthetic
-        universe-wide abort this used to be.  Under ``ERRORS_ARE_FATAL``
-        the first affected operation still poisons the job through its
-        error handler (fast fatal unwind preserved); under
-        ``ERRORS_RETURN`` the survivors keep running (ULFM).
-        """
-        env = ev.encode_peerfail_env(
-            peer, ConnectionError(f"rank {peer} connection lost"))
-        env.dst = self.rank
-        deliver = self._deliver[self.rank]
-        if deliver is not None:
-            deliver(env)
-
-    def describe(self) -> str:
-        return (f"TCPMeshTransport(nprocs={self.nprocs}, "
-                f"rank={self.rank}, full TCP mesh)")
+def TCPMeshTransport(nprocs: int, rank: int,
+                     peer_socks: dict[int, socket.socket]) -> WireTransport:
+    """One rank of a process-per-rank job over its full TCP mesh."""
+    return WireTransport(nprocs, (rank,),
+                         mesh_channels(nprocs, rank, peer_socks))

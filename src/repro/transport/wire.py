@@ -1,39 +1,63 @@
-"""Shared wire-path machinery for the socket transports.
+"""The wire transport: one protocol engine over a per-peer channel table.
 
 Everything between "the runtime handed the transport an envelope" and
-"bytes hit the kernel" lives here, shared by
-:class:`~repro.transport.socket_tcp.SocketTransport` (thread-per-rank
-socketpairs) and :class:`~repro.transport.socket_tcp.TCPMeshTransport`
-(process-per-rank TCP mesh):
+"bytes reached the peer" lives here, once.  :class:`WireTransport` is
+the only transport that speaks the wire format of
+:mod:`repro.runtime.envelope`; the carriers (kernel sockets here, the
+shared-memory rings of :mod:`repro.transport.shm`) sit behind a narrow
+*channel* interface — the structure MPICH Nemesis and Open MPI's BTLs
+use.  ``SocketTransport``, ``TCPMeshTransport`` and ``shm_world`` are
+constructors that build a channel list and return this one class.
 
+* **Channel** — a socket's own byte surface (``sendall`` / ``sendmsg``
+  / ``recv_into`` / ``recvmsg_into``) plus what the protocol needs to
+  know about a carrier: the directed pairs it writes (``tx``) and reads
+  (``rx``), its write ``lock`` and ``dead`` flag, an ``eager_capacity``
+  (frames that fit stay eager whatever the threshold says), a bulk lane
+  for rendezvous payloads (``send_rndv`` / ``read_rndv_views``; the
+  default is the frame stream itself), whether a read error means the
+  peer is gone (``eof_is_peer_loss``) and how a pump waits for it
+  (``waiter``).  :class:`Channel` is the socket implementation.
+* **Routing** — two lookups per directed pair.  Data kinds take the
+  pair's preferred channel (the last one listed for it); ``KIND_ABORT``
+  / ``KIND_PEERFAIL`` / ``KIND_REVOKE`` — and therefore
+  ``broadcast_control`` — take its control channel (the first one
+  listed: the socket), as does ``send_oob`` for remote peers, because
+  teardown and failure notices may not queue behind a wedged ring.  A
+  ``KIND_PEERFAIL`` on its way to a mailbox marks every channel to the
+  dead peer dead and points the pair's data route at the control
+  channel.
 * **Vectored framed I/O** — header and payload go out in a single
-  ``socket.sendmsg([header, view])`` call (one syscall, zero payload
-  copies on the send side: :func:`repro.runtime.envelope.encode` returns
-  buffer views, not ``tobytes()`` copies).  Noncontiguous (derived
-  datatype) payloads ride the same syscall as a run iovec —
-  ``sendmsg([header, run0, run1, ...])`` — with no gather copy at all.
-  Receives land through ``recv_into`` on a pooled, reusable buffer
-  (:class:`RecvPool`) instead of ``recv``'s chunk-list-and-join; posted
-  strided receives land via scattering ``recvmsg_into`` over the layout
-  IR's per-run views.
+  ``sendmsg([header, view])`` call (one syscall, zero payload copies on
+  the send side: :func:`repro.runtime.envelope.encode` returns buffer
+  views, not ``tobytes()`` copies).  Noncontiguous (derived datatype)
+  payloads ride the same call as a run iovec with no gather copy at
+  all.  Receives land through ``recv_into`` on a pooled, reusable
+  buffer (:class:`RecvPool`); posted strided receives land via
+  scattering ``recvmsg_into`` over the layout IR's per-run views.
 * **Eager/rendezvous protocol** — payloads at or above
   :func:`eager_limit` bytes do not travel with their header.  The sender
   parks the payload and ships a header-only ``KIND_RTS`` frame; the
   receiver replies ``KIND_CTS`` once a matching receive is posted; the
-  payload then streams in a ``KIND_RNDV_DATA`` frame routed by
-  ``(source, seq)`` — for contiguous primitive receives directly into
-  the posted user buffer via ``recv_into`` (zero staging copies).
-  ``Ssend`` piggybacks on the handshake: the CTS *is* the match
-  notification, so no separate ACK frame is needed.  Buffered- and
+  payload then moves in a ``KIND_RNDV_DATA`` frame routed by
+  ``(source, seq)`` over the channel's bulk lane — for directly
+  landable receives straight into the posted user buffer (zero staging
+  copies).  ``Ssend`` piggybacks on the handshake: the CTS *is* the
+  match notification, so no separate ACK frame is needed.  Buffered- and
   ready-mode sends stay eager regardless of size (their completion
   semantics are local).
-* **Writer thread** — rendezvous payloads *and every pump-originated
-  control frame* (CTS, sync ACKs) are written by a dedicated
-  per-transport thread.  Pumps never write: a pump blocking in
-  ``sendall`` — or on a peer-write lock held by a writer mid-stream —
-  stops draining its own sockets, and two peers in that state deadlock.
-  With pumps strictly read-only, every socket is always being drained
-  and writers always make progress.
+* **One writer thread** — rendezvous payloads *and every pump-originated
+  control frame* (CTS, sync ACKs) are written by a dedicated thread.
+  Pumps never write: a pump blocking in ``sendall`` — or on a channel
+  lock held by a writer mid-stream — stops draining its own channels,
+  and two peers in that state deadlock.  With pumps strictly read-only,
+  every channel is always being drained and writers always make
+  progress.
+* **Pumps** — one loop body (:meth:`WireTransport._pump`), run once per
+  (local rank, carrier present); only the wait step is the carrier's.
+  The socket pump is what turns a killed peer's EOF into the
+  ``KIND_PEERFAIL`` that unblocks ring waits, so it never shares a
+  thread with a pump that can stall on a ring.
 
 The per-pair FIFO that MPI's non-overtaking rule rides on is preserved:
 RTS frames travel the same stream as eager DATA frames, so *matching*
@@ -45,6 +69,7 @@ from __future__ import annotations
 
 import os
 import queue
+import selectors
 import socket
 import threading
 
@@ -53,6 +78,7 @@ from repro.obs.metrics import CounterGroup
 from repro.obs.trace import TRACE
 from repro.runtime import envelope as ev
 from repro.runtime.envelope import Envelope
+from repro.transport.base import Transport
 from repro.util import faultinject
 
 #: default eager/rendezvous switchover (bytes); messages >= this size
@@ -172,6 +198,18 @@ def send_frame_vectored(sock: socket.socket, header: bytes, views) -> None:
     _drive_vectored(bufs, sock.sendmsg)
 
 
+def recv_exact(sock: socket.socket, n: int) -> bytes:
+    """Read exactly ``n`` bytes or raise ConnectionError on EOF."""
+    chunks = []
+    while n:
+        chunk = sock.recv(n)
+        if not chunk:
+            raise ConnectionError("peer closed")
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
+
+
 def recv_exact_into(sock: socket.socket, view: memoryview) -> None:
     """Fill ``view`` from the socket or raise ConnectionError on EOF."""
     got, n = 0, len(view)
@@ -219,6 +257,94 @@ class RecvPool:
         return memoryview(self._buf)[:nbytes]
 
 
+# -- channels -----------------------------------------------------------------
+
+def framed_send(chan, header: bytes, body=b"") -> None:
+    """One frame onto ``chan``, atomic against its other writers.
+
+    The channel lock exists only to keep frames whole on the stream, and
+    every caller is a rank thread or the writer thread; pump threads
+    never reach here (:meth:`WireTransport._enqueue_frame`).
+    """
+    with chan.lock:
+        # repro: allow(blocking-under-lock) -- single-writer discipline
+        send_frame(chan, header, body)
+
+
+class SocketWait:
+    """The socket pump's wait step: ``select`` on the peers' sockets."""
+
+    def __init__(self, chans):
+        self._sel = selectors.DefaultSelector()
+        for chan in chans:
+            self._sel.register(chan.sock, selectors.EVENT_READ, chan)
+
+    def ready(self) -> list:
+        return [key.data for key, _ in self._sel.select(timeout=0.2)]
+
+    def drop(self, chan) -> None:
+        self._sel.unregister(chan.sock)
+
+    def close(self) -> None:
+        self._sel.close()
+
+
+class Channel:
+    """``rank``'s endpoint of the stream socket it shares with ``peer``.
+
+    The socket's own ``sendall`` / ``sendmsg`` / ``recv_into`` /
+    ``recvmsg_into`` are re-exported as attributes, so the framing code
+    drives a channel at exactly the cost of driving the socket.  Every
+    other carrier implements this same surface (see the module
+    docstring); the class attributes are the socket answers.
+    """
+
+    __slots__ = ("sock", "tx", "rx", "lock", "dead", "sendall", "sendmsg",
+                 "recv_into", "recvmsg_into")
+
+    #: frames up to this size stay eager whatever the threshold says
+    #: (a kernel socket holds nothing whole: rendezvous bounds staging)
+    eager_capacity = 0
+    #: a read error here is the peer's EOF: deliver ``KIND_PEERFAIL``
+    eof_is_peer_loss = True
+    #: wait step of the pump that drains channels of this carrier
+    waiter = SocketWait
+
+    def __init__(self, sock: socket.socket, rank: int, peer: int):
+        set_nodelay(sock)
+        self.sock = sock
+        #: directed pair this endpoint writes / reads
+        self.tx, self.rx = (rank, peer), (peer, rank)
+        self.lock = threading.Lock()
+        self.dead = threading.Event()
+        self.sendall, self.sendmsg = sock.sendall, sock.sendmsg
+        self.recv_into, self.recvmsg_into = sock.recv_into, sock.recvmsg_into
+
+    def bind(self, closing, stats, sanitizer=None) -> None:
+        """Attach the owning transport's teardown flag, counters and
+        sanitizer; a socket wait needs none of them (the kernel ends it)."""
+
+    def send_rndv(self, header: bytes, body) -> None:
+        """Bulk lane: a rendezvous payload rides the frame stream."""
+        framed_send(self, header, body)
+
+    def read_rndv_views(self, views) -> None:
+        recv_exact_into_views(self, views)
+
+    def shutdown(self) -> None:
+        """Wake every blocked reader of this socket, here and remote."""
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+
+    def close(self) -> None:
+        try:
+            self.sock.close()
+        except OSError:
+            pass
+
+
 # -- rendezvous bookkeeping ---------------------------------------------------
 
 class _Sink:
@@ -245,24 +371,45 @@ class _RendezvousState:
         self.t0: dict[int, float] = {}         # seq -> RTS time (tracing)
 
 
-class WireProtocol:
-    """Mixin implementing the eager/rendezvous wire protocol.
+#: kinds pinned to a pair's control channel: teardown and failure
+#: notices may not block behind a wedged ring (a dead consumer never
+#: drains it), and failure-detection latency depends on them
+CONTROL_KINDS = frozenset((ev.KIND_ABORT, ev.KIND_PEERFAIL, ev.KIND_REVOKE))
 
-    Host transports provide ``self._deliver`` (from ``Transport``),
-    ``self._closing`` (an Event), and two routing hooks:
 
-    * ``_peer_sock(src, dst)`` — the socket carrying src->dst frames;
-    * ``_peer_lock(src, dst)`` — the write lock for that socket.
+class WireTransport(Transport):
+    """The eager/rendezvous wire protocol over a table of channels.
+
+    Hosts ``local_ranks`` (every rank of an in-process job, one rank of
+    a worker process).  ``channels`` lists, control plane first, every
+    channel endpoint this process holds; for each directed pair the
+    first channel that writes it carries control kinds and the last one
+    carries data.  Pumps — one per (local rank, carrier) — drain the
+    channels that read into a local rank; rank threads and the one
+    writer thread do all the writing.
     """
 
-    def _wire_init(self, local_ranks) -> None:
-        self._rndv = {r: _RendezvousState() for r in local_ranks}
+    mode = "DM"
+
+    def __init__(self, nprocs: int, local_ranks, channels):
+        super().__init__(nprocs)
+        self.local_ranks = tuple(sorted({int(r) for r in local_ranks}))
+        self._chans = list(channels)
+        self._ctl: dict[tuple[int, int], object] = {}
+        self._data: dict[tuple[int, int], object] = {}
+        for chan in self._chans:
+            if chan.tx[0] in self.local_ranks:
+                self._ctl.setdefault(chan.tx, chan)
+                self._data[chan.tx] = chan
+        self._rndv = {r: _RendezvousState() for r in self.local_ranks}
         self._writeq: queue.SimpleQueue = queue.SimpleQueue()
+        self._pumps: list[threading.Thread] = []
         self._writer: threading.Thread | None = None
+        self._closing = threading.Event()
+        self._started = False
         #: frame/byte counters for benchmarks and the zero-copy tests —
         #: a live :class:`~repro.obs.metrics.CounterGroup` registered in
-        #: the process metrics registry; Mapping-compatible with the
-        #: plain dict this used to be
+        #: the process metrics registry
         self.wire_stats = CounterGroup("wire", (
             "eager_frames", "eager_bytes",
             "eager_direct_frames", "eager_direct_bytes",
@@ -270,39 +417,124 @@ class WireProtocol:
             "rts_frames", "cts_frames",
             "rndv_direct_frames", "rndv_direct_bytes",
             "rndv_staged_frames", "rndv_staged_bytes",
-            "tx_frames", "tx_bytes",
+            "tx_frames", "tx_bytes", "stall_sleeps",
         ))
+        self._count = self.wire_stats.inc
+        for chan in self._chans:
+            chan.bind(self._closing, self.wire_stats)
 
-    def _wire_start(self, name: str = "repro-wire-writer") -> None:
+    def set_sanitizer(self, san) -> None:
+        """Arm channel-level waits with the sanitizer's wait-for
+        bookkeeping."""
+        for chan in self._chans:
+            chan.bind(self._closing, self.wire_stats, san)
+
+    # -- lifecycle ---------------------------------------------------------
+    def start(self) -> None:
+        if self._started:
+            return
+        self._started = True
+        for rank in self.local_ranks:
+            by_carrier: dict = {}
+            for chan in self._chans:
+                if chan.rx[1] == rank:
+                    by_carrier.setdefault(chan.waiter, []).append(chan)
+            for make_wait, chans in by_carrier.items():
+                self._pumps.append(threading.Thread(
+                    target=self._pump, args=(rank, make_wait(chans)),
+                    name=f"repro-pump-{rank}-{make_wait.__name__}",
+                    daemon=True))
         self._writer = threading.Thread(target=self._writer_loop,
-                                        name=name, daemon=True)
-        self._writer.start()
+                                        name="repro-wire-writer", daemon=True)
+        for t in (*self._pumps, self._writer):
+            t.start()
 
-    def _wire_close(self) -> None:
+    def close(self) -> None:
+        if self._closing.is_set():
+            return
+        self._closing.set()
         self._writeq.put(None)
         if self._writer is not None:
             self._writer.join(timeout=2.0)
-
-    def _count(self, **deltas: int) -> None:
-        self.wire_stats.inc(**deltas)
-
-    def _wants_rendezvous(self, env: Envelope) -> bool:
-        """Protocol choice for one envelope.  Transports can refine the
-        global threshold with carrier knowledge (the shm transport
-        keeps ring-sized frames eager: same copy count, no handshake)."""
-        return wants_rendezvous(env)
+        for chan in self._chans:
+            chan.shutdown()
+        for t in self._pumps:
+            t.join(timeout=2.0)
+        # only now: a ring's memory may not go while a pump reads it
+        for chan in self._chans:
+            chan.close()
 
     # -- send side ---------------------------------------------------------
-    def _wire_send(self, env: Envelope) -> None:
+    def send(self, env: Envelope) -> None:
+        table = self._ctl if env.kind in CONTROL_KINDS else self._data
+        chan = table.get((env.src, env.dst))
+        if chan is None:
+            chan = self._off_table(table, env)
+            if chan is None:
+                return
+        self._wire_send(env, chan)
+
+    def send_oob(self, env: Envelope) -> None:
+        """Control delivery for waits blocked *inside* a channel (a
+        sanitizer probe from a rank stalled on a full ring cannot ride
+        that ring): straight into an in-process peer's mailbox, over the
+        control channel to anyone else."""
+        if env.dst in self._rndv:
+            self._deliver_local(env.dst, env)
+        else:
+            self._wire_send(env, self._ctl.get((env.src, env.dst))
+                            or self._off_table(self._ctl, env))
+
+    def _off_table(self, table, env: Envelope):
+        """Route an envelope whose (src, dst) writes no channel here.
+
+        Self-sends loop back like real MPI's.  Control relayed on behalf
+        of a rank hosted elsewhere — the origin of an abort, the subject
+        of a peerfail — is delivered to local ranks directly and rides
+        this process's first local rank's channel to everyone else.
+        Returns the channel to use, or None once delivered.
+        """
+        src, dst = env.src, env.dst
+        relayed = src not in self._rndv
+        if dst in self._rndv and (relayed or src == dst):
+            self._deliver_local(dst, env)
+            return None
+        via = self.local_ranks[0] if relayed else src
+        chan = table.get((via, dst))
+        if chan is None:
+            raise RuntimeError(f"no wire connection {src}->{dst}")
+        return chan
+
+    def _deliver_local(self, rank: int, env: Envelope) -> None:
+        if env.kind == ev.KIND_PEERFAIL:
+            self._peer_down(env.src)
+        deliver = self._deliver[rank]
+        if deliver is None:
+            raise RuntimeError(f"rank {rank} has no mailbox attached")
+        deliver(env)
+
+    def _peer_down(self, peer: int) -> None:
+        """``peer`` was declared failed: wake every channel wait touching
+        it (a shared ring has no EOF to notice) and let data for it fall
+        back to the control channel."""
+        for chan in self._chans:
+            if peer in chan.tx:
+                chan.dead.set()
+        for pair in self._data:
+            if peer in pair:
+                self._data[pair] = self._ctl[pair]
+
+    def _wire_send(self, env: Envelope, chan) -> None:
         """Ship one envelope src->dst (rank thread; never blocks on CTS)."""
-        if self._wants_rendezvous(env):
+        if wants_rendezvous(env) and \
+                env.payload.nbytes + ev.HEADER_SIZE > chan.eager_capacity:
             st = self._rndv[env.src]
             with st.lock:
                 st.out[env.seq] = env
                 if TRACE.enabled:
                     st.t0[env.seq] = TRACE.now()
             header = ev.encode_rts(env)
-            self._framed_send(env.src, env.dst, header)
+            framed_send(chan, header)
             # fault point: the RTS is on the wire, the payload is parked
             # — a death here leaves the receiver matched to a sender
             # that will never answer its CTS
@@ -315,7 +547,7 @@ class WireProtocol:
             return
         header, body = ev.encode(env)
         nbytes = body_nbytes(body)
-        self._framed_send(env.src, env.dst, header, body)
+        framed_send(chan, header, body)
         self._count(eager_frames=1, eager_bytes=nbytes, tx_frames=1,
                     tx_bytes=len(header) + nbytes)
         if TRACE.enabled:
@@ -327,22 +559,10 @@ class WireProtocol:
             # user buffer is reusable — complete the send now
             env.on_flushed()
 
-    def _framed_send(self, src: int, dst: int, header: bytes,
-                     body=b"") -> None:
-        sock = self._peer_sock(src, dst)
-        if sock is None:
-            raise RuntimeError(f"no wire connection {src}->{dst}")
-        with self._peer_lock(src, dst):
-            # By design: the peer lock exists only to keep frames atomic
-            # on the stream, and every caller is a rank-owned writer/app
-            # thread; pump threads never reach here (_enqueue_frame).
-            # repro: allow(blocking-under-lock) -- single-writer discipline
-            send_frame(sock, header, body)
-
     def _enqueue_frame(self, src: int, dst: int, header: bytes) -> None:
         """Hand a control frame to the writer (pump threads MUST use
-        this instead of writing: a pump blocked on a peer-write lock
-        held by a writer mid-stream stops draining and can deadlock)."""
+        this instead of writing: a pump blocked on a channel lock held
+        by a writer mid-stream stops draining and can deadlock)."""
         self._writeq.put((src, dst, header))
 
     def _writer_loop(self) -> None:
@@ -353,42 +573,36 @@ class WireProtocol:
             item = self._writeq.get()
             if item is None:
                 return
-            if isinstance(item, tuple):
-                src, dst, header = item
-                try:
-                    self._framed_send(src, dst, header)
-                    self._count(tx_frames=1, tx_bytes=len(header))
-                except (OSError, RuntimeError, ConnectionError):
-                    if self._closing.is_set():
-                        return
-                continue
-            env = item
             try:
+                if isinstance(item, tuple):
+                    src, dst, header = item
+                    framed_send(self._data[src, dst], header)
+                    self._count(tx_frames=1, tx_bytes=len(header))
+                    continue
+                env = item
                 env.kind = ev.KIND_RNDV_DATA
                 header, body = ev.encode(env)
-                t_flush = TRACE.now() if TRACE.enabled else 0.0
-                self._framed_send(env.src, env.dst, header, body)
                 nbytes = body_nbytes(body)
+                t_flush = TRACE.now() if TRACE.enabled else 0.0
+                self._data[env.src, env.dst].send_rndv(header, body)
                 self._count(tx_frames=1, tx_bytes=len(header) + nbytes)
-                if TRACE.enabled:
-                    # the writer-thread flush itself ...
-                    TRACE.span(env.src, "wire.flush", "wire", t_flush,
-                               {"dst": env.dst, "bytes": nbytes})
-                    # ... and the whole RTS -> CTS -> payload-flushed
-                    # span of this rendezvous, anchored at the RTS
-                    st = self._rndv.get(env.src)
-                    t0 = None
-                    if st is not None:
-                        with st.lock:
-                            t0 = st.t0.pop(env.seq, None)
-                    if t0 is not None:
-                        TRACE.span(env.src, "wire.rndv", "wire", t0,
-                                   {"dst": env.dst, "seq": env.seq,
-                                    "bytes": nbytes})
-            except (OSError, RuntimeError, ConnectionError):
+            except (OSError, LookupError):
                 if self._closing.is_set():
                     return
                 continue   # peer death surfaces via the pump
+            if TRACE.enabled:
+                # the writer-thread flush itself ...
+                TRACE.span(env.src, "wire.flush", "wire", t_flush,
+                           {"dst": env.dst, "bytes": nbytes})
+                # ... and the whole RTS -> CTS -> payload-flushed
+                # span of this rendezvous, anchored at the RTS
+                st = self._rndv[env.src]
+                with st.lock:
+                    t0 = st.t0.pop(env.seq, None)
+                if t0 is not None:
+                    TRACE.span(env.src, "wire.rndv", "wire", t0,
+                               {"dst": env.dst, "seq": env.seq,
+                                "bytes": nbytes})
             if env.on_flushed is not None:
                 # zero-copy send: the user buffer is reusable now
                 env.on_flushed()
@@ -401,10 +615,44 @@ class WireProtocol:
                                      tag=env.tag, seq=env.seq))
 
     # -- receive side ------------------------------------------------------
-    def _read_frame(self, rank: int, sock: socket.socket,
-                    pool: RecvPool) -> None:
+    def _pump(self, rank: int, wait) -> None:
+        """Drain one carrier's channels into ``rank`` — the one loop
+        body every carrier runs; ``wait`` is the carrier's own step.
+
+        A channel that fails outside teardown is marked dead and
+        dropped.  On a socket that failure is the peer's EOF, classified
+        as a ``KIND_PEERFAIL`` delivery: the failure plane marks the
+        rank dead and fails exactly the operations that depended on it
+        (fatal under ``ERRORS_ARE_FATAL``, survivable under
+        ``ERRORS_RETURN``).  A ring has no EOF — its error says only
+        that a wait was cut short, and the heartbeat plane owns the
+        diagnosis.
+        """
+        pool = RecvPool()
+        try:
+            while not self._closing.is_set():
+                for chan in wait.ready():
+                    try:
+                        self._read_frame(rank, chan, pool)
+                    except (ConnectionError, OSError):
+                        if self._closing.is_set():
+                            return
+                        chan.dead.set()
+                        wait.drop(chan)
+                        if chan.eof_is_peer_loss \
+                                and self._deliver[rank] is not None:
+                            peer = chan.rx[0]
+                            env = ev.encode_peerfail_env(
+                                peer, ConnectionError(
+                                    f"rank {peer} connection lost"))
+                            env.dst = rank
+                            self._deliver_local(rank, env)
+        finally:
+            wait.close()
+
+    def _read_frame(self, rank: int, chan, pool: RecvPool) -> None:
         """Read and dispatch exactly one frame arriving at ``rank``."""
-        recv_exact_into(sock, pool.header)
+        recv_exact_into(chan, pool.header)
         (kind, src, dst, context, tag, mode, seq, nelems, flags, code,
          nbytes) = ev.HEADER.unpack(pool.header)
         if kind == ev.KIND_CTS:
@@ -414,7 +662,7 @@ class WireProtocol:
             self._handle_cts(rank, seq)
             return
         if kind == ev.KIND_RNDV_DATA:
-            self._handle_rndv_data(rank, sock, pool, src, tag, seq,
+            self._handle_rndv_data(rank, chan, pool, src, tag, seq,
                                    nelems, nbytes)
             return
         if kind == ev.KIND_DATA and nbytes >= DIRECT_EAGER_MIN \
@@ -431,10 +679,10 @@ class WireProtocol:
                     # eager direct landing: the receive was posted with
                     # a directly-landable window (contiguous, or a
                     # derived layout's run views), so the body streams
-                    # straight from the kernel into the user buffer —
+                    # straight from the channel into the user buffer —
                     # zero staging copies
                     posted, views = got
-                    recv_exact_into_views(sock, views)
+                    recv_exact_into_views(chan, views)
                     self._count(eager_direct_frames=1,
                                 eager_direct_bytes=nbytes)
                     if TRACE.enabled:
@@ -455,7 +703,7 @@ class WireProtocol:
                                    "bytes": nbytes})
         body = pool.body(nbytes) if nbytes else b""
         if nbytes:
-            recv_exact_into(sock, body)
+            recv_exact_into(chan, body)
         env = ev.decode(pool.header, body)
         env.borrowed = nbytes > 0
         if kind == ev.KIND_RTS:
@@ -463,6 +711,8 @@ class WireProtocol:
                                                               posted)
         elif mode == ev.MODE_SYNCHRONOUS and kind == ev.KIND_DATA:
             env.transport_notify = self._send_ack
+        elif kind == ev.KIND_PEERFAIL:
+            self._peer_down(src)
         deliver = self._deliver[rank]
         if deliver is not None:
             deliver(env)
@@ -502,25 +752,26 @@ class WireProtocol:
         cts = ev.HEADER.pack(ev.KIND_CTS, rank, env.src, env.context,
                              env.tag, env.mode, env.seq, 0, 0, b"--", 0)
         # via the writer, never inline: this may run in the pump (arrival
-        # match), and pumps must not block on peer-write locks
+        # match), and pumps must not block on channel locks
         self._enqueue_frame(rank, env.src, cts)
 
-    def _handle_rndv_data(self, rank: int, sock, pool: RecvPool, src: int,
+    def _handle_rndv_data(self, rank: int, chan, pool: RecvPool, src: int,
                           tag: int, seq: int, nelems: int,
                           nbytes: int) -> None:
-        """Land a rendezvous payload frame on its registered sink."""
+        """Land a rendezvous payload from ``chan``'s bulk lane on its
+        registered sink."""
         st = self._rndv[rank]
         with st.lock:
             sink = st.sinks.pop((src, seq), None)
         if sink is None:  # pragma: no cover - protocol guarantees a sink
-            recv_exact_into(sock, pool.body(nbytes))
+            chan.read_rndv_views([pool.body(nbytes)])
             return
         t0 = TRACE.now() if TRACE.enabled else 0.0
         if sink.views is not None \
                 and body_nbytes(sink.views) == nbytes:
-            # the zero-copy fast path: socket -> user buffer (every
+            # the zero-copy fast path: bulk lane -> user buffer (every
             # layout run in one scattering read), no staging
-            recv_exact_into_views(sock, sink.views)
+            chan.read_rndv_views(sink.views)
             self._count(rndv_direct_frames=1, rndv_direct_bytes=nbytes)
             if TRACE.enabled:
                 TRACE.span(rank, "wire.rndv_land", "wire", t0,
@@ -531,7 +782,7 @@ class WireProtocol:
         # fallback: wire-unfriendly layout, dtype mismatch or truncation —
         # stage through the pool and run the full landing checks
         body = pool.body(nbytes)
-        recv_exact_into(sock, body)
+        chan.read_rndv_views([body])
         env = ev.decode(pool.header, body)
         env.borrowed = True
         count, error, message = sink.posted.land(env)
@@ -542,3 +793,7 @@ class WireProtocol:
         sink.posted.req.complete(source_world=src, tag=tag,
                                  count_elements=count, error=error,
                                  error_message=message)
+
+    def describe(self) -> str:
+        return (f"WireTransport(nprocs={self.nprocs}, "
+                f"local={self.local_ranks}, channels={len(self._chans)})")

@@ -24,7 +24,7 @@ from repro import procrun, ProcExecutor
 from repro.errors import AbortException
 from repro.executor.procrunner import target_spec
 from repro.executor.runner import JobTimeoutError, RankFailure
-from repro.mpijava import MPI
+from repro.mpijava import MPI, Request
 from repro.mpijava.op import Op
 
 NPROCS = int(os.environ.get("REPRO_PROC_NPROCS", "4"))
@@ -197,6 +197,37 @@ def hang_body(kind, arg):
     return kind
 
 
+#: the windowed stream: 64 messages of 128 int64 (1 KiB) per window
+STREAM_WINDOW, STREAM_ELEMS = 64, 128
+
+
+def windowed_stream_body(windows):
+    """Windows of 64 x 1 KiB Isend against pre-posted Irecv, gated by an
+    8 B ack per window; every message is filled with its global index
+    and rank 1 returns the sum of everything it received."""
+    MPI.Init([])
+    w = MPI.COMM_WORLD
+    rank = w.Rank()
+    W, N = STREAM_WINDOW, STREAM_ELEMS
+    slots = np.zeros(W * N, dtype=np.int64)
+    ack = np.zeros(1, dtype=np.int64)
+    total = 0
+    for win in range(windows):
+        if rank == 0:
+            slots[:] = np.repeat(np.arange(win * W, (win + 1) * W), N)
+            w.Recv(ack, 0, 1, MPI.LONG, 1, 2)   # the window is posted
+            Request.Waitall([w.Isend(slots, k * N, N, MPI.LONG, 1, 1)
+                             for k in range(W)])
+        else:
+            reqs = [w.Irecv(slots, k * N, N, MPI.LONG, 0, 1)
+                    for k in range(W)]
+            w.Send(ack, 0, 1, MPI.LONG, 0, 2)
+            Request.Waitall(reqs)
+            total += int(slots.sum())
+    MPI.Finalize()
+    return total
+
+
 # --- tests --------------------------------------------------------------------
 
 class TestEndToEnd:
@@ -224,6 +255,18 @@ class TestEndToEnd:
         out = procrun(2, target, args=(20_000,), timeout=TIMEOUT)
         assert out[0] == pytest.approx(3.14159, abs=1e-3)
         assert out[1] is None
+
+    def test_windowed_isend_stream_over_shm(self, monkeypatch):
+        """Back-to-back windows of small nonblocking sends keep both
+        ring counters moving at once — the traffic that exposes a torn
+        cross-process counter publish (the job aborted inside the ring
+        within ~100 windows when the publish zero-filled first)."""
+        monkeypatch.setenv("REPRO_SHM", "1")
+        windows = 300
+        out = procrun(2, windowed_stream_body, args=(windows,),
+                      timeout=TIMEOUT)
+        messages = windows * STREAM_WINDOW
+        assert out[1] == STREAM_ELEMS * messages * (messages - 1) // 2
 
     def test_local_function_rejected_with_clear_error(self):
         def local_body():  # pragma: no cover - must not even ship

@@ -215,15 +215,32 @@ class TestSsendSemantics:
             f"receiver posted (delay 0.25s)"
 
 
-class TestZeroCopyProof:
-    """Copy-count / bytes-on-wire: the rendezvous contiguous path must
-    perform zero staging copies, and exactly one payload traversal."""
+def _shm_world(**sizes):
+    from repro.transport.shm import shm_world
+    return shm_world(2, **sizes)
 
-    def test_rendezvous_contiguous_recv_is_zero_staging(self,
+
+#: both carriers of the one wire transport.  The ring is kept small: a
+#: frame that fits the ring whole stays eager whatever the threshold
+#: says, and the rendezvous proofs need the RTS/CTS path to actually
+#: run (eager frames bigger than the ring just stream through it)
+CARRIERS = {"socket": lambda: SocketTransport(2),
+            "shm": lambda: _shm_world(ring=64 * 1024)}
+
+
+@pytest.mark.parametrize("carrier", sorted(CARRIERS))
+class TestZeroCopyProof:
+    """Copy-count / bytes-on-wire, identical on every carrier: posted
+    eager receives direct-land from the frame stream, rendezvous
+    payloads move over the bulk lane straight into the posted buffer —
+    contiguous and strided alike — with zero staging copies and exactly
+    one payload traversal."""
+
+    def test_rendezvous_contiguous_recv_is_zero_staging(self, carrier,
                                                         eager_limit_guard):
         wire.set_eager_limit(1024)
         n = 1 << 20
-        transport = SocketTransport(2)
+        transport = CARRIERS[carrier]()
 
         def body(n):
             from repro.jni import capi, handles as H
@@ -255,10 +272,10 @@ class TestZeroCopyProof:
         assert s["rts_frames"] == 1 and s["cts_frames"] == 1, s
 
     def test_eager_posted_contiguous_recv_is_zero_staging(
-            self, eager_limit_guard):
+            self, carrier, eager_limit_guard):
         wire.set_eager_limit(1 << 62)
         n = 1 << 18
-        transport = SocketTransport(2)
+        transport = CARRIERS[carrier]()
         start = threading.Barrier(2, timeout=10)
 
         def body(n):
@@ -293,7 +310,7 @@ class TestZeroCopyProof:
     def _strided_payload_bytes(cls):
         return cls._COUNT * cls._BLOCK * 8
 
-    def test_rendezvous_strided_recv_is_zero_staging(self,
+    def test_rendezvous_strided_recv_is_zero_staging(self, carrier,
                                                      eager_limit_guard):
         """A derived-datatype rendezvous must stream every payload byte
         straight into the posted strided buffer: no gather copy on the
@@ -301,7 +318,7 @@ class TestZeroCopyProof:
         scatter on the receiver (per-run recv_into), and the payload
         crosses the wire exactly once."""
         wire.set_eager_limit(1024)
-        transport = SocketTransport(2)
+        transport = CARRIERS[carrier]()
         count, block, stride = self._COUNT, self._BLOCK, self._STRIDE
 
         def body():
@@ -342,11 +359,11 @@ class TestZeroCopyProof:
         assert s["tx_bytes"] < payload + 4096, s
 
     def test_eager_posted_strided_recv_is_zero_staging(
-            self, eager_limit_guard):
+            self, carrier, eager_limit_guard):
         """Below the rendezvous threshold, a posted strided receive
         direct-lands the eager frame through its run views."""
         wire.set_eager_limit(1 << 62)
-        transport = SocketTransport(2)
+        transport = CARRIERS[carrier]()
         start = threading.Barrier(2, timeout=10)
         count, block, stride = self._COUNT, self._BLOCK, self._STRIDE
 
@@ -382,202 +399,37 @@ class TestZeroCopyProof:
         assert s["eager_direct_bytes"] == payload, s
 
 
-class TestShmZeroCopyProof:
-    """The shared-ring transport must preserve the zero-staging
-    guarantees byte for byte: posted eager receives direct-land from
-    the frame ring, rendezvous payloads scatter from the region
-    straight into the posted buffer — contiguous and strided alike."""
+def test_payload_larger_than_region_streams_through(eager_limit_guard):
+    """Notify-first rendezvous: a payload bigger than the whole
+    region must flow through it (the receiver drains while the
+    sender streams), still landing direct."""
+    wire.set_eager_limit(1024)
+    n = 2 << 20                            # 2 MiB payload ...
+    transport = _shm_world(ring=64 * 1024,
+                           rndv=64 * 1024)   # ... 64 KiB region
 
-    _COUNT, _BLOCK, _STRIDE = (TestZeroCopyProof._COUNT,
-                               TestZeroCopyProof._BLOCK,
-                               TestZeroCopyProof._STRIDE)
+    def body(n):
+        from repro.jni import capi, handles as H
+        capi.mpi_init([])
+        rank = capi.mpi_comm_rank(H.COMM_WORLD)
+        ref = (np.arange(n) % 127).astype(np.int8)
+        if rank == 0:
+            capi.mpi_send(H.COMM_WORLD, ref.copy(), 0, n, H.DT_BYTE,
+                          1, 2)
+        else:
+            buf = np.zeros(n, dtype=np.int8)
+            capi.mpi_recv(H.COMM_WORLD, buf, 0, n, H.DT_BYTE, 0, 2)
+            assert np.array_equal(buf, ref)
+        capi.mpi_finalize()
+        return True
 
-    @staticmethod
-    def _world():
-        # a small frame ring: the shm transport keeps ring-sized frames
-        # eager regardless of the global threshold, and the rendezvous
-        # proofs here need the RTS/CTS path to actually run (eager
-        # frames bigger than the ring just stream through it)
-        from repro.transport.shm import shm_world
-        return shm_world(2, ring=64 * 1024)
-
-    def test_rendezvous_contiguous_recv_is_zero_staging(self,
-                                                        eager_limit_guard):
-        wire.set_eager_limit(1024)
-        n = 1 << 20
-        transport = self._world()
-
-        def body(n):
-            from repro.jni import capi, handles as H
-            capi.mpi_init([])
-            rank = capi.mpi_comm_rank(H.COMM_WORLD)
-            if rank == 0:
-                buf = np.arange(n, dtype=np.float64)
-                capi.mpi_send(H.COMM_WORLD, buf, 0, n, H.DT_DOUBLE, 1, 2)
-            else:
-                buf = np.zeros(n, dtype=np.float64)
-                capi.mpi_recv(H.COMM_WORLD, buf, 0, n, H.DT_DOUBLE, 0, 2)
-                assert np.array_equal(buf, np.arange(n, dtype=np.float64))
-            capi.mpi_finalize()
-            return True
-
-        with MPIExecutor(2, universe=Universe(2,
-                                              transport=transport)) as ex:
-            ex.run(body, args=(n,))
-        s = transport.wire_stats
-        payload = n * 8
-        assert s["rts_frames"] == 1 and s["cts_frames"] == 1, s
-        assert s["rndv_direct_frames"] == 1, s
-        assert s["rndv_direct_bytes"] == payload, s
-        assert s["rndv_staged_frames"] == 0, s
-        assert s["rndv_staged_bytes"] == 0, s
-        # the payload traversed the rendezvous region exactly once
-        assert s["tx_bytes"] < payload + 4096, s
-
-    def test_rendezvous_strided_recv_is_zero_staging(self,
-                                                     eager_limit_guard):
-        """The region scatter walks the posted buffer's layout-IR run
-        views: a strided rendezvous receive stages nothing."""
-        wire.set_eager_limit(1024)
-        transport = self._world()
-        count, block, stride = self._COUNT, self._BLOCK, self._STRIDE
-
-        def body():
-            from repro.jni import capi, handles as H
-            capi.mpi_init([])
-            rank = capi.mpi_comm_rank(H.COMM_WORLD)
-            vec = capi.mpi_type_vector(count, block, stride, H.DT_DOUBLE)
-            capi.mpi_type_commit(vec)
-            span = (count - 1) * stride + block
-            if rank == 0:
-                buf = np.arange(span, dtype=np.float64)
-                capi.mpi_send(H.COMM_WORLD, buf, 0, 1, vec, 1, 2)
-            else:
-                buf = np.full(span, -1.0, dtype=np.float64)
-                capi.mpi_recv(H.COMM_WORLD, buf, 0, 1, vec, 0, 2)
-                ref = np.full(span, -1.0)
-                for i in range(count):
-                    ref[i * stride:i * stride + block] = \
-                        np.arange(i * stride, i * stride + block)
-                assert np.array_equal(buf, ref), \
-                    "shm strided rendezvous landed wrong bytes"
-            capi.mpi_finalize()
-            return True
-
-        with MPIExecutor(2, universe=Universe(2,
-                                              transport=transport)) as ex:
-            ex.run(body)
-        s = transport.wire_stats
-        payload = count * block * 8
-        assert s["rts_frames"] == 1 and s["cts_frames"] == 1, s
-        assert s["rndv_direct_frames"] == 1, s
-        assert s["rndv_direct_bytes"] == payload, s
-        assert s["rndv_staged_frames"] == 0, s
-        assert s["rndv_staged_bytes"] == 0, s
-        assert s["tx_bytes"] < payload + 4096, s
-
-    def test_eager_posted_contiguous_recv_is_zero_staging(
-            self, eager_limit_guard):
-        wire.set_eager_limit(1 << 62)
-        n = 1 << 18
-        transport = self._world()
-        start = threading.Barrier(2, timeout=10)
-
-        def body(n):
-            from repro.jni import capi, handles as H
-            capi.mpi_init([])
-            rank = capi.mpi_comm_rank(H.COMM_WORLD)
-            if rank == 0:
-                start.wait()
-                time.sleep(0.2)   # let rank 1 post the receive first
-                buf = np.ones(n, dtype=np.int8)
-                capi.mpi_send(H.COMM_WORLD, buf, 0, n, H.DT_BYTE, 1, 2)
-            else:
-                buf = np.zeros(n, dtype=np.int8)
-                start.wait()
-                capi.mpi_recv(H.COMM_WORLD, buf, 0, n, H.DT_BYTE, 0, 2)
-                assert np.all(buf == 1)
-            capi.mpi_finalize()
-            return True
-
-        with MPIExecutor(2, universe=Universe(2,
-                                              transport=transport)) as ex:
-            ex.run(body, args=(n,))
-        s = transport.wire_stats
-        assert s["eager_direct_frames"] == 1, s
-        assert s["eager_direct_bytes"] == n, s
-
-    def test_eager_posted_strided_recv_is_zero_staging(
-            self, eager_limit_guard):
-        wire.set_eager_limit(1 << 62)
-        transport = self._world()
-        start = threading.Barrier(2, timeout=10)
-        count, block, stride = self._COUNT, self._BLOCK, self._STRIDE
-
-        def body():
-            from repro.jni import capi, handles as H
-            capi.mpi_init([])
-            rank = capi.mpi_comm_rank(H.COMM_WORLD)
-            vec = capi.mpi_type_vector(count, block, stride, H.DT_DOUBLE)
-            capi.mpi_type_commit(vec)
-            span = (count - 1) * stride + block
-            if rank == 0:
-                start.wait()
-                time.sleep(0.2)   # let rank 1 post the receive first
-                buf = np.ones(span, dtype=np.float64)
-                capi.mpi_send(H.COMM_WORLD, buf, 0, 1, vec, 1, 2)
-            else:
-                buf = np.zeros(span, dtype=np.float64)
-                start.wait()
-                capi.mpi_recv(H.COMM_WORLD, buf, 0, 1, vec, 0, 2)
-                sel = np.zeros(span, dtype=bool)
-                for i in range(count):
-                    sel[i * stride:i * stride + block] = True
-                assert np.all(buf[sel] == 1) and np.all(buf[~sel] == 0)
-            capi.mpi_finalize()
-            return True
-
-        with MPIExecutor(2, universe=Universe(2,
-                                              transport=transport)) as ex:
-            ex.run(body)
-        s = transport.wire_stats
-        payload = count * block * 8
-        assert s["eager_direct_frames"] == 1, s
-        assert s["eager_direct_bytes"] == payload, s
-
-    def test_payload_larger_than_region_streams_through(
-            self, eager_limit_guard):
-        """Notify-first rendezvous: a payload bigger than the whole
-        region must flow through it (the receiver drains while the
-        sender streams), still landing direct."""
-        from repro.transport.shm import shm_world
-        wire.set_eager_limit(1024)
-        n = 2 << 20                            # 2 MiB payload ...
-        transport = shm_world(2, ring=64 * 1024,
-                              rndv=64 * 1024)   # ... 64 KiB region
-
-        def body(n):
-            from repro.jni import capi, handles as H
-            capi.mpi_init([])
-            rank = capi.mpi_comm_rank(H.COMM_WORLD)
-            ref = (np.arange(n) % 127).astype(np.int8)
-            if rank == 0:
-                capi.mpi_send(H.COMM_WORLD, ref.copy(), 0, n, H.DT_BYTE,
-                              1, 2)
-            else:
-                buf = np.zeros(n, dtype=np.int8)
-                capi.mpi_recv(H.COMM_WORLD, buf, 0, n, H.DT_BYTE, 0, 2)
-                assert np.array_equal(buf, ref)
-            capi.mpi_finalize()
-            return True
-
-        with MPIExecutor(2, universe=Universe(2,
-                                              transport=transport)) as ex:
-            ex.run(body, args=(n,))
-        s = transport.wire_stats
-        assert s["rndv_direct_frames"] == 1, s
-        assert s["rndv_direct_bytes"] == n, s
-        assert s["rndv_staged_frames"] == 0, s
+    with MPIExecutor(2, universe=Universe(2,
+                                          transport=transport)) as ex:
+        ex.run(body, args=(n,))
+    s = transport.wire_stats
+    assert s["rndv_direct_frames"] == 1, s
+    assert s["rndv_direct_bytes"] == n, s
+    assert s["rndv_staged_frames"] == 0, s
 
 
 class TestLargePairReduction:

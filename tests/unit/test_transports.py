@@ -235,6 +235,26 @@ class TestTCPMesh:
         finally:
             t0.close()
 
+    def test_send_oob_reaches_remote_and_local_ranks(self):
+        """The out-of-band lane (sanitizer probes from waits blocked
+        inside a channel): over the socket to a rank hosted elsewhere,
+        straight into the mailbox of one hosted here."""
+        t0, t1 = self._make_pair()
+        try:
+            got0, got1 = [], []
+            arrived = threading.Event()
+            t0.set_deliver(0, got0.append)
+            t1.set_deliver(1, lambda e: (got1.append(e), arrived.set()))
+            t0.start()
+            t1.start()
+            t0.send_oob(Envelope(src=0, dst=1, tag=4))
+            assert arrived.wait(timeout=5) and got1[0].tag == 4
+            t0.send_oob(Envelope(src=1, dst=0, tag=5))
+            assert [e.tag for e in got0] == [5]   # synchronous, no wire
+        finally:
+            t0.close()
+            t1.close()
+
     def test_mesh_must_cover_all_peers(self):
         from repro.transport.socket_tcp import TCPMeshTransport
         with pytest.raises(ValueError):
@@ -334,9 +354,25 @@ class TestVectoredFrames:
 
 import itertools
 import os
+import queue
+import socket
+import subprocess
+import sys
 import time
 
 _seg_seq = itertools.count(1)
+
+#: child half of the counter-publish probe: attach the segment and
+#: publish 1..n through the ring's own counter store
+_PUBLISH_WRITER = """
+import sys
+from repro.transport.shm import ShmSegment
+seg = ShmSegment(sys.argv[1], create=False)
+ring = seg.frame
+for value in range(1, int(sys.argv[2]) + 1):
+    ring._store(ring._head_off, value)
+seg.close()
+"""
 
 
 def _seg_name():
@@ -381,7 +417,7 @@ class TestShmRing:
         try:
             ring, stall = seg.frame, _SpinStall()
             for pattern in (b"A" * 40, b"B" * 40, b"C" * 40):
-                ring.write(pattern, stall)   # second/third writes wrap
+                ring.write_views([pattern], stall)   # later writes wrap
                 out = memoryview(bytearray(40))
                 got = 0
                 while got < 40:
@@ -411,7 +447,7 @@ class TestShmRing:
 
             t = threading.Thread(target=consumer)
             t.start()
-            ring.write(src, _SpinStall())
+            ring.write_views([src], _SpinStall())
             t.join(timeout=10)
             assert done and bytes(out) == src
         finally:
@@ -467,8 +503,44 @@ class TestShmRing:
             seg.close()
 
 
-class TestShmTransport:
-    """The full shm transport in-process: framing, FIFO, cleanup."""
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                        reason="a torn publish is only observable from "
+                               "a second CPU")
+    def test_counter_publish_is_never_torn_across_processes(self):
+        """A counter publish must be one 8-byte store: a reader in
+        another process sees the old value or the new one.  (A
+        ``struct.pack_into`` store zero-fills the field first; the
+        reader catches the zero, computes negative free space, and the
+        ring aborts under any windowed stream.)"""
+        import repro
+        seg = self._segment(ring=4096)
+        n = 1_000_000
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        writer = subprocess.Popen(
+            [sys.executable, "-c", _PUBLISH_WRITER, seg.name, str(n)],
+            env={**os.environ, "PYTHONPATH": src})
+        try:
+            ring = seg.frame
+            last, reads = 0, 0
+            deadline = time.monotonic() + 60
+            while last < n:
+                value = ring._load(ring._head_off)
+                assert value >= last, \
+                    f"torn counter publish: read {value} after {last}"
+                last = value
+                reads += 1
+                if not reads % 65536:
+                    assert time.monotonic() < deadline, "writer stalled"
+                    assert writer.poll() in (None, 0), "writer died"
+            assert writer.wait(timeout=30) == 0
+        finally:
+            writer.kill()
+            writer.wait()
+            seg.close()
+
+
+class TestShmWorld:
+    """The ring-only world in-process: framing, FIFO, cleanup."""
 
     def test_concurrent_pingpong_stress(self):
         from repro.transport.shm import shm_world
@@ -538,3 +610,159 @@ class TestShmTransport:
         finally:
             raw.unlink()
             raw.close()
+
+
+#: tag of the message whose delivery wedges a ``_Rank``'s pump
+_WEDGE_TAG = 999
+
+
+class _Rank:
+    """Stand-in mailbox for a bare transport: records arrival (which is
+    matching) order, and accepts a rendezvous request-to-send with
+    itself as the posted receive, landing into a scratch buffer."""
+
+    def __init__(self):
+        self.arrived: queue.SimpleQueue = queue.SimpleQueue()
+        self.landed: queue.SimpleQueue = queue.SimpleQueue()
+        self.wedge = threading.Event()
+        self.req = self
+
+    def deliver(self, env):
+        from repro.runtime.envelope import KIND_RTS
+        self.arrived.put((env.kind, env.src, env.tag))
+        if env.kind == KIND_RTS:
+            env.rndv_accept(self)
+        elif env.tag == _WEDGE_TAG:
+            self.wedge.wait(timeout=30)   # a rank that stopped draining
+
+    def recv_views(self, env):
+        return [memoryview(bytearray(env.rndv_nbytes))]
+
+    def complete(self, source_world=None, tag=None, **_):
+        self.landed.put((source_world, tag))
+
+
+class TestMixedCarrierWorld:
+    """Per-peer carrier selection, in one process: three ranks, a socket
+    between every pair, and rings on pair (0, 1) only."""
+
+    RING = 64 * 1024
+
+    @pytest.fixture
+    def world(self):
+        from repro.transport import wire
+        from repro.transport.shm import ShmChannel, ShmSegment
+        chans = []
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            a, b = socket.socketpair()
+            chans += [wire.Channel(a, i, j), wire.Channel(b, j, i)]
+        rings = {pair: ShmChannel(ShmSegment(_seg_name(), create=True,
+                                             ring=self.RING), *pair)
+                 for pair in ((0, 1), (1, 0))}
+        tr = wire.WireTransport(3, range(3), chans + list(rings.values()))
+        ranks = [_Rank() for _ in range(3)]
+        for r, rank in enumerate(ranks):
+            tr.set_deliver(r, rank.deliver)
+        prev = wire.set_eager_limit(1024)
+        tr.start()
+        try:
+            yield tr, ranks, rings
+        finally:
+            for rank in ranks:
+                rank.wedge.set()
+            tr.close()
+            wire.set_eager_limit(prev)
+
+    @staticmethod
+    def _ring_bytes(chan):
+        """Bytes ever written to ``chan``'s frame ring."""
+        ring = chan.seg.frame
+        return ring._load(ring._head_off)
+
+    _seq = itertools.count(1)
+
+    def _env(self, src, dst, tag, nbytes=8, **kw):
+        return Envelope(src=src, dst=dst, tag=tag, seq=next(self._seq),
+                        payload=np.zeros(nbytes, dtype=np.int8),
+                        nelems=nbytes, **kw)
+
+    def test_fifo_across_an_eager_rendezvous_mix_on_every_pair(self, world):
+        from repro.runtime.envelope import KIND_RTS
+        tr, ranks, rings = world
+        # on the ring pair only the frames that cannot sit in the ring
+        # whole take the handshake; on sockets everything >= the limit
+        sizes = (8, 200_000, 8, 2048, 100_000, 64)
+        for src in range(3):
+            for dst in range(3):
+                if src == dst:
+                    continue
+                for tag, n in enumerate(sizes):
+                    tr.send(self._env(src, dst, tag, n))
+        for dst, rank in enumerate(ranks):
+            seen = {src: [] for src in range(3) if src != dst}
+            for _ in range(2 * len(sizes)):
+                kind, src, tag = rank.arrived.get(timeout=10)
+                seen[src].append((tag, kind == KIND_RTS))
+            for src, got in seen.items():
+                ringed = (src, dst) in rings
+                want = [(tag, n + 64 > self.RING if ringed else n >= 1024)
+                        for tag, n in enumerate(sizes)]
+                assert got == want, f"{src}->{dst}: {got}"
+            landed = sorted(rank.landed.get(timeout=10)
+                            for _ in range(sum(rndv for got in seen.values()
+                                               for _, rndv in got)))
+            assert landed == sorted((src, tag) for src, got in seen.items()
+                                    for tag, rndv in got if rndv)
+        # pair (0, 1) really ran on shared memory: eager frames through
+        # the frame ring, both rendezvous payloads through the region
+        assert self._ring_bytes(rings[0, 1]) > 8 + 8 + 2048 + 64
+        region = rings[0, 1].seg.rndv
+        assert region._load(region._head_off) == 200_000 + 100_000
+
+    def test_control_kinds_ride_the_socket_past_a_ring(self, world):
+        from repro.runtime.envelope import KIND_ABORT, KIND_REVOKE
+        tr, ranks, rings = world
+        tr.send(self._env(0, 1, 0))
+        assert ranks[1].arrived.get(timeout=10)[2] == 0
+        before = self._ring_bytes(rings[0, 1])
+        assert before > 0                      # data took the ring ...
+        for kind in (KIND_ABORT, KIND_REVOKE):
+            tr.send(self._env(0, 1, 5, kind=kind))
+            assert ranks[1].arrived.get(timeout=10) == (kind, 0, 5)
+        assert self._ring_bytes(rings[0, 1]) == before   # ... these did not
+
+    def test_peerfail_unwinds_ring_waits_and_reroutes_data(self, world):
+        from repro.runtime.envelope import KIND_PEERFAIL, \
+            encode_peerfail_env
+        from repro.transport import wire
+        tr, ranks, rings = world
+        wire.set_eager_limit(1 << 62)
+        # rank 1 stops draining its ring; a 256 KiB eager frame then
+        # fills the 64 KiB ring and its sender blocks on ring space
+        tr.send(self._env(0, 1, _WEDGE_TAG))
+        assert ranks[1].arrived.get(timeout=10)[2] == _WEDGE_TAG
+        errs = []
+
+        def blocked_send():
+            try:
+                tr.send(self._env(0, 1, 1, 256 * 1024))
+            except ConnectionError as exc:
+                errs.append(exc)
+
+        t = threading.Thread(target=blocked_send)
+        t.start()
+        time.sleep(0.1)
+        assert t.is_alive(), "sender should be blocked on the full ring"
+        # the notice itself crosses on the socket (the ring is wedged)
+        fail = encode_peerfail_env(1, ConnectionError("rank 1 lost"))
+        fail.dst = 0
+        tr.send(fail)
+        assert ranks[0].arrived.get(timeout=10)[:2] == (KIND_PEERFAIL, 1)
+        t.join(timeout=10)
+        assert not t.is_alive() and errs and "dead" in str(errs[0])
+        # data for the dead peer now falls back to the socket, whose
+        # pump is not the one stuck behind the wedged ring
+        before = self._ring_bytes(rings[0, 1])
+        tr.send(self._env(0, 1, 2))
+        assert ranks[1].arrived.get(timeout=10)[2] == 2
+        assert self._ring_bytes(rings[0, 1]) == before
