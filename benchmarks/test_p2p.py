@@ -38,8 +38,8 @@ class TestCommittedArtifact:
                 f"{backend} strided sweep incomplete"
 
     def test_committed_report_covers_both_proc_transports(self):
-        """procs-DM rows exist under both carriers: the shared rings
-        and their loopback-TCP baseline (REPRO_SHM=0)."""
+        """procs-DM rows exist with the same-host bulk lanes and for
+        their loopback-TCP-only baseline (REPRO_SHM=0)."""
         report = json.loads((REPO_ROOT / "BENCH_P2P.json").read_text())
         for transport in ("shm", "tcp"):
             for layout in p2p.LAYOUTS:
@@ -53,30 +53,37 @@ class TestCommittedArtifact:
                 assert got.issuperset(want), \
                     f"procs-DM/{transport}/{layout} sweep incomplete"
 
-    def test_shm_beats_loopback_tcp_at_mb_sizes(self):
-        """The shm transport bar: faster than the loopback-TCP baseline
-        for every >= 1 MiB procs-DM message, both layouts.
+    def test_shm_is_never_behind_loopback_tcp(self):
+        """ROADMAP's rule for the default same-host table — shm >= TCP
+        at every size or not the default — as a bar, both layouts:
+        within measurement noise of the loopback-TCP-only baseline at
+        *every* size, and ahead of it for every >= 1 MiB message.
 
-        The original target was 2x at >= 256 KiB, which assumes the
-        carriers run concurrently on separate cores.  The measuring box
-        has one CPU, so every pingpong — either carrier — serializes
-        through the same context-switch and interpreter path, whose
-        per-message cost floors both transports (at 256 KiB the copies
-        are ~29 us of a ~200 us message).  The ring's copy advantage
-        only clears that floor once messages are MiB-sized; the
-        committed artifact shows 1.2-1.9x there, so the bar asserts the
-        win with margin for regeneration noise, not the multi-core 2x."""
+        Below the eager limit both rows run the same code (every header
+        and small body rides the pair's socket), so the factor there is
+        1.0 give or take the box's run-to-run spread — hence 0.9, not
+        1.0.  At and above it the body goes through the shared-memory
+        lane, whose copy advantage the committed artifact shows as
+        1.1-1.6x; the bar asserts the win with margin for regeneration
+        noise.  (The original target was 2x at >= 256 KiB, which assumes
+        sender and receiver copy concurrently on separate cores; the
+        rows are measured on one CPU.)"""
         report = json.loads((REPO_ROOT / "BENCH_P2P.json").read_text())
         speedup = report.get("shm_speedup_vs_procs_tcp", {})
         for layout in p2p.LAYOUTS:
-            large = {int(k): v for k, v in speedup.get(layout, {}).items()
-                     if int(k) >= 1048576}
-            assert large, f"no >=1MiB shm speedup entries for {layout}"
+            factors = {int(k): v for k, v in speedup.get(layout, {}).items()}
+            want = p2p.FULL_SIZES if layout == "contiguous" \
+                else p2p.STRIDED_SIZES
+            assert set(want) <= set(factors), \
+                f"shm speedup entries missing for {layout}"
+            assert all(v >= 0.9 for v in factors.values()), \
+                f"{layout} shm fell behind loopback TCP: {factors}"
+            large = {k: v for k, v in factors.items() if k >= 1048576}
             assert all(v >= 1.05 for v in large.values()), \
-                f"{layout} shm fell behind loopback TCP: {large}"
+                f"{layout} lanes stopped paying at MiB sizes: {large}"
 
     def test_procs_shm_approaches_threads_dm(self):
-        """Cross-process shared rings must stay within 2x of
+        """Cross-process pairs with bulk lanes must stay within 2x of
         same-process socketpairs at every >= 1 MiB contiguous size —
         the process-isolation penalty is bounded, not a cliff.  (On the
         single-CPU measuring box, threads-DM dodges the cross-process

@@ -8,10 +8,12 @@ sizes 8 B – 4 MB on the live backends:
   (:class:`~repro.transport.socket_tcp.SocketTransport`);
 * ``procs-DM``    — ranks are OS processes
   (:class:`~repro.executor.procrunner.ProcExecutor`), swept under
-  *both* intra-node carriers (the ``transport`` column): ``shm`` —
-  the shared-memory rings of :mod:`repro.transport.shm` — and ``tcp``
-  — loopback TCP, forced with ``REPRO_SHM=0``, which is the baseline
-  the shm path is measured against.
+  *both* same-host channel tables (the ``transport`` column): ``shm``
+  — loopback TCP plus the shared-memory bulk lanes of
+  :mod:`repro.transport.shm`, which carry the bodies of payloads at or
+  above the eager limit — and ``tcp`` — loopback TCP alone, forced with
+  ``REPRO_SHM=0``, which is the baseline the lanes are measured
+  against.
 
 The DM backends run under three protocol settings — ``auto`` (the default
 eager/rendezvous threshold), ``eager`` (threshold forced above every
@@ -71,7 +73,8 @@ BACKENDS = ("threads-SM", "threads-DM", "procs-DM")
 #: the carrier under each row (the ``transport`` column): ``inproc`` —
 #: direct handoff (threads-SM), ``tcp`` — kernel sockets (threads-DM
 #: socketpairs, or the procs-DM loopback mesh under ``REPRO_SHM=0``),
-#: ``shm`` — the shared-memory rings (procs-DM default)
+#: ``shm`` — the same mesh plus shared-memory bulk lanes (procs-DM
+#: default)
 TRANSPORT_KINDS = ("inproc", "tcp", "shm")
 
 #: protocol knob -> forced eager limit (None = leave the default)
@@ -221,8 +224,8 @@ def run_sweep(sizes=FULL_SIZES, backends=BACKENDS,
         strided_sizes = STRIDED_QUICK_SIZES if quick else STRIDED_SIZES
     rows = []
     for backend in backends:
-        # procs-DM runs under both intra-node carriers: the shared
-        # rings, and loopback TCP (REPRO_SHM=0) as their baseline
+        # procs-DM runs with and without the same-host bulk lanes:
+        # loopback TCP alone (REPRO_SHM=0) is their baseline
         if backend == "procs-DM":
             transports = ("shm", "tcp")
         elif backend == "threads-SM":

@@ -90,10 +90,9 @@ _COLL_ARGS: dict[str, tuple] = {
 class _BlockedWait:
     """One rank's current blocking wait (at most one per rank thread).
 
-    ``req`` is None for *transport-level* waits (a sender stalled on a
-    full shm ring, a receiver stalled on ring data): there is no MPI
-    request to fail, so a confirmed cycle is reported rather than
-    completed-with-error.
+    ``req`` is None for *transport-level* waits (a writer stalled on a
+    full shm bulk lane): there is no MPI request to fail, so a confirmed
+    cycle is reported rather than completed-with-error.
     """
 
     __slots__ = ("rank", "wait_id", "waiting_on", "ctx", "tag", "op",
@@ -251,10 +250,10 @@ class Sanitizer:
                     del self._blocked[rank]
                 self._inbox.pop(rank, None)
 
-    # -- transport-level waits (shm ring space / ring data) ------------------
+    # -- transport-level waits (shm bulk-lane space) -------------------------
     def transport_wait_begin(self, rank: int, peer: int, what: str):
         """A rank thread blocked *inside the transport* (e.g. on shm
-        ring space): register the wait-for edge so the cycle detector
+        lane space): register the wait-for edge so the cycle detector
         sees through the transport layer.  Returns the wait token, or
         None when the rank's wait slot is already taken (an MPI-level
         wait owns the edge — it subsumes the transport stall)."""
@@ -268,9 +267,9 @@ class Sanitizer:
 
     def transport_wait_tick(self, bw) -> None:
         """One probe round for a transport-level wait.  Probes go out of
-        band (``transport.send_oob``) — a rank stalled on a full ring
-        cannot push a probe through that same ring, and the channel lock
-        it holds makes the attempt a self-deadlock."""
+        band (``transport.send_oob``) — a writer stalled on a full lane
+        holds the pair's write lock between a header and its body, and
+        the transport knows how to put a probe on the wire from there."""
         if bw is not None and not self.universe.aborted:
             self._tick(bw, oob=True)
 

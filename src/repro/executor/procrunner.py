@@ -318,7 +318,8 @@ class ProcExecutor:
                     # hierarchical address book: address plus the host
                     # identity and shm availability the per-peer
                     # transport selection reads (same-node + shm_ok
-                    # peers talk over shared rings, the rest over TCP)
+                    # peers get shared-memory bulk lanes beside their
+                    # socket, the rest talk over the socket alone)
                     book[rank] = (self.host, msg["mesh_port"],
                                   msg.get("node"), msg.get("shm", False))
                 else:

@@ -31,7 +31,7 @@ from repro.obs.trace import TRACE
 from repro.runtime.engine import RankRuntime, Universe, bind_thread, \
     unbind_thread
 from repro.transport import shm as shm_transport
-from repro.transport.shm import ShmChannel
+from repro.transport.shm import ShmChannel, ShmSegment
 from repro.transport.socket_tcp import (BOOTSTRAP_TIMEOUT, build_mesh,
                                         mesh_channels, mesh_listener)
 from repro.transport.wire import WireTransport, set_nodelay
@@ -91,33 +91,34 @@ def _heartbeat_loop(ctl: socket.socket, rank: int, interval: float,
             return
 
 
-def _ring_channels(rank: int, nonce, inbound: dict, book: dict) -> list:
-    """This rank's ring channels, from the address book.
+def _attach_lanes(chans, rank: int, nonce, inbound: dict, book: dict) -> None:
+    """Give the mesh channels to same-host peers their bulk lanes.
 
     A peer is an shm peer when the book says it shares this host's node
     identity *and* its inbound segments exist.  Inbound segments for
     non-shm peers (remote hosts, ranks whose /dev/shm failed) are
-    unlinked right here; any attach failure degrades this rank to pure
-    TCP rather than failing the job — the rings are an optimization,
-    the mesh is the contract.
+    unlinked right here.  Each direction stands alone — the sender marks
+    the frames whose body it put in a lane — so an outbound attach
+    failure only leaves that direction on the socket: the lanes are an
+    optimization, the mesh is the contract.
     """
     my_node = shm_transport.node_id()
-    shm_peers = {peer for peer, entry in book.items()
-                 if peer != rank and len(entry) >= 4
-                 and entry[3] and entry[2] == my_node} if inbound else set()
-    segs = {}
-    for (src, dst), seg in inbound.items():
-        if src in shm_peers:
-            segs[src, dst] = seg
-        else:
+    for chan in chans:
+        peer = chan.tx[1]
+        seg = inbound.get((peer, rank))
+        entry = book[peer]
+        if seg is None:
+            continue
+        if len(entry) < 4 or not entry[3] or entry[2] != my_node:
             seg.close()   # owner close unlinks the unused segment
-    try:
-        segs.update(shm_transport.attach_outbound(nonce, rank, shm_peers))
-    except (OSError, ValueError):
-        for seg in segs.values():
-            seg.close()
-        return []
-    return [ShmChannel(seg, src, dst) for (src, dst), seg in segs.items()]
+            continue
+        try:
+            out = ShmChannel(ShmSegment(
+                shm_transport.segment_name(nonce, rank, peer),
+                create=False), rank, peer)
+        except (OSError, ValueError):
+            out = None
+        chan.attach_lanes(out, ShmChannel(seg, peer, rank))
 
 
 def main(argv=None) -> int:
@@ -184,12 +185,9 @@ def main(argv=None) -> int:
                          name="repro-proc-heartbeat", daemon=True).start()
     peers = build_mesh(opts.rank, opts.nprocs, listener, msg["book"])
 
-    # control plane first: each pair's socket carries abort/peerfail/
-    # revoke, the same-host ring listed after it carries the data
-    transport = WireTransport(
-        opts.nprocs, (opts.rank,),
-        mesh_channels(opts.nprocs, opts.rank, peers)
-        + _ring_channels(opts.rank, shm_nonce, inbound, msg["book"]))
+    chans = mesh_channels(opts.nprocs, opts.rank, peers)
+    _attach_lanes(chans, opts.rank, shm_nonce, inbound, msg["book"])
+    transport = WireTransport(opts.nprocs, (opts.rank,), chans)
     universe = Universe(opts.nprocs, transport=transport,
                         local_ranks=(opts.rank,))
     ctl.settimeout(None)

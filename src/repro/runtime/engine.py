@@ -131,8 +131,8 @@ class Universe:
         if os.environ.get("REPRO_SANITIZE") == "1":
             from repro.check.sanitizer import Sanitizer
             self.sanitizer = Sanitizer(self).install()
-            # transports with internal wait states (shm ring space /
-            # ring data) feed them into the wait-for graph
+            # transports with internal wait states (a writer stalled
+            # on bulk-lane space) feed them into the wait-for graph
             transport.set_sanitizer(self.sanitizer)
         for r in self.local_ranks:
             mb = Mailbox(r, self)

@@ -161,11 +161,13 @@ class Envelope:
 #: kind, src, dst, context, tag, mode, seq, nelems, flags, dtype code, nbytes
 HEADER = struct.Struct("!BiiiiBQQB2sQ")
 FLAG_OBJECT = 1
+#: the body is not on the frame stream: it is in the pair's bulk lane
+FLAG_BULK = 2
 
 HEADER_SIZE = HEADER.size
 
 
-def encode(env: Envelope) -> tuple[bytes, object]:
+def encode(env: Envelope, bulk: bool = False) -> tuple[bytes, object]:
     """Encode an envelope into (header, body) for a byte stream.
 
     The body is a *view* of the envelope's payload (zero-copy): dense
@@ -174,6 +176,8 @@ def encode(env: Envelope) -> tuple[bytes, object]:
     passes its run views through as a **list**.  Callers hand both
     pieces to a vectored write (``socket.sendmsg``); the views are only
     valid while the payload is alive, which the envelope guarantees.
+    ``bulk`` marks the header ``FLAG_BULK``: the caller puts the body in
+    the pair's bulk lane instead of behind the header.
     """
     nbytes = None
     if env.payload is None:
@@ -193,7 +197,7 @@ def encode(env: Envelope) -> tuple[bytes, object]:
             payload = np.ascontiguousarray(payload)
         body = memoryview(payload).cast("B")
         code = dtype_code_of(env.payload).encode()
-    flags = FLAG_OBJECT if env.is_object else 0
+    flags = (FLAG_OBJECT if env.is_object else 0) | (FLAG_BULK if bulk else 0)
     header = HEADER.pack(env.kind, env.src, env.dst, env.context, env.tag,
                          env.mode, env.seq, env.nelems, flags, code,
                          len(body) if nbytes is None else nbytes)

@@ -249,7 +249,20 @@ class CollRequestImpl(RequestImpl):
             return env.nelems, SUCCESS, ""
 
         req = self.comm.coll_post_recv(op.peer, op.tag, land)
-        req.add_listener(self._on_recv_done)
+
+        def done():
+            if req.error != SUCCESS:
+                # completed with a ULFM error, box never filled — and if
+                # the failure predates the post, before this schedule's
+                # own failure listener has run: fail with that error
+                # instead of decoding an empty box
+                try:
+                    req.raise_if_error()
+                except MPIException as exc:
+                    self._fail(exc)
+            self._on_recv_done()
+
+        req.add_listener(done)
 
     def _issue_send(self, op: Send) -> None:
         send_contrib(self.comm, op.resolve(), op.peer, op.tag)

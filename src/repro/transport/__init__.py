@@ -14,9 +14,12 @@
   process-per-rank job — the paper's real ``mpirun`` model — over a full
   TCP mesh bootstrapped by :mod:`repro.executor.procrunner`),
   :func:`~repro.transport.shm.shm_world` (every rank in one process,
-  shared-memory rings only), and the process worker, which lists each
-  peer's socket and — for same-host peers in the bootstrap address
-  book — a :class:`~repro.transport.shm.ShmChannel` ring after it.
+  a socketpair per pair plus a shared-memory bulk lane per direction),
+  and the process worker, which takes its mesh sockets and — for
+  same-host peers in the bootstrap address book — attaches a
+  :class:`~repro.transport.shm.ShmChannel` lane each way.  Every frame
+  header rides the pair's socket; a lane only carries the bodies of
+  payloads at or above the eager limit.
 * :class:`~repro.transport.modeled.ModeledTransport` — charges a calibrated
   latency/bandwidth cost model to a virtual clock so the benchmark harness
   can regenerate the paper's published 1999 numbers deterministically.

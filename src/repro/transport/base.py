@@ -61,14 +61,23 @@ class Transport:
 
         The payload must survive the fan-out: abort envelopes carry the
         errorcode and pickled root cause (see ``envelope.encode_abort_env``),
-        which is all a process-isolated receiver has to go on.
+        which is all a process-isolated receiver has to go on.  Every
+        destination is attempted — the rank whose death is being
+        announced is typically the one whose send raises — and the first
+        error is re-raised once the fan-out is complete.
         """
+        first = None
         for dst in range(self.nprocs):
             ctl = Envelope(kind=env.kind, src=env.src, dst=dst,
                            context=env.context, tag=env.tag, seq=env.seq,
                            payload=env.payload, nelems=env.nelems,
                            is_object=env.is_object)
-            self.send(ctl)
+            try:
+                self.send(ctl)
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                first = first or exc
+        if first is not None:
+            raise first
 
     def close(self) -> None:
         """Tear down pumps and OS resources. Idempotent."""

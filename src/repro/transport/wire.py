@@ -1,32 +1,27 @@
-"""The wire transport: one protocol engine over a per-peer channel table.
+"""The wire transport: one protocol engine, one frame stream per pair.
 
 Everything between "the runtime handed the transport an envelope" and
 "bytes reached the peer" lives here, once.  :class:`WireTransport` is
 the only transport that speaks the wire format of
-:mod:`repro.runtime.envelope`; the carriers (kernel sockets here, the
-shared-memory rings of :mod:`repro.transport.shm`) sit behind a narrow
-*channel* interface — the structure MPICH Nemesis and Open MPI's BTLs
-use.  ``SocketTransport``, ``TCPMeshTransport`` and ``shm_world`` are
+:mod:`repro.runtime.envelope`, over one :class:`Channel` per rank pair.
+``SocketTransport``, ``TCPMeshTransport`` and ``shm_world`` are
 constructors that build a channel list and return this one class.
 
-* **Channel** — a socket's own byte surface (``sendall`` / ``sendmsg``
-  / ``recv_into`` / ``recvmsg_into``) plus what the protocol needs to
-  know about a carrier: the directed pairs it writes (``tx``) and reads
-  (``rx``), its write ``lock`` and ``dead`` flag, an ``eager_capacity``
-  (frames that fit stay eager whatever the threshold says), a bulk lane
-  for rendezvous payloads (``send_rndv`` / ``read_rndv_views``; the
-  default is the frame stream itself), whether a read error means the
-  peer is gone (``eof_is_peer_loss``) and how a pump waits for it
-  (``waiter``).  :class:`Channel` is the socket implementation.
-* **Routing** — two lookups per directed pair.  Data kinds take the
-  pair's preferred channel (the last one listed for it); ``KIND_ABORT``
-  / ``KIND_PEERFAIL`` / ``KIND_REVOKE`` — and therefore
-  ``broadcast_control`` — take its control channel (the first one
-  listed: the socket), as does ``send_oob`` for remote peers, because
-  teardown and failure notices may not queue behind a wedged ring.  A
-  ``KIND_PEERFAIL`` on its way to a mailbox marks every channel to the
-  dead peer dead and points the pair's data route at the control
-  channel.
+* **Channel** — a pair's stream socket: its own byte surface
+  (``sendall`` / ``sendmsg`` / ``recv_into`` / ``recvmsg_into``), the
+  directed pairs it writes (``tx``) and reads (``rx``), its write
+  ``lock`` and ``dead`` flag.  *Every* frame header — DATA, RTS, CTS,
+  ACK, RNDV_DATA, control — rides this socket, so the per-pair FIFO that
+  MPI's non-overtaking rule needs lives in one place, and the peer's EOF
+  is the failure signal.
+* **Bulk lane** — optionally, one shared-memory byte ring per direction
+  (``lane_tx`` / ``lane_rx``, :class:`repro.transport.shm.ShmChannel`;
+  the MPICH Nemesis split between a small-message queue and a
+  large-message-transfer lane).  A header carrying ``FLAG_BULK`` says
+  "my body is in the lane": the sender writes header-then-body under the
+  pair's one write lock, so lane byte order equals header order on the
+  socket, and the pump takes that body from the lane instead of the
+  stream.  Only payloads at or above :func:`eager_limit` use it.
 * **Vectored framed I/O** — header and payload go out in a single
   ``sendmsg([header, view])`` call (one syscall, zero payload copies on
   the send side: :func:`repro.runtime.envelope.encode` returns buffer
@@ -36,16 +31,20 @@ constructors that build a channel list and return this one class.
   buffer (:class:`RecvPool`); posted strided receives land via
   scattering ``recvmsg_into`` over the layout IR's per-run views.
 * **Eager/rendezvous protocol** — payloads at or above
-  :func:`eager_limit` bytes do not travel with their header.  The sender
-  parks the payload and ships a header-only ``KIND_RTS`` frame; the
-  receiver replies ``KIND_CTS`` once a matching receive is posted; the
-  payload then moves in a ``KIND_RNDV_DATA`` frame routed by
-  ``(source, seq)`` over the channel's bulk lane — for directly
+  :func:`eager_limit` bytes do not travel with their header.  If the
+  frame fits the pair's lane whole (``payload + HEADER_SIZE`` within its
+  capacity; a plain socket's capacity is 0) it stays eager with its body
+  in the lane: same two copies as rendezvous, without the handshake's
+  two wakeups.  Otherwise the sender parks the payload and ships a
+  header-only ``KIND_RTS`` frame; the receiver replies ``KIND_CTS`` once
+  a matching receive is posted; the payload then moves in a
+  ``KIND_RNDV_DATA`` frame routed by ``(source, seq)`` — body in the
+  lane when there is one, streaming through it if larger — for directly
   landable receives straight into the posted user buffer (zero staging
   copies).  ``Ssend`` piggybacks on the handshake: the CTS *is* the
   match notification, so no separate ACK frame is needed.  Buffered- and
-  ready-mode sends stay eager regardless of size (their completion
-  semantics are local).
+  ready-mode sends stay eager on the stream regardless of size (their
+  completion semantics are local).
 * **One writer thread** — rendezvous payloads *and every pump-originated
   control frame* (CTS, sync ACKs) are written by a dedicated thread.
   Pumps never write: a pump blocking in ``sendall`` — or on a channel
@@ -53,13 +52,13 @@ constructors that build a channel list and return this one class.
   and two peers in that state deadlock.  With pumps strictly read-only,
   every channel is always being drained and writers always make
   progress.
-* **Pumps** — one loop body (:meth:`WireTransport._pump`), run once per
-  (local rank, carrier present); only the wait step is the carrier's.
-  The socket pump is what turns a killed peer's EOF into the
-  ``KIND_PEERFAIL`` that unblocks ring waits, so it never shares a
-  thread with a pump that can stall on a ring.
+* **One pump per local rank** (:meth:`WireTransport._pump`) — selects on
+  the rank's sockets, reads one frame at a time, and turns a peer's EOF
+  into the ``KIND_PEERFAIL`` that unblocks everything waiting on it.
+  The same thread may be sitting in a lane read when the peer dies
+  between header and body, so a stalled lane read peeks the pair's
+  socket for that EOF.
 
-The per-pair FIFO that MPI's non-overtaking rule rides on is preserved:
 RTS frames travel the same stream as eager DATA frames, so *matching*
 order is exactly send-call order; the out-of-band RNDV_DATA frame is
 routed by ``(source, seq)``, never matched.
@@ -259,34 +258,38 @@ class RecvPool:
 
 # -- channels -----------------------------------------------------------------
 
-def framed_send(chan, header: bytes, body=b"") -> None:
+def framed_send(chan, header: bytes, body=b"", bulk: bool = False) -> None:
     """One frame onto ``chan``, atomic against its other writers.
 
-    The channel lock exists only to keep frames whole on the stream, and
-    every caller is a rank thread or the writer thread; pump threads
-    never reach here (:meth:`WireTransport._enqueue_frame`).
+    The channel lock exists only to keep frames whole on the stream —
+    and, for a ``bulk`` frame, to keep the lane's byte order equal to
+    the header order on the socket.  Every caller is a rank thread or
+    the writer thread; pump threads never reach here
+    (:meth:`WireTransport._enqueue_frame`).
     """
+    # single-writer discipline: the lock is what keeps the frame whole,
+    # so every write below blocks under it on purpose
     with chan.lock:
-        # repro: allow(blocking-under-lock) -- single-writer discipline
-        send_frame(chan, header, body)
+        if not bulk:
+            send_frame(chan, header, body)  # repro: allow(blocking-under-lock)
+            return
+        chan.sendall(header)  # repro: allow(blocking-under-lock)
+        # fault point: the header is on the stream, the body is not in
+        # the lane — a death here leaves the peer's pump in a lane read
+        # that only the socket's EOF can end
+        faultinject.maybe_fail("shm.ring", chan.tx[0])
+        chan.lane_tx.sendall(body)  # repro: allow(blocking-under-lock)
 
 
-class SocketWait:
-    """The socket pump's wait step: ``select`` on the peers' sockets."""
-
-    def __init__(self, chans):
-        self._sel = selectors.DefaultSelector()
-        for chan in chans:
-            self._sel.register(chan.sock, selectors.EVENT_READ, chan)
-
-    def ready(self) -> list:
-        return [key.data for key, _ in self._sel.select(timeout=0.2)]
-
-    def drop(self, chan) -> None:
-        self._sel.unregister(chan.sock)
-
-    def close(self) -> None:
-        self._sel.close()
+def read_body(chan, flags: int, views) -> None:
+    """Fill ``views`` with a frame's body: from the pair's bulk lane if
+    the header says so, else from the stream."""
+    if flags & ev.FLAG_BULK:
+        chan.lane_rx.read_views(views)
+    elif len(views) == 1:
+        recv_exact_into(chan, views[0])
+    else:
+        recv_exact_into_views(chan, views)
 
 
 class Channel:
@@ -294,42 +297,56 @@ class Channel:
 
     The socket's own ``sendall`` / ``sendmsg`` / ``recv_into`` /
     ``recvmsg_into`` are re-exported as attributes, so the framing code
-    drives a channel at exactly the cost of driving the socket.  Every
-    other carrier implements this same surface (see the module
-    docstring); the class attributes are the socket answers.
+    drives a channel at exactly the cost of driving the socket.
     """
 
-    __slots__ = ("sock", "tx", "rx", "lock", "dead", "sendall", "sendmsg",
-                 "recv_into", "recvmsg_into")
-
-    #: frames up to this size stay eager whatever the threshold says
-    #: (a kernel socket holds nothing whole: rendezvous bounds staging)
-    eager_capacity = 0
-    #: a read error here is the peer's EOF: deliver ``KIND_PEERFAIL``
-    eof_is_peer_loss = True
-    #: wait step of the pump that drains channels of this carrier
-    waiter = SocketWait
+    __slots__ = ("sock", "tx", "rx", "lock", "dead", "lane_tx", "lane_rx",
+                 "sendall", "sendmsg", "recv_into", "recvmsg_into")
 
     def __init__(self, sock: socket.socket, rank: int, peer: int):
         set_nodelay(sock)
         self.sock = sock
         #: directed pair this endpoint writes / reads
         self.tx, self.rx = (rank, peer), (peer, rank)
-        self.lock = threading.Lock()
+        #: re-entrant: a writer stalled on lane space holds it between
+        #: header and body, and the sanitizer probe it sends from there
+        #: is one more frame on this socket
+        self.lock = threading.RLock()
         self.dead = threading.Event()
+        #: bulk lanes to / from the peer (None: bodies ride the stream)
+        self.lane_tx = self.lane_rx = None
         self.sendall, self.sendmsg = sock.sendall, sock.sendmsg
         self.recv_into, self.recvmsg_into = sock.recv_into, sock.recvmsg_into
 
+    def attach_lanes(self, lane_tx, lane_rx) -> None:
+        """Give this pair its bulk lanes.  They share the channel's
+        ``dead`` flag (a ring has no EOF of its own), and a stalled read
+        of ``lane_rx`` asks the socket whether the peer is gone."""
+        self.lane_tx, self.lane_rx = lane_tx, lane_rx
+        for lane in self._lanes():
+            lane.dead = self.dead
+        if lane_rx is not None:
+            lane_rx.peer_gone = self.peer_gone
+
+    def _lanes(self):
+        return [ln for ln in (self.lane_tx, self.lane_rx) if ln is not None]
+
+    def peer_gone(self) -> bool:
+        """Has the peer closed the stream with nothing left to read?
+        (A non-consuming, non-blocking peek.)"""
+        try:
+            return not self.sock.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            return False
+        except OSError:
+            return True
+
     def bind(self, closing, stats, sanitizer=None) -> None:
         """Attach the owning transport's teardown flag, counters and
-        sanitizer; a socket wait needs none of them (the kernel ends it)."""
-
-    def send_rndv(self, header: bytes, body) -> None:
-        """Bulk lane: a rendezvous payload rides the frame stream."""
-        framed_send(self, header, body)
-
-    def read_rndv_views(self, views) -> None:
-        recv_exact_into_views(self, views)
+        sanitizer to the lane waits; a socket wait needs none of them
+        (the kernel ends it)."""
+        for lane in self._lanes():
+            lane.bind(closing, stats, sanitizer)
 
     def shutdown(self) -> None:
         """Wake every blocked reader of this socket, here and remote."""
@@ -343,6 +360,8 @@ class Channel:
             self.sock.close()
         except OSError:
             pass
+        for lane in self._lanes():
+            lane.close()
 
 
 # -- rendezvous bookkeeping ---------------------------------------------------
@@ -371,21 +390,13 @@ class _RendezvousState:
         self.t0: dict[int, float] = {}         # seq -> RTS time (tracing)
 
 
-#: kinds pinned to a pair's control channel: teardown and failure
-#: notices may not block behind a wedged ring (a dead consumer never
-#: drains it), and failure-detection latency depends on them
-CONTROL_KINDS = frozenset((ev.KIND_ABORT, ev.KIND_PEERFAIL, ev.KIND_REVOKE))
-
-
 class WireTransport(Transport):
     """The eager/rendezvous wire protocol over a table of channels.
 
     Hosts ``local_ranks`` (every rank of an in-process job, one rank of
-    a worker process).  ``channels`` lists, control plane first, every
-    channel endpoint this process holds; for each directed pair the
-    first channel that writes it carries control kinds and the last one
-    carries data.  Pumps — one per (local rank, carrier) — drain the
-    channels that read into a local rank; rank threads and the one
+    a worker process).  ``channels`` lists every channel endpoint this
+    process holds, one per directed pair.  One pump per local rank
+    drains the channels that read into it; rank threads and the one
     writer thread do all the writing.
     """
 
@@ -395,12 +406,8 @@ class WireTransport(Transport):
         super().__init__(nprocs)
         self.local_ranks = tuple(sorted({int(r) for r in local_ranks}))
         self._chans = list(channels)
-        self._ctl: dict[tuple[int, int], object] = {}
-        self._data: dict[tuple[int, int], object] = {}
-        for chan in self._chans:
-            if chan.tx[0] in self.local_ranks:
-                self._ctl.setdefault(chan.tx, chan)
-                self._data[chan.tx] = chan
+        self._table = {chan.tx: chan for chan in self._chans
+                       if chan.tx[0] in self.local_ranks}
         self._rndv = {r: _RendezvousState() for r in self.local_ranks}
         self._writeq: queue.SimpleQueue = queue.SimpleQueue()
         self._pumps: list[threading.Thread] = []
@@ -424,8 +431,7 @@ class WireTransport(Transport):
             chan.bind(self._closing, self.wire_stats)
 
     def set_sanitizer(self, san) -> None:
-        """Arm channel-level waits with the sanitizer's wait-for
-        bookkeeping."""
+        """Arm lane waits with the sanitizer's wait-for bookkeeping."""
         for chan in self._chans:
             chan.bind(self._closing, self.wire_stats, san)
 
@@ -435,15 +441,10 @@ class WireTransport(Transport):
             return
         self._started = True
         for rank in self.local_ranks:
-            by_carrier: dict = {}
-            for chan in self._chans:
-                if chan.rx[1] == rank:
-                    by_carrier.setdefault(chan.waiter, []).append(chan)
-            for make_wait, chans in by_carrier.items():
-                self._pumps.append(threading.Thread(
-                    target=self._pump, args=(rank, make_wait(chans)),
-                    name=f"repro-pump-{rank}-{make_wait.__name__}",
-                    daemon=True))
+            chans = [ch for ch in self._chans if ch.rx[1] == rank]
+            self._pumps.append(threading.Thread(
+                target=self._pump, args=(rank, chans),
+                name=f"repro-pump-{rank}", daemon=True))
         self._writer = threading.Thread(target=self._writer_loop,
                                         name="repro-wire-writer", daemon=True)
         for t in (*self._pumps, self._writer):
@@ -460,32 +461,31 @@ class WireTransport(Transport):
             chan.shutdown()
         for t in self._pumps:
             t.join(timeout=2.0)
-        # only now: a ring's memory may not go while a pump reads it
+        # only now: a lane's memory may not go while a pump reads it
         for chan in self._chans:
             chan.close()
 
     # -- send side ---------------------------------------------------------
     def send(self, env: Envelope) -> None:
-        table = self._ctl if env.kind in CONTROL_KINDS else self._data
-        chan = table.get((env.src, env.dst))
+        chan = self._table.get((env.src, env.dst))
         if chan is None:
-            chan = self._off_table(table, env)
+            chan = self._off_table(env)
             if chan is None:
                 return
         self._wire_send(env, chan)
 
     def send_oob(self, env: Envelope) -> None:
         """Control delivery for waits blocked *inside* a channel (a
-        sanitizer probe from a rank stalled on a full ring cannot ride
-        that ring): straight into an in-process peer's mailbox, over the
-        control channel to anyone else."""
+        sanitizer probe from a writer stalled on lane space): straight
+        into an in-process peer's mailbox, as one more frame on the
+        pair's socket — whose lock the stalled writer already holds —
+        to anyone else."""
         if env.dst in self._rndv:
             self._deliver_local(env.dst, env)
         else:
-            self._wire_send(env, self._ctl.get((env.src, env.dst))
-                            or self._off_table(self._ctl, env))
+            self.send(env)
 
-    def _off_table(self, table, env: Envelope):
+    def _off_table(self, env: Envelope):
         """Route an envelope whose (src, dst) writes no channel here.
 
         Self-sends loop back like real MPI's.  Control relayed on behalf
@@ -500,7 +500,7 @@ class WireTransport(Transport):
             self._deliver_local(dst, env)
             return None
         via = self.local_ranks[0] if relayed else src
-        chan = table.get((via, dst))
+        chan = self._table.get((via, dst))
         if chan is None:
             raise RuntimeError(f"no wire connection {src}->{dst}")
         return chan
@@ -514,40 +514,27 @@ class WireTransport(Transport):
         deliver(env)
 
     def _peer_down(self, peer: int) -> None:
-        """``peer`` was declared failed: wake every channel wait touching
-        it (a shared ring has no EOF to notice) and let data for it fall
-        back to the control channel."""
+        """``peer`` was declared failed: wake every lane wait touching
+        it (a shared ring has no EOF to notice)."""
         for chan in self._chans:
             if peer in chan.tx:
                 chan.dead.set()
-        for pair in self._data:
-            if peer in pair:
-                self._data[pair] = self._ctl[pair]
 
     def _wire_send(self, env: Envelope, chan) -> None:
         """Ship one envelope src->dst (rank thread; never blocks on CTS)."""
-        if wants_rendezvous(env) and \
-                env.payload.nbytes + ev.HEADER_SIZE > chan.eager_capacity:
-            st = self._rndv[env.src]
-            with st.lock:
-                st.out[env.seq] = env
-                if TRACE.enabled:
-                    st.t0[env.seq] = TRACE.now()
-            header = ev.encode_rts(env)
-            framed_send(chan, header)
-            # fault point: the RTS is on the wire, the payload is parked
-            # — a death here leaves the receiver matched to a sender
-            # that will never answer its CTS
-            faultinject.maybe_fail("rendezvous.cts", env.src)
-            self._count(rts_frames=1, tx_frames=1, tx_bytes=len(header))
-            if TRACE.enabled:
-                TRACE.instant(env.src, "wire.rts", "wire",
-                              {"dst": env.dst, "seq": env.seq,
-                               "bytes": env.payload.nbytes})
-            return
-        header, body = ev.encode(env)
+        bulk = False
+        if wants_rendezvous(env):
+            # a frame that fits the lane whole stays eager, body in the
+            # lane; anything else (always, on a plain socket) handshakes
+            lane = chan.lane_tx
+            bulk = lane is not None and \
+                env.payload.nbytes + ev.HEADER_SIZE <= lane.capacity
+            if not bulk:
+                self._send_rts(env, chan)
+                return
+        header, body = ev.encode(env, bulk)
         nbytes = body_nbytes(body)
-        framed_send(chan, header, body)
+        framed_send(chan, header, body, bulk)
         self._count(eager_frames=1, eager_bytes=nbytes, tx_frames=1,
                     tx_bytes=len(header) + nbytes)
         if TRACE.enabled:
@@ -558,6 +545,25 @@ class WireTransport(Transport):
             # e.g. after the threshold moved): the bytes are out, so the
             # user buffer is reusable — complete the send now
             env.on_flushed()
+
+    def _send_rts(self, env: Envelope, chan) -> None:
+        """Park ``env``'s payload and announce it with a header-only RTS."""
+        st = self._rndv[env.src]
+        with st.lock:
+            st.out[env.seq] = env
+            if TRACE.enabled:
+                st.t0[env.seq] = TRACE.now()
+        header = ev.encode_rts(env)
+        framed_send(chan, header)
+        # fault point: the RTS is on the wire, the payload is parked — a
+        # death here leaves the receiver matched to a sender that will
+        # never answer its CTS
+        faultinject.maybe_fail("rendezvous.cts", env.src)
+        self._count(rts_frames=1, tx_frames=1, tx_bytes=len(header))
+        if TRACE.enabled:
+            TRACE.instant(env.src, "wire.rts", "wire",
+                          {"dst": env.dst, "seq": env.seq,
+                           "bytes": env.payload.nbytes})
 
     def _enqueue_frame(self, src: int, dst: int, header: bytes) -> None:
         """Hand a control frame to the writer (pump threads MUST use
@@ -576,15 +582,17 @@ class WireTransport(Transport):
             try:
                 if isinstance(item, tuple):
                     src, dst, header = item
-                    framed_send(self._data[src, dst], header)
+                    framed_send(self._table[src, dst], header)
                     self._count(tx_frames=1, tx_bytes=len(header))
                     continue
                 env = item
                 env.kind = ev.KIND_RNDV_DATA
-                header, body = ev.encode(env)
+                chan = self._table[env.src, env.dst]
+                bulk = chan.lane_tx is not None
+                header, body = ev.encode(env, bulk)
                 nbytes = body_nbytes(body)
                 t_flush = TRACE.now() if TRACE.enabled else 0.0
-                self._data[env.src, env.dst].send_rndv(header, body)
+                framed_send(chan, header, body, bulk)
                 self._count(tx_frames=1, tx_bytes=len(header) + nbytes)
             except (OSError, LookupError):
                 if self._closing.is_set():
@@ -615,32 +623,32 @@ class WireTransport(Transport):
                                      tag=env.tag, seq=env.seq))
 
     # -- receive side ------------------------------------------------------
-    def _pump(self, rank: int, wait) -> None:
-        """Drain one carrier's channels into ``rank`` — the one loop
-        body every carrier runs; ``wait`` is the carrier's own step.
+    def _pump(self, rank: int, chans) -> None:
+        """Drain ``chans`` — every socket that reads into ``rank``.
 
         A channel that fails outside teardown is marked dead and
-        dropped.  On a socket that failure is the peer's EOF, classified
-        as a ``KIND_PEERFAIL`` delivery: the failure plane marks the
-        rank dead and fails exactly the operations that depended on it
-        (fatal under ``ERRORS_ARE_FATAL``, survivable under
-        ``ERRORS_RETURN``).  A ring has no EOF — its error says only
-        that a wait was cut short, and the heartbeat plane owns the
-        diagnosis.
+        dropped, and the failure — the peer's EOF, seen on the socket or
+        by a lane read that peeked it — is classified as a
+        ``KIND_PEERFAIL`` delivery: the failure plane marks the rank
+        dead and fails exactly the operations that depended on it (fatal
+        under ``ERRORS_ARE_FATAL``, survivable under ``ERRORS_RETURN``).
         """
         pool = RecvPool()
+        sel = selectors.DefaultSelector()
+        for chan in chans:
+            sel.register(chan.sock, selectors.EVENT_READ, chan)
         try:
             while not self._closing.is_set():
-                for chan in wait.ready():
+                for key, _ in sel.select(timeout=0.2):
+                    chan = key.data
                     try:
                         self._read_frame(rank, chan, pool)
                     except (ConnectionError, OSError):
                         if self._closing.is_set():
                             return
                         chan.dead.set()
-                        wait.drop(chan)
-                        if chan.eof_is_peer_loss \
-                                and self._deliver[rank] is not None:
+                        sel.unregister(chan.sock)
+                        if self._deliver[rank] is not None:
                             peer = chan.rx[0]
                             env = ev.encode_peerfail_env(
                                 peer, ConnectionError(
@@ -648,7 +656,7 @@ class WireTransport(Transport):
                             env.dst = rank
                             self._deliver_local(rank, env)
         finally:
-            wait.close()
+            sel.close()
 
     def _read_frame(self, rank: int, chan, pool: RecvPool) -> None:
         """Read and dispatch exactly one frame arriving at ``rank``."""
@@ -663,7 +671,7 @@ class WireTransport(Transport):
             return
         if kind == ev.KIND_RNDV_DATA:
             self._handle_rndv_data(rank, chan, pool, src, tag, seq,
-                                   nelems, nbytes)
+                                   nelems, flags, nbytes)
             return
         if kind == ev.KIND_DATA and nbytes >= DIRECT_EAGER_MIN \
                 and not (flags & ev.FLAG_OBJECT):
@@ -679,10 +687,10 @@ class WireTransport(Transport):
                     # eager direct landing: the receive was posted with
                     # a directly-landable window (contiguous, or a
                     # derived layout's run views), so the body streams
-                    # straight from the channel into the user buffer —
-                    # zero staging copies
+                    # straight from the stream (or the lane) into the
+                    # user buffer — zero staging copies
                     posted, views = got
-                    recv_exact_into_views(chan, views)
+                    read_body(chan, flags, views)
                     self._count(eager_direct_frames=1,
                                 eager_direct_bytes=nbytes)
                     if TRACE.enabled:
@@ -703,7 +711,7 @@ class WireTransport(Transport):
                                    "bytes": nbytes})
         body = pool.body(nbytes) if nbytes else b""
         if nbytes:
-            recv_exact_into(chan, body)
+            read_body(chan, flags, [body])
         env = ev.decode(pool.header, body)
         env.borrowed = nbytes > 0
         if kind == ev.KIND_RTS:
@@ -756,22 +764,21 @@ class WireTransport(Transport):
         self._enqueue_frame(rank, env.src, cts)
 
     def _handle_rndv_data(self, rank: int, chan, pool: RecvPool, src: int,
-                          tag: int, seq: int, nelems: int,
+                          tag: int, seq: int, nelems: int, flags: int,
                           nbytes: int) -> None:
-        """Land a rendezvous payload from ``chan``'s bulk lane on its
-        registered sink."""
+        """Land a rendezvous payload on its registered sink."""
         st = self._rndv[rank]
         with st.lock:
             sink = st.sinks.pop((src, seq), None)
         if sink is None:  # pragma: no cover - protocol guarantees a sink
-            chan.read_rndv_views([pool.body(nbytes)])
+            read_body(chan, flags, [pool.body(nbytes)])
             return
         t0 = TRACE.now() if TRACE.enabled else 0.0
         if sink.views is not None \
                 and body_nbytes(sink.views) == nbytes:
-            # the zero-copy fast path: bulk lane -> user buffer (every
-            # layout run in one scattering read), no staging
-            chan.read_rndv_views(sink.views)
+            # the zero-copy fast path: stream or lane -> user buffer
+            # (every layout run in one scattering read), no staging
+            read_body(chan, flags, sink.views)
             self._count(rndv_direct_frames=1, rndv_direct_bytes=nbytes)
             if TRACE.enabled:
                 TRACE.span(rank, "wire.rndv_land", "wire", t0,
@@ -782,7 +789,7 @@ class WireTransport(Transport):
         # fallback: wire-unfriendly layout, dtype mismatch or truncation —
         # stage through the pool and run the full landing checks
         body = pool.body(nbytes)
-        chan.read_rndv_views([body])
+        read_body(chan, flags, [body])
         env = ev.decode(pool.header, body)
         env.borrowed = True
         count, error, message = sink.posted.land(env)

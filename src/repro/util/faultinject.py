@@ -14,9 +14,10 @@ protocol edge, compiled out to one dict lookup when unarmed):
 * ``rendezvous.cts`` — a sender that just shipped an RTS and will never
   answer the CTS (the receiver is left matched to a dead sender);
 * ``coll.round`` — between rounds of an executing collective schedule;
-* ``shm.ring`` — mid-frame on the shared-memory ring: the header is in,
-  the body is not (process backend; the survivor's only signal is the
-  heartbeat plane — a dead peer produces no EOF on shared memory);
+* ``shm.ring`` — mid-frame on a same-host pair's bulk lane: the header
+  is on the socket, the body is not in the shared-memory ring (process
+  backend; the ring itself produces no EOF, so the survivor's pump,
+  sitting in the lane read, has to notice the socket's);
 * ``finalize`` — after the target returned, before the Finalize barrier.
 
 Two kill actions:

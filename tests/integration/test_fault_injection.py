@@ -267,7 +267,9 @@ def proc_rendezvous_body():
     a dead sender — only peer-loss classification can free it."""
     MPI.Init([])
     w = MPI.COMM_WORLD
-    n = (2 * 1024 * 1024) // 8   # 2 MiB of doubles: well past eager
+    # 4 MiB of doubles: well past eager, and too big to sit whole in a
+    # same-host pair's bulk lane (which would keep it eager)
+    n = (4 * 1024 * 1024) // 8
     if w.Rank() == 0:
         buf = np.ones(n)
         w.Send(buf, 0, n, MPI.DOUBLE, 1, 5)
@@ -281,6 +283,29 @@ def proc_rendezvous_body():
             raise RuntimeError("unwound %.3f" % (time.monotonic() - t0))
         return "unreachable"
     # bystanders park in a collective that includes the dead rank
+    w.Barrier()
+    return "unreachable"
+
+
+def proc_bulk_send_body():
+    """A 1 MiB Send between same-host ranks is eager with its body in
+    the bulk lane; the sender is killed after the header went out on the
+    socket and before the body reached the lane, leaving the receiver's
+    pump in a lane read that nothing will ever feed."""
+    MPI.Init([])
+    w = MPI.COMM_WORLD
+    n = (1024 * 1024) // 8
+    if w.Rank() == 1:
+        w.Send(np.ones(n), 0, n, MPI.DOUBLE, 0, 5)
+        return "unreachable"
+    if w.Rank() == 0:
+        buf = np.zeros(n)
+        t0 = time.monotonic()
+        try:
+            w.Recv(buf, 0, n, MPI.DOUBLE, 1, 5)
+        except AbortException:
+            raise RuntimeError("unwound %.3f" % (time.monotonic() - t0))
+        return "unreachable"
     w.Barrier()
     return "unreachable"
 
@@ -331,10 +356,6 @@ class TestProcHardKills:
     def test_kill_mid_rendezvous_unblocks_matched_receiver(self,
                                                            monkeypatch):
         monkeypatch.setenv("REPRO_FAULT", "rendezvous.cts:0")
-        # keep the frame ring smaller than the 2 MiB payload: the shm
-        # transport keeps ring-sized frames eager, and this kill site
-        # only exists on the RTS/CTS path
-        monkeypatch.setenv("REPRO_SHM_RING_BYTES", str(1024 * 1024))
         with pytest.raises(RankFailure) as ei:
             procrun(PROC_NPROCS, proc_rendezvous_body,
                     timeout=PROC_TIMEOUT)
@@ -351,12 +372,13 @@ class TestProcHardKills:
 
     def test_kill_mid_shm_ring_write_detected_and_swept(self,
                                                         monkeypatch):
-        """Satellite: a rank hard-killed halfway through a shared-ring
-        frame write (header in, body never arrives) produces no EOF —
-        only the heartbeat/control plane can detect it.  Survivors must
-        converge on the dead rank, and the launcher's segment sweep
-        must leave nothing in ``/dev/shm`` (the victim's ``os._exit``
-        runs no cleanup at all)."""
+        """Satellite: a rank hard-killed halfway through a bulk frame
+        (header on the socket, body never reaches the lane).  The ring
+        produces no EOF and the receiver's one pump sits in the lane
+        read, so that read has to notice the socket's EOF itself.
+        Survivors must converge on the dead rank promptly, and the
+        launcher's segment sweep must leave nothing in ``/dev/shm``
+        (the victim's ``os._exit`` runs no cleanup at all)."""
         import os
 
         def shm_entries():
@@ -371,10 +393,11 @@ class TestProcHardKills:
         before = shm_entries()
         t0 = time.monotonic()
         with pytest.raises(RankFailure) as ei:
-            procrun(PROC_NPROCS, proc_plain_body, timeout=PROC_TIMEOUT)
+            procrun(PROC_NPROCS, proc_bulk_send_body,
+                    timeout=PROC_TIMEOUT)
         dt = time.monotonic() - t0
         assert dt < 15.0, f"shm-ring death took {dt:.1f}s to surface"
-        assert 1 in ei.value.failures, ei.value.failures
+        self._assert_prompt_victims(ei.value.failures, dead=1)
         leaked = shm_entries() - before
         assert not leaked, f"leaked /dev/shm segments: {sorted(leaked)}"
 

@@ -228,6 +228,18 @@ def windowed_stream_body(windows):
     return total
 
 
+def transport_threads_body():
+    """Names of this rank's transport threads, mid-job."""
+    import threading
+    MPI.Init([])
+    MPI.COMM_WORLD.Barrier()
+    names = sorted(t.name for t in threading.enumerate()
+                   if t.name.startswith(("repro-pump", "repro-wire")))
+    MPI.COMM_WORLD.Barrier()
+    MPI.Finalize()
+    return names
+
+
 # --- tests --------------------------------------------------------------------
 
 class TestEndToEnd:
@@ -257,16 +269,30 @@ class TestEndToEnd:
         assert out[1] is None
 
     def test_windowed_isend_stream_over_shm(self, monkeypatch):
-        """Back-to-back windows of small nonblocking sends keep both
-        ring counters moving at once — the traffic that exposes a torn
-        cross-process counter publish (the job aborted inside the ring
-        within ~100 windows when the publish zero-filled first)."""
+        """Back-to-back windows of nonblocking sends whose bodies ride
+        the bulk lane keep both ring counters moving at once — the
+        traffic that exposes a torn cross-process counter publish (the
+        job aborted inside the ring within ~100 windows when the publish
+        zero-filled first) and any drift between lane byte order and
+        header order on the socket."""
         monkeypatch.setenv("REPRO_SHM", "1")
+        # 1 KiB messages at or above the limit: eager, body in the lane
+        monkeypatch.setenv("REPRO_EAGER_LIMIT", "512")
         windows = 300
         out = procrun(2, windowed_stream_body, args=(windows,),
                       timeout=TIMEOUT)
         messages = windows * STREAM_WINDOW
         assert out[1] == STREAM_ELEMS * messages * (messages - 1) // 2
+
+    @pytest.mark.parametrize("shm", ["0", "1"])
+    def test_one_pump_and_one_writer_thread_per_rank(self, shm,
+                                                     monkeypatch):
+        """One frame stream per pair: with or without the bulk lanes a
+        rank runs exactly one pump and one writer."""
+        monkeypatch.setenv("REPRO_SHM", shm)
+        out = procrun(2, transport_threads_body, timeout=TIMEOUT)
+        assert out == [[f"repro-pump-{rank}", "repro-wire-writer"]
+                       for rank in range(2)]
 
     def test_local_function_rejected_with_clear_error(self):
         def local_body():  # pragma: no cover - must not even ship

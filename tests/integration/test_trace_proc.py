@@ -26,7 +26,9 @@ from repro.obs import export
 
 NPROCS = 4
 TIMEOUT = 120.0
-BIG = 2 * 1024 * 1024       # above the 1 MiB eager limit -> rendezvous
+#: above the 1 MiB eager limit, and too big to sit in a same-host
+#: pair's 4 MiB bulk lane whole -> rendezvous with or without lanes
+BIG = 4 * 1024 * 1024
 BCAST = 512 * 1024          # above LARGE_MESSAGE_BYTES -> segmented
 
 
@@ -52,9 +54,6 @@ def traced_body():
 def trace_dir(tmp_path, monkeypatch):
     d = tmp_path / "trace"
     monkeypatch.setenv("REPRO_TRACE", str(d))
-    # keep the frame ring smaller than BIG: the shm transport keeps
-    # ring-sized frames eager, and this acceptance needs a rendezvous
-    monkeypatch.setenv("REPRO_SHM_RING_BYTES", str(1024 * 1024))
     yield d
 
 

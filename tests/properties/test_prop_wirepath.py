@@ -220,19 +220,20 @@ def _shm_world(**sizes):
     return shm_world(2, **sizes)
 
 
-#: both carriers of the one wire transport.  The ring is kept small: a
-#: frame that fits the ring whole stays eager whatever the threshold
-#: says, and the rendezvous proofs need the RTS/CTS path to actually
-#: run (eager frames bigger than the ring just stream through it)
+#: the one wire transport without and with the bulk lanes.  The lane is
+#: kept small: a frame at or above the eager limit that fits the lane
+#: whole stays eager, and the rendezvous proofs need the RTS/CTS path to
+#: actually run (their payloads then stream through the lane)
 CARRIERS = {"socket": lambda: SocketTransport(2),
-            "shm": lambda: _shm_world(ring=64 * 1024)}
+            "shm": lambda: _shm_world(rndv=64 * 1024)}
 
 
 @pytest.mark.parametrize("carrier", sorted(CARRIERS))
 class TestZeroCopyProof:
     """Copy-count / bytes-on-wire, identical on every carrier: posted
     eager receives direct-land from the frame stream, rendezvous
-    payloads move over the bulk lane straight into the posted buffer —
+    payloads move (over the bulk lane, where the pair has one) straight
+    into the posted buffer —
     contiguous and strided alike — with zero staging copies and exactly
     one payload traversal."""
 
@@ -399,14 +400,13 @@ class TestZeroCopyProof:
         assert s["eager_direct_bytes"] == payload, s
 
 
-def test_payload_larger_than_region_streams_through(eager_limit_guard):
-    """Notify-first rendezvous: a payload bigger than the whole
-    region must flow through it (the receiver drains while the
-    sender streams), still landing direct."""
+def test_payload_larger_than_lane_streams_through(eager_limit_guard):
+    """Header-first rendezvous: a payload bigger than the whole lane
+    must flow through it (the receiver drains while the sender
+    streams), still landing direct."""
     wire.set_eager_limit(1024)
     n = 2 << 20                            # 2 MiB payload ...
-    transport = _shm_world(ring=64 * 1024,
-                           rndv=64 * 1024)   # ... 64 KiB region
+    transport = _shm_world(rndv=64 * 1024)   # ... 64 KiB lane
 
     def body(n):
         from repro.jni import capi, handles as H

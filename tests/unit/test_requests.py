@@ -210,3 +210,39 @@ class TestAbortIntegration:
         with pytest.raises(MPIException) as ei:
             r.wait()
         assert ei.value.error_code == ERR_TRUNCATE
+
+
+class TestScheduleSubReceiveFailure:
+    """A collective schedule whose sub-receive completes with a ULFM
+    error *before* the schedule's own failure listener has fired."""
+
+    def test_recv_failed_at_post_time_fails_schedule_with_its_error(self):
+        """``note_peer_failure`` records the dead rank, then walks its
+        listeners; a round that posts a receive from that rank inside
+        the window sees it complete-with-error synchronously, its box
+        never filled, while the schedule is not yet ``done``.  The
+        schedule must fail with that ``ERR_PROC_FAILED`` — it used to
+        decode the empty box (``'NoneType'.is_object``)."""
+        from repro.errors import ERR_PROC_FAILED, ProcFailedException
+        from repro.runtime.engine import RankRuntime, Universe
+        from repro.runtime.nbc import progress
+        from repro.runtime.nbc.schedule import Recv
+
+        universe = Universe(2)
+        try:
+            comm = RankRuntime(universe, 0).comm_world
+
+            def build(sched):
+                # the window: rank 1 is on record as failed, the
+                # failure listeners have not been walked yet
+                sched.compute(lambda: universe.failed_ranks.__setitem__(
+                    1, ConnectionError("rank 1 connection lost")))
+                sched.round(Recv(1, comm.next_coll_tag()))
+
+            req = progress.launch(comm, "probe", build)
+            assert req.done and req.error == ERR_PROC_FAILED, \
+                (req.error, req.error_message)
+            with pytest.raises(ProcFailedException):
+                req.raise_if_error()
+        finally:
+            universe.close()

@@ -161,19 +161,19 @@ class TestTCPMesh:
     one job mesh up through the real rendezvous helpers."""
 
     @staticmethod
-    def _make_pair():
+    def _make_pair(n=2):
         from repro.transport.socket_tcp import (TCPMeshTransport,
                                                 build_mesh, mesh_listener)
-        listeners = [mesh_listener(), mesh_listener()]
-        book = {r: listeners[r].getsockname()[:2] for r in range(2)}
-        out = [None, None]
+        listeners = [mesh_listener() for _ in range(n)]
+        book = {r: listeners[r].getsockname()[:2] for r in range(n)}
+        out = [None] * n
 
         def boot(rank):
-            peers = build_mesh(rank, 2, listeners[rank], book)
-            out[rank] = TCPMeshTransport(2, rank, peers)
+            peers = build_mesh(rank, n, listeners[rank], book)
+            out[rank] = TCPMeshTransport(n, rank, peers)
 
         threads = [threading.Thread(target=boot, args=(r,))
-                   for r in range(2)]
+                   for r in range(n)]
         for t in threads:
             t.start()
         for t in threads:
@@ -254,6 +254,27 @@ class TestTCPMesh:
         finally:
             t0.close()
             t1.close()
+
+    def test_control_fanout_reaches_ranks_past_a_dead_one(self):
+        """``broadcast_control`` must attempt every destination: the
+        send to the dead rank raises, and the ranks numbered after it
+        still have to hear the ABORT / PEERFAIL / REVOKE."""
+        from repro.runtime.envelope import KIND_ABORT, encode_abort_env
+        t0, t1, t2 = self._make_pair(3)
+        try:
+            got = []
+            arrived = threading.Event()
+            t0.set_deliver(0, lambda e: None)
+            t2.set_deliver(2, lambda e: (got.append(e), arrived.set()))
+            t2.start()
+            t0._table[0, 1].close()      # rank 1 is gone: its socket raises
+            with pytest.raises(OSError):
+                t0.broadcast_control(encode_abort_env(0, 7))
+            assert arrived.wait(timeout=5), "rank 2 never heard the abort"
+            assert (got[0].kind, got[0].tag) == (KIND_ABORT, 7)
+        finally:
+            for t in (t0, t1, t2):
+                t.close()
 
     def test_mesh_must_cover_all_peers(self):
         from repro.transport.socket_tcp import TCPMeshTransport
@@ -349,7 +370,7 @@ class TestVectoredFrames:
 
 
 # ---------------------------------------------------------------------------
-# shared-memory intra-node transport
+# shared-memory bulk lanes
 # ---------------------------------------------------------------------------
 
 import itertools
@@ -368,7 +389,7 @@ _PUBLISH_WRITER = """
 import sys
 from repro.transport.shm import ShmSegment
 seg = ShmSegment(sys.argv[1], create=False)
-ring = seg.frame
+ring = seg.rndv
 for value in range(1, int(sys.argv[2]) + 1):
     ring._store(ring._head_off, value)
 seg.close()
@@ -405,17 +426,17 @@ class _Stats:
 
 
 class TestShmRing:
-    """The SPSC byte ring: wrap-around, backpressure, oversized frames."""
+    """The SPSC byte ring: wrap-around, backpressure, oversized bodies."""
 
     @staticmethod
-    def _segment(ring=64, rndv=64):
+    def _segment(rndv=64):
         from repro.transport.shm import ShmSegment
-        return ShmSegment(_seg_name(), create=True, ring=ring, rndv=rndv)
+        return ShmSegment(_seg_name(), create=True, rndv=rndv)
 
     def test_wraparound_roundtrip(self):
-        seg = self._segment(ring=64)
+        seg = self._segment(rndv=64)
         try:
-            ring, stall = seg.frame, _SpinStall()
+            ring, stall = seg.rndv, _SpinStall()
             for pattern in (b"A" * 40, b"B" * 40, b"C" * 40):
                 ring.write_views([pattern], stall)   # later writes wrap
                 out = memoryview(bytearray(40))
@@ -428,13 +449,13 @@ class TestShmRing:
         finally:
             seg.close()
 
-    def test_frame_straddling_wrap_scatters_across_views(self):
-        """A 100-byte frame through a 64-byte ring: the payload is
+    def test_body_straddling_wrap_scatters_across_views(self):
+        """A 100-byte body through a 64-byte ring: the payload is
         larger than the capacity (streams in pieces) and the consumer's
         destination views straddle the wrap point."""
-        seg = self._segment(ring=64)
+        seg = self._segment(rndv=64)
         try:
-            ring = seg.frame
+            ring = seg.rndv
             src = bytes(i % 251 for i in range(100))
             out = bytearray(100)
             mv = memoryview(out)
@@ -457,7 +478,7 @@ class TestShmRing:
         """A producer blocked on a full ring must fall into the sleep
         backoff (counted as ``stall_sleeps``), not hot-spin."""
         from repro.transport.shm import ShmChannel
-        seg = self._segment(ring=4096, rndv=64)
+        seg = self._segment(rndv=4096)
         chan = ShmChannel(seg, 0, 1)
         stats = _Stats()
         chan.bind(threading.Event(), stats)
@@ -478,10 +499,11 @@ class TestShmRing:
             seg.close()
 
     def test_blocked_wait_unwinds_when_peer_marked_dead(self):
-        """Rings have no EOF: the ``dead`` flag (fed by the heartbeat
-        plane) is what breaks a blocked wait out."""
+        """Rings have no EOF: the ``dead`` flag (fed by the pair's
+        socket and the failure plane) is what breaks a blocked wait
+        out."""
         from repro.transport.shm import ShmChannel
-        seg = self._segment(ring=4096, rndv=64)
+        seg = self._segment(rndv=4096)
         chan = ShmChannel(seg, 0, 1)
         chan.bind(threading.Event(), _Stats())
         errs = []
@@ -502,7 +524,6 @@ class TestShmRing:
         finally:
             seg.close()
 
-
     @pytest.mark.skipif((os.cpu_count() or 1) < 2,
                         reason="a torn publish is only observable from "
                                "a second CPU")
@@ -513,14 +534,14 @@ class TestShmRing:
         reader catches the zero, computes negative free space, and the
         ring aborts under any windowed stream.)"""
         import repro
-        seg = self._segment(ring=4096)
+        seg = self._segment(rndv=4096)
         n = 1_000_000
         src = os.path.dirname(os.path.dirname(repro.__file__))
         writer = subprocess.Popen(
             [sys.executable, "-c", _PUBLISH_WRITER, seg.name, str(n)],
             env={**os.environ, "PYTHONPATH": src})
         try:
-            ring = seg.frame
+            ring = seg.rndv
             last, reads = 0, 0
             deadline = time.monotonic() + 60
             while last < n:
@@ -539,19 +560,31 @@ class TestShmRing:
             seg.close()
 
 
-class TestShmWorld:
-    """The ring-only world in-process: framing, FIFO, cleanup."""
+@pytest.fixture
+def eager_limit():
+    """Set the eager/rendezvous threshold for one test."""
+    from repro.transport import wire
+    prev = wire.eager_limit()
+    yield wire.set_eager_limit
+    wire.set_eager_limit(prev)
 
-    def test_concurrent_pingpong_stress(self):
+
+class TestShmWorld:
+    """Socketpairs + lanes in-process: framing, FIFO, cleanup."""
+
+    def test_concurrent_pingpong_stress(self, eager_limit):
+        """Both directions at once with every body in the lanes: lane
+        byte order has to keep matching header order on the sockets."""
         from repro.transport.shm import shm_world
-        tr = shm_world(2, ring=8192)
+        eager_limit(32)               # 64 B payloads ride the 8 KiB lanes
+        tr = shm_world(2, rndv=8192)
         n = 300
         seen = {0: [], 1: []}
         done = {0: threading.Event(), 1: threading.Event()}
 
         def sink(rank):
             def deliver(env):
-                seen[rank].append(env)
+                seen[rank].append((env.tag, np.array(env.payload)))
                 if len(seen[rank]) == n:
                     done[rank].set()
             return deliver
@@ -560,12 +593,11 @@ class TestShmWorld:
         tr.set_deliver(1, sink(1))
         tr.start()
         try:
-            payload = np.arange(16, dtype=np.int32)
-
             def sender(src):
                 for i in range(n):
                     tr.send(Envelope(src=src, dst=1 - src, tag=i,
-                                     payload=payload, nelems=16))
+                                     payload=np.full(16, i, dtype=np.int32),
+                                     nelems=16))
 
             threads = [threading.Thread(target=sender, args=(s,))
                        for s in (0, 1)]
@@ -575,8 +607,10 @@ class TestShmWorld:
                 t.join(timeout=30)
             assert done[0].wait(timeout=10) and done[1].wait(timeout=10)
             for rank in (0, 1):
-                assert [e.tag for e in seen[rank]] == list(range(n))
-            assert np.array_equal(np.asarray(seen[0][-1].payload), payload)
+                assert [tag for tag, _ in seen[rank]] == list(range(n))
+                assert all(np.all(body == tag) for tag, body in seen[rank])
+            lane = tr._table[0, 1].lane_tx.seg.rndv
+            assert lane._load(lane._head_off) == n * 64
         finally:
             tr.close()
 
@@ -584,7 +618,7 @@ class TestShmWorld:
         from repro.transport.shm import leaked_segments, shm_world
         nonce = f"t{os.getpid():x}u{next(_seg_seq)}"
         tr = shm_world(2, nonce=nonce)
-        assert len(leaked_segments(nonce, 2)) == 2   # both pairs live
+        assert len(leaked_segments(nonce, 2)) == 2   # both directions live
         tr.close()
         assert leaked_segments(nonce, 2) == []
 
@@ -642,41 +676,45 @@ class _Rank:
         self.landed.put((source_world, tag))
 
 
-class TestMixedCarrierWorld:
-    """Per-peer carrier selection, in one process: three ranks, a socket
-    between every pair, and rings on pair (0, 1) only."""
+class TestLaneOnOnePair:
+    """One channel table, mixed: three ranks in one process, a socket
+    between every pair, bulk lanes on pair (0, 1) only."""
 
-    RING = 64 * 1024
+    LANE = 64 * 1024
+    LIMIT = 1024
 
     @pytest.fixture
-    def world(self):
+    def world(self, eager_limit):
         from repro.transport import wire
         from repro.transport.shm import ShmChannel, ShmSegment
-        chans = []
+        chans = {}
         for i, j in ((0, 1), (0, 2), (1, 2)):
             a, b = socket.socketpair()
-            chans += [wire.Channel(a, i, j), wire.Channel(b, j, i)]
-        rings = {pair: ShmChannel(ShmSegment(_seg_name(), create=True,
-                                             ring=self.RING), *pair)
-                 for pair in ((0, 1), (1, 0))}
-        tr = wire.WireTransport(3, range(3), chans + list(rings.values()))
+            chans[i, j], chans[j, i] = \
+                wire.Channel(a, i, j), wire.Channel(b, j, i)
+        segs = {pair: ShmSegment(_seg_name(), create=True, rndv=self.LANE)
+                for pair in ((0, 1), (1, 0))}
+        for me, peer in segs:
+            chans[me, peer].attach_lanes(
+                ShmChannel(segs[me, peer], me, peer),
+                ShmChannel(segs[peer, me], peer, me))
+        tr = wire.WireTransport(3, range(3), chans.values())
         ranks = [_Rank() for _ in range(3)]
         for r, rank in enumerate(ranks):
             tr.set_deliver(r, rank.deliver)
-        prev = wire.set_eager_limit(1024)
+        eager_limit(self.LIMIT)
         tr.start()
         try:
-            yield tr, ranks, rings
+            yield tr, ranks, chans
         finally:
             for rank in ranks:
                 rank.wedge.set()
             tr.close()
-            wire.set_eager_limit(prev)
 
     @staticmethod
-    def _ring_bytes(chan):
-        """Bytes ever written to ``chan``'s frame ring."""
-        ring = chan.seg.frame
+    def _lane_bytes(chan):
+        """Bytes ever written to ``chan``'s outbound lane."""
+        ring = chan.lane_tx.seg.rndv
         return ring._load(ring._head_off)
 
     _seq = itertools.count(1)
@@ -686,11 +724,14 @@ class TestMixedCarrierWorld:
                         payload=np.zeros(nbytes, dtype=np.int8),
                         nelems=nbytes, **kw)
 
-    def test_fifo_across_an_eager_rendezvous_mix_on_every_pair(self, world):
+    def test_fifo_across_an_eager_lane_rendezvous_mix_on_every_pair(
+            self, world):
         from repro.runtime.envelope import KIND_RTS
-        tr, ranks, rings = world
-        # on the ring pair only the frames that cannot sit in the ring
-        # whole take the handshake; on sockets everything >= the limit
+        tr, ranks, chans = world
+        # below the limit: eager on the socket, everywhere.  At or above
+        # it: on the lane pair a frame that fits the lane whole stays
+        # eager with its body in the lane (2048) and the rest handshake;
+        # on plain sockets everything handshakes
         sizes = (8, 200_000, 8, 2048, 100_000, 64)
         for src in range(3):
             for dst in range(3):
@@ -704,8 +745,8 @@ class TestMixedCarrierWorld:
                 kind, src, tag = rank.arrived.get(timeout=10)
                 seen[src].append((tag, kind == KIND_RTS))
             for src, got in seen.items():
-                ringed = (src, dst) in rings
-                want = [(tag, n + 64 > self.RING if ringed else n >= 1024)
+                fits = self.LANE if chans[src, dst].lane_tx else 0
+                want = [(tag, n >= self.LIMIT and n + 64 > fits)
                         for tag, n in enumerate(sizes)]
                 assert got == want, f"{src}->{dst}: {got}"
             landed = sorted(rank.landed.get(timeout=10)
@@ -713,56 +754,141 @@ class TestMixedCarrierWorld:
                                                for _, rndv in got)))
             assert landed == sorted((src, tag) for src, got in seen.items()
                                     for tag, rndv in got if rndv)
-        # pair (0, 1) really ran on shared memory: eager frames through
-        # the frame ring, both rendezvous payloads through the region
-        assert self._ring_bytes(rings[0, 1]) > 8 + 8 + 2048 + 64
-        region = rings[0, 1].seg.rndv
-        assert region._load(region._head_off) == 200_000 + 100_000
+        # only FLAG_BULK bodies went through the lane — the one eager
+        # frame that fit it and both rendezvous payloads; every header
+        # and every small body rode the socket
+        for pair in ((0, 1), (1, 0)):
+            assert self._lane_bytes(chans[pair]) == 2048 + 200_000 + 100_000
 
-    def test_control_kinds_ride_the_socket_past_a_ring(self, world):
-        from repro.runtime.envelope import KIND_ABORT, KIND_REVOKE
-        tr, ranks, rings = world
-        tr.send(self._env(0, 1, 0))
-        assert ranks[1].arrived.get(timeout=10)[2] == 0
-        before = self._ring_bytes(rings[0, 1])
-        assert before > 0                      # data took the ring ...
-        for kind in (KIND_ABORT, KIND_REVOKE):
-            tr.send(self._env(0, 1, 5, kind=kind))
-            assert ranks[1].arrived.get(timeout=10) == (kind, 0, 5)
-        assert self._ring_bytes(rings[0, 1]) == before   # ... these did not
+    def _headers_only(self, chans, src, dst, tag, nbytes):
+        """A ``FLAG_BULK`` header onto the socket whose body never
+        reaches the lane: what a sender that dies in the gap leaves."""
+        from repro.runtime import envelope as ev
+        from repro.transport import wire
+        header, _ = ev.encode(self._env(src, dst, tag, nbytes), bulk=True)
+        wire.framed_send(chans[src, dst], header)
 
-    def test_peerfail_unwinds_ring_waits_and_reroutes_data(self, world):
+    def test_peerfail_unwinds_both_lane_stalls(self, world):
         from repro.runtime.envelope import KIND_PEERFAIL, \
             encode_peerfail_env
-        from repro.transport import wire
-        tr, ranks, rings = world
-        wire.set_eager_limit(1 << 62)
-        # rank 1 stops draining its ring; a 256 KiB eager frame then
-        # fills the 64 KiB ring and its sender blocks on ring space
+        tr, ranks, chans = world
+        # rank 1 stops draining; the first 60 000-byte body fits the
+        # 64 KiB lane, the second stalls its writer on lane space
         tr.send(self._env(0, 1, _WEDGE_TAG))
         assert ranks[1].arrived.get(timeout=10)[2] == _WEDGE_TAG
         errs = []
 
         def blocked_send():
             try:
-                tr.send(self._env(0, 1, 1, 256 * 1024))
+                for tag in (1, 2):
+                    tr.send(self._env(0, 1, tag, 60_000))
             except ConnectionError as exc:
                 errs.append(exc)
 
         t = threading.Thread(target=blocked_send)
         t.start()
+        # ... and rank 0's pump reads a header whose body never comes
+        self._headers_only(chans, 1, 0, 3, 2048)
         time.sleep(0.1)
-        assert t.is_alive(), "sender should be blocked on the full ring"
-        # the notice itself crosses on the socket (the ring is wedged)
+        assert t.is_alive(), "writer should be stalled on lane space"
         fail = encode_peerfail_env(1, ConnectionError("rank 1 lost"))
         fail.dst = 0
-        tr.send(fail)
+        tr.send_oob(fail)     # rank 0's pump is the one that is stuck
         assert ranks[0].arrived.get(timeout=10)[:2] == (KIND_PEERFAIL, 1)
         t.join(timeout=10)
         assert not t.is_alive() and errs and "dead" in str(errs[0])
-        # data for the dead peer now falls back to the socket, whose
-        # pump is not the one stuck behind the wedged ring
-        before = self._ring_bytes(rings[0, 1])
-        tr.send(self._env(0, 1, 2))
-        assert ranks[1].arrived.get(timeout=10)[2] == 2
-        assert self._ring_bytes(rings[0, 1]) == before
+        # the stalled reader unwound too: its pump classified the loss
+        # (a second notice) and went back to serving the live rank
+        assert ranks[0].arrived.get(timeout=10)[:2] == (KIND_PEERFAIL, 1)
+        tr.send(self._env(2, 0, 4))
+        assert ranks[0].arrived.get(timeout=10)[1:] == (2, 4)
+        tr.send(self._env(0, 2, 5, 4096))
+        assert ranks[2].arrived.get(timeout=10)[1:] == (0, 5)
+
+    def test_reader_stalled_on_a_dead_senders_body_sees_its_eof(
+            self, world):
+        """Hazard: the one pump that would notice the peer's EOF is the
+        one sitting in the lane read.  Its stall peeks the socket."""
+        from repro.runtime.envelope import KIND_PEERFAIL
+        tr, ranks, chans = world
+        self._headers_only(chans, 1, 0, 3, 2048)
+        chans[1, 0].sock.shutdown(socket.SHUT_WR)    # ... and dies
+        assert ranks[0].arrived.get(timeout=5)[:2] == (KIND_PEERFAIL, 1)
+        tr.send(self._env(2, 0, 4))
+        assert ranks[0].arrived.get(timeout=10)[1:] == (2, 4)
+
+
+class _TickingSanitizer:
+    """Sanitizer stand-in: every stall tick sends one probe out of band,
+    from the stalled thread, the way the real one does."""
+
+    probe_interval = 0.0
+
+    def __init__(self, transport):
+        self.transport = transport
+        self.sent = 0
+
+    def transport_wait_begin(self, rank, peer, what):
+        return (rank, peer)
+
+    def transport_wait_tick(self, bw):
+        from repro.runtime.envelope import KIND_SANITIZE
+        if not self.sent:
+            self.sent += 1
+            self.transport.send_oob(Envelope(
+                kind=KIND_SANITIZE, src=bw[0], dst=bw[1], tag=77))
+
+    def transport_wait_end(self, bw):
+        pass
+
+
+def test_probe_from_a_writer_stalled_on_lane_space(eager_limit):
+    """A writer stalled between a bulk header and its body holds the
+    pair's write lock; the sanitizer probe it sends from there is one
+    more frame on that same socket — no self-deadlock, and the stream
+    stays whole (header, probe on the socket; both bodies in the lane)."""
+    from repro.runtime.envelope import KIND_SANITIZE
+    from repro.transport import wire
+    from repro.transport.shm import ShmChannel, ShmSegment
+    a, b = socket.socketpair()
+    ends = {0: wire.Channel(a, 0, 1), 1: wire.Channel(b, 1, 0)}
+    segs = {pair: ShmSegment(_seg_name(), create=True, rndv=64 * 1024)
+            for pair in ((0, 1), (1, 0))}
+    for me, peer in segs:
+        ends[me].attach_lanes(ShmChannel(segs[me, peer], me, peer),
+                              ShmChannel(segs[peer, me], peer, me))
+    t0 = wire.WireTransport(2, (0,), [ends[0]])
+    t1 = wire.WireTransport(2, (1,), [ends[1]])
+    rank1 = _Rank()
+    t0.set_deliver(0, lambda env: None)
+    t1.set_deliver(1, rank1.deliver)
+    san = _TickingSanitizer(t0)
+    t0.set_sanitizer(san)
+    eager_limit(1024)
+    t0.start()
+    t1.start()
+    try:
+        def env(tag, nbytes=8):
+            return Envelope(src=0, dst=1, tag=tag, seq=tag,
+                            payload=np.zeros(nbytes, dtype=np.int8),
+                            nelems=nbytes)
+
+        t0.send(env(_WEDGE_TAG))
+        assert rank1.arrived.get(timeout=10)[2] == _WEDGE_TAG
+        t = threading.Thread(
+            target=lambda: [t0.send(env(tag, 60_000)) for tag in (1, 2)])
+        t.start()
+        deadline = time.monotonic() + 10
+        while not san.sent and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert san.sent, "the stalled writer never ticked the sanitizer"
+        rank1.wedge.set()
+        t.join(timeout=10)
+        assert not t.is_alive()
+        got = [rank1.arrived.get(timeout=10) for _ in range(3)]
+        assert [(kind == KIND_SANITIZE, tag) for kind, _, tag in got] \
+            == [(False, 1), (False, 2), (True, 77)]
+    finally:
+        rank1.wedge.set()
+        t0.close()
+        t1.close()
