@@ -57,19 +57,28 @@ class TestCommittedArtifact:
         """ROADMAP's rule for the default same-host table — shm >= TCP
         at every size or not the default — as a bar, both layouts:
         within measurement noise of the loopback-TCP-only baseline at
-        *every* size, and ahead of it for every >= 1 MiB message.
+        *every* size, and at least twice its bandwidth for every
+        >= 4 MiB message.
 
         Below the eager limit both rows run the same code (every header
         and small body rides the pair's socket), so the factor there is
         1.0 give or take the box's run-to-run spread — hence 0.9, not
-        1.0.  At and above it the body goes through the shared-memory
-        lane, whose copy advantage the committed artifact shows as
-        1.1-1.6x; the bar asserts the win with margin for regeneration
-        noise.  (The original target was 2x at >= 256 KiB, which assumes
-        sender and receiver copy concurrently on separate cores; the
-        rows are measured on one CPU.)"""
+        1.0.  At and above it the receiver reads the payload straight
+        out of the sender's memory (one copy, two frames; PR 14): the
+        committed artifact shows 1.16 / 1.46 / 2.46x (contiguous) and
+        1.35 / 1.82 / 2.56x (strided) at 1 / 2 / 4 MiB — at 1 MiB the
+        copy is still a small part of the round trip, so the asserted
+        win starts where copies dominate, with margin for regeneration
+        noise.  (The shared-memory ring this replaced as the default
+        measured 1.1-1.6x and was held to >= 1.05 at >= 1 MiB.)  The
+        rows say which path they measured: a regenerated artifact whose
+        shm rows did not get the single-copy get (a host that refuses
+        ``process_vm_readv``) is held to the ring's bar instead."""
         report = json.loads((REPO_ROOT / "BENCH_P2P.json").read_text())
         speedup = report.get("shm_speedup_vs_procs_tcp", {})
+        paths = {path for r in report["results"]
+                 if r["backend"] == "procs-DM" and r["transport"] == "shm"
+                 for path in r.get("bulk_paths", {}).values()}
         for layout in p2p.LAYOUTS:
             factors = {int(k): v for k, v in speedup.get(layout, {}).items()}
             want = p2p.FULL_SIZES if layout == "contiguous" \
@@ -78,18 +87,42 @@ class TestCommittedArtifact:
                 f"shm speedup entries missing for {layout}"
             assert all(v >= 0.9 for v in factors.values()), \
                 f"{layout} shm fell behind loopback TCP: {factors}"
-            large = {k: v for k, v in factors.items() if k >= 1048576}
-            assert all(v >= 1.05 for v in large.values()), \
-                f"{layout} lanes stopped paying at MiB sizes: {large}"
+            if paths == {"cma"}:
+                large = {k: v for k, v in factors.items() if k >= 4194304}
+                assert large and all(v >= 2.0 for v in large.values()), \
+                    f"{layout} single-copy get stopped paying: {large}"
+            else:
+                large = {k: v for k, v in factors.items() if k >= 1048576}
+                assert all(v >= 1.05 for v in large.values()), \
+                    f"{layout} lanes stopped paying at MiB sizes: {large}"
+
+    def test_procs_rows_say_which_bulk_path_they_measured(self):
+        """The path is observed at bootstrap, not configured, so a
+        number is only reproducible if the artifact records it: every
+        procs-DM row names each directed pair's bulk path, and the tcp
+        table never has one."""
+        report = json.loads((REPO_ROOT / "BENCH_P2P.json").read_text())
+        for r in report["results"]:
+            if r["backend"] != "procs-DM":
+                continue
+            paths = r.get("bulk_paths")
+            assert paths and set(paths) == {"0->1", "1->0"}, r
+            if r["transport"] == "tcp":
+                assert set(paths.values()) == {"socket"}, r
+            else:
+                assert set(paths.values()) <= {"cma", "ring"}, r
+        anchor = report.get("procs_DM_reanchor", {})
+        assert anchor.get("cpus") and anchor.get("bulk_paths"), anchor
 
     def test_procs_shm_approaches_threads_dm(self):
-        """Cross-process pairs with bulk lanes must stay within 2x of
+        """Cross-process same-host pairs must stay within 2x of
         same-process socketpairs at every >= 1 MiB contiguous size —
         the process-isolation penalty is bounded, not a cliff.  (On the
-        single-CPU measuring box, threads-DM dodges the cross-process
-        context switches and TLB flushes every procs-DM message pays,
-        so parity is not achievable there; the committed rows sit at
-        0.7-0.9x.)"""
+        one-CPU-confined measuring box, threads-DM dodges the
+        cross-process context switches and TLB flushes every procs-DM
+        message pays; the committed rows sit at 0.85x at 1 MiB, 1.0x at
+        2 MiB and — one copy against the socketpair's two — 1.3x at
+        4 MiB.)"""
         report = json.loads((REPO_ROOT / "BENCH_P2P.json").read_text())
         bw = {}
         for r in report["results"]:

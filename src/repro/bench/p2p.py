@@ -9,11 +9,15 @@ sizes 8 B – 4 MB on the live backends:
 * ``procs-DM``    — ranks are OS processes
   (:class:`~repro.executor.procrunner.ProcExecutor`), swept under
   *both* same-host channel tables (the ``transport`` column): ``shm``
-  — loopback TCP plus the shared-memory bulk lanes of
-  :mod:`repro.transport.shm`, which carry the bodies of payloads at or
-  above the eager limit — and ``tcp`` — loopback TCP alone, forced with
-  ``REPRO_SHM=0``, which is the baseline the lanes are measured
-  against.
+  — loopback TCP plus the same-host bulk paths for payloads at or above
+  the eager limit: the single-copy get of :mod:`repro.transport.cma`
+  where the pair's probes passed, else the shared-memory lanes of
+  :mod:`repro.transport.shm` — and ``tcp`` — loopback TCP alone, forced
+  with ``REPRO_SHM=0``, which is the baseline they are measured
+  against.  Every wire row records which path each pair actually had
+  (``bulk_paths``: ``cma`` | ``ring`` | ``socket`` per directed pair) —
+  it is observed at bootstrap, not configured, so the artifact has to
+  say it.
 
 The DM backends run under three protocol settings — ``auto`` (the default
 eager/rendezvous threshold), ``eager`` (threshold forced above every
@@ -154,8 +158,12 @@ def _strided_pingpong(rank: int, data_bytes: int, reps: int,
 
 def _sweep_main(sizes, reps_list, eager_limit, layout="contiguous"):
     """SPMD body (also the procs-DM child target; must stay module-level
-    and importable).  Rank 0 returns [(size, one_way_seconds), ...]."""
+    and importable).  Every rank returns ``(rows, bulk_paths)``: rank
+    0's rows are [(size, one_way_seconds), ...] (None elsewhere), and
+    ``bulk_paths`` names where the rank's large payloads go per peer
+    (empty on the SM transport, which has no wire)."""
     from repro.jni import capi, handles as H
+    from repro.runtime.engine import current_runtime
     from repro.transport import wire
     if eager_limit is not None:
         wire.set_eager_limit(eager_limit)
@@ -165,8 +173,19 @@ def _sweep_main(sizes, reps_list, eager_limit, layout="contiguous"):
     out = []
     for size, reps in zip(sizes, reps_list):
         out.append((size, kernel(rank, size, reps)))
+    transport = current_runtime().universe.transport
+    paths = getattr(transport, "bulk_paths", dict)()
     capi.mpi_finalize()
-    return out if rank == 0 else None
+    return (out if rank == 0 else None), paths
+
+
+def _fold(results):
+    """Per-rank ``_sweep_main`` results -> (rank 0's rows, every rank's
+    bulk paths in one dict)."""
+    paths = {}
+    for _, rank_paths in results:
+        paths.update(rank_paths)
+    return results[0][0], paths
 
 
 def _run_threads(sizes, reps_list, eager_limit, dm: bool,
@@ -184,9 +203,9 @@ def _run_threads(sizes, reps_list, eager_limit, dm: bool,
     try:
         with MPIExecutor(2, universe=Universe(2,
                                               transport=transport)) as ex:
-            return ex.run(_sweep_main,
-                          args=(tuple(sizes), tuple(reps_list),
-                                eager_limit, layout))[0]
+            return _fold(ex.run(_sweep_main,
+                                args=(tuple(sizes), tuple(reps_list),
+                                      eager_limit, layout)))
     finally:
         wire.set_eager_limit(prev)
 
@@ -198,10 +217,10 @@ def _run_procs(sizes, reps_list, eager_limit, layout="contiguous",
     os.environ["REPRO_SHM"] = "1" if shm else "0"
     try:
         with ProcExecutor(2) as ex:
-            return ex.run(_sweep_main,
-                          args=(tuple(sizes), tuple(reps_list),
-                                eager_limit, layout),
-                          timeout=timeout)[0]
+            return _fold(ex.run(_sweep_main,
+                                args=(tuple(sizes), tuple(reps_list),
+                                      eager_limit, layout),
+                                timeout=timeout))
     finally:
         if prev is None:
             os.environ.pop("REPRO_SHM", None)
@@ -245,15 +264,17 @@ def run_sweep(sizes=FULL_SIZES, backends=BACKENDS,
                     limit = PROTOCOLS[protocol]
                     reps_list = [reps_for(s, quick) for s in lay_sizes]
                     if backend == "threads-SM":
-                        got = _run_threads(lay_sizes, reps_list, limit,
-                                           dm=False, layout=layout)
+                        got, paths = _run_threads(lay_sizes, reps_list,
+                                                  limit, dm=False,
+                                                  layout=layout)
                     elif backend == "threads-DM":
-                        got = _run_threads(lay_sizes, reps_list, limit,
-                                           dm=True, layout=layout)
+                        got, paths = _run_threads(lay_sizes, reps_list,
+                                                  limit, dm=True,
+                                                  layout=layout)
                     else:
-                        got = _run_procs(lay_sizes, reps_list, limit,
-                                         layout=layout,
-                                         shm=(transport == "shm"))
+                        got, paths = _run_procs(lay_sizes, reps_list, limit,
+                                                layout=layout,
+                                                shm=(transport == "shm"))
                     for (size, one_way), reps in zip(got, reps_list):
                         rows.append({
                             "backend": backend, "transport": transport,
@@ -264,6 +285,8 @@ def run_sweep(sizes=FULL_SIZES, backends=BACKENDS,
                                 round(size / one_way / 1e6, 2)
                                 if one_way > 0 else 0.0,
                         })
+                        if paths:
+                            rows[-1]["bulk_paths"] = paths
                     if log:
                         peak = max(r["bandwidth_MBps"] for r in rows
                                    if r["backend"] == backend

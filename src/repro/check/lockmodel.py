@@ -414,6 +414,12 @@ class _FuncScanner:
                     and fn.value.id == "time":
                 self.fm.blocks.append(BlockSite(
                     call.lineno, held, "time.sleep()", False))
+            elif attr == "read" and isinstance(fn.value, ast.Name) \
+                    and fn.value.id == "cma":
+                # repro.transport.cma.read: a whole payload copied out
+                # of a peer process, hundreds of microseconds per MiB
+                self.fm.blocks.append(BlockSite(
+                    call.lineno, held, "cma.read()", False))
         callee = self._resolve_callee(fn)
         if callee is not None:
             self.fm.calls.append(CallSite(

@@ -30,7 +30,7 @@ from collections import OrderedDict
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-__all__ = ["LayoutIR", "WIRE_IOV_CAP", "WIRE_MIN_AVG_RUN_BYTES"]
+__all__ = ["LayoutIR", "RunViews", "WIRE_IOV_CAP", "WIRE_MIN_AVG_RUN_BYTES"]
 
 #: cached (offset, nelems) -> byte-span tables per layout; fixed-size
 #: messaging patterns (pingpongs, halo exchanges, persistent requests)
@@ -44,6 +44,32 @@ WIRE_IOV_CAP = 1023
 #: below this *average* run size the per-view Python overhead beats the
 #: staging copy it would avoid — such layouts take the dense gather path
 WIRE_MIN_AVG_RUN_BYTES = 512
+
+
+class RunViews(list):
+    """Byte views of one buffer's selected runs, serialization order —
+    plus what names the same runs to another process.
+
+    A same-host receiver can read a payload straight out of the sender's
+    memory (:mod:`repro.transport.cma`) given its ``[address, length]``
+    table.  The views cannot say where they point without one lookup
+    each, so the list keeps the buffer and the (cached)
+    ``[byte start, byte length]`` table its views were sliced from; the
+    address table is then one vectorised add.
+    """
+
+    __slots__ = ("_buf", "_spans")
+
+    def __init__(self, views, buf: np.ndarray, spans: np.ndarray):
+        super().__init__(views)
+        self._buf = buf
+        self._spans = spans
+
+    def address_table(self) -> np.ndarray:
+        """``(runs, 2)`` ``uint64`` rows ``[address, length]``."""
+        table = self._spans.copy()
+        table[:, 0] += np.uint64(self._buf.ctypes.data)
+        return table
 
 
 class LayoutIR:
@@ -255,16 +281,19 @@ class LayoutIR:
             buf[start:start + take] = data[pos:pos + take]
             pos += take
 
-    def byte_spans(self, offset: int,
-                   nelems: int) -> tuple[list, list, int, int]:
-        """``(starts, ends, lo, hi)`` byte-span tables, in serialization
+    def byte_spans(self, offset: int, nelems: int) \
+            -> tuple[list, list, int, int, np.ndarray]:
+        """``(starts, ends, lo, hi, table)`` byte spans, in serialization
         order, covering ``nelems`` dense elements at element ``offset``.
 
         Adjacent-in-memory pieces are merged (a contiguous tail after a
         strided head becomes one span); ``lo``/``hi`` bound the touched
-        byte range for the caller's window check.  Cached per
-        ``(offset, nelems)`` with LRU eviction: fixed-shape messaging
-        patterns pay the vectorized construction once.
+        byte range for the caller's window check; ``table`` is the same
+        spans as ``(n, 2)`` ``uint64`` rows ``[start, length]`` (meant
+        for in-window spans: a negative start does not survive the
+        cast).  Cached per ``(offset, nelems)`` with LRU eviction:
+        fixed-shape messaging patterns pay the vectorized construction
+        once.
         """
         key = (offset, nelems)
         hit = self._span_cache.get(key)
@@ -314,7 +343,8 @@ class LayoutIR:
                 last = np.flatnonzero(
                     np.concatenate((new_span[1:], [True])))
                 a, b = a[new_span], b[last]
-        entry = (a.tolist(), b.tolist(), int(a.min()), int(b.max()))
+        entry = (a.tolist(), b.tolist(), int(a.min()), int(b.max()),
+                 np.stack((a, b - a), axis=1).astype(np.uint64))
         while len(self._span_cache) >= _SPAN_CACHE_MAX:
             try:
                 self._span_cache.popitem(last=False)
@@ -331,17 +361,18 @@ class LayoutIR:
         them as-is, a direct-landing receive streams into them.  Built
         from the cached :meth:`byte_spans` tables — on the steady state
         of a fixed-shape exchange this is just one ``memoryview`` slice
-        per span.  Returns None when any span falls outside ``buf`` —
-        callers then take the staged path, which reports the proper MPI
-        error.
+        per span — handed out as a :class:`RunViews`, which can also
+        name the runs by address.  Returns None when any span falls
+        outside ``buf`` — callers then take the staged path, which
+        reports the proper MPI error.
         """
         if self.size_elems == 0 or nelems <= 0:
             return []
-        starts, ends, lo, hi = self.byte_spans(offset, nelems)
+        starts, ends, lo, hi, table = self.byte_spans(offset, nelems)
         if lo < 0 or hi > buf.nbytes:
             return None
         mv = memoryview(buf).cast("B")
-        return [mv[x:y] for x, y in zip(starts, ends)]
+        return RunViews([mv[x:y] for x, y in zip(starts, ends)], buf, table)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"LayoutIR(runs={self.nruns}, size={self.size_elems}, "

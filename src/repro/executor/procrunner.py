@@ -319,9 +319,13 @@ class ProcExecutor:
                     # identity and shm availability the per-peer
                     # transport selection reads (same-node + shm_ok
                     # peers get shared-memory bulk lanes beside their
-                    # socket, the rest talk over the socket alone)
+                    # socket, the rest talk over the socket alone), and
+                    # the (pid, address, value) of the rank's probe
+                    # word, which same-node peers read to learn whether
+                    # they can get its payloads in place
                     book[rank] = (self.host, msg["mesh_port"],
-                                  msg.get("node"), msg.get("shm", False))
+                                  msg.get("node"), msg.get("shm", False),
+                                  msg.get("cma"))
                 else:
                     early_failures[rank] = load_exception(msg)
             if early_failures:

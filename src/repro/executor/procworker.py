@@ -19,6 +19,7 @@ detect a rank that wedged without dropping its sockets.
 from __future__ import annotations
 
 import argparse
+import os
 import pickle
 import socket
 import sys
@@ -30,7 +31,7 @@ from repro.executor.procrunner import (dump_exception, heartbeat_interval,
 from repro.obs.trace import TRACE
 from repro.runtime.engine import RankRuntime, Universe, bind_thread, \
     unbind_thread
-from repro.transport import shm as shm_transport
+from repro.transport import cma, shm as shm_transport
 from repro.transport.shm import ShmChannel, ShmSegment
 from repro.transport.socket_tcp import (BOOTSTRAP_TIMEOUT, build_mesh,
                                         mesh_channels, mesh_listener)
@@ -92,7 +93,8 @@ def _heartbeat_loop(ctl: socket.socket, rank: int, interval: float,
 
 
 def _attach_lanes(chans, rank: int, nonce, inbound: dict, book: dict) -> None:
-    """Give the mesh channels to same-host peers their bulk lanes.
+    """Give the mesh channels to same-host peers their bulk lanes, and
+    find out which of those peers this rank can read in place.
 
     A peer is an shm peer when the book says it shares this host's node
     identity *and* its inbound segments exist.  Inbound segments for
@@ -100,7 +102,11 @@ def _attach_lanes(chans, rank: int, nonce, inbound: dict, book: dict) -> None:
     unlinked right here.  Each direction stands alone — the sender marks
     the frames whose body it put in a lane — so an outbound attach
     failure only leaves that direction on the socket: the lanes are an
-    optimization, the mesh is the contract.
+    optimization, the mesh is the contract.  The single-copy get is
+    likewise observed per endpoint, never agreed on: one real 8-byte
+    read of the word the peer advertised in the book
+    (:func:`repro.transport.cma.probe`) decides whether this rank
+    offers and takes gets on that pair.
     """
     my_node = shm_transport.node_id()
     for chan in chans:
@@ -119,6 +125,9 @@ def _attach_lanes(chans, rank: int, nonce, inbound: dict, book: dict) -> None:
         except (OSError, ValueError):
             out = None
         chan.attach_lanes(out, ShmChannel(seg, peer, rank))
+        advert = entry[4] if len(entry) > 4 else None
+        if advert and cma.probe(rank, *advert):
+            chan.cma_pid = advert[0]
 
 
 def main(argv=None) -> int:
@@ -163,9 +172,15 @@ def main(argv=None) -> int:
                                                    opts.nprocs)
         except OSError:
             inbound = {}   # /dev/shm unavailable: this rank rides TCP
+    if inbound:
+        # sibling ranks read each other's send buffers in place; under
+        # Yama ptrace_scope=1 that takes naming a common ancestor — the
+        # launcher — before any of them probes
+        cma.allow_tracer(os.getppid())
     send_msg(ctl, {"mesh_port": listener.getsockname()[1],
                    "node": shm_transport.node_id(),
-                   "shm": bool(inbound)})
+                   "shm": bool(inbound),
+                   "cma": cma.advert() if inbound else None})
     msg = recv_msg(ctl)
     if msg.get("cmd") != "book":
         # launcher cancelled the job (a peer failed before meshing up)

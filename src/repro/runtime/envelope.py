@@ -84,7 +84,7 @@ class Envelope:
     __slots__ = ("kind", "src", "dst", "context", "tag", "mode", "seq",
                  "payload", "nelems", "is_object", "on_matched",
                  "transport_notify", "borrowed", "rndv_accept",
-                 "rndv_nbytes", "rndv_dtype", "on_flushed")
+                 "rndv_nbytes", "rndv_dtype", "rndv_cookie", "on_flushed")
 
     def __init__(self, kind=KIND_DATA, src=0, dst=0, context=0, tag=0,
                  mode=MODE_STANDARD, seq=0, payload=None, nelems=0,
@@ -115,6 +115,10 @@ class Envelope:
         #: announced payload size / dtype of a KIND_RTS envelope
         self.rndv_nbytes = 0
         self.rndv_dtype = None
+        #: a ``FLAG_CMA`` RTS's body: the ``[address, length]`` table of
+        #: the payload in the sender's address space (an owned array),
+        #: or None when the sender offered no single-copy get
+        self.rndv_cookie = None
         #: wire path: fired once the payload bytes have left for the
         #: kernel — completes zero-copy sends whose payload is a *view*
         #: of the user buffer (reusable only after this point)
@@ -163,6 +167,11 @@ HEADER = struct.Struct("!BiiiiBQQB2sQ")
 FLAG_OBJECT = 1
 #: the body is not on the frame stream: it is in the pair's bulk lane
 FLAG_BULK = 2
+#: single-copy get (same-host pairs).  On a KIND_RTS: the body is the
+#: sender's ``[address, length]`` table, and the receiver may read the
+#: payload out of the sender's memory instead of asking for it.  On a
+#: KIND_CTS: "done" — the receiver did, nothing is left to send
+FLAG_CMA = 4
 
 HEADER_SIZE = HEADER.size
 
@@ -204,16 +213,22 @@ def encode(env: Envelope, bulk: bool = False) -> tuple[bytes, object]:
     return header, body
 
 
-def encode_rts(env: Envelope) -> bytes:
-    """Header-only request-to-send frame announcing ``env``'s payload.
+def encode_rts(env: Envelope, table=None) -> bytes:
+    """Request-to-send frame header announcing ``env``'s payload.
 
     The dtype code and element count ride in the header itself, so the
-    receiver can size probes and the landing buffer without any body
-    bytes; the payload ships later in a KIND_RNDV_DATA frame.
+    receiver can size probes and the landing buffer without any payload
+    bytes; the payload ships later in a KIND_RNDV_DATA frame.  With
+    ``table`` — the payload's ``[address, length]`` rows in this
+    process, a ``uint64`` array — the header carries ``FLAG_CMA`` and
+    announces the table's bytes as the frame body (the caller sends
+    them): an offer to read the payload in place.
     """
     code = dtype_code_of(env.payload).encode()
     return HEADER.pack(KIND_RTS, env.src, env.dst, env.context, env.tag,
-                       env.mode, env.seq, env.nelems, 0, code, 0)
+                       env.mode, env.seq, env.nelems,
+                       0 if table is None else FLAG_CMA, code,
+                       0 if table is None else table.nbytes)
 
 
 # --- exception serialization ----------------------------------------------------
@@ -344,7 +359,9 @@ def decode(header: bytes, body) -> Envelope:
     (kind, src, dst, context, tag, mode, seq, nelems, flags, code,
      nbytes) = HEADER.unpack(header)
     is_object = bool(flags & FLAG_OBJECT)
-    if nbytes == 0:
+    if kind == KIND_RTS:
+        payload = None      # an RTS body is its cookie, never payload
+    elif nbytes == 0:
         payload = b"" if is_object else None
     elif is_object:
         payload = body
@@ -361,4 +378,9 @@ def decode(header: bytes, body) -> Envelope:
     if kind == KIND_RTS and code != b"--":
         env.rndv_dtype = DTYPE_CODES[code.decode()]
         env.rndv_nbytes = nelems * env.rndv_dtype.itemsize
+        if flags & FLAG_CMA:
+            # copied: the body views a pooled buffer, the RTS may wait
+            # in the unexpected queue
+            env.rndv_cookie = np.frombuffer(
+                body, dtype=np.uint64).reshape(-1, 2).copy()
     return env

@@ -26,7 +26,9 @@ Rendezvous: a wire transport delivers a ``KIND_RTS`` envelope for a large
 message.  It matches exactly like data (it carries the matching key and
 announced size), but consuming it triggers the transport's
 ``rndv_accept`` hook — clear-to-send handshake plus payload streaming
-into the posted buffer — instead of landing bytes that aren't here yet.
+into the posted buffer, or a single-copy read of the payload out of the
+sender's memory — instead of landing bytes that aren't here yet.  The
+hook runs after the mailbox lock is released: it may copy megabytes.
 """
 
 from __future__ import annotations

@@ -17,9 +17,12 @@
   a socketpair per pair plus a shared-memory bulk lane per direction),
   and the process worker, which takes its mesh sockets and — for
   same-host peers in the bootstrap address book — attaches a
-  :class:`~repro.transport.shm.ShmChannel` lane each way.  Every frame
-  header rides the pair's socket; a lane only carries the bodies of
-  payloads at or above the eager limit.
+  :class:`~repro.transport.shm.ShmChannel` lane each way and probes
+  whether it can read the peer's memory (:mod:`repro.transport.cma`).
+  Every frame header rides the pair's socket; a payload at or above the
+  eager limit is read by the receiver straight out of the sender's
+  memory where the probe passed (one copy), and goes through the lane
+  where it did not.
 * :class:`~repro.transport.modeled.ModeledTransport` — charges a calibrated
   latency/bandwidth cost model to a virtual clock so the benchmark harness
   can regenerate the paper's published 1999 numbers deterministically.

@@ -25,6 +25,13 @@ socket, and a header flagged ``FLAG_BULK`` says its body is here.
   kernel either way, so for a latency-bound message a ring can never
   cost less than sending the frame on the socket the pair already has;
   the lane earns its keep where copies dominate (>= the eager limit).
+* **Why not always** — a ring costs two copies (producer in, consumer
+  out).  Where the kernel lets a rank read its peer's memory
+  (:mod:`repro.transport.cma`, found out by a bootstrap probe) the
+  receiver gets such a payload in one, and the pair's lanes sit idle.
+  The ring is the bulk path wherever that read is refused — Yama
+  ``ptrace_scope`` 2/3, seccomp'd containers, non-Linux — and is kept
+  under test by denying the probe (``REPRO_FAULT=cma.probe:<r>::deny``).
   Bodies carry no framing: lane byte order equals the order of flagged
   headers on the socket, because the sender writes each header-then-body
   pair under the pair's one write lock.
@@ -63,6 +70,7 @@ import threading
 import time
 from multiprocessing import shared_memory
 
+from repro.transport import cma
 from repro.transport.wire import Channel, WireTransport
 
 __all__ = ["ShmChannel", "ShmSegment", "shm_enabled", "node_id",
@@ -538,7 +546,10 @@ def shm_world(nprocs: int, nonce: str | None = None,
 
     Creates all pair segments locally; closing the transport unlinks
     them.  The data path is byte-for-byte the one same-host worker
-    processes use, minus the bootstrap.
+    processes use, minus the bootstrap: each endpoint runs the workers'
+    capability probe against this process's own pid, so an in-process
+    pair takes the single-copy get exactly when cross-process pairs on
+    this host would.
     """
     if nonce is None:
         nonce = f"w{os.getpid():x}{int(time.monotonic_ns()) & 0xffffff:x}"
@@ -554,6 +565,7 @@ def shm_world(nprocs: int, nonce: str | None = None,
             seg.close()
         raise
     chans = []
+    pid, address, value = cma.advert()
     for i in range(nprocs):
         for j in range(i + 1, nprocs):
             a, b = socket.socketpair()
@@ -563,5 +575,7 @@ def shm_world(nprocs: int, nonce: str | None = None,
                 chan = Channel(sock, me, peer)
                 chan.attach_lanes(ShmChannel(segs[me, peer], me, peer),
                                   ShmChannel(segs[peer, me], peer, me))
+                if cma.probe(me, pid, address, value):
+                    chan.cma_pid = pid
                 chans.append(chan)
     return WireTransport(nprocs, range(nprocs), chans)

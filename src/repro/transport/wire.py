@@ -45,6 +45,19 @@ constructors that build a channel list and return this one class.
   match notification, so no separate ACK frame is needed.  Buffered- and
   ready-mode sends stay eager on the stream regardless of size (their
   completion semantics are local).
+* **Single-copy get** — on a same-host pair whose capability probe
+  passed (``Channel.cma_pid``; :mod:`repro.transport.cma`) every such
+  payload instead travels RTS-with-cookie -> get -> DONE: the RTS body
+  is the payload's ``[address, length]`` table in the sender's address
+  space (header flag ``FLAG_CMA``), the thread that matches it reads the
+  bytes with ``process_vm_readv`` straight into the posted receive's
+  views, and a header-only DONE (a CTS carrying ``FLAG_CMA``) releases
+  the parked send.  One copy instead of the lane's two, two frames
+  instead of three, no writer thread on the data path.  Nothing selects
+  it but the probes: a sender attaches the cookie iff *its* probe of the
+  peer passed, a receiver takes the get iff *its* probe of the sender
+  passed and otherwise answers an ordinary CTS, which the sender serves
+  from the same parked envelope through the lane or the stream.
 * **One writer thread** — rendezvous payloads *and every pump-originated
   control frame* (CTS, sync ACKs) are written by a dedicated thread.
   Pumps never write: a pump blocking in ``sendall`` — or on a channel
@@ -66,17 +79,21 @@ routed by ``(source, seq)``, never matched.
 
 from __future__ import annotations
 
+import errno
 import os
 import queue
 import selectors
 import socket
 import threading
 
+import numpy as np
+
 from repro.datatypes.layout import WIRE_IOV_CAP
 from repro.obs.metrics import CounterGroup
 from repro.obs.trace import TRACE
 from repro.runtime import envelope as ev
 from repro.runtime.envelope import Envelope
+from repro.transport import cma
 from repro.transport.base import Transport
 from repro.util import faultinject
 
@@ -141,6 +158,20 @@ def body_nbytes(body) -> int:
     if isinstance(body, (list, tuple)):
         return sum(len(v) for v in body)
     return len(body)
+
+
+def payload_table(env: Envelope) -> np.ndarray:
+    """The ``[address, length]`` table of ``env``'s payload in this
+    process: one row for a dense array, one per layout run for an
+    :class:`~repro.runtime.envelope.IOVecPayload`.  A strided dense
+    payload is first replaced by a contiguous copy, which the (parked)
+    envelope then keeps alive like any other."""
+    payload = env.payload
+    if type(payload) is ev.IOVecPayload:
+        return cma.address_table(payload.views)
+    if not payload.flags.c_contiguous:
+        env.payload = payload = np.ascontiguousarray(payload)
+    return cma.address_table([payload])
 
 
 def send_frame(sock: socket.socket, header: bytes, body=b"") -> None:
@@ -301,7 +332,8 @@ class Channel:
     """
 
     __slots__ = ("sock", "tx", "rx", "lock", "dead", "lane_tx", "lane_rx",
-                 "sendall", "sendmsg", "recv_into", "recvmsg_into")
+                 "cma_pid", "sendall", "sendmsg", "recv_into",
+                 "recvmsg_into")
 
     def __init__(self, sock: socket.socket, rank: int, peer: int):
         set_nodelay(sock)
@@ -315,6 +347,11 @@ class Channel:
         self.dead = threading.Event()
         #: bulk lanes to / from the peer (None: bodies ride the stream)
         self.lane_tx = self.lane_rx = None
+        #: the peer's pid iff this endpoint's probe read the peer's
+        #: memory (:func:`repro.transport.cma.probe`), else None.  The
+        #: pair's whole single-copy capability: this side offers a get
+        #: with what it sends and takes the ones it is offered iff set
+        self.cma_pid: int | None = None
         self.sendall, self.sendmsg = sock.sendall, sock.sendmsg
         self.recv_into, self.recvmsg_into = sock.recv_into, sock.recvmsg_into
 
@@ -330,6 +367,15 @@ class Channel:
 
     def _lanes(self):
         return [ln for ln in (self.lane_tx, self.lane_rx) if ln is not None]
+
+    @property
+    def bulk_path(self) -> str:
+        """How a payload at or above the eager limit leaves this
+        endpoint: ``cma`` (the peer reads it in place), ``ring`` (through
+        the shared-memory lane) or ``socket``."""
+        if self.cma_pid is not None:
+            return "cma"
+        return "ring" if self.lane_tx is not None else "socket"
 
     def peer_gone(self) -> bool:
         """Has the peer closed the stream with nothing left to read?
@@ -424,6 +470,7 @@ class WireTransport(Transport):
             "rts_frames", "cts_frames",
             "rndv_direct_frames", "rndv_direct_bytes",
             "rndv_staged_frames", "rndv_staged_bytes",
+            "rndv_get_frames", "rndv_get_bytes",
             "tx_frames", "tx_bytes", "stall_sleeps",
         ))
         self._count = self.wire_stats.inc
@@ -449,6 +496,12 @@ class WireTransport(Transport):
                                         name="repro-wire-writer", daemon=True)
         for t in (*self._pumps, self._writer):
             t.start()
+        if TRACE.enabled:
+            # the effective configuration, so a traced number can be
+            # reproduced: where each local rank's large payloads go
+            for rank in self.local_ranks:
+                TRACE.instant(rank, "wire.config", "wire",
+                              {"bulk": self.bulk_paths(rank)})
 
     def close(self) -> None:
         if self._closing.is_set():
@@ -524,10 +577,12 @@ class WireTransport(Transport):
         """Ship one envelope src->dst (rank thread; never blocks on CTS)."""
         bulk = False
         if wants_rendezvous(env):
-            # a frame that fits the lane whole stays eager, body in the
-            # lane; anything else (always, on a plain socket) handshakes
+            # a capable pair has one policy: announce, and let the peer
+            # read in place.  Otherwise a frame that fits the lane whole
+            # stays eager, body in the lane; anything else (always, on a
+            # plain socket) handshakes
             lane = chan.lane_tx
-            bulk = lane is not None and \
+            bulk = chan.cma_pid is None and lane is not None and \
                 env.payload.nbytes + ev.HEADER_SIZE <= lane.capacity
             if not bulk:
                 self._send_rts(env, chan)
@@ -547,19 +602,29 @@ class WireTransport(Transport):
             env.on_flushed()
 
     def _send_rts(self, env: Envelope, chan) -> None:
-        """Park ``env``'s payload and announce it with a header-only RTS."""
+        """Park ``env``'s payload and announce it with an RTS: header
+        only, or — to a peer this side can read — with the payload's
+        address table as the cookie of a single-copy get.
+
+        The parked envelope is what keeps the user buffer alive until
+        the CTS (stream it) or the DONE (the peer has read it): nothing
+        else may drop it.
+        """
+        table = payload_table(env) if chan.cma_pid is not None else None
         st = self._rndv[env.src]
         with st.lock:
             st.out[env.seq] = env
             if TRACE.enabled:
                 st.t0[env.seq] = TRACE.now()
-        header = ev.encode_rts(env)
-        framed_send(chan, header)
+        header = ev.encode_rts(env, table)
+        cookie = b"" if table is None else memoryview(table).cast("B")
+        framed_send(chan, header, cookie)
         # fault point: the RTS is on the wire, the payload is parked — a
         # death here leaves the receiver matched to a sender that will
-        # never answer its CTS
+        # never answer its CTS (or whose memory its get cannot read)
         faultinject.maybe_fail("rendezvous.cts", env.src)
-        self._count(rts_frames=1, tx_frames=1, tx_bytes=len(header))
+        self._count(rts_frames=1, tx_frames=1,
+                    tx_bytes=len(header) + len(cookie))
         if TRACE.enabled:
             TRACE.instant(env.src, "wire.rts", "wire",
                           {"dst": env.dst, "seq": env.seq,
@@ -599,28 +664,33 @@ class WireTransport(Transport):
                     return
                 continue   # peer death surfaces via the pump
             if TRACE.enabled:
-                # the writer-thread flush itself ...
                 TRACE.span(env.src, "wire.flush", "wire", t_flush,
                            {"dst": env.dst, "bytes": nbytes})
-                # ... and the whole RTS -> CTS -> payload-flushed
-                # span of this rendezvous, anchored at the RTS
-                st = self._rndv[env.src]
-                with st.lock:
-                    t0 = st.t0.pop(env.seq, None)
-                if t0 is not None:
-                    TRACE.span(env.src, "wire.rndv", "wire", t0,
-                               {"dst": env.dst, "seq": env.seq,
-                                "bytes": nbytes})
-            if env.on_flushed is not None:
-                # zero-copy send: the user buffer is reusable now
-                env.on_flushed()
-            if env.mode == ev.MODE_SYNCHRONOUS:
-                # the CTS proved the match; complete the local Ssend
-                deliver = self._deliver[env.src]
-                if deliver is not None:
-                    deliver(Envelope(kind=ev.KIND_ACK, src=env.dst,
-                                     dst=env.src, context=env.context,
-                                     tag=env.tag, seq=env.seq))
+            self._payload_done(env)
+
+    def _payload_done(self, env: Envelope) -> None:
+        """A parked rendezvous payload is out of this rank's hands —
+        streamed by the writer, or read in place by the peer (DONE):
+        close the trace span anchored at its RTS and complete the send.
+        """
+        if TRACE.enabled:
+            st = self._rndv[env.src]
+            with st.lock:
+                t0 = st.t0.pop(env.seq, None)
+            if t0 is not None:
+                TRACE.span(env.src, "wire.rndv", "wire", t0,
+                           {"dst": env.dst, "seq": env.seq,
+                            "bytes": env.payload.nbytes})
+        if env.on_flushed is not None:
+            # zero-copy send: the user buffer is reusable now
+            env.on_flushed()
+        if env.mode == ev.MODE_SYNCHRONOUS:
+            # the CTS / DONE proved the match; complete the local Ssend
+            deliver = self._deliver[env.src]
+            if deliver is not None:
+                deliver(Envelope(kind=ev.KIND_ACK, src=env.dst,
+                                 dst=env.src, context=env.context,
+                                 tag=env.tag, seq=env.seq))
 
     # -- receive side ------------------------------------------------------
     def _pump(self, rank: int, chans) -> None:
@@ -650,13 +720,17 @@ class WireTransport(Transport):
                         sel.unregister(chan.sock)
                         if self._deliver[rank] is not None:
                             peer = chan.rx[0]
-                            env = ev.encode_peerfail_env(
-                                peer, ConnectionError(
-                                    f"rank {peer} connection lost"))
-                            env.dst = rank
-                            self._deliver_local(rank, env)
+                            self._peer_lost(rank, peer,
+                                            f"rank {peer} connection lost")
         finally:
             sel.close()
+
+    def _peer_lost(self, rank: int, peer: int, why: str) -> None:
+        """This transport classified ``peer`` as dead: tell ``rank``'s
+        failure plane (a locally delivered ``KIND_PEERFAIL``)."""
+        env = ev.encode_peerfail_env(peer, ConnectionError(why))
+        env.dst = rank
+        self._deliver_local(rank, env)
 
     def _read_frame(self, rank: int, chan, pool: RecvPool) -> None:
         """Read and dispatch exactly one frame arriving at ``rank``."""
@@ -664,10 +738,12 @@ class WireTransport(Transport):
         (kind, src, dst, context, tag, mode, seq, nelems, flags, code,
          nbytes) = ev.HEADER.unpack(pool.header)
         if kind == ev.KIND_CTS:
+            done = bool(flags & ev.FLAG_CMA)
             self._count(cts_frames=1)
             if TRACE.enabled:
-                TRACE.instant(rank, "wire.cts", "wire", {"seq": seq})
-            self._handle_cts(rank, seq)
+                TRACE.instant(rank, "wire.cts", "wire",
+                              {"seq": seq, "done": done})
+            self._handle_cts(rank, seq, done)
             return
         if kind == ev.KIND_RNDV_DATA:
             self._handle_rndv_data(rank, chan, pool, src, tag, seq,
@@ -725,12 +801,18 @@ class WireTransport(Transport):
         if deliver is not None:
             deliver(env)
 
-    def _handle_cts(self, rank: int, seq: int) -> None:
-        """Receiver matched our RTS: hand the payload to the writer."""
+    def _handle_cts(self, rank: int, seq: int, done: bool) -> None:
+        """Receiver matched our RTS.  A plain CTS asks for the payload:
+        hand it to the writer.  ``done`` (the CTS carried ``FLAG_CMA``)
+        says the receiver already read it out of our memory."""
         st = self._rndv[rank]
         with st.lock:
             env = st.out.pop(seq, None)
-        if env is not None:
+        if env is None:
+            return
+        if done:
+            self._payload_done(env)
+        else:
             self._writeq.put(env)
 
     def _send_ack(self, env: Envelope) -> None:
@@ -744,16 +826,24 @@ class WireTransport(Transport):
         self._enqueue_frame(env.dst, env.src, ack)
 
     def _accept_rts(self, rank: int, env: Envelope, posted) -> None:
-        """Mailbox matched an RTS to ``posted``: register the sink, CTS.
+        """Mailbox matched an RTS to ``posted``: read the payload in
+        place if the sender offered that and this side can, else
+        register the sink and CTS.
 
         Runs in whichever thread performed the match (pump on arrival
-        match, the receiving rank on post match); registration strictly
-        precedes the data frame because the sender only streams after
-        this CTS.
+        match, the receiving rank on post match) and outside the mailbox
+        lock — the get is a multi-hundred-microsecond copy.  On the CTS
+        path registration strictly precedes the data frame because the
+        sender only streams after this CTS.
         """
         views = None
         if posted.recv_views is not None:
             views = posted.recv_views(env)
+        chan = self._table.get((rank, env.src))
+        if env.rndv_cookie is not None and chan is not None \
+                and chan.cma_pid is not None \
+                and self._get(rank, chan, env, posted, views):
+            return
         st = self._rndv[rank]
         with st.lock:
             st.sinks[(env.src, env.seq)] = _Sink(posted, views)
@@ -762,6 +852,65 @@ class WireTransport(Transport):
         # via the writer, never inline: this may run in the pump (arrival
         # match), and pumps must not block on channel locks
         self._enqueue_frame(rank, env.src, cts)
+
+    def _get(self, rank: int, chan, env: Envelope, posted, views) -> bool:
+        """Single-copy landing of the payload ``env`` (an RTS with a
+        cookie) announces: ``process_vm_readv`` from the sender's memory
+        straight into ``views``, or — a receive that cannot take the
+        bytes as they are (dtype mismatch, truncation, wire-unfriendly
+        layout) — into a staging array that ``posted.land`` then checks.
+        Answers DONE.  Returns False iff the kernel refused the read, so
+        the caller falls back to an ordinary CTS.
+
+        A sender that died after its RTS (``ESRCH``; ``EFAULT`` while it
+        is being torn down) is a peer loss, not an error of this call:
+        it goes to the failure plane as the pump's EOF would, and the
+        matched request completes with ``ERR_PROC_FAILED`` through its
+        armed failure scope — at once if the match ran in the pump,
+        when the scope is armed if it ran inside ``post_recv``.
+        """
+        src, nbytes = env.src, env.rndv_nbytes
+        t0 = TRACE.now() if TRACE.enabled else 0.0
+        direct = views is not None and body_nbytes(views) == nbytes
+        stage = None if direct else np.empty(nbytes, dtype=np.uint8)
+        try:
+            cma.read(chan.cma_pid, env.rndv_cookie,
+                     cma.address_table(views if direct else [stage]))
+        except OSError as exc:
+            if exc.errno not in (errno.ESRCH, errno.EFAULT):
+                # not permitted after all (the probe raced a policy
+                # change): this endpoint stops offering and taking gets
+                chan.cma_pid = None
+                return False
+            self._peer_lost(rank, src, f"rank {src} lost before its "
+                            f"rendezvous payload could be read: {exc}")
+            return True
+        # fault point: the payload has been read, the sender has not
+        # been told — a death here leaves it parked on a receiver that
+        # will never answer, as a lost CTS would
+        faultinject.maybe_fail("rendezvous.done", rank)
+        done = ev.HEADER.pack(ev.KIND_CTS, rank, src, env.context, env.tag,
+                              env.mode, env.seq, 0, ev.FLAG_CMA, b"--", 0)
+        # via the writer, never inline (see the CTS above)
+        self._enqueue_frame(rank, src, done)
+        self._count(rndv_get_frames=1, rndv_get_bytes=nbytes)
+        if direct:
+            self._count(rndv_direct_frames=1, rndv_direct_bytes=nbytes)
+            outcome = {"count_elements": env.nelems}
+        else:
+            count, error, message = posted.land(Envelope(
+                src=src, dst=rank, context=env.context, tag=env.tag,
+                mode=env.mode, seq=env.seq,
+                payload=stage.view(env.rndv_dtype), nelems=env.nelems))
+            self._count(rndv_staged_frames=1, rndv_staged_bytes=nbytes)
+            outcome = {"count_elements": count, "error": error,
+                       "error_message": message}
+        if TRACE.enabled:
+            TRACE.span(rank, "wire.rndv_land", "wire", t0,
+                       {"src": src, "bytes": nbytes, "direct": direct,
+                        "via": "cma"})
+        posted.req.complete(source_world=src, tag=env.tag, **outcome)
+        return True
 
     def _handle_rndv_data(self, rank: int, chan, pool: RecvPool, src: int,
                           tag: int, seq: int, nelems: int, flags: int,
@@ -774,6 +923,7 @@ class WireTransport(Transport):
             read_body(chan, flags, [pool.body(nbytes)])
             return
         t0 = TRACE.now() if TRACE.enabled else 0.0
+        via = "lane" if flags & ev.FLAG_BULK else "stream"
         if sink.views is not None \
                 and body_nbytes(sink.views) == nbytes:
             # the zero-copy fast path: stream or lane -> user buffer
@@ -782,7 +932,8 @@ class WireTransport(Transport):
             self._count(rndv_direct_frames=1, rndv_direct_bytes=nbytes)
             if TRACE.enabled:
                 TRACE.span(rank, "wire.rndv_land", "wire", t0,
-                           {"src": src, "bytes": nbytes, "direct": True})
+                           {"src": src, "bytes": nbytes, "direct": True,
+                            "via": via})
             sink.posted.req.complete(source_world=src, tag=tag,
                                      count_elements=nelems)
             return
@@ -796,11 +947,24 @@ class WireTransport(Transport):
         self._count(rndv_staged_frames=1, rndv_staged_bytes=nbytes)
         if TRACE.enabled:
             TRACE.span(rank, "wire.rndv_land", "wire", t0,
-                       {"src": src, "bytes": nbytes, "direct": False})
+                       {"src": src, "bytes": nbytes, "direct": False,
+                        "via": via})
         sink.posted.req.complete(source_world=src, tag=tag,
                                  count_elements=count, error=error,
                                  error_message=message)
 
+    def bulk_paths(self, rank: int | None = None) -> dict[str, str]:
+        """``"src->dst"`` -> ``cma`` | ``ring`` | ``socket`` for every
+        directed pair written here (or only ``rank``'s): where a payload
+        at or above the eager limit goes (the effective configuration;
+        nothing sets it, the bootstrap probes found it)."""
+        return {f"{src}->{dst}": chan.bulk_path
+                for (src, dst), chan in sorted(self._table.items())
+                if rank is None or src == rank}
+
     def describe(self) -> str:
+        paths = ", ".join(f"{pair} {path}"
+                          for pair, path in self.bulk_paths().items())
         return (f"WireTransport(nprocs={self.nprocs}, "
-                f"local={self.local_ranks}, channels={len(self._chans)})")
+                f"local={self.local_ranks}, channels={len(self._chans)}, "
+                f"bulk=[{paths}])")

@@ -5,6 +5,8 @@
 default 1), it dies.  Everything is counted per process (the process
 backend) or per :func:`reset` epoch (the thread backends), so a given
 spec kills at exactly one, reproducible point of the execution.
+Several specs may be armed at once, comma-separated
+(``cma.probe:1::deny,shm.ring:1``).
 
 Instrumented sites (each a single :func:`maybe_fail` call on a hot
 protocol edge, compiled out to one dict lookup when unarmed):
@@ -12,13 +14,29 @@ protocol edge, compiled out to one dict lookup when unarmed):
 * ``bootstrap`` — worker process startup, before it dials the launcher
   (process backend only): exercises the launcher's rendezvous fail-fast;
 * ``rendezvous.cts`` — a sender that just shipped an RTS and will never
-  answer the CTS (the receiver is left matched to a dead sender);
+  answer the CTS (the receiver is left matched to a dead sender — and,
+  on a pair that reads payloads in place, holding a cookie into memory
+  that is gone);
+* ``rendezvous.done`` — a receiver that has just read a rendezvous
+  payload out of the sender's memory and dies before saying so (the
+  sender is left parked, as on a lost CTS);
 * ``coll.round`` — between rounds of an executing collective schedule;
 * ``shm.ring`` — mid-frame on a same-host pair's bulk lane: the header
   is on the socket, the body is not in the shared-memory ring (process
   backend; the ring itself produces no EOF, so the survivor's pump,
   sitting in the lane read, has to notice the socket's);
 * ``finalize`` — after the target returned, before the Finalize barrier.
+
+One *soft* site, which degrades a rank instead of killing it (action
+``deny``, asked about with :func:`denied`; no hit count):
+
+* ``cma.probe`` — every capability probe that rank runs
+  (:func:`repro.transport.cma.probe`) reports "not permitted", as under
+  Yama ``ptrace_scope=2`` or a seccomp filter: what the rank *sends*
+  takes the ring / socket path, what it *receives* with a cookie it
+  answers with a plain CTS, and every other pair keeps the single-copy
+  get — one job covers all three, which is how the ring path stays
+  under test without a knob.
 
 Two kill actions:
 
@@ -38,18 +56,21 @@ import os
 import signal
 import threading
 
-__all__ = ["SimulatedRankDeath", "maybe_fail", "reset", "set_hard_kill"]
+__all__ = ["SimulatedRankDeath", "denied", "maybe_fail", "reset",
+           "set_hard_kill"]
 
 #: exit code of a hard-killed worker, distinguishable from crash-by-1
 HARD_EXIT_CODE = 86
 
-_SITES = ("bootstrap", "rendezvous.cts", "coll.round", "shm.ring",
-          "finalize")
+_SITES = ("bootstrap", "rendezvous.cts", "rendezvous.done", "coll.round",
+          "shm.ring", "finalize")
 _ACTIONS = ("kill", "stop")
+#: sites that degrade instead of killing; their one action is ``deny``
+_SOFT_SITES = ("cma.probe",)
 
 _lock = threading.Lock()
 _counts: dict[tuple[str, int], int] = {}
-_cached: tuple[str | None, tuple | None] = (None, None)
+_cached: tuple[str | None, tuple] = (None, ())
 #: process-backend workers flip this: die for real instead of raising
 _hard_kill = False
 
@@ -76,37 +97,49 @@ def reset() -> None:
         _counts.clear()
 
 
-def _spec():
-    """Parse ``REPRO_FAULT``, cached on the raw value (tests monkeypatch
-    the environment between jobs)."""
+def _specs() -> tuple:
+    """Parse ``REPRO_FAULT`` into ``(site, rank, hit, action)`` specs,
+    cached on the raw value (tests monkeypatch the environment between
+    jobs)."""
     global _cached
     raw = os.environ.get("REPRO_FAULT") or None
     if raw == _cached[0]:
         return _cached[1]
-    parsed = None
-    if raw:
-        parts = raw.split(":")
+    parsed = []
+    for one in (raw or "").split(","):
+        if not one:
+            continue
+        parts = one.split(":")
         try:
             site = parts[0]
             rank = int(parts[1])
             hit = int(parts[2]) if len(parts) > 2 and parts[2] else 1
-            action = parts[3] if len(parts) > 3 else "kill"
-            if site not in _SITES:
-                raise ValueError(f"unknown fault site {site!r} "
-                                 f"(sites: {', '.join(_SITES)})")
-            if action not in _ACTIONS:
-                raise ValueError(f"unknown fault action {action!r}")
-            parsed = (site, rank, max(1, hit), action)
+            soft = site in _SOFT_SITES
+            action = parts[3] if len(parts) > 3 \
+                else "deny" if soft else "kill"
+            if site not in _SITES + _SOFT_SITES:
+                raise ValueError(
+                    f"unknown fault site {site!r} "
+                    f"(sites: {', '.join(_SITES + _SOFT_SITES)})")
+            if action not in (("deny",) if soft else _ACTIONS):
+                raise ValueError(f"unknown fault action {action!r} "
+                                 f"for site {site!r}")
+            parsed.append((site, rank, max(1, hit), action))
         except (IndexError, ValueError) as exc:
             raise ValueError(
-                f"REPRO_FAULT={raw!r} is not '<site>:<rank>[:<hit>]"
-                f"[:<action>]': {exc}") from None
-    _cached = (raw, parsed)
-    return parsed
+                f"REPRO_FAULT={raw!r} is not a comma-separated list of "
+                f"'<site>:<rank>[:<hit>][:<action>]': {exc}") from None
+    _cached = (raw, tuple(parsed))
+    return _cached[1]
+
+
+def denied(site: str, rank: int) -> bool:
+    """Soft fault point: is ``rank`` armed to be refused at ``site``?"""
+    return any(s == site and r == rank for s, r, _, _ in _specs())
 
 
 def maybe_fail(site: str, rank: int, own_thread_only: bool = False) -> None:
-    """Fault point: die here iff the armed spec names (site, rank) and
+    """Fault point: die here iff an armed spec names (site, rank) and
     this is the spec'd hit.
 
     ``own_thread_only`` guards sites that other ranks' threads can reach
@@ -115,11 +148,10 @@ def maybe_fail(site: str, rank: int, own_thread_only: bool = False) -> None:
     dying rank's *own* thread or the wrong rank would unwind.  Hard-kill
     workers are single-rank processes, so every thread counts there.
     """
-    spec = _spec()
-    if spec is None:
-        return
-    f_site, f_rank, f_hit, action = spec
-    if site != f_site or rank != f_rank:
+    for f_site, f_rank, f_hit, action in _specs():
+        if site == f_site and rank == f_rank and action != "deny":
+            break
+    else:
         return
     if own_thread_only and not _hard_kill:
         from repro.runtime.engine import try_current_runtime

@@ -195,6 +195,33 @@ class T:
     assert "blocking-under-lock" in rules_of(findings)
 
 
+def test_cross_memory_read_under_lock_fires(tmp_path):
+    """A ``cma.read`` is a whole payload copied out of a peer process:
+    it must not run under the mailbox lock or a channel lock."""
+    src = """\
+import threading
+from repro.transport import cma
+
+class T:
+    def __init__(self):
+        self.lock = threading.Lock()
+
+    def get(self, pid, remote, local):
+        with self.lock:
+            cma.read(pid, remote, local)
+
+    def fine(self, pid, remote, local):
+        with self.lock:
+            table = cma.address_table(local)
+        cma.read(pid, remote, table)
+"""
+    findings, _ = lint_source(tmp_path, src)
+    hits = [f for f in findings if f.rule == "blocking-under-lock"]
+    assert len(hits) == 1
+    assert hits[0].severity == "error" and hits[0].line == 10
+    assert "cma.read()" in hits[0].message and "T.lock" in hits[0].message
+
+
 def test_transitive_block_is_warning(tmp_path):
     src = """\
 import threading

@@ -23,6 +23,26 @@ def mode_transport(request):
     return MODES[request.param]
 
 
+@pytest.fixture
+def cma_capable(monkeypatch):
+    """Same-host pairs built in this test take the single-copy get: no
+    capability probe is denied by the environment (CI runs some files
+    under a denying ``REPRO_FAULT`` too), and the test skips where the
+    kernel itself refuses ``process_vm_readv``."""
+    from repro.transport import cma
+    monkeypatch.delenv("REPRO_FAULT", raising=False)
+    if not cma.probe(0, *cma.advert()):
+        pytest.skip("process_vm_readv is not usable here")
+
+
+@pytest.fixture
+def cma_denied(monkeypatch):
+    """Neither rank of a 2-rank world built in this test passes its
+    capability probe: bulk bodies take the shared-memory ring, as where
+    the kernel refuses ``process_vm_readv``."""
+    monkeypatch.setenv("REPRO_FAULT", "cma.probe:0::deny,cma.probe:1::deny")
+
+
 def spmd(fn):
     """Wrap a test body with MPI.Init/Finalize, as every program must."""
     def body(*args):

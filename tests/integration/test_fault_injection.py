@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro import mpirun, procrun
-from repro.errors import AbortException, MPIException
+from repro.errors import AbortException, MPIException, ProcFailedException
 from repro.executor.runner import RankFailure
 from repro.mpijava import MPI
 from repro.mpijava.op import Op
@@ -241,6 +241,82 @@ class TestPointToPointAndProbeUnblock:
         assert isinstance(failures[0], ValueError)
 
 
+# --- a failed single-copy get is a peer loss, never a raw OSError --------------
+
+class TestFailedGetIsAPeerLoss:
+    """Hazard: on a pair that reads rendezvous payloads in place, a
+    sender that dies after its RTS leaves the receiver a cookie into
+    memory that is gone.  The read's ``ESRCH`` / ``EFAULT`` must reach
+    the failure plane the way the socket's EOF does and complete the
+    matched receive with ``ERR_PROC_FAILED`` — whichever thread ran the
+    match.  In-process, with the read itself failing on cue (the
+    process-backend class below kills a real sender)."""
+
+    N = 1 << 17     # 1 MiB of doubles: at the default eager limit
+
+    @pytest.mark.parametrize("err", ["ESRCH", "EFAULT"])
+    @pytest.mark.parametrize("order", ["posted", "unexpected"])
+    def test_recv_raises_proc_failed(self, order, err, cma_capable,
+                                     monkeypatch):
+        import errno
+        import os
+        import threading
+
+        from repro.executor.runner import MPIExecutor
+        from repro.runtime.engine import Universe, current_runtime
+        from repro.transport import cma
+        from repro.transport.shm import shm_world
+
+        universe = Universe(2, transport=shm_world(2))
+        assert set(universe.transport.bulk_paths().values()) == {"cma"}
+        code = getattr(errno, err)
+        reads = []
+
+        def gone(pid, remote, local):
+            reads.append(threading.current_thread().name)
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(cma, "read", gone)   # after the probes ran
+        posted, outcome = threading.Event(), threading.Event()
+        n = self.N
+
+        def body():
+            MPI.Init([])
+            w = MPI.COMM_WORLD
+            w.Errhandler_set(MPI.ERRORS_RETURN)
+            if w.Rank() == 0:
+                if order == "posted":
+                    assert posted.wait(timeout=10)
+                w.Isend(np.ones(n), 0, n, MPI.DOUBLE, 1, 5)
+                assert outcome.wait(timeout=10)
+                return "sender"
+            buf = np.zeros(n)
+            if order == "posted":
+                req = w.Irecv(buf, 0, n, MPI.DOUBLE, 0, 5)
+                posted.set()
+            else:
+                mailbox = current_runtime().mailbox
+                while mailbox.pending_counts()[0] == 0:   # the RTS is in
+                    time.sleep(0.001)
+                req = w.Irecv(buf, 0, n, MPI.DOUBLE, 0, 5)
+            try:
+                with pytest.raises(ProcFailedException) as ei:
+                    req.Wait()
+                assert ei.value.failed_rank == 0
+                assert isinstance(ei.value.__cause__, ConnectionError)
+            finally:
+                outcome.set()
+            return "survivor"
+
+        with MPIExecutor(2, universe=universe) as ex:
+            assert ex.run(body, timeout=TIMEOUT) == ["sender", "survivor"]
+        # the match — and with it the read — ran in the pump for a
+        # receive posted first, in the receiving rank's own thread for
+        # an RTS that had to wait
+        assert len(reads) == 1
+        assert reads[0].startswith("repro-pump") == (order == "posted")
+
+
 # --- process-backend hard kills at protocol edges -----------------------------
 #
 # SPMD bodies must be module-level (they cross the process boundary by
@@ -308,6 +384,85 @@ def proc_bulk_send_body():
         return "unreachable"
     w.Barrier()
     return "unreachable"
+
+
+#: survivors of a rank killed mid-rendezvous must see the loss within
+#: this (measured inside the survivor; EOF detection is immediate)
+GET_KILL_BOUND = 2.0
+
+#: 4 MiB of doubles: rendezvous on every pair, with or without lanes
+_GET_N = (4 * 1024 * 1024) // 8
+
+
+def proc_get_sender_killed_body(order):
+    """Under ERRORS_RETURN: rank 1 receives a rendezvous-sized message
+    whose sender, rank 0, is hard-killed right after shipping its RTS.
+    ``posted``: the receive is waiting when the RTS arrives (the match
+    runs in the pump); ``unexpected``: the RTS waits for the receive,
+    its sender long dead (the match runs in rank 1's own thread)."""
+    MPI.Init([])
+    w = MPI.COMM_WORLD
+    w.Errhandler_set(MPI.ERRORS_RETURN)
+    if w.Rank() == 0:
+        if order == "posted":
+            time.sleep(0.5)
+        w.Send(np.ones(_GET_N), 0, _GET_N, MPI.DOUBLE, 1, 5)
+        return "unreachable"
+    buf = np.zeros(_GET_N)
+    if order == "unexpected":
+        time.sleep(0.5)
+        t0 = time.monotonic()
+    req = w.Irecv(buf, 0, _GET_N, MPI.DOUBLE, 0, 5)
+    if order == "posted":
+        time.sleep(0.5)         # the sender dies about now
+        t0 = time.monotonic()
+    try:
+        req.Wait()
+    except ProcFailedException as exc:
+        dt = time.monotonic() - t0
+        assert exc.failed_rank == 0, exc
+        assert dt < GET_KILL_BOUND, f"took {dt:.2f}s to see the loss"
+    else:
+        # only legal if the payload was read in full before the sender
+        # was gone (the kernel keeps a dying process's memory alive for
+        # a read already under way): then every byte must be there
+        assert order == "posted" and np.all(buf == 1.0), \
+            "Recv from a dead sender returned without its message"
+    MPI.Finalize()
+    return "survived"
+
+
+def proc_get_receiver_killed_body():
+    """Under ERRORS_RETURN: rank 0 sends a rendezvous-sized message to
+    rank 1, which is hard-killed after reading the payload out of rank
+    0's memory and before saying so (no DONE).  The parked send must
+    complete with ERR_PROC_FAILED through its armed failure scope."""
+    MPI.Init([])
+    w = MPI.COMM_WORLD
+    w.Errhandler_set(MPI.ERRORS_RETURN)
+    if w.Rank() == 1:
+        w.Recv(np.zeros(_GET_N), 0, _GET_N, MPI.DOUBLE, 0, 5)
+        MPI.Finalize()          # reached only where there is no get
+        return "received"
+    t0 = time.monotonic()
+    try:
+        w.Send(np.ones(_GET_N), 0, _GET_N, MPI.DOUBLE, 1, 5)
+    except ProcFailedException as exc:
+        dt = time.monotonic() - t0
+        assert exc.failed_rank == 1, exc
+        assert dt < GET_KILL_BOUND, f"took {dt:.2f}s to see the loss"
+    else:
+        # legal only where the pair has no single-copy get (sockets
+        # only, or a kernel that refuses the read): the fault site is
+        # then never reached and the message is simply delivered
+        from repro.runtime.engine import current_runtime
+        path = current_runtime().universe.transport.bulk_paths()["0->1"]
+        assert path != "cma", "Send completed though its receiver " \
+            "died before confirming the payload"
+        MPI.Finalize()
+        return f"delivered over {path}"
+    MPI.Finalize()
+    return "survived"
 
 
 def proc_segmented_bcast_body():
@@ -389,7 +544,10 @@ class TestProcHardKills:
                 return set()
 
         monkeypatch.setenv("REPRO_SHM", "1")
-        monkeypatch.setenv("REPRO_FAULT", "shm.ring:1")
+        # the killed sender's probes are denied, so what it sends takes
+        # the ring (a capable pair would announce the body and let the
+        # receiver read it in place, never reaching the site)
+        monkeypatch.setenv("REPRO_FAULT", "cma.probe:1::deny,shm.ring:1")
         before = shm_entries()
         t0 = time.monotonic()
         with pytest.raises(RankFailure) as ei:
@@ -400,6 +558,34 @@ class TestProcHardKills:
         self._assert_prompt_victims(ei.value.failures, dead=1)
         leaked = shm_entries() - before
         assert not leaked, f"leaked /dev/shm segments: {sorted(leaked)}"
+
+    @pytest.mark.parametrize("order", ["posted", "unexpected"])
+    def test_survivor_recv_from_sender_killed_after_rts(self, order,
+                                                        monkeypatch):
+        """Fault matrix: the sender dies at ``rendezvous.cts``; under
+        ERRORS_RETURN the survivor's Recv raises ProcFailedException —
+        not ConnectionError / OSError out of a failed get — for both
+        match orders, and the survivor goes on to Finalize."""
+        monkeypatch.setenv("REPRO_FAULT", "rendezvous.cts:0")
+        with pytest.raises(RankFailure) as ei:
+            procrun(2, proc_get_sender_killed_body, args=(order,),
+                    timeout=PROC_TIMEOUT)
+        # only the injected death: the survivor's own assertions held
+        assert set(ei.value.failures) == {0}, ei.value.failures
+
+    def test_sender_of_receiver_killed_before_done(self, monkeypatch):
+        """Fault matrix: the receiver dies between get and DONE
+        (``rendezvous.done``); the sender's parked send completes with
+        ERR_PROC_FAILED.  On a pair that cannot read in place the site
+        is never reached and the job simply succeeds."""
+        monkeypatch.setenv("REPRO_FAULT", "rendezvous.done:1")
+        try:
+            out = procrun(2, proc_get_receiver_killed_body,
+                          timeout=PROC_TIMEOUT)
+        except RankFailure as exc:
+            assert set(exc.failures) == {1}, exc.failures
+        else:
+            pytest.skip(f"no single-copy get on this pair: {out[0]}")
 
     def test_kill_during_finalize(self, monkeypatch):
         """A rank dying inside Finalize must not wedge the barrier: the

@@ -228,6 +228,61 @@ def windowed_stream_body(windows):
     return total
 
 
+def large_exchange_body():
+    """Rendezvous-sized traffic both ways between ranks 0 and 1: 4 MiB
+    contiguous (standard and synchronous mode) and a 2 MiB strided
+    Vector into a differently-strided Vector.  Returns each rank's
+    checksums of what it received, gaps included, and its wire counters
+    and bulk paths."""
+    from repro.runtime.engine import current_runtime
+    MPI.Init([])
+    w = MPI.COMM_WORLD
+    rank = w.Rank()
+    n = (4 << 20) // 8
+    send_vec = MPI.DOUBLE.Vector(64, 4096, 6144).Commit()
+    recv_vec = MPI.DOUBLE.Vector(128, 2048, 2560).Commit()
+    sums = []
+    if rank < 2:
+        peer = 1 - rank
+        mine = np.arange(n, dtype=np.float64) * (rank + 1)
+        got = np.zeros(n)
+        strided_out = np.arange(64 * 6144, dtype=np.float64) + rank
+        strided_in = np.full(128 * 2560, -1.0)
+        for mode in ("send", "ssend"):
+            send = w.Send if mode == "send" else w.Ssend
+            if rank == 0:
+                send(mine, 0, n, MPI.DOUBLE, peer, 3)
+                w.Recv(got, 0, n, MPI.DOUBLE, peer, 3)
+            else:
+                w.Recv(got, 0, n, MPI.DOUBLE, peer, 3)
+                send(mine, 0, n, MPI.DOUBLE, peer, 3)
+            sums.append(float(got.sum()))
+            got[:] = 0
+        reqs = [w.Irecv(strided_in, 0, 1, recv_vec, peer, 4)]
+        w.Barrier()             # both receives are posted: direct landing
+        reqs.append(w.Isend(strided_out, 0, 1, send_vec, peer, 4))
+        Request.Waitall(reqs)
+        sums.append(float(strided_in.sum()))
+        sums.append(float(strided_in[2048:2560].sum()))    # a gap: untouched
+    else:
+        w.Barrier()
+    w.Barrier()
+    transport = current_runtime().universe.transport
+    out = (sums, dict(transport.wire_stats), transport.bulk_paths())
+    send_vec.Free()
+    recv_vec.Free()
+    MPI.Finalize()
+    return out
+
+
+#: ``REPRO_FAULT`` values under which ranks 0 and 1 run the three bulk
+#: policies: both read in place; rank 1 cannot (what it receives with a
+#: cookie it answers with a plain CTS, what it sends takes the ring);
+#: rank 0 cannot
+PROBE_FAULTS = {"capable": None, "rank1-denied": "cma.probe:1::deny",
+                "rank0-denied": "cma.probe:0::deny"}
+
+
 def transport_threads_body():
     """Names of this rank's transport threads, mid-job."""
     import threading
@@ -268,21 +323,75 @@ class TestEndToEnd:
         assert out[0] == pytest.approx(3.14159, abs=1e-3)
         assert out[1] is None
 
-    def test_windowed_isend_stream_over_shm(self, monkeypatch):
-        """Back-to-back windows of nonblocking sends whose bodies ride
-        the bulk lane keep both ring counters moving at once — the
-        traffic that exposes a torn cross-process counter publish (the
-        job aborted inside the ring within ~100 windows when the publish
-        zero-filled first) and any drift between lane byte order and
-        header order on the socket."""
+    @pytest.mark.parametrize("probes", sorted(PROBE_FAULTS))
+    def test_windowed_isend_stream_over_shm(self, probes, monkeypatch):
+        """Back-to-back windows of nonblocking sends at or above the
+        eager limit.  With the sender's probes denied
+        (``rank0-denied``) the bodies ride the bulk lane and keep both
+        ring counters moving at once — the traffic that exposes a torn
+        cross-process counter publish (the job aborted inside the ring
+        within ~100 windows when the publish zero-filled first) and any
+        drift between lane byte order and header order on the socket.
+        ``capable``: each is announced and read in place, 64 gets in
+        flight per window; ``rank1-denied``: each is announced, refused
+        and streamed.  Same sum every way."""
         monkeypatch.setenv("REPRO_SHM", "1")
-        # 1 KiB messages at or above the limit: eager, body in the lane
+        if PROBE_FAULTS[probes]:
+            monkeypatch.setenv("REPRO_FAULT", PROBE_FAULTS[probes])
+        else:
+            monkeypatch.delenv("REPRO_FAULT", raising=False)
+        # 1 KiB messages at or above the limit: all of them bulk
         monkeypatch.setenv("REPRO_EAGER_LIMIT", "512")
         windows = 300
         out = procrun(2, windowed_stream_body, args=(windows,),
                       timeout=TIMEOUT)
         messages = windows * STREAM_WINDOW
         assert out[1] == STREAM_ELEMS * messages * (messages - 1) // 2
+
+    def test_large_messages_identical_on_every_bulk_path(self,
+                                                         monkeypatch):
+        """Which ranks can read their peer's memory decides *how* a
+        rendezvous-sized message moves, never what arrives: capable,
+        receiver denied and sender denied give identical results — and
+        the counters say each job ran the path its probes found."""
+        monkeypatch.setenv("REPRO_SHM", "1")
+        results = {}
+        for probes, fault in PROBE_FAULTS.items():
+            if fault:
+                monkeypatch.setenv("REPRO_FAULT", fault)
+            else:
+                monkeypatch.delenv("REPRO_FAULT", raising=False)
+            results[probes] = procrun(2, large_exchange_body,
+                                      timeout=TIMEOUT)
+        sums = {probes: [rank[0] for rank in out]
+                for probes, out in results.items()}
+        n = (4 << 20) // 8
+        total = float(np.arange(n, dtype=np.float64).sum())
+        assert sums["capable"][0][:2] == [2 * total] * 2
+        assert sums["capable"][1][:2] == [total] * 2
+        assert sums["capable"][0][3] == -512.0
+        assert sums["rank1-denied"] == sums["capable"]
+        assert sums["rank0-denied"] == sums["capable"]
+        paths = {probes: {k: v for rank in out for k, v in rank[2].items()}
+                 for probes, out in results.items()}
+        gets = {probes: [rank[1]["rndv_get_frames"] for rank in out]
+                for probes, out in results.items()}
+        if set(paths["capable"].values()) != {"cma"}:
+            pytest.skip(f"no single-copy get here: {paths['capable']}")
+        assert paths["rank1-denied"] == {"0->1": "cma", "1->0": "ring"}
+        assert paths["rank0-denied"] == {"0->1": "ring", "1->0": "cma"}
+        # three rendezvous-sized messages each way: every one a get on
+        # the capable pair, none where either end was denied (a denied
+        # receiver refuses the cookie, a denied sender offers none)
+        assert gets["capable"] == [3, 3]
+        assert gets["rank1-denied"] == [0, 0]
+        assert gets["rank0-denied"] == [0, 0]
+        for probes, out in results.items():
+            for _, stats, _ in out:
+                # (a denied sender's 2 MiB fits the lane whole: eager)
+                assert stats["rndv_direct_frames"] \
+                    + stats["eager_direct_frames"] == 3, (probes, stats)
+                assert stats["rndv_staged_frames"] == 0, (probes, stats)
 
     @pytest.mark.parametrize("shm", ["0", "1"])
     def test_one_pump_and_one_writer_thread_per_rank(self, shm,

@@ -84,6 +84,18 @@ class TestProcBackendTraceCollection:
             and rndv[0]["args"]["bytes"] == BIG
         land = named("wire.rndv_land", 1)
         assert land and land[0]["args"]["bytes"] == BIG
+        # ... and which path the number came from: every rank stamps
+        # where its large payloads go (the probes' verdict, not a
+        # setting), and the landing says how this one arrived — read in
+        # place iff both ends of the pair can, else through the lane
+        # the pair has, else on the stream
+        bulk = {pair: path for e in named("wire.config")
+                for pair, path in e["args"]["bulk"].items()}
+        assert len(bulk) == NPROCS * (NPROCS - 1), bulk
+        assert set(bulk.values()) <= {"cma", "ring", "socket"}, bulk
+        via = "cma" if bulk["0->1"] == bulk["1->0"] == "cma" \
+            else "stream" if bulk["0->1"] == "socket" else "lane"
+        assert land[0]["args"]["via"] == via, (land[0], bulk)
 
         # 2. the mailbox match with its dwell time, flagged as an RTS
         # match on the receiving rank

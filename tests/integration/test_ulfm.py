@@ -191,6 +191,30 @@ class TestFaultSpec:
         with pytest.raises(ValueError, match="site"):
             faultinject.maybe_fail("coll.round", 0)
 
+    def test_spec_list_arms_every_entry(self, monkeypatch):
+        """A comma-separated list arms all of its specs at once: a soft
+        site degrades one rank while a kill site waits for another."""
+        from repro.util import faultinject
+        monkeypatch.setenv("REPRO_FAULT",
+                           "cma.probe:1::deny,coll.round:2:2,cma.probe:3")
+        faultinject.reset()
+        assert faultinject.denied("cma.probe", 1)
+        assert faultinject.denied("cma.probe", 3)    # deny is the default
+        assert not faultinject.denied("cma.probe", 2)
+        faultinject.maybe_fail("coll.round", 2)      # hit 1 of 2: survives
+        with pytest.raises(SimulatedRankDeath):
+            faultinject.maybe_fail("coll.round", 2)
+        faultinject.maybe_fail("cma.probe", 1)       # soft: never kills
+
+    @pytest.mark.parametrize("spec", ["cma.probe:1::kill",
+                                      "coll.round:1::deny",
+                                      "coll.round:1,bogus:0"])
+    def test_action_must_fit_the_site(self, spec, monkeypatch):
+        from repro.util import faultinject
+        monkeypatch.setenv("REPRO_FAULT", spec)
+        with pytest.raises(ValueError, match="REPRO_FAULT"):
+            faultinject.denied("cma.probe", 1)
+
     def test_hit_counts_reset_between_jobs(self, monkeypatch):
         """The same executor must be able to run the fault twice."""
         monkeypatch.setenv("REPRO_FAULT", f"coll.round:{DEAD}")

@@ -220,28 +220,57 @@ def _shm_world(**sizes):
     return shm_world(2, **sizes)
 
 
-#: the one wire transport without and with the bulk lanes.  The lane is
-#: kept small: a frame at or above the eager limit that fits the lane
-#: whole stays eager, and the rendezvous proofs need the RTS/CTS path to
-#: actually run (their payloads then stream through the lane)
-CARRIERS = {"socket": lambda: SocketTransport(2),
-            "shm": lambda: _shm_world(rndv=64 * 1024)}
+#: the one wire transport over its three same-host bulk paths: none
+#: (``socket``), the shared-memory lane (``ring``: probes denied) and
+#: the single-copy get (``cma``).  The lane is kept small: a frame at
+#: or above the eager limit that fits the lane whole stays eager, and
+#: the rendezvous proofs need the RTS/CTS path to actually run (their
+#: payloads then stream through the lane)
+CARRIERS = ("socket", "ring", "cma")
 
 
-@pytest.mark.parametrize("carrier", sorted(CARRIERS))
+@pytest.fixture
+def make_carrier(request):
+    def make(carrier, rndv=64 * 1024):
+        if carrier == "socket":
+            return SocketTransport(2)
+        request.getfixturevalue("cma_denied" if carrier == "ring"
+                                else "cma_capable")
+        return _shm_world(rndv=rndv)
+    return make
+
+
+def _assert_bulk_path(transport, carrier, frames, nbytes):
+    """The rendezvous payloads went where the carrier's name says: read
+    in place (the get counters move, no writer ever stalls on a lane,
+    and nothing but headers and cookies is written to a stream), or
+    written out once through the lane / the socket."""
+    s = transport.wire_stats
+    if carrier == "cma":
+        assert s["rndv_get_frames"] == frames, s
+        assert s["rndv_get_bytes"] == nbytes, s
+        assert s["stall_sleeps"] == 0, s
+        assert s["tx_bytes"] < 4096, s
+    else:
+        assert s["rndv_get_frames"] == 0, s
+        assert s["tx_bytes"] >= nbytes, s
+
+
+@pytest.mark.parametrize("carrier", CARRIERS)
 class TestZeroCopyProof:
     """Copy-count / bytes-on-wire, identical on every carrier: posted
     eager receives direct-land from the frame stream, rendezvous
-    payloads move (over the bulk lane, where the pair has one) straight
-    into the posted buffer —
+    payloads move (over the bulk lane, or read in place, where the pair
+    can) straight into the posted buffer —
     contiguous and strided alike — with zero staging copies and exactly
     one payload traversal."""
 
     def test_rendezvous_contiguous_recv_is_zero_staging(self, carrier,
+                                                        make_carrier,
                                                         eager_limit_guard):
         wire.set_eager_limit(1024)
         n = 1 << 20
-        transport = CARRIERS[carrier]()
+        transport = make_carrier(carrier)
 
         def body(n):
             from repro.jni import capi, handles as H
@@ -271,12 +300,13 @@ class TestZeroCopyProof:
         # frames and the finalize-barrier tokens, all header-sized)
         assert s["tx_bytes"] < payload + 4096, s
         assert s["rts_frames"] == 1 and s["cts_frames"] == 1, s
+        _assert_bulk_path(transport, carrier, 1, payload)
 
     def test_eager_posted_contiguous_recv_is_zero_staging(
-            self, carrier, eager_limit_guard):
+            self, carrier, make_carrier, eager_limit_guard):
         wire.set_eager_limit(1 << 62)
         n = 1 << 18
-        transport = CARRIERS[carrier]()
+        transport = make_carrier(carrier)
         start = threading.Barrier(2, timeout=10)
 
         def body(n):
@@ -312,6 +342,7 @@ class TestZeroCopyProof:
         return cls._COUNT * cls._BLOCK * 8
 
     def test_rendezvous_strided_recv_is_zero_staging(self, carrier,
+                                                     make_carrier,
                                                      eager_limit_guard):
         """A derived-datatype rendezvous must stream every payload byte
         straight into the posted strided buffer: no gather copy on the
@@ -319,7 +350,7 @@ class TestZeroCopyProof:
         scatter on the receiver (per-run recv_into), and the payload
         crosses the wire exactly once."""
         wire.set_eager_limit(1024)
-        transport = CARRIERS[carrier]()
+        transport = make_carrier(carrier)
         count, block, stride = self._COUNT, self._BLOCK, self._STRIDE
 
         def body():
@@ -358,13 +389,14 @@ class TestZeroCopyProof:
         # bytes-on-wire: the strided payload crossed exactly once (plus
         # header-sized control frames and finalize-barrier tokens)
         assert s["tx_bytes"] < payload + 4096, s
+        _assert_bulk_path(transport, carrier, 1, payload)
 
     def test_eager_posted_strided_recv_is_zero_staging(
-            self, carrier, eager_limit_guard):
+            self, carrier, make_carrier, eager_limit_guard):
         """Below the rendezvous threshold, a posted strided receive
         direct-lands the eager frame through its run views."""
         wire.set_eager_limit(1 << 62)
-        transport = CARRIERS[carrier]()
+        transport = make_carrier(carrier)
         start = threading.Barrier(2, timeout=10)
         count, block, stride = self._COUNT, self._BLOCK, self._STRIDE
 
@@ -400,13 +432,14 @@ class TestZeroCopyProof:
         assert s["eager_direct_bytes"] == payload, s
 
 
-def test_payload_larger_than_lane_streams_through(eager_limit_guard):
+def test_payload_larger_than_lane_streams_through(make_carrier,
+                                                  eager_limit_guard):
     """Header-first rendezvous: a payload bigger than the whole lane
     must flow through it (the receiver drains while the sender
     streams), still landing direct."""
     wire.set_eager_limit(1024)
     n = 2 << 20                            # 2 MiB payload ...
-    transport = _shm_world(rndv=64 * 1024)   # ... 64 KiB lane
+    transport = make_carrier("ring")       # ... 64 KiB lane
 
     def body(n):
         from repro.jni import capi, handles as H
@@ -430,6 +463,168 @@ def test_payload_larger_than_lane_streams_through(eager_limit_guard):
     assert s["rndv_direct_frames"] == 1, s
     assert s["rndv_direct_bytes"] == n, s
     assert s["rndv_staged_frames"] == 0, s
+    _assert_bulk_path(transport, "ring", 1, n)
+
+
+# -- the get against the ring against the packing oracle ----------------------
+
+def _gen_layout(rng):
+    """A Vector or Indexed of doubles: ``(spec, size_elems)``.  Blocks
+    run from a few elements (wire-unfriendly: dense gather on send,
+    staged landing on receive) to a few hundred (iovec send, per-run
+    direct landing)."""
+    big = bool(rng.integers(0, 2))
+    lo, hi = (64, 400) if big else (1, 9)
+    if rng.integers(0, 2):
+        count, block = int(rng.integers(2, 9)), int(rng.integers(lo, hi))
+        stride = block + int(rng.integers(0, 2)) * int(rng.integers(1, hi))
+        return ("vector", count, block, stride), count * block
+    blocks = [int(rng.integers(lo, hi)) for _ in range(rng.integers(2, 7))]
+    disps, at = [], 0
+    for b in blocks:
+        disps.append(at)
+        at += b + int(rng.integers(0, hi))
+    return ("indexed", tuple(blocks), tuple(disps)), sum(blocks)
+
+
+def gen_get_cases(seed, n):
+    """Exchanges ``(send_spec, send_count, recv_spec, recv_count,
+    recv_kind)``: any send layout into any receive layout, the message
+    usually ending inside the last receive instance (a partial trailing
+    instance); ``truncate`` posts too little room, ``mismatch`` posts
+    the right room in the wrong dtype."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(n):
+        send, ssize = _gen_layout(rng)
+        recv, rsize = _gen_layout(rng)
+        scount = int(rng.integers(1, 4)) * max(1, 256 // ssize)
+        need = -(-scount * ssize // rsize)          # instances that fit it
+        kind = ("ok", "ok", "ok", "truncate", "mismatch")[i % 5]
+        rcount = max(0, need - 1) if kind == "truncate" \
+            else need + int(rng.integers(0, 2))
+        cases.append((send, scount, recv, rcount, kind))
+    return cases
+
+
+def _get_cases_body(cases, seed):
+    """Rank 0 sends every case, rank 1 receives it into a sentinel-
+    filled buffer under ERRORS_RETURN; rank 1 returns, per case,
+    ``(error code, elements received, the whole receive buffer)``."""
+    from repro.errors import MPIException
+    from repro.mpijava import MPI
+    MPI.Init([])
+    w = MPI.COMM_WORLD
+    w.Errhandler_set(MPI.ERRORS_RETURN)
+    rank = w.Rank()
+    rng = np.random.default_rng(seed)
+    out = []
+
+    def make(spec, base):
+        t = base.Vector(*spec[1:]) if spec[0] == "vector" \
+            else base.Indexed(list(spec[1]), list(spec[2]))
+        return t.Commit()
+
+    for tag, (send, scount, recv, rcount, kind) in enumerate(cases):
+        stype = make(send, MPI.DOUBLE)
+        sbuf = rng.random(scount * stype.Extent() // 8 + 8)
+        if rank == 0:
+            w.Send(sbuf, 3, scount, stype, 1, tag)
+        else:
+            base = MPI.LONG if kind == "mismatch" else MPI.DOUBLE
+            rtype = make(recv, base)
+            rbuf = np.full(rcount * rtype.Extent() // 8 + 8, -1.0).view(
+                np.int64 if kind == "mismatch" else np.float64)
+            try:
+                st = w.Recv(rbuf, 5, rcount, rtype, 0, tag)
+                out.append((0, st.Get_elements(MPI.DOUBLE), rbuf))
+            except MPIException as exc:
+                out.append((exc.error_code, 0, rbuf))
+            rtype.Free()
+        stype.Free()
+        w.Barrier()
+    MPI.Finalize()
+    return out
+
+
+class TestGetLandsWhatTheRingLands:
+    """The single-copy get is a transport decision like eager vs
+    rendezvous: for generated send/receive layout pairs it must land
+    byte-for-byte what the ring lands and what the flat-index packing
+    oracle predicts — gaps of strided receive buffers untouched, the
+    proper MPI error for receives that cannot take the message — and
+    keep the zero-copy proofs: every landable receive is read straight
+    into the user buffer, nothing staged."""
+
+    LIMIT = 1024
+
+    @staticmethod
+    def _impl(spec):
+        from repro.datatypes import derived, primitives as P
+        t = derived.vector(*spec[1:], P.DOUBLE) if spec[0] == "vector" \
+            else derived.indexed(list(spec[1]), list(spec[2]), P.DOUBLE)
+        t.commit()
+        return t
+
+    def _oracle(self, cases, seed):
+        """Per case: (error, elements, buffer) by flat-index gather and
+        scatter, plus whether the message handshakes and whether the
+        receive can take it in place."""
+        from repro.errors import ERR_TRUNCATE, ERR_TYPE
+        rng = np.random.default_rng(seed)
+        want = []
+        for send, scount, recv, rcount, kind in cases:
+            st, rt = self._impl(send), self._impl(recv)
+            sbuf = rng.random(scount * st.extent_elems + 8)
+            dense = sbuf[st.flat_indices(scount, 3)]
+            ref = np.full(rcount * rt.extent_elems + 8, -1.0)
+            rndv = dense.nbytes >= self.LIMIT
+            if kind == "ok":
+                ref[rt.flat_indices(rcount, 5)[:len(dense)]] = dense
+                landable = rt.layout().contiguous \
+                    or rt.layout().wire_friendly(len(dense))
+                want.append((0, len(dense), ref, rndv, landable))
+            else:
+                code = ERR_TRUNCATE if kind == "truncate" else ERR_TYPE
+                want.append((code, 0, ref, rndv, False))
+        return want
+
+    @pytest.mark.parametrize("seed", (14, 1999))
+    def test_generated_layout_pairs(self, seed, make_carrier,
+                                    eager_limit_guard):
+        wire.set_eager_limit(self.LIMIT)
+        cases = gen_get_cases(seed, 25)
+        want = self._oracle(cases, seed + 1)
+        got, stats = {}, {}
+        for carrier in ("ring", "cma"):
+            # a lane no rendezvous-sized frame fits whole, so the ring
+            # carrier handshakes (and streams) wherever the get does
+            transport = make_carrier(carrier, rndv=self.LIMIT)
+            with MPIExecutor(2, universe=Universe(
+                    2, transport=transport)) as ex:
+                got[carrier] = ex.run(_get_cases_body,
+                                      args=(cases, seed + 1))[1]
+            stats[carrier] = transport.wire_stats
+        rndv = sum(w[3] for w in want)
+        direct = sum(w[3] and w[4] for w in want)
+        assert rndv >= 15 and 0 < direct < rndv, \
+            "generator stopped covering both landings"
+        for carrier in ("ring", "cma"):
+            for case, (code, nelems, buf), w in zip(cases, got[carrier],
+                                                    want):
+                assert (code, nelems) == w[:2], (carrier, case)
+                assert np.array_equal(buf.view(np.float64), w[2]), \
+                    (carrier, case)
+            s = stats[carrier]
+            assert s["rts_frames"] == rndv, s
+            assert s["rndv_direct_frames"] == direct, s
+            assert s["rndv_staged_frames"] == rndv - direct, s
+        assert stats["ring"]["rndv_get_frames"] == 0, stats["ring"]
+        s = stats["cma"]
+        assert s["rndv_get_frames"] == rndv, s
+        assert s["rndv_get_bytes"] \
+            == s["rndv_direct_bytes"] + s["rndv_staged_bytes"], s
+        assert s["stall_sleeps"] == 0, s
 
 
 class TestLargePairReduction:

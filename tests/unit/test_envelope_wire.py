@@ -194,6 +194,31 @@ class TestRtsFrames:
             (1, 0, 3, 9, 12)
 
 
+    def test_rts_cookie_rides_as_the_body_and_decodes_owned(self):
+        """A ``FLAG_CMA`` RTS carries the payload's address table as its
+        body — never mistaken for payload, and copied out of the (pooled)
+        frame buffer, because an unexpected RTS outlives it."""
+        env = ev.Envelope(src=1, dst=0, context=3, tag=9, seq=12,
+                          payload=np.zeros(1000, dtype=np.float64),
+                          nelems=1000)
+        table = np.array([[0x7f0000001000, 4096], [0x7f0000003000, 3904]],
+                         dtype=np.uint64)
+        header = ev.encode_rts(env, table)
+        flags, nbytes = ev.HEADER.unpack(header)[8], \
+            ev.HEADER.unpack(header)[10]
+        assert flags == ev.FLAG_CMA and nbytes == table.nbytes == 32
+        frame = bytearray(memoryview(table).cast("B"))
+        out = ev.decode(header, frame)
+        assert out.kind == ev.KIND_RTS and out.payload is None
+        assert (out.rndv_nbytes, out.rndv_dtype) == (8000, np.dtype("f8"))
+        frame[:] = bytes(len(frame))            # the pool moves on
+        assert out.rndv_cookie.tolist() == table.tolist()
+        assert out.claim() is out               # nothing borrowed left
+        # without a table: header only, no offer
+        plain = ev.decode(ev.encode_rts(env), b"")
+        assert plain.rndv_cookie is None
+
+
 class TestIOVecPayload:
     """Noncontiguous zero-copy sends: the run-iovec wire form."""
 

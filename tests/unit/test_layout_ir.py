@@ -142,6 +142,28 @@ class TestByteViews:
         views = t.layout().byte_views(buf, 0, 2 * t.size_elems)
         assert len(views) == 1
 
+    @pytest.mark.parametrize("nelems", (12, 7, 30))
+    def test_address_table_names_every_view(self, nelems):
+        """The views' ``[address, length]`` table — one vectorised add
+        over the cached spans — agrees with asking each view where it
+        points, whole instances and a partial trailing one alike."""
+        t = derived.vector(4, 3, 5, P.DOUBLE)
+        t.commit()
+        buf = np.arange(80, dtype=np.float64)
+        views = t.layout().byte_views(buf, 2, nelems)
+        table = views.address_table()
+        assert table.dtype == np.uint64 and table.shape == (len(views), 2)
+        for (address, length), view in zip(table.tolist(), views):
+            assert length == len(view)
+            assert address == np.frombuffer(view, np.uint8).ctypes.data
+        again = t.layout().byte_views(buf, 2, nelems).address_table()
+        assert np.array_equal(table, again)       # the cache is not mutated
+        other = np.zeros(80, dtype=np.float64)
+        moved = t.layout().byte_views(other, 2, nelems).address_table()
+        assert (moved[:, 0].astype(np.int64) - table[:, 0].astype(np.int64)
+                == other.ctypes.data - buf.ctypes.data).all()
+        assert np.array_equal(moved[:, 1], table[:, 1])
+
     def test_out_of_window_returns_none(self):
         t = derived.vector(4, 3, 5, P.DOUBLE)
         t.commit()

@@ -569,33 +569,84 @@ def eager_limit():
     wire.set_eager_limit(prev)
 
 
+def _ring_counters(tr, src, dst):
+    """(head, tail) of the src->dst lane: bytes ever written / read."""
+    ring = tr._table[src, dst].lane_tx.seg.rndv
+    return ring._load(ring._head_off), ring._load(ring._tail_off)
+
+
+def _settled(tr, **want):
+    """Wait for counters the writer thread bumps after its write."""
+    deadline = time.monotonic() + 5
+    while time.monotonic() < deadline:
+        if all(tr.wire_stats[k] == v for k, v in want.items()):
+            return True
+        time.sleep(0.005)
+    return False
+
+
+class _Collector:
+    """Deliver target keeping every body in arrival order: eager ones as
+    delivered, announced ones by accepting the RTS with a landing buffer
+    of their own (so ring and get both end up here)."""
+
+    def __init__(self, n):
+        self.n = n
+        self.seen = []
+        self.done = threading.Event()
+
+    def deliver(self, env):
+        from repro.runtime.envelope import KIND_RTS
+        if env.kind == KIND_RTS:
+            env.rndv_accept(_Landing(self, env.rndv_nbytes))
+        else:
+            self.add(env.tag, np.array(env.payload))
+
+    def add(self, tag, body):
+        self.seen.append((tag, body))
+        if len(self.seen) == self.n:
+            self.done.set()
+
+
+class _Landing:
+    """The posted receive a :class:`_Collector` answers an RTS with."""
+
+    def __init__(self, owner, nbytes):
+        self.owner, self.req = owner, self
+        self.buf = np.zeros(nbytes, dtype=np.uint8)
+
+    def recv_views(self, env):
+        return [memoryview(self.buf)]
+
+    def complete(self, tag=None, **_):
+        self.owner.add(tag, self.buf.view(np.int32))
+
+
 class TestShmWorld:
     """Socketpairs + lanes in-process: framing, FIFO, cleanup."""
 
-    def test_concurrent_pingpong_stress(self, eager_limit):
-        """Both directions at once with every body in the lanes: lane
-        byte order has to keep matching header order on the sockets."""
+    @pytest.mark.parametrize("path", ["ring", "cma"])
+    def test_concurrent_pingpong_stress(self, path, eager_limit, request):
+        """Both directions at once with every body at or above the eager
+        limit.  ``ring`` (probes denied): the bodies ride the lanes, and
+        lane byte order has to keep matching header order on the
+        sockets.  ``cma``: each body is announced and read in place —
+        the rings are never touched, nothing stalls, nothing is staged.
+        """
         from repro.transport.shm import shm_world
-        eager_limit(32)               # 64 B payloads ride the 8 KiB lanes
+        request.getfixturevalue("cma_denied" if path == "ring"
+                                else "cma_capable")
+        eager_limit(32)               # 64 B payloads: all of them bulk
         tr = shm_world(2, rndv=8192)
         n = 300
-        seen = {0: [], 1: []}
-        done = {0: threading.Event(), 1: threading.Event()}
-
-        def sink(rank):
-            def deliver(env):
-                seen[rank].append((env.tag, np.array(env.payload)))
-                if len(seen[rank]) == n:
-                    done[rank].set()
-            return deliver
-
-        tr.set_deliver(0, sink(0))
-        tr.set_deliver(1, sink(1))
+        ends = {0: _Collector(n), 1: _Collector(n)}
+        tr.set_deliver(0, ends[0].deliver)
+        tr.set_deliver(1, ends[1].deliver)
         tr.start()
         try:
             def sender(src):
                 for i in range(n):
-                    tr.send(Envelope(src=src, dst=1 - src, tag=i,
+                    tr.send(Envelope(src=src, dst=1 - src, tag=i, seq=i + 1,
                                      payload=np.full(16, i, dtype=np.int32),
                                      nelems=16))
 
@@ -605,12 +656,23 @@ class TestShmWorld:
                 t.start()
             for t in threads:
                 t.join(timeout=30)
-            assert done[0].wait(timeout=10) and done[1].wait(timeout=10)
+            assert ends[0].done.wait(timeout=10) \
+                and ends[1].done.wait(timeout=10)
             for rank in (0, 1):
-                assert [tag for tag, _ in seen[rank]] == list(range(n))
-                assert all(np.all(body == tag) for tag, body in seen[rank])
-            lane = tr._table[0, 1].lane_tx.seg.rndv
-            assert lane._load(lane._head_off) == n * 64
+                seen = ends[rank].seen
+                assert [tag for tag, _ in seen] == list(range(n))
+                assert all(np.all(body == tag) for tag, body in seen)
+            stats = tr.wire_stats
+            if path == "ring":
+                assert _ring_counters(tr, 0, 1) == (n * 64, n * 64)
+                assert stats["rndv_get_frames"] == 0, stats
+            else:
+                for pair in ((0, 1), (1, 0)):
+                    assert _ring_counters(tr, *pair) == (0, 0)
+                assert stats["rndv_get_frames"] == 2 * n, stats
+                assert stats["rndv_get_bytes"] == 2 * n * 64, stats
+                assert stats["rndv_staged_bytes"] == 0, stats
+                assert stats["stall_sleeps"] == 0, stats
         finally:
             tr.close()
 
@@ -660,6 +722,7 @@ class _Rank:
         self.landed: queue.SimpleQueue = queue.SimpleQueue()
         self.wedge = threading.Event()
         self.req = self
+        self.buffers = {}       # tag -> where that rendezvous landed
 
     def deliver(self, env):
         from repro.runtime.envelope import KIND_RTS
@@ -670,10 +733,182 @@ class _Rank:
             self.wedge.wait(timeout=30)   # a rank that stopped draining
 
     def recv_views(self, env):
-        return [memoryview(bytearray(env.rndv_nbytes))]
+        buf = self.buffers[env.tag] = bytearray(env.rndv_nbytes)
+        return [memoryview(buf)]
 
     def complete(self, source_world=None, tag=None, **_):
         self.landed.put((source_world, tag))
+
+
+class TestSingleCopyGet:
+    """``shm_world`` pairs whose probe passed: a payload at or above the
+    eager limit travels RTS-with-cookie -> get -> DONE."""
+
+    LANE = 64 * 1024
+    LIMIT = 1024
+    N = 200_000
+
+    def _world(self, eager_limit):
+        from repro.transport.shm import shm_world
+        eager_limit(self.LIMIT)
+        tr = shm_world(2, rndv=self.LANE)
+        ranks = [_Rank(), _Rank()]
+        for r, rank in enumerate(ranks):
+            tr.set_deliver(r, rank.deliver)
+        tr.start()
+        return tr, ranks
+
+    @pytest.fixture
+    def world(self, cma_capable, eager_limit):
+        tr, ranks = self._world(eager_limit)
+        try:
+            yield tr, ranks
+        finally:
+            tr.close()
+
+    _seq = itertools.count(1)
+
+    def _env(self, src, tag, nbytes, **kw):
+        payload = (np.arange(nbytes) % 251).astype(np.uint8)
+        return Envelope(src=src, dst=1 - src, tag=tag, seq=next(self._seq),
+                        payload=payload, nelems=nbytes, **kw)
+
+    def test_one_copy_two_frames(self, world):
+        """The sender writes exactly one frame (the RTS with its cookie),
+        the receiver exactly one (DONE); the bytes move with no
+        intermediate buffer — no ring traffic, no stall, no staging —
+        and no payload byte is written to any stream."""
+        from repro.runtime.envelope import HEADER_SIZE, KIND_RTS
+        tr, ranks = world
+        env = self._env(0, 7, self.N)
+        flushed = threading.Event()
+        env.on_flushed = flushed.set
+        tr.send(env)
+        assert ranks[1].arrived.get(timeout=10) == (KIND_RTS, 0, 7)
+        assert ranks[1].landed.get(timeout=10) == (0, 7)
+        assert flushed.wait(timeout=10), "DONE never released the send"
+        assert bytes(ranks[1].buffers[7]) == env.payload.tobytes()
+        assert _settled(tr, tx_frames=2), tr.wire_stats
+        s = tr.wire_stats
+        assert (s["rts_frames"], s["cts_frames"]) == (1, 1), s
+        assert s["tx_bytes"] == 2 * HEADER_SIZE + 16, s   # + a 1-row cookie
+        assert (s["rndv_get_frames"], s["rndv_get_bytes"]) == (1, self.N), s
+        assert (s["rndv_direct_frames"], s["rndv_direct_bytes"]) \
+            == (1, self.N), s
+        assert s["rndv_staged_frames"] == 0 and s["stall_sleeps"] == 0, s
+        for pair in ((0, 1), (1, 0)):
+            assert _ring_counters(tr, *pair) == (0, 0)
+        assert tr.bulk_paths() == {"0->1": "cma", "1->0": "cma"}
+
+    def test_parked_envelope_holds_the_buffer_until_done(self, world):
+        """Hazard: the envelope parked in ``_RendezvousState.out`` is
+        what keeps the send buffer alive while the receiver may still
+        read it — it goes, and the send completes, on DONE and not
+        before."""
+        tr, ranks = world
+        pending: queue.SimpleQueue = queue.SimpleQueue()
+        tr.set_deliver(1, pending.put)          # an RTS nobody accepts yet
+        env = self._env(0, 3, self.N)
+        flushed = threading.Event()
+        env.on_flushed = flushed.set
+        tr.send(env)
+        rts = pending.get(timeout=10)
+        assert rts.rndv_cookie.tolist() == [[env.payload.ctypes.data,
+                                             self.N]]
+        assert not flushed.wait(timeout=0.1)
+        assert tr._rndv[0].out[env.seq] is env
+        rts.rndv_accept(ranks[1])               # the receive gets posted
+        assert ranks[1].landed.get(timeout=10) == (0, 3)
+        assert flushed.wait(timeout=10)
+        assert env.seq not in tr._rndv[0].out
+        assert bytes(ranks[1].buffers[3]) == env.payload.tobytes()
+
+    def test_ssend_completes_on_done(self, world):
+        from repro.runtime.envelope import KIND_ACK, MODE_SYNCHRONOUS
+        tr, ranks = world
+        tr.send(self._env(0, 5, self.N, mode=MODE_SYNCHRONOUS))
+        assert ranks[1].landed.get(timeout=10) == (0, 5)
+        # the local ACK that completes the Ssend, delivered to the sender
+        assert ranks[0].arrived.get(timeout=10) == (KIND_ACK, 1, 5)
+
+    def test_one_denied_rank_covers_all_three_policies(
+            self, monkeypatch, eager_limit):
+        """Selection is observed per endpoint.  With rank 1's probes
+        denied: what rank 0 sends carries a cookie that rank 1 answers
+        with a plain CTS (the payload then streams through the lane);
+        what rank 1 sends follows the ring policy — eager through the
+        lane when the frame fits, plain RTS/CTS when it does not."""
+        from repro.runtime.envelope import KIND_DATA, KIND_RTS
+        from repro.transport import cma
+        monkeypatch.setenv("REPRO_FAULT", "cma.probe:1::deny")
+        if not cma.probe(0, *cma.advert()):
+            pytest.skip("process_vm_readv is not usable here")
+        tr, ranks = self._world(eager_limit)
+        try:
+            assert tr.bulk_paths() == {"0->1": "cma", "1->0": "ring"}
+            assert "0->1 cma, 1->0 ring" in tr.describe()
+            tr.send(self._env(0, 1, self.N))            # cookie, refused
+            assert ranks[1].arrived.get(timeout=10) == (KIND_RTS, 0, 1)
+            assert ranks[1].landed.get(timeout=10) == (0, 1)
+            assert _ring_counters(tr, 0, 1) == (self.N, self.N)
+            tr.send(self._env(1, 2, 2048))              # fits the lane
+            assert ranks[0].arrived.get(timeout=10) == (KIND_DATA, 1, 2)
+            tr.send(self._env(1, 3, self.N))            # does not
+            assert ranks[0].arrived.get(timeout=10) == (KIND_RTS, 1, 3)
+            assert ranks[0].landed.get(timeout=10) == (1, 3)
+            assert _ring_counters(tr, 1, 0) == (2048 + self.N,
+                                                2048 + self.N)
+            s = tr.wire_stats
+            assert s["rndv_get_frames"] == 0, s
+            assert (s["rts_frames"], s["cts_frames"]) == (2, 2), s
+            assert s["rndv_direct_frames"] == 2, s
+        finally:
+            tr.close()
+
+    def test_eperm_at_get_time_falls_back_to_a_plain_cts(self, world,
+                                                         monkeypatch):
+        """The kernel may refuse at get time what it allowed at probe
+        time; the same CTS fallback absorbs it, and the endpoint stops
+        offering and taking gets."""
+        from repro.transport import cma
+        tr, ranks = world
+
+        def refused(pid, remote, local):
+            raise PermissionError(1, "Operation not permitted")
+
+        monkeypatch.setattr(cma, "read", refused)
+        env = self._env(0, 9, self.N)
+        tr.send(env)
+        assert ranks[1].landed.get(timeout=10) == (0, 9)
+        assert bytes(ranks[1].buffers[9]) == env.payload.tobytes()
+        assert _ring_counters(tr, 0, 1) == (self.N, self.N)
+        assert tr.wire_stats["rndv_get_frames"] == 0
+        assert tr.bulk_paths() == {"0->1": "cma", "1->0": "ring"}
+
+    @pytest.mark.parametrize("err", ["ESRCH", "EFAULT"])
+    def test_failed_get_is_a_peer_loss_not_an_exception(self, world, err,
+                                                        monkeypatch):
+        """Hazard: the sender died after its RTS.  The read's errno is
+        classified on the spot — the receiver learns of a lost peer the
+        way it would from the socket's EOF, and the thread that ran the
+        match (here the pump) lives on."""
+        import errno
+        from repro.runtime.envelope import KIND_DATA, KIND_PEERFAIL, \
+            KIND_RTS
+        from repro.transport import cma
+        tr, ranks = world
+        code = getattr(errno, err)
+
+        def gone(pid, remote, local):
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(cma, "read", gone)
+        tr.send(self._env(0, 4, self.N))
+        assert ranks[1].arrived.get(timeout=10) == (KIND_RTS, 0, 4)
+        assert ranks[1].arrived.get(timeout=10)[:2] == (KIND_PEERFAIL, 0)
+        assert ranks[1].landed.empty()
+        tr.send(self._env(0, 6, 8))             # the pump still serves
+        assert ranks[1].arrived.get(timeout=10) == (KIND_DATA, 0, 6)
 
 
 class TestLaneOnOnePair:
