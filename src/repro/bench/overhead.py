@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from repro.bench.pingpong import _pingpong_capi
@@ -93,7 +94,7 @@ def build_report(rows: list[dict]) -> dict:
             by_mode["enabled"]["one_way_us"] / base, 4),
     }
     return {"schema": SCHEMA, "limit_disabled": OVERHEAD_LIMIT,
-            "results": rows, "overhead": overhead}
+            "cpus": os.cpu_count(), "results": rows, "overhead": overhead}
 
 
 def validate_report(report: dict) -> list[str]:

@@ -11,9 +11,9 @@ Five rules, each emitting ``file:line`` findings (see
 
 ``blocking-under-lock``
     Flags operations that can block — socket recv/send, ``.wait()`` on
-    events and foreign conditions, thread joins, mailbox waits, a
-    cross-memory payload read (``cma.read``) — made while holding a
-    lock.  The classic ``Condition.wait`` under its own
+    events and foreign conditions, a request waiter's ``.park()``, thread
+    joins, mailbox waits, a cross-memory payload read (``cma.read``) —
+    made while holding a lock.  The classic ``Condition.wait`` under its own
     (single) lock is sanctioned.  Calls to functions that may
     transitively block are warnings.
 

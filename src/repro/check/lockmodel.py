@@ -50,6 +50,9 @@ GENERIC_METHOD_NAMES = frozenset({
 #: threading primitives whose wait blocks (Event.wait, Request.wait, ...)
 WAIT_ATTR = "wait"
 JOIN_ATTR = "join"
+#: ``Waiter.park``, the sleep behind every request wait: underneath, a
+#: ``Lock.acquire`` of a gate only another thread opens
+PARK_ATTR = "park"
 
 LOCK_CTORS = {"Lock": "lock", "RLock": "rlock"}
 
@@ -410,6 +413,10 @@ class _FuncScanner:
                 self._note_wait(call, fn, held)
             elif attr == JOIN_ATTR:
                 self._note_join(call, fn, held)
+            elif attr == PARK_ATTR:
+                self.fm.blocks.append(BlockSite(
+                    call.lineno, held, f"{_expr_text(fn.value)}.park()",
+                    False))
             elif attr == "sleep" and isinstance(fn.value, ast.Name) \
                     and fn.value.id == "time":
                 self.fm.blocks.append(BlockSite(

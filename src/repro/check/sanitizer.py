@@ -224,31 +224,29 @@ class Sanitizer:
         return zlib.crc32(np_dtype.str.encode())
 
     # -- deadlock detection ---------------------------------------------------
-    def sanitized_wait(self, req) -> None:
-        """Drop-in for ``Event.wait`` inside ``RequestImpl.wait``.
-
-        Non-edge-carrying waits (no specific peer) fall back to a plain
-        blocking wait; edge-carrying ones tick the probe protocol.
+    def sanitized_wait(self, requests, waiter) -> None:
+        """The sleep of a wait-for-all under the sanitizer: park
+        ``waiter`` (opened once all of ``requests`` are done, by an
+        errored completion or by an abort), ticking the probe protocol
+        meanwhile — one wait-for edge at a time, as waiting on the
+        requests in turn would post them.  Requests with no specific
+        peer carry no edge and just sleep.
         """
-        info = getattr(req, "sanitize_block", None)
-        if info is None:
-            req._event.wait()
-            return
-        rank, waiting_on, ctx, tag, op = info
-        wid = next(self._wait_ids)
-        bw = _BlockedWait(rank, wid, waiting_on, ctx, tag, op, req)
-        with self._lock:
-            self._blocked[rank] = bw
-        try:
-            while not req._event.wait(self.probe_interval):
-                if self.universe.aborted:
-                    break
-                self._tick(bw)
-        finally:
+        for req in requests:
+            info = getattr(req, "sanitize_block", None)
+            if info is None or req.done:
+                continue
+            rank, waiting_on, ctx, tag, op = info
+            bw = _BlockedWait(rank, next(self._wait_ids), waiting_on, ctx,
+                              tag, op, req)
             with self._lock:
-                if self._blocked.get(rank) is bw:
-                    del self._blocked[rank]
-                self._inbox.pop(rank, None)
+                self._blocked[rank] = bw
+            try:
+                while not (req.done or waiter.park(self.probe_interval)):
+                    self._tick(bw)
+            finally:
+                self.transport_wait_end(bw)
+        waiter.park()
 
     # -- transport-level waits (shm bulk-lane space) -------------------------
     def transport_wait_begin(self, rank: int, peer: int, what: str):
@@ -274,6 +272,7 @@ class Sanitizer:
             self._tick(bw, oob=True)
 
     def transport_wait_end(self, bw) -> None:
+        """Withdraw ``bw``'s edge (also how an MPI-level wait ends)."""
         if bw is None:
             return
         with self._lock:

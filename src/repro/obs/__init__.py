@@ -9,8 +9,8 @@ runtime, so every runtime layer may import us without cycles):
   ``TRACE.enable()``.
 * :mod:`repro.obs.metrics` — named thread-safe counters/gauges behind
   :data:`~repro.obs.metrics.REGISTRY`; the wire protocol's
-  ``wire_stats`` and the ADI ablation's ``packets_staged`` are views
-  over these.
+  ``wire_stats`` and the ADI ablation's ``packets_staged`` counter are
+  groups of these.
 * :mod:`repro.obs.export` — Chrome trace-event JSON merge/validation;
   ``python -m repro.trace`` is the CLI front end.
 

@@ -7,10 +7,9 @@ vocabulary:
 
 * :class:`CounterGroup` — a named family of monotonic counters sharing
   one lock (``inc(eager_frames=1, tx_bytes=n)`` is a single atomic
-  batch, the exact discipline ``wire_stats`` already used).  Groups are
-  ``Mapping``-like, so code and tests that treated the old dicts as
-  plain dicts (``stats["rndv_direct_frames"]``, ``assert ..., stats``)
-  keep working against the live group.
+  batch, the exact discipline ``wire_stats`` already used).  Read a
+  group through :meth:`CounterGroup.snapshot` — one consistent cut, a
+  plain dict.
 * :class:`Gauge` — a last-value-wins measurement (queue depths, ring
   occupancy).
 * :class:`MetricsRegistry` — the process-wide index.  Instance-scoped
@@ -32,7 +31,7 @@ from __future__ import annotations
 import itertools
 import threading
 import weakref
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable
 
 
 class Gauge:
@@ -58,15 +57,12 @@ class Gauge:
         return f"Gauge({self.name}={self.value!r})"
 
 
-class CounterGroup(Mapping):
+class CounterGroup:
     """A named family of monotonic counters under one lock.
 
     ``keys`` pre-declares counters (so a snapshot shows zeros rather
     than missing keys); unknown keys passed to :meth:`inc` are created
-    on first use.  Reads are lock-free single-item dict lookups —
-    Python dict reads are atomic — so hot paths never contend with a
-    scrape; multi-key :meth:`snapshot` takes the lock for a consistent
-    cut.
+    on first use.  :meth:`snapshot` takes the lock for a consistent cut.
     """
 
     def __init__(self, name: str, keys: Iterable[str] = (),
@@ -97,16 +93,6 @@ class CounterGroup(Mapping):
         with self._lock:
             for key in self._values:
                 self._values[key] = 0
-
-    # -- Mapping protocol (thin-view compatibility with the old dicts) ----
-    def __getitem__(self, key: str) -> int:
-        return self._values[key]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)
 
     def __repr__(self) -> str:
         return f"CounterGroup({self.name}, {self.snapshot()!r})"

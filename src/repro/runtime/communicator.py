@@ -109,6 +109,12 @@ class CommImpl:
         self.name = name
         self.topology = topology
         self.my_rank = group.rank_of_world(rt.world_rank)
+        #: failure scopes, built once (groups are immutable): every other
+        #: member (a collective's) and every possible ``ANY_SOURCE`` sender
+        me = rt.world_rank
+        self.member_peers = tuple(w for w in group.ranks if w != me)
+        self._any_source_peers = self.member_peers if remote_group is None \
+            else tuple(w for w in remote_group.ranks if w != me)
         self.attributes: dict[int, object] = {
             KEY_TAG_UB: TAG_UB,
             KEY_HOST: PROC_NULL,
@@ -173,15 +179,6 @@ class CommImpl:
         if self.my_rank == UNDEFINED:
             raise MPIException(ERR_COMM,
                                f"calling rank is not a member of {self.name}")
-
-    def _ft_peer_scope(self, world: int) -> tuple:
-        """Peers whose death should fail an op matched to ``world``."""
-        if world == ANY_SOURCE:
-            return tuple(w for w in self._peer_group().ranks
-                         if w != self.rt.world_rank)
-        if world == self.rt.world_rank:
-            return ()
-        return (world,)
 
     def compare(self, other: "CommImpl") -> int:
         """``MPI_Comm_compare``."""
@@ -283,12 +280,6 @@ class CommImpl:
                                       tag, "Ssend")
         elif zero_copy:
             env.on_flushed = req.complete
-        if (mode == MODE_SYNCHRONOUS or zero_copy) \
-                and dest_world != rt.world_rank:
-            # this send can block on the peer (ACK wait / rendezvous
-            # CTS): a dead peer or a revoked context must complete it
-            # with the matching ULFM error instead of hanging
-            req.arm_failure_scope(contexts=(ctx,), peers=(dest_world,))
         try:
             transport.send(env)
         finally:
@@ -296,6 +287,13 @@ class CommImpl:
                 rt.bsend_pool.release(reservation)
         if mode != MODE_SYNCHRONOUS and not zero_copy:
             req.complete()
+        elif not req.done and dest_world != rt.world_rank:
+            # still pending, so parked on the peer (ACK wait / rendezvous
+            # CTS): a dead peer or a revoked context must complete it with
+            # the matching ULFM error instead of hanging.  An event since
+            # the send went out is on record, which subscribing checks
+            req.set_failure_scope((ctx,), (dest_world,))
+            req.watch_failures()
         return req
 
     def _send_takes_view(self, count: int, datatype: DatatypeImpl,
@@ -388,13 +386,32 @@ class CommImpl:
             # recv_into straight off the socket (contiguous or strided)
             return recv_byte_views(buf, offset, count, datatype, env)
 
-        self.rt.mailbox.post_recv(req, source_world, tag,
-                                  self.ctx_pt2pt, land,
-                                  recv_views=recv_views)
-        req.arm_failure_scope(contexts=(self.ctx_pt2pt,),
-                              peers=self._ft_peer_scope(source_world),
-                              mailbox=self.rt.mailbox)
+        self._post_recv(req, source_world, tag, self.ctx_pt2pt, land,
+                        recv_views)
         return req
+
+    def _post_recv(self, req: RequestImpl, src_world: int, tag: int,
+                   ctx: int, land, recv_views=None,
+                   revocable: bool = True) -> None:
+        """Post on this rank's mailbox, failure scope attached.
+
+        The scope is recorded *before* the post, so the failure plane's
+        walk never finds a queued receive without one (and a receive that
+        matches an RTS on the spot has one to subscribe); an event on
+        record before that walk could see the receive is checked after
+        the post — between them the two cover every interleaving.
+        """
+        # peers whose death makes the receive undeliverable
+        if src_world == ANY_SOURCE:
+            peers = self._any_source_peers
+        else:
+            peers = () if src_world == self.rt.world_rank else (src_world,)
+        mb = self.rt.mailbox
+        req.set_failure_scope((ctx,) if revocable else (), peers, mb)
+        mb.post_recv(req, src_world, tag, ctx, land, recv_views)
+        u = self.universe
+        if u.failed_ranks or u.revoked_contexts:
+            req.fail_if_affected()
 
     def recv(self, buf, offset, count, datatype, source, tag) -> RequestImpl:
         req = self.irecv(buf, offset, count, datatype, source, tag)
@@ -402,30 +419,13 @@ class CommImpl:
         return req
 
     # -- persistent requests ---------------------------------------------------
-    @staticmethod
-    def _relay_completion(inner: RequestImpl, outer: RequestImpl):
-        """Propagate an inner (per-Start) request's completion outward."""
-        def fire():
-            if inner.cancelled:
-                outer.complete_cancelled()
-            else:
-                outer.complete(inner.status_source_world, inner.status_tag,
-                               inner.count_elements, inner.error,
-                               inner.error_message)
-        return fire
-
     def send_init(self, buf, offset, count, datatype, dest, tag,
                   mode: int = MODE_STANDARD) -> RequestImpl:
         self._check_alive()
         self._check_tag(tag)
         req = RequestImpl(self.universe, RequestImpl.KIND_SEND)
-
-        def restart():
-            inner = self.isend(buf, offset, count, datatype, dest, tag, mode)
-            req.persistent_inner = inner
-            inner.add_listener(self._relay_completion(inner, req))
-
-        req.make_persistent(restart)
+        req.make_persistent(lambda: self.isend(buf, offset, count, datatype,
+                                               dest, tag, mode))
         return req
 
     def recv_init(self, buf, offset, count, datatype, source,
@@ -437,13 +437,8 @@ class CommImpl:
         req = RequestImpl(self.universe, RequestImpl.KIND_RECV)
         req.source_comm = self
         req.recv_datatype = datatype
-
-        def restart():
-            inner = self.irecv(buf, offset, count, datatype, source, tag)
-            req.persistent_inner = inner
-            inner.add_listener(self._relay_completion(inner, req))
-
-        req.make_persistent(restart)
+        req.make_persistent(lambda: self.irecv(buf, offset, count, datatype,
+                                               source, tag))
         return req
 
     # -- probe / cancel -----------------------------------------------------------
@@ -555,10 +550,7 @@ class CommImpl:
         req = RequestImpl(self.universe, RequestImpl.KIND_RECV)
         src_world = (ANY_SOURCE if src_comm_rank == ANY_SOURCE
                      else self.group.world_rank(src_comm_rank))
-        self.rt.mailbox.post_recv(req, src_world, tag, self.ctx_coll, land)
-        req.arm_failure_scope(contexts=(self.ctx_coll,),
-                              peers=self._ft_peer_scope(src_world),
-                              mailbox=self.rt.mailbox)
+        self._post_recv(req, src_world, tag, self.ctx_coll, land)
         return req
 
     def obj_send(self, obj, dest_comm_rank: int, tag: int,
@@ -571,8 +563,12 @@ class CommImpl:
         self._isend_raw(blob, 1, True, dest_world, tag,
                         self.ctx_coll if ctx is None else ctx).wait()
 
-    def obj_recv(self, src_comm_rank: int, tag: int,
+    def obj_recv(self, src_comm_rank: int | None, tag: int,
                  world_src: int | None = None, ctx: int | None = None):
+        """Receive-and-unpickle (management and FT-protocol traffic): must
+        not hang on a dead peer — a failure mid-split/dup/shrink surfaces
+        as ``ERR_PROC_FAILED`` — and ignores revocation (Shrink and Agree
+        run on revoked communicators)."""
         box: dict[str, Envelope] = {}
         req = RequestImpl(self.universe, RequestImpl.KIND_RECV)
 
@@ -583,12 +579,9 @@ class CommImpl:
 
         src_world = (world_src if world_src is not None
                      else self.group.world_rank(src_comm_rank))
-        use_ctx = self.ctx_coll if ctx is None else ctx
-        self.rt.mailbox.post_recv(req, src_world, tag, use_ctx, land)
-        # management traffic must not hang on a dead peer either: a
-        # failure mid-split/dup surfaces as ERR_PROC_FAILED to the caller
-        req.arm_failure_scope(peers=self._ft_peer_scope(src_world),
-                              mailbox=self.rt.mailbox)
+        self._post_recv(req, src_world, tag,
+                        self.ctx_coll if ctx is None else ctx, land,
+                        revocable=False)
         req.wait()
         return pickle.loads(bytes(box["env"].payload))
 
@@ -752,21 +745,6 @@ class CommImpl:
         self._isend_raw(blob, 1, True, world_dest, tag,
                         self.ctx_coll).wait()
 
-    def _ft_obj_recv(self, world_src: int, tag: int):
-        """obj_recv for the FT protocols: completes with
-        ``ERR_PROC_FAILED`` if the peer dies, ignores revocation."""
-        box: dict[str, Envelope] = {}
-        req = RequestImpl(self.universe, RequestImpl.KIND_RECV)
-
-        def land(env):
-            box["env"] = env.claim()
-            return env.nelems, SUCCESS, ""
-
-        self.rt.mailbox.post_recv(req, world_src, tag, self.ctx_coll, land)
-        req.arm_failure_scope(peers=(world_src,), mailbox=self.rt.mailbox)
-        req.wait()
-        return pickle.loads(bytes(box["env"].payload))
-
     def shrink(self) -> Optional["CommImpl"]:
         """``MPIX_Comm_shrink``: a new communicator of the survivors.
 
@@ -809,7 +787,7 @@ class CommImpl:
                 (self.universe.ctx_floor,
                  sorted(self.universe.failed_ranks)),
                 leader, TAG_FT_SHRINK)
-            return self._ft_obj_recv(leader, TAG_FT_SHRINK)
+            return self.obj_recv(None, TAG_FT_SHRINK, world_src=leader)
         failed = set(self.universe.failed_ranks)
         floors = [self.universe.ctx_floor]
         heard = []
@@ -817,7 +795,8 @@ class CommImpl:
             if w == me or w in failed:
                 continue
             try:
-                floor, their_failed = self._ft_obj_recv(w, TAG_FT_SHRINK)
+                floor, their_failed = self.obj_recv(None, TAG_FT_SHRINK,
+                                                    world_src=w)
             except MPIException as exc:
                 if exc.error_code != ERR_PROC_FAILED:
                     raise
@@ -864,14 +843,14 @@ class CommImpl:
     def _agree_round(self, leader: int, me: int, flag: int) -> int:
         if me != leader:
             self._ft_obj_send(flag, leader, TAG_FT_AGREE)
-            return int(self._ft_obj_recv(leader, TAG_FT_AGREE))
+            return int(self.obj_recv(None, TAG_FT_AGREE, world_src=leader))
         out = flag
         heard = []
         for w in self.group.ranks:
             if w == me or self.universe.is_failed(w):
                 continue
             try:
-                out &= int(self._ft_obj_recv(w, TAG_FT_AGREE))
+                out &= int(self.obj_recv(None, TAG_FT_AGREE, world_src=w))
             except MPIException as exc:
                 if exc.error_code != ERR_PROC_FAILED:
                     raise
@@ -1049,8 +1028,9 @@ class CommImpl:
             payload = (ctxs, mine_first)
         else:
             payload = None
-        # broadcast within the *local* group of the intercommunicator
-        payload = self._local_obj_bcast(payload, root=0)
+        # within the *local* group of the intercommunicator (like
+        # obj_gather above, obj_bcast translates ranks through it)
+        payload = self.obj_bcast(payload, root=0)
         ctxs, mine_first = payload
         if mine_first:
             ranks = list(self.group.ranks) + list(self.remote_group.ranks)
@@ -1058,17 +1038,6 @@ class CommImpl:
             ranks = list(self.remote_group.ranks) + list(self.group.ranks)
         return CommImpl(self.rt, GroupImpl(ranks), ctxs[0], ctxs[1],
                         name=f"{self.name}+merged")
-
-    def _local_obj_bcast(self, obj, root: int):
-        """Object bcast over the local group of an intercommunicator."""
-        if self.my_rank == root:
-            for r in range(self.size):
-                if r != root:
-                    self.obj_send(obj, r, TAG_CTX_AGREE,
-                                  world_dest=self.group.world_rank(r))
-            return obj
-        return self.obj_recv(root, TAG_CTX_AGREE,
-                             world_src=self.group.world_rank(root))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "inter" if self.is_inter else "intra"

@@ -104,7 +104,7 @@ class Universe:
         #: callbacks fired exactly once when the job is poisoned; every
         #: blocked wait registers one, which is what makes abort delivery
         #: event-driven (no poll ticks anywhere on the wait paths)
-        self._abort_listeners: list[Callable[[], None]] = []
+        self._abort_listeners: dict[Callable[[], None], None] = {}
         # -- ULFM failure plane (beside, not inside, the abort plane) ----
         self._fail_lock = threading.Lock()
         #: world rank -> classified cause, for every peer known dead
@@ -113,10 +113,11 @@ class Universe:
         self.revoked_contexts: set[int] = set()
         #: persistent callbacks fired on *every* failure-plane event (a
         #: newly dead peer or a newly revoked context).  Unlike abort
-        #: listeners these are not one-shot: blocked requests register
-        #: affectedness checks that decide per event whether to complete
-        #: with ERR_PROC_FAILED / ERR_REVOKED.
-        self._failure_listeners: list[Callable[[], None]] = []
+        #: listeners these are not one-shot: each decides per event
+        #: whether to complete with ERR_PROC_FAILED / ERR_REVOKED.  Only
+        #: what parks outside a posted queue lives here; queued receives
+        #: are found by walking the mailboxes
+        self._failure_listeners: dict[Callable[[], None], None] = {}
         self._closed = False
         #: indexed by world rank; None for ranks hosted in other processes.
         #: Wired (and the transport started) only after the abort state
@@ -200,7 +201,7 @@ class Universe:
             if first:
                 self._abort = exc
                 listeners = self._abort_listeners
-                self._abort_listeners = []
+                self._abort_listeners = {}
         if first:
             if broadcast:
                 try:
@@ -235,17 +236,15 @@ class Universe:
         """
         with self._abort_lock:
             if self._abort is None:
-                self._abort_listeners.append(fn)
+                self._abort_listeners[fn] = None
                 return False
         fn()
         return True
 
     def remove_abort_listener(self, fn: Callable[[], None]) -> None:
         with self._abort_lock:
-            try:
-                self._abort_listeners.remove(fn)
-            except ValueError:
-                pass  # already fired (abort) or never registered
+            # absent: already fired (abort) or never registered
+            self._abort_listeners.pop(fn, None)
 
     def note_abort_delivery(self, env: Envelope | None = None) -> None:
         """A transport delivered a KIND_ABORT frame: adopt it locally.
@@ -279,11 +278,12 @@ class Universe:
         """Record a dead peer and wake affected waiters; never raises.
 
         This is the *recoverable* counterpart of :meth:`poison`:
-        idempotent per rank, it marks ``rank`` failed, notifies every
-        mailbox (probes re-check), and fires the persistent failure
-        listeners — each blocked request decides for itself whether the
-        loss affects it and, if so, completes with ``ERR_PROC_FAILED``.
-        The job as a whole keeps running.
+        idempotent per rank, it marks ``rank`` failed, fires the
+        persistent failure listeners and has every mailbox walk its
+        posted queues (and wake its probes) — each pending operation
+        decides for itself whether the loss affects it and, if so,
+        completes with ``ERR_PROC_FAILED``.  The job as a whole keeps
+        running.
         """
         rank = int(rank)
         with self._fail_lock:
@@ -327,14 +327,17 @@ class Universe:
         self._fire_failure_event(listeners)
 
     def _fire_failure_event(self, listeners) -> None:
-        for mb in self.mailboxes:
-            if mb is not None:
-                mb.on_failure_event()
+        # listeners before the walk: a collective schedule then fails on
+        # its own scope before its queued sub-receives do, and their
+        # completions find the cascade already stopped
         for fn in listeners:
             try:
                 fn()
             except Exception:  # pragma: no cover - listeners don't raise
                 pass
+        for mb in self.mailboxes:
+            if mb is not None:
+                mb.on_failure_event()
 
     def add_failure_listener(self, fn: Callable[[], None]) -> bool:
         """Register a persistent failure-event callback.
@@ -344,7 +347,7 @@ class Universe:
         already on record, so registration after the event still sees it.
         """
         with self._fail_lock:
-            self._failure_listeners.append(fn)
+            self._failure_listeners[fn] = None
             pending = bool(self.failed_ranks or self.revoked_contexts)
         if pending:
             fn()
@@ -352,10 +355,7 @@ class Universe:
 
     def remove_failure_listener(self, fn: Callable[[], None]) -> None:
         with self._fail_lock:
-            try:
-                self._failure_listeners.remove(fn)
-            except ValueError:
-                pass
+            self._failure_listeners.pop(fn, None)
 
     def is_failed(self, rank: int) -> bool:
         return rank in self.failed_ranks

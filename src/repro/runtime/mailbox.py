@@ -29,6 +29,11 @@ announced size), but consuming it triggers the transport's
 into the posted buffer, or a single-copy read of the payload out of the
 sender's memory — instead of landing bytes that aren't here yet.  The
 hook runs after the mailbox lock is released: it may copy megabytes.
+
+Failure plane: a queued receive carries its failure scope on the request
+and subscribes to nothing — :meth:`Mailbox.on_failure_event` walks the
+posted queues.  One that leaves them still pending (matched to an RTS)
+subscribes at that moment, in :meth:`Mailbox._consume`.
 """
 
 from __future__ import annotations
@@ -81,7 +86,7 @@ class PostedRecv:
     """A receive waiting in the posted queue."""
 
     __slots__ = ("req", "source_world", "tag", "context", "land",
-                 "recv_views", "order", "t_post")
+                 "recv_views", "order", "t_post", "wildcard")
 
     def __init__(self, req: RequestImpl, source_world: int, tag: int,
                  context: int, land: LandFn,
@@ -95,13 +100,7 @@ class PostedRecv:
         self.order = 0
         #: trace stamp: when this receive entered the posted queue
         self.t_post = 0.0
-
-    @property
-    def wildcard(self) -> bool:
-        return self.source_world == ANY_SOURCE or self.tag == ANY_TAG
-
-    def key(self) -> tuple:
-        return (self.context, self.source_world, self.tag)
+        self.wildcard = source_world == ANY_SOURCE or tag == ANY_TAG
 
     def matches(self, env: Envelope) -> bool:
         if env.context != self.context:
@@ -111,10 +110,6 @@ class PostedRecv:
         if self.source_world != ANY_SOURCE and env.src != self.source_world:
             return False
         return True
-
-
-def _env_key(env: Envelope) -> tuple:
-    return (env.context, env.src, env.tag)
 
 
 class Mailbox:
@@ -162,9 +157,12 @@ class Mailbox:
             self.universe.note_revoked(contexts, origin_rank=origin)
             return
         assert env.kind in (KIND_DATA, KIND_RTS)
+        key = (env.context, env.src, env.tag)
         with self._lock:
-            posted = self._match_posted(env)
-            if posted is None:
+            posted = self._select_posted(env, key)
+            if posted is not None:
+                self._remove_posted(posted, key)
+            else:
                 if env.mode == MODE_READY:
                     # erroneous program per MPI 1.1: ready send with no
                     # posted receive; record it for diagnosis and still
@@ -174,9 +172,9 @@ class Mailbox:
                 # transport's pooled recv buffer, recycled on return
                 env.claim()
                 self._arrival_stamp += 1
-                dq = self._unexpected.get(_env_key(env))
+                dq = self._unexpected.get(key)
                 if dq is None:
-                    dq = self._unexpected[_env_key(env)] = deque()
+                    dq = self._unexpected[key] = deque()
                 dq.append((self._arrival_stamp, env,
                            TRACE.now() if TRACE.enabled else 0.0))
                 self._arrival.notify_all()
@@ -198,9 +196,11 @@ class Mailbox:
         with self._lock:
             self._pending_acks[seq] = fn
 
-    def _select_posted(self, env: Envelope) -> Optional[PostedRecv]:
-        """Earliest-posted matching receive, not yet removed (lock held)."""
-        dq = self._posted_exact.get(_env_key(env))
+    def _select_posted(self, env: Envelope,
+                       key: tuple) -> Optional[PostedRecv]:
+        """Earliest-posted receive matching an arrival (whose exact key
+        is ``key``), not yet removed (lock held)."""
+        dq = self._posted_exact.get(key)
         exact = dq[0] if dq else None
         wild = None
         for p in self._posted_wild:
@@ -213,21 +213,16 @@ class Mailbox:
             return exact
         return wild
 
-    def _remove_posted(self, posted: PostedRecv) -> None:
+    def _remove_posted(self, posted: PostedRecv, key: tuple) -> None:
+        """Take out what :meth:`_select_posted` just chose for ``key``:
+        an exact receive is the head of that key's bucket (lock held)."""
         if posted.wildcard:
             self._posted_wild.remove(posted)
         else:
-            dq = self._posted_exact[posted.key()]
-            dq.remove(posted)
+            dq = self._posted_exact[key]
+            dq.popleft()
             if not dq:
-                del self._posted_exact[posted.key()]
-
-    def _match_posted(self, env: Envelope) -> Optional[PostedRecv]:
-        """Earliest-posted matching receive for an arrival (lock held)."""
-        posted = self._select_posted(env)
-        if posted is not None:
-            self._remove_posted(posted)
-        return posted
+                del self._posted_exact[key]
 
     # -- pump-side direct landing (zero staging copies) ----------------------
     def claim_direct_recv(self, env: Envelope):
@@ -243,15 +238,22 @@ class Mailbox:
         completes the request, exactly as a match-then-land would have,
         minus the staging copy and the scatter.  Returns
         ``(posted, views)`` or None (normal path).
+
+        Invariant: whoever takes a pending receive out of the queues
+        owns failing it — the failure walk no longer finds it.  The
+        caller holds it only across the body read and fails it there if
+        the stream dies (``WireTransport._read_frame``);
+        :meth:`_consume` makes an RTS-matched one subscribe.
         """
+        key = (env.context, env.src, env.tag)
         with self._lock:
-            posted = self._select_posted(env)
+            posted = self._select_posted(env, key)
             if posted is None or posted.recv_views is None:
                 return None
             views = posted.recv_views(env)
             if views is None:
                 return None
-            self._remove_posted(posted)
+            self._remove_posted(posted, key)
         # consumed by the pump pre-body: by construction the receive was
         # posted before the frame arrived (a posted-path match)
         _note_match(self.rank, "direct",
@@ -275,9 +277,10 @@ class Mailbox:
                 if posted.wildcard:
                     self._posted_wild.append(posted)
                 else:
-                    dq = self._posted_exact.get(posted.key())
+                    key = (context, source_world, tag)
+                    dq = self._posted_exact.get(key)
                     if dq is None:
-                        dq = self._posted_exact[posted.key()] = deque()
+                        dq = self._posted_exact[key] = deque()
                     dq.append(posted)
                 return
         env, t_arrive = hit
@@ -307,8 +310,9 @@ class Mailbox:
         bucket arrivals are FIFO, so heads are sufficient.
         """
         if not posted.wildcard:
-            dq = self._unexpected.get(posted.key())
-            return (posted.key(), dq) if dq else (None, None)
+            key = (posted.context, posted.source_world, posted.tag)
+            dq = self._unexpected.get(key)
+            return (key, dq) if dq else (None, None)
         best_key, best_dq, best_stamp = None, None, None
         for key, dq in self._unexpected.items():
             if posted.matches(dq[0][1]):
@@ -321,7 +325,12 @@ class Mailbox:
         """Land a matched envelope and complete the receive request."""
         if env.kind == KIND_RTS:
             # rendezvous: no payload yet — hand the posted receive to the
-            # transport (CTS + streamed landing complete the request)
+            # transport (CTS + streamed landing complete the request).
+            # It leaves the queues still pending, where the failure walk
+            # no longer finds it: from here on it listens for itself
+            req = posted.req
+            if req._ft_peers or req._ft_contexts:
+                req.watch_failures()
             env.rndv_accept(posted)
             return
         count, error, message = posted.land(env)
@@ -341,24 +350,18 @@ class Mailbox:
         """Silently remove ``req``'s posted receive (failure plane /
         cancellation); True if it was still in a queue."""
         with self._lock:
-            for dq in self._posted_exact.values():
+            for key, dq in self._posted_exact.items():
                 for p in dq:
                     if p.req is req:
                         dq.remove(p)
                         if not dq:
-                            del self._posted_exact[p.key()]
-                        break
-                else:
-                    continue
-                break
-            else:
-                for p in self._posted_wild:
-                    if p.req is req:
-                        self._posted_wild.remove(p)
-                        break
-                else:
-                    return False
-        return True
+                            del self._posted_exact[key]
+                        return True
+            for p in self._posted_wild:
+                if p.req is req:
+                    self._posted_wild.remove(p)
+                    return True
+        return False
 
     # -- probe -------------------------------------------------------------------
     def iprobe(self, source_world: int, tag: int,
@@ -395,15 +398,28 @@ class Mailbox:
             self._arrival.notify_all()
 
     def on_failure_event(self) -> None:
-        """Wake blocked probes so they re-check the failure plane."""
+        """A peer died or a context was revoked: wake blocked probes so
+        they re-check the failure plane, and fail every queued receive
+        whose recorded scope the event touches — the posted queues index
+        them all, which is why a receive subscribes to nothing.
+
+        Snapshot under the lock, fail outside it: failing re-enters this
+        lock (:meth:`discard_posted`) and runs completion listeners, in
+        whichever thread reported the failure — usually a pump.
+        """
         with self._arrival:
             self._arrival.notify_all()
+            queued = [p.req for dq in self._posted_exact.values()
+                      for p in dq]
+            queued += [p.req for p in self._posted_wild]
+        for req in queued:
+            req.fail_if_affected()
 
     # -- introspection -------------------------------------------------------------
     def has_posted_match(self, env: Envelope) -> bool:
         """Would ``env`` match a posted receive right now? (ready mode)."""
         with self._lock:
-            if self._posted_exact.get(_env_key(env)):
+            if self._posted_exact.get((env.context, env.src, env.tag)):
                 return True
             return any(p.matches(env) for p in self._posted_wild)
 

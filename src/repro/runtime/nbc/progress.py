@@ -5,9 +5,9 @@ It subclasses :class:`~repro.runtime.requests.RequestImpl`, so the whole
 Wait/Test/Waitall/Waitany machinery — and the OO layer's ``Request`` class —
 work on collectives and point-to-point requests interchangeably.
 
-The engine is event-driven, not polled: every runtime receive completes via
-mailbox listeners (fired from whichever thread delivered the envelope), so
-a schedule advances as a cascade —
+The engine is event-driven, not polled: every runtime receive fires its
+completion listener from whichever thread delivered the envelope, so a
+schedule advances as a cascade —
 
 * :meth:`launch` runs rounds until one blocks on outstanding receives;
 * the last receive of that round to land fires its listener, which runs the
@@ -95,17 +95,18 @@ class CollRequestImpl(RequestImpl):
         """
         self.universe.add_abort_listener(self._abort_fail)
         self.add_listener(
-            lambda: self.universe.remove_abort_listener(self._abort_fail))
+            lambda _: self.universe.remove_abort_listener(self._abort_fail))
         # ULFM failure scope: a collective depends (transitively) on every
         # member, so any member's death — or a revocation — fails the
-        # whole schedule with ERR_PROC_FAILED / ERR_REVOKED.  Armed before
-        # the first round posts its receives, so this listener fires ahead
-        # of the sub-receives' and the cascade sees ``done`` and stops.
-        comm = self.comm
-        self.arm_failure_scope(
-            contexts=(comm.ctx_coll,),
-            peers=tuple(w for w in comm.group.ranks
-                        if w != comm.rt.world_rank))
+        # whole schedule with ERR_PROC_FAILED / ERR_REVOKED.  A schedule
+        # sits in no posted queue, so it subscribes; the failure plane
+        # fires subscribers before it walks the queues holding the
+        # sub-receives, so the cascade they trigger sees ``done`` and
+        # stops (and ``_post_recv``'s error branch covers a sub-receive
+        # that finds the failure already on record when it is posted).
+        self.set_failure_scope((self.comm.ctx_coll,),
+                               self.comm.member_peers)
+        self.watch_failures()
         if not self.done:
             _trampoline(self._step)
         return self
@@ -156,7 +157,16 @@ class CollRequestImpl(RequestImpl):
             self._pending -= 1
             return self._pending == 0
 
-    def _on_recv_done(self) -> None:
+    def _on_recv_done(self, req: RequestImpl) -> None:
+        if req.error != SUCCESS:
+            # completed with a ULFM error, box never filled — and if the
+            # failure predates the post, before this schedule's own
+            # failure listener has run: fail with that error instead of
+            # decoding an empty box
+            try:
+                req.raise_if_error()
+            except MPIException as exc:
+                self._fail(exc)
         if not self._dec():
             return
         _trampoline(self._resume)
@@ -248,21 +258,8 @@ class CollRequestImpl(RequestImpl):
             box.contrib = env.claim()
             return env.nelems, SUCCESS, ""
 
-        req = self.comm.coll_post_recv(op.peer, op.tag, land)
-
-        def done():
-            if req.error != SUCCESS:
-                # completed with a ULFM error, box never filled — and if
-                # the failure predates the post, before this schedule's
-                # own failure listener has run: fail with that error
-                # instead of decoding an empty box
-                try:
-                    req.raise_if_error()
-                except MPIException as exc:
-                    self._fail(exc)
-            self._on_recv_done()
-
-        req.add_listener(done)
+        self.comm.coll_post_recv(op.peer, op.tag, land) \
+            .add_listener(self._on_recv_done)
 
     def _issue_send(self, op: Send) -> None:
         send_contrib(self.comm, op.resolve(), op.peer, op.tag)
@@ -291,6 +288,6 @@ def launch(comm, name: str, build) -> CollRequestImpl:
         t0 = TRACE.now()
         rank = req._trace_rank
         nrounds = len(sched.rounds)
-        req.add_listener(lambda: TRACE.span(
+        req.add_listener(lambda _: TRACE.span(
             rank, f"coll.{name}", "coll", t0, {"rounds": nrounds}))
     return req.launch()

@@ -2,20 +2,63 @@
 
 A :class:`RequestImpl` is the runtime object behind the OO layer's
 ``Request``/``Prequest``.  Completion may happen in another thread (the
-matching happens in whichever thread delivers the envelope), so the state is
-lock-protected and completion fires registered listeners — that is what
-``Waitany``/``Waitsome`` build their "wake on first completion" on without
-polling.
+matching happens in whichever thread delivers the envelope), so the state
+is lock-protected.  A request costs a flag: completing one stores the
+status and ``done`` and touches nothing else unless someone asked to be
+told — a completion listener, which is also all a sleeping thread is:
+sleeping is one primitive, the :class:`Waiter`, built only when a thread
+has to block and shared by ``wait``, ``wait_all``, ``wait_any``,
+``wait_some`` and the sanitizer's probing wait.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.errors import (MPIException, ProcFailedException,
                           RevokedException, ERR_PENDING, ERR_PROC_FAILED,
                           ERR_REQUEST, ERR_REVOKED, SUCCESS)
+
+
+class Waiter:
+    """One thread parked until ``need`` awaited requests have completed.
+
+    The gate is a lock acquired at construction: :meth:`park` blocks
+    acquiring it again and the completer's release lets the sleeper
+    through (how ``threading.Condition`` queues a waiter).  It opens
+    exactly once and stays open: a late :meth:`wake` is a no-op, and
+    :meth:`park` may be called again.  Awaiting nothing, it is open.
+    """
+
+    __slots__ = ("_gate", "_guard", "_need")
+
+    def __init__(self, need: int = 1):
+        self._gate = threading.Lock()
+        if need > 0:
+            self._gate.acquire()
+        self._guard = threading.Lock()
+        self._need = need
+
+    def wake(self, req: "RequestImpl | None" = None) -> None:
+        """Completion listener (``req`` is done: one fewer awaited) and
+        abort poke (no ``req``).  The abort opens the gate outright, and
+        so does an errored completion (see :func:`wait_all`)."""
+        with self._guard:
+            if self._need <= 0:
+                return
+            self._need = 0 if req is None or req.error != SUCCESS \
+                else self._need - 1
+            if self._need:
+                return
+        self._gate.release()
+
+    def park(self, timeout: float | None = None) -> bool:
+        """Sleep until the gate opens; False if ``timeout`` ran out."""
+        if not self._gate.acquire(timeout=-1 if timeout is None else timeout):
+            return False
+        self._gate.release()
+        return True
 
 
 class RequestImpl:
@@ -24,33 +67,34 @@ class RequestImpl:
     KIND_SEND = "send"
     KIND_RECV = "recv"
 
+    # what most requests never change lives on the class: building one
+    # stores only what differs per message
+    cancelled = False
+    error = SUCCESS
+    error_message = ""
+    # status fields (world-rank source; the OO layer translates)
+    status_source_world = -1
+    status_tag = -1
+    count_elements = 0
+    # persistent-request machinery
+    persistent = False
+    active = True                # inactive persistent requests await Start
+    _issue: Optional[Callable[[], "RequestImpl"]] = None
+    persistent_inner: Optional["RequestImpl"] = None
+    # ULFM failure scope (see set_failure_scope)
+    _ft_contexts: tuple = ()
+    _ft_peers: tuple = ()
+    _ft_mailbox = None
+    ft_failed_rank = -1
+    ft_revoked_context = -1
+
     def __init__(self, universe, kind: str):
         self.universe = universe
         self.kind = kind
         self._lock = threading.Lock()
-        self._event = threading.Event()
-        self._listeners: list[Callable[[], None]] = []
         self.done = False
-        self.cancelled = False
-        self.error = SUCCESS
-        self.error_message = ""
-        # status fields (world-rank source; the OO layer translates)
-        self.status_source_world = -1
-        self.status_tag = -1
-        self.count_elements = 0
-        # persistent-request machinery
-        self.persistent = False
-        self.active = True           # inactive persistent requests await Start
-        self._restart: Optional[Callable[[], None]] = None
-        self.persistent_inner: Optional["RequestImpl"] = None
-        # recv-side landing zone, set by the engine
-        self._recv_sink = None
-        # ULFM failure scope (see arm_failure_scope)
-        self._ft_contexts: tuple = ()
-        self._ft_peers: tuple = ()
-        self._ft_mailbox = None
-        self.ft_failed_rank = -1
-        self.ft_revoked_context = -1
+        #: completion callbacks ``fn(request)``; None until someone asks
+        self._listeners: list | None = None
         san = getattr(universe, "sanitizer", None)
         if san is not None:
             san.note_request(self)
@@ -62,17 +106,16 @@ class RequestImpl:
         with self._lock:
             if self.done:
                 return
-            self.done = True
             self.status_source_world = source_world
             self.status_tag = tag
             self.count_elements = count_elements
             self.error = error
             self.error_message = error_message
-            listeners = list(self._listeners)
-            self._listeners.clear()
-        self._event.set()
-        for fn in listeners:
-            fn()
+            listeners, self._listeners = self._listeners, None
+            # last: whoever reads ``done`` without the lock sees the status
+            self.done = True
+        for fn in listeners or ():
+            fn(self)
 
     def complete_cancelled(self) -> None:
         with self._lock:
@@ -81,42 +124,59 @@ class RequestImpl:
             self.cancelled = True
         self.complete()
 
-    def add_listener(self, fn: Callable[[], None]) -> bool:
-        """Register a completion callback; fired immediately if done.
+    def add_listener(self, fn: Callable[["RequestImpl"], None]) -> bool:
+        """Register a completion callback ``fn(request)``; fired
+        immediately if done.  ``done`` is checked under the lock
+        :meth:`complete` takes, so no completion slips between the check
+        and a sleep that ``fn`` ends.
 
         Returns True if the request was already complete.
         """
         with self._lock:
             if not self.done:
-                self._listeners.append(fn)
+                if self._listeners is None:
+                    self._listeners = [fn]
+                else:
+                    self._listeners.append(fn)
                 return False
-        fn()
+        fn(self)
         return True
 
+    def remove_listener(self, fn) -> None:
+        with self._lock:
+            if self._listeners and fn in self._listeners:
+                self._listeners.remove(fn)
+
     # -- ULFM failure scope ----------------------------------------------------
-    def arm_failure_scope(self, contexts=(), peers=(),
+    def set_failure_scope(self, contexts: tuple, peers: tuple,
                           mailbox=None) -> None:
-        """Fail this request if a watched peer dies or context is revoked.
+        """Record what makes this operation undeliverable.
 
-        ``peers`` are the world ranks whose death makes the operation
-        undeliverable (the matched source, or every other group member
-        for ``ANY_SOURCE`` / collectives); ``contexts`` are the context
-        ids whose revocation cancels it.  The check runs once now (the
-        event may predate the request) and again on every failure-plane
-        event; an affected request *completes with the error code*, so
-        the normal Wait/Test path surfaces ``ERR_PROC_FAILED`` /
-        ``ERR_REVOKED`` through the communicator's error handler.
+        ``peers`` are the world ranks whose death does (the matched
+        source, or every other group member for ``ANY_SOURCE`` /
+        collectives); ``contexts`` are the context ids whose revocation
+        cancels it.  Recording subscribes to nothing: a receive queued in
+        ``mailbox`` is found there by the failure plane's walk, which
+        calls :meth:`fail_if_affected`; an affected request *completes
+        with the error code*, so the normal Wait/Test path surfaces
+        ``ERR_PROC_FAILED`` / ``ERR_REVOKED`` through the communicator's
+        error handler.
         """
-        self._ft_contexts = tuple(contexts)
-        self._ft_peers = tuple(peers)
-        if mailbox is not None:
-            self._ft_mailbox = mailbox
-        listener = self._fail_if_affected
-        self.universe.add_failure_listener(listener)
-        self.add_listener(
-            lambda: self.universe.remove_failure_listener(listener))
+        self._ft_contexts = contexts
+        self._ft_peers = peers
+        self._ft_mailbox = mailbox
 
-    def _fail_if_affected(self) -> None:
+    def watch_failures(self) -> None:
+        """Subscribe the recorded scope to the failure plane while the
+        request is pending — for what parks where no walk looks: a
+        rendezvous or synchronous send, a receive matched to an RTS, a
+        collective schedule.  Checked once now if anything is on record."""
+        check = self.fail_if_affected
+        self.universe.add_failure_listener(check)
+        self.add_listener(
+            lambda _: self.universe.remove_failure_listener(check))
+
+    def fail_if_affected(self) -> None:
         if self.done:
             return
         u = self.universe
@@ -135,7 +195,8 @@ class RequestImpl:
     def _fail_now(self, error: int, message: str) -> None:
         # a failed receive leaves its PostedRecv behind: pull it out of
         # the matching queues so it cannot consume a later message (and
-        # the Finalize audit doesn't see a phantom leak)
+        # the Finalize audit doesn't see a phantom leak); not finding it
+        # means an arrival is matching it now — first completion stands
         mb = self._ft_mailbox
         if mb is not None:
             mb.discard_posted(self)
@@ -145,48 +206,33 @@ class RequestImpl:
     def wait(self) -> None:
         """Block until complete; raise on communication error or job abort.
 
-        Event-driven: a job abort fires the registered listener and wakes
-        the wait immediately — there is no poll tick.  A request that
-        already completed reports its own outcome (success or its original
-        error) even if the job aborted afterwards.
+        A request that already completed reports its own outcome (success
+        or its original error) even if the job aborted afterwards.
         """
-        if not self._event.is_set():
-            poke = self._event.set
-            self.universe.add_abort_listener(poke)
-            try:
-                san = getattr(self.universe, "sanitizer", None)
-                if san is not None:
-                    # deadlock-probing wait loop (REPRO_SANITIZE=1)
-                    san.sanitized_wait(self)
-                else:
-                    self._event.wait()
-            finally:
-                self.universe.remove_abort_listener(poke)
         if not self.done:
-            # woken by the abort listener, not by completion
-            self.universe.check_abort()
-        self._sanitize_completion_checks()
-        self.raise_if_error()
+            _block((self,), self.universe)
+            if not self.done:
+                # woken by the abort listener, not by completion
+                self.universe.check_abort()
+        self._observe_completion()
 
     def test(self) -> bool:
-        if self._event.is_set() and self.done:
-            self._sanitize_completion_checks()
-            self.raise_if_error()
+        if self.done:
+            self._observe_completion()
             return True
         self.universe.check_abort()
         return False
 
-    def _sanitize_completion_checks(self) -> None:
-        """Run sanitizer verifiers pinned to completion observation.
-
-        The MPI moment a send buffer returns to user ownership is the
-        Wait/Test that *observes* completion — so the buffer-mutation
-        checksum fires here, once, on every backend alike.
-        """
+    def _observe_completion(self) -> None:
+        """The Wait/Test that *observes* completion is the MPI moment a
+        send buffer returns to user ownership: the sanitizer's mutation
+        checksum fires here, once, on every backend alike; then the
+        request's own error."""
         verify = getattr(self, "sanitize_verify_send", None)
-        if verify is not None and self.done:
+        if verify is not None:
             self.sanitize_verify_send = None
             verify()
+        self.raise_if_error()
 
     def raise_if_error(self) -> None:
         if self.error != SUCCESS:
@@ -203,13 +249,16 @@ class RequestImpl:
             raise MPIException(self.error, self.error_message)
 
     # -- persistent requests ----------------------------------------------------
-    def make_persistent(self, restart: Callable[[], None]) -> None:
+    def make_persistent(self, issue: Callable[[], "RequestImpl"]) -> None:
+        """``issue()`` starts the operation afresh, once per Start."""
         self.persistent = True
         self.active = False
-        self._restart = restart
+        self._issue = issue
 
     def start(self) -> None:
-        """(Re)activate a persistent request (``MPI_Start``)."""
+        """(Re)activate a persistent request (``MPI_Start``): issue a
+        fresh inner operation (with its own failure scope) and adopt its
+        outcome when it completes."""
         if not self.persistent:
             raise MPIException(ERR_REQUEST, "Start on a non-persistent "
                                             "request")
@@ -221,40 +270,61 @@ class RequestImpl:
             self.cancelled = False
             self.error = SUCCESS
             self.error_message = ""
-            self._event.clear()
             self.active = True
-        if self._ft_contexts or self._ft_peers:
-            # completion dropped the failure listener; watch again
-            self.arm_failure_scope(self._ft_contexts, self._ft_peers)
-        self._restart()
+        inner = self.persistent_inner = self._issue()
+        inner.add_listener(self._adopt)
+
+    def _adopt(self, inner: "RequestImpl") -> None:
+        if inner.cancelled:
+            self.complete_cancelled()
+        else:
+            self.complete(inner.status_source_world, inner.status_tag,
+                          inner.count_elements, inner.error,
+                          inner.error_message)
 
     def deactivate(self) -> None:
         """Wait/Test on a completed persistent request deactivates it."""
         self.active = False
-
-    def is_null(self) -> bool:
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "done" if self.done else "pending"
         return f"RequestImpl({self.kind}, {state})"
 
 
+def _block(requests: Sequence[RequestImpl], universe,
+           any_one: bool = False) -> None:
+    """Park the calling thread, on one :class:`Waiter`, until all of
+    ``requests`` have completed (the first, when ``any_one``); an errored
+    completion or a job abort ends the sleep early, and the caller looks
+    at ``done`` to see which it was."""
+    waiter = Waiter(1 if any_one else len(requests))
+    wake = waiter.wake
+    parked = [r for r in requests if not r.add_listener(wake)]
+    universe.add_abort_listener(wake)
+    try:
+        san = getattr(universe, "sanitizer", None)
+        if san is None or any_one:
+            waiter.park()
+        else:
+            # waiting for all makes each pending request's wait-for edge
+            # real: the deadlock-probing sleep (REPRO_SANITIZE=1)
+            san.sanitized_wait(parked, waiter)
+    finally:
+        universe.remove_abort_listener(wake)
+        for r in parked:
+            if not r.done:      # wait_any's losers keep no dead waiter
+                r.remove_listener(wake)
+
+
 def wait_any(requests: list[Optional[RequestImpl]], universe) -> int:
     """``MPI_Waitany`` core: index of first completion, or -1 if all null."""
-    live = [(i, r) for i, r in enumerate(requests) if r is not None]
+    live = [r for r in requests if r is not None]
     if not live:
         return -1
-    trigger = threading.Event()
-    for _, r in live:
-        r.add_listener(trigger.set)
-    universe.add_abort_listener(trigger.set)
-    try:
-        trigger.wait()
-    finally:
-        universe.remove_abort_listener(trigger.set)
-    for i, r in live:
-        if r.done:
+    if not any(r.done for r in live):
+        _block(live, universe, any_one=True)
+    for i, r in enumerate(requests):
+        if r is not None and r.done:
             return i
     # woken by the abort listener with nothing complete
     universe.check_abort()
@@ -262,9 +332,20 @@ def wait_any(requests: list[Optional[RequestImpl]], universe) -> int:
 
 
 def wait_all(requests: list[Optional[RequestImpl]], universe) -> None:
-    for r in requests:
-        if r is not None:
-            r.wait()
+    """``MPI_Waitall`` core: one sleep for the whole set, outcomes in
+    index order as waiting on each in turn would report them — an errored
+    request raises once every one before it is done, without waiting for
+    those after it (hence: an errored completion cuts the sleep short)."""
+    live = [r for r in requests if r is not None]
+    for i, r in enumerate(live):
+        while not r.done:
+            # on ``r`` whatever it did since that look (registering on a
+            # done request counts down at once) and on what is pending
+            # after it: never a sleep on nothing
+            _block([r] + [p for p in live[i + 1:] if not p.done], universe)
+            if not r.done:
+                universe.check_abort()
+        r._observe_completion()
 
 
 def test_all(requests: list[Optional[RequestImpl]], universe) -> bool:

@@ -41,8 +41,7 @@ class ChunkedTransport(Transport):
         #: Rank threads send concurrently, so the counter is accumulated
         #: per send and added atomically — a bare ``+= 1`` per packet
         #: loses increments and under-reports ablation counts.  Lives in
-        #: the process metrics registry; :attr:`packets_staged` below is
-        #: the compatible integer view.
+        #: the process metrics registry.
         self.metrics = CounterGroup("chunked", ("packets_staged",))
         self._stats_lock = threading.Lock()
         #: one per-transport scratch packet, reused across messages under
@@ -53,11 +52,6 @@ class ChunkedTransport(Transport):
         #: even under pathologically small packet sizes in tests)
         self._scratch = np.empty(max(self.packet_bytes, 64),
                                  dtype=np.uint8)
-
-    @property
-    def packets_staged(self) -> int:
-        """Thin view over the registry counter (old attribute contract)."""
-        return self.metrics["packets_staged"]
 
     def set_deliver(self, rank, fn):
         super().set_deliver(rank, fn)

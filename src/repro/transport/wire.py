@@ -766,7 +766,16 @@ class WireTransport(Transport):
                     # straight from the stream (or the lane) into the
                     # user buffer — zero staging copies
                     posted, views = got
-                    read_body(chan, flags, views)
+                    try:
+                        read_body(chan, flags, views)
+                    except OSError:
+                        # claimed out of the queues the failure plane
+                        # walks: ours to fail (see claim_direct_recv)
+                        if not self._closing.is_set():
+                            self._peer_lost(rank, src,
+                                            f"rank {src} lost mid-message")
+                            posted.req.fail_if_affected()
+                        raise
                     self._count(eager_direct_frames=1,
                                 eager_direct_bytes=nbytes)
                     if TRACE.enabled:
@@ -865,9 +874,8 @@ class WireTransport(Transport):
         A sender that died after its RTS (``ESRCH``; ``EFAULT`` while it
         is being torn down) is a peer loss, not an error of this call:
         it goes to the failure plane as the pump's EOF would, and the
-        matched request completes with ``ERR_PROC_FAILED`` through its
-        armed failure scope — at once if the match ran in the pump,
-        when the scope is armed if it ran inside ``post_recv``.
+        matched request completes with ``ERR_PROC_FAILED`` through the
+        failure scope it subscribed when the mailbox handed it over.
         """
         src, nbytes = env.src, env.rndv_nbytes
         t0 = TRACE.now() if TRACE.enabled else 0.0

@@ -222,6 +222,93 @@ class T:
     assert "cma.read()" in hits[0].message and "T.lock" in hits[0].message
 
 
+def test_waiter_park_under_lock_fires(tmp_path):
+    """The sleep behind every request wait is a ``Lock.acquire`` of a
+    gate only a completer opens — not an ``Event.wait`` — so the rule
+    knows ``.park()`` by name: parking under the mailbox lock would stall
+    the very pump that has to complete the request."""
+    src = """\
+import threading
+from repro.runtime.requests import Waiter
+
+class Mailbox:
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def bad(self, req):
+        waiter = Waiter()
+        with self._lock:
+            req.add_listener(waiter.wake)
+            waiter.park()
+
+    def fine(self, req):
+        waiter = Waiter()
+        with self._lock:
+            req.add_listener(waiter.wake)
+        waiter.park(0.04)
+"""
+    findings, _ = lint_source(tmp_path, src)
+    hits = [f for f in findings if f.rule == "blocking-under-lock"]
+    assert len(hits) == 1
+    assert hits[0].severity == "error" and hits[0].line == 12
+    assert "park()" in hits[0].message \
+        and "Mailbox._lock" in hits[0].message
+
+
+def test_request_locks_nest_under_nothing_and_over_nothing():
+    """Lock order around the waiter, from the shipped tree: a request's
+    lock and a waiter's guard are leaves (nothing is acquired while
+    either is held), and neither the failure walk nor a completion runs
+    under ``Mailbox._lock``."""
+    from repro.check import lockmodel
+    from repro.check.lint import build_model, load_files
+    model = build_model(load_files([str(SRC / "repro")]))
+    acq = lockmodel.may_acquire(model)
+    edges = set()
+    for fm in model.functions.values():
+        for a in fm.acquisitions:
+            edges.update((held, a.node) for held in a.held)
+        for cs in fm.calls:
+            for lock in acq.get(cs.callee or "", ()):
+                edges.update((held, lock) for held in cs.held)
+    nodes = {n for e in edges for n in e} \
+        | {a.node for fm in model.functions.values()
+           for a in fm.acquisitions}
+    assert {"RequestImpl._lock", "Waiter._guard", "Waiter._gate"} <= nodes
+    for held, taken in edges:
+        assert held not in ("RequestImpl._lock", "Waiter._guard"), \
+            (held, taken)
+        if held == "Mailbox._lock":
+            assert taken not in ("RequestImpl._lock", "Waiter._guard",
+                                 "Waiter._gate"), (held, taken)
+
+
+def test_failure_walk_under_mailbox_lock_fires(tmp_path):
+    """Seed the defect the walk must not have: failing the queued
+    receives *inside* the snapshot's critical section re-enters
+    ``Mailbox._lock`` through ``discard_posted``."""
+    runtime = SRC / "repro" / "runtime"
+    walk = ("        for req in queued:\n"
+            "            req.fail_if_affected()\n")
+    mailbox = (runtime / "mailbox.py").read_text(encoding="utf-8")
+    assert mailbox.count(walk) == 1
+    seeded = mailbox.replace(walk, "".join(
+        "    " + line + "\n" for line in walk.splitlines()))
+    (tmp_path / "mailbox.py").write_text(seeded, encoding="utf-8")
+    (tmp_path / "requests.py").write_text(
+        (runtime / "requests.py").read_text(encoding="utf-8"),
+        encoding="utf-8")
+    findings, _, _ = run_lint([str(tmp_path)])
+    assert any(f.rule == "lock-order"
+               and "Mailbox._lock -> Mailbox._lock" in f.message
+               and "fail_if_affected" in f.message for f in findings), \
+        findings
+    # and the shipped pair is clean
+    (tmp_path / "mailbox.py").write_text(mailbox, encoding="utf-8")
+    findings, _, _ = run_lint([str(tmp_path)])
+    assert "lock-order" not in rules_of(findings), findings
+
+
 def test_transitive_block_is_warning(tmp_path):
     src = """\
 import threading

@@ -284,3 +284,117 @@ def test_sanitizer_absent_when_env_unset(monkeypatch):
     u = Universe(2, "inproc")
     assert u.sanitizer is None
     u.close()
+
+
+def _blocked_recv(universe, source=1):
+    """A pending receive carrying the wait-for edge ``irecv`` would post."""
+    from repro.runtime.requests import RequestImpl
+    req = RequestImpl(universe, RequestImpl.KIND_RECV)
+    req.sanitize_block = (0, source, 0, 7, "Recv")
+    return req
+
+
+def test_timed_probe_wait_ticks_on_the_shared_waiter():
+    """The probing sleep is the request waiter parked with a timeout: a
+    wait longer than the probe interval ticks the protocol, a completion
+    ends it at once, and a wait-for-any posts no edge at all."""
+    import threading
+    import time
+    from repro.runtime.engine import Universe
+    from repro.runtime.requests import wait_all, wait_any
+    u = Universe(2, "inproc")
+    try:
+        san = u.sanitizer
+        ticks = []
+        san._tick = lambda bw, oob=False: ticks.append(bw.waiting_on)
+        req = _blocked_recv(u)
+        threading.Timer(5 * san.probe_interval, req.complete).start()
+        t0 = time.monotonic()
+        req.wait()
+        assert 1 <= len(ticks) <= 8 and set(ticks) == {1}, ticks
+        assert time.monotonic() - t0 < 5 * san.probe_interval + 0.5
+        assert san._blocked == {}
+
+        # Waitall: the edges of the pending requests, one at a time
+        del ticks[:]
+        first, second = _blocked_recv(u), _blocked_recv(u, source=0)
+        second.sanitize_block = (0, 0, 0, 8, "Recv")
+        threading.Timer(3 * san.probe_interval, first.complete).start()
+        threading.Timer(6 * san.probe_interval, second.complete).start()
+        wait_all([first, second], u)
+        assert ticks and ticks[0] == 1 and ticks[-1] == 0, ticks
+        assert san._blocked == {}
+
+        # Waitany: either sender could end it — no edge, no probe
+        del ticks[:]
+        reqs = [_blocked_recv(u), _blocked_recv(u)]
+        threading.Timer(3 * san.probe_interval, reqs[1].complete).start()
+        assert wait_any(reqs, u) == 1
+        assert ticks == []
+    finally:
+        u.close()
+
+
+def test_waitall_racing_complete_through_the_probing_sleep():
+    """The probing sleep of a Waitall loses no wakeup either: requests
+    that complete before, while and after ``wait_all`` looks at them —
+    the last one possibly between its look and its park."""
+    import sys
+    import threading
+    from repro.runtime.engine import Universe
+    from repro.runtime.requests import wait_all
+    u = Universe(2, "inproc")
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        gate = threading.Barrier(2)
+        pairs = [(_blocked_recv(u), _blocked_recv(u)) for _ in range(4000)]
+
+        def completer():
+            for i, (a, b) in enumerate(pairs):
+                gate.wait()
+                for _ in range(i % 11):
+                    pass
+                b.complete()
+                a.complete()
+
+        def waiter():
+            for i, (a, b) in enumerate(pairs):
+                gate.wait()
+                wait_all([a, b] if i & 1 else [a], u)
+
+        threads = [threading.Thread(target=f, daemon=True)
+                   for f in (completer, waiter)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+            assert not t.is_alive(), "a Waitall never woke"
+        assert u.sanitizer._blocked == {}
+    finally:
+        sys.setswitchinterval(old)
+        u.close()
+
+
+def waitall_deadlock_body():
+    """Head-to-head receives behind a Waitall, beside an ANY_SOURCE
+    receive nothing will ever match: the named cycle must surface from
+    the Waitall without waiting for the companion."""
+    from repro.mpijava import Request
+    MPI.Init([])
+    me = MPI.COMM_WORLD.Rank()
+    a = np.zeros(4, dtype=np.int32)
+    b = np.zeros(4, dtype=np.int32)
+    Request.Waitall([
+        MPI.COMM_WORLD.Irecv(a, 0, 4, MPI.INT, 1 - me, 7),
+        MPI.COMM_WORLD.Irecv(b, 0, 4, MPI.INT, MPI.ANY_SOURCE, 8)])
+    MPI.Finalize()
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_cycle_behind_waitall_detected(mode):
+    with pytest.raises(RankFailure) as ei:
+        mpirun(2, waitall_deadlock_body, transport=MODES[mode],
+               timeout=30.0)
+    msg = str(first_failure(ei))
+    assert "deadlock detected" in msg and "blocked in Recv" in msg

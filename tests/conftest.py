@@ -43,6 +43,25 @@ def cma_denied(monkeypatch):
     monkeypatch.setenv("REPRO_FAULT", "cma.probe:0::deny,cma.probe:1::deny")
 
 
+@pytest.fixture
+def waiters_built(monkeypatch):
+    """Every ``requests.Waiter`` constructed while the test runs (its
+    ``need``), from any thread: one per sleep, none for a request that
+    was already done."""
+    from repro.runtime import requests as mod
+    built = []
+
+    class Counting(mod.Waiter):
+        __slots__ = ()
+
+        def __init__(self, need=1):
+            super().__init__(need)
+            built.append(need)
+
+    monkeypatch.setattr(mod, "Waiter", Counting)
+    return built
+
+
 def spmd(fn):
     """Wrap a test body with MPI.Init/Finalize, as every program must."""
     def body(*args):

@@ -268,7 +268,7 @@ def large_exchange_body():
         w.Barrier()
     w.Barrier()
     transport = current_runtime().universe.transport
-    out = (sums, dict(transport.wire_stats), transport.bulk_paths())
+    out = (sums, transport.wire_stats.snapshot(), transport.bulk_paths())
     send_vec.Free()
     recv_vec.Free()
     MPI.Finalize()

@@ -91,6 +91,53 @@ def fatal_mode_body():
     return "unreachable"
 
 
+def queued_receives_body():
+    """DEAD dies while every survivor holds queued receives only it could
+    have satisfied — exact, ``ANY_TAG``, ``ANY_SOURCE`` — beside one from
+    a live neighbour: the failure plane finds them by walking the posted
+    queues (none of them subscribed to anything)."""
+    from repro.runtime.engine import current_runtime
+    MPI.Init([])
+    w = MPI.COMM_WORLD
+    w.Errhandler_set(MPI.ERRORS_RETURN)
+    me = w.Rank()
+    token = np.zeros(1, dtype=np.int32)
+    if me == DEAD:
+        for r in range(NPROCS - 1):             # every window is posted
+            w.Recv(token, 0, 1, MPI.INT, MPI.ANY_SOURCE, 1)
+        MPI.Finalize()                          # the fault point
+        return "unreachable"
+    survivors = [r for r in range(NPROCS) if r != DEAD]
+    i = survivors.index(me)
+    nxt, prv = survivors[(i + 1) % 3], survivors[i - 1]
+    bufs = [np.zeros(4, dtype=np.int32) for _ in range(4)]
+    doomed = [w.Irecv(bufs[0], 0, 4, MPI.INT, DEAD, 5),
+              w.Irecv(bufs[1], 0, 4, MPI.INT, DEAD, MPI.ANY_TAG),
+              w.Irecv(bufs[2], 0, 4, MPI.INT, MPI.ANY_SOURCE, 7)]
+    live = w.Irecv(bufs[3], 0, 4, MPI.INT, prv, 6)
+    rt = current_runtime()
+    assert rt.mailbox.pending_counts()[1] == 4
+    assert len(rt.universe._failure_listeners) == 0
+    w.Send(token, 0, 1, MPI.INT, DEAD, 1)
+    for req in doomed:
+        try:
+            req.Wait()
+            raise AssertionError(f"rank {me}: receive from a dead rank "
+                                 "completed")
+        except MPIException as exc:
+            assert exc.error_code == ERR_PROC_FAILED, repr(exc)
+            assert exc.failed_rank == DEAD, repr(exc)
+    # the live peer's receive was in the same queue, and still works
+    w.Send(np.full(4, me, dtype=np.int32), 0, 4, MPI.INT, nxt, 6)
+    live.Wait()
+    assert bufs[3].tolist() == [prv] * 4, bufs[3]
+    # nothing left behind for the Finalize audit to call a leak
+    assert rt.mailbox.pending_counts() == (0, 0), \
+        rt.mailbox.pending_summary()
+    MPI.Finalize()
+    return f"survivor-{me}"
+
+
 # --- survive-and-continue matrix ----------------------------------------------
 
 class TestSurviveRankDeath:
@@ -151,6 +198,65 @@ class TestSurviveRankDeath:
         # 4 missed 50ms beats ~ 200ms; whole job (spawn included) must
         # still finish promptly or the silence scan isn't working
         assert dt < 10.0, f"SIGSTOP detection took {dt:.1f}s"
+
+
+class TestQueuedReceivesOfADeadPeer:
+    """The failure walk, end to end, on every backend."""
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_thread_backends(self, transport, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT", f"finalize:{DEAD}")
+        with pytest.raises(RankFailure) as ei:
+            mpirun(NPROCS, queued_receives_body, transport=transport,
+                   timeout=TIMEOUT)
+        assert set(ei.value.failures) == {DEAD}, ei.value.failures
+
+    def test_process_backend(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT", f"finalize:{DEAD}")
+        monkeypatch.setenv("REPRO_HEARTBEAT_MS", "100")
+        with pytest.raises(RankFailure) as ei:
+            procrun(NPROCS, queued_receives_body, timeout=TIMEOUT)
+        assert set(ei.value.failures) == {DEAD}, ei.value.failures
+
+
+class TestParkedSendsStillSubscribe:
+    """What parks outside a posted queue listens for itself: a send that
+    waits on its peer (rendezvous CTS, synchronous ACK) arms after it
+    went out, an eager send never does."""
+
+    @pytest.mark.parametrize("event", ["death", "revoke"])
+    @pytest.mark.parametrize("kind", ["rendezvous", "ssend"])
+    def test_parked_send_fails(self, kind, event):
+        from repro.datatypes import primitives as P
+        from repro.runtime.engine import RankRuntime, Universe
+        from repro.runtime.envelope import MODE_SYNCHRONOUS
+        universe = Universe(2, "socket")
+        try:
+            comm = RankRuntime(universe, 0).comm_world
+            small = np.zeros(8, dtype=np.int8)
+            comm.isend(small, 0, 8, P.BYTE, 1, 3).wait()     # eager
+            assert len(universe._failure_listeners) == 0
+            if kind == "rendezvous":
+                big = np.zeros(1 << 20, dtype=np.int8)
+                req = comm.isend(big, 0, big.size, P.BYTE, 1, 4)
+            else:
+                req = comm.isend(small, 0, 8, P.BYTE, 1, 4,
+                                 MODE_SYNCHRONOUS)
+            assert not req.done
+            assert len(universe._failure_listeners) == 1
+            if event == "death":
+                universe.note_peer_failure(1, ConnectionError("gone"))
+                want = ERR_PROC_FAILED
+            else:
+                universe.note_revoked((comm.ctx_pt2pt,), origin_rank=1,
+                                      broadcast=False)
+                want = ERR_REVOKED
+            assert req.done and req.error == want
+            assert len(universe._failure_listeners) == 0
+            with pytest.raises(MPIException):
+                req.wait()
+        finally:
+            universe.close()
 
 
 class TestFatalModeUnwind:

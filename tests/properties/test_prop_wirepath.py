@@ -245,7 +245,7 @@ def _assert_bulk_path(transport, carrier, frames, nbytes):
     in place (the get counters move, no writer ever stalls on a lane,
     and nothing but headers and cookies is written to a stream), or
     written out once through the lane / the socket."""
-    s = transport.wire_stats
+    s = transport.wire_stats.snapshot()
     if carrier == "cma":
         assert s["rndv_get_frames"] == frames, s
         assert s["rndv_get_bytes"] == nbytes, s
@@ -289,7 +289,7 @@ class TestZeroCopyProof:
         with MPIExecutor(2, universe=Universe(2,
                                               transport=transport)) as ex:
             ex.run(body, args=(n,))
-        s = transport.wire_stats
+        s = transport.wire_stats.snapshot()
         payload = n * 8
         assert s["rndv_direct_frames"] == 1, s
         assert s["rndv_direct_bytes"] == payload, s
@@ -329,7 +329,7 @@ class TestZeroCopyProof:
         with MPIExecutor(2, universe=Universe(2,
                                               transport=transport)) as ex:
             ex.run(body, args=(n,))
-        s = transport.wire_stats
+        s = transport.wire_stats.snapshot()
         assert s["eager_direct_frames"] == 1, s
         assert s["eager_direct_bytes"] == n, s
 
@@ -378,7 +378,7 @@ class TestZeroCopyProof:
         with MPIExecutor(2, universe=Universe(2,
                                               transport=transport)) as ex:
             ex.run(body)
-        s = transport.wire_stats
+        s = transport.wire_stats.snapshot()
         payload = self._strided_payload_bytes()
         assert s["rts_frames"] == 1 and s["cts_frames"] == 1, s
         assert s["rndv_direct_frames"] == 1, s
@@ -426,7 +426,7 @@ class TestZeroCopyProof:
         with MPIExecutor(2, universe=Universe(2,
                                               transport=transport)) as ex:
             ex.run(body)
-        s = transport.wire_stats
+        s = transport.wire_stats.snapshot()
         payload = self._strided_payload_bytes()
         assert s["eager_direct_frames"] == 1, s
         assert s["eager_direct_bytes"] == payload, s
@@ -459,7 +459,7 @@ def test_payload_larger_than_lane_streams_through(make_carrier,
     with MPIExecutor(2, universe=Universe(2,
                                           transport=transport)) as ex:
         ex.run(body, args=(n,))
-    s = transport.wire_stats
+    s = transport.wire_stats.snapshot()
     assert s["rndv_direct_frames"] == 1, s
     assert s["rndv_direct_bytes"] == n, s
     assert s["rndv_staged_frames"] == 0, s
@@ -604,7 +604,7 @@ class TestGetLandsWhatTheRingLands:
                     2, transport=transport)) as ex:
                 got[carrier] = ex.run(_get_cases_body,
                                       args=(cases, seed + 1))[1]
-            stats[carrier] = transport.wire_stats
+            stats[carrier] = transport.wire_stats.snapshot()
         rndv = sum(w[3] for w in want)
         direct = sum(w[3] and w[4] for w in want)
         assert rndv >= 15 and 0 < direct < rndv, \

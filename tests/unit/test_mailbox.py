@@ -1,11 +1,18 @@
 """Mailbox matching semantics (MPI 1.1 §3.5) tested in isolation."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from repro.errors import SUCCESS
+from repro.datatypes import primitives as P
+from repro.errors import (ERR_PROC_FAILED, ERR_REVOKED, SUCCESS,
+                          ProcFailedException, RevokedException)
 from repro.runtime.consts import ANY_SOURCE, ANY_TAG
-from repro.runtime.envelope import Envelope, KIND_ACK, MODE_SYNCHRONOUS
+from repro.runtime.engine import RankRuntime, Universe
+from repro.runtime.envelope import (Envelope, KIND_ACK, KIND_RTS,
+                                    MODE_SYNCHRONOUS)
 from repro.runtime.mailbox import Mailbox
 from repro.runtime.requests import RequestImpl
 
@@ -293,3 +300,262 @@ class TestAbortDelivery:
         assert mb.universe.abort_envs == [env]
         unexpected, posted = mb.pending_counts()
         assert unexpected == 0 and posted == 0
+
+
+# ---------------------------------------------------------------------------
+# the failure plane walks the posted queues (no receive subscribes)
+# ---------------------------------------------------------------------------
+
+ME, DEAD, LIVE = 0, 1, 2
+
+
+@pytest.fixture
+def job():
+    """A three-rank in-process job seen from rank 0: rank 1 is the one
+    that dies (or whose communicator is revoked), rank 2 stays alive."""
+    universe = Universe(3)
+    try:
+        yield universe, RankRuntime(universe, ME).comm_world
+    finally:
+        universe.close()
+
+
+def _land(env):
+    return env.nelems, SUCCESS, ""
+
+
+def _post(kind, comm):
+    """Post one pending receive of ``kind``; returns its request."""
+    buf = np.zeros(4, dtype=np.int32)
+    if kind == "exact":
+        return comm.irecv(buf, 0, 4, P.INT, DEAD, 5)
+    if kind == "any_source":
+        return comm.irecv(buf, 0, 4, P.INT, ANY_SOURCE, 5)
+    if kind == "any_tag":
+        return comm.irecv(buf, 0, 4, P.INT, DEAD, ANY_TAG)
+    assert kind == "coll_sub"
+    return comm.coll_post_recv(DEAD, 77, _land)
+
+
+def _fire(event, universe, comm):
+    if event == "death":
+        universe.note_peer_failure(DEAD, ConnectionError("rank 1 lost"))
+    else:
+        universe.note_revoked((comm.ctx_pt2pt, comm.ctx_coll),
+                              origin_rank=LIVE, broadcast=False)
+
+
+def _assert_failed_once(req, completions, event, kind, universe, comm):
+    assert completions == [req], completions
+    if event == "death":
+        assert req.error == ERR_PROC_FAILED and req.ft_failed_rank == DEAD
+        with pytest.raises(ProcFailedException) as ei:
+            req.wait()
+        assert ei.value.failed_rank == DEAD
+    else:
+        want = comm.ctx_coll if kind == "coll_sub" else comm.ctx_pt2pt
+        assert req.error == ERR_REVOKED and req.ft_revoked_context == want
+        with pytest.raises(RevokedException) as ei:
+            req.wait()
+        assert ei.value.context == want
+    mb = universe.mailboxes[ME]
+    assert mb.pending_counts() == (0, 0), mb.pending_summary()
+    assert len(universe._failure_listeners) == 0
+
+
+KINDS = ["exact", "any_source", "any_tag", "coll_sub"]
+EVENTS = ["death", "revoke"]
+
+
+class TestFailureWalk:
+    @pytest.mark.parametrize("event", EVENTS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_while_queued(self, job, kind, event):
+        universe, comm = job
+        req = _post(kind, comm)
+        completions = []
+        req.add_listener(completions.append)
+        assert not req.done and not universe._failure_listeners
+        _fire(event, universe, comm)
+        _assert_failed_once(req, completions, event, kind, universe, comm)
+        _fire(event, universe, comm)            # a repeat changes nothing
+        assert completions == [req]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_death_on_record_before_the_post(self, job, kind):
+        universe, comm = job
+        _fire("death", universe, comm)
+        req = _post(kind, comm)
+        assert req.done                          # failed on the spot
+        _assert_failed_once(req, [req], "death", kind, universe, comm)
+
+    def test_revoke_on_record_before_the_post(self, job):
+        universe, comm = job
+        _fire("revoke", universe, comm)
+        with pytest.raises(RevokedException):    # refused at the call
+            _post("exact", comm)
+        req = _post("coll_sub", comm)            # internal: completes
+        _assert_failed_once(req, [req], "revoke", "coll_sub", universe,
+                            comm)
+
+    @pytest.mark.parametrize("window", ["before_enqueue", "after_enqueue"])
+    @pytest.mark.parametrize("event", EVENTS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_event_inside_the_post(self, job, kind, event, window,
+                                   monkeypatch):
+        """The event lands between the scope being recorded and the
+        receive being queued (the walk misses it; the on-record check
+        after the post catches it), or between the queueing and that
+        check (the walk fails it; the check finds it done)."""
+        universe, comm = job
+        real = Mailbox.post_recv
+
+        def post_recv(self, req, *args):
+            if window == "before_enqueue":
+                _fire(event, universe, comm)
+            real(self, req, *args)
+            if window == "after_enqueue":
+                assert self.pending_counts()[1] == 1
+                _fire(event, universe, comm)
+
+        monkeypatch.setattr(Mailbox, "post_recv", post_recv)
+        req = _post(kind, comm)
+        completions = []
+        req.add_listener(completions.append)
+        _assert_failed_once(req, completions, event, kind, universe, comm)
+
+    @pytest.mark.parametrize("event", EVENTS)
+    def test_obj_recv(self, job, event):
+        """Management traffic fails on a dead peer and ignores
+        revocation (Shrink and Agree run on revoked communicators)."""
+        universe, comm = job
+        out = []
+
+        def receiver():
+            try:
+                out.append(comm.obj_recv(DEAD, 9))
+            except ProcFailedException as exc:
+                out.append(exc.failed_rank)
+
+        t = threading.Thread(target=receiver, daemon=True)
+        t.start()
+        mb = universe.mailboxes[ME]
+        while mb.pending_counts()[1] == 0:
+            time.sleep(0.001)
+        _fire(event, universe, comm)
+        if event == "revoke":
+            t.join(0.1)
+            assert t.is_alive() and out == []
+            peer = RankRuntime(universe, DEAD).comm_world
+            peer.obj_send({"still": "delivered"}, ME, 9)
+        t.join(10)
+        assert out == [DEAD if event == "death" else {"still": "delivered"}]
+        assert mb.pending_counts() == (0, 0)
+
+    def test_live_peers_receive_is_untouched(self, job):
+        universe, comm = job
+        buf = np.zeros(4, dtype=np.int32)
+        doomed = comm.irecv(buf, 0, 4, P.INT, DEAD, 5)
+        live = comm.irecv(buf, 0, 4, P.INT, LIVE, 5)
+        _fire("death", universe, comm)
+        assert doomed.done and not live.done
+        mb = universe.mailboxes[ME]
+        assert mb.pending_counts() == (0, 1)
+        mb.deliver(mkenv(src=LIVE, n=4))
+        live.wait()
+        assert live.status_source_world == LIVE and buf.tolist() == [0, 1, 2, 3]
+
+    def test_concurrent_with_the_matching_arrival(self, job):
+        """The arrival match removes the receive while the walk is
+        failing it: one completion either way — the message's or the
+        error's — and no receive left behind."""
+        universe, comm = job
+        mb = universe.mailboxes[ME]
+        outcomes = set()
+        for i in range(300):
+            universe.failed_ranks.clear()
+            req = _post("exact", comm)
+            completions = []
+            req.add_listener(completions.append)
+            go = threading.Barrier(2)
+
+            def arrive():
+                go.wait()
+                mb.deliver(mkenv(src=DEAD, n=4))
+
+            t = threading.Thread(target=arrive)
+            t.start()
+            go.wait()
+            if i & 1:
+                time.sleep(0)
+            _fire("death", universe, comm)
+            t.join(10)
+            assert completions == [req]
+            assert req.error in (SUCCESS, ERR_PROC_FAILED)
+            outcomes.add(req.error)
+            # a message that lost the race waits unexpected; drain it
+            unexpected, posted = mb.pending_counts()
+            assert posted == 0 and unexpected <= 1
+            if unexpected:
+                assert req.error == ERR_PROC_FAILED
+                universe.failed_ranks.clear()
+                _post("exact", comm).wait()
+        assert outcomes <= {SUCCESS, ERR_PROC_FAILED}
+
+    def test_walk_does_not_wait_for_a_landing_in_flight(self, job):
+        """H5: the walk snapshots under the mailbox lock and fails
+        outside it; a receive whose ``land`` is mid-flight in another
+        thread (consumed, so not the walk's to fail) neither blocks the
+        walk nor is completed twice."""
+        universe, comm = job
+        mb = universe.mailboxes[ME]
+        landing, release = threading.Event(), threading.Event()
+
+        def slow_land(env):
+            landing.set()
+            assert release.wait(10)
+            return env.nelems, SUCCESS, ""
+
+        in_flight = comm.coll_post_recv(DEAD, 70, slow_land)
+        queued = comm.coll_post_recv(DEAD, 71, _land)
+        done = []
+        in_flight.add_listener(done.append)
+        t = threading.Thread(
+            target=mb.deliver,
+            args=(mkenv(src=DEAD, tag=70, context=comm.ctx_coll),))
+        t.start()
+        assert landing.wait(10)
+        _fire("death", universe, comm)           # must return: no lock held
+        assert queued.done and queued.error == ERR_PROC_FAILED
+        assert not in_flight.done
+        release.set()
+        t.join(10)
+        assert done == [in_flight] and in_flight.error == SUCCESS
+        assert mb.pending_counts() == (0, 0)
+
+    def test_receive_matched_to_an_rts_subscribes_and_still_fails(self,
+                                                                  job):
+        """H4: matched to a request-to-send the receive leaves the queue
+        still pending — parked in the transport until the payload comes —
+        so from that moment it listens for itself."""
+        universe, comm = job
+        mb = universe.mailboxes[ME]
+        parked = []
+        rts = Envelope(kind=KIND_RTS, src=DEAD, dst=ME,
+                       context=comm.ctx_pt2pt, tag=5, nelems=4)
+        rts.rndv_accept = parked.append
+        for arrival_first in (False, True):
+            universe.failed_ranks.clear()
+            if arrival_first:
+                mb.deliver(rts)
+            req = _post("exact", comm)
+            if not arrival_first:
+                assert not universe._failure_listeners
+                mb.deliver(rts)
+            assert parked.pop().req is req and not req.done
+            assert mb.pending_counts() == (0, 0)
+            assert len(universe._failure_listeners) == 1
+            _fire("death", universe, comm)
+            assert req.error == ERR_PROC_FAILED \
+                and req.ft_failed_rank == DEAD
+            assert not universe._failure_listeners

@@ -1,10 +1,8 @@
-"""Metrics registry: exact totals under contention, Mapping views."""
+"""Metrics registry: exact totals under contention, read by snapshot."""
 
 import threading
 
 import numpy as np
-import pytest
-
 from repro.executor.runner import MPIExecutor
 from repro.jni import capi, handles as H
 from repro.obs.metrics import (CounterGroup, Gauge, MetricsRegistry,
@@ -20,26 +18,25 @@ class TestCounterGroup:
         g = CounterGroup("t", ("a", "b"), registry=None)
         g.inc(a=2, b=3)
         g.inc(a=1)
-        assert g["a"] == 3 and g["b"] == 3
+        assert g.snapshot() == {"a": 3, "b": 3}
 
     def test_undeclared_keys_appear_on_first_use(self):
         g = CounterGroup("t", registry=None)
         g.add("late", 7)
-        assert g["late"] == 7
+        assert g.snapshot()["late"] == 7
 
-    def test_mapping_view(self):
+    def test_snapshot_is_a_detached_dict(self):
         g = CounterGroup("t", ("x", "y"), registry=None)
         g.inc(x=5)
-        assert dict(g) == {"x": 5, "y": 0}
-        assert len(g) == 2 and set(g) == {"x", "y"}
-        with pytest.raises(KeyError):
-            g["nope"]
+        snap = g.snapshot()
+        g.inc(x=1)
+        assert snap == {"x": 5, "y": 0}
 
     def test_reset_zeroes_in_place(self):
         g = CounterGroup("t", ("a",), registry=None)
         g.inc(a=9)
         g.reset()
-        assert g["a"] == 0
+        assert g.snapshot()["a"] == 0
 
     def test_concurrent_increments_are_exact(self):
         g = CounterGroup("t", ("n",), registry=None)
@@ -55,7 +52,7 @@ class TestCounterGroup:
             t.start()
         for t in ts:
             t.join()
-        assert g["n"] == threads * per_thread
+        assert g.snapshot()["n"] == threads * per_thread
 
 
 class TestGauge:
@@ -106,14 +103,14 @@ class TestRegistry:
 
 
 class TestWireStatsFold:
-    """The PR-4 ad-hoc dicts are now registry groups with compat views."""
+    """The PR-4 ad-hoc dicts are registry groups."""
 
     def test_wire_stats_is_a_counter_group(self):
         from repro.transport.socket_tcp import SocketTransport
         tr = SocketTransport(2)
         try:
             assert isinstance(tr.wire_stats, CounterGroup)
-            assert tr.wire_stats["eager_frames"] == 0
+            assert tr.wire_stats.snapshot()["eager_frames"] == 0
             assert tr.wire_stats.name == "wire"
         finally:
             tr.close()
@@ -146,11 +143,11 @@ class TestWireStatsFold:
         total = REGISTRY.aggregate("wire")
         assert total["eager_frames"] >= stats["eager_frames"]
 
-    def test_packets_staged_compat_view(self):
+    def test_packets_staged_is_a_counter_group(self):
         from repro.transport.chunked import ChunkedTransport
         tr = ChunkedTransport(2)
         try:
-            assert tr.packets_staged == 0
+            assert tr.metrics.snapshot() == {"packets_staged": 0}
             assert tr.metrics.name == "chunked"
         finally:
             tr.close()

@@ -111,7 +111,7 @@ def test_inactive_persistent_counts_as_complete(uni):
     """A completed-then-deactivated persistent request stays ``done`` —
     Waitall over it must not block (MPI treats inactive as complete)."""
     r = _req(uni)
-    r.make_persistent(lambda: None)
+    r.make_persistent(lambda: _req(uni))   # inner never completes
     r.start()
     r.complete()
     r.deactivate()
@@ -121,7 +121,7 @@ def test_inactive_persistent_counts_as_complete(uni):
 
 def test_restarted_persistent_is_pending_again(uni):
     r = _req(uni)
-    r.make_persistent(lambda: None)
+    r.make_persistent(lambda: _req(uni))   # inner never completes
     r.start()
     r.complete()
     r.deactivate()

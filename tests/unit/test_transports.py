@@ -57,7 +57,7 @@ class TestChunked:
         collect(tr, 1)
         tr.send(Envelope(src=0, dst=1,
                          payload=np.arange(10, dtype=np.int32), nelems=10))
-        assert tr.packets_staged == 5
+        assert tr.metrics.snapshot()["packets_staged"] == 5
 
     def test_object_payload_staged(self):
         tr = ChunkedTransport(2, packet_bytes=4)
@@ -94,7 +94,7 @@ class TestChunked:
             t.start()
         for t in threads:
             t.join()
-        assert tr.packets_staged == \
+        assert tr.metrics.snapshot()["packets_staged"] == \
             len(threads) * sends_per_thread * packets_per_send
 
 
@@ -579,7 +579,8 @@ def _settled(tr, **want):
     """Wait for counters the writer thread bumps after its write."""
     deadline = time.monotonic() + 5
     while time.monotonic() < deadline:
-        if all(tr.wire_stats[k] == v for k, v in want.items()):
+        stats = tr.wire_stats.snapshot()
+        if all(stats[k] == v for k, v in want.items()):
             return True
         time.sleep(0.005)
     return False
@@ -662,7 +663,7 @@ class TestShmWorld:
                 seen = ends[rank].seen
                 assert [tag for tag, _ in seen] == list(range(n))
                 assert all(np.all(body == tag) for tag, body in seen)
-            stats = tr.wire_stats
+            stats = tr.wire_stats.snapshot()
             if path == "ring":
                 assert _ring_counters(tr, 0, 1) == (n * 64, n * 64)
                 assert stats["rndv_get_frames"] == 0, stats
@@ -789,7 +790,7 @@ class TestSingleCopyGet:
         assert flushed.wait(timeout=10), "DONE never released the send"
         assert bytes(ranks[1].buffers[7]) == env.payload.tobytes()
         assert _settled(tr, tx_frames=2), tr.wire_stats
-        s = tr.wire_stats
+        s = tr.wire_stats.snapshot()
         assert (s["rts_frames"], s["cts_frames"]) == (1, 1), s
         assert s["tx_bytes"] == 2 * HEADER_SIZE + 16, s   # + a 1-row cookie
         assert (s["rndv_get_frames"], s["rndv_get_bytes"]) == (1, self.N), s
@@ -858,7 +859,7 @@ class TestSingleCopyGet:
             assert ranks[0].landed.get(timeout=10) == (1, 3)
             assert _ring_counters(tr, 1, 0) == (2048 + self.N,
                                                 2048 + self.N)
-            s = tr.wire_stats
+            s = tr.wire_stats.snapshot()
             assert s["rndv_get_frames"] == 0, s
             assert (s["rts_frames"], s["cts_frames"]) == (2, 2), s
             assert s["rndv_direct_frames"] == 2, s
@@ -882,7 +883,7 @@ class TestSingleCopyGet:
         assert ranks[1].landed.get(timeout=10) == (0, 9)
         assert bytes(ranks[1].buffers[9]) == env.payload.tobytes()
         assert _ring_counters(tr, 0, 1) == (self.N, self.N)
-        assert tr.wire_stats["rndv_get_frames"] == 0
+        assert tr.wire_stats.snapshot()["rndv_get_frames"] == 0
         assert tr.bulk_paths() == {"0->1": "cma", "1->0": "ring"}
 
     @pytest.mark.parametrize("err", ["ESRCH", "EFAULT"])
@@ -1127,3 +1128,39 @@ def test_probe_from_a_writer_stalled_on_lane_space(eager_limit):
         rank1.wedge.set()
         t0.close()
         t1.close()
+
+
+class TestSenderLostMidEagerBody:
+    """A posted receive the pump claimed for direct landing has left the
+    posted queue — where the failure plane's walk would have found it —
+    and subscribed to nothing: the pump itself must fail it when the
+    stream dies under the body."""
+
+    def test_claimed_receive_completes_with_proc_failed(self):
+        from repro.datatypes import primitives as P
+        from repro.errors import ERR_PROC_FAILED
+        from repro.runtime import envelope as ev
+        from repro.runtime.engine import RankRuntime, Universe
+        from repro.transport.wire import DIRECT_EAGER_MIN
+        n = 4 * DIRECT_EAGER_MIN
+        universe = Universe(2, "socket")
+        try:
+            comm = RankRuntime(universe, 1).comm_world
+            buf = np.zeros(n, dtype=np.int8)
+            req = comm.irecv(buf, 0, n, P.BYTE, 0, 5)
+            done = threading.Event()
+            req.add_listener(lambda _: done.set())
+            chan = universe.transport._table[0, 1]
+            header = ev.HEADER.pack(
+                ev.KIND_DATA, 0, 1, comm.ctx_pt2pt, 5, ev.MODE_STANDARD, 1,
+                n, 0, ev.dtype_code_of(buf).encode(), n)
+            with chan.lock:
+                chan.sendall(header)
+                chan.sendall(bytes(n // 2))     # half a body, then gone
+            chan.shutdown()
+            assert done.wait(10), "the claimed receive was stranded"
+            assert req.error == ERR_PROC_FAILED and req.ft_failed_rank == 0
+            assert universe.is_failed(0)
+            assert universe.mailboxes[1].pending_counts() == (0, 0)
+        finally:
+            universe.close()
