@@ -1,6 +1,6 @@
-"""Static lint over the reproduction's runtime: concurrency + API drift.
+"""Static lint over the reproduction's runtime: concurrency discipline.
 
-Five rules, each emitting ``file:line`` findings (see
+Four rules, each emitting ``file:line`` findings (see
 :mod:`repro.check.findings` for severities, suppressions and JSON):
 
 ``lock-order``
@@ -23,11 +23,6 @@ Five rules, each emitting ``file:line`` findings (see
     layer budgeted for (guarding ``if``, ternary, ``and``-chain, or an
     ``if not TRACE.enabled: return`` early exit).
 
-``api-drift``
-    The ``mpijava/`` OO layer and the ``jni/capi.py`` stub surface must
-    agree: a reference to a missing stub is an error; a stub no OO-layer
-    code references is a warning (dead API surface).
-
 ``shm-ring-discipline``
     In SPSC ring classes (any class addressing both ``self._head_off``
     and ``self._tail_off``), producer-side methods (``write*``) may
@@ -35,6 +30,13 @@ Five rules, each emitting ``file:line`` findings (see
     only the tail counter — each side reads the other's counter but
     never writes it.  A cross-side store is an error; a counter store
     from a method on neither side is a warning (unclassifiable role).
+
+plus ``stale-suppression`` for allow-comments that excuse nothing.  The
+rules read source text, so the stubs :mod:`repro.jni.capi` compiles from
+:mod:`repro.jni.spec` are outside the call graph — they take no lock and
+block only inside the runtime calls the graph does see.  That the stub
+surface and ``mpijava/`` agree is a test (``tests/unit/test_capi_spec.py``):
+both are read from the one table.
 
 Usage::
 
@@ -54,7 +56,7 @@ from repro.check.findings import (ERROR, WARNING, Finding, apply_baseline,
                                   parse_suppressions, render_report,
                                   sort_findings)
 
-RULES = ("lock-order", "blocking-under-lock", "trace-guard", "api-drift",
+RULES = ("lock-order", "blocking-under-lock", "trace-guard",
          "shm-ring-discipline", "stale-suppression")
 
 #: rules that produce findings a suppression could apply to
@@ -389,43 +391,6 @@ def _contains(stmts: list[ast.stmt], node: ast.AST) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# rule: api-drift
-# ---------------------------------------------------------------------------
-
-def check_api_drift(files: list[SourceFile]) -> list[Finding]:
-    capi = next((sf for sf in files
-                 if sf.path.as_posix().endswith("jni/capi.py")), None)
-    oo = [sf for sf in files if "/mpijava/" in sf.path.as_posix()]
-    if capi is None or not oo:
-        return []   # partial tree (e.g. unit-test fixtures): nothing to do
-    stubs: dict[str, int] = {
-        st.name: st.lineno for st in capi.tree.body
-        if isinstance(st, ast.FunctionDef) and st.name.startswith("mpi_")}
-    refs: dict[str, tuple[str, int]] = {}
-    for sf in oo:
-        for node in ast.walk(sf.tree):
-            if isinstance(node, ast.Attribute) \
-                    and isinstance(node.value, ast.Name) \
-                    and node.value.id == "capi" \
-                    and node.attr.startswith("mpi_"):
-                refs.setdefault(node.attr, (sf.rel, node.lineno))
-    findings: list[Finding] = []
-    for name, (rel, line) in sorted(refs.items()):
-        if name not in stubs:
-            findings.append(Finding(
-                "api-drift", ERROR, rel, line,
-                f"OO layer references capi.{name}, which jni/capi.py "
-                f"does not define"))
-    for name, line in sorted(stubs.items()):
-        if name not in refs:
-            findings.append(Finding(
-                "api-drift", WARNING, capi.rel, line,
-                f"stub {name} has no caller in the mpijava/ OO layer "
-                f"(dead or drifted API surface)"))
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # rule: shm-ring-discipline
 # ---------------------------------------------------------------------------
 
@@ -562,8 +527,6 @@ def run_lint(paths: list[str], rules: tuple[str, ...] = RULES):
         findings += check_blocking(files, model)
     if "trace-guard" in rules:
         findings += check_trace_guard(files)
-    if "api-drift" in rules:
-        findings += check_api_drift(files)
     if "shm-ring-discipline" in rules:
         findings += check_ring_discipline(files)
     allows = {sf.rel: sf.allows for sf in files}
@@ -587,7 +550,7 @@ def run_lint(paths: list[str], rules: tuple[str, ...] = RULES):
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="python -m repro.check.lint",
-        description="concurrency + API lint for the repro runtime")
+        description="concurrency lint for the repro runtime")
     ap.add_argument("paths", nargs="*", default=["src/repro"],
                     help="files or directories to lint "
                          "(default: src/repro)")

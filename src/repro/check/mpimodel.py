@@ -22,6 +22,7 @@ from __future__ import annotations
 import ast
 from typing import Any, Optional
 
+from repro.jni.spec import CALLS, Call
 from repro.runtime.consts import ANY_SOURCE, ANY_TAG, PROC_NULL, TAG_UB
 from repro.runtime.topology import CartTopology, dims_create
 from repro.check.symexec import (
@@ -37,21 +38,16 @@ _PRIMITIVES = ("BYTE", "CHAR", "SHORT", "BOOLEAN", "INT", "LONG", "FLOAT",
 _OPS = ("MAX", "MIN", "SUM", "PROD", "LAND", "LOR", "LXOR", "BAND", "BOR",
         "BXOR", "MAXLOC", "MINLOC")
 
-#: Comm methods that neither communicate nor affect matching.  Revoke
-#: is here on purpose: ULFM revocation is asynchronous, never blocks,
-#: and any subset of survivors may call it — it is *not* a collective.
-_HARMLESS_COMM = {
-    "Errhandler_set": None, "Attr_put": None, "Attr_delete": None,
-    "Abort": None, "Revoke": None,
-}
-_HARMLESS_COMM_UNKNOWN = (
-    "Errhandler_get", "Attr_get", "Topo_test", "Pack", "Unpack",
-    "Pack_size", "Group", "Compare", "Test_inter", "Is_revoked",
-)
-
 
 def _arg(a: list, i: int, name: str = "") -> Any:
     return a[i] if i < len(a) else Unknown(name or f"arg{i}")
+
+
+def _bind(call: Call, a: list) -> dict:
+    """A Comm member's positional arguments by parameter name — its
+    row's parameters minus the receiver; one not passed is Unknown."""
+    return {p.name: _arg(a, j, p.name)
+            for j, p in enumerate(call.params[1:])}
 
 
 def _dtv(v: Any) -> DatatypeV:
@@ -122,50 +118,35 @@ def _do_recv(i: Interpreter, comm: CommV, node: ast.AST, buf, offset,
     return req
 
 
-def _send_model(i: Interpreter, comm: CommV, name: str, mode: str,
-                blocking: bool) -> ModelFn:
+def _p2p_model(comm: CommV, call: Call) -> ModelFn:
+    """Send / receive / combined model of a ``p2p.*`` row."""
+    mode = call.name.lstrip("i")                # issend -> "ssend"
+    mode = "standard" if mode == "send" else mode
+
     def fn(i, a, k, n):
-        return _do_send(i, comm, n, _arg(a, 0, "buf"), _arg(a, 1, "offset"),
-                        _arg(a, 2, "count"), _arg(a, 3, "datatype"),
-                        _arg(a, 4, "dest"), _arg(a, 5, "tag"),
-                        mode, blocking)
-    return ModelFn(name, fn)
-
-
-def _recv_model(i: Interpreter, comm: CommV, name: str,
-                blocking: bool) -> ModelFn:
-    def fn(i, a, k, n):
-        return _do_recv(i, comm, n, _arg(a, 0, "buf"), _arg(a, 1, "offset"),
-                        _arg(a, 2, "count"), _arg(a, 3, "datatype"),
-                        _arg(a, 4, "source"), _arg(a, 5, "tag"), blocking)
-    return ModelFn(name, fn)
-
-
-def _sendrecv(i: Interpreter, comm: CommV, a: list, n: ast.AST,
-              replace: bool):
-    i._pair_seq += 1
-    pair = i._pair_seq
-    if replace:      # (buf, offset, count, datatype, dest, stag, source, rtag)
-        sbuf, soff, scount, sdt = (_arg(a, 0), _arg(a, 1), _arg(a, 2),
-                                   _arg(a, 3))
-        dest, stag = _arg(a, 4), _arg(a, 5)
-        rbuf, roff, rcount, rdt = sbuf, soff, scount, sdt
-        source, rtag = _arg(a, 6), _arg(a, 7)
-    else:
-        sbuf, soff, scount, sdt = (_arg(a, 0), _arg(a, 1), _arg(a, 2),
-                                   _arg(a, 3))
-        dest, stag = _arg(a, 4), _arg(a, 5)
-        rbuf, roff, rcount, rdt = (_arg(a, 6), _arg(a, 7), _arg(a, 8),
-                                   _arg(a, 9))
-        source, rtag = _arg(a, 10), _arg(a, 11)
-    sev = _do_send(i, comm, n, sbuf, soff, scount, sdt, dest, stag,
-                   "standard", True)
-    # fish the just-recorded send back out to stamp the pair id
-    i.trace.events[-1].pair = pair
-    del sev
-    st = _do_recv(i, comm, n, rbuf, roff, rcount, rdt, source, rtag, True)
-    i.trace.events[-1].pair = pair
-    return st
+        b = _bind(call, a)
+        if call.cls == "p2p.send":
+            return _do_send(i, comm, n, b["buf"], b["offset"], b["count"],
+                            b["datatype"], b["dest"], b["tag"], mode,
+                            call.blocking)
+        if call.cls == "p2p.recv":
+            return _do_recv(i, comm, n, b["buf"], b["offset"], b["count"],
+                            b["datatype"], b["source"], b["tag"],
+                            call.blocking)
+        # Sendrecv names its two windows, Sendrecv_replace shares one
+        send = [b.get(x, b.get(y)) for x, y in (
+            ("sendbuf", "buf"), ("soffset", "offset"), ("scount", "count"),
+            ("sdtype", "datatype"))]
+        recv = [b.get(x, b.get(y)) for x, y in (
+            ("recvbuf", "buf"), ("roffset", "offset"), ("rcount", "count"),
+            ("rdtype", "datatype"))]
+        i._pair_seq += 1
+        _do_send(i, comm, n, *send, b["dest"], b["stag"], "standard", True)
+        i.trace.events[-1].pair = i._pair_seq
+        st = _do_recv(i, comm, n, *recv, b["source"], b["rtag"], True)
+        i.trace.events[-1].pair = i._pair_seq
+        return st
+    return ModelFn(call.oo_name, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -197,93 +178,43 @@ def _coll_bufs(dtv_pairs) -> tuple:
     return tuple(out)
 
 
-def _make_coll_models(comm: CommV, blocking: bool) -> dict:
-    """Models for the (I-prefixed when nonblocking) collective set."""
-    pre = "" if blocking else "I"
+def _coll_model(comm: CommV, call: Call) -> ModelFn:
+    """Event model of a ``coll`` row; which buffers it reads and writes
+    follows from the parameters the row names."""
+    blocking = call.blocking
+    # a nonblocking collective is recorded under its blocking name
+    name = call.oo_name if blocking else call.oo_name[1:].capitalize()
 
-    def m(name, fn):
-        return ModelFn(f"{pre}{name}", fn)
-
-    def barrier(i, a, k, n):
-        return _do_coll(i, comm, n, "Barrier", None, (), None, blocking)
-
-    def bcast(i, a, k, n):
-        buf, off, count, dt, root = (_arg(a, 0), _arg(a, 1), _arg(a, 2),
-                                     _arg(a, 3), _arg(a, 4))
-        dtv = _dtv(dt)
-        mode = "r" if _conc_rank(root) == _conc_rank(comm.rank) else "w"
-        return _do_coll(i, comm, n, "Bcast", root, dtv.signature(count),
-                        None, blocking,
-                        _coll_bufs([(buf, dtv, off, count, mode)]))
-
-    def gather_like(name):
-        def fn(i, a, k, n):
-            sbuf, soff, scount, sdt = (_arg(a, 0), _arg(a, 1), _arg(a, 2),
-                                       _arg(a, 3))
-            rbuf, roff, rcount, rdt = (_arg(a, 4), _arg(a, 5), _arg(a, 6),
-                                       _arg(a, 7))
-            root = _arg(a, 8) if name in ("Gather", "Scatter") else None
-            sdtv, rdtv = _dtv(sdt), _dtv(rdt)
-            sig = (sdtv.signature(scount), rdtv.signature(rcount))
-            bufs = _coll_bufs([(sbuf, sdtv, soff, scount, "r"),
-                               (rbuf, rdtv, roff, rcount, "w")])
+    def fn(i, a, k, n):
+        b = _bind(call, a)
+        root = b.get("root")
+        if "displs" in b or "sdispls" in b:     # per-rank counts: opaque
+            return _do_coll(i, comm, n, name, root, ("v",), None, blocking)
+        if "op" in b:
+            count = b["count"] if "count" in b else b["recvcounts"]
+            dtv, op = _dtv(b["datatype"]), b["op"]
+            bufs = _coll_bufs([(b["sendbuf"], dtv, b["soffset"], count, "r"),
+                               (b["recvbuf"], dtv, b["roffset"], count, "w")])
+            return _do_coll(i, comm, n, name, root, dtv.signature(count),
+                            op.name if isinstance(op, OpV) else None,
+                            blocking, bufs)
+        if "sendbuf" in b:
+            sdtv, rdtv = _dtv(b["sdtype"]), _dtv(b["rdtype"])
+            sig = (sdtv.signature(b["scount"]), rdtv.signature(b["rcount"]))
+            bufs = _coll_bufs(
+                [(b["sendbuf"], sdtv, b["soffset"], b["scount"], "r"),
+                 (b["recvbuf"], rdtv, b["roffset"], b["rcount"], "w")])
             return _do_coll(i, comm, n, name, root, sig, None, blocking,
                             bufs)
-        return fn
-
-    def vec_like(name, rootpos):
-        def fn(i, a, k, n):
-            root = _arg(a, rootpos) if rootpos is not None else None
-            return _do_coll(i, comm, n, name, root, ("v",), None, blocking)
-        return fn
-
-    def reduce_like(name, has_root):
-        def fn(i, a, k, n):
-            sbuf, soff, rbuf, roff, count, dt, op = (
-                _arg(a, 0), _arg(a, 1), _arg(a, 2), _arg(a, 3),
-                _arg(a, 4), _arg(a, 5), _arg(a, 6))
-            root = _arg(a, 7) if has_root else None
-            dtv = _dtv(dt)
-            opname = op.name if isinstance(op, OpV) else None
-            bufs = _coll_bufs([(sbuf, dtv, soff, count, "r"),
-                               (rbuf, dtv, roff, count, "w")])
-            return _do_coll(i, comm, n, name, root, dtv.signature(count),
-                            opname, blocking, bufs)
-        return fn
-
-    if blocking:
-        out = {
-            "Barrier": m("Barrier", barrier),
-            "Bcast": m("Bcast", bcast),
-            "Gather": m("Gather", gather_like("Gather")),
-            "Scatter": m("Scatter", gather_like("Scatter")),
-            "Allgather": m("Allgather", gather_like("Allgather")),
-            "Alltoall": m("Alltoall", gather_like("Alltoall")),
-            "Reduce": m("Reduce", reduce_like("Reduce", True)),
-            "Allreduce": m("Allreduce", reduce_like("Allreduce", False)),
-        }
-    else:
-        out = {
-            "Ibarrier": m("Barrier", barrier),
-            "Ibcast": m("Bcast", bcast),
-            "Igather": m("Gather", gather_like("Gather")),
-            "Iscatter": m("Scatter", gather_like("Scatter")),
-            "Iallgather": m("Allgather", gather_like("Allgather")),
-            "Ialltoall": m("Alltoall", gather_like("Alltoall")),
-            "Ireduce": m("Reduce", reduce_like("Reduce", True)),
-            "Iallreduce": m("Allreduce", reduce_like("Allreduce", False)),
-        }
-    if blocking:
-        out.update({
-            "Gatherv": m("Gatherv", vec_like("Gatherv", 9)),
-            "Scatterv": m("Scatterv", vec_like("Scatterv", 9)),
-            "Allgatherv": m("Allgatherv", vec_like("Allgatherv", None)),
-            "Alltoallv": m("Alltoallv", vec_like("Alltoallv", None)),
-            "Reduce_scatter": m("Reduce_scatter",
-                                reduce_like("Reduce_scatter", False)),
-            "Scan": m("Scan", reduce_like("Scan", False)),
-        })
-    return out
+        if "buf" in b:
+            dtv = _dtv(b["datatype"])
+            mode = "r" if _conc_rank(root) == _conc_rank(comm.rank) else "w"
+            return _do_coll(i, comm, n, name, root,
+                            dtv.signature(b["count"]), None, blocking,
+                            _coll_bufs([(b["buf"], dtv, b["offset"],
+                                         b["count"], mode)]))
+        return _do_coll(i, comm, n, name, None, (), None, blocking)
+    return ModelFn(call.oo_name, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -307,35 +238,13 @@ def comm_attr(i: Interpreter, comm: CommV, attr: str, node: ast.AST) -> Any:
     if attr == "Is_null":
         return ModelFn("Is_null", lambda i, a, k, n: False)
 
-    # point-to-point --------------------------------------------------------
-    p2p = {
-        "Send": ("standard", True), "Bsend": ("bsend", True),
-        "Ssend": ("ssend", True), "Rsend": ("rsend", True),
-    }
-    if attr in p2p:
-        mode, blocking = p2p[attr]
-        return _send_model(i, comm, attr, mode, blocking)
-    ip2p = {
-        "Isend": ("standard",), "Ibsend": ("bsend",),
-        "Issend": ("ssend",), "Irsend": ("rsend",),
-    }
-    if attr in ip2p:
-        return _send_model(i, comm, attr, ip2p[attr][0], False)
-    if attr == "Recv":
-        return _recv_model(i, comm, attr, True)
-    if attr == "Irecv":
-        return _recv_model(i, comm, attr, False)
-    if attr == "Sendrecv":
-        return ModelFn("Sendrecv",
-                       lambda i, a, k, n: _sendrecv(i, comm, a, n, False))
-    if attr == "Sendrecv_replace":
-        return ModelFn("Sendrecv_replace",
-                       lambda i, a, k, n: _sendrecv(i, comm, a, n, True))
+    # probes (return a status; sends and receives follow the rows below) ----
     if attr in ("Probe", "Iprobe"):
         blocking = attr == "Probe"
 
         def probe_fn(i, a, k, n):
-            source, tag = _arg(a, 0, "source"), _arg(a, 1, "tag")
+            b = _bind(CALLS[attr.lower()], a)
+            source, tag = b["source"], b["tag"]
             path, line = i.loc(n)
             i.record(ProbeEv(path, line, i.cond_depth > 0, ctx=comm.ctx,
                              src=source, dst=comm.rank, tag=tag,
@@ -344,14 +253,6 @@ def comm_attr(i: Interpreter, comm: CommV, attr: str, node: ast.AST) -> Any:
                 return _status_for(source, tag)
             return Unknown("Iprobe status")
         return ModelFn(attr, probe_fn)
-
-    # collectives -----------------------------------------------------------
-    colls = _make_coll_models(comm, True)
-    if attr in colls:
-        return colls[attr]
-    icolls = _make_coll_models(comm, False)
-    if attr in icolls:
-        return icolls[attr]
 
     # communicator management ----------------------------------------------
     if attr == "Dup":
@@ -363,7 +264,13 @@ def comm_attr(i: Interpreter, comm: CommV, attr: str, node: ast.AST) -> Any:
     if attr == "Free":
         return ModelFn("Free", lambda i, a, k, n: _do_coll(
             i, comm, n, "Free", None, (), None, True))
-    if attr in ("Split", "Create", "Create_graph", "Create_intercomm"):
+    # ULFM fault tolerance: Shrink and Agree are collectives over the
+    # survivors — every live member must call them, so a rank-divergent
+    # recovery path is a coll-mismatch like any other.  The shrunken
+    # communicator's membership only exists at runtime (it depends on
+    # which ranks died), so the result is inexact, like a Split's.
+    if attr in ("Split", "Create", "Create_graph", "Create_intercomm",
+                "Shrink"):
         def split_fn(i, a, k, n, attr=attr):
             ctx = i.new_ctx(attr.lower())
             _do_coll(i, comm, n, attr, None, (ctx,), None, True)
@@ -372,20 +279,6 @@ def comm_attr(i: Interpreter, comm: CommV, attr: str, node: ast.AST) -> Any:
             i.trace.inexact_ctxs.add(ctx)
             return new
         return ModelFn(attr, split_fn)
-    # ULFM fault tolerance: Shrink and Agree are collectives over the
-    # survivors — every live member must call them, so a rank-divergent
-    # recovery path is a coll-mismatch like any other.  The shrunken
-    # communicator's membership only exists at runtime (it depends on
-    # which ranks died), so the result is inexact.
-    if attr == "Shrink":
-        def shrink_fn(i, a, k, n):
-            ctx = i.new_ctx("shrink")
-            _do_coll(i, comm, n, "Shrink", None, (ctx,), None, True)
-            new = CommV(ctx, Unknown("size"), Unknown("rank"), None,
-                        exact=False)
-            i.trace.inexact_ctxs.add(ctx)
-            return new
-        return ModelFn("Shrink", shrink_fn)
     if attr == "Agree":
         def agree_fn(i, a, k, n):
             _do_coll(i, comm, n, "Agree", None, ("flag",), "band", True)
@@ -453,10 +346,21 @@ def comm_attr(i: Interpreter, comm: CommV, attr: str, node: ast.AST) -> Any:
         if attr == "Map":
             return ModelFn("Map", lambda i, a, k, n: comm.rank)
 
-    # harmless non-communication methods ------------------------------------
-    if attr in _HARMLESS_COMM:
-        return ModelFn(attr, lambda i, a, k, n: None)
-    if attr in _HARMLESS_COMM_UNKNOWN:
+    # everything regular: the member's row says what it is ------------------
+    # (Send is row "send", Group is row "comm_group"; "send" is no member)
+    call = (CALLS.get(attr.lower()) or CALLS.get("comm_" + attr.lower())) \
+        if attr == attr.capitalize() else None
+    if call is not None and call.cls in ("p2p.send", "p2p.recv",
+                                         "p2p.sendrecv"):
+        return _p2p_model(comm, call)
+    if call is not None and call.cls == "coll":
+        return _coll_model(comm, call)
+    if call is not None and call.cls == "local":
+        # neither communicates nor affects matching.  Revoke is here on
+        # purpose: ULFM revocation is asynchronous, never blocks, and any
+        # subset of survivors may call it — it is *not* a collective
+        if call.result == "none":
+            return ModelFn(attr, lambda i, a, k, n: None)
         return ModelFn(attr, lambda i, a, k, n: Unknown(f"Comm.{attr}"))
 
     # anything else might communicate: degrade soundly

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from repro.jni.spec import collectives
 from repro.runtime.consts import ANY_SOURCE, ANY_TAG, PROC_NULL
 from repro.check.findings import ERROR, INFO, WARNING, Finding
 from repro.check.symexec import (
@@ -66,13 +67,12 @@ RULES: dict[str, tuple[str, str]] = {
 _WAIT_KINDS = {"wait", "waitall", "waitany", "waitsome"}
 _TEST_KINDS = {"test", "testall", "testany", "testsome"}
 
-#: collective completion classes (see §5.2 of the spec, simplified)
-_ALL_RANKS = {"Barrier", "Allreduce", "Allgather", "Allgatherv",
-              "Alltoall", "Alltoallv", "Reduce_scatter", "Scan", "Dup",
-              "Create_cart", "Split", "Create", "Create_graph",
-              "Create_intercomm", "Free", "Sub"}
-_ROOT_WAITS_ALL = {"Gather", "Gatherv", "Reduce"}
-_ALL_WAIT_ROOT = {"Bcast", "Scatter", "Scatterv"}
+#: collective completion classes, from the rows of the MPI surface; any
+#: other collective event — the rest of the data collectives and the
+#: communicator-management ones the models record (Dup, Split, Sub,
+#: Free, ...) — completes when every participant has arrived
+_ROOT_WAITS_ALL = collectives("root_waits_all")
+_ALL_WAIT_ROOT = collectives("all_wait_root")
 
 
 def _conc(v: Any) -> Optional[int]:

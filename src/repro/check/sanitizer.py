@@ -54,37 +54,17 @@ Tunables: ``REPRO_SANITIZE_PROBE_MS`` (wait-loop tick, default 40).
 from __future__ import annotations
 
 import itertools
-import os
 import pickle
 import sys
 import threading
 import weakref
 import zlib
 
+from repro import config
 from repro.errors import MPIException, ERR_OTHER, ERR_TYPE
+from repro.jni.spec import CALLS, Call
 from repro.mpijava.profiler import CommProfiler
 from repro.runtime.envelope import Envelope, KIND_SANITIZE
-
-#: collective entry points checked for cross-rank consistency, with the
-#: positions of the root and (send) datatype handle in the capi arg
-#: tuple (position 0 is the comm handle); None = the op has no root /
-#: no datatype
-_COLL_ARGS: dict[str, tuple] = {
-    "Barrier": (None, None), "Ibarrier": (None, None),
-    "Bcast": (5, 4), "Ibcast": (5, 4),
-    "Gather": (9, 4), "Igather": (9, 4),
-    "Gatherv": (10, 4),
-    "Scatter": (9, 4), "Iscatter": (9, 4),
-    "Scatterv": (10, 5),
-    "Allgather": (None, 4), "Iallgather": (None, 4),
-    "Allgatherv": (None, 4),
-    "Alltoall": (None, 4), "Ialltoall": (None, 4),
-    "Alltoallv": (None, 5),
-    "Reduce": (8, 6), "Ireduce": (8, 6),
-    "Allreduce": (None, 6), "Iallreduce": (None, 6),
-    "Reduce_scatter": (None, 6),
-    "Scan": (None, 6),
-}
 
 
 class _BlockedWait:
@@ -120,10 +100,8 @@ class Sanitizer:
     def __init__(self, universe):
         self.universe = universe
         self.enabled = True
-        self.strict = os.environ.get("REPRO_SANITIZE_STRICT") == "1"
-        self.probe_interval = max(
-            0.005,
-            int(os.environ.get("REPRO_SANITIZE_PROBE_MS", "40")) / 1000.0)
+        self.strict = config.sanitize_strict()
+        self.probe_interval = config.sanitize_probe_interval()
         self._lock = threading.Lock()
         self._wait_ids = itertools.count(1)
         #: world rank -> its current _BlockedWait
@@ -370,8 +348,11 @@ class Sanitizer:
             pass    # peer tearing down: the job is ending anyway
 
     # -- collective consistency ----------------------------------------------
-    def check_collective(self, rt, name: str, args: tuple) -> None:
-        root_pos, dtype_pos = _COLL_ARGS[name]
+    def check_collective(self, rt, call: Call, args: tuple) -> None:
+        """``args`` is the capi argument tuple of ``call``, a ``coll`` row
+        (position 0 is the comm handle)."""
+        name = call.oo_name
+        root_pos, dtype_pos = call.index("root"), call.first("dtype")
         from repro.jni.handles import tables_for
         tables = tables_for(rt)
         try:
@@ -460,11 +441,12 @@ class _CollConsistencyProfiler(CommProfiler):
         self.owner = owner
 
     def intercept(self, comm, name, args, invoke):
-        if name in _COLL_ARGS:
+        call = CALLS.get(name.lower())
+        if call is not None and call.cls == "coll":
             from repro.runtime.engine import try_current_runtime
             rt = try_current_runtime()
             if rt is not None and rt.universe is self.owner.universe:
-                self.owner.check_collective(rt, name, args)
+                self.owner.check_collective(rt, call, args)
         return invoke()
 
     def reset(self) -> None:

@@ -60,6 +60,7 @@ import time
 import traceback
 from typing import Any, Callable, Sequence
 
+from repro import config
 from repro.executor.runner import JobTimeoutError, RankFailure
 from repro.obs import export as obs_export
 from repro.obs.metrics import REGISTRY
@@ -77,28 +78,6 @@ _SHM_RUN_SEQ = itertools.count(1)
 
 #: grace between "the job is over" (abort/exit sent) and SIGKILL
 KILL_GRACE = 5.0
-
-
-def heartbeat_interval() -> float:
-    """Worker heartbeat period in seconds (``REPRO_HEARTBEAT_MS``,
-    default 100 ms; 0 disables the heartbeat plane)."""
-    try:
-        ms = float(os.environ.get("REPRO_HEARTBEAT_MS", "100"))
-    except ValueError:
-        ms = 100.0
-    return max(0.0, ms) / 1000.0
-
-
-def _heartbeat_miss_intervals() -> int:
-    """How many silent heartbeat intervals before a rank is declared
-    dead (``REPRO_HEARTBEAT_MISS``).  Generous by default: a false
-    positive kills a healthy job, while EOF detection already catches
-    actual process death instantly — this threshold only rules on ranks
-    that wedged with their sockets still open."""
-    try:
-        return max(2, int(os.environ.get("REPRO_HEARTBEAT_MISS", "20")))
-    except ValueError:
-        return 20
 
 
 # -- control-plane framing (length-prefixed pickles) -------------------------
@@ -272,7 +251,7 @@ class ProcExecutor:
         # nonce, and the launcher sweeps those names on every exit path —
         # fault-injected workers die by os._exit and unlink nothing
         shm_nonce = None
-        if self.nprocs > 1 and shm_transport.shm_enabled():
+        if self.nprocs > 1 and config.shm():
             shm_nonce = f"{os.getpid():x}j{next(_SHM_RUN_SEQ)}"
         try:
             env = _child_env()
@@ -455,8 +434,8 @@ class ProcExecutor:
         pending = set(conns)
         reports: dict[int, dict] = {}
         failures: dict[int, BaseException] = {}
-        hb = heartbeat_interval()
-        silent_after = hb * _heartbeat_miss_intervals() if hb > 0 else None
+        hb = config.heartbeat_interval()
+        silent_after = hb * config.heartbeat_miss() if hb > 0 else None
         now = time.monotonic()
         last_hb = {rank: now for rank in conns}
         # ranks that have beaten at least once: until then a generous
@@ -507,7 +486,7 @@ class ProcExecutor:
                         continue
                     sel.unregister(conns[rank])
                     pending.discard(rank)
-                    misses = _heartbeat_miss_intervals()
+                    misses = config.heartbeat_miss()
                     self._declare_dead(
                         rank, RuntimeError(
                             f"rank {rank} missed {misses} heartbeats "
@@ -585,7 +564,7 @@ class ProcExecutor:
         per-rank files) lands in the directory.  Best-effort: a job that
         failed still folds its failures even if the trace write cannot.
         """
-        dir = os.environ.get("REPRO_TRACE")
+        dir = config.trace_dir()
         if not dir:
             return
         snapshots: dict[int, dict] = {}

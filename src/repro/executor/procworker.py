@@ -25,9 +25,10 @@ import socket
 import sys
 import threading
 
+from repro import config
 from repro.errors import AbortException
-from repro.executor.procrunner import (dump_exception, heartbeat_interval,
-                                       recv_msg, resolve_target, send_msg)
+from repro.executor.procrunner import (dump_exception, recv_msg,
+                                       resolve_target, send_msg)
 from repro.obs.trace import TRACE
 from repro.runtime.engine import RankRuntime, Universe, bind_thread, \
     unbind_thread
@@ -191,7 +192,7 @@ def main(argv=None) -> int:
         return 1
     exit_evt = threading.Event()
     ctl_lock = threading.Lock()
-    hb = heartbeat_interval()
+    hb = config.heartbeat_interval()
     if hb > 0:
         # start beating before the (potentially slow) mesh build so the
         # launcher sees this rank alive as early as possible

@@ -6,10 +6,7 @@ function is free-standing (``mpi_send(comm, buf, offset, count, datatype,
 dest, tag)``).  The object-oriented :mod:`repro.mpijava` layer reaches the
 runtime **only** through these stubs, so the benchmark's ``-C`` columns
 (direct stub calls) versus ``-J`` columns (OO API) measure a real layering
-difference, just as the paper's C-vs-Java columns do.
+difference, just as the paper's C-vs-Java columns do.  The surface is
+stated once, in :mod:`repro.jni.spec`; :mod:`repro.jni.capi` compiles its
+regular stubs from it.
 """
-
-from repro.jni import capi
-from repro.jni.handles import HandleTable, tables_for
-
-__all__ = ["capi", "HandleTable", "tables_for"]

@@ -9,36 +9,31 @@ Conventions mirror the C binding as closely as Python permits:
 * errors raise :class:`~repro.errors.MPIException` (the OO layer maps this
   through the communicator's error handler, like ``MPI_Errhandler``).
 
-The function set is the MPI 1.1 surface the paper's mpiJava wraps.
+The function set is the MPI 1.1 surface the paper's mpiJava wraps, one
+row of :mod:`repro.jni.spec` each.  The regular stubs — fetch the
+context, unwrap the handles, make one call, wrap the result — are
+compiled from their rows at the bottom of this module, the way
+``dataclasses`` compiles ``__init__``: one source text, one ``compile``,
+plain module-level functions (``python -m repro.jni.spec --dump`` prints
+the text; tracebacks and ``inspect.getsource`` show it).  Written out
+here is what a row cannot say: ``Wait*/Test*``, ``Init`` / ``Finalize``,
+the calls that assemble their result from several queries.
 """
 
 from __future__ import annotations
 
-from repro import errors
+import linecache
+
 from repro.errors import MPIException, ERR_REQUEST
 from repro.datatypes import derived as _derived
-from repro.datatypes import packing as _packing
 from repro.jni import handles as H
 from repro.jni.handles import tables_for
+from repro.jni.spec import CALLS, HANDLE_ROLES, Call
 from repro.runtime import requests as _requests
-from repro.runtime import reduce_ops as _reduce_ops
 from repro.runtime import topology as _topology
-from repro.runtime.communicator import KEYVALS
 from repro.runtime.consts import UNDEFINED
 from repro.runtime.engine import current_runtime, try_current_runtime, \
     RankRuntime, Universe, bind_thread
-from repro.runtime.envelope import (MODE_BUFFERED, MODE_READY,
-                                    MODE_STANDARD, MODE_SYNCHRONOUS)
-from repro.runtime.collective import (allgather as _allgather,
-                                      alltoall as _alltoall,
-                                      barrier as _barrier,
-                                      bcast as _bcast,
-                                      gather as _gather,
-                                      reduce as _reduce,
-                                      allreduce as _allreduce,
-                                      reduce_scatter as _reduce_scatter,
-                                      scan as _scan,
-                                      scatter as _scatter)
 
 VERSION = (1, 1)
 
@@ -85,9 +80,13 @@ def _status_from_request(req, comm=None) -> CStatus:
                    is_object=bool(dt is not None and dt.base.is_object))
 
 
-# =====================================================================
-# environment management (MPI 1.1 chapter 7)
-# =====================================================================
+def _lookup_request(t, request: int) -> _requests.RequestImpl:
+    if request == H.REQUEST_NULL:
+        raise MPIException(ERR_REQUEST, "null request handle")
+    return t.requests.lookup(request)
+
+
+# -- environment management (MPI 1.1 chapter 7) -------------------------------
 
 def mpi_init(args=None) -> None:
     """``MPI_Init``.  Outside :func:`repro.mpirun`, binds a singleton job
@@ -124,28 +123,8 @@ def mpi_abort(comm: int, errorcode: int) -> None:
     rt.universe.abort(rt.world_rank, errorcode)
 
 
-def mpi_wtime() -> float:
-    return current_runtime().wtime()
-
-
-def mpi_wtick() -> float:
-    return current_runtime().wtick()
-
-
-def mpi_get_processor_name() -> str:
-    return current_runtime().processor_name()
-
-
 def mpi_get_version() -> tuple[int, int]:
     return VERSION
-
-
-def mpi_error_string(code: int) -> str:
-    return errors.error_string(code)
-
-
-def mpi_error_class(code: int) -> int:
-    return errors.error_class(code)
 
 
 def mpi_pcontrol(level: int, *args) -> None:
@@ -159,107 +138,25 @@ def mpi_pcontrol(level: int, *args) -> None:
     profiler.pcontrol(level)
 
 
-def mpi_buffer_attach(nbytes: int) -> None:
-    rt, _ = _ctx()
-    rt.bsend_pool.attach(nbytes)
+# -- point-to-point (MPI 1.1 chapter 3): completion, probe, status queries ----
 
-
-def mpi_buffer_detach() -> int:
-    rt, _ = _ctx()
-    return rt.bsend_pool.detach()
-
-
-# =====================================================================
-# point-to-point (MPI 1.1 chapter 3)
-# =====================================================================
-
-_MODE_BY_NAME = {"standard": MODE_STANDARD, "buffered": MODE_BUFFERED,
-                 "synchronous": MODE_SYNCHRONOUS, "ready": MODE_READY}
-
-
-def _send(comm, buf, offset, count, datatype, dest, tag, mode) -> None:
-    rt, t = _ctx()
-    c = t.comms.lookup(comm)
-    dt = t.datatypes.lookup(datatype)
-    c.send(buf, offset, count, dt, dest, tag, mode)
-
-
-def mpi_send(comm, buf, offset, count, datatype, dest, tag) -> None:
-    _send(comm, buf, offset, count, datatype, dest, tag, MODE_STANDARD)
-
-
-def mpi_bsend(comm, buf, offset, count, datatype, dest, tag) -> None:
-    _send(comm, buf, offset, count, datatype, dest, tag, MODE_BUFFERED)
-
-
-def mpi_ssend(comm, buf, offset, count, datatype, dest, tag) -> None:
-    _send(comm, buf, offset, count, datatype, dest, tag, MODE_SYNCHRONOUS)
-
-
-def mpi_rsend(comm, buf, offset, count, datatype, dest, tag) -> None:
-    _send(comm, buf, offset, count, datatype, dest, tag, MODE_READY)
-
-
-def mpi_recv(comm, buf, offset, count, datatype, source, tag) -> CStatus:
-    rt, t = _ctx()
-    c = t.comms.lookup(comm)
-    dt = t.datatypes.lookup(datatype)
-    req = c.recv(buf, offset, count, dt, source, tag)
-    return _status_from_request(req, c)
-
-
-def _isend(comm, buf, offset, count, datatype, dest, tag, mode) -> int:
-    rt, t = _ctx()
-    c = t.comms.lookup(comm)
-    dt = t.datatypes.lookup(datatype)
-    req = c.isend(buf, offset, count, dt, dest, tag, mode)
-    req.source_comm = c
-    return t.requests.register(req)
-
-
-def mpi_isend(comm, buf, offset, count, datatype, dest, tag) -> int:
-    return _isend(comm, buf, offset, count, datatype, dest, tag,
-                  MODE_STANDARD)
-
-
-def mpi_ibsend(comm, buf, offset, count, datatype, dest, tag) -> int:
-    return _isend(comm, buf, offset, count, datatype, dest, tag,
-                  MODE_BUFFERED)
-
-
-def mpi_issend(comm, buf, offset, count, datatype, dest, tag) -> int:
-    return _isend(comm, buf, offset, count, datatype, dest, tag,
-                  MODE_SYNCHRONOUS)
-
-
-def mpi_irsend(comm, buf, offset, count, datatype, dest, tag) -> int:
-    return _isend(comm, buf, offset, count, datatype, dest, tag, MODE_READY)
-
-
-def mpi_irecv(comm, buf, offset, count, datatype, source, tag) -> int:
-    rt, t = _ctx()
-    c = t.comms.lookup(comm)
-    dt = t.datatypes.lookup(datatype)
-    req = c.irecv(buf, offset, count, dt, source, tag)
-    return t.requests.register(req)
-
-
-def _lookup_request(t, request: int) -> _requests.RequestImpl:
-    if request == H.REQUEST_NULL:
-        raise MPIException(ERR_REQUEST, "null request handle")
-    return t.requests.lookup(request)
+def _finish(t, handle, req, index=UNDEFINED) -> CStatus:
+    """Status of a completed request, which is then retired: a
+    persistent one goes inactive, any other gives up its handle."""
+    status = _status_from_request(req)
+    status.index = index
+    if req.persistent:
+        req.deactivate()
+    else:
+        t.requests.release(handle)
+    return status
 
 
 def mpi_wait(request: int) -> CStatus:
     rt, t = _ctx()
     req = _lookup_request(t, request)
     req.wait()
-    status = _status_from_request(req)
-    if req.persistent:
-        req.deactivate()
-    else:
-        t.requests.release(request)
-    return status
+    return _finish(t, request, req)
 
 
 def mpi_test(request: int) -> tuple[bool, CStatus | None]:
@@ -267,27 +164,12 @@ def mpi_test(request: int) -> tuple[bool, CStatus | None]:
     req = _lookup_request(t, request)
     if not req.test():
         return False, None
-    status = _status_from_request(req)
-    if req.persistent:
-        req.deactivate()
-    else:
-        t.requests.release(request)
-    return True, status
+    return True, _finish(t, request, req)
 
 
 def _req_list(t, request_handles):
     return [None if h == H.REQUEST_NULL else t.requests.lookup(h)
             for h in request_handles]
-
-
-def _finish_one(t, handles, reqs, i) -> CStatus:
-    status = _status_from_request(reqs[i])
-    status.index = i
-    if reqs[i].persistent:
-        reqs[i].deactivate()
-    else:
-        t.requests.release(handles[i])
-    return status
 
 
 def mpi_waitany(request_handles: list[int]) -> tuple[int, CStatus | None]:
@@ -296,7 +178,7 @@ def mpi_waitany(request_handles: list[int]) -> tuple[int, CStatus | None]:
     i = _requests.wait_any(reqs, rt.universe)
     if i < 0:
         return UNDEFINED, None
-    return i, _finish_one(t, request_handles, reqs, i)
+    return i, _finish(t, request_handles[i], reqs[i], i)
 
 
 def mpi_testany(request_handles: list[int]) \
@@ -305,7 +187,7 @@ def mpi_testany(request_handles: list[int]) \
     reqs = _req_list(t, request_handles)
     for i, r in enumerate(reqs):
         if r is not None and r.test():
-            return True, i, _finish_one(t, request_handles, reqs, i)
+            return True, i, _finish(t, request_handles[i], r, i)
     return False, UNDEFINED, None
 
 
@@ -313,8 +195,7 @@ def mpi_waitall(request_handles: list[int]) -> list[CStatus | None]:
     rt, t = _ctx()
     reqs = _req_list(t, request_handles)
     _requests.wait_all(reqs, rt.universe)
-    return [None if r is None
-            else _finish_one(t, request_handles, reqs, i)
+    return [None if r is None else _finish(t, request_handles[i], r, i)
             for i, r in enumerate(reqs)]
 
 
@@ -325,7 +206,7 @@ def mpi_testall(request_handles: list[int]) \
     if not _requests.test_all(reqs, rt.universe):
         return False, []
     return True, [None if r is None
-                  else _finish_one(t, request_handles, reqs, i)
+                  else _finish(t, request_handles[i], r, i)
                   for i, r in enumerate(reqs)]
 
 
@@ -333,33 +214,32 @@ def mpi_waitsome(request_handles: list[int]) -> list[CStatus]:
     rt, t = _ctx()
     reqs = _req_list(t, request_handles)
     done = _requests.wait_some(reqs, rt.universe)
-    return [_finish_one(t, request_handles, reqs, i) for i in done]
+    return [_finish(t, request_handles[i], reqs[i], i) for i in done]
 
 
 def mpi_testsome(request_handles: list[int]) -> list[CStatus]:
     rt, t = _ctx()
     reqs = _req_list(t, request_handles)
     done = _requests.test_some(reqs, rt.universe)
-    return [_finish_one(t, request_handles, reqs, i) for i in done]
+    return [_finish(t, request_handles[i], reqs[i], i) for i in done]
 
 
-def mpi_probe(comm, source, tag) -> CStatus:
-    rt, t = _ctx()
-    c = t.comms.lookup(comm)
-    info = c.probe(source, tag)
+def _probe_status(info) -> CStatus:
     return CStatus(source=info.source, tag=info.tag,
                    count_elements=info.nelems, is_object=info.is_object)
 
 
+def mpi_probe(comm, source, tag) -> CStatus:
+    rt, t = _ctx()
+    return _probe_status(t.comms.lookup(comm).probe(source, tag))
+
+
 def mpi_iprobe(comm, source, tag) -> tuple[bool, CStatus | None]:
     rt, t = _ctx()
-    c = t.comms.lookup(comm)
-    info = c.iprobe(source, tag)
+    info = t.comms.lookup(comm).iprobe(source, tag)
     if info is None:
         return False, None
-    return True, CStatus(source=info.source, tag=info.tag,
-                         count_elements=info.nelems,
-                         is_object=info.is_object)
+    return True, _probe_status(info)
 
 
 def mpi_cancel(request: int) -> None:
@@ -376,69 +256,22 @@ def mpi_test_cancelled(status: CStatus) -> bool:
     return bool(status.cancelled)
 
 
-def mpi_request_free(request: int) -> None:
-    rt, t = _ctx()
-    _lookup_request(t, request)
-    t.requests.release(request)
-
-
 def mpi_get_count(status: CStatus, datatype: int) -> int:
     rt, t = _ctx()
     dt = t.datatypes.lookup(datatype)
     n = status.count_elements
     if dt.base.is_object or dt.size_elems == 1:
         return n
+    if dt.size_elems == 0:
+        return 0    # MPI 1.1 §3.2.5: a zero-size datatype counts zero
     full, part = divmod(n, dt.size_elems)
     return UNDEFINED if part else full
 
 
 def mpi_get_elements(status: CStatus, datatype: int) -> int:
-    t = _ctx()[1]
-    t.datatypes.lookup(datatype)
+    rt, t = _ctx()
+    t.datatypes.lookup(datatype)  # validate
     return status.count_elements
-
-
-def _send_init(comm, buf, offset, count, datatype, dest, tag, mode) -> int:
-    rt, t = _ctx()
-    c = t.comms.lookup(comm)
-    dt = t.datatypes.lookup(datatype)
-    req = c.send_init(buf, offset, count, dt, dest, tag, mode)
-    req.source_comm = c
-    return t.requests.register(req)
-
-
-def mpi_send_init(comm, buf, offset, count, datatype, dest, tag) -> int:
-    return _send_init(comm, buf, offset, count, datatype, dest, tag,
-                      MODE_STANDARD)
-
-
-def mpi_bsend_init(comm, buf, offset, count, datatype, dest, tag) -> int:
-    return _send_init(comm, buf, offset, count, datatype, dest, tag,
-                      MODE_BUFFERED)
-
-
-def mpi_ssend_init(comm, buf, offset, count, datatype, dest, tag) -> int:
-    return _send_init(comm, buf, offset, count, datatype, dest, tag,
-                      MODE_SYNCHRONOUS)
-
-
-def mpi_rsend_init(comm, buf, offset, count, datatype, dest, tag) -> int:
-    return _send_init(comm, buf, offset, count, datatype, dest, tag,
-                      MODE_READY)
-
-
-def mpi_recv_init(comm, buf, offset, count, datatype, source, tag) -> int:
-    rt, t = _ctx()
-    c = t.comms.lookup(comm)
-    dt = t.datatypes.lookup(datatype)
-    req = c.recv_init(buf, offset, count, dt, source, tag)
-    req.source_comm = c
-    return t.requests.register(req)
-
-
-def mpi_start(request: int) -> None:
-    rt, t = _ctx()
-    _lookup_request(t, request).start()
 
 
 def mpi_startall(request_handles: list[int]) -> None:
@@ -447,339 +280,17 @@ def mpi_startall(request_handles: list[int]) -> None:
         _lookup_request(t, h).start()
 
 
-def mpi_sendrecv(comm, sendbuf, soffset, scount, sdtype, dest, stag,
-                 recvbuf, roffset, rcount, rdtype, source, rtag) -> CStatus:
-    rt, t = _ctx()
-    c = t.comms.lookup(comm)
-    req = c.sendrecv(sendbuf, soffset, scount, t.datatypes.lookup(sdtype),
-                     dest, stag, recvbuf, roffset, rcount,
-                     t.datatypes.lookup(rdtype), source, rtag)
-    return _status_from_request(req, c)
-
-
-def mpi_sendrecv_replace(comm, buf, offset, count, datatype, dest, stag,
-                         source, rtag) -> CStatus:
-    rt, t = _ctx()
-    c = t.comms.lookup(comm)
-    req = c.sendrecv_replace(buf, offset, count,
-                             t.datatypes.lookup(datatype), dest, stag,
-                             source, rtag)
-    return _status_from_request(req, c)
-
-
-# =====================================================================
-# collectives (MPI 1.1 chapter 4)
-# =====================================================================
-
-def mpi_barrier(comm) -> None:
-    rt, t = _ctx()
-    _barrier.barrier(t.comms.lookup(comm))
-
-
-def mpi_bcast(comm, buf, offset, count, datatype, root) -> None:
-    rt, t = _ctx()
-    _bcast.bcast(t.comms.lookup(comm), buf, offset, count,
-                 t.datatypes.lookup(datatype), root)
-
-
-def mpi_gather(comm, sendbuf, soffset, scount, sdtype,
-               recvbuf, roffset, rcount, rdtype, root) -> None:
-    rt, t = _ctx()
-    _gather.gather(t.comms.lookup(comm), sendbuf, soffset, scount,
-                   t.datatypes.lookup(sdtype), recvbuf, roffset, rcount,
-                   t.datatypes.lookup(rdtype), root)
-
-
-def mpi_gatherv(comm, sendbuf, soffset, scount, sdtype,
-                recvbuf, roffset, rcounts, displs, rdtype, root) -> None:
-    rt, t = _ctx()
-    _gather.gatherv(t.comms.lookup(comm), sendbuf, soffset, scount,
-                    t.datatypes.lookup(sdtype), recvbuf, roffset, rcounts,
-                    displs, t.datatypes.lookup(rdtype), root)
-
-
-def mpi_scatter(comm, sendbuf, soffset, scount, sdtype,
-                recvbuf, roffset, rcount, rdtype, root) -> None:
-    rt, t = _ctx()
-    _scatter.scatter(t.comms.lookup(comm), sendbuf, soffset, scount,
-                     t.datatypes.lookup(sdtype), recvbuf, roffset, rcount,
-                     t.datatypes.lookup(rdtype), root)
-
-
-def mpi_scatterv(comm, sendbuf, soffset, scounts, displs, sdtype,
-                 recvbuf, roffset, rcount, rdtype, root) -> None:
-    rt, t = _ctx()
-    _scatter.scatterv(t.comms.lookup(comm), sendbuf, soffset, scounts,
-                      displs, t.datatypes.lookup(sdtype), recvbuf, roffset,
-                      rcount, t.datatypes.lookup(rdtype), root)
-
-
-def mpi_allgather(comm, sendbuf, soffset, scount, sdtype,
-                  recvbuf, roffset, rcount, rdtype) -> None:
-    rt, t = _ctx()
-    _allgather.allgather(t.comms.lookup(comm), sendbuf, soffset, scount,
-                         t.datatypes.lookup(sdtype), recvbuf, roffset,
-                         rcount, t.datatypes.lookup(rdtype))
-
-
-def mpi_allgatherv(comm, sendbuf, soffset, scount, sdtype,
-                   recvbuf, roffset, rcounts, displs, rdtype) -> None:
-    rt, t = _ctx()
-    _allgather.allgatherv(t.comms.lookup(comm), sendbuf, soffset, scount,
-                          t.datatypes.lookup(sdtype), recvbuf, roffset,
-                          rcounts, displs, t.datatypes.lookup(rdtype))
-
-
-def mpi_alltoall(comm, sendbuf, soffset, scount, sdtype,
-                 recvbuf, roffset, rcount, rdtype) -> None:
-    rt, t = _ctx()
-    _alltoall.alltoall(t.comms.lookup(comm), sendbuf, soffset, scount,
-                       t.datatypes.lookup(sdtype), recvbuf, roffset, rcount,
-                       t.datatypes.lookup(rdtype))
-
-
-def mpi_alltoallv(comm, sendbuf, soffset, scounts, sdispls, sdtype,
-                  recvbuf, roffset, rcounts, rdispls, rdtype) -> None:
-    rt, t = _ctx()
-    _alltoall.alltoallv(t.comms.lookup(comm), sendbuf, soffset, scounts,
-                        sdispls, t.datatypes.lookup(sdtype), recvbuf,
-                        roffset, rcounts, rdispls,
-                        t.datatypes.lookup(rdtype))
-
-
-def mpi_reduce(comm, sendbuf, soffset, recvbuf, roffset, count, datatype,
-               op, root) -> None:
-    rt, t = _ctx()
-    _reduce.reduce(t.comms.lookup(comm), sendbuf, soffset, recvbuf, roffset,
-                   count, t.datatypes.lookup(datatype), t.ops.lookup(op),
-                   root)
-
-
-def mpi_allreduce(comm, sendbuf, soffset, recvbuf, roffset, count, datatype,
-                  op) -> None:
-    rt, t = _ctx()
-    _allreduce.allreduce(t.comms.lookup(comm), sendbuf, soffset, recvbuf,
-                         roffset, count, t.datatypes.lookup(datatype),
-                         t.ops.lookup(op))
-
-
-def mpi_reduce_scatter(comm, sendbuf, soffset, recvbuf, roffset, recvcounts,
-                       datatype, op) -> None:
-    rt, t = _ctx()
-    _reduce_scatter.reduce_scatter(t.comms.lookup(comm), sendbuf, soffset,
-                                   recvbuf, roffset, recvcounts,
-                                   t.datatypes.lookup(datatype),
-                                   t.ops.lookup(op))
-
-
-def mpi_scan(comm, sendbuf, soffset, recvbuf, roffset, count, datatype,
-             op) -> None:
-    rt, t = _ctx()
-    _scan.scan(t.comms.lookup(comm), sendbuf, soffset, recvbuf, roffset,
-               count, t.datatypes.lookup(datatype), t.ops.lookup(op))
-
-
-# -- nonblocking collectives (schedule-based, libNBC-style) --------------------
-
-def mpi_ibarrier(comm) -> int:
-    rt, t = _ctx()
-    return t.requests.register(_barrier.ibarrier(t.comms.lookup(comm)))
-
-
-def mpi_ibcast(comm, buf, offset, count, datatype, root) -> int:
-    rt, t = _ctx()
-    req = _bcast.ibcast(t.comms.lookup(comm), buf, offset, count,
-                        t.datatypes.lookup(datatype), root)
-    return t.requests.register(req)
-
-
-def mpi_igather(comm, sendbuf, soffset, scount, sdtype,
-                recvbuf, roffset, rcount, rdtype, root) -> int:
-    rt, t = _ctx()
-    req = _gather.igather(t.comms.lookup(comm), sendbuf, soffset, scount,
-                          t.datatypes.lookup(sdtype), recvbuf, roffset,
-                          rcount, t.datatypes.lookup(rdtype), root)
-    return t.requests.register(req)
-
-
-def mpi_iscatter(comm, sendbuf, soffset, scount, sdtype,
-                 recvbuf, roffset, rcount, rdtype, root) -> int:
-    rt, t = _ctx()
-    req = _scatter.iscatter(t.comms.lookup(comm), sendbuf, soffset, scount,
-                            t.datatypes.lookup(sdtype), recvbuf, roffset,
-                            rcount, t.datatypes.lookup(rdtype), root)
-    return t.requests.register(req)
-
-
-def mpi_iallgather(comm, sendbuf, soffset, scount, sdtype,
-                   recvbuf, roffset, rcount, rdtype) -> int:
-    rt, t = _ctx()
-    req = _allgather.iallgather(t.comms.lookup(comm), sendbuf, soffset,
-                                scount, t.datatypes.lookup(sdtype),
-                                recvbuf, roffset, rcount,
-                                t.datatypes.lookup(rdtype))
-    return t.requests.register(req)
-
-
-def mpi_ialltoall(comm, sendbuf, soffset, scount, sdtype,
-                  recvbuf, roffset, rcount, rdtype) -> int:
-    rt, t = _ctx()
-    req = _alltoall.ialltoall(t.comms.lookup(comm), sendbuf, soffset,
-                              scount, t.datatypes.lookup(sdtype), recvbuf,
-                              roffset, rcount, t.datatypes.lookup(rdtype))
-    return t.requests.register(req)
-
-
-def mpi_ireduce(comm, sendbuf, soffset, recvbuf, roffset, count, datatype,
-                op, root) -> int:
-    rt, t = _ctx()
-    req = _reduce.ireduce(t.comms.lookup(comm), sendbuf, soffset, recvbuf,
-                          roffset, count, t.datatypes.lookup(datatype),
-                          t.ops.lookup(op), root)
-    return t.requests.register(req)
-
-
-def mpi_iallreduce(comm, sendbuf, soffset, recvbuf, roffset, count,
-                   datatype, op) -> int:
-    rt, t = _ctx()
-    req = _allreduce.iallreduce(t.comms.lookup(comm), sendbuf, soffset,
-                                recvbuf, roffset, count,
-                                t.datatypes.lookup(datatype),
-                                t.ops.lookup(op))
-    return t.requests.register(req)
-
-
-def mpi_op_create(function, commute: bool) -> int:
-    rt, t = _ctx()
-    return t.ops.register(_reduce_ops.make_user_op(function, commute))
-
-
-def mpi_op_free(op: int) -> None:
-    rt, t = _ctx()
-    t.ops.lookup(op).free()
-    t.ops.release(op)
-
-
-# =====================================================================
-# groups, communicators (MPI 1.1 chapter 5)
-# =====================================================================
-
-def mpi_comm_size(comm) -> int:
-    return _ctx()[1].comms.lookup(comm).size
-
-
-def mpi_comm_rank(comm) -> int:
-    return _ctx()[1].comms.lookup(comm).rank
-
-
-def mpi_comm_compare(comm1, comm2) -> int:
-    t = _ctx()[1]
-    return t.comms.lookup(comm1).compare(t.comms.lookup(comm2))
-
-
-def mpi_comm_group(comm) -> int:
-    t = _ctx()[1]
-    return t.groups.register(t.comms.lookup(comm).group)
-
+# -- groups, communicators (MPI 1.1 chapter 5) --------------------------------
 
 def mpi_comm_remote_group(comm) -> int:
-    t = _ctx()[1]
+    rt, t = _ctx()
     c = t.comms.lookup(comm)
     c._require_inter()
     return t.groups.register(c.remote_group)
 
 
-def mpi_comm_remote_size(comm) -> int:
-    return _ctx()[1].comms.lookup(comm).remote_size()
-
-
-def mpi_comm_test_inter(comm) -> bool:
-    return _ctx()[1].comms.lookup(comm).is_inter
-
-
-def mpi_comm_dup(comm) -> int:
-    t = _ctx()[1]
-    return t.comms.register(t.comms.lookup(comm).dup())
-
-
-def mpi_comm_create(comm, group) -> int:
-    t = _ctx()[1]
-    out = t.comms.lookup(comm).create(t.groups.lookup(group))
-    return H.COMM_NULL if out is None else t.comms.register(out)
-
-
-def mpi_comm_split(comm, color, key) -> int:
-    t = _ctx()[1]
-    out = t.comms.lookup(comm).split(color, key)
-    return H.COMM_NULL if out is None else t.comms.register(out)
-
-
-def mpi_comm_free(comm) -> None:
-    t = _ctx()[1]
-    t.comms.lookup(comm).free()
-    t.comms.release(comm)
-
-
-# -- fault tolerance (ULFM-style, MPI 4.x §11.1 spirit) -----------------------
-
-def mpi_comm_revoke(comm) -> None:
-    """``MPIX_Comm_revoke``: poison this communicator (and only it) on
-    every member, reliably, without requiring collective participation."""
-    _ctx()[1].comms.lookup(comm).revoke()
-
-
-def mpi_comm_is_revoked(comm) -> bool:
-    return _ctx()[1].comms.lookup(comm).is_revoked()
-
-
-def mpi_comm_shrink(comm) -> int:
-    """``MPIX_Comm_shrink``: survivors agree on a new communicator
-    excluding every failed rank."""
-    t = _ctx()[1]
-    return t.comms.register(t.comms.lookup(comm).shrink())
-
-
-def mpi_comm_agree(comm, flag: int) -> int:
-    """``MPIX_Comm_agree``: fault-tolerant agreement — the bitwise AND
-    of every live member's contribution, identical on all survivors."""
-    return _ctx()[1].comms.lookup(comm).agree(flag)
-
-
-def mpi_intercomm_create(local_comm, local_leader, peer_comm,
-                         remote_leader, tag) -> int:
-    t = _ctx()[1]
-    out = t.comms.lookup(local_comm).create_intercomm(
-        local_leader, t.comms.lookup(peer_comm), remote_leader, tag)
-    return t.comms.register(out)
-
-
-def mpi_intercomm_merge(intercomm, high: bool) -> int:
-    t = _ctx()[1]
-    return t.comms.register(t.comms.lookup(intercomm).merge(high))
-
-
-def mpi_keyval_create(copy_fn, delete_fn, extra_state) -> int:
-    return KEYVALS.create(copy_fn, delete_fn, extra_state)
-
-
-def mpi_keyval_free(keyval: int) -> None:
-    KEYVALS.free(keyval)
-
-
-def mpi_attr_put(comm, keyval, value) -> None:
-    _ctx()[1].comms.lookup(comm).attr_put(keyval, value)
-
-
-def mpi_attr_get(comm, keyval):
-    return _ctx()[1].comms.lookup(comm).attr_get(keyval)
-
-
-def mpi_attr_delete(comm, keyval) -> None:
-    _ctx()[1].comms.lookup(comm).attr_delete(keyval)
-
-
 def mpi_errhandler_set(comm, errhandler) -> None:
-    t = _ctx()[1]
+    rt, t = _ctx()
     t.errhandlers.lookup(errhandler)  # validate
     t.comms.lookup(comm).errhandler_handle = errhandler
 
@@ -794,13 +305,10 @@ def mpi_errhandler_get(comm) -> int:
 
 
 def mpi_request_errhandler(request: int) -> int:
-    """Error handler of the communicator a request belongs to.
-
-    The OO layer routes Wait/Test failures through this, mirroring MPI's
-    rule that a request inherits its communicator's error handler.  Never
-    raises and skips the poisoned-job check: it runs while an exception is
-    already unwinding.
-    """
+    """Error handler of the communicator a request belongs to (MPI's
+    rule; the OO layer routes Wait/Test failures through it).  Never
+    raises and skips the poisoned-job check: it runs while an exception
+    is already unwinding."""
     rt = try_current_runtime()
     if rt is None or request == H.REQUEST_NULL:
         return H.ERRORS_ARE_FATAL
@@ -812,122 +320,22 @@ def mpi_request_errhandler(request: int) -> int:
     return getattr(comm, "errhandler_handle", H.ERRORS_ARE_FATAL)
 
 
-# -- groups -------------------------------------------------------------------
-
-def mpi_group_size(group) -> int:
-    return _ctx()[1].groups.lookup(group).size
-
-
 def mpi_group_rank(group) -> int:
     rt, t = _ctx()
     return t.groups.lookup(group).rank_of_world(rt.world_rank)
 
 
-def mpi_group_translate_ranks(group1, ranks, group2) -> list[int]:
-    t = _ctx()[1]
-    return t.groups.lookup(group1).translate_ranks(
-        ranks, t.groups.lookup(group2))
-
-
-def mpi_group_compare(group1, group2) -> int:
-    t = _ctx()[1]
-    return t.groups.lookup(group1).compare(t.groups.lookup(group2))
-
-
-def _group_binop(group1, group2, name) -> int:
-    t = _ctx()[1]
-    g = getattr(t.groups.lookup(group1), name)(t.groups.lookup(group2))
-    return t.groups.register(g)
-
-
-def mpi_group_union(group1, group2) -> int:
-    return _group_binop(group1, group2, "union")
-
-
-def mpi_group_intersection(group1, group2) -> int:
-    return _group_binop(group1, group2, "intersection")
-
-
-def mpi_group_difference(group1, group2) -> int:
-    return _group_binop(group1, group2, "difference")
-
-
-def mpi_group_incl(group, ranks) -> int:
-    t = _ctx()[1]
-    return t.groups.register(t.groups.lookup(group).incl(ranks))
-
-
-def mpi_group_excl(group, ranks) -> int:
-    t = _ctx()[1]
-    return t.groups.register(t.groups.lookup(group).excl(ranks))
-
-
-def mpi_group_range_incl(group, ranges) -> int:
-    t = _ctx()[1]
-    return t.groups.register(t.groups.lookup(group).range_incl(ranges))
-
-
-def mpi_group_range_excl(group, ranges) -> int:
-    t = _ctx()[1]
-    return t.groups.register(t.groups.lookup(group).range_excl(ranges))
-
-
-def mpi_group_free(group) -> None:
-    _ctx()[1].groups.release(group)
-
-
-# =====================================================================
-# virtual topologies (MPI 1.1 chapter 6)
-# =====================================================================
-
-def mpi_dims_create(nnodes: int, dims: list[int]) -> list[int]:
-    return _topology.dims_create(nnodes, dims)
-
-
-def mpi_cart_create(comm, dims, periods, reorder) -> int:
-    t = _ctx()[1]
-    out = t.comms.lookup(comm).cart_create(dims, periods, reorder)
-    return H.COMM_NULL if out is None else t.comms.register(out)
-
-
-def mpi_graph_create(comm, index, edges, reorder) -> int:
-    t = _ctx()[1]
-    out = t.comms.lookup(comm).graph_create(index, edges, reorder)
-    return H.COMM_NULL if out is None else t.comms.register(out)
-
-
-def mpi_topo_test(comm) -> int:
-    return _ctx()[1].comms.lookup(comm).topo_test()
-
-
-def mpi_cartdim_get(comm) -> int:
-    return _ctx()[1].comms.lookup(comm)._require_cart().ndims
-
+# -- virtual topologies (MPI 1.1 chapter 6) -----------------------------------
 
 def mpi_cart_get(comm) -> tuple[list[int], list[bool], list[int]]:
     c = _ctx()[1].comms.lookup(comm)
     topo = c._require_cart()
-    return (list(topo.dims), list(topo.periods),
-            topo.coords_of(c.rank))
-
-
-def mpi_cart_rank(comm, coords) -> int:
-    return _ctx()[1].comms.lookup(comm)._require_cart().rank_of(coords)
-
-
-def mpi_cart_coords(comm, rank) -> list[int]:
-    return _ctx()[1].comms.lookup(comm)._require_cart().coords_of(rank)
+    return list(topo.dims), list(topo.periods), topo.coords_of(c.rank)
 
 
 def mpi_cart_shift(comm, direction, disp) -> tuple[int, int]:
     c = _ctx()[1].comms.lookup(comm)
     return c._require_cart().shift(c.rank, direction, disp)
-
-
-def mpi_cart_sub(comm, remain_dims) -> int:
-    t = _ctx()[1]
-    out = t.comms.lookup(comm).cart_sub(remain_dims)
-    return H.COMM_NULL if out is None else t.comms.register(out)
 
 
 def mpi_cart_map(comm, dims, periods) -> int:
@@ -952,97 +360,122 @@ def mpi_graph_get(comm) -> tuple[list[int], list[int]]:
     return list(topo.index), list(topo.edges)
 
 
-def mpi_graph_neighbors_count(comm, rank) -> int:
-    return _ctx()[1].comms.lookup(comm)._require_graph() \
-        .neighbours_count(rank)
-
-
-def mpi_graph_neighbors(comm, rank) -> list[int]:
-    return _ctx()[1].comms.lookup(comm)._require_graph().neighbours(rank)
-
-
-# =====================================================================
-# derived datatypes (MPI 1.1 §3.12)
-# =====================================================================
-
-def mpi_type_contiguous(count, oldtype) -> int:
-    t = _ctx()[1]
-    return t.datatypes.register(
-        _derived.contiguous(count, t.datatypes.lookup(oldtype)))
-
-
-def mpi_type_vector(count, blocklength, stride, oldtype) -> int:
-    t = _ctx()[1]
-    return t.datatypes.register(
-        _derived.vector(count, blocklength, stride,
-                        t.datatypes.lookup(oldtype)))
-
-
-def mpi_type_hvector(count, blocklength, stride_bytes, oldtype) -> int:
-    t = _ctx()[1]
-    return t.datatypes.register(
-        _derived.hvector(count, blocklength, stride_bytes,
-                         t.datatypes.lookup(oldtype)))
-
-
-def mpi_type_indexed(blocklengths, displacements, oldtype) -> int:
-    t = _ctx()[1]
-    return t.datatypes.register(
-        _derived.indexed(blocklengths, displacements,
-                         t.datatypes.lookup(oldtype)))
-
-
-def mpi_type_hindexed(blocklengths, byte_displacements, oldtype) -> int:
-    t = _ctx()[1]
-    return t.datatypes.register(
-        _derived.hindexed(blocklengths, byte_displacements,
-                          t.datatypes.lookup(oldtype)))
-
+# -- derived datatypes (MPI 1.1 §3.12) ----------------------------------------
 
 def mpi_type_struct(blocklengths, byte_displacements, types) -> int:
-    t = _ctx()[1]
+    rt, t = _ctx()
     return t.datatypes.register(
         _derived.struct(blocklengths, byte_displacements,
                         [t.datatypes.lookup(h) for h in types]))
 
 
-def mpi_type_commit(datatype) -> None:
-    _ctx()[1].datatypes.lookup(datatype).commit()
+# -- the regular stubs, compiled from their rows ------------------------------
+
+#: what the generated text names beyond this module's own helpers
+_PRELUDE = """\
+from repro import errors
+from repro.errors import (MPIException, ERR_COMM, ERR_GROUP, ERR_OP,
+                          ERR_REQUEST, ERR_TYPE)
+from repro.datatypes import derived as _derived, packing as _packing
+from repro.jni import handles as H
+from repro.runtime import reduce_ops as _reduce_ops, topology as _topology
+from repro.runtime.communicator import KEYVALS
+from repro.runtime.engine import current_runtime
+from repro.runtime.envelope import (MODE_BUFFERED, MODE_READY,
+                                    MODE_STANDARD, MODE_SYNCHRONOUS)
+from repro.runtime.collective import (
+    allgather as _allgather, allreduce as _allreduce, alltoall as _alltoall,
+    barrier as _barrier, bcast as _bcast, gather as _gather,
+    reduce as _reduce, reduce_scatter as _reduce_scatter, scan as _scan,
+    scatter as _scatter)
+"""
+
+#: handle role -> (its space in the rank's HandleTable, the error class
+#: of an attempt to free a predefined handle of it)
+_SPACES = {"comm": ("comms", "ERR_COMM"), "dtype": ("datatypes", "ERR_TYPE"),
+           "op": ("ops", "ERR_OP"), "group": ("groups", "ERR_GROUP"),
+           "request": ("requests", "ERR_REQUEST"),
+           "errh": ("errhandlers", None)}
 
 
-def mpi_type_free(datatype) -> None:
-    t = _ctx()[1]
-    dt = t.datatypes.lookup(datatype)
-    dt.free()
-    t.datatypes.release(datatype)
+def _stub_source(call: Call) -> str:
+    """Source text of one regular stub: the context by the row's rule,
+    one lookup per handle parameter, the one call, the result wrap."""
+    out = [f"def {call.stub}({', '.join(p.decl for p in call.params)}):",
+           f'    """{call.doc}"""']
+    if call.ctx == "check":
+        out.append("    rt, t = _ctx()")
+    elif call.ctx == "rt":
+        out.append("    rt = current_runtime()")
+    args = []
+    for p in call.params:
+        if p.role not in HANDLE_ROLES:
+            args.append(p.name)
+            continue
+        look = f"_lookup_request(t, {p.name})" if p.role == "request" \
+            else f"t.{_SPACES[p.role][0]}.lookup({p.name})"
+        out.append(f"    {p.name}_ = {look}")
+        args.append(p.name + "_")
+    target, _, extra = (call.target or "").partition("|")
+    if extra:
+        args.append(extra)
+    if target.startswith("="):
+        expr = args[0] + target[1:]
+    elif target.startswith("."):
+        expr = f"{args[0]}{target}({', '.join(args[1:])})"
+    else:
+        expr = f"{target}({', '.join(args)})"
+    if call.result == "none":
+        out.append(f"    {expr}")
+    elif call.result == "value":
+        out.append(f"    return {expr}")
+    elif call.result == "status":
+        out.append(f"    return _status_from_request({expr}, {args[0]})")
+    elif call.result == "free":
+        handle = call.params[0]
+        space, err = _SPACES[handle.role]
+        out += [f"    if {handle.name} < H._FIRST_DYNAMIC_HANDLE:",
+                f"        raise MPIException({err}, f'cannot free "
+                f"predefined {space[:-1]} handle {{{handle.name}}}')"]
+        if target != "release":
+            out.append(f"    {expr}")
+        out.append(f"    t.{space}.release({handle.name})")
+    else:       # request, new_<role>, maybe_comm: register in that space
+        space = _SPACES[call.result.split("_")[-1]][0]
+        out.append(f"    out = {expr}")
+        if call.result == "request":
+            # where status translation, mpi_cancel and the errhandler
+            # getter find the communicator (a CollRequestImpl ignores it)
+            out.append(f"    out.source_comm = {args[0]}")
+        if call.result == "maybe_comm":
+            out.append(f"    return H.COMM_NULL if out is None "
+                       f"else t.{space}.register(out)")
+        else:
+            out.append(f"    return t.{space}.register(out)")
+    return "\n".join(out) + "\n"
 
 
-def mpi_type_extent(datatype) -> int:
-    return _ctx()[1].datatypes.lookup(datatype).extent_bytes()
+_GENERATED_FILE = "<repro.jni.capi stubs generated from repro.jni.spec>"
+GENERATED = _PRELUDE + "".join("\n\n" + _stub_source(c)
+                               for c in CALLS.values()
+                               if c.target is not None)
+exec(compile(GENERATED, _GENERATED_FILE, "exec"), globals())
+linecache.cache[_GENERATED_FILE] = (       # mtime None: never evicted
+    len(GENERATED), None, GENERATED.splitlines(True), _GENERATED_FILE)
 
 
-def mpi_type_size(datatype) -> int:
-    return _ctx()[1].datatypes.lookup(datatype).size_bytes()
+def _check_surface() -> None:
+    """Rows and stubs are one set; a stub takes what its row states."""
+    stubs = {n: f for n, f in globals().items() if n.startswith("mpi_")}
+    rows = {c.stub: c for c in CALLS.values()}
+    if stubs.keys() != rows.keys():
+        raise ImportError(f"capi stubs and repro.jni.spec rows disagree: "
+                          f"{sorted(stubs.keys() ^ rows.keys())}")
+    for name, call in rows.items():
+        code = stubs[name].__code__
+        got = code.co_varnames[:code.co_argcount + bool(code.co_flags & 4)]
+        if got != tuple(p.name for p in call.params):
+            raise ImportError(f"{name}{got} disagrees with its row")
 
 
-def mpi_type_lb(datatype) -> int:
-    return _ctx()[1].datatypes.lookup(datatype).lb_bytes()
-
-
-def mpi_type_ub(datatype) -> int:
-    return _ctx()[1].datatypes.lookup(datatype).ub_bytes()
-
-
-def mpi_pack_size(incount, datatype) -> int:
-    return _packing.pack_size(incount, _ctx()[1].datatypes.lookup(datatype))
-
-
-def mpi_pack(inbuf, offset, incount, datatype, outbuf, position) -> int:
-    return _packing.pack(inbuf, offset, incount,
-                         _ctx()[1].datatypes.lookup(datatype), outbuf,
-                         position)
-
-
-def mpi_unpack(inbuf, position, outbuf, offset, outcount, datatype) -> int:
-    return _packing.unpack(inbuf, position, outbuf, offset, outcount,
-                           _ctx()[1].datatypes.lookup(datatype))
+_check_surface()

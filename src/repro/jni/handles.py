@@ -87,6 +87,10 @@ class HandleSpace:
                          f"{handle!r}") from None
 
     def release(self, handle: int) -> None:
+        if int(handle) < _FIRST_DYNAMIC_HANDLE:
+            raise MPIException(
+                ERR_ARG, f"predefined {self.name} handle {handle!r} "
+                         f"cannot be released")
         obj = self._by_handle.pop(int(handle), None)
         if obj is not None:
             self._handle_by_id.pop(id(obj), None)

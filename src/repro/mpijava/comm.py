@@ -15,7 +15,11 @@ here; lists of objects for ``MPI.OBJECT``), always with an explicit offset.
 Every member reaches the runtime through the flat JNI-stub layer
 (:mod:`repro.jni.capi`), and charges the binding's per-call wrapper cost to
 the job's cost model when one is installed (modeled benchmark mode) — the
-two halves of the paper's C-versus-Java comparison.
+two halves of the paper's C-versus-Java comparison.  This layer is the
+paper's public interface and is written out by hand, docstrings and all;
+the stub under each member is a row of :mod:`repro.jni.spec`, and a
+member's parameter names are its row's minus the receiver
+(``tests/unit/test_capi_spec.py`` holds the two together).
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import threading
 
+from repro.jni.spec import CALLS
 from repro.obs.trace import TRACE
 
 __all__ = ["CommProfiler", "TracingProfiler", "CountingProfiler",
@@ -36,18 +37,6 @@ __all__ = ["CommProfiler", "TracingProfiler", "CountingProfiler",
 #: list truthiness/iteration with no lock (attach/detach are rare)
 _active: list["CommProfiler"] = []
 _attach_lock = threading.Lock()
-
-#: ``capi`` stub name -> mpiJava member name ("mpi_send" -> "Send")
-_names: dict[str, str] = {}
-
-
-def display_name(stub_name: str) -> str:
-    """The mpiJava-facing name of a ``capi`` stub function."""
-    got = _names.get(stub_name)
-    if got is None:
-        base = stub_name[4:] if stub_name.startswith("mpi_") else stub_name
-        got = _names[stub_name] = base[:1].upper() + base[1:]
-    return got
 
 
 class CommProfiler:
@@ -152,7 +141,7 @@ def dispatch(comm, fn, args: tuple, invoke):
     profiler sees the call first, like the outermost PMPI wrapper
     library on a link line.
     """
-    name = display_name(fn.__name__)
+    name = CALLS[fn.__name__[4:]].oo_name      # mpi_send -> "Send"
     call = invoke
     for p in _active:       # reversed nesting: later attach = outer layer
         if p.muted:

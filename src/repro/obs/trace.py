@@ -37,11 +37,12 @@ for in-memory capture (``dir=None``) that tests inspect via
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
 from typing import Optional
+
+from repro import config
 
 #: per-rank ring capacity (events)
 DEFAULT_RING_CAPACITY = 65536
@@ -186,5 +187,5 @@ class TraceRecorder:
 #: the process-wide recorder every instrumentation site guards on
 TRACE = TraceRecorder()
 
-if os.environ.get("REPRO_TRACE"):
-    TRACE.enable(os.environ["REPRO_TRACE"])
+if config.trace_dir():
+    TRACE.enable(config.trace_dir())

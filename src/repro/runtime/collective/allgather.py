@@ -17,18 +17,16 @@ from repro.runtime.nbc import Box, Compute, Recv, Send
 
 
 def allgather(comm, sendbuf, soffset, scount, sdtype,
-              recvbuf, roffset, rcount, rdtype,
-              algorithm: str | None = None) -> None:
+              recvbuf, roffset, rcount, rdtype) -> None:
     iallgather(comm, sendbuf, soffset, scount, sdtype,
-               recvbuf, roffset, rcount, rdtype, algorithm=algorithm).wait()
+               recvbuf, roffset, rcount, rdtype).wait()
 
 
 def iallgather(comm, sendbuf, soffset, scount, sdtype,
-               recvbuf, roffset, rcount, rdtype,
-               algorithm: str | None = None):
+               recvbuf, roffset, rcount, rdtype):
     comm._check_alive()
     comm._require_intra("Allgather")
-    algorithm = algorithm or algorithm_for("allgather")
+    algorithm = algorithm_for("allgather")
     note_algorithm(comm, "allgather", algorithm)
 
     def build(sched):

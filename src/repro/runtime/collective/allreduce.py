@@ -22,20 +22,20 @@ from repro.runtime.nbc import Box, Compute, Recv, Send
 
 
 def allreduce(comm, sendbuf, soffset, recvbuf, roffset, count, datatype,
-              op, algorithm: str | None = None) -> None:
+              op) -> None:
     iallreduce(comm, sendbuf, soffset, recvbuf, roffset, count, datatype,
-               op, algorithm=algorithm).wait()
+               op).wait()
 
 
 def iallreduce(comm, sendbuf, soffset, recvbuf, roffset, count, datatype,
-               op, algorithm: str | None = None):
+               op):
     comm._check_alive()
     comm._require_intra("Allreduce")
     op.check_usable(datatype)
     validate_buffer(recvbuf, roffset, count, datatype)
     nbytes = None if datatype.base.is_object \
         else count * datatype.size_bytes()
-    algorithm = algorithm or algorithm_for("allreduce", nbytes)
+    algorithm = algorithm_for("allreduce", nbytes)
     note_algorithm(comm, "allreduce", algorithm, nbytes)
     pow2 = comm.size & (comm.size - 1) == 0
     # ring needs commutativity (chunk partials fold in ring order, not

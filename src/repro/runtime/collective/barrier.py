@@ -14,14 +14,14 @@ from repro.runtime import nbc
 from repro.runtime.nbc import Recv, Send
 
 
-def barrier(comm, algorithm: str | None = None) -> None:
-    ibarrier(comm, algorithm=algorithm).wait()
+def barrier(comm) -> None:
+    ibarrier(comm).wait()
 
 
-def ibarrier(comm, algorithm: str | None = None):
+def ibarrier(comm):
     comm._check_alive()
     comm._require_intra("Barrier")
-    algorithm = algorithm or algorithm_for("barrier")
+    algorithm = algorithm_for("barrier")
     note_algorithm(comm, "barrier", algorithm)
 
     def build(sched):

@@ -27,21 +27,18 @@ from repro.runtime import nbc
 from repro.runtime.nbc import Box, Compute, Recv, Send
 
 
-def bcast(comm, buf, offset, count, datatype, root,
-          algorithm: str | None = None) -> None:
-    ibcast(comm, buf, offset, count, datatype, root,
-           algorithm=algorithm).wait()
+def bcast(comm, buf, offset, count, datatype, root) -> None:
+    ibcast(comm, buf, offset, count, datatype, root).wait()
 
 
-def ibcast(comm, buf, offset, count, datatype, root,
-           algorithm: str | None = None):
+def ibcast(comm, buf, offset, count, datatype, root):
     comm._check_alive()
     comm._require_intra("Bcast")
     check_root(comm, root)
     validate_buffer(buf, offset, count, datatype)
     nbytes = None if datatype.base.is_object \
         else count * datatype.size_bytes()
-    algorithm = algorithm or algorithm_for("bcast", nbytes)
+    algorithm = algorithm_for("bcast", nbytes)
     if algorithm == "segmented" and datatype.base.is_object:
         algorithm = "binomial"   # object blobs are not sliceable
     note_algorithm(comm, "bcast", algorithm, nbytes)
@@ -57,7 +54,7 @@ def ibcast(comm, buf, offset, count, datatype, root,
         at_root = comm.rank == root
         box = Box(extract_contrib(buf, offset, count, datatype)) \
             if at_root else Box()
-        build_tree(comm, sched, tag, box, root, algorithm)
+        build_tree(comm, sched, tag, box, root)
         if not at_root:
             sched.compute(
                 lambda: land_contrib(buf, offset, count, datatype,
@@ -66,9 +63,9 @@ def ibcast(comm, buf, offset, count, datatype, root,
     return nbc.launch(comm, "Bcast", build)
 
 
-def build_tree(comm, sched, tag, box, root, algorithm=None) -> None:
+def build_tree(comm, sched, tag, box, root) -> None:
     """Append rounds that move ``box`` from ``root`` to every rank."""
-    algorithm = algorithm or algorithm_for("bcast")
+    algorithm = algorithm_for("bcast")
     if algorithm == "segmented":
         # box movers ship one opaque contribution; segmentation only
         # applies at the Bcast entry point where the buffer is visible

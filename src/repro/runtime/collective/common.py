@@ -63,8 +63,8 @@ _overrides = threading.local()
 def algorithm_for(collective: str, nbytes: int | None = None) -> str:
     """The algorithm the calling thread (rank) should run.
 
-    Explicit per-call ``algorithm=`` beats thread-local overrides beats
-    size-aware large-message selection beats the default.  ``nbytes`` is
+    Thread-local overrides (:func:`algorithm_overrides`) beat size-aware
+    large-message selection beats the default.  ``nbytes`` is
     the dense payload size when the caller knows it (None for
     ``MPI.OBJECT`` traffic, whose size is rank-dependent).
     """
@@ -84,9 +84,9 @@ def note_algorithm(comm, collective: str, algorithm: str,
                    nbytes: int | None = None) -> None:
     """Trace which algorithm a collective dispatcher settled on.
 
-    Called by every entry point after explicit ``algorithm=``, ablation
-    overrides and size-aware selection have all been applied — the
-    traced value is what actually runs.
+    Called by every entry point after ablation overrides and size-aware
+    selection have been applied — the traced value is what actually
+    runs.
     """
     if TRACE.enabled:
         TRACE.instant(comm.rt.world_rank, "coll.algo", "coll",
@@ -103,9 +103,8 @@ def algorithm_overrides(**choices: str):
 
     Unknown collectives raise immediately; unknown algorithm names are
     rejected by each collective's dispatcher (so an override of a variant
-    that doesn't exist fails loudly at the call site, same as passing
-    ``algorithm=`` explicitly).  Restores the previous overrides on exit —
-    nesting composes.
+    that doesn't exist fails loudly at the call site).  Restores the
+    previous overrides on exit — nesting composes.
     """
     for key in choices:
         if key not in ALGORITHM_CHOICES:

@@ -25,31 +25,30 @@ from repro.runtime.nbc import Box, Compute, Recv, Send
 
 
 def reduce(comm, sendbuf, soffset, recvbuf, roffset, count, datatype, op,
-           root, algorithm: str | None = None) -> None:
+           root) -> None:
     ireduce(comm, sendbuf, soffset, recvbuf, roffset, count, datatype, op,
-            root, algorithm=algorithm).wait()
+            root).wait()
+
+
+def _algorithm(op) -> str:
+    # non-commutative ops force the linear chain
+    return algorithm_for("reduce") if op.commute else "linear"
 
 
 def ireduce(comm, sendbuf, soffset, recvbuf, roffset, count, datatype, op,
-            root, algorithm: str | None = None):
+            root):
     comm._check_alive()
     comm._require_intra("Reduce")
     check_root(comm, root)
     op.check_usable(datatype)
     if comm.rank == root:
         validate_buffer(recvbuf, roffset, count, datatype)
-    # resolve here (same rules as build_to_root) so the traced choice is
-    # the one that runs — non-commutative ops force the linear chain
-    algorithm = algorithm or algorithm_for("reduce")
-    if not op.commute:
-        algorithm = "linear"
-    note_algorithm(comm, "reduce", algorithm)
+    note_algorithm(comm, "reduce", _algorithm(op))
 
     def build(sched):
         tag = comm.next_coll_tag()
         mine = extract_contrib(sendbuf, soffset, count, datatype)
-        result = build_to_root(comm, sched, tag, mine, datatype, op, root,
-                               algorithm)
+        result = build_to_root(comm, sched, tag, mine, datatype, op, root)
         if comm.rank == root:
             sched.compute(lambda: land_contrib(recvbuf, roffset, count,
                                                datatype, result.contrib))
@@ -57,24 +56,23 @@ def ireduce(comm, sendbuf, soffset, recvbuf, roffset, count, datatype, op,
     return nbc.launch(comm, "Reduce", build)
 
 
-def build_to_root(comm, sched, tag, mine, datatype, op, root,
-                  algorithm=None):
+def build_to_root(comm, sched, tag, mine, datatype, op, root):
     """Append rounds reducing every rank's contribution to ``root``.
 
     Returns the result :class:`Box` (meaningful at the root only; filled
     once the appended rounds have run).
     """
-    algorithm = algorithm or algorithm_for("reduce")
-    if not op.commute:
-        algorithm = "linear"
+    algorithm = _algorithm(op)
     if algorithm == "binomial":
         return _binomial(comm, sched, tag, mine, datatype, op, root)
     if algorithm == "linear":
-        return _linear(comm, sched, tag, mine, datatype, op, root)
+        return linear_to_root(comm, sched, tag, mine, datatype, op, root)
     raise ValueError(f"unknown reduce algorithm {algorithm!r}")
 
 
-def _linear(comm, sched, tag, mine, datatype, op, root):
+def linear_to_root(comm, sched, tag, mine, datatype, op, root):
+    """The rank-ordered fold at ``root`` — safe for non-commutative ops,
+    so composed collectives that need that order build it directly."""
     if comm.rank != root:
         sched.round(Send(root, mine, tag))
         return Box()

@@ -33,9 +33,8 @@ def ireduce_scatter(comm, sendbuf, soffset, recvbuf, roffset, recvcounts,
         mine = extract_contrib(sendbuf, soffset, total, datatype)
         # reduce the whole vector at rank 0 in rank order (the linear
         # algorithm is safe for non-commutative ops) ...
-        result = _reduce.build_to_root(comm, sched, tag_reduce, mine,
-                                       datatype, op, root=0,
-                                       algorithm="linear")
+        result = _reduce.linear_to_root(comm, sched, tag_reduce, mine,
+                                        datatype, op, root=0)
         # ... then scatter the per-rank segments
         per = datatype.size_elems
         n_mine = int(recvcounts[comm.rank])

@@ -745,6 +745,57 @@ class CommImpl:
         self._isend_raw(blob, 1, True, world_dest, tag,
                         self.ctx_coll).wait()
 
+    def _ft_leader_round(self, what: str, tag: int, mine, fold):
+        """The skeleton Shrink and Agree share: one leader-based round,
+        retried with the next candidate when the leader dies in it.
+
+        Candidates are the members in rank order, the known-dead skipped.
+        A non-leader sends ``mine()`` to the leader and returns what the
+        leader answers.  The leader hears every living member out — one
+        that dies while it listens (``ERR_PROC_FAILED``) is marked and
+        passed over — and answers those it heard with ``fold(heard,
+        lost)``: ``heard`` maps world rank to contribution, its own
+        included; ``lost`` is who died under it.  Messages to distinct
+        leaders cannot cross-match, and per-pair FIFO keeps rounds
+        ordered.
+        """
+        self._require_intra(f"Comm.{what}")
+        self._check_not_freed()
+        me = self.rt.world_rank
+        for leader in self.group.ranks:
+            if self.universe.is_failed(leader):
+                continue
+            if me != leader:
+                try:
+                    self._ft_obj_send(mine(), leader, tag)
+                    return self.obj_recv(None, tag, world_src=leader)
+                except MPIException as exc:
+                    if exc.error_code != ERR_PROC_FAILED:
+                        raise
+                    continue    # this leader died mid-round: the next one
+            heard, lost = {me: mine()}, set()
+            for w in self.group.ranks:
+                if w == me or self.universe.is_failed(w):
+                    continue
+                try:
+                    heard[w] = self.obj_recv(None, tag, world_src=w)
+                except MPIException as exc:
+                    if exc.error_code != ERR_PROC_FAILED:
+                        raise
+                    lost.add(w)
+            out = fold(heard, lost)
+            for w in heard:
+                if w == me:
+                    continue
+                try:
+                    self._ft_obj_send(out, w, tag)
+                except MPIException as exc:
+                    if exc.error_code != ERR_PROC_FAILED:
+                        raise
+            return out
+        raise MPIException(ERR_OTHER, f"{what} found no surviving leader "
+                                      f"in {self.name}")
+
     def shrink(self) -> Optional["CommImpl"]:
         """``MPIX_Comm_shrink``: a new communicator of the survivors.
 
@@ -753,116 +804,42 @@ class CommImpl:
         the existing context-floor machinery: the lowest surviving rank
         gathers each survivor's context floor and failure knowledge,
         allocates a fresh context pair above every floor, and scatters
-        the (contexts, survivor-list) plan.  If a leader dies mid-round,
-        everyone retries with the next surviving candidate (messages to
-        distinct leaders cannot cross-match, and per-pair FIFO keeps
-        rounds ordered).
+        the (contexts, survivor-list) plan.
         """
-        self._require_intra("Comm.Shrink")
-        self._check_not_freed()
-        me = self.rt.world_rank
-        plan = None
-        for leader in self.group.ranks:
-            if self.universe.is_failed(leader):
-                continue
-            try:
-                plan = self._shrink_round(leader, me)
-                break
-            except MPIException as exc:
-                if exc.error_code != ERR_PROC_FAILED:
-                    raise
-                # this leader died mid-round; retry with the next one
-        if plan is None:
-            raise MPIException(ERR_OTHER,
-                               f"Shrink found no surviving leader in "
-                               f"{self.name}")
-        ctxs, world_ranks = plan
-        self.universe.note_context_ids(*ctxs)
+        universe = self.universe
+
+        def plan(heard, lost):
+            failed = lost | set(universe.failed_ranks)
+            for _, their_failed in heard.values():
+                failed.update(their_failed)
+            failed.discard(self.rt.world_rank)
+            universe.raise_ctx_floor(max(f for f, _ in heard.values()))
+            return (universe.alloc_context_pair(),
+                    [w for w in self.group.ranks
+                     if w in heard and w not in failed])
+
+        ctxs, world_ranks = self._ft_leader_round(
+            "Shrink", TAG_FT_SHRINK,
+            lambda: (universe.ctx_floor, sorted(universe.failed_ranks)),
+            plan)
+        universe.note_context_ids(*ctxs)
         return self._new_comm(GroupImpl(world_ranks), tuple(ctxs),
                               name=f"{self.name}+shrink")
-
-    def _shrink_round(self, leader: int, me: int):
-        if me != leader:
-            self._ft_obj_send(
-                (self.universe.ctx_floor,
-                 sorted(self.universe.failed_ranks)),
-                leader, TAG_FT_SHRINK)
-            return self.obj_recv(None, TAG_FT_SHRINK, world_src=leader)
-        failed = set(self.universe.failed_ranks)
-        floors = [self.universe.ctx_floor]
-        heard = []
-        for w in self.group.ranks:
-            if w == me or w in failed:
-                continue
-            try:
-                floor, their_failed = self.obj_recv(None, TAG_FT_SHRINK,
-                                                    world_src=w)
-            except MPIException as exc:
-                if exc.error_code != ERR_PROC_FAILED:
-                    raise
-                failed.add(w)
-                continue
-            floors.append(floor)
-            failed.update(their_failed)
-            heard.append(w)
-        survivors = [w for w in self.group.ranks
-                     if w == me or (w in heard and w not in failed)]
-        self.universe.raise_ctx_floor(max(floors))
-        ctxs = self.universe.alloc_context_pair()
-        plan = (ctxs, survivors)
-        for w in heard:
-            try:
-                self._ft_obj_send(plan, w, TAG_FT_SHRINK)
-            except MPIException as exc:
-                if exc.error_code != ERR_PROC_FAILED:
-                    raise
-        return plan
 
     def agree(self, flag: int) -> int:
         """``MPIX_Comm_agree``: fault-tolerant agreement.
 
         Returns the bitwise AND of every surviving member's ``flag``;
         completes even with failed members or a revoked communicator.
-        Same leader-retry discipline as :meth:`shrink`.
         """
-        self._require_intra("Comm.Agree")
-        self._check_not_freed()
-        me = self.rt.world_rank
-        for leader in self.group.ranks:
-            if self.universe.is_failed(leader):
-                continue
-            try:
-                return self._agree_round(leader, me, int(flag))
-            except MPIException as exc:
-                if exc.error_code != ERR_PROC_FAILED:
-                    raise
-        raise MPIException(ERR_OTHER,
-                           f"Agree found no surviving leader in "
-                           f"{self.name}")
+        def conjoin(heard, lost):
+            out = ~0
+            for theirs in heard.values():
+                out &= int(theirs)
+            return out
 
-    def _agree_round(self, leader: int, me: int, flag: int) -> int:
-        if me != leader:
-            self._ft_obj_send(flag, leader, TAG_FT_AGREE)
-            return int(self.obj_recv(None, TAG_FT_AGREE, world_src=leader))
-        out = flag
-        heard = []
-        for w in self.group.ranks:
-            if w == me or self.universe.is_failed(w):
-                continue
-            try:
-                out &= int(self.obj_recv(None, TAG_FT_AGREE, world_src=w))
-            except MPIException as exc:
-                if exc.error_code != ERR_PROC_FAILED:
-                    raise
-                continue
-            heard.append(w)
-        for w in heard:
-            try:
-                self._ft_obj_send(out, w, TAG_FT_AGREE)
-            except MPIException as exc:
-                if exc.error_code != ERR_PROC_FAILED:
-                    raise
-        return out
+        return int(self._ft_leader_round("Agree", TAG_FT_AGREE,
+                                         lambda: int(flag), conjoin))
 
     # -- attribute caching -------------------------------------------------------
     def attr_put(self, keyval: int, value) -> None:

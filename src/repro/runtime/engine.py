@@ -10,10 +10,10 @@ the current thread's runtime through :func:`current_runtime`.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 from typing import Callable, Iterable, Optional
 
+from repro import config
 from repro.errors import (AbortException, MPIException, ProcFailedException,
                           RevokedException, ERR_INTERN, ERR_OTHER)
 from repro.obs.trace import TRACE
@@ -129,7 +129,7 @@ class Universe:
         #: first delivery; None (the common case) keeps every hook to a
         #: single attribute test
         self.sanitizer = None
-        if os.environ.get("REPRO_SANITIZE") == "1":
+        if config.sanitize():
             from repro.check.sanitizer import Sanitizer
             self.sanitizer = Sanitizer(self).install()
             # transports with internal wait states (a writer stalled

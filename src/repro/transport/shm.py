@@ -73,7 +73,7 @@ from multiprocessing import shared_memory
 from repro.transport import cma
 from repro.transport.wire import Channel, WireTransport
 
-__all__ = ["ShmChannel", "ShmSegment", "shm_enabled", "node_id",
+__all__ = ["ShmChannel", "ShmSegment", "node_id",
            "segment_name", "create_inbound", "shm_world",
            "unlink_job_segments", "leaked_segments"]
 
@@ -95,12 +95,6 @@ _DATA_OFF = 192
 _SPIN_YIELDS = 64
 _SLEEP_BASE = 50e-6
 _SLEEP_MAX = 500e-6
-
-
-def shm_enabled() -> bool:
-    """Is the shared-memory intra-node path enabled? (``REPRO_SHM=0``
-    is the escape hatch — every body then rides the pair's socket.)"""
-    return os.environ.get("REPRO_SHM", "1") != "0"
 
 
 def node_id() -> str:

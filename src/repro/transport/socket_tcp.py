@@ -30,16 +30,12 @@ from repro.transport.wire import Channel, WireTransport, recv_exact, \
     set_nodelay
 
 
-def SocketTransport(nprocs: int, sndbuf: int | None = None) -> WireTransport:
+def SocketTransport(nprocs: int) -> WireTransport:
     """Every rank in this process, a socketpair per rank pair."""
     chans = []
     for i in range(nprocs):
         for j in range(i + 1, nprocs):
             a, b = socket.socketpair()
-            if sndbuf:
-                for s in (a, b):
-                    s.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, sndbuf)
-                    s.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, sndbuf)
             chans += [Channel(a, i, j), Channel(b, j, i)]
     return WireTransport(nprocs, range(nprocs), chans)
 

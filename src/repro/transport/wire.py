@@ -80,7 +80,6 @@ routed by ``(source, seq)``, never matched.
 from __future__ import annotations
 
 import errno
-import os
 import queue
 import selectors
 import socket
@@ -88,6 +87,7 @@ import threading
 
 import numpy as np
 
+from repro import config
 from repro.datatypes.layout import WIRE_IOV_CAP
 from repro.obs.metrics import CounterGroup
 from repro.obs.trace import TRACE
@@ -97,17 +97,15 @@ from repro.transport import cma
 from repro.transport.base import Transport
 from repro.util import faultinject
 
-#: default eager/rendezvous switchover (bytes); messages >= this size
-#: take the RTS/CTS handshake.  Below it, eager frames still land
+#: eager/rendezvous switchover (bytes, 1 MiB by default); messages >=
+#: this size take the RTS/CTS handshake.  Below it, eager frames still land
 #: zero-copy when the receive is already posted (header-peek direct
 #: landing), so the handshake only pays off once the *unexpected* claim
 #: copy (and unexpected-queue memory) would hurt — hence a higher
 #: default than 1999-era MPIs used: their daemons staged every eager
 #: byte, ours stages none on the posted path.  Tune with
 #: REPRO_EAGER_LIMIT or :func:`set_eager_limit`.
-DEFAULT_EAGER_LIMIT = 1024 * 1024
-
-_eager_limit = int(os.environ.get("REPRO_EAGER_LIMIT", DEFAULT_EAGER_LIMIT))
+_eager_limit = config.eager_limit()
 
 
 def eager_limit() -> int:
@@ -501,7 +499,9 @@ class WireTransport(Transport):
             # reproduced: where each local rank's large payloads go
             for rank in self.local_ranks:
                 TRACE.instant(rank, "wire.config", "wire",
-                              {"bulk": self.bulk_paths(rank)})
+                              {"bulk": self.bulk_paths(rank),
+                               **config.effective(),
+                               "REPRO_EAGER_LIMIT": _eager_limit})
 
     def close(self) -> None:
         if self._closing.is_set():

@@ -56,6 +56,8 @@ import os
 import signal
 import threading
 
+from repro import config
+
 __all__ = ["SimulatedRankDeath", "denied", "maybe_fail", "reset",
            "set_hard_kill"]
 
@@ -102,7 +104,7 @@ def _specs() -> tuple:
     cached on the raw value (tests monkeypatch the environment between
     jobs)."""
     global _cached
-    raw = os.environ.get("REPRO_FAULT") or None
+    raw = config.fault()
     if raw == _cached[0]:
         return _cached[1]
     parsed = []

@@ -371,11 +371,13 @@ class TestAlgorithms:
             w = MPI.COMM_WORLD
             from repro.runtime.collective import bcast as bc
             buf = np.full(4, w.Rank(), dtype=np.int32)
-            from repro.jni import tables_for
+            from repro.jni.handles import tables_for
+            from repro.runtime.collective import algorithm_overrides
             from repro.runtime.engine import current_runtime
             comm = tables_for(current_runtime()).comms.lookup(1)
             from repro.datatypes import primitives as P
-            bc.bcast(comm, buf, 0, 4, P.INT, root=2, algorithm=a)
+            with algorithm_overrides(bcast=a):
+                bc.bcast(comm, buf, 0, 4, P.INT, root=2)
             return list(buf)
 
         out = run(5, body, transport=mode_transport, args=(alg,))
@@ -384,17 +386,18 @@ class TestAlgorithms:
     @pytest.mark.parametrize("alg", ["binomial", "linear"])
     def test_reduce_algorithms_agree(self, mode_transport, alg):
         def body(a):
-            from repro.jni import tables_for
+            from repro.jni.handles import tables_for
             from repro.runtime.engine import current_runtime
-            from repro.runtime.collective import reduce as rd
+            from repro.runtime.collective import algorithm_overrides, \
+                reduce as rd
             from repro.datatypes import primitives as P
             from repro.runtime import reduce_ops as O
             w = MPI.COMM_WORLD
             comm = tables_for(current_runtime()).comms.lookup(1)
             sb = np.array([w.Rank() + 1], dtype=np.int64)
             rb = np.zeros(1, dtype=np.int64)
-            rd.reduce(comm, sb, 0, rb, 0, 1, P.LONG, O.SUM, root=0,
-                      algorithm=a)
+            with algorithm_overrides(reduce=a):
+                rd.reduce(comm, sb, 0, rb, 0, 1, P.LONG, O.SUM, root=0)
             return int(rb[0]) if w.Rank() == 0 else None
 
         out = run(5, body, transport=mode_transport, args=(alg,))
@@ -403,12 +406,14 @@ class TestAlgorithms:
     @pytest.mark.parametrize("alg", ["dissemination", "linear"])
     def test_barrier_algorithms(self, mode_transport, alg):
         def body(a):
-            from repro.jni import tables_for
+            from repro.jni.handles import tables_for
             from repro.runtime.engine import current_runtime
-            from repro.runtime.collective import barrier as br
+            from repro.runtime.collective import algorithm_overrides, \
+                barrier as br
             comm = tables_for(current_runtime()).comms.lookup(1)
-            for _ in range(2):
-                br.barrier(comm, algorithm=a)
+            with algorithm_overrides(barrier=a):
+                for _ in range(2):
+                    br.barrier(comm)
             return True
 
         assert all(run(5, body, transport=mode_transport, args=(alg,)))

@@ -253,3 +253,53 @@ class TestPackThroughComm:
                 return exc.Get_error_class()
 
         assert run(2, body, transport=mode_transport)[0] == MPI.ERR_ARG
+
+
+class TestPredefinedSurviveFree:
+    """``MPI.INT.Free()`` used to succeed and mark the process-global
+    primitive freed: every other rank-thread of the job, and every later
+    job in the process, then failed with "datatype MPI.INT was freed"."""
+
+    def test_free_of_predefined_type_raises_and_changes_nothing(
+            self, mode_transport):
+        def free_it():
+            w = MPI.COMM_WORLD
+            try:
+                MPI.INT.Free()
+                code = None
+            except MPIException as exc:
+                code = exc.error_code
+            # the other rank-thread shares the primitive: still usable
+            buf = np.full(2, w.Rank(), dtype=np.int32)
+            w.Sendrecv_replace(buf, 0, 2, MPI.INT, 1 - w.Rank(), 0,
+                               1 - w.Rank(), 0)
+            return code, list(buf)
+
+        def second_job():
+            w = MPI.COMM_WORLD
+            buf = np.array([w.Rank() + 10], dtype=np.int32)
+            out = np.zeros(1, dtype=np.int32)
+            w.Allreduce(buf, 0, out, 0, 1, MPI.INT, MPI.SUM)
+            return int(out[0])
+
+        assert run(2, free_it, transport=mode_transport) == \
+            [(MPI.ERR_TYPE, [1, 1]), (MPI.ERR_TYPE, [0, 0])]
+        # a second mpirun in the same process still has MPI.INT
+        assert run(2, second_job, transport=mode_transport) == [21, 21]
+
+    def test_group_empty_survives_a_free_attempt(self, mode_transport):
+        def body():
+            from repro.jni import handles as H
+            from repro.mpijava import Group
+            empty = Group(H.GROUP_EMPTY)
+            try:
+                empty.Free()
+                code = None
+            except MPIException as exc:
+                code = exc.error_code
+            world = MPI.COMM_WORLD.Group()
+            return (code, empty.Size(),
+                    Group.Intersection(world, empty).Size())
+
+        assert run(2, body, transport=mode_transport) == \
+            [(MPI.ERR_GROUP, 0, 0)] * 2

@@ -116,6 +116,20 @@ class TestBlocking:
 
         assert run(2, body, transport=mode_transport) == [7, 7]
 
+    def test_get_count_of_zero_size_datatype_is_zero(self, mode_transport):
+        """MPI 1.1 §3.2.5: "if the size of the datatype is zero, this
+        routine will return a count of zero" (it divided by zero)."""
+        def body():
+            w = MPI.COMM_WORLD
+            if w.Rank() == 0:
+                w.Send(np.arange(4, dtype=np.int32), 0, 4, MPI.INT, 1, 0)
+                return None
+            st = w.Recv(np.zeros(4, dtype=np.int32), 0, 4, MPI.INT, 0, 0)
+            empty = MPI.INT.Contiguous(0).Commit()
+            return st.Get_count(empty), st.Get_count(MPI.INT)
+
+        assert run(2, body, transport=mode_transport)[1] == (0, 4)
+
     def test_any_source_any_tag(self, mode_transport):
         def body():
             w = MPI.COMM_WORLD

@@ -96,6 +96,11 @@ class TestProcBackendTraceCollection:
         via = "cma" if bulk["0->1"] == bulk["1->0"] == "cma" \
             else "stream" if bulk["0->1"] == "socket" else "lane"
         assert land[0]["args"]["via"] == via, (land[0], bulk)
+        # ... beside the nine settings the job ran under
+        for e in named("wire.config"):
+            assert e["args"]["REPRO_EAGER_LIMIT"] > 0 \
+                and e["args"]["REPRO_TRACE"], e
+            assert sum(k.startswith("REPRO_") for k in e["args"]) == 9
 
         # 2. the mailbox match with its dwell time, flagged as an RTS
         # match on the receiving rank

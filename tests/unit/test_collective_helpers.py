@@ -139,13 +139,15 @@ class TestConfig:
         from repro.runtime.collective import bcast
 
         def body():
-            from repro.jni import capi, tables_for
+            from repro.jni import capi
+            from repro.jni.handles import tables_for
             from repro.runtime.engine import current_runtime
             capi.mpi_init([])
             comm = tables_for(current_runtime()).comms.lookup(1)
             try:
-                bcast.bcast(comm, np.zeros(1, dtype=np.int32), 0, 1,
-                            P.INT, 0, algorithm="telepathy")
+                with common.algorithm_overrides(bcast="telepathy"):
+                    bcast.bcast(comm, np.zeros(1, dtype=np.int32), 0, 1,
+                                P.INT, 0)
                 return "no error"
             except ValueError:
                 return "rejected"

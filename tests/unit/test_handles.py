@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import mpirun
+from repro import errors, mpirun
 from repro.errors import MPIException
 from repro.jni import handles as H
 from repro.jni.handles import HandleSpace, tables_for
@@ -44,6 +44,12 @@ class TestHandleSpace:
             space.lookup(h)
         # releasing again is harmless
         space.release(h)
+
+    def test_release_refuses_predefined_handles(self, space):
+        with pytest.raises(MPIException) as exc:
+            space.release(1)
+        assert exc.value.error_code == errors.ERR_ARG
+        assert space.lookup(1) == "one"
 
     def test_release_then_reregister_gets_new_handle(self, space):
         obj = object()
@@ -118,3 +124,67 @@ class TestHandleValuesAreUniform:
             return out
 
         assert mpirun(3, body) == [(3, 8)] * 3
+
+
+class TestFreeNeverMutatesPredefined:
+    """``mpi_*_free`` of a predefined or unknown handle is an error, the
+    same way for every handle space — never a silent mutation of an
+    object every rank (and every later job in the process) shares."""
+
+    @staticmethod
+    def _free_errors():
+        from repro.jni import capi
+        capi.mpi_init([])
+        out = {}
+        for stub, handle in [
+                (capi.mpi_type_free, H.DT_INT),
+                (capi.mpi_group_free, H.GROUP_EMPTY),
+                (capi.mpi_op_free, H.OP_SUM),
+                (capi.mpi_comm_free, H.COMM_WORLD),
+                (capi.mpi_request_free, H.REQUEST_NULL),
+                (capi.mpi_type_free, 12345),
+                (capi.mpi_group_free, 12345),
+                (capi.mpi_request_free, 12345)]:
+            try:
+                stub(handle)
+                out[stub.__name__, handle] = None
+            except MPIException as exc:
+                out[stub.__name__, handle] = exc.error_code
+        # nothing was touched: the predefined objects still answer
+        out["int"] = capi.mpi_type_size(H.DT_INT)
+        out["empty"] = capi.mpi_group_size(H.GROUP_EMPTY)
+        capi.mpi_finalize()
+        return out
+
+    def test_error_class_per_space(self):
+        out, = mpirun(1, self._free_errors)
+        assert out == {
+            ("mpi_type_free", H.DT_INT): errors.ERR_TYPE,
+            ("mpi_group_free", H.GROUP_EMPTY): errors.ERR_GROUP,
+            ("mpi_op_free", H.OP_SUM): errors.ERR_OP,
+            ("mpi_comm_free", H.COMM_WORLD): errors.ERR_COMM,
+            ("mpi_request_free", H.REQUEST_NULL): errors.ERR_REQUEST,
+            ("mpi_type_free", 12345): errors.ERR_ARG,
+            ("mpi_group_free", 12345): errors.ERR_ARG,
+            ("mpi_request_free", 12345): errors.ERR_ARG,
+            "int": 4, "empty": 0}
+
+    def test_dynamic_handles_still_free(self):
+        def body():
+            from repro.jni import capi
+            capi.mpi_init([])
+            dt = capi.mpi_type_contiguous(3, H.DT_INT)
+            grp = capi.mpi_comm_group(H.COMM_WORLD)
+            capi.mpi_type_free(dt)
+            capi.mpi_group_free(grp)
+            gone = []
+            for stub, h in ((capi.mpi_type_size, dt),
+                            (capi.mpi_group_size, grp)):
+                try:
+                    stub(h)
+                except MPIException as exc:
+                    gone.append(exc.error_code)
+            capi.mpi_finalize()
+            return gone
+
+        assert mpirun(1, body) == [[errors.ERR_ARG, errors.ERR_ARG]]

@@ -7,7 +7,7 @@ from repro.executor.runner import MPIExecutor, RankFailure
 from repro.mpijava import (MPI, CommProfiler, CountingProfiler,
                            TracingProfiler)
 from repro.mpijava import profiler
-
+from repro.jni.spec import CALLS
 
 
 @pytest.fixture(autouse=True)
@@ -24,13 +24,12 @@ def _run(nprocs, body):
 
 class TestDisplayName:
     def test_stub_names_map_to_mpijava_names(self):
-        assert profiler.display_name("mpi_send") == "Send"
-        assert profiler.display_name("mpi_comm_rank") == "Comm_rank"
-        assert profiler.display_name("mpi_isend") == "Isend"
+        assert CALLS["send"].oo_name == "Send"
+        assert CALLS["comm_rank"].oo_name == "Comm_rank"
+        assert CALLS["isend"].oo_name == "Isend"
 
     def test_names_are_cached(self):
-        assert profiler.display_name("mpi_send") \
-            is profiler.display_name("mpi_send")
+        assert CALLS["send"].oo_name is CALLS["send"].oo_name
 
 
 class TestAttachDetach:
