@@ -1,4 +1,4 @@
-"""Datatype machinery: primitive types, derived-type constructors, packing.
+"""Datatype machinery: primitive types, derived-type constructors, layout IR.
 
 Mirrors the paper's §2 / §2.2 model: message buffers are one-dimensional
 arrays of a single primitive type plus an explicit ``offset``; derived
@@ -18,9 +18,6 @@ from repro.datatypes.primitives import (
 from repro.datatypes.derived import (
     contiguous, vector, hvector, indexed, hindexed, struct,
 )
-from repro.datatypes.packing import (
-    gather_elements, scatter_elements, pack, unpack, pack_size,
-)
 
 __all__ = [
     "DatatypeImpl", "PrimitiveInfo", "LayoutIR", "primitives",
@@ -28,5 +25,4 @@ __all__ = [
     "PACKED", "OBJECT", "SHORT2", "INT2", "LONG2", "FLOAT2", "DOUBLE2",
     "BASIC_TYPES",
     "contiguous", "vector", "hvector", "indexed", "hindexed", "struct",
-    "gather_elements", "scatter_elements", "pack", "unpack", "pack_size",
 ]

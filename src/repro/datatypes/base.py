@@ -11,27 +11,20 @@ type never needs a byte-level type map — it reduces to
 * ``extent_elems`` — the stride between consecutive instances when
   ``count > 1`` (MPI's *extent*, in elements).
 
-This representation makes packing vectorizable: the flat element indices for
-``count`` instances starting at ``offset`` are
-``offset + i*extent + disp`` for ``i in range(count)`` — a single
-``np.add.outer`` (see :mod:`repro.datatypes.packing`).
+The map compiles into the run-length layout IR
+(:mod:`repro.datatypes.layout`), which owns every way elements move —
+including the flat index map ``offset + i*extent + disp`` that
+:meth:`DatatypeImpl.flat_indices` exposes as the reference.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import MPIException, ERR_ARG, ERR_COUNT, ERR_TYPE
 from repro.datatypes.layout import LayoutIR
-
-#: Cache size for per-(count, offset) flattened index maps.  Eviction is
-#: LRU: a working set of persistent requests cycling through more than
-#: _INDEX_CACHE_MAX shapes drops only the coldest entry per miss instead
-#: of dumping every cached index map at once.
-_INDEX_CACHE_MAX = 32
 
 
 @dataclass(frozen=True)
@@ -71,9 +64,6 @@ class DatatypeImpl:
         self.freed = False
         #: pair types (INT2 &c.) are the only legal operands of MINLOC/MAXLOC
         self.is_pair = bool(is_pair)
-        self._index_cache: OrderedDict[tuple[int, int], np.ndarray] = \
-            OrderedDict()
-        self._contiguous: bool | None = None   # is_contiguous_layout cache
         self._layout: LayoutIR | None = None   # run-length layout IR cache
 
     # -- inquiry (MPI_Type_size / extent / lb / ub) --------------------------
@@ -88,13 +78,11 @@ class DatatypeImpl:
 
     def lb_elems(self) -> int:
         """Lower bound, in elements (``MPI_Type_lb`` / element units)."""
-        # the layout IR caches min/max displacement; recomputing them
-        # with a reduction over ``disp`` sat on every window validation
-        return self.layout().span_lo if self.size_elems else 0
+        return self.layout().span_lo
 
     def ub_elems(self) -> int:
         """Upper bound, in elements (``MPI_Type_ub`` / element units)."""
-        return self.layout().span_hi if self.size_elems else 0
+        return self.layout().span_hi
 
     def lb_bytes(self) -> int:
         return self.lb_elems() * self.base.itemsize
@@ -110,16 +98,6 @@ class DatatypeImpl:
     def is_primitive(self) -> bool:
         return (self.size_elems == 1 and self.extent_elems == 1
                 and (self.size_elems == 0 or int(self.disp[0]) == 0))
-
-    def is_contiguous_layout(self) -> bool:
-        """True when ``count`` instances cover a dense index range.
-
-        Cached: the displacement map is immutable after construction, and
-        this sits on the per-message send/receive fast path.
-        """
-        if self._contiguous is None:
-            self._contiguous = self.layout().contiguous
-        return self._contiguous
 
     def layout(self) -> LayoutIR:
         """The run-length layout IR (built once, cached; see
@@ -137,8 +115,8 @@ class DatatypeImpl:
 
         Compiles the layout IR here, once: commit is MPI's declared
         "optimize this type now" point, and every datapath consumer
-        (packing, iovec construction, direct landing, segment math)
-        reads the cached IR from then on.
+        (validation, copies, iovec construction, direct landing, segment
+        math) reads the cached IR from then on.
         """
         self._check_alive()
         self.committed = True
@@ -148,62 +126,26 @@ class DatatypeImpl:
     def free(self) -> None:
         """``MPI_Type_free`` — release; further use is erroneous.
 
-        Drops the cached index maps *and* the layout IR: a freed type's
+        Drops the layout IR and the index maps it caches: a freed type's
         compiled artifacts must not keep the (potentially large) arrays
         alive, and any stale handle reuse fails loudly instead of
         reading a cache.
         """
         self._check_alive()
         self.freed = True
-        self._index_cache.clear()
         self._layout = None
-        self._contiguous = None
 
     def _check_alive(self) -> None:
         if self.freed:
             raise MPIException(ERR_TYPE, f"datatype {self.name} was freed")
 
-    # -- index-map machinery ---------------------------------------------------
+    # -- index map (inquiry; the reference the tests compare against) ---------
     def flat_indices(self, count: int, offset: int = 0) -> np.ndarray:
-        """Flat element indices selected by ``count`` instances at ``offset``.
-
-        The result is cached for repeated (count, offset) pairs — persistent
-        requests and fixed-size loops hit the cache every iteration.
-        """
-        self._check_alive()
+        """Flat element indices selected by ``count`` instances at
+        ``offset`` (cached on the layout IR)."""
         if count < 0:
             raise MPIException(ERR_COUNT, f"negative count {count}")
-        key = (int(count), int(offset))
-        hit = self._index_cache.get(key)
-        if hit is not None:
-            try:
-                self._index_cache.move_to_end(key)
-            except KeyError:   # concurrently evicted by another rank
-                pass
-            return hit
-        starts = offset + np.arange(count, dtype=np.int64) * self.extent_elems
-        idx = np.add.outer(starts, self.disp).ravel()
-        while len(self._index_cache) >= _INDEX_CACHE_MAX:
-            try:
-                self._index_cache.popitem(last=False)  # evict LRU only
-            except KeyError:   # another rank emptied it concurrently
-                break
-        self._index_cache[key] = idx
-        return idx
-
-    def span_elems(self, count: int) -> int:
-        """Highest element index touched + 1, for ``count`` instances at 0."""
-        if count == 0 or self.size_elems == 0:
-            return 0
-        return (count - 1) * self.extent_elems + self.ub_elems()
-
-    def min_elem(self, count: int) -> int:
-        """Lowest element index touched for ``count`` instances at offset 0."""
-        if count == 0 or self.size_elems == 0:
-            return 0
-        lb = self.lb_elems()
-        last = (count - 1) * self.extent_elems + lb
-        return min(lb, last)
+        return self.layout().flat_indices(count, offset)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"DatatypeImpl({self.name}, base={self.base.name}, "

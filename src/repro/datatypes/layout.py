@@ -3,24 +3,27 @@
 A committed datatype's displacement map compiles into a small list of
 *dense runs* — ``(element start, element length)`` pairs in serialization
 order — plus the outer ``extent`` stride that repeats the pattern per
-instance.  Every datapath consumer operates on runs instead of flat
-element indices:
+instance.  This module alone decides how elements move between a user
+buffer and the dense (serialized) stream:
 
-* :func:`~repro.datatypes.packing.gather_elements` /
-  ``scatter_elements`` move one 2-D strided block per run (``nruns``
-  NumPy copies for *any* count) instead of fabricating a
-  ``count x size`` index array and fancy-indexing through it;
-* :func:`~repro.runtime.buffers.extract_send_payload` hands wire
-  transports a multi-view iovec (one byte view per run) so noncontiguous
-  sends ship with a single vectored ``sendmsg`` — no gather copy at all;
-* posted receives expose per-run writable views, so eager direct landing
-  and rendezvous streaming ``recv_into`` the user buffer's runs directly
-  (zero pack/unpack staging);
-* pipelined collectives land dense segments with :meth:`LayoutIR.
-  scatter_range`, walking only the runs a segment overlaps.
+* :meth:`LayoutIR.gather`, :meth:`LayoutIR.scatter` and
+  :meth:`LayoutIR.scatter_range` are total.  Each picks, and counts in
+  :data:`DATAPATH`, one of: a contiguous slice; one strided block copy
+  (uniform layouts, any count); one 2-D block copy per run; or — for
+  layouts the run form serves badly (many tiny irregular runs,
+  overlapping or non-monotonic destinations, hand-built negative
+  extents) — fancy indexing through the cached
+  :meth:`LayoutIR.flat_indices` map, which is also the semantic
+  reference the tests compare the other three against.  No caller
+  chooses, and none validates: the window was checked where it was
+  posted (:func:`repro.runtime.buffers.validate_buffer`).
+* :meth:`LayoutIR.byte_views` hands wire transports a multi-view iovec
+  (one byte view per run): noncontiguous sends ship with a single
+  vectored ``sendmsg`` and posted receives ``recv_into`` the user
+  buffer's runs directly — no pack/unpack staging either way.
 
 The IR is built once (``DatatypeImpl.commit`` — or lazily on first use)
-and cached on the type; ``free()`` invalidates it.
+and cached on the type; ``free()`` drops it, index maps included.
 """
 
 from __future__ import annotations
@@ -30,7 +33,27 @@ from collections import OrderedDict
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-__all__ = ["LayoutIR", "RunViews", "WIRE_IOV_CAP", "WIRE_MIN_AVG_RUN_BYTES"]
+from repro.obs.metrics import CounterGroup
+
+__all__ = ["LayoutIR", "RunViews", "DATAPATH", "WIRE_IOV_CAP",
+           "WIRE_MIN_AVG_RUN_BYTES"]
+
+#: which path moved each message's elements — contiguous slice, IR run
+#: walk, or the index-map fallback — plus the wire-side view decisions
+#: counted from :mod:`repro.runtime.buffers` (zero-copy borrow / iovec vs
+#: gather copy on send, direct landing granted vs refused on receive)
+DATAPATH = CounterGroup("datapath", (
+    "gather_contig", "gather_runs", "gather_index",
+    "scatter_contig", "scatter_runs", "scatter_index",
+    "send_view", "send_iovec", "send_gather",
+    "recv_direct", "recv_refused",
+))
+
+#: cached (count, offset) -> flat index maps per layout.  Eviction is
+#: LRU: a working set of persistent requests cycling through more than
+#: _INDEX_CACHE_MAX shapes drops only the coldest entry per miss instead
+#: of dumping every cached index map at once.
+_INDEX_CACHE_MAX = 32
 
 #: cached (offset, nelems) -> byte-span tables per layout; fixed-size
 #: messaging patterns (pingpongs, halo exchanges, persistent requests)
@@ -83,13 +106,13 @@ class LayoutIR:
     ``i * extent_elems``.
     """
 
-    __slots__ = ("itemsize", "extent_elems", "size_elems", "nruns",
+    __slots__ = ("disp", "itemsize", "extent_elems", "size_elems", "nruns",
                  "run_starts", "run_lens", "run_dense", "span_lo",
                  "span_hi", "contiguous", "monotonic", "uniform",
-                 "run_stride", "use_runs", "_span_cache")
+                 "run_stride", "use_runs", "_span_cache", "_index_cache")
 
     def __init__(self, disp, extent_elems: int, itemsize: int):
-        disp = np.ascontiguousarray(disp, dtype=np.int64)
+        disp = self.disp = np.ascontiguousarray(disp, dtype=np.int64)
         n = int(disp.shape[0])
         self.itemsize = int(itemsize)
         self.extent_elems = int(extent_elems)
@@ -141,6 +164,35 @@ class LayoutIR:
             and (self.uniform or self.nruns <= 32))
         self._span_cache: OrderedDict[tuple[int, int], tuple] = \
             OrderedDict()
+        self._index_cache: OrderedDict[tuple[int, int], np.ndarray] = \
+            OrderedDict()
+
+    # -- the index map (fallback path and test oracle) ----------------------
+    def flat_indices(self, count: int, offset: int = 0) -> np.ndarray:
+        """Flat element indices selected by ``count`` instances at ``offset``.
+
+        ``offset + i*extent + disp`` for ``i in range(count)`` — a single
+        ``np.add.outer``.  Cached for repeated (count, offset) pairs —
+        persistent requests and fixed-size loops hit the cache every
+        iteration.
+        """
+        key = (int(count), int(offset))
+        hit = self._index_cache.get(key)
+        if hit is not None:
+            try:
+                self._index_cache.move_to_end(key)
+            except KeyError:   # concurrently evicted by another rank
+                pass
+            return hit
+        starts = offset + np.arange(count, dtype=np.int64) * self.extent_elems
+        idx = np.add.outer(starts, self.disp).ravel()
+        while len(self._index_cache) >= _INDEX_CACHE_MAX:
+            try:
+                self._index_cache.popitem(last=False)  # evict LRU only
+            except KeyError:   # another rank emptied it concurrently
+                break
+        self._index_cache[key] = idx
+        return idx
 
     # -- safety predicates --------------------------------------------------
     def scatter_safe(self, count: int) -> bool:
@@ -170,111 +222,116 @@ class LayoutIR:
                 >= entries * WIRE_MIN_AVG_RUN_BYTES)
 
     # -- block gather / scatter (whole instances) ---------------------------
-    def _window(self, buf: np.ndarray, offset: int, count: int):
-        """Strided view of the whole ``(count, nruns, runlen)`` selection.
-
-        Only for uniform layouts: instance stride = extent, run stride =
-        the constant inner stride.  The caller has validated the window,
-        so the view is in bounds.
+    def _blocks(self, buf: np.ndarray, offset: int, count: int,
+                dense: np.ndarray):
+        """``(strided view of buf, matching view of dense)`` pairs that
+        together cover ``count`` instances: ONE 3-D pair for a uniform
+        layout (instance stride = extent, run stride = the constant
+        inner stride) whatever ``nruns`` is, else one 2-D pair per run
+        (rows = the run's position in each instance).  No index fabric
+        either way; the window was validated where it was posted, so
+        every view is in bounds.
         """
         est = buf.strides[0]
-        return as_strided(
-            buf[int(offset + self.run_starts[0]):],
-            shape=(count, self.nruns, int(self.run_lens[0])),
-            strides=(self.extent_elems * est, self.run_stride * est, est))
+        row = self.extent_elems * est
+        if self.uniform:
+            shape = (count, self.nruns, int(self.run_lens[0]))
+            yield (as_strided(buf[int(offset + self.run_starts[0]):],
+                              shape=shape,
+                              strides=(row, self.run_stride * est, est)),
+                   dense.reshape(shape))
+            return
+        dense = dense.reshape(count, self.size_elems)
+        for s, ln, dn in zip(self.run_starts, self.run_lens,
+                             self.run_dense):
+            yield (as_strided(buf[int(offset + s):], shape=(count, int(ln)),
+                              strides=(row, est)),
+                   dense[:, int(dn):int(dn + ln)])
 
     def gather(self, buf: np.ndarray, offset: int,
                count: int) -> np.ndarray:
-        """Dense copy of ``count`` instances via strided block copies.
+        """Dense copy of ``count`` instances (always a private copy: an
+        eager send parks it in the receiver's unexpected queue while MPI
+        lets the sender reuse the buffer).
 
-        Uniform layouts move in ONE 3-D strided copy; irregular layouts
-        pay one 2-D copy per run (source rows = the run's position in
-        each instance).  Either way there is no index fabric.  The
-        caller has validated the window, so every strided view below is
-        in bounds.
+        A contiguous layout is one slice; one with too many irregular
+        runs gathers through the index map; anything else moves in
+        strided block copies (:meth:`_blocks`).
         """
+        if self.contiguous:
+            DATAPATH.add("gather_contig")
+            return buf[offset:offset + count * self.size_elems].copy()
+        if not self.use_runs:
+            DATAPATH.add("gather_index")
+            return buf[self.flat_indices(count, offset)]
+        DATAPATH.add("gather_runs")
         out = np.empty(count * self.size_elems, dtype=buf.dtype)
-        if count == 0 or self.size_elems == 0:
-            return out
-        if self.uniform:
-            out.reshape(count, self.nruns,
-                        int(self.run_lens[0]))[:] = \
-                self._window(buf, offset, count)
-            return out
-        dense = out.reshape(count, self.size_elems)
-        est = buf.strides[0]
-        row = self.extent_elems * est
-        for s, ln, dn in zip(self.run_starts, self.run_lens,
-                             self.run_dense):
-            src = as_strided(buf[int(offset + s):], shape=(count, int(ln)),
-                             strides=(row, est))
-            dense[:, int(dn):int(dn + ln)] = src
+        if count:
+            for src, dst in self._blocks(buf, offset, count, out):
+                dst[...] = src
         return out
 
     def scatter(self, buf: np.ndarray, offset: int, count: int,
                 data: np.ndarray) -> None:
-        """Inverse of :meth:`gather`; caller checked :meth:`scatter_safe`."""
-        if count == 0 or self.size_elems == 0:
-            return
-        if self.uniform:
-            self._window(buf, offset, count)[:] = \
-                data[:count * self.size_elems].reshape(
-                    count, self.nruns, int(self.run_lens[0]))
-            return
-        dense = data[:count * self.size_elems].reshape(count,
-                                                       self.size_elems)
-        est = buf.strides[0]
-        row = self.extent_elems * est
-        for s, ln, dn in zip(self.run_starts, self.run_lens,
-                             self.run_dense):
-            dst = as_strided(buf[int(offset + s):], shape=(count, int(ln)),
-                             strides=(row, est))
-            dst[:, :] = dense[:, int(dn):int(dn + ln)]
+        """Inverse of :meth:`gather`: land the first ``count`` whole
+        instances of ``data``.  Destinations the block copies could
+        overlap (see :meth:`scatter_safe`) go through the index map,
+        whose last-write-wins order is the reference."""
+        need = count * self.size_elems
+        if self.contiguous:
+            DATAPATH.add("scatter_contig")
+            buf[offset:offset + need] = data[:need]
+        elif not (self.use_runs and self.scatter_safe(count)):
+            DATAPATH.add("scatter_index")
+            buf[self.flat_indices(count, offset)] = data[:need]
+        else:
+            DATAPATH.add("scatter_runs")
+            if count:
+                for dst, src in self._blocks(buf, offset, count,
+                                             data[:need]):
+                    dst[...] = src
 
-    # -- dense-range walking (segments, partial messages, iovecs) ----------
-    def element_pieces(self, offset: int, elem_lo: int,
-                       elem_hi: int) -> list[tuple[int, int]]:
-        """``(buffer element start, length)`` pieces, serialization order.
-
-        Covers dense element positions ``[elem_lo, elem_hi)`` of a
-        window of instances starting at buffer element ``offset`` —
-        the run-walk behind segment landing, partial-message landing
-        and iovec construction.
-        """
-        pieces: list[tuple[int, int]] = []
-        size = self.size_elems
-        if size == 0:
-            return pieces
-        rd, rl, rs = self.run_dense, self.run_lens, self.run_starts
-        ext = self.extent_elems
-        e = elem_lo
-        while e < elem_hi:
-            inst, de = divmod(e, size)
-            k = int(np.searchsorted(rd, de, side="right")) - 1
-            intra = de - int(rd[k])
-            take = min(int(rl[k]) - intra, elem_hi - e)
-            pieces.append((offset + inst * ext + int(rs[k]) + intra, take))
-            e += take
-        return pieces
-
+    # -- dense-range landing (segments, partial messages) --------------------
     def scatter_range(self, buf, offset: int, data,
                       elem_lo: int) -> None:
-        """Land dense elements ``elem_lo..`` into the selected positions.
+        """Land dense elements ``elem_lo..`` into the selected positions
+        — pipelined collective segments and partial trailing instances,
+        where the whole-instance block form does not apply.
 
-        Sequential per-piece slice copies in serialization order, so
-        overlapping layouts keep fancy indexing's last-write-wins
-        outcome.  Used by pipelined collective segments and partial
-        trailing instances, where the 2-D block form does not apply.
+        A run walk: sequential slice copies of the run pieces the range
+        overlaps, in serialization order, so overlapping layouts keep
+        fancy indexing's last-write-wins outcome.  With many tiny
+        irregular runs the index map of just the instances the range
+        touches beats that per-piece Python loop.
         """
         n = len(data)
+        if n == 0:
+            return
+        if self.contiguous:
+            DATAPATH.add("scatter_contig")
+            buf[offset + elem_lo:offset + elem_lo + n] = data
+            return
+        size, ext = self.size_elems, self.extent_elems
+        if not self.use_runs:
+            DATAPATH.add("scatter_index")
+            first, skip = divmod(elem_lo, size)
+            idx = self.flat_indices(-(-(skip + n) // size),
+                                    offset + first * ext)
+            buf[idx[skip:skip + n]] = data
+            return
+        DATAPATH.add("scatter_runs")
+        rd, rl, rs = self.run_dense, self.run_lens, self.run_starts
         nbuf = len(buf)
         pos = 0
-        for start, take in self.element_pieces(offset, elem_lo,
-                                               elem_lo + n):
+        while pos < n:
+            inst, de = divmod(elem_lo + pos, size)
+            k = int(np.searchsorted(rd, de, side="right")) - 1
+            intra = de - int(rd[k])
+            take = min(int(rl[k]) - intra, n - pos)
+            start = offset + inst * ext + int(rs[k]) + intra
             if start < 0 or start + take > nbuf:
-                # same failure mode as the legacy fancy-indexed landing:
                 # slice assignment would silently clamp, which must not
-                # mask an out-of-window message
+                # mask a range outside the validated window
                 raise IndexError(
                     f"run [{start},{start + take}) outside buffer of "
                     f"length {nbuf}")

@@ -1,102 +1,25 @@
-"""Element gather/scatter and ``MPI_Pack``/``MPI_Unpack``.
+"""``MPI_Pack`` / ``MPI_Unpack`` / ``MPI_Pack_size``.
 
-The hot paths operate on the datatype's layout IR (see
-:mod:`repro.datatypes.layout`): a derived type's selection compiles to a
-handful of dense runs, and gathering/scattering a strided section is one
-2-D block copy *per run* — no ``count x size`` index fabric on the hot
-path.  Layouts the IR cannot serve (many tiny runs, overlapping or
-non-monotonic selections, hand-built negative extents) fall back to the
-legacy cached-flat-index fancy-indexing path, which remains the
-semantic reference.
+Packing is a send and a receive whose other end is a user byte buffer,
+so it takes the communication datapath whole: the window is validated by
+:func:`repro.runtime.buffers.validate_buffer`, the elements move through
+the datatype's layout IR (:mod:`repro.datatypes.layout`), and nothing
+here chooses a copy strategy.  :data:`DATAPATH` is re-exported for the
+callers that have always read it from this module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import MPIException, ERR_ARG, ERR_BUFFER, ERR_TRUNCATE
+from repro.errors import MPIException, ERR_ARG, ERR_TRUNCATE
 from repro.datatypes.base import DatatypeImpl
-from repro.datatypes.object_serial import serialize_objects, \
-    deserialize_objects
-from repro.obs.metrics import CounterGroup
+from repro.datatypes.layout import DATAPATH
+from repro.datatypes.object_serial import deserialize_objects
+from repro.runtime.buffers import extract_send_payload, validate_buffer
 
-__all__ = ["gather_elements", "scatter_elements",
-           "pack", "unpack", "pack_size", "DATAPATH"]
+__all__ = ["pack", "unpack", "pack_size", "DATAPATH"]
 
-#: layout-IR datapath accounting: which path moved each message's
-#: elements — contiguous slice, IR run walk, or the cached-index
-#: fallback — plus the wire-side view decisions counted from
-#: :mod:`repro.runtime.buffers` (zero-copy borrow / iovec vs gather copy
-#: on send, direct landing granted vs refused on receive)
-DATAPATH = CounterGroup("datapath", (
-    "gather_contig", "gather_runs", "gather_index",
-    "scatter_contig", "scatter_runs", "scatter_index",
-    "send_view", "send_iovec", "send_gather",
-    "recv_direct", "recv_refused",
-))
-
-
-def _validate_window(buf, offset: int, datatype: DatatypeImpl,
-                     count: int) -> None:
-    """Check that ``count`` instances at ``offset`` fit inside ``buf``."""
-    lo = offset + datatype.min_elem(count)
-    hi = offset + datatype.span_elems(count)
-    if lo < 0 or hi > len(buf):
-        raise MPIException(
-            ERR_BUFFER,
-            f"datatype {datatype.name} x{count} at offset {offset} spans "
-            f"elements [{lo},{hi}) of a buffer of length {len(buf)}")
-
-
-def gather_elements(buf, offset: int, count: int,
-                    datatype: DatatypeImpl) -> np.ndarray:
-    """Copy the selected elements out of ``buf`` into a dense 1-D array.
-
-    For contiguous layouts this is a plain slice copy (the fast path the
-    ``-C`` benchmark columns ride on); otherwise a fancy-indexed gather.
-    """
-    datatype._check_alive()
-    _validate_window(buf, offset, datatype, count)
-    lay = datatype.layout()
-    if lay.contiguous:
-        # always a real copy: eager sends park the payload in the
-        # receiver's unexpected queue, and MPI lets the sender reuse the
-        # buffer the moment the send returns
-        DATAPATH.add("gather_contig")
-        n = count * datatype.size_elems
-        return buf[offset:offset + n].copy()
-    if lay.use_runs:
-        DATAPATH.add("gather_runs")
-        return lay.gather(buf, offset, count)
-    DATAPATH.add("gather_index")
-    idx = datatype.flat_indices(count, offset)
-    return buf[idx]
-
-
-def scatter_elements(buf, offset: int, count: int, datatype: DatatypeImpl,
-                     data: np.ndarray) -> None:
-    """Scatter a dense 1-D array into the selected elements of ``buf``."""
-    datatype._check_alive()
-    _validate_window(buf, offset, datatype, count)
-    need = count * datatype.size_elems
-    if len(data) < need:
-        raise MPIException(ERR_TRUNCATE,
-                           f"have {len(data)} elements, need {need}")
-    lay = datatype.layout()
-    if lay.contiguous:
-        DATAPATH.add("scatter_contig")
-        buf[offset:offset + need] = data[:need]
-        return
-    if lay.use_runs and lay.scatter_safe(count):
-        DATAPATH.add("scatter_runs")
-        lay.scatter(buf, offset, count, data)
-        return
-    DATAPATH.add("scatter_index")
-    idx = datatype.flat_indices(count, offset)
-    buf[idx] = data[:need]
-
-
-# --- MPI_Pack / MPI_Unpack ---------------------------------------------------
 
 def pack_size(incount: int, datatype: DatatypeImpl) -> int:
     """Upper bound on packed bytes (``MPI_Pack_size``)."""
@@ -114,15 +37,13 @@ def pack(inbuf, offset: int, incount: int, datatype: DatatypeImpl,
     ``outbuf`` must be a byte buffer (``MPI.PACKED``-compatible, uint8).
     Returns the new position.
     """
-    if datatype.base.is_object:
-        blob = serialize_objects(list(inbuf[offset:offset + incount]))
-        data = np.frombuffer(blob, dtype=np.uint8)
-        header = np.frombuffer(
-            np.int64(len(data)).tobytes(), dtype=np.uint8)
-        data = np.concatenate([header, data])
+    payload, _, is_object = extract_send_payload(inbuf, offset, incount,
+                                                 datatype)
+    if is_object:
+        data = np.frombuffer(np.int64(len(payload)).tobytes() + payload,
+                             dtype=np.uint8)
     else:
-        elems = gather_elements(inbuf, offset, incount, datatype)
-        data = np.frombuffer(elems.tobytes(), dtype=np.uint8)
+        data = payload.view(np.uint8)
     end = position + len(data)
     if end > len(outbuf):
         raise MPIException(ERR_TRUNCATE,
@@ -138,7 +59,8 @@ def unpack(inbuf: np.ndarray, position: int, outbuf, offset: int,
 
     Returns the new position.
     """
-    if datatype.base.is_object:
+    lay = validate_buffer(outbuf, offset, outcount, datatype)
+    if lay is None:
         hdr_end = position + 8
         nbytes = int(np.frombuffer(
             inbuf[position:hdr_end].tobytes(), dtype=np.int64)[0])
@@ -159,5 +81,5 @@ def unpack(inbuf: np.ndarray, position: int, outbuf, offset: int,
                            f"{position}, have {len(inbuf)}")
     elems = np.frombuffer(inbuf[position:end].tobytes(),
                           dtype=datatype.base.np_dtype)
-    scatter_elements(outbuf, offset, outcount, datatype, elems)
+    lay.scatter(outbuf, offset, outcount, elems)
     return end

@@ -21,7 +21,6 @@ from __future__ import annotations
 from repro.runtime.buffers import validate_buffer
 from repro.runtime.collective.common import (algorithm_for, check_root,
                                              extract_contrib, land_contrib,
-                                             land_dense_segment,
                                              note_algorithm, segment_bounds)
 from repro.runtime import nbc
 from repro.runtime.nbc import Box, Compute, Recv, Send
@@ -107,8 +106,8 @@ def _segmented(comm, sched, tag, buf, offset, count, datatype,
     boxes = [Box() for _ in range(nseg)]
     for s in range(nseg):
         def land(s=s):
-            land_dense_segment(buf, offset, count, datatype,
-                               boxes[s].contrib[1], bounds[s])
+            land_contrib(buf, offset, count, datatype, boxes[s].contrib,
+                         bounds[s])
         forward = Send(nxt, boxes[s - 1], tag) if nxt is not None and s \
             else None
         sched.round(Recv(prv, tag, boxes[s]), forward, Compute(land))

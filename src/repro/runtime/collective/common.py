@@ -25,11 +25,12 @@ import threading
 
 import numpy as np
 
-from repro.errors import MPIException, ERR_ARG, ERR_ROOT, ERR_TYPE
+from repro.errors import MPIException, ERR_ARG, ERR_ROOT
 from repro.datatypes.object_serial import (deserialize_objects,
                                            serialize_objects)
 from repro.obs.trace import TRACE
-from repro.runtime.buffers import extract_send_payload, land_dense
+from repro.runtime.buffers import (extract_send_payload, land_dense,
+                                   validate_buffer)
 
 # --- algorithm selection ------------------------------------------------------
 
@@ -128,51 +129,21 @@ def check_root(comm, root: int) -> None:
 
 
 def extract_contrib(buf, offset, count, datatype):
-    """One rank's contribution in dense form."""
-    payload, nelems, is_object = extract_send_payload(buf, offset, count,
-                                                      datatype)
-    if is_object:
-        return ("obj", deserialize_objects(payload))
-    return ("dense", payload)
+    """One rank's contribution in dense form (window validated here)."""
+    if datatype.base.is_object:
+        validate_buffer(buf, offset, count, datatype)
+        return ("obj", list(buf[offset:offset + count]))
+    return ("dense", extract_send_payload(buf, offset, count, datatype)[0])
 
 
-def land_contrib(buf, offset, count, datatype, contrib) -> int:
+def land_contrib(buf, offset, count, datatype, contrib,
+                 elem_lo: int = 0) -> int:
+    """Land a contribution — or one pipeline segment of a dense one, at
+    dense element ``elem_lo``, so pipelined algorithms never materialize
+    the concatenated message — in the user buffer."""
     kind, data = contrib
-    if kind == "obj":
-        return land_dense(buf, offset, count, datatype,
-                          serialize_objects(data), len(data), True)
-    return land_dense(buf, offset, count, datatype, data,
-                      int(data.shape[0]), False)
-
-
-def land_dense_segment(buf, offset, count, datatype, data,
-                       elem_lo: int) -> None:
-    """Land one pipeline segment (dense base elements ``elem_lo``..) into
-    the user buffer — the per-segment analogue of :func:`land_contrib`,
-    so pipelined algorithms never materialize the concatenated message.
-
-    Derived layouts land through the IR run walk
-    (:meth:`~repro.datatypes.layout.LayoutIR.scatter_range`): only the
-    runs the segment overlaps are touched, with slice copies — no
-    full-window index fabric per segment.
-    """
-    n = int(data.shape[0])
-    if n == 0:
-        return
-    if data.dtype != datatype.base.np_dtype:
-        raise MPIException(ERR_TYPE,
-                           f"segment of {data.dtype} elements received "
-                           f"into {datatype.base.name} buffer")
-    lay = datatype.layout()
-    if lay.contiguous:
-        buf[offset + elem_lo:offset + elem_lo + n] = data
-    elif lay.use_runs:
-        lay.scatter_range(buf, offset, data, elem_lo)
-    else:
-        # many tiny irregular runs: the cached index map beats a
-        # per-piece Python walk (same fallback as packing.py)
-        idx = datatype.flat_indices(count, offset)[elem_lo:elem_lo + n]
-        buf[idx] = data
+    return land_dense(buf, offset, count, datatype, data, kind == "obj",
+                      elem_lo)
 
 
 def segment_bounds(nelems: int, itemsize: int) -> list[int]:

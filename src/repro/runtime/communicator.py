@@ -320,8 +320,8 @@ class CommImpl:
             return False
         if getattr(self.universe.transport, "mode", "SM") != "DM":
             return False
-        return datatype.layout().wire_friendly(
-            count * datatype.size_elems)
+        lay = datatype.layout()
+        return lay.wire_friendly(count * lay.size_elems)
 
     def isend(self, buf, offset: int, count: int, datatype: DatatypeImpl,
               dest: int, tag: int,
@@ -485,8 +485,8 @@ class CommImpl:
     def sendrecv_replace(self, buf, offset, count, datatype, dest, stag,
                          source, rtag) -> RequestImpl:
         import numpy as np
-        validate_buffer(buf, offset, count, datatype)
-        if datatype.base.is_object:
+        lay = validate_buffer(buf, offset, count, datatype)
+        if lay is None:
             tmp = list(buf[offset:offset + count])
             out = list(tmp)
             rreq = self.irecv(out, 0, count, datatype, source, rtag)
@@ -496,22 +496,16 @@ class CommImpl:
                 for i in range(count):
                     buf[offset + i] = out[i]
             return rreq
-        from repro.datatypes.packing import gather_elements
         prim = _primitive_of(datatype)
-        tmp = gather_elements(buf, offset, count, datatype).copy()
+        tmp = lay.gather(buf, offset, count)
         inbox = np.empty_like(tmp)
         rreq = self.irecv(inbox, 0, len(inbox), prim, source, rtag)
         if dest != PROC_NULL:
             self._isend_raw(tmp, len(tmp), False, self._dest_world(dest),
                             stag, self.ctx_pt2pt).wait()
         rreq.wait()
-        n = rreq.count_elements
-        if source != PROC_NULL and n:
-            if datatype.layout().use_runs:
-                datatype.layout().scatter_range(buf, offset, inbox[:n], 0)
-            else:
-                idx = datatype.flat_indices(count, offset)[:n]
-                buf[idx] = inbox[:n]
+        if source != PROC_NULL:
+            lay.scatter_range(buf, offset, inbox[:rreq.count_elements], 0)
         return rreq
 
     # ======================================================================

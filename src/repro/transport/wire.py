@@ -58,16 +58,27 @@ constructors that build a channel list and return this one class.
   peer passed, a receiver takes the get iff *its* probe of the sender
   passed and otherwise answers an ordinary CTS, which the sender serves
   from the same parked envelope through the lane or the stream.
-* **One writer thread** — rendezvous payloads *and every pump-originated
-  control frame* (CTS, sync ACKs) are written by a dedicated thread.
-  Pumps never write: a pump blocking in ``sendall`` — or on a channel
-  lock held by a writer mid-stream — stops draining its own channels,
-  and two peers in that state deadlock.  With pumps strictly read-only,
-  every channel is always being drained and writers always make
-  progress.
+* **One writer thread** — writes what a pump thread must not: parked
+  rendezvous payloads, every pump-originated control frame (CTS, DONE,
+  sync ACKs) and every pump-originated *send* above
+  :data:`PUMP_INLINE_MAX` bytes.  A pump does write: a collective
+  schedule's continuation runs in whichever thread completed the
+  round's last receive — here the pump — and issues the next round's
+  sends inline (:mod:`repro.runtime.nbc.progress`).  But a pump blocked
+  in ``sendall`` — or on a channel lock held by a writer mid-stream —
+  stops draining its own channels, and two peers in that state
+  deadlock.  So a pump writes only what a socket buffer takes without
+  stalling (at most one collective segment); anything larger, and
+  anything to a channel that still has such a send queued (per-pair
+  order is MPI's non-overtaking rule), goes to the writer, which may
+  block because every channel is still being drained.
 * **One pump per local rank** (:meth:`WireTransport._pump`) — selects on
   the rank's sockets, reads one frame at a time, and turns a peer's EOF
   into the ``KIND_PEERFAIL`` that unblocks everything waiting on it.
+  Any other exception escaping a delivery would end the thread and
+  park every later receive of the rank forever, so it becomes a
+  ``KIND_ABORT`` carrying that exception — delivered to this rank, then
+  broadcast: the ranks unwind and the launcher reports the cause.
   The same thread may be sitting in a lane read when the peer dies
   between header and body, so a stalled lane read peeks the pair's
   socket for that EOF.
@@ -134,6 +145,12 @@ def wants_rendezvous(env: Envelope) -> bool:
 #: attempt: for tiny messages the posted-queue claim (lock, peek object,
 #: view construction) costs more than the one staging copy it avoids
 DIRECT_EAGER_MIN = 4096
+
+
+#: largest payload a pump thread writes inline (see the module
+#: docstring).  Equal to the collectives' ``SEGMENT_BYTES``: the size
+#: they already treat as "streams without stalling"
+PUMP_INLINE_MAX = 64 * 1024
 
 
 def set_nodelay(sock: socket.socket) -> None:
@@ -292,9 +309,9 @@ def framed_send(chan, header: bytes, body=b"", bulk: bool = False) -> None:
 
     The channel lock exists only to keep frames whole on the stream —
     and, for a ``bulk`` frame, to keep the lane's byte order equal to
-    the header order on the socket.  Every caller is a rank thread or
-    the writer thread; pump threads never reach here
-    (:meth:`WireTransport._enqueue_frame`).
+    the header order on the socket.  Callers are rank threads, the
+    writer thread, and a pump with a send small enough not to stall
+    (:meth:`WireTransport.send`).
     """
     # single-writer discipline: the lock is what keeps the frame whole,
     # so every write below blocks under it on purpose
@@ -330,7 +347,7 @@ class Channel:
     """
 
     __slots__ = ("sock", "tx", "rx", "lock", "dead", "lane_tx", "lane_rx",
-                 "cma_pid", "sendall", "sendmsg", "recv_into",
+                 "cma_pid", "deferred", "sendall", "sendmsg", "recv_into",
                  "recvmsg_into")
 
     def __init__(self, sock: socket.socket, rank: int, peer: int):
@@ -350,6 +367,8 @@ class Channel:
         #: pair's whole single-copy capability: this side offers a get
         #: with what it sends and takes the ones it is offered iff set
         self.cma_pid: int | None = None
+        #: pump-originated sends queued on the writer, not yet written
+        self.deferred = 0
         self.sendall, self.sendmsg = sock.sendall, sock.sendmsg
         self.recv_into, self.recvmsg_into = sock.recv_into, sock.recvmsg_into
 
@@ -410,18 +429,6 @@ class Channel:
 
 # -- rendezvous bookkeeping ---------------------------------------------------
 
-class _Sink:
-    """A matched receive waiting for its rendezvous payload frame."""
-
-    __slots__ = ("posted", "views")
-
-    def __init__(self, posted, views):
-        self.posted = posted
-        #: writable byte views of the user buffer (one per layout run,
-        #: a single view for contiguous layouts), or None = stage + land
-        self.views = views
-
-
 class _RendezvousState:
     """Per-local-rank rendezvous tables (sender and receiver side)."""
 
@@ -430,7 +437,9 @@ class _RendezvousState:
     def __init__(self):
         self.lock = threading.Lock()
         self.out: dict[int, Envelope] = {}     # seq -> parked send
-        self.sinks: dict[tuple, _Sink] = {}    # (src, seq) -> sink
+        #: (src, seq) -> (RTS envelope, posted receive, its byte views or
+        #: None): a matched receive waiting for its payload frame
+        self.sinks: dict[tuple, tuple] = {}
         self.t0: dict[int, float] = {}         # seq -> RTS time (tracing)
 
 
@@ -458,6 +467,9 @@ class WireTransport(Transport):
         self._writer: threading.Thread | None = None
         self._closing = threading.Event()
         self._started = False
+        #: ``.pump`` is set in this transport's pump threads only
+        self._role = threading.local()
+        self._deferred_lock = threading.Lock()
         #: frame/byte counters for benchmarks and the zero-copy tests —
         #: a live :class:`~repro.obs.metrics.CounterGroup` registered in
         #: the process metrics registry
@@ -525,7 +537,22 @@ class WireTransport(Transport):
             chan = self._off_table(env)
             if chan is None:
                 return
+        if hasattr(self._role, "pump") and (
+                chan.deferred or env.payload_nbytes() > PUMP_INLINE_MAX):
+            # a pump must not stall in a channel write: see the module
+            # docstring's writer-thread rule
+            with self._deferred_lock:
+                chan.deferred += 1
+            self._writeq.put((self._deferred_send, env, chan))
+            return
         self._wire_send(env, chan)
+
+    def _deferred_send(self, env: Envelope, chan) -> None:
+        try:
+            self._wire_send(env, chan)
+        finally:
+            with self._deferred_lock:
+                chan.deferred -= 1
 
     def send_oob(self, env: Envelope) -> None:
         """Control delivery for waits blocked *inside* a channel (a
@@ -631,42 +658,44 @@ class WireTransport(Transport):
                            "bytes": env.payload.nbytes})
 
     def _enqueue_frame(self, src: int, dst: int, header: bytes) -> None:
-        """Hand a control frame to the writer (pump threads MUST use
-        this instead of writing: a pump blocked on a channel lock held
-        by a writer mid-stream stops draining and can deadlock)."""
-        self._writeq.put((src, dst, header))
+        """Hand a control frame to the writer (what may run in a pump
+        thread uses this instead of writing: a pump blocked on a channel
+        lock held by a writer mid-stream stops draining and can
+        deadlock)."""
+        self._writeq.put((self._write_control, src, dst, header))
 
     def _writer_loop(self) -> None:
-        """Stream parked rendezvous payloads and pump-originated control
-        frames; this thread (plus rank threads) does all wire writing,
-        keeping pumps strictly read-only."""
+        """Run the queued jobs — ``(method, *args)``: a control frame, a
+        CTS'd rendezvous payload, a pump-originated send — in order."""
         while True:
-            item = self._writeq.get()
-            if item is None:
+            job = self._writeq.get()
+            if job is None:
                 return
             try:
-                if isinstance(item, tuple):
-                    src, dst, header = item
-                    framed_send(self._table[src, dst], header)
-                    self._count(tx_frames=1, tx_bytes=len(header))
-                    continue
-                env = item
-                env.kind = ev.KIND_RNDV_DATA
-                chan = self._table[env.src, env.dst]
-                bulk = chan.lane_tx is not None
-                header, body = ev.encode(env, bulk)
-                nbytes = body_nbytes(body)
-                t_flush = TRACE.now() if TRACE.enabled else 0.0
-                framed_send(chan, header, body, bulk)
-                self._count(tx_frames=1, tx_bytes=len(header) + nbytes)
+                job[0](*job[1:])
             except (OSError, LookupError):
                 if self._closing.is_set():
                     return
-                continue   # peer death surfaces via the pump
-            if TRACE.enabled:
-                TRACE.span(env.src, "wire.flush", "wire", t_flush,
-                           {"dst": env.dst, "bytes": nbytes})
-            self._payload_done(env)
+                # peer death surfaces via the pump
+
+    def _write_control(self, src: int, dst: int, header: bytes) -> None:
+        framed_send(self._table[src, dst], header)
+        self._count(tx_frames=1, tx_bytes=len(header))
+
+    def _stream_payload(self, env: Envelope) -> None:
+        """The receiver's CTS arrived: stream the parked payload."""
+        env.kind = ev.KIND_RNDV_DATA
+        chan = self._table[env.src, env.dst]
+        bulk = chan.lane_tx is not None
+        header, body = ev.encode(env, bulk)
+        nbytes = body_nbytes(body)
+        t_flush = TRACE.now() if TRACE.enabled else 0.0
+        framed_send(chan, header, body, bulk)
+        self._count(tx_frames=1, tx_bytes=len(header) + nbytes)
+        if TRACE.enabled:
+            TRACE.span(env.src, "wire.flush", "wire", t_flush,
+                       {"dst": env.dst, "bytes": nbytes})
+        self._payload_done(env)
 
     def _payload_done(self, env: Envelope) -> None:
         """A parked rendezvous payload is out of this rank's hands —
@@ -702,7 +731,11 @@ class WireTransport(Transport):
         ``KIND_PEERFAIL`` delivery: the failure plane marks the rank
         dead and fails exactly the operations that depended on it (fatal
         under ``ERRORS_ARE_FATAL``, survivable under ``ERRORS_RETURN``).
+        Anything else that escapes a delivery ends this pump, and with
+        it every receive the rank could still post: the job is aborted
+        with that exception as the cause, this rank first.
         """
+        self._role.pump = True
         pool = RecvPool()
         sel = selectors.DefaultSelector()
         for chan in chans:
@@ -722,6 +755,15 @@ class WireTransport(Transport):
                             peer = chan.rx[0]
                             self._peer_lost(rank, peer,
                                             f"rank {peer} connection lost")
+        except Exception as exc:  # noqa: BLE001 - the thread's boundary
+            abort = ev.encode_abort_env(rank, 1, exc)
+            abort.dst = rank
+            self._deliver_local(rank, abort)
+            try:
+                # ranks in other processes learn of it from the wire
+                self.broadcast_control(abort)
+            except Exception:  # noqa: BLE001 - best effort while dying
+                pass
         finally:
             sel.close()
 
@@ -746,8 +788,15 @@ class WireTransport(Transport):
             self._handle_cts(rank, seq, done)
             return
         if kind == ev.KIND_RNDV_DATA:
-            self._handle_rndv_data(rank, chan, pool, src, tag, seq,
-                                   nelems, flags, nbytes)
+            st = self._rndv[rank]
+            with st.lock:
+                sink = st.sinks.pop((src, seq), None)
+            if sink is None:  # pragma: no cover - a CTS precedes the frame
+                read_body(chan, flags, [pool.body(nbytes)])
+                return
+            self._land_rndv(rank, *sink,
+                            lambda into: read_body(chan, flags, into),
+                            "lane" if flags & ev.FLAG_BULK else "stream")
             return
         if kind == ev.KIND_DATA and nbytes >= DIRECT_EAGER_MIN \
                 and not (flags & ev.FLAG_OBJECT):
@@ -822,7 +871,7 @@ class WireTransport(Transport):
         if done:
             self._payload_done(env)
         else:
-            self._writeq.put(env)
+            self._writeq.put((self._stream_payload, env))
 
     def _send_ack(self, env: Envelope) -> None:
         """Matched a synchronous-mode message: ACK back to the sender.
@@ -855,7 +904,7 @@ class WireTransport(Transport):
             return
         st = self._rndv[rank]
         with st.lock:
-            st.sinks[(env.src, env.seq)] = _Sink(posted, views)
+            st.sinks[(env.src, env.seq)] = (env, posted, views)
         cts = ev.HEADER.pack(ev.KIND_CTS, rank, env.src, env.context,
                              env.tag, env.mode, env.seq, 0, 0, b"--", 0)
         # via the writer, never inline: this may run in the pump (arrival
@@ -864,12 +913,9 @@ class WireTransport(Transport):
 
     def _get(self, rank: int, chan, env: Envelope, posted, views) -> bool:
         """Single-copy landing of the payload ``env`` (an RTS with a
-        cookie) announces: ``process_vm_readv`` from the sender's memory
-        straight into ``views``, or — a receive that cannot take the
-        bytes as they are (dtype mismatch, truncation, wire-unfriendly
-        layout) — into a staging array that ``posted.land`` then checks.
-        Answers DONE.  Returns False iff the kernel refused the read, so
-        the caller falls back to an ordinary CTS.
+        cookie) announces: ``process_vm_readv`` from the sender's
+        memory, then DONE.  Returns False iff the kernel refused the
+        read, so the caller falls back to an ordinary CTS.
 
         A sender that died after its RTS (``ESRCH``; ``EFAULT`` while it
         is being torn down) is a peer loss, not an error of this call:
@@ -877,14 +923,24 @@ class WireTransport(Transport):
         matched request completes with ``ERR_PROC_FAILED`` through the
         failure scope it subscribed when the mailbox handed it over.
         """
-        src, nbytes = env.src, env.rndv_nbytes
-        t0 = TRACE.now() if TRACE.enabled else 0.0
-        direct = views is not None and body_nbytes(views) == nbytes
-        stage = None if direct else np.empty(nbytes, dtype=np.uint8)
+        src = env.src
+
+        def fetch(into):
+            cma.read(chan.cma_pid, env.rndv_cookie, cma.address_table(into))
+            # fault point: the payload has been read, the sender has not
+            # been told — a death here leaves it parked on a receiver
+            # that will never answer, as a lost CTS would
+            faultinject.maybe_fail("rendezvous.done", rank)
+            done = ev.HEADER.pack(ev.KIND_CTS, rank, src, env.context,
+                                  env.tag, env.mode, env.seq, 0,
+                                  ev.FLAG_CMA, b"--", 0)
+            # via the writer, never inline (see the CTS above)
+            self._enqueue_frame(rank, src, done)
+            self._count(rndv_get_frames=1, rndv_get_bytes=env.rndv_nbytes)
+
         try:
-            cma.read(chan.cma_pid, env.rndv_cookie,
-                     cma.address_table(views if direct else [stage]))
-        except OSError as exc:
+            self._land_rndv(rank, env, posted, views, fetch, "cma")
+        except OSError as exc:      # the read's: nothing has landed yet
             if exc.errno not in (errno.ESRCH, errno.EFAULT):
                 # not permitted after all (the probe raced a policy
                 # change): this endpoint stops offering and taking gets
@@ -892,20 +948,28 @@ class WireTransport(Transport):
                 return False
             self._peer_lost(rank, src, f"rank {src} lost before its "
                             f"rendezvous payload could be read: {exc}")
-            return True
-        # fault point: the payload has been read, the sender has not
-        # been told — a death here leaves it parked on a receiver that
-        # will never answer, as a lost CTS would
-        faultinject.maybe_fail("rendezvous.done", rank)
-        done = ev.HEADER.pack(ev.KIND_CTS, rank, src, env.context, env.tag,
-                              env.mode, env.seq, 0, ev.FLAG_CMA, b"--", 0)
-        # via the writer, never inline (see the CTS above)
-        self._enqueue_frame(rank, src, done)
-        self._count(rndv_get_frames=1, rndv_get_bytes=nbytes)
+        return True
+
+    def _land_rndv(self, rank: int, env: Envelope, posted, views, fetch,
+                   via: str) -> None:
+        """Land the body the RTS ``env`` announced on the receive it
+        matched: ``fetch`` fills byte views — the posted receive's own
+        when they take the bytes as they are (every layout run in one
+        scattering read, zero staging copies), else a staging array that
+        ``posted.land`` then checks (dtype mismatch, truncation,
+        wire-unfriendly layout).  The only thing that differs between a
+        payload frame and a single-copy get is ``fetch``.
+        """
+        src, nbytes = env.src, env.rndv_nbytes
+        t0 = TRACE.now() if TRACE.enabled else 0.0
+        direct = views is not None and body_nbytes(views) == nbytes
         if direct:
+            fetch(views)
             self._count(rndv_direct_frames=1, rndv_direct_bytes=nbytes)
             outcome = {"count_elements": env.nelems}
         else:
+            stage = np.empty(nbytes, dtype=np.uint8)
+            fetch([memoryview(stage)])
             count, error, message = posted.land(Envelope(
                 src=src, dst=rank, context=env.context, tag=env.tag,
                 mode=env.mode, seq=env.seq,
@@ -916,50 +980,8 @@ class WireTransport(Transport):
         if TRACE.enabled:
             TRACE.span(rank, "wire.rndv_land", "wire", t0,
                        {"src": src, "bytes": nbytes, "direct": direct,
-                        "via": "cma"})
-        posted.req.complete(source_world=src, tag=env.tag, **outcome)
-        return True
-
-    def _handle_rndv_data(self, rank: int, chan, pool: RecvPool, src: int,
-                          tag: int, seq: int, nelems: int, flags: int,
-                          nbytes: int) -> None:
-        """Land a rendezvous payload on its registered sink."""
-        st = self._rndv[rank]
-        with st.lock:
-            sink = st.sinks.pop((src, seq), None)
-        if sink is None:  # pragma: no cover - protocol guarantees a sink
-            read_body(chan, flags, [pool.body(nbytes)])
-            return
-        t0 = TRACE.now() if TRACE.enabled else 0.0
-        via = "lane" if flags & ev.FLAG_BULK else "stream"
-        if sink.views is not None \
-                and body_nbytes(sink.views) == nbytes:
-            # the zero-copy fast path: stream or lane -> user buffer
-            # (every layout run in one scattering read), no staging
-            read_body(chan, flags, sink.views)
-            self._count(rndv_direct_frames=1, rndv_direct_bytes=nbytes)
-            if TRACE.enabled:
-                TRACE.span(rank, "wire.rndv_land", "wire", t0,
-                           {"src": src, "bytes": nbytes, "direct": True,
-                            "via": via})
-            sink.posted.req.complete(source_world=src, tag=tag,
-                                     count_elements=nelems)
-            return
-        # fallback: wire-unfriendly layout, dtype mismatch or truncation —
-        # stage through the pool and run the full landing checks
-        body = pool.body(nbytes)
-        read_body(chan, flags, [body])
-        env = ev.decode(pool.header, body)
-        env.borrowed = True
-        count, error, message = sink.posted.land(env)
-        self._count(rndv_staged_frames=1, rndv_staged_bytes=nbytes)
-        if TRACE.enabled:
-            TRACE.span(rank, "wire.rndv_land", "wire", t0,
-                       {"src": src, "bytes": nbytes, "direct": False,
                         "via": via})
-        sink.posted.req.complete(source_world=src, tag=tag,
-                                 count_elements=count, error=error,
-                                 error_message=message)
+        posted.req.complete(source_world=src, tag=env.tag, **outcome)
 
     def bulk_paths(self, rank: int | None = None) -> dict[str, str]:
         """``"src->dst"`` -> ``cma`` | ``ring`` | ``socket`` for every

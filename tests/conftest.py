@@ -62,6 +62,17 @@ def waiters_built(monkeypatch):
     return built
 
 
+def window(t, count):
+    """``(lo, hi)``: how far below and above its origin ``count``
+    instances of ``t`` reach — read off the flat index map, the
+    datapath's reference, so a buffer of ``lo + hi`` elements used at
+    offset ``lo`` holds them exactly."""
+    idx = t.flat_indices(count)
+    if len(idx) == 0:
+        return 0, 0
+    return -min(0, int(idx.min())), max(0, int(idx.max()) + 1)
+
+
 def spmd(fn):
     """Wrap a test body with MPI.Init/Finalize, as every program must."""
     def body(*args):

@@ -1,8 +1,10 @@
 """Cross-cutting edge cases the categorized suites don't cover."""
 
 import numpy as np
+import pytest
 
-from repro.mpijava import MPI, Comm
+from repro import procrun
+from repro.mpijava import MPI, Comm, MPIException
 from tests.conftest import run
 
 
@@ -181,3 +183,115 @@ class TestDatatypeReuse:
             return ok
 
         assert all(run(2, body, transport=mode_transport))
+
+
+# --- windows that do not fit their buffer ------------------------------------
+#
+# The paper's buffer model is (array, offset, count, datatype) over
+# bounds-checked arrays: an overrunning window is an error of the call
+# that named it, in the rank that named it, on every backend — never a
+# silently shorter message, a dead pump thread or the *peer's* abort.
+# Bodies are module-level so the process backend can import them.
+
+def _window(vector: bool):
+    """(datatype, count, elements the window needs)."""
+    if vector:
+        return MPI.DOUBLE.Vector(5, 1, 2).Commit(), 1, 9
+    return MPI.DOUBLE, 10, 10
+
+
+def _code(call):
+    """The error class ``call`` raises, or None."""
+    try:
+        call()
+    except MPIException as exc:
+        return exc.Get_error_class()
+    return None
+
+
+def window_body(case: str, vector: bool):
+    MPI.Init([])
+    try:
+        return _window_case(case, vector)
+    finally:
+        MPI.Finalize()
+
+
+def _window_case(case: str, vector: bool):
+    w = MPI.COMM_WORLD
+    w.Errhandler_set(MPI.ERRORS_RETURN)
+    rank = w.Rank()
+    t, count, need = _window(vector)
+    short, full = np.zeros(5), np.arange(float(need))
+    go = np.zeros(1, dtype=np.int8)
+    if case == "send":
+        if rank == 0:
+            seen = _code(lambda: w.Send(short, 0, count, t, 1, 1))
+            w.Send(full, 0, count, t, 1, 1)
+            return seen
+        got = np.zeros(need)
+        w.Recv(got, 0, count, t, 0, 1)
+        step = 2 if vector else 1
+        return np.array_equal(got[::step], full[::step])   # the resend
+    if case == "recv_posted_first":
+        if rank == 1:
+            seen = _code(lambda: w.Irecv(short, 0, count, t, 0, 1))
+            req = w.Irecv(np.zeros(need), 0, count, t, 0, 1)
+            w.Send(go, 0, 1, MPI.BYTE, 0, 2)
+            req.Wait()
+            return seen
+        w.Recv(go, 0, 1, MPI.BYTE, 1, 2)
+        w.Send(full, 0, count, t, 1, 1)
+        return None
+    if case == "recv_posted_late":
+        if rank == 1:
+            w.Recv(go, 0, 1, MPI.BYTE, 0, 2)      # the message is here
+            seen = _code(lambda: w.Recv(short, 0, count, t, 0, 1))
+            w.Recv(np.zeros(need), 0, count, t, 0, 1)
+            return seen
+        w.Send(full, 0, count, t, 1, 1)
+        w.Send(go, 0, 1, MPI.BYTE, 1, 2)
+        return None
+    if case == "underrun":
+        # negative stride: instance at offset 1 would touch element -1
+        back = MPI.DOUBLE.Vector(2, 1, -2).Commit()
+        buf = np.arange(4.0)
+        if rank == 0:
+            seen = _code(lambda: w.Send(buf, 1, 1, back, 1, 1))
+            w.Send(buf, 2, 1, back, 1, 1)
+            return seen
+        seen = _code(lambda: w.Recv(buf, 1, 1, back, 0, 1))
+        w.Recv(buf, 2, 1, back, 0, 1)
+        return seen
+    assert case == "gatherv"
+    # the root's last displacement lands one instance past its buffer
+    size = w.Size()
+    mine = np.full(need, float(rank))
+    recvbuf = np.zeros(size * t.Extent() // 8 * count)
+    displs = [r * count for r in range(size - 1)] + [(size - 1) * count + 1]
+    return _code(lambda: w.Gatherv(mine, 0, count, t, recvbuf, 0,
+                                   [count] * size, displs, t, 0))
+
+
+#: who must see ERR_BUFFER, per case (rank 0, rank 1)
+_OFFENDER = {"send": (True, False), "recv_posted_first": (False, True),
+             "recv_posted_late": (False, True), "underrun": (True, True),
+             "gatherv": (True, False)}
+
+
+class TestWindowOverrun:
+    @pytest.mark.parametrize("vector", (False, True),
+                             ids=("contiguous", "vector"))
+    @pytest.mark.parametrize("case", sorted(_OFFENDER))
+    @pytest.mark.parametrize("backend", ("inproc", "socket", "procs"))
+    def test_err_buffer_in_the_rank_that_named_the_window(
+            self, backend, case, vector):
+        # timeout=20: at the parent commit two of these hang (a dead pump)
+        if backend == "procs":
+            out = procrun(2, window_body, args=(case, vector), timeout=20)
+        else:
+            out = run(2, window_body, transport=backend,
+                      args=(case, vector), timeout=20, init=False)
+        assert out == [MPI.ERR_BUFFER if offender else
+                       (True if case == "send" else None)
+                       for offender in _OFFENDER[case]]

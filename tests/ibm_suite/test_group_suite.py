@@ -54,6 +54,19 @@ class TestGroupOps:
 
         assert run(6, body, transport=mode_transport)[0] == 3
 
+    def test_range_excl(self, mode_transport):
+        def body():
+            g = MPI.COMM_WORLD.Group()
+            # drop ranks 0 2 4 and, walking down, 5: ranks 1 and 3 stay
+            sub = g.Range_excl([(0, 4, 2), (5, 5, -1)])
+            return (sub.Size(),
+                    Group.Translate_ranks(sub, [0, 1], g),
+                    sub.Rank())
+
+        out = run(6, body, transport=mode_transport)
+        assert out[1] == (2, [1, 3], 0) and out[3] == (2, [1, 3], 1)
+        assert out[0][2] == MPI.UNDEFINED
+
     def test_translate_ranks(self, mode_transport):
         def body():
             g = MPI.COMM_WORLD.Group()

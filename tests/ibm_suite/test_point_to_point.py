@@ -267,6 +267,76 @@ class TestModes:
         assert run(2, body, transport="inproc")[0] == MPI.ERR_OTHER
 
 
+class TestModeVariants:
+    """The nonblocking and persistent forms of the three explicit send
+    modes.  A ready-mode send needs its receive posted first: the
+    receiver says so with a token."""
+
+    def test_ibsend(self, mode_transport):
+        def body():
+            w = MPI.COMM_WORLD
+            if w.Rank() == 0:
+                MPI.Buffer_attach(4096)
+                data = np.arange(6, dtype=np.float64)
+                req = w.Ibsend(data, 0, 6, MPI.DOUBLE, 1, 0)
+                req.Wait()
+                data[:] = -1        # buffered: ours again at once
+                return MPI.Buffer_detach()
+            buf = np.zeros(6, dtype=np.float64)
+            w.Recv(buf, 0, 6, MPI.DOUBLE, 0, 0)
+            return list(buf)
+
+        assert run(2, body, transport=mode_transport) \
+            == [4096, [0, 1, 2, 3, 4, 5]]
+
+    def test_irsend(self, mode_transport):
+        def body():
+            w = MPI.COMM_WORLD
+            token = np.zeros(1, dtype=np.int8)
+            if w.Rank() == 0:
+                w.Recv(token, 0, 1, MPI.BYTE, 1, 1)    # receive is posted
+                w.Irsend(np.full(2, 9, dtype=np.int32), 0, 2, MPI.INT, 1,
+                         0).Wait()
+                return None
+            buf = np.zeros(2, dtype=np.int32)
+            req = w.Irecv(buf, 0, 2, MPI.INT, 0, 0)
+            w.Send(token, 0, 1, MPI.BYTE, 0, 1)
+            return (req.Wait().Get_count(MPI.INT), list(buf))
+
+        assert run(2, body, transport=mode_transport)[1] == (2, [9, 9])
+
+    @pytest.mark.parametrize("init", ("Bsend_init", "Ssend_init",
+                                      "Rsend_init"))
+    def test_persistent_mode_sends_cycle(self, mode_transport, init):
+        def body():
+            w = MPI.COMM_WORLD
+            token = np.zeros(1, dtype=np.int8)
+            buf = np.zeros(2, dtype=np.int32)
+            if w.Rank() == 0:
+                if init == "Bsend_init":
+                    MPI.Buffer_attach(4096)
+                req = getattr(w, init)(buf, 0, 2, MPI.INT, 1, 0)
+                for i in range(3):
+                    w.Recv(token, 0, 1, MPI.BYTE, 1, 1)
+                    buf[:] = [i, i * 10]
+                    req.Start()
+                    req.Wait()
+                if init == "Bsend_init":
+                    MPI.Buffer_detach()
+                return None
+            req = w.Recv_init(buf, 0, 2, MPI.INT, 0, 0)
+            got = []
+            for _ in range(3):
+                req.Start()
+                w.Send(token, 0, 1, MPI.BYTE, 0, 1)    # posted: ready
+                req.Wait()
+                got.append(list(buf))
+            return got
+
+        assert run(2, body, transport=mode_transport)[1] \
+            == [[0, 0], [1, 10], [2, 20]]
+
+
 class TestNonBlocking:
     def test_isend_irecv_wait(self, mode_transport):
         def body():

@@ -113,6 +113,14 @@ class TestGraphcomm:
         out = run(4, body, transport=mode_transport)[0]
         assert out == (4, 6, [1, 3, 5, 6], [1, 0, 2, 1, 3, 2])
 
+    def test_get_dims(self, mode_transport):
+        def body():
+            g = MPI.COMM_WORLD.Create_graph([1, 3, 5, 6],
+                                            [1, 0, 2, 1, 3, 2], False)
+            return g.Get_dims()
+
+        assert run(4, body, transport=mode_transport) == [(4, 6)] * 4
+
     def test_neighbours(self, mode_transport):
         def body():
             w = MPI.COMM_WORLD

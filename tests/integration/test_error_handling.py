@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import mpirun
+from repro import mpirun, procrun
 from repro.executor.runner import RankFailure
 from repro.mpijava import MPI, MPIException
 from tests.conftest import run
@@ -106,3 +106,46 @@ class TestStaticClassProtection:
         assert arr.dtype == np.uint16
         assert MPI.from_chars(arr) == text
         assert len(MPI.new_chars(7)) == 7
+
+
+def raising_land_body():
+    """Rank 1 posts a receive whose ``land`` raises; rank 0 feeds it over
+    the wire, so the exception escapes ``deliver()`` in rank 1's pump."""
+    from repro.runtime.engine import current_runtime
+    from repro.runtime.envelope import Envelope
+    from repro.runtime.requests import RequestImpl
+    MPI.Init([])
+    w = MPI.COMM_WORLD
+    rt = current_runtime()
+    token = np.zeros(1, dtype=np.int8)
+    if w.Rank() == 1:
+        def land(env):
+            raise ZeroDivisionError("land blew up")
+
+        req = RequestImpl(rt.universe, RequestImpl.KIND_RECV)
+        rt.mailbox.post_recv(req, 0, 7, 0, land)
+        w.Send(token, 0, 1, MPI.BYTE, 0, 1)          # it is posted
+        req.wait()
+    else:
+        w.Recv(token, 0, 1, MPI.BYTE, 1, 1)
+        rt.universe.transport.send(Envelope(
+            src=0, dst=1, context=0, tag=7, seq=rt.next_seq(),
+            payload=token, nelems=1))
+        w.Recv(token, 0, 1, MPI.BYTE, 1, 2)          # rank 1 never sends
+    MPI.Finalize()
+
+
+class TestDeliveryThreadDies:
+    """An exception escaping a delivery used to end the pump thread in
+    silence: every later receive of the rank parked forever and the job
+    ended by ``JobTimeoutError``.  It must fail with the cause."""
+
+    @pytest.mark.parametrize("backend", ("socket", "procs"))
+    def test_job_fails_with_the_cause_not_a_timeout(self, backend):
+        with pytest.raises(RankFailure) as ei:
+            if backend == "procs":
+                procrun(2, raising_land_body, timeout=20)
+            else:
+                mpirun(2, raising_land_body, transport="socket",
+                       timeout=20)
+        assert "ZeroDivisionError: land blew up" in str(ei.value)

@@ -1,6 +1,7 @@
 """Stress and concurrency: many messages, mixed traffic, random patterns."""
 
 import numpy as np
+import pytest
 
 from repro.mpijava import MPI, Request
 from tests.conftest import run
@@ -167,3 +168,87 @@ class TestWildcardRace:
             return sorted(seen) == expected
 
         assert run(4, body, transport=mode_transport)[0]
+
+
+class TestLargeCollectivesOverSockets:
+    """A collective round's continuation runs in whichever thread landed
+    the round's last receive — on a wire transport the pump — and issues
+    the next round's sends.  A pump that blocks in one of those writes
+    stops draining its own sockets; with payloads above what a socket
+    buffer takes (AF_UNIX: ~208 KiB) four ranks deadlocked that way.
+    Sizes straddle that buffer; results are checked because the fix
+    reroutes sends through the writer thread and must keep pair order.
+    """
+
+    ITERS = 20
+    KIB = (64, 200, 230, 250, 1024)
+
+    @staticmethod
+    def _allreduce(w, n, it, nonblocking=False):
+        rank, size = w.Rank(), w.Size()
+        out = np.empty(n)
+        mine = np.full(n, float(rank + it))
+        if nonblocking:
+            w.Iallreduce(mine, 0, out, 0, n, MPI.DOUBLE, MPI.SUM).Wait()
+        else:
+            w.Allreduce(mine, 0, out, 0, n, MPI.DOUBLE, MPI.SUM)
+        want = float(sum(range(size)) + size * it)
+        return out[0] == want and out[-1] == want
+
+    @staticmethod
+    def _iallreduce(w, n, it):
+        return TestLargeCollectivesOverSockets._allreduce(w, n, it, True)
+
+    @staticmethod
+    def _alltoall(w, n, it):
+        rank, size = w.Rank(), w.Size()
+        send = np.repeat(np.arange(float(size)) + 10 * rank + it, n)
+        recv = np.empty(n * size)
+        w.Alltoall(send, 0, n, MPI.DOUBLE, recv, 0, n, MPI.DOUBLE)
+        return all(recv[q * n] == recv[q * n + n - 1] == rank + 10 * q + it
+                   for q in range(size))
+
+    @staticmethod
+    def _allgather(w, n, it):
+        rank, size = w.Rank(), w.Size()
+        recv = np.empty(n * size)
+        w.Allgather(np.full(n, float(rank + it)), 0, n, MPI.DOUBLE,
+                    recv, 0, n, MPI.DOUBLE)
+        return all(recv[q * n] == recv[q * n + n - 1] == q + it
+                   for q in range(size))
+
+    @pytest.mark.parametrize("kib", KIB)
+    @pytest.mark.parametrize("collective", ("allreduce", "iallreduce",
+                                            "alltoall", "allgather"))
+    def test_completes_with_right_answers(self, collective, kib):
+        step = getattr(self, "_" + collective)
+
+        def body():
+            w = MPI.COMM_WORLD
+            return all(step(w, kib * 1024 // 8, it)
+                       for it in range(self.ITERS))
+
+        # timeout=20: the parent commit hangs at 230 and 250 KiB
+        assert all(run(4, body, transport="socket", timeout=20))
+
+    def test_deferred_and_inline_sends_keep_pair_order(self):
+        """Ring allreduce of 4 x 8192 + 1 doubles: consecutive rounds
+        send one neighbour a 65 544-byte chunk (over the pump's inline
+        limit: written by the writer thread) and then a 65 536-byte one
+        (under it) on the same tag.  The second must not overtake."""
+        n = 4 * 8192 + 1
+
+        def body():
+            w = MPI.COMM_WORLD
+            rank, size = w.Rank(), w.Size()
+            ramp = np.arange(float(n))
+            out = np.empty(n)
+            for it in range(self.ITERS):
+                w.Allreduce(ramp * (rank + 1) + it, 0, out, 0, n,
+                            MPI.DOUBLE, MPI.SUM)
+                if not np.array_equal(
+                        out, ramp * sum(range(1, size + 1)) + size * it):
+                    return False
+            return True
+
+        assert all(run(4, body, transport="socket", timeout=20))

@@ -4,6 +4,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.datatypes import derived, packing, primitives as P
+from repro.errors import MPIException
+from repro.runtime.buffers import validate_buffer
+from tests.conftest import window
 
 counts = st.integers(min_value=0, max_value=8)
 blocks = st.integers(min_value=0, max_value=5)
@@ -43,7 +46,7 @@ def datatypes(draw):
 class TestAlgebra:
     @given(datatypes())
     def test_size_never_exceeds_span(self, t):
-        assert t.size_elems <= max(t.span_elems(1), t.size_elems)
+        assert t.size_elems <= max(window(t, 1)[1], t.size_elems)
 
     @given(datatypes(), st.integers(1, 4))
     def test_flat_indices_count_scaling(self, t, count):
@@ -85,14 +88,15 @@ class TestPackingRoundtrip:
     @given(datatypes(), st.integers(1, 3), st.data())
     @settings(max_examples=60)
     def test_gather_scatter_roundtrip(self, t, count, data):
-        span = t.span_elems(count)
-        lo = -min(0, t.min_elem(count))
+        t.commit()
+        lo, span = window(t, count)
         size = span + lo + 5
         offset = lo + data.draw(st.integers(0, 4))
         src = np.arange(size, dtype=np.int32)
-        gathered = packing.gather_elements(src, offset, count, t)
+        lay = validate_buffer(src, offset, count, t)
+        gathered = lay.gather(src, offset, count)
         dst = np.zeros(size, dtype=np.int32) - 1
-        packing.scatter_elements(dst, offset, count, t, gathered)
+        lay.scatter(dst, offset, count, gathered)
         idx = t.flat_indices(count, offset)
         assert np.array_equal(dst[idx], src[idx])
         # untouched elements stay untouched
@@ -100,11 +104,29 @@ class TestPackingRoundtrip:
         mask[idx] = False
         assert (dst[mask] == -1).all()
 
+    @given(datatypes(), st.integers(0, 3), st.data())
+    @settings(max_examples=120)
+    def test_window_check_is_exact(self, t, count, data):
+        """``validate_buffer`` accepts a window iff every selected
+        element is inside the array (oracle: the flat index map)."""
+        t.commit()
+        size = data.draw(st.integers(0, window(t, count)[1] + 4))
+        offset = data.draw(st.integers(0, 6))
+        buf = np.zeros(size, dtype=np.int32)
+        idx = t.flat_indices(count, offset)
+        fits = len(idx) == 0 and offset <= size or \
+            len(idx) > 0 and idx.min() >= 0 and idx.max() < size
+        try:
+            validate_buffer(buf, offset, count, t)
+            assert fits
+        except MPIException:
+            assert not fits
+
     @given(datatypes(), st.integers(1, 3))
     @settings(max_examples=60)
     def test_pack_unpack_roundtrip(self, t, count):
-        span = t.span_elems(count)
-        lo = -min(0, t.min_elem(count))
+        t.commit()
+        lo, span = window(t, count)
         size = span + lo + 2
         src = np.random.default_rng(0).integers(0, 100, size) \
             .astype(np.int32)

@@ -16,6 +16,8 @@ import pytest
 from repro.datatypes import derived, packing, primitives as P
 from repro.datatypes.base import DatatypeImpl
 from repro.executor.runner import MPIExecutor
+from repro.runtime.buffers import validate_buffer
+from tests.conftest import window
 from repro.runtime.engine import Universe
 from repro.transport import wire
 from repro.transport.inproc import InprocTransport
@@ -128,8 +130,7 @@ def _roundtrip_body(specs, limit, seed):
         t.commit()
         handle = table.register(t)
         count = 2
-        span = t.span_elems(count)
-        lo = -min(0, t.min_elem(count))
+        lo, span = window(t, count)
         size = span + lo + 8
         idx = lo + t.flat_indices(count, 0)
         payload = rng.random(len(idx))
@@ -176,16 +177,17 @@ class TestLocalEquivalence:
             t = build_impl(spec)
             t.commit()
             for count in (1, 3):
-                lo = -min(0, t.min_elem(count))
-                size = t.span_elems(count) + lo + 5
+                lo, span = window(t, count)
+                size = span + lo + 5
                 buf = rng.random(size)
                 idx = lo + t.flat_indices(count, 0)
                 # gather (IR) vs fancy-index reference
-                dense = packing.gather_elements(buf, lo, count, t)
+                lay = validate_buffer(buf, lo, count, t)
+                dense = lay.gather(buf, lo, count)
                 assert np.array_equal(dense, buf[idx]), spec
                 # scatter (IR) vs fancy-index reference
                 out = np.zeros(size, dtype=np.float64)
-                packing.scatter_elements(out, lo, count, t, dense)
+                lay.scatter(out, lo, count, dense)
                 ref = np.zeros(size, dtype=np.float64)
                 ref[idx] = dense
                 assert np.array_equal(out, ref), spec
@@ -207,9 +209,8 @@ class TestLocalEquivalence:
             if lay.extent_elems < 0 or t.size_elems == 0:
                 continue
             count = 2
-            lo = -min(0, t.min_elem(count))
-            buf = np.random.default_rng(seed).random(
-                t.span_elems(count) + lo)
+            lo, span = window(t, count)
+            buf = np.random.default_rng(seed).random(span + lo)
             nelems = count * t.size_elems
             views = lay.byte_views(buf, lo, nelems)
             if views is None:

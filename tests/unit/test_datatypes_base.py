@@ -6,6 +6,7 @@ import pytest
 from repro.datatypes import primitives as P
 from repro.datatypes import derived
 from repro.errors import MPIException
+from repro.runtime.buffers import validate_buffer
 
 
 class TestPrimitives:
@@ -96,13 +97,17 @@ class TestInquiry:
 
     def test_span(self):
         t = derived.vector(2, 2, 5, P.INT)  # elements 0,1,5,6; extent 7
-        assert t.span_elems(1) == 7
-        assert t.span_elems(2) == 14
-        assert t.span_elems(0) == 0
+        t.commit()
+        for count, span in ((1, 7), (2, 14), (0, 0)):
+            validate_buffer(np.zeros(span, dtype=np.int32), 0, count, t)
+            if span:
+                with pytest.raises(MPIException):
+                    validate_buffer(np.zeros(span - 1, dtype=np.int32), 0,
+                                    count, t)
 
     def test_is_contiguous_layout(self):
-        assert derived.contiguous(4, P.INT).is_contiguous_layout()
-        assert not derived.vector(2, 1, 3, P.INT).is_contiguous_layout()
+        assert derived.contiguous(4, P.INT).layout().contiguous
+        assert not derived.vector(2, 1, 3, P.INT).layout().contiguous
 
 
 class TestLifecycle:

@@ -33,7 +33,7 @@ class TestVector:
 
     def test_stride_equals_blocklength_is_contiguous(self):
         t = derived.vector(3, 2, 2, P.INT)
-        assert t.is_contiguous_layout()
+        assert t.layout().contiguous
 
     def test_negative_stride(self):
         t = derived.vector(2, 1, -3, P.INT)

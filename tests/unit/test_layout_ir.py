@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.datatypes import derived, primitives as P
-from repro.datatypes.base import DatatypeImpl, _INDEX_CACHE_MAX
+from repro.datatypes.base import DatatypeImpl
+from repro.datatypes.layout import DATAPATH, _INDEX_CACHE_MAX
 from repro.errors import MPIException
 
 
@@ -85,19 +86,19 @@ class TestGatherScatterEquivalence:
         expect = buf[t.flat_indices(count, lo)]
         got = lay.gather(buf, lo, count)
         assert np.array_equal(got, expect)
-        # scatter back through the IR and through fancy indexing
-        if lay.scatter_safe(count):
-            out_ir = np.zeros_like(buf)
-            lay.scatter(out_ir, lo, count, expect)
-            out_ref = np.zeros_like(buf)
-            out_ref[t.flat_indices(count, lo)] = expect
-            assert np.array_equal(out_ir, out_ref)
+        # scatter back through the IR (total: a layout the block copies
+        # cannot write takes the index map) and through fancy indexing
+        out_ir = np.zeros_like(buf)
+        lay.scatter(out_ir, lo, count, expect)
+        out_ref = np.zeros_like(buf)
+        out_ref[t.flat_indices(count, lo)] = expect
+        assert np.array_equal(out_ir, out_ref)
 
     def test_scatter_range_segments(self):
         t = derived.vector(6, 4, 7, P.INT)
         t.commit()
         lay = t.layout()
-        span = t.span_elems(2)
+        span = int(t.flat_indices(2).max()) + 1
         src = np.arange(2 * t.size_elems, dtype=np.int32)
         ref = np.zeros(span, dtype=np.int32)
         ref[t.flat_indices(2, 0)] = src
@@ -105,6 +106,43 @@ class TestGatherScatterEquivalence:
         for lo in range(0, len(src), 5):   # land in 5-element segments
             lay.scatter_range(out, 0, src[lo:lo + 5], lo)
         assert np.array_equal(out, ref)
+
+    def test_strategy_is_chosen_and_counted_here(self):
+        """gather / scatter / scatter_range are total: the layout picks
+        slice, run walk or index map, and DATAPATH says which."""
+        many = ir_of(derived.indexed([1] * 40, [i * i for i in range(40)],
+                                     P.INT))          # 40 irregular runs
+        backwards = ir_of(derived.indexed([2, 2], [4, 0], P.INT))
+        cases = [(ir_of(derived.contiguous(4, P.INT)), "contig", "contig",
+                  "contig"),
+                 (ir_of(derived.vector(3, 2, 5, P.INT)), "runs", "runs",
+                  "runs"),
+                 (many, "index", "index", "index"),
+                 (backwards, "runs", "index", "runs")]
+        for lay, gather, scatter, ranged in cases:
+            idx = lay.flat_indices(2, 0)
+            buf = np.arange(int(idx.max()) + 1, dtype=np.int32)
+            before = DATAPATH.snapshot()
+            dense = lay.gather(buf, 0, 2)
+            assert np.array_equal(dense, buf[idx])
+            out = np.zeros_like(buf)
+            lay.scatter(out, 0, 2, dense)
+            ref = np.zeros_like(buf)
+            ref[idx] = dense
+            assert np.array_equal(out, ref)
+            out[:] = 0
+            cut = len(dense) // 2 + 1        # mid-instance: two segments
+            lay.scatter_range(out, 0, dense[:cut], 0)
+            lay.scatter_range(out, 0, dense[cut:], cut)
+            assert np.array_equal(out, ref)
+            after = DATAPATH.snapshot()
+            grew = {k: after[k] - before[k] for k in after
+                    if after[k] != before[k]}
+            want = {"gather_" + gather: 1}
+            for key in ("scatter_" + scatter, "scatter_" + ranged,
+                        "scatter_" + ranged):
+                want[key] = want.get(key, 0) + 1
+            assert grew == want, (lay, grew)
 
     def test_scatter_range_out_of_window_raises(self):
         t = derived.vector(2, 2, 4, P.INT)
@@ -211,10 +249,10 @@ class TestCaches:
         t = derived.vector(3, 1, 2, P.INT)
         t.commit()
         t.flat_indices(2, 0)
-        assert t._layout is not None and t._index_cache
+        lay = t._layout
+        assert lay is not None and lay._index_cache
         t.free()
-        assert t._layout is None
-        assert not t._index_cache
+        assert t._layout is None      # and with it the index maps
         with pytest.raises(MPIException):
             t.layout()
         with pytest.raises(MPIException):
@@ -227,16 +265,17 @@ class TestCaches:
         for i in range(1, _INDEX_CACHE_MAX + 8):
             t.flat_indices(1, i)
             t.flat_indices(1, 0)          # keep (1, 0) hot
-        assert len(t._index_cache) <= _INDEX_CACHE_MAX
+        cache = t.layout()._index_cache
+        assert len(cache) <= _INDEX_CACHE_MAX
         assert t.flat_indices(1, 0) is hot   # survived eviction
-        assert (1, 1) not in t._index_cache  # coldest entries evicted
+        assert (1, 1) not in cache           # coldest entries evicted
 
     def test_span_cache_bounded(self):
         from repro.datatypes.layout import _SPAN_CACHE_MAX
         t = derived.vector(4, 2, 4, P.INT)
         t.commit()
         lay = t.layout()
-        buf = np.zeros(t.span_elems(1) + 64, dtype=np.int32)
+        buf = np.zeros(t.extent_elems + 64, dtype=np.int32)
         for off in range(_SPAN_CACHE_MAX + 5):
             lay.byte_views(buf, off, t.size_elems)
         assert len(lay._span_cache) <= _SPAN_CACHE_MAX

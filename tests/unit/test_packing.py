@@ -1,59 +1,64 @@
-"""Gather/scatter and MPI_Pack/Unpack."""
+"""The element datapath through a datatype (window check, gather,
+scatter) and MPI_Pack/Unpack on top of it."""
 
 import numpy as np
 import pytest
 
 from repro.datatypes import derived, packing, primitives as P
-from repro.errors import MPIException
+from repro.errors import MPIException, ERR_BUFFER
+from repro.runtime.buffers import validate_buffer
+
+
+def committed(t):
+    t.commit()
+    return t
 
 
 class TestGatherScatter:
     def test_contiguous_roundtrip(self):
         buf = np.arange(10, dtype=np.int32)
-        out = packing.gather_elements(buf, 2, 3, P.INT)
+        lay = validate_buffer(buf, 2, 3, P.INT)
+        out = lay.gather(buf, 2, 3)
         assert list(out) == [2, 3, 4]
         dst = np.zeros(10, dtype=np.int32)
-        packing.scatter_elements(dst, 2, 3, P.INT, out)
+        lay.scatter(dst, 2, 3, out)
         assert list(dst[2:5]) == [2, 3, 4]
 
     def test_gather_returns_copy(self):
         buf = np.arange(4, dtype=np.int32)
-        out = packing.gather_elements(buf, 0, 4, P.INT)
+        out = P.INT.layout().gather(buf, 0, 4)
         out[0] = 99
         assert buf[0] == 0
 
     def test_strided_gather(self):
-        t = derived.vector(3, 1, 2, P.INT)
+        t = committed(derived.vector(3, 1, 2, P.INT))
         buf = np.arange(10, dtype=np.int32)
-        assert list(packing.gather_elements(buf, 1, 1, t)) == [1, 3, 5]
+        assert list(validate_buffer(buf, 1, 1, t).gather(buf, 1, 1)) \
+            == [1, 3, 5]
 
     def test_strided_scatter(self):
-        t = derived.vector(3, 1, 2, P.INT)
+        t = committed(derived.vector(3, 1, 2, P.INT))
         buf = np.zeros(8, dtype=np.int32)
-        packing.scatter_elements(buf, 0, 1, t, np.array([7, 8, 9],
-                                                        dtype=np.int32))
+        validate_buffer(buf, 0, 1, t).scatter(
+            buf, 0, 1, np.array([7, 8, 9], dtype=np.int32))
         assert list(buf) == [7, 0, 8, 0, 9, 0, 0, 0]
 
     def test_out_of_bounds_rejected(self):
         buf = np.arange(4, dtype=np.int32)
+        with pytest.raises(MPIException) as ei:
+            validate_buffer(buf, 2, 3, P.INT)
+        assert ei.value.error_code == ERR_BUFFER
         with pytest.raises(MPIException):
-            packing.gather_elements(buf, 2, 3, P.INT)
-        with pytest.raises(MPIException):
-            packing.gather_elements(buf, -1, 1, P.INT)
-
-    def test_scatter_short_data_rejected(self):
-        buf = np.zeros(4, dtype=np.int32)
-        with pytest.raises(MPIException):
-            packing.scatter_elements(buf, 0, 4, P.INT,
-                                     np.array([1], dtype=np.int32))
+            validate_buffer(buf, -1, 1, P.INT)
 
     def test_negative_stride_window(self):
-        t = derived.vector(2, 1, -2, P.INT)  # touches 0 and -2
+        t = committed(derived.vector(2, 1, -2, P.INT))  # touches 0 and -2
         buf = np.arange(6, dtype=np.int32)
-        out = packing.gather_elements(buf, 3, 1, t)
+        out = validate_buffer(buf, 3, 1, t).gather(buf, 3, 1)
         assert list(out) == [3, 1]
-        with pytest.raises(MPIException):
-            packing.gather_elements(buf, 1, 1, t)  # would touch -1
+        with pytest.raises(MPIException) as ei:
+            validate_buffer(buf, 1, 1, t)  # would touch -1
+        assert ei.value.error_code == ERR_BUFFER
 
 
 class TestPackUnpack:
@@ -82,7 +87,7 @@ class TestPackUnpack:
         assert list(d2) == [1.5, 2.5]
 
     def test_derived_type_packs_dense(self):
-        t = derived.vector(2, 1, 3, P.INT)
+        t = committed(derived.vector(2, 1, 3, P.INT))
         src = np.arange(8, dtype=np.int32)
         packed = np.zeros(packing.pack_size(1, t), dtype=np.uint8)
         packing.pack(src, 0, 1, t, packed, 0)
@@ -101,6 +106,18 @@ class TestPackUnpack:
         dst = np.zeros(4, dtype=np.int32)
         with pytest.raises(MPIException):
             packing.unpack(packed, 0, dst, 0, 4, P.INT)
+
+    def test_pack_and_unpack_check_the_user_window(self):
+        src = np.arange(4, dtype=np.int32)
+        packed = np.zeros(64, dtype=np.uint8)
+        with pytest.raises(MPIException) as ei:
+            packing.pack(src, 2, 4, P.INT, packed, 0)
+        assert ei.value.error_code == ERR_BUFFER
+        packing.pack(src, 0, 4, P.INT, packed, 0)
+        with pytest.raises(MPIException) as ei:
+            packing.unpack(packed, 0, np.zeros(3, dtype=np.int32), 0, 4,
+                           P.INT)
+        assert ei.value.error_code == ERR_BUFFER
 
     def test_pack_size_of_object_rejected(self):
         with pytest.raises(MPIException):

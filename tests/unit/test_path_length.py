@@ -29,13 +29,14 @@ import pytest
 from repro.executor.runner import MPIExecutor
 from repro.mpijava import MPI, Request
 
-#: counts measured when the budget was last re-anchored (PR 15; its parent
-#: commit measured 127 / 51 / 57 / 74 with this same file)
+#: counts measured when the budget was last re-anchored (PR 17, with the
+#: post-time window check in place; its parent measured 100 / 39 / 47 /
+#: 58 without one, PR 15's parent 127 / 51 / 57 / 74, same file)
 BUDGET = {
-    "send_recv_pair": 102,      # rank thread, one Send + one Recv
-    "pump_frame": 39,           # pump thread, one eager frame
-    "irecv_window_msg": 48,     # rank thread, per message: Irecv ... Waitall
-    "isend_window_msg": 59,     # rank thread, per message: Isend ... Waitall
+    "send_recv_pair": 97,       # rank thread, one Send + one Recv
+    "pump_frame": 25,           # pump thread, one eager frame
+    "irecv_window_msg": 47,     # rank thread, per message: Irecv ... Waitall
+    "isend_window_msg": 55,     # rank thread, per message: Isend ... Waitall
 }
 HEADROOM = 1.10
 ITERS = 60
