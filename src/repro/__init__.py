@@ -30,8 +30,24 @@ Entry points:
 """
 
 from repro.version import __version__
-from repro.executor.runner import mpirun, MPIExecutor
-from repro.executor.procrunner import procrun, ProcExecutor
 
 __all__ = ["__version__", "mpirun", "MPIExecutor", "procrun",
            "ProcExecutor"]
+
+#: the launchers, imported on first use (PEP 562): they pull in the
+#: whole runtime, which ``python -m repro.config`` (runpy warns when the
+#: package has already imported the module it is about to run) and a
+#: process that only reads settings have no use for
+_LAUNCHERS = {"mpirun": "repro.executor.runner",
+              "MPIExecutor": "repro.executor.runner",
+              "procrun": "repro.executor.procrunner",
+              "ProcExecutor": "repro.executor.procrunner"}
+
+
+def __getattr__(name):
+    if name not in _LAUNCHERS:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(_LAUNCHERS[name]), name)
+    globals()[name] = value
+    return value

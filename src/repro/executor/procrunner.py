@@ -2,35 +2,69 @@
 
 The thread executor (:mod:`repro.executor.runner`) keeps every rank inside
 one Python process, so no workload ever escapes the GIL.  This launcher
-spawns ``nprocs`` OS processes — each hosting a *single-rank view* of the
+runs ``nprocs`` OS processes — each hosting a *single-rank view* of the
 :class:`~repro.runtime.engine.Universe` — and wires them into a full TCP
 mesh (:func:`~repro.transport.socket_tcp.TCPMeshTransport`), which is how
 the paper's distributed-memory experiments actually ran (``mpirun``/WMPI
-daemons, one process per rank).
+daemons, one process per rank).  Start-up is paid once per job, not per
+rank: as MPICH's ``hydra_pmi_proxy`` and Open MPI's ``orted`` do on each
+node, one proxy process forks the local ranks, reaps them and reports
+their exit codes to the launcher.
 
 Bootstrap rendezvous and control plane (all over loopback TCP):
 
-1. the launcher listens; every spawned child dials back and registers its
-   rank (the *control connection*, kept for the job's lifetime);
-2. the launcher ships each child the job blob (target + args); children
-   open their mesh listeners and report the port;
-3. once all ranks registered, the launcher gossips the address book and
-   the children form the mesh (rank *j* dials *i < j*, accepts *k > j*);
-4. children run the target and marshal the result — or the pickled
+1. the launcher listens and starts **one** child per job, the *zygote*
+   (``python -m repro.executor.procworker``): it imports the runtime
+   once — never user code — dials back, registers as the zygote, and
+   forks the ``nprocs`` ranks while it still has a single thread.  It
+   reports ``forked {rank: pid}`` and then stays, for the job's
+   lifetime, as the ranks' parent: it alone reaps them
+   (``exited {rank, rc}`` per rank, ``-9`` meaning SIGKILL as in
+   ``subprocess``) and it alone may signal them (on the launcher's
+   ``kill {rank}``) — only a parent knows whether a pid is still the
+   child it forked.  The launcher's per-rank ``poll`` / ``kill`` /
+   ``wait`` (:class:`_Zygote`) are those three messages;
+2. every rank dials back and registers its rank (its own *control
+   connection*, kept for the job's lifetime; the zygote's is not
+   inherited — ranks close it right after the fork);
+3. the launcher ships each rank the job blob (target + args); ranks
+   resolve the target — user modules are imported here, once per rank,
+   after the fork — open their mesh listeners and report the port;
+4. once all ranks registered, the launcher gossips the address book and
+   the ranks form the mesh (rank *j* dials *i < j*, accepts *k > j*);
+5. ranks run the target and marshal the result — or the pickled
    exception with its traceback text — back over the control connection;
-5. the launcher's final ``exit`` message is the wire-level finalize
-   barrier: no child tears its mesh down until every rank has reported.
+6. the launcher's final ``exit`` message is the wire-level finalize
+   barrier: no rank tears its mesh down until every rank has reported.
+   The zygote exits when it has reaped its last rank.
+
+EOF means teardown on every connection: a rank that loses the launcher
+poisons its universe and exits; the zygote, losing the launcher (or
+being told nothing more: the launcher closes the connection to end a
+failed job), SIGKILLs and reaps whatever ranks are left and exits; the
+launcher, losing the zygote, fails every rank that has not reported —
+they die with their parent (``PR_SET_PDEATHSIG``), so no process
+outlives the job even when the zygote itself is SIGKILLed.
+
+Why a zygote per *job*, not a fork server kept by the launcher: a job
+must start with the launcher's environment, working directory, CPU
+affinity and stdio as they are when ``run()`` is called (tests and the
+benchmark suite set ``REPRO_*`` variables and pin CPUs per job; pytest
+swaps fd 1 / 2 per test), all of which a long-lived server would serve
+stale.  And forking from the launcher itself is unsafe: it has threads.
 
 Faults: a rank that *raises* poisons the job *through the mesh*
 (KIND_ABORT frames carrying errorcode + origin + pickled cause — shared
 memory is not available, so the envelope is the only carrier).  A rank
-that *dies* (hard kill, segfault) is detected by control-connection EOF,
-or — for a rank that wedged without dropping its sockets — by missed
-heartbeats: every worker beats a ``hb`` frame home each
-``REPRO_HEARTBEAT_MS`` (default 100, 0 disables), and a rank silent for
-``REPRO_HEARTBEAT_MISS`` intervals (default 20) is SIGKILLed and
-declared dead.  Either way the launcher broadcasts a ``peerfail``
-notice, feeding the death into the survivors' ULFM failure plane:
+that *dies* (hard kill, segfault) is detected by control-connection EOF
+or the zygote's ``exited`` notice, whichever comes first (the exit code
+always comes from the notice), or — for a rank that wedged without
+dropping its sockets — by missed heartbeats: every worker beats a
+``hb`` frame home each ``REPRO_HEARTBEAT_MS`` (default 100, 0
+disables), and a rank silent for ``REPRO_HEARTBEAT_MISS`` intervals
+(default 20) is SIGKILLed (by the zygote) and declared dead.  Either
+way the launcher broadcasts a ``peerfail`` notice, feeding the death
+into the survivors' ULFM failure plane:
 under ``ERRORS_RETURN`` they see ``ERR_PROC_FAILED`` and may
 Revoke/Shrink and continue; under ``ERRORS_ARE_FATAL`` (the default)
 their next operation on the dead rank poisons the job, folding the
@@ -51,6 +85,7 @@ from __future__ import annotations
 import itertools
 import os
 import pickle
+import select
 import selectors
 import socket
 import struct
@@ -78,6 +113,10 @@ _SHM_RUN_SEQ = itertools.count(1)
 
 #: grace between "the job is over" (abort/exit sent) and SIGKILL
 KILL_GRACE = 5.0
+
+#: how long a rank's ``exited`` notice may trail the EOF on its own
+#: control connection (the zygote has to be scheduled and reap it)
+EXIT_NOTICE_WAIT = 1.0
 
 
 # -- control-plane framing (length-prefixed pickles) -------------------------
@@ -210,6 +249,94 @@ def _child_env() -> dict:
     return env
 
 
+class _Zygote:
+    """The job's one child process and, through it, each rank's handle.
+
+    The ranks are the zygote's children, not the launcher's: only their
+    parent knows whether a pid is still the rank it forked, so the
+    launcher never signals a rank.  ``poll`` / ``kill`` / ``wait`` keep
+    their ``subprocess.Popen`` meaning per rank and are served by the
+    zygote's ``forked`` / ``exited`` notices and its ``kill`` command
+    (see :func:`repro.executor.procworker.main`).
+    """
+
+    def __init__(self, proc: subprocess.Popen):
+        self.proc = proc
+        self.conn: socket.socket | None = None   # until it registers
+        self.pids: dict[int, int] = {}
+        self.codes: dict[int, int] = {}   # rank -> exit code, once reaped
+        #: the connection is gone while ranks were still unreaped
+        self.lost = False
+
+    def absorb(self, timeout: float = 0.0) -> None:
+        """Take in the notices that have arrived, waiting up to
+        ``timeout`` for the first.  Never blocks on a connection with
+        nothing to read, so a readiness event that an earlier
+        :meth:`wait` has already consumed is harmless."""
+        while not self.lost and self.conn is not None \
+                and select.select([self.conn], [], [], timeout)[0]:
+            timeout = 0.0
+            try:
+                msg = recv_msg(self.conn)
+            except (ConnectionError, OSError, EOFError, pickle.PickleError):
+                self.lost = True
+                return
+            if msg["cmd"] == "forked":
+                self.pids = msg["pids"]
+            elif msg["cmd"] == "exited":
+                self.codes[msg["rank"]] = msg["rc"]
+
+    def poll(self, rank: int) -> int | None:
+        return self.codes.get(rank)
+
+    def kill(self, rank: int) -> None:
+        if rank in self.codes or self.conn is None:
+            return
+        try:
+            send_msg(self.conn, {"cmd": "kill", "rank": rank})
+        except OSError:
+            pass  # the zygote is gone, and its ranks with it
+
+    def wait(self, rank: int, timeout: float) -> int | None:
+        """The rank's exit code, waiting up to ``timeout`` for the
+        zygote to reap it; None if it has not (or nobody is left to)."""
+        deadline = time.monotonic() + timeout
+        while rank not in self.codes and not self.lost \
+                and self.conn is not None \
+                and (left := deadline - time.monotonic()) > 0:
+            self.absorb(left)
+        return self.codes.get(rank)
+
+    def exit_text(self, rank: int) -> str:
+        """How a rank that is known to be dead ended, for a failure
+        text.  An EOF on the rank's own connection beats the zygote's
+        notice by the time it takes to reap a process, hence the wait."""
+        rc = self.wait(rank, EXIT_NOTICE_WAIT)
+        if rc is None and self.lost:
+            try:   # its sockets close a moment before it can be reaped
+                self.proc.wait(timeout=EXIT_NOTICE_WAIT)
+            except subprocess.TimeoutExpired:
+                pass
+            return (f"killed with its parent: the job's zygote died "
+                    f"(exit code {self.proc.poll()})")
+        return f"exit code {rc}"
+
+    def reap(self) -> None:
+        """No leaked children, ever.  Dropping the connection is the
+        order: the zygote takes EOF as teardown, kills and reaps what is
+        left of the job and exits.  One that does not (it never
+        registered, it is wedged) is killed, and its ranks die with
+        their parent (``PR_SET_PDEATHSIG``)."""
+        if self.conn is not None:
+            self.conn.close()
+        try:
+            self.proc.wait(timeout=KILL_GRACE if self.conn is not None
+                           else 0)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+
+
 class ProcExecutor:
     """Run an SPMD job as ``nprocs`` OS processes on this machine.
 
@@ -243,9 +370,9 @@ class ProcExecutor:
         deadline = (None if timeout is None
                     else time.monotonic() + float(timeout))
         listener = socket.create_server((self.host, 0),
-                                        backlog=self.nprocs)
+                                        backlog=self.nprocs + 1)
         port = listener.getsockname()[1]
-        procs: list[subprocess.Popen] = []
+        zyg: _Zygote | None = None
         conns: dict[int, socket.socket] = {}
         # shm job identity: workers derive every segment name from this
         # nonce, and the launcher sweeps those names on every exit path —
@@ -254,14 +381,16 @@ class ProcExecutor:
         if self.nprocs > 1 and config.shm():
             shm_nonce = f"{os.getpid():x}j{next(_SHM_RUN_SEQ)}"
         try:
-            env = _child_env()
-            for rank in range(self.nprocs):
-                procs.append(subprocess.Popen(
-                    [self.python, "-m", "repro.executor.procworker",
-                     "--connect", f"{self.host}:{port}",
-                     "--rank", str(rank), "--nprocs", str(self.nprocs)],
-                    env=env))
-            conns = self._rendezvous(listener, procs, deadline, timeout)
+            # one interpreter start per job: the zygote imports the
+            # runtime once and forks the ranks.  Per job, not kept: it
+            # starts with the launcher's environment, cwd, affinity and
+            # stdio as they are *now*
+            zyg = _Zygote(subprocess.Popen(
+                [self.python, "-m", "repro.executor.procworker",
+                 "--connect", f"{self.host}:{port}",
+                 "--nprocs", str(self.nprocs)],
+                env=_child_env()))
+            conns = self._rendezvous(listener, zyg, deadline, timeout)
             for rank, conn in conns.items():
                 rank_args = tuple(args[rank]) if per_rank_args \
                     else tuple(args)
@@ -283,7 +412,7 @@ class ProcExecutor:
                 except socket.timeout:
                     hung = [r for r in conns if r not in book]
                     self._cancel_bootstrap(conns, skip=hung)
-                    self._reap(procs)
+                    zyg.reap()
                     raise JobTimeoutError(
                         timeout if timeout is not None
                         else BOOTSTRAP_TIMEOUT, hung,
@@ -292,7 +421,7 @@ class ProcExecutor:
                         pickle.PickleError):
                     msg = {"status": "error", "exc": dump_exception_chain(
                         RuntimeError(f"rank {rank} died during bootstrap "
-                                     f"(exit code {procs[rank].poll()})"))}
+                                     f"({zyg.exit_text(rank)})"))}
                 if "mesh_port" in msg:
                     # hierarchical address book: address plus the host
                     # identity and shm availability the per-peer
@@ -313,7 +442,7 @@ class ProcExecutor:
             for conn in conns.values():
                 send_msg(conn, {"cmd": "book", "book": book})
                 conn.settimeout(None)
-            reports, failures = self._collect(conns, procs, deadline,
+            reports, failures = self._collect(conns, zyg, deadline,
                                               timeout)
             for conn in conns.values():
                 try:
@@ -322,14 +451,13 @@ class ProcExecutor:
                     pass
             # brief grace for voluntary exit: workers unmap and unlink
             # their shm segments in universe.close(); the finally-block
-            # _reap would SIGKILL them mid-teardown (its job on failure
-            # paths) and leave that cleanup to the launcher sweep
-            t_grace = time.monotonic() + 2.0
-            for p in procs:
-                try:
-                    p.wait(timeout=max(0.0, t_grace - time.monotonic()))
-                except subprocess.TimeoutExpired:
-                    break   # wedged rank: _reap handles it
+            # reap() would SIGKILL them mid-teardown (its job on failure
+            # paths) and leave that cleanup to the launcher sweep.  The
+            # zygote exits when it has reaped its last rank
+            try:
+                zyg.proc.wait(timeout=2.0)
+            except subprocess.TimeoutExpired:
+                pass   # wedged rank: reap() handles it
             self._write_traces(reports)
             return self._fold(reports, failures)
         finally:
@@ -339,7 +467,8 @@ class ProcExecutor:
                     conn.close()
                 except OSError:
                     pass
-            self._reap(procs)
+            if zyg is not None:
+                zyg.reap()
             if shm_nonce is not None:
                 # every worker is dead now (reported + exit, or reaped):
                 # sweep the job's /dev/shm names.  Workers that finalized
@@ -357,45 +486,62 @@ class ProcExecutor:
         self.close()
 
     # -- bootstrap ---------------------------------------------------------
-    def _rendezvous(self, listener, procs, deadline, timeout):
-        """Accept one control connection per rank (bounded wait).
+    def _rendezvous(self, listener, zyg, deadline, timeout):
+        """Accept the zygote's control connection and one per rank
+        (bounded wait).
 
-        Fails *fast* on a child that dies before registering: the accept
-        loop polls the children between short accept attempts, so a rank
-        killed mid-bootstrap surfaces in milliseconds — naming the dead
+        Fails *fast* on a rank that dies before registering: the zygote
+        registers before it forks, so its ``exited`` notice for a rank
+        with no connection surfaces in milliseconds — naming the dead
         rank(s) and exit codes — instead of burning the whole step
         timeout waiting for a connection that can never come.
         """
         conns: dict[int, socket.socket] = {}
         phase_deadline = deadline if deadline is not None \
             else time.monotonic() + BOOTSTRAP_TIMEOUT
-        while len(conns) < self.nprocs:
-            dead = {r: procs[r].poll() for r in range(self.nprocs)
-                    if r not in conns and procs[r].poll() is not None}
-            if dead:
-                raise RankFailure(
-                    {r: RuntimeError(f"rank {r} process exited during "
-                                     f"bootstrap (exit code {rc})")
-                     for r, rc in dead.items()})
-            left = phase_deadline - time.monotonic()
-            if left <= 0:
+        with selectors.DefaultSelector() as sel:
+            sel.register(listener, selectors.EVENT_READ)
+            while len(conns) < self.nprocs:
                 missing = [r for r in range(self.nprocs) if r not in conns]
-                raise JobTimeoutError(
-                    timeout if timeout is not None else BOOTSTRAP_TIMEOUT,
-                    missing, {})
-            listener.settimeout(max(0.05, min(0.2, left)))
-            try:
-                conn, _addr = listener.accept()
-            except socket.timeout:
-                continue   # poll children, re-check the deadline
-            # control frames are tiny and latency-sensitive (abort/exit
-            # must not sit in Nagle's buffer behind nothing)
-            set_nodelay(conn)
-            conn.settimeout(BOOTSTRAP_TIMEOUT)
-            hello = recv_msg(conn)
-            conns[hello["rank"]] = conn
-        for conn in conns.values():
-            conn.settimeout(None)
+                dead = {r: rc for r in missing
+                        if (rc := zyg.poll(r)) is not None}
+                if dead:
+                    raise RankFailure(
+                        {r: RuntimeError(f"rank {r} process exited during "
+                                         f"bootstrap (exit code {rc})")
+                         for r, rc in dead.items()})
+                if zyg.lost or (zyg.conn is None
+                                and zyg.proc.poll() is not None):
+                    rc = zyg.proc.wait(timeout=KILL_GRACE)
+                    raise RankFailure(
+                        {r: RuntimeError(f"rank {r} never started: the "
+                                         f"job's zygote exited during "
+                                         f"bootstrap (exit code {rc})")
+                         for r in missing})
+                left = phase_deadline - time.monotonic()
+                if left <= 0:
+                    raise JobTimeoutError(
+                        timeout if timeout is not None
+                        else BOOTSTRAP_TIMEOUT, missing, {})
+                # the short tick is only for a zygote that dies before
+                # it registers; everything else wakes the selector
+                for key, _ in sel.select(timeout=min(0.2, left)):
+                    if key.fileobj is not listener:
+                        zyg.absorb()
+                        continue
+                    conn, _addr = listener.accept()
+                    # control frames are tiny and latency-sensitive
+                    # (abort/exit must not sit in Nagle's buffer behind
+                    # nothing)
+                    set_nodelay(conn)
+                    conn.settimeout(BOOTSTRAP_TIMEOUT)
+                    hello = recv_msg(conn)
+                    conn.settimeout(None)
+                    if "zygote" in hello:
+                        zyg.conn = conn
+                        sel.register(conn, selectors.EVENT_READ)
+                    else:
+                        conns[hello["rank"]] = conn
         return conns
 
     @staticmethod
@@ -418,19 +564,23 @@ class ProcExecutor:
                 pass
 
     # -- result collection -------------------------------------------------
-    def _collect(self, conns, procs, deadline, timeout):
+    def _collect(self, conns, zyg, deadline, timeout):
         """Read every rank's report; declare dead children to survivors.
 
-        Two failure detectors feed the same declaration path: control
-        connection EOF (a process that actually died) and heartbeat
-        silence (a process that wedged with its sockets open — SIGSTOP,
-        runaway C code holding the GIL).  A silent rank is SIGKILLed
-        first so the declaration is *true*, then every survivor gets a
-        ``peerfail`` notice for its failure plane.
+        Three failure detectors feed the same declaration path,
+        whichever fires first: control connection EOF and the zygote's
+        ``exited`` notice for a rank that has not reported (a process
+        that actually died — the notice is where its exit code comes
+        from, always), and heartbeat silence (a process that wedged with
+        its sockets open — SIGSTOP, runaway C code holding the GIL).  A
+        silent rank is SIGKILLed first so the declaration is *true*,
+        then every survivor gets a ``peerfail`` notice for its failure
+        plane.  Losing the zygote loses every rank it had not reaped.
         """
         sel = selectors.DefaultSelector()
         for rank, conn in conns.items():
             sel.register(conn, selectors.EVENT_READ, rank)
+        sel.register(zyg.conn, selectors.EVENT_READ, None)
         pending = set(conns)
         reports: dict[int, dict] = {}
         failures: dict[int, BaseException] = {}
@@ -442,40 +592,50 @@ class ProcExecutor:
         # grace applies (the first beat waits on mesh build + universe
         # setup, which a tight test threshold must not misread as death)
         seen_hb: set[int] = set()
+
+        def died(rank, text=None):
+            sel.unregister(conns[rank])
+            pending.discard(rank)
+            self._declare_dead(
+                rank, RuntimeError(text or (
+                    f"rank {rank} process died before reporting "
+                    f"({zyg.exit_text(rank)})")),
+                conns, zyg, failures, last_hb, hb)
+
         try:
             while pending:
                 wait = 0.5 if silent_after is None else min(0.5, hb)
                 if deadline is not None:
                     left = deadline - time.monotonic()
                     if left <= 0:
-                        self._timeout(conns, procs, pending, reports,
+                        self._timeout(conns, zyg, pending, reports,
                                       failures, timeout)
                     wait = max(0.0, min(wait, left))
-                for key, _ in sel.select(timeout=wait):
+                # ranks before the zygote: a report already on a rank's
+                # connection outranks the notice that it has exited
+                for key, _ in sorted(sel.select(timeout=wait),
+                                     key=lambda ev: ev[0].data is None):
                     rank = key.data
+                    if rank is None:
+                        zyg.absorb()
+                        continue
                     try:
                         msg = recv_msg(key.fileobj)
                     except (ConnectionError, OSError, pickle.PickleError,
                             EOFError):
-                        msg = None
-                    if msg is not None and msg.get("cmd") == "hb":
+                        died(rank)
+                        continue
+                    if msg.get("cmd") == "hb":
                         last_hb[rank] = time.monotonic()
                         seen_hb.add(rank)
                         continue
                     sel.unregister(key.fileobj)
                     pending.discard(rank)
-                    if msg is None:
-                        try:   # EOF usually precedes the exit by a hair
-                            rc = procs[rank].wait(timeout=0.2)
-                        except subprocess.TimeoutExpired:
-                            rc = None
-                        self._declare_dead(
-                            rank, RuntimeError(
-                                f"rank {rank} process died before "
-                                f"reporting (exit code {rc})"),
-                            conns, procs, failures, last_hb, hb)
-                    else:
-                        reports[rank] = msg
+                    reports[rank] = msg
+                # (a lost zygote takes every pending rank: the loop ends)
+                for rank in sorted(pending):
+                    if zyg.lost or zyg.poll(rank) is not None:
+                        died(rank)
                 if silent_after is None:
                     continue
                 now = time.monotonic()
@@ -484,29 +644,24 @@ class ProcExecutor:
                         else max(silent_after, BOOTSTRAP_TIMEOUT)
                     if now - last_hb[rank] <= allowed:
                         continue
-                    sel.unregister(conns[rank])
-                    pending.discard(rank)
-                    misses = config.heartbeat_miss()
-                    self._declare_dead(
-                        rank, RuntimeError(
-                            f"rank {rank} missed {misses} heartbeats "
-                            f"({silent_after:.2f}s silent); killed and "
-                            f"declared failed"),
-                        conns, procs, failures, last_hb, hb)
+                    died(rank, f"rank {rank} (pid {zyg.pids.get(rank)}) "
+                               f"missed {config.heartbeat_miss()} heartbeats "
+                               f"({silent_after:.2f}s silent); killed and "
+                               f"declared failed")
         finally:
             sel.close()
         return reports, failures
 
-    def _declare_dead(self, rank, cause, conns, procs, failures,
+    def _declare_dead(self, rank, cause, conns, zyg, failures,
                       last_hb, hb_interval) -> None:
         """One rank is gone: make it true, record it, tell the others.
 
-        SIGKILL closes a wedged rank's mesh sockets too, so a survivor
-        blocked *writing* to it (no failure listener can preempt a
-        ``sendall``) unwinds on the reset.
+        SIGKILL (by the rank's parent, on our request) closes a wedged
+        rank's mesh sockets too, so a survivor blocked *writing* to it
+        (no failure listener can preempt a ``sendall``) unwinds on the
+        reset.
         """
-        if procs[rank].poll() is None:
-            procs[rank].kill()
+        zyg.kill(rank)
         # seconds past the end of the last heartbeat's liveness window;
         # ~0 when EOF beat the heartbeat plane to the detection
         latency = max(0.0, time.monotonic() - last_hb[rank] - hb_interval)
@@ -523,7 +678,7 @@ class ProcExecutor:
             except OSError:
                 pass  # that child is already gone too
 
-    def _timeout(self, conns, procs, pending, reports, failures, timeout):
+    def _timeout(self, conns, zyg, pending, reports, failures, timeout):
         """Deadline hit with ranks outstanding: abort, reap, report.
 
         Failures *already reported* before the deadline must ride on the
@@ -535,12 +690,8 @@ class ProcExecutor:
         self._broadcast_abort(conns, origin=-1)
         t_grace = time.monotonic() + KILL_GRACE
         for rank in hung:
-            budget = max(0.0, t_grace - time.monotonic())
-            try:
-                procs[rank].wait(timeout=budget)
-            except subprocess.TimeoutExpired:
-                pass
-        self._reap(procs)
+            zyg.wait(rank, max(0.0, t_grace - time.monotonic()))
+        zyg.reap()
         raise JobTimeoutError(timeout, hung, pre_deadline_failures)
 
     def _broadcast_abort(self, conns, origin: int,
@@ -616,17 +767,6 @@ class ProcExecutor:
                 else:
                     failures.setdefault(rank, exc)
         return failures
-
-    def _reap(self, procs) -> None:
-        """No leaked children, ever: SIGKILL anything still alive."""
-        for p in procs:
-            if p.poll() is None:
-                p.kill()
-        for p in procs:
-            try:
-                p.wait(timeout=KILL_GRACE)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                pass
 
 
 def procrun(nprocs: int, target, args: Sequence = (),

@@ -1,30 +1,53 @@
-"""One rank of a process-backend job: ``python -m repro.executor.procworker``.
+"""The worker side of a process-backend job:
+``python -m repro.executor.procworker``.
 
-Spawned by :class:`~repro.executor.procrunner.ProcExecutor`, never run by
-hand.  The worker dials the launcher back, receives the job blob, joins
-the TCP mesh, hosts a single-rank view of the
-:class:`~repro.runtime.engine.Universe`, runs the target, and marshals the
-result (or exception) home over the control connection.
+Spawned by :class:`~repro.executor.procrunner.ProcExecutor`, once per
+job, never run by hand.  The process that starts here is the job's
+*zygote*: it has imported the runtime (this module's imports — never
+user code), dials the launcher, registers as the zygote, checks that it
+has a single thread, and forks the ranks.  From then on it is
+their parent and nothing else (:func:`_parent_ranks`): it tells the
+launcher ``forked {rank: pid}``, reaps each rank and reports
+``exited {rank, rc}``, and SIGKILLs a rank when the launcher says
+``kill {rank}`` — the only process that ever signals a rank, because
+only the parent knows that a pid is still the child it forked.  EOF on
+its connection, in either direction, is teardown: it kills and reaps
+whatever is left and exits; a rank whose zygote dies is killed by the
+kernel (``PR_SET_PDEATHSIG``).  A zygote lives for one job, so ranks
+start with the launcher's environment, directory, affinity and stdio
+of that job.
 
-A dedicated control thread listens for launcher commands for the whole
-job lifetime: ``abort`` poisons the local universe (and, through the mesh
-broadcast, every peer), ``peerfail`` feeds a single dead rank into the
-ULFM failure plane (survivable under ``ERRORS_RETURN``), ``exit`` is the
-wire finalize barrier, and EOF — the launcher itself dying — tears the
-job down rather than orphaning the rank.  A second thread beats a
-``hb`` frame home every ``REPRO_HEARTBEAT_MS`` so the launcher can
-detect a rank that wedged without dropping its sockets.
+Each forked rank (:func:`_rank_main`) closes the zygote's connection,
+dials the launcher itself, receives the job blob, resolves the target
+(user modules are imported here, once per rank), joins the TCP mesh,
+hosts a single-rank view of the
+:class:`~repro.runtime.engine.Universe`, runs the target, and marshals
+the result (or exception) home over its own control connection.
+
+In a rank, a dedicated control thread listens for launcher commands for
+the whole job lifetime: ``abort`` poisons the local universe (and,
+through the mesh broadcast, every peer), ``peerfail`` feeds a single
+dead rank into the ULFM failure plane (survivable under
+``ERRORS_RETURN``), ``exit`` is the wire finalize barrier, and EOF — the
+launcher itself dying — tears the job down rather than orphaning the
+rank.  A second thread beats a ``hb`` frame home every
+``REPRO_HEARTBEAT_MS`` so the launcher can detect a rank that wedged
+without dropping its sockets.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import pickle
+import selectors
+import signal
 import socket
 import sys
 import threading
 
+import repro.mpijava  # noqa: F401 - every rank needs it: import it once
 from repro import config
 from repro.errors import AbortException
 from repro.executor.procrunner import (dump_exception, recv_msg,
@@ -132,24 +155,114 @@ def _attach_lanes(chans, rank: int, nonce, inbound: dict, book: dict) -> None:
 
 
 def main(argv=None) -> int:
+    """The zygote: register, fork the ranks, stay as their parent."""
     ap = argparse.ArgumentParser(prog="repro.executor.procworker")
     ap.add_argument("--connect", required=True, metavar="HOST:PORT")
-    ap.add_argument("--rank", type=int, required=True)
     ap.add_argument("--nprocs", type=int, required=True)
     opts = ap.parse_args(argv)
     host, _, port = opts.connect.rpartition(":")
+    port = int(port)
 
+    ctl = socket.create_connection((host, port), timeout=BOOTSTRAP_TIMEOUT)
+    set_nodelay(ctl)
+    send_msg(ctl, {"zygote": os.getpid()})
+    ctl.settimeout(None)
+
+    # fork() copies the calling thread only: a lock some other thread
+    # held would stay locked in every rank, forever.  Nothing imported
+    # here starts a thread (pumps, heartbeat and control threads belong
+    # to a rank's job) -- checked, not assumed; it is also what keeps
+    # Python 3.12's "multi-threaded, use of fork()" warning away
+    if threading.active_count() != 1:
+        raise RuntimeError(
+            f"zygote must fork single-threaded, found "
+            f"{[t.name for t in threading.enumerate()]}")
+    sys.stdout.flush()   # what is still buffered here would be printed
+    sys.stderr.flush()   # again by every rank
+    # everything imported so far is shared with the ranks page by page
+    # until one of them writes to it; a collector pass writes to every
+    # tracked object's header.  Frozen, the imported heap is skipped by
+    # the ranks' collections, the ones at interpreter exit included
+    # (forked exit: 52 ms -> 18 ms here)
+    gc.collect()
+    gc.freeze()
+    zygote = os.getpid()
+    kids: dict[int, tuple[int, int]] = {}   # rank -> (pid, pidfd)
+    for rank in range(opts.nprocs):
+        pid = os.fork()
+        if pid == 0:
+            # A rank leaves main() from this block -- by return, by an
+            # exception or by os._exit, each of which ends the process --
+            # so it can never reach the reap loop below.
+            ctl.close()
+            for _pid, fd in kids.values():
+                os.close(fd)
+            cma.die_with_parent()
+            if os.getppid() != zygote:   # orphaned before the prctl
+                os._exit(1)
+            # ranks that were separate interpreters drew separate
+            # unseeded np.random streams; random reseeds itself at fork,
+            # numpy (where it is loaded at all by now) does not
+            if "numpy.random" in sys.modules:
+                sys.modules["numpy.random"].seed()
+            return _rank_main(host, port, rank, opts.nprocs)
+        kids[rank] = (pid, os.pidfd_open(pid))
+    return _parent_ranks(ctl, kids)
+
+
+def _parent_ranks(ctl: socket.socket,
+                  kids: dict[int, tuple[int, int]]) -> int:
+    """The zygote after its last fork: the ranks' parent for the job's
+    lifetime -- the one process that reaps them and the only one that
+    may signal them (it alone knows whether a pid is still its child).
+
+    No thread: one selector over the control connection and a pidfd per
+    rank.  Up go ``forked`` (once) and ``exited`` per reaped rank, with
+    the code as ``subprocess`` spells it (-9: SIGKILL); down comes
+    ``kill``.  EOF or an error on the connection, either way round, is
+    teardown: SIGKILL and reap whatever is left, then exit.
+    """
+    sel = selectors.DefaultSelector()
+    sel.register(ctl, selectors.EVENT_READ)
+    for rank, (_pid, fd) in kids.items():
+        sel.register(fd, selectors.EVENT_READ, rank)
+    try:
+        send_msg(ctl, {"cmd": "forked",
+                       "pids": {r: pid for r, (pid, _fd) in kids.items()}})
+        while kids:
+            for key, _ in sel.select():
+                rank = key.data
+                if rank is None:
+                    msg = recv_msg(ctl)
+                    if msg.get("cmd") == "kill" and msg["rank"] in kids:
+                        os.kill(kids[msg["rank"]][0], signal.SIGKILL)
+                else:
+                    pid, fd = kids.pop(rank)
+                    sel.unregister(fd)
+                    os.close(fd)
+                    rc = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    send_msg(ctl, {"cmd": "exited", "rank": rank, "rc": rc})
+    except (OSError, EOFError, pickle.PickleError):
+        pass   # the launcher is gone, or has closed the job
+    for pid, _fd in kids.values():
+        os.kill(pid, signal.SIGKILL)
+    for pid, _fd in kids.values():
+        os.waitpid(pid, 0)
+    return 0
+
+
+def _rank_main(host: str, port: int, rank: int, nprocs: int) -> int:
+    """One rank, from the fork to its exit code."""
     # in a worker process an injected fault is a *real* death (os._exit:
     # no report, no finally blocks, just EOF on the control connection)
     faultinject.set_hard_kill(True)
-    faultinject.maybe_fail("bootstrap", opts.rank)
+    faultinject.maybe_fail("bootstrap", rank)
 
-    ctl = socket.create_connection((host, int(port)),
-                                   timeout=BOOTSTRAP_TIMEOUT)
+    ctl = socket.create_connection((host, port), timeout=BOOTSTRAP_TIMEOUT)
     set_nodelay(ctl)   # worker-side control plane: aborts must not Nagle
-    send_msg(ctl, {"rank": opts.rank})
+    send_msg(ctl, {"rank": rank})
     job = recv_msg(ctl)
-    assert job["cmd"] == "job" and job["nprocs"] == opts.nprocs
+    assert job["cmd"] == "job" and job["nprocs"] == nprocs
 
     # resolve the target *before* meshing up: an unimportable target
     # reports as this rank's failure, not as a wedged bootstrap
@@ -169,14 +282,15 @@ def main(argv=None) -> int:
     inbound = {}
     if shm_nonce is not None:
         try:
-            inbound = shm_transport.create_inbound(shm_nonce, opts.rank,
-                                                   opts.nprocs)
+            inbound = shm_transport.create_inbound(shm_nonce, rank,
+                                                   nprocs)
         except OSError:
             inbound = {}   # /dev/shm unavailable: this rank rides TCP
     if inbound:
         # sibling ranks read each other's send buffers in place; under
-        # Yama ptrace_scope=1 that takes naming a common ancestor — the
-        # launcher — before any of them probes
+        # Yama ptrace_scope=1 that takes naming a common ancestor before
+        # any of them probes — the parent is the zygote, which forked
+        # every rank of the job and lives as long as they do
         cma.allow_tracer(os.getppid())
     send_msg(ctl, {"mesh_port": listener.getsockname()[1],
                    "node": shm_transport.node_id(),
@@ -197,20 +311,20 @@ def main(argv=None) -> int:
         # start beating before the (potentially slow) mesh build so the
         # launcher sees this rank alive as early as possible
         threading.Thread(target=_heartbeat_loop,
-                         args=(ctl, opts.rank, hb, exit_evt, ctl_lock),
+                         args=(ctl, rank, hb, exit_evt, ctl_lock),
                          name="repro-proc-heartbeat", daemon=True).start()
-    peers = build_mesh(opts.rank, opts.nprocs, listener, msg["book"])
+    peers = build_mesh(rank, nprocs, listener, msg["book"])
 
-    chans = mesh_channels(opts.nprocs, opts.rank, peers)
-    _attach_lanes(chans, opts.rank, shm_nonce, inbound, msg["book"])
-    transport = WireTransport(opts.nprocs, (opts.rank,), chans)
-    universe = Universe(opts.nprocs, transport=transport,
-                        local_ranks=(opts.rank,))
+    chans = mesh_channels(nprocs, rank, peers)
+    _attach_lanes(chans, rank, shm_nonce, inbound, msg["book"])
+    transport = WireTransport(nprocs, (rank,), chans)
+    universe = Universe(nprocs, transport=transport,
+                        local_ranks=(rank,))
     ctl.settimeout(None)
     threading.Thread(target=_control_loop, args=(ctl, universe, exit_evt),
                      name="repro-proc-control", daemon=True).start()
 
-    rt = RankRuntime(universe, opts.rank)
+    rt = RankRuntime(universe, rank)
     bind_thread(rt)
     try:
         result = target(*args)
@@ -219,7 +333,7 @@ def main(argv=None) -> int:
                       "result": pickle.dumps(result, protocol=4)}
         except Exception as exc:
             report = {"status": "error", **dump_exception(TypeError(
-                f"rank {opts.rank} returned an unpicklable result "
+                f"rank {rank} returned an unpicklable result "
                 f"({type(result).__name__}): {exc}"))}
     except AbortException as exc:
         # job poisoned elsewhere: report the root cause and its origin so
@@ -230,7 +344,7 @@ def main(argv=None) -> int:
     except BaseException as exc:  # noqa: BLE001 - marshalled to launcher
         # this rank is the origin: poison the job over the mesh so peers
         # blocked on it unwind (no shared memory to lean on)
-        universe.poison(opts.rank, 1, cause=exc)
+        universe.poison(rank, 1, cause=exc)
         report = {"status": "error", **dump_exception(exc)}
     finally:
         unbind_thread()

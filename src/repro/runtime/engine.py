@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro import config
 from repro.errors import (AbortException, MPIException, ProcFailedException,
@@ -23,9 +23,13 @@ from repro.runtime.envelope import (Envelope, decode_abort_env,
                                     encode_revoke_env)
 from repro.runtime.groups import GroupImpl
 from repro.runtime.mailbox import Mailbox
-from repro.transport import make_transport
-from repro.transport.base import Transport
 from repro.util.clock import Clock, WallClock
+
+if TYPE_CHECKING:
+    # repro.transport imports this package (transport/base needs
+    # runtime.envelope); importing it back at module level made
+    # ``import repro.transport`` work only after ``import repro.runtime``
+    from repro.transport.base import Transport
 
 #: context ids 0..3 are reserved: COMM_WORLD (pt2pt, coll), COMM_SELF ditto
 CTX_WORLD_PT2PT = 0
@@ -78,6 +82,7 @@ class Universe:
                                           f"got {nprocs}")
         self.nprocs = int(nprocs)
         if isinstance(transport, str):
+            from repro.transport import make_transport
             transport = make_transport(transport, self.nprocs)
         if transport.nprocs != self.nprocs:
             raise MPIException(ERR_INTERN,

@@ -23,18 +23,20 @@ from __future__ import annotations
 import ctypes
 import errno
 import os
+import signal
 
 import numpy as np
 
 from repro.util import faultinject
 
-__all__ = ["IOV_MAX", "advert", "address_table", "allow_tracer", "probe",
-           "read"]
+__all__ = ["IOV_MAX", "advert", "address_table", "allow_tracer",
+           "die_with_parent", "probe", "read"]
 
 #: iovec rows the kernel takes per call, on either side
 IOV_MAX = 1024
 
 _PR_SET_PTRACER = 0x59616d61
+_PR_SET_PDEATHSIG = 1
 
 
 def _libc_function(name: str, restype, argtypes):
@@ -59,7 +61,18 @@ _prctl = _libc_function(
 #: this process's probe word: peers read it to learn whether the kernel
 #: lets them, and that the advertised pid really is this process (a pid
 #: from another pid namespace would name somebody else, or nobody)
-_word = np.frombuffer(os.urandom(8), dtype=np.uint64).copy()
+_word = np.zeros(1, dtype=np.uint64)
+
+
+def _draw_word() -> None:
+    _word[:] = np.frombuffer(os.urandom(8), dtype=np.uint64)
+
+
+# One value per process: a forked child holds its parent's word at its
+# parent's address, and with the value left alone a rank that read a
+# *sibling* there would take it for the process the advert names.
+_draw_word()
+os.register_at_fork(after_in_child=_draw_word)
 
 
 def advert() -> tuple[int, int, int]:
@@ -76,6 +89,14 @@ def allow_tracer(pid: int) -> None:
     nothing needed it."""
     if _prctl is not None:
         _prctl(_PR_SET_PTRACER, pid, 0, 0, 0)
+
+
+def die_with_parent() -> None:
+    """Have the kernel SIGKILL this process when its parent dies
+    (``prctl(PR_SET_PDEATHSIG)``; the caller re-checks ``getppid()``
+    for a parent that died first).  Best-effort, as above."""
+    if _prctl is not None:
+        _prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
 
 
 def address_table(bufs) -> np.ndarray:

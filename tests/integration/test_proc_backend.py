@@ -15,6 +15,8 @@ reference, like ``multiprocessing`` spawn targets).
 """
 
 import os
+import signal
+import sys
 import time
 
 import numpy as np
@@ -195,6 +197,26 @@ def hang_body(kind, arg):
         raise ValueError(arg)
     time.sleep(arg)
     return kind
+
+
+def launch_report_body():
+    """Who started this rank, with what: (pid, parent, mark, cwd)."""
+    MPI.Init([])
+    MPI.COMM_WORLD.Barrier()
+    MPI.Finalize()
+    return (os.getpid(), os.getppid(),
+            os.environ.get("REPRO_TEST_LAUNCH_MARK"), os.getcwd())
+
+
+def zygote_killer_body():
+    """Rank 0 SIGKILLs the ranks' common parent once every rank is up."""
+    MPI.Init([])
+    w = MPI.COMM_WORLD
+    w.Barrier()
+    if w.Rank() == 0:
+        os.kill(os.getppid(), signal.SIGKILL)
+    time.sleep(30.0)
+    return "unreachable"
 
 
 #: the windowed stream: 64 messages of 128 int64 (1 KiB) per window
@@ -411,6 +433,110 @@ class TestEndToEnd:
             target_spec(local_body)
 
 
+def worker_processes():
+    """Pids run as ``python -m repro.executor.procworker``: the zygote
+    and (forked from it, they share its command line) every rank of any
+    job.  The module name must be an argument of its own — a shell whose
+    script merely mentions it is not a worker."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as f:
+                if b"repro.executor.procworker" in f.read().split(b"\0"):
+                    found.append(int(entry))
+        except OSError:
+            pass   # gone while we looked
+    return found
+
+
+def assert_no_worker_survives(within=2.0):
+    deadline = time.monotonic() + within
+    while worker_processes() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not worker_processes(), "leaked zygote or rank processes"
+
+
+class TestLaunchPath:
+    """One interpreter start per job: the launcher spawns a zygote, the
+    zygote forks the ranks and stays as their parent.  Everything a rank
+    inherits is the launcher's *at that job's start*, and no user code
+    runs before the fork."""
+
+    def test_ranks_share_a_parent_that_is_neither_launcher_nor_rank(self):
+        rows = procrun(NPROCS, launch_report_body, timeout=20)
+        pids = [pid for pid, _, _, _ in rows]
+        parents = {ppid for _, ppid, _, _ in rows}
+        assert len(set(pids)) == NPROCS, pids
+        assert len(parents) == 1, f"ranks of one job, {parents} parents"
+        assert not parents & ({os.getpid()} | set(pids)), (parents, pids)
+        assert_no_worker_survives()
+
+    def test_each_job_sees_the_launchers_environment_and_cwd_as_of_now(
+            self, monkeypatch, tmp_path):
+        """Nobody may keep a zygote across jobs: it would serve the
+        environment, directory, affinity and stdio it was started with."""
+        with ProcExecutor(2) as ex:
+            for mark in ("first", "second"):
+                where = tmp_path / mark
+                where.mkdir()
+                monkeypatch.setenv("REPRO_TEST_LAUNCH_MARK", mark)
+                monkeypatch.chdir(where)
+                rows = ex.run(launch_report_body, timeout=20)
+                assert [(m, cwd) for _, _, m, cwd in rows] \
+                    == [(mark, str(where))] * 2
+
+    def test_target_module_is_imported_once_per_rank_after_the_fork(
+            self, monkeypatch, tmp_path):
+        """Import side effects, and a failing import's RankFailure, are
+        each rank's own, as when every rank was its own interpreter."""
+        log = tmp_path / "imports.log"
+        target = tmp_path / "side_effect_target.py"
+        target.write_text(
+            "import os\n"
+            "with open(os.environ['REPRO_TEST_IMPORT_LOG'], 'a') as f:\n"
+            "    f.write(f'{os.getpid()}\\n')\n"
+            "def body():\n"
+            "    return os.getpid(), os.getppid()\n")
+        monkeypatch.setenv("REPRO_TEST_IMPORT_LOG", str(log))
+        rows = procrun(NPROCS, f"{target}:body", timeout=20)
+        importers = sorted(int(line) for line in log.read_text().split())
+        assert importers == sorted(pid for pid, _ in rows)
+        assert rows[0][1] not in importers   # not in the zygote
+
+    def test_explicit_interpreter_still_honoured(self):
+        rows = ProcExecutor(2, python=sys.executable).run(
+            launch_report_body, timeout=20)
+        assert len({pid for pid, _, _, _ in rows}) == 2
+
+    def test_killed_zygote_fails_every_unreported_rank_and_leaks_none(self):
+        t0 = time.monotonic()
+        with pytest.raises(RankFailure) as ei:
+            procrun(NPROCS, zygote_killer_body, timeout=20)
+        assert time.monotonic() - t0 < 10.0
+        failures = ei.value.failures
+        assert set(failures) == set(range(NPROCS)), failures
+        assert all("zygote died (exit code -9)" in str(f)
+                   for f in failures.values()), failures
+        assert_no_worker_survives()
+
+    @pytest.mark.parametrize("victim", [0, NPROCS - 1])
+    def test_rank_dead_before_its_connection_is_that_ranks_failure(
+            self, victim, monkeypatch):
+        """Nothing of the victim ever reaches the launcher: its parent's
+        ``exited`` notice is all there is, and it carries the code."""
+        monkeypatch.setenv("REPRO_FAULT", f"bootstrap:{victim}")
+        t0 = time.monotonic()
+        with pytest.raises(RankFailure) as ei:
+            procrun(NPROCS, launch_report_body, timeout=20)
+        assert time.monotonic() - t0 < 10.0
+        assert set(ei.value.failures) == {victim}, ei.value.failures
+        text = str(ei.value.failures[victim])
+        assert "bootstrap" in text and "exit code 86" in text, text
+        assert_no_worker_survives()
+
+
 class TestFaultContainment:
     def test_exception_roundtrips_type_and_message(self):
         with pytest.raises(RankFailure) as ei:
@@ -479,3 +605,6 @@ class TestTimeoutReporting:
         # and the message carries both facts
         assert "did not finish" in str(exc)
         assert "failed before the deadline" in str(exc)
+        # rank 1 sat in time.sleep, deaf to the abort: it was killed by
+        # its parent, the zygote, on the launcher's teardown
+        assert_no_worker_survives()

@@ -70,3 +70,40 @@ def test_module_entrypoint_prints_the_effective_settings(monkeypatch):
     lines = out.splitlines()
     assert [line.split("=")[0] for line in lines] == NAMES
     assert "REPRO_EAGER_LIMIT=4096" in lines
+
+
+def test_module_entrypoint_is_not_imported_by_its_own_package():
+    """``repro/__init__`` resolves its launcher exports on first use:
+    importing them eagerly pulled ``repro.config`` (and numpy, and the
+    whole runtime) in before runpy could execute it, which runpy
+    reports as a RuntimeWarning."""
+    subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                    "-m", "repro.config"], capture_output=True, check=True)
+    light = subprocess.run(
+        [sys.executable, "-c", "import sys, repro.config\n"
+         "print(sorted(m for m in sys.modules if m == 'numpy'\n"
+         "             or m.startswith('repro.executor')))"],
+        capture_output=True, text=True, check=True).stdout
+    assert light.strip() == "[]"
+
+
+def test_package_level_launchers_still_import():
+    import repro
+    from repro import MPIExecutor, ProcExecutor, mpirun, procrun
+    from repro.executor import procrunner, runner
+    assert (mpirun, MPIExecutor) == (runner.mpirun, runner.MPIExecutor)
+    assert (procrun, ProcExecutor) \
+        == (procrunner.procrun, procrunner.ProcExecutor)
+    assert set(repro.__all__) <= set(dir(repro)) | set(repro._LAUNCHERS)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        repro.no_such_name
+
+
+@pytest.mark.parametrize("first", ["repro.transport", "repro.runtime",
+                                   "repro.transport.shm"])
+def test_either_end_of_the_old_import_cycle_imports_first(first):
+    """``repro.transport`` needs ``runtime.envelope`` and the engine
+    needs ``make_transport``: it worked only in the order the eager
+    package ``__init__`` happened to import them."""
+    subprocess.run([sys.executable, "-c", f"import {first}"],
+                   capture_output=True, check=True)

@@ -377,6 +377,7 @@ import itertools
 import os
 import queue
 import socket
+import struct
 import subprocess
 import sys
 import time
@@ -1164,3 +1165,58 @@ class TestSenderLostMidEagerBody:
             assert universe.mailboxes[1].pending_counts() == (0, 0)
         finally:
             universe.close()
+
+
+class TestProbeWordPerProcess:
+    """Ranks are forked from one zygote, so every one of them holds the
+    probe word at the same address: only its *value* can tell a peer
+    that the pid it read is the process the advert names."""
+
+    ADVERT = struct.Struct("!QQQ")
+
+    def test_forked_ranks_advertise_their_own_word(self, cma_capable):
+        from repro.transport import cma
+        up_r, up_w = os.pipe()
+        hold_r, hold_w = os.pipe()
+        adverts, pids = [], []
+        try:
+            for rank in range(4):
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:   # a forked pytest must never unwind into pytest
+                        os.close(hold_w)
+                        cma.allow_tracer(os.getppid())
+                        mine = cma.advert()
+                        verdict = b"--"
+                        if adverts:
+                            # rank 3 reads rank 0, a *sibling*: the word
+                            # rank 0 advertised is there, its own is not
+                            verdict = bytes([
+                                cma.probe(rank, *adverts[0]),
+                                cma.probe(rank, adverts[0][0], *mine[1:])])
+                        os.write(up_w, self.ADVERT.pack(*mine) + verdict)
+                        os.read(hold_r, 1)   # EOF: the test is done
+                        code = 0
+                    finally:
+                        os._exit(code)
+                pids.append(pid)
+                if rank < 3:
+                    got = os.read(up_r, self.ADVERT.size + 2)
+                    adverts.append(self.ADVERT.unpack(got[:-2]))
+            got = os.read(up_r, self.ADVERT.size + 2)
+            adverts.append(self.ADVERT.unpack(got[:-2]))
+            adverts.append(cma.advert())    # the "zygote"
+            assert [a[0] for a in adverts] == pids + [os.getpid()]
+            assert len({a[2] for a in adverts}) == 5, adverts
+            assert got[-2:] == bytes([True, False]), \
+                "a sibling's pid passed for the rank the advert names"
+            for pid, address, value in adverts[:4]:
+                assert cma.probe(0, pid, address, value)
+                assert not cma.probe(0, pid, *cma.advert()[1:])
+        finally:
+            os.close(hold_w)
+            for fd in (up_r, up_w, hold_r):
+                os.close(fd)
+            for pid in pids:
+                os.waitpid(pid, 0)
