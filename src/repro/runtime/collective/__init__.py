@@ -1,12 +1,15 @@
 """Collective operations (MPI 1.1 chapter 4, plus nonblocking variants).
 
 Every algorithm *emits a schedule* (rounds of send/recv/compute ops, see
-:mod:`repro.runtime.nbc`) executed over the runtime's eager point-to-point
+:mod:`repro.runtime.nbc`) executed over the runtime's point-to-point
 layer on the communicator's *collective* context, so user point-to-point
 traffic can never interfere with collective traffic (the reason MPI
-allocates a second context per communicator).  Blocking collectives build
-their schedule and run it to completion; the ``i``-prefixed variants
-return the in-flight :class:`~repro.runtime.nbc.CollRequestImpl`.
+allocates a second context per communicator).  Each collective has one
+``plan_<name>(comm, ...)`` — argument checks and algorithm choice, then
+``(name, build)`` — and two entry points over it: the blocking one runs
+the plan in the calling thread (``nbc.run``), the ``i``-prefixed one
+hands it to the engine (``nbc.launch``) and returns the in-flight
+:class:`~repro.runtime.nbc.CollRequestImpl`.
 
 Algorithm selection is configurable through
 :func:`~repro.runtime.collective.common.algorithm_overrides` — the

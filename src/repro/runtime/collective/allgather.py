@@ -18,12 +18,19 @@ from repro.runtime.nbc import Box, Compute, Recv, Send
 
 def allgather(comm, sendbuf, soffset, scount, sdtype,
               recvbuf, roffset, rcount, rdtype) -> None:
-    iallgather(comm, sendbuf, soffset, scount, sdtype,
-               recvbuf, roffset, rcount, rdtype).wait()
+    nbc.run(comm, *plan_allgather(comm, sendbuf, soffset, scount, sdtype,
+                                  recvbuf, roffset, rcount, rdtype))
 
 
 def iallgather(comm, sendbuf, soffset, scount, sdtype,
                recvbuf, roffset, rcount, rdtype):
+    return nbc.launch(comm, *plan_allgather(comm, sendbuf, soffset, scount,
+                                            sdtype, recvbuf, roffset, rcount,
+                                            rdtype))
+
+
+def plan_allgather(comm, sendbuf, soffset, scount, sdtype, recvbuf, roffset,
+                   rcount, rdtype):
     comm._check_alive()
     comm._require_intra("Allgather")
     algorithm = algorithm_for("allgather")
@@ -46,17 +53,24 @@ def iallgather(comm, sendbuf, soffset, scount, sdtype,
         _gather_bcast(comm, sched, sendbuf, soffset, scount, sdtype,
                       recvbuf, rdtype, landing)
 
-    return nbc.launch(comm, "Allgather", build)
+    return "Allgather", build
 
 
 def allgatherv(comm, sendbuf, soffset, scount, sdtype,
                recvbuf, roffset, rcounts, displs, rdtype) -> None:
-    iallgatherv(comm, sendbuf, soffset, scount, sdtype,
-                recvbuf, roffset, rcounts, displs, rdtype).wait()
+    nbc.run(comm, *plan_allgatherv(comm, sendbuf, soffset, scount, sdtype,
+                                   recvbuf, roffset, rcounts, displs, rdtype))
 
 
 def iallgatherv(comm, sendbuf, soffset, scount, sdtype,
                 recvbuf, roffset, rcounts, displs, rdtype):
+    return nbc.launch(comm, *plan_allgatherv(comm, sendbuf, soffset, scount,
+                                             sdtype, recvbuf, roffset, rcounts,
+                                             displs, rdtype))
+
+
+def plan_allgatherv(comm, sendbuf, soffset, scount, sdtype, recvbuf, roffset,
+                    rcounts, displs, rdtype):
     comm._check_alive()
     comm._require_intra("Allgatherv")
     if len(rcounts) != comm.size or len(displs) != comm.size:
@@ -79,7 +93,7 @@ def iallgatherv(comm, sendbuf, soffset, scount, sdtype,
         _gather_bcast(comm, sched, sendbuf, soffset, scount, sdtype,
                       recvbuf, rdtype, landing)
 
-    return nbc.launch(comm, "Allgatherv", build)
+    return "Allgatherv", build
 
 
 def _gather_bcast(comm, sched, sendbuf, soffset, scount, sdtype,

@@ -15,10 +15,14 @@ from repro.runtime.nbc import Recv, Send
 
 
 def barrier(comm) -> None:
-    ibarrier(comm).wait()
+    nbc.run(comm, *plan_barrier(comm))
 
 
 def ibarrier(comm):
+    return nbc.launch(comm, *plan_barrier(comm))
+
+
+def plan_barrier(comm):
     comm._check_alive()
     comm._require_intra("Barrier")
     algorithm = algorithm_for("barrier")
@@ -35,7 +39,7 @@ def ibarrier(comm):
         else:
             raise ValueError(f"unknown barrier algorithm {algorithm!r}")
 
-    return nbc.launch(comm, "Barrier", build)
+    return "Barrier", build
 
 
 def _dissemination(comm, sched, tag) -> None:

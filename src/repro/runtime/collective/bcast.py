@@ -27,10 +27,15 @@ from repro.runtime.nbc import Box, Compute, Recv, Send
 
 
 def bcast(comm, buf, offset, count, datatype, root) -> None:
-    ibcast(comm, buf, offset, count, datatype, root).wait()
+    nbc.run(comm, *plan_bcast(comm, buf, offset, count, datatype, root))
 
 
 def ibcast(comm, buf, offset, count, datatype, root):
+    return nbc.launch(comm, *plan_bcast(comm, buf, offset, count, datatype,
+                                        root))
+
+
+def plan_bcast(comm, buf, offset, count, datatype, root):
     comm._check_alive()
     comm._require_intra("Bcast")
     check_root(comm, root)
@@ -59,11 +64,17 @@ def ibcast(comm, buf, offset, count, datatype, root):
                 lambda: land_contrib(buf, offset, count, datatype,
                                      box.contrib))
 
-    return nbc.launch(comm, "Bcast", build)
+    return "Bcast", build
 
 
-def build_tree(comm, sched, tag, box, root) -> None:
-    """Append rounds that move ``box`` from ``root`` to every rank."""
+def build_tree(comm, sched, tag, box, root, into=None) -> None:
+    """Append rounds that move ``box`` from ``root`` to every rank.
+
+    With ``into`` — on every rank the accumulator a dense result belongs
+    in, and at the root the storage ``box`` already holds — a receiving
+    rank lands the payload there, and what is forwarded is that storage,
+    borrowed (the ownership rule, :mod:`.common`).
+    """
     algorithm = algorithm_for("bcast")
     if algorithm == "segmented":
         # box movers ship one opaque contribution; segmentation only
@@ -72,9 +83,9 @@ def build_tree(comm, sched, tag, box, root) -> None:
     if comm.size == 1:
         return
     if algorithm == "binomial":
-        _binomial(comm, sched, tag, box, root)
+        _binomial(comm, sched, tag, box, root, into)
     elif algorithm == "linear":
-        _linear(comm, sched, tag, box, root)
+        _linear(comm, sched, tag, box, root, into)
     else:
         raise ValueError(f"unknown bcast algorithm {algorithm!r}")
 
@@ -115,7 +126,7 @@ def _segmented(comm, sched, tag, buf, offset, count, datatype,
         sched.round(Send(nxt, boxes[nseg - 1], tag))
 
 
-def _binomial(comm, sched, tag, box, root) -> None:
+def _binomial(comm, sched, tag, box, root, into=None) -> None:
     rank, size = comm.rank, comm.size
     vrank = (rank - root) % size
 
@@ -127,7 +138,7 @@ def _binomial(comm, sched, tag, box, root) -> None:
         while not (vrank & mask):
             mask <<= 1
         src = (vrank - mask + root) % size
-        sched.round(Recv(src, tag, box))
+        sched.round(Recv(src, tag, box, into))
     # here mask is vrank's lowest set bit (or above size for the root), so
     # vrank + mask>>1 ... vrank + 1 address exactly this node's subtree
     # children; forwarding sends resolve `box` once the receive landed
@@ -135,14 +146,16 @@ def _binomial(comm, sched, tag, box, root) -> None:
     sends = []
     while mask > 0:
         if vrank + mask < size:
-            sends.append(Send((vrank + mask + root) % size, box, tag))
+            sends.append(Send((vrank + mask + root) % size, box, tag,
+                              borrow=into is not None))
         mask >>= 1
     sched.round(*sends)
 
 
-def _linear(comm, sched, tag, box, root) -> None:
+def _linear(comm, sched, tag, box, root, into=None) -> None:
     rank, size = comm.rank, comm.size
     if rank == root:
-        sched.round(*[Send(r, box, tag) for r in range(size) if r != root])
+        sched.round(*[Send(r, box, tag, borrow=into is not None)
+                      for r in range(size) if r != root])
     else:
-        sched.round(Recv(root, tag, box))
+        sched.round(Recv(root, tag, box, into))

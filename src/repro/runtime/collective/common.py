@@ -11,11 +11,31 @@ Algorithm selection: every collective has a default algorithm (see
 ranks are threads here, so one rank's ablation run can never bleed
 algorithm selection into a concurrently running test.
 
+Ownership — the one rule of the reduction datapath: a fold writes only
+storage *this rank's schedule owns*.  That is the accumulator
+(:func:`reduction_accum`: the caller's result window itself when it is
+contiguous and writable, else one dense gather copy landed once at the
+end), a scratch array a ``Recv(..., into=...)`` landed in, or a
+contribution that arrived in a box — an arrival is private to its
+receiver, because whoever keeps a borrowed payload copies it
+(:meth:`~repro.runtime.envelope.Envelope.claim`).  Two duties follow.  A
+``Send`` of storage that is written again later — an accumulator, a view
+of a user window — says ``borrow=True``: it travels as a zero-copy
+point-to-point send does, the round is not over until its bytes have
+left, and on the in-process transport, which hands arrays over by
+reference, the receiving side copies it if it keeps it.  And a
+contribution sent *without* ``borrow`` is never written again by its
+sender, nor by a receiver that may be one of several (``Bcast`` fans one
+array out: its receivers only read).  ``MPI.OBJECT`` lists, and the
+rank-ordered folds non-commutative operations need, travel in boxes and
+fold through :func:`combine` under the same rule.
+
 Fault containment: everything here runs inside a schedule (see
-:mod:`repro.runtime.nbc.progress`), blocking collectives included — a
-user reduction op (or decode) that raises fails *that rank's* request
-with the original exception preserved, and a job abort fails every
-in-flight schedule, so no collective can strand a peer in a wait.
+:mod:`repro.runtime.nbc.progress`) — a user reduction op (or decode)
+that raises fails *that rank's* collective with the original exception
+preserved (raised from the blocking call, through ``Wait`` from the
+nonblocking one), and a job abort or a member's death ends every round's
+wait, so no collective can strand a peer.
 """
 
 from __future__ import annotations
@@ -56,7 +76,11 @@ LARGE_MESSAGE_BYTES = 256 * 1024
 #: wire eager limit so segments stream without rendezvous handshakes
 SEGMENT_BYTES = 64 * 1024
 
-LARGE_ALGORITHMS = {"bcast": "segmented", "allreduce": "ring"}
+#: (allreduce: what BENCH_COLL.json measures fastest from 64 KiB up — 6
+#: whole-vector messages on 4 ranks against the ring's 24 chunks — on
+#: both backends, all ranks on one CPU; ROADMAP item 4(c) re-decides on a
+#: core per rank)
+LARGE_ALGORITHMS = {"bcast": "segmented", "allreduce": "reduce_bcast"}
 
 _overrides = threading.local()
 
@@ -129,11 +153,37 @@ def check_root(comm, root: int) -> None:
 
 
 def extract_contrib(buf, offset, count, datatype):
-    """One rank's contribution in dense form (window validated here)."""
+    """One rank's contribution in dense form (window validated here): a
+    fresh gather copy, so storage the schedule owns."""
     if datatype.base.is_object:
         validate_buffer(buf, offset, count, datatype)
         return ("obj", list(buf[offset:offset + count]))
     return ("dense", extract_send_payload(buf, offset, count, datatype)[0])
+
+
+def reduction_accum(sendbuf, soffset, recvbuf, roffset, count, datatype):
+    """A dense reduction's accumulator, holding this rank's contribution.
+
+    ``(contribution, in_window)``: the (validated) result window itself
+    when it is contiguous and writable — the send window is copied in
+    once, as if through a temporary should the two overlap, and nothing
+    is left to land — else the gather copy, landed once at the end.
+    """
+    lay = validate_buffer(sendbuf, soffset, count, datatype)
+    n = count * lay.size_elems
+    if lay.contiguous and recvbuf.flags.c_contiguous \
+            and recvbuf.flags.writeable:
+        accum = recvbuf[roffset:roffset + n]
+        accum[:] = sendbuf[soffset:soffset + n]
+        return ("dense", accum), True
+    return ("dense", lay.gather(sendbuf, soffset, count)), False
+
+
+def scratch(contrib):
+    """Where a peer's like-shaped contribution lands: a private array
+    for dense data (``Recv(..., into=...)``), None for objects (boxes)."""
+    kind, data = contrib
+    return np.empty_like(data) if kind == "dense" else None
 
 
 def land_contrib(buf, offset, count, datatype, contrib,
@@ -155,12 +205,13 @@ def segment_bounds(nelems: int, itemsize: int) -> list[int]:
     return bounds
 
 
-def send_contrib(comm, contrib, dest: int, tag: int) -> None:
+def send_contrib(comm, contrib, dest: int, tag: int, borrow: bool = False):
+    """Ship one contribution; returns the send's request."""
     kind, data = contrib
     if kind == "obj":
-        comm.coll_send(serialize_objects(data), len(data), True, dest, tag)
-    else:
-        comm.coll_send(data, int(data.shape[0]), False, dest, tag)
+        return comm.coll_send(serialize_objects(data), len(data), True,
+                              dest, tag)
+    return comm.coll_send(data, int(data.shape[0]), False, dest, tag, borrow)
 
 
 def contrib_from_env(env):
@@ -173,27 +224,12 @@ def contrib_from_env(env):
     return ("dense", payload)
 
 
-def writable(contrib):
-    """A private mutable copy of a contribution.
-
-    Always copies: the in-process transport hands payload arrays over by
-    reference, so a contribution that arrived from (or was sent to) a peer
-    may alias that peer's live accumulator.  Reduction algorithms must
-    combine into private storage only.
-    """
-    kind, data = contrib
-    if kind == "obj":
-        return (kind, list(data))
-    return (kind, data.copy())
-
-
 def combine(op, invec_contrib, inout_contrib, datatype):
-    """Pure combine: ``invec OP inout`` into *fresh* storage.
+    """``inout = invec OP inout``, written into ``inout``'s own storage
+    (a fresh list for objects); returns the folded contribution.
 
-    Contributions must be treated as immutable once created: the in-process
-    transport passes arrays by reference, so an array this rank sent (or
-    received) may be concurrently read by a peer.  Combining in place into
-    a shared array is a data race — always allocate.
+    ``inout`` must be storage this rank's schedule owns — see the module
+    docstring; ``invec`` is only read.
     """
     kind_a, a = invec_contrib
     kind_b, b = inout_contrib
@@ -202,9 +238,13 @@ def combine(op, invec_contrib, inout_contrib, datatype):
                            "mixed object/primitive reduction contributions")
     if kind_a == "obj":
         return ("obj", op.reduce_objects(a, b))
-    out = b.copy()
-    op.reduce_dense(a, out, datatype)
-    return ("dense", out)
+    op.reduce_dense(a, b, datatype)
+    return inout_contrib
+
+
+def fold(op, theirs, accum, datatype) -> None:
+    """Schedule compute: fold box ``theirs`` into box ``accum``."""
+    accum.contrib = combine(op, theirs.contrib, accum.contrib, datatype)
 
 
 def concat(contribs):

@@ -15,12 +15,19 @@ from repro.runtime.nbc import Box, Recv, Send
 
 def gather(comm, sendbuf, soffset, scount, sdtype,
            recvbuf, roffset, rcount, rdtype, root) -> None:
-    igather(comm, sendbuf, soffset, scount, sdtype,
-            recvbuf, roffset, rcount, rdtype, root).wait()
+    nbc.run(comm, *plan_gather(comm, sendbuf, soffset, scount, sdtype, recvbuf,
+                               roffset, rcount, rdtype, root))
 
 
 def igather(comm, sendbuf, soffset, scount, sdtype,
             recvbuf, roffset, rcount, rdtype, root):
+    return nbc.launch(comm, *plan_gather(comm, sendbuf, soffset, scount,
+                                         sdtype, recvbuf, roffset, rcount,
+                                         rdtype, root))
+
+
+def plan_gather(comm, sendbuf, soffset, scount, sdtype, recvbuf, roffset,
+                rcount, rdtype, root):
     comm._check_alive()
     comm._require_intra("Gather")
     check_root(comm, root)
@@ -35,12 +42,20 @@ def igather(comm, sendbuf, soffset, scount, sdtype,
 
 def gatherv(comm, sendbuf, soffset, scount, sdtype,
             recvbuf, roffset, rcounts, displs, rdtype, root) -> None:
-    igatherv(comm, sendbuf, soffset, scount, sdtype,
-             recvbuf, roffset, rcounts, displs, rdtype, root).wait()
+    nbc.run(comm, *plan_gatherv(comm, sendbuf, soffset, scount, sdtype,
+                                recvbuf, roffset, rcounts, displs, rdtype,
+                                root))
 
 
 def igatherv(comm, sendbuf, soffset, scount, sdtype,
              recvbuf, roffset, rcounts, displs, rdtype, root):
+    return nbc.launch(comm, *plan_gatherv(comm, sendbuf, soffset, scount,
+                                          sdtype, recvbuf, roffset, rcounts,
+                                          displs, rdtype, root))
+
+
+def plan_gatherv(comm, sendbuf, soffset, scount, sdtype, recvbuf, roffset,
+                 rcounts, displs, rdtype, root):
     comm._check_alive()
     comm._require_intra("Gatherv")
     check_root(comm, root)
@@ -80,4 +95,4 @@ def _build_gather(comm, name, sendbuf, soffset, scount, sdtype,
 
         sched.compute(land_all)
 
-    return nbc.launch(comm, name, build)
+    return name, build

@@ -12,12 +12,19 @@ from repro.runtime.nbc import Box, Recv, Send
 
 def reduce_scatter(comm, sendbuf, soffset, recvbuf, roffset, recvcounts,
                    datatype, op) -> None:
-    ireduce_scatter(comm, sendbuf, soffset, recvbuf, roffset, recvcounts,
-                    datatype, op).wait()
+    nbc.run(comm, *plan_reduce_scatter(comm, sendbuf, soffset, recvbuf,
+                                       roffset, recvcounts, datatype, op))
 
 
 def ireduce_scatter(comm, sendbuf, soffset, recvbuf, roffset, recvcounts,
                     datatype, op):
+    return nbc.launch(comm, *plan_reduce_scatter(comm, sendbuf, soffset,
+                                                 recvbuf, roffset, recvcounts,
+                                                 datatype, op))
+
+
+def plan_reduce_scatter(comm, sendbuf, soffset, recvbuf, roffset, recvcounts,
+                        datatype, op):
     comm._check_alive()
     comm._require_intra("Reduce_scatter")
     if len(recvcounts) != comm.size:
@@ -62,4 +69,4 @@ def ireduce_scatter(comm, sendbuf, soffset, recvbuf, roffset, recvcounts,
             sched.compute(lambda: land_contrib(recvbuf, roffset, n_mine,
                                                datatype, box.contrib))
 
-    return nbc.launch(comm, "Reduce_scatter", build)
+    return "Reduce_scatter", build

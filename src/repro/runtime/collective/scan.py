@@ -7,19 +7,25 @@ rank, which is correct for non-commutative operations too.
 from __future__ import annotations
 
 from repro.runtime.buffers import validate_buffer
-from repro.runtime.collective.common import (combine, extract_contrib,
-                                             land_contrib, writable)
+from repro.runtime.collective.common import (extract_contrib, fold,
+                                             land_contrib)
 from repro.runtime import nbc
 from repro.runtime.nbc import Box, Compute, Recv, Send
 
 
 def scan(comm, sendbuf, soffset, recvbuf, roffset, count, datatype,
          op) -> None:
-    iscan(comm, sendbuf, soffset, recvbuf, roffset, count, datatype,
-          op).wait()
+    nbc.run(comm, *plan_scan(comm, sendbuf, soffset, recvbuf, roffset, count,
+                             datatype, op))
 
 
-def iscan(comm, sendbuf, soffset, recvbuf, roffset, count, datatype, op):
+def iscan(comm, sendbuf, soffset, recvbuf, roffset, count, datatype,
+          op):
+    return nbc.launch(comm, *plan_scan(comm, sendbuf, soffset, recvbuf,
+                                       roffset, count, datatype, op))
+
+
+def plan_scan(comm, sendbuf, soffset, recvbuf, roffset, count, datatype, op):
     comm._check_alive()
     comm._require_intra("Scan")
     op.check_usable(datatype)
@@ -28,19 +34,16 @@ def iscan(comm, sendbuf, soffset, recvbuf, roffset, count, datatype, op):
     def build(sched):
         tag = comm.next_coll_tag()
         rank, size = comm.rank, comm.size
-        accum = Box(writable(extract_contrib(sendbuf, soffset, count,
-                                             datatype)))
+        # the gather copy is the accumulator (the ownership rule,
+        # :mod:`.common`); it is sent on only once it is final
+        accum = Box(extract_contrib(sendbuf, soffset, count, datatype))
         if rank > 0:
             prefix = Box()
-
-            def fold():
-                accum.contrib = combine(op, prefix.contrib, accum.contrib,
-                                        datatype)
-
-            sched.round(Recv(rank - 1, tag, prefix), Compute(fold))
+            sched.round(Recv(rank - 1, tag, prefix),
+                        Compute(fold, op, prefix, accum, datatype))
         if rank + 1 < size:
             sched.round(Send(rank + 1, accum, tag))
         sched.compute(lambda: land_contrib(recvbuf, roffset, count,
                                            datatype, accum.contrib))
 
-    return nbc.launch(comm, "Scan", build)
+    return "Scan", build

@@ -11,12 +11,19 @@ from repro.runtime.nbc import Box, Recv, Send
 
 def scatter(comm, sendbuf, soffset, scount, sdtype,
             recvbuf, roffset, rcount, rdtype, root) -> None:
-    iscatter(comm, sendbuf, soffset, scount, sdtype,
-             recvbuf, roffset, rcount, rdtype, root).wait()
+    nbc.run(comm, *plan_scatter(comm, sendbuf, soffset, scount, sdtype,
+                                recvbuf, roffset, rcount, rdtype, root))
 
 
 def iscatter(comm, sendbuf, soffset, scount, sdtype,
              recvbuf, roffset, rcount, rdtype, root):
+    return nbc.launch(comm, *plan_scatter(comm, sendbuf, soffset, scount,
+                                          sdtype, recvbuf, roffset, rcount,
+                                          rdtype, root))
+
+
+def plan_scatter(comm, sendbuf, soffset, scount, sdtype, recvbuf, roffset,
+                 rcount, rdtype, root):
     comm._check_alive()
     comm._require_intra("Scatter")
     check_root(comm, root)
@@ -31,12 +38,20 @@ def iscatter(comm, sendbuf, soffset, scount, sdtype,
 
 def scatterv(comm, sendbuf, soffset, scounts, displs, sdtype,
              recvbuf, roffset, rcount, rdtype, root) -> None:
-    iscatterv(comm, sendbuf, soffset, scounts, displs, sdtype,
-              recvbuf, roffset, rcount, rdtype, root).wait()
+    nbc.run(comm, *plan_scatterv(comm, sendbuf, soffset, scounts, displs,
+                                 sdtype, recvbuf, roffset, rcount, rdtype,
+                                 root))
 
 
 def iscatterv(comm, sendbuf, soffset, scounts, displs, sdtype,
               recvbuf, roffset, rcount, rdtype, root):
+    return nbc.launch(comm, *plan_scatterv(comm, sendbuf, soffset, scounts,
+                                           displs, sdtype, recvbuf, roffset,
+                                           rcount, rdtype, root))
+
+
+def plan_scatterv(comm, sendbuf, soffset, scounts, displs, sdtype, recvbuf,
+                  roffset, rcount, rdtype, root):
     comm._check_alive()
     comm._require_intra("Scatterv")
     check_root(comm, root)
@@ -79,4 +94,4 @@ def _build_scatter(comm, name, sendbuf, sdtype, segment,
             sched.compute(lambda: land_contrib(recvbuf, roffset, rcount,
                                                rdtype, box.contrib))
 
-    return nbc.launch(comm, name, build)
+    return name, build

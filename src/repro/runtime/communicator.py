@@ -17,9 +17,9 @@ import pickle
 import threading
 from typing import Optional
 
-from repro.errors import (MPIException, SUCCESS, ERR_ARG, ERR_COMM,
-                          ERR_INTERN, ERR_OTHER, ERR_PROC_FAILED, ERR_RANK,
-                          ERR_TAG)
+from repro.errors import (MPIException, RevokedException, SUCCESS, ERR_ARG,
+                          ERR_COMM, ERR_INTERN, ERR_OTHER, ERR_PROC_FAILED,
+                          ERR_RANK, ERR_TAG)
 from repro.datatypes.base import DatatypeImpl
 from repro.runtime.buffers import extract_send_payload, land_payload, \
     recv_byte_views, validate_buffer
@@ -115,6 +115,8 @@ class CommImpl:
         self.member_peers = tuple(w for w in group.ranks if w != me)
         self._any_source_peers = self.member_peers if remote_group is None \
             else tuple(w for w in remote_group.ranks if w != me)
+        #: does a message to another rank cross a wire (DM) transport?
+        self._dm = getattr(self.universe.transport, "mode", "SM") == "DM"
         self.attributes: dict[int, object] = {
             KEY_TAG_UB: TAG_UB,
             KEY_HOST: PROC_NULL,
@@ -238,10 +240,14 @@ class CommImpl:
                    zero_copy: bool = False) -> RequestImpl:
         """Ship a dense payload; returns the (possibly completed) request.
 
-        ``zero_copy=True`` marks a payload that *views* the user buffer
-        (rendezvous path): the request then completes only once the
-        transport has streamed the bytes (``on_flushed``), which is the
-        MPI-legal moment for buffer reuse.
+        ``zero_copy=True`` marks a payload that *views* storage its
+        owner will write again (the user buffer, a collective's
+        accumulator): over the wire the request then completes only once
+        the transport has streamed the bytes (``on_flushed``), which is
+        the MPI-legal moment for buffer reuse.  An SM transport hands the
+        array over by reference and is done with it on return, so there
+        the envelope is marked ``borrowed``: whoever keeps it past the
+        delivery copies it (:meth:`Envelope.claim`).
         """
         rt = self.rt
         req = RequestImpl(self.universe, RequestImpl.KIND_SEND)
@@ -250,8 +256,7 @@ class CommImpl:
                        tag=tag, mode=mode, seq=seq, payload=payload,
                        nelems=nelems, is_object=is_object)
         transport = self.universe.transport
-        wire = getattr(transport, "mode", "SM") == "DM" \
-            and dest_world != rt.world_rank
+        wire = self._dm and dest_world != rt.world_rank
 
         reservation = None
         if mode == MODE_BUFFERED:
@@ -279,13 +284,16 @@ class CommImpl:
                 req.sanitize_block = (rt.world_rank, dest_world, ctx,
                                       tag, "Ssend")
         elif zero_copy:
-            env.on_flushed = req.complete
+            if wire:
+                env.on_flushed = req.complete
+            else:
+                env.borrowed = True
         try:
             transport.send(env)
         finally:
             if reservation is not None:
                 rt.bsend_pool.release(reservation)
-        if mode != MODE_SYNCHRONOUS and not zero_copy:
+        if mode != MODE_SYNCHRONOUS and not (zero_copy and wire):
             req.complete()
         elif not req.done and dest_world != rt.world_rank:
             # still pending, so parked on the peer (ACK wait / rendezvous
@@ -318,7 +326,7 @@ class CommImpl:
             return False
         if dest_world == self.rt.world_rank:
             return False
-        if getattr(self.universe.transport, "mode", "SM") != "DM":
+        if not self._dm:
             return False
         lay = datatype.layout()
         return lay.wire_friendly(count * lay.size_elems)
@@ -522,30 +530,52 @@ class CommImpl:
         return NBC_TAG_BASE + self._coll_seq % NBC_TAG_WINDOW
 
     def coll_send(self, payload, nelems, is_object, dest_comm_rank: int,
-                  tag: int) -> None:
-        """Internal eager send on the collective context (intra-comm).
+                  tag: int, borrow: bool = False) -> RequestImpl:
+        """Internal send on the collective context (intra-comm).
 
-        Standard-mode eager sends complete locally before returning, so
-        this never blocks — which is what makes schedule execution
-        deadlock-free.
+        Never waits for the peer — which is what makes schedule execution
+        deadlock-free — and returns the request: done once the payload is
+        out of this rank's hands, which over the wire is when its bytes
+        have left (at once for an eager frame written inline; after the
+        writer's flush or the rendezvous otherwise).  ``borrow`` marks
+        storage the schedule writes again (see :meth:`_isend_raw`).
         """
-        dest_world = self.group.world_rank(dest_comm_rank)
-        self._isend_raw(payload, nelems, is_object, dest_world, tag,
-                        self.ctx_coll)
+        # (over the wire every collective send completes on flush)
+        return self._isend_raw(payload, nelems, is_object,
+                               self.group.world_rank(dest_comm_rank), tag,
+                               self.ctx_coll, zero_copy=borrow or self._dm)
 
-    def coll_post_recv(self, src_comm_rank: int, tag: int,
-                       land) -> RequestImpl:
+    def coll_post_recv(self, src_comm_rank: int, tag: int, land,
+                       recv_views=None) -> RequestImpl:
         """Post a nonblocking receive on the collective context.
 
-        ``land(env)`` consumes the matched envelope (mailbox contract);
+        ``land(env)`` consumes the matched envelope and ``recv_views``
+        offers the transport the window's byte views (mailbox contract);
         completion fires the returned request's listeners, which is what
-        the schedule progress engine advances on.
+        the schedule progress engine advances on.  The failure scope is
+        the one peer: a collective's *wait* watches the whole group (see
+        :meth:`collective_failure`), its receives stay posted for a live
+        peer's late message.
         """
         req = RequestImpl(self.universe, RequestImpl.KIND_RECV)
         src_world = (ANY_SOURCE if src_comm_rank == ANY_SOURCE
                      else self.group.world_rank(src_comm_rank))
-        self._post_recv(req, src_world, tag, self.ctx_coll, land)
+        self._post_recv(req, src_world, tag, self.ctx_coll, land,
+                        recv_views)
         return req
+
+    def collective_failure(self) -> MPIException | None:
+        """What a collective on this communicator must end with, if the
+        failure plane has anything on record for it — its collective
+        context revoked, any member dead (a collective depends,
+        transitively, on every member) — else None."""
+        u = self.universe
+        if self.ctx_coll in u.revoked_contexts:
+            return RevokedException(self.ctx_coll)
+        for world in self.member_peers:
+            if world in u.failed_ranks:
+                return u.peer_failure(world)
+        return None
 
     def obj_send(self, obj, dest_comm_rank: int, tag: int,
                  world_dest: int | None = None, ctx: int | None = None) \

@@ -5,15 +5,19 @@ ordered list of **rounds**, each round an unordered set of primitive ops
 (the design libNBC introduced and MPI-3 nonblocking collectives grew out
 of).  Three op kinds exist:
 
-* :class:`Send` — ship one contribution to a peer (eager, never blocks);
-* :class:`Recv` — capture one contribution from a peer into a :class:`Box`;
+* :class:`Send` — ship one contribution to a peer (never blocks on the
+  peer; ``borrow`` marks storage the schedule writes again later);
+* :class:`Recv` — capture one contribution from a peer into a :class:`Box`,
+  or straight into the private array ``into`` names;
 * :class:`Compute` — local work (landing into user buffers, reductions,
-  concatenation), run only after every receive of the round completed.
+  concatenation), run only once the round's communication is over.
 
 Within a round, receives are posted first, then sends are issued, and
-computes run once all the round's receives have landed.  Rounds execute in
-order; the round boundary is purely *local* — peers' rounds need not align,
-matching is entirely by (source, tag, context).
+computes run once the round is *complete*: every receive has landed and
+every send has flushed (its bytes have left this rank) — only then may a
+compute write storage the round sent.  Rounds execute in order; the round
+boundary is purely *local* — peers' rounds need not align, matching is
+entirely by (source, tag, context).
 
 Schedules are data, not control flow: building one performs no
 communication, so an algorithm's critical-path structure (how many rounds,
@@ -53,15 +57,20 @@ class Send:
 
     ``tag`` is the per-operation-instance tag; composed schedules (e.g.
     reduce+bcast allreduce) carry a distinct tag per phase, so it lives on
-    the op, not the schedule.
+    the op, not the schedule.  ``borrow`` says the dense payload is
+    storage that is written again after this round (an accumulator, the
+    caller's window): it travels like a zero-copy point-to-point send,
+    and whoever keeps it past the delivery copies it.
     """
 
-    __slots__ = ("peer", "data", "tag")
+    __slots__ = ("peer", "data", "tag", "borrow")
 
-    def __init__(self, peer: int, data: SendData, tag: int):
+    def __init__(self, peer: int, data: SendData, tag: int,
+                 borrow: bool = False):
         self.peer = peer
         self.data = data
         self.tag = tag
+        self.borrow = borrow
 
     def resolve(self) -> tuple:
         if isinstance(self.data, Box):
@@ -73,26 +82,37 @@ class Send:
 
 
 class Recv:
-    """Capture one contribution from ``peer`` (comm rank) into ``box``."""
+    """Capture one contribution from ``peer`` (comm rank) into ``box``.
 
-    __slots__ = ("peer", "box", "tag")
+    ``into`` — a contiguous, writable array of base elements that nothing
+    else touches until the round is over — is where a dense payload lands
+    (posted like a point-to-point receive window: a message that finds it
+    posted is written there directly, an early one is copied at the
+    match; a dtype mismatch or an overrun is the MPI error).  The box
+    then holds the landed prefix of ``into``.
+    """
 
-    def __init__(self, peer: int, tag: int, box: Optional[Box] = None):
+    __slots__ = ("peer", "box", "tag", "into")
+
+    def __init__(self, peer: int, tag: int, box: Optional[Box] = None,
+                 into=None):
         self.peer = peer
         self.tag = tag
         self.box = box if box is not None else Box()
+        self.into = into
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Recv(from={self.peer}, tag={self.tag})"
 
 
 class Compute:
-    """Local work run after the round's receives complete."""
+    """Local work ``fn(*args)`` run once the round is complete."""
 
-    __slots__ = ("fn",)
+    __slots__ = ("fn", "args")
 
-    def __init__(self, fn: Callable[[], None]):
+    def __init__(self, fn: Callable[..., None], *args):
         self.fn = fn
+        self.args = args
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Compute({getattr(self.fn, '__name__', 'fn')})"
@@ -115,9 +135,9 @@ class Schedule:
         if kept:
             self.rounds.append(kept)
 
-    def compute(self, fn: Callable[[], None]) -> None:
+    def compute(self, fn: Callable[..., None], *args) -> None:
         """Append a compute-only round."""
-        self.round(Compute(fn))
+        self.round(Compute(fn, *args))
 
     @property
     def n_rounds(self) -> int:

@@ -292,15 +292,25 @@ class RequestImpl:
 
 
 def _block(requests: Sequence[RequestImpl], universe,
-           any_one: bool = False) -> None:
+           any_one: bool = False, failure=None) -> None:
     """Park the calling thread, on one :class:`Waiter`, until all of
     ``requests`` have completed (the first, when ``any_one``); an errored
     completion or a job abort ends the sleep early, and the caller looks
-    at ``done`` to see which it was."""
+    at ``done`` to see which it was.  A collective round passes
+    ``failure`` (:meth:`CommImpl.collective_failure`): the sleep then
+    also ends on a failure-plane event it reports — any member's death, a
+    revocation — while the round's receives keep their own one-peer
+    scope and stay posted."""
     waiter = Waiter(1 if any_one else len(requests))
     wake = waiter.wake
     parked = [r for r in requests if not r.add_listener(wake)]
     universe.add_abort_listener(wake)
+    poke = None
+    if failure is not None:
+        def poke():
+            if failure() is not None:
+                wake()
+        universe.add_failure_listener(poke)
     try:
         san = getattr(universe, "sanitizer", None)
         if san is None or any_one:
@@ -311,6 +321,8 @@ def _block(requests: Sequence[RequestImpl], universe,
             san.sanitized_wait(parked, waiter)
     finally:
         universe.remove_abort_listener(wake)
+        if poke is not None:
+            universe.remove_failure_listener(poke)
         for r in parked:
             if not r.done:      # wait_any's losers keep no dead waiter
                 r.remove_listener(wake)
@@ -331,20 +343,27 @@ def wait_any(requests: list[Optional[RequestImpl]], universe) -> int:
     raise AssertionError("waitany woke without a completed request")
 
 
-def wait_all(requests: list[Optional[RequestImpl]], universe) -> None:
+def wait_all(requests: list[Optional[RequestImpl]], universe,
+             failure=None) -> None:
     """``MPI_Waitall`` core: one sleep for the whole set, outcomes in
     index order as waiting on each in turn would report them — an errored
     request raises once every one before it is done, without waiting for
-    those after it (hence: an errored completion cuts the sleep short)."""
+    those after it (hence: an errored completion cuts the sleep short).
+    With ``failure`` (a collective round, see :func:`_block`) a sleep it
+    cut short raises what it reports."""
     live = [r for r in requests if r is not None]
     for i, r in enumerate(live):
         while not r.done:
             # on ``r`` whatever it did since that look (registering on a
             # done request counts down at once) and on what is pending
             # after it: never a sleep on nothing
-            _block([r] + [p for p in live[i + 1:] if not p.done], universe)
+            _block([r] + [p for p in live[i + 1:] if not p.done], universe,
+                   failure=failure)
             if not r.done:
                 universe.check_abort()
+                exc = failure() if failure is not None else None
+                if exc is not None:
+                    raise exc
         r._observe_completion()
 
 

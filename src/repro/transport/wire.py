@@ -61,13 +61,17 @@ constructors that build a channel list and return this one class.
 * **One writer thread** — writes what a pump thread must not: parked
   rendezvous payloads, every pump-originated control frame (CTS, DONE,
   sync ACKs) and every pump-originated *send* above
-  :data:`PUMP_INLINE_MAX` bytes.  A pump does write: a collective
-  schedule's continuation runs in whichever thread completed the
-  round's last receive — here the pump — and issues the next round's
-  sends inline (:mod:`repro.runtime.nbc.progress`).  But a pump blocked
-  in ``sendall`` — or on a channel lock held by a writer mid-stream —
-  stops draining its own channels, and two peers in that state
-  deadlock.  So a pump writes only what a socket buffer takes without
+  :data:`PUMP_INLINE_MAX` bytes.  A pump does write, for nonblocking
+  collectives only: an ``I*`` schedule's continuation runs in whichever
+  thread completed the round's last sub-request — here the pump — and
+  issues the next round's sends inline
+  (:mod:`repro.runtime.nbc.progress`; a *blocking* collective runs its
+  rounds in the calling rank thread and never writes from a pump, and a
+  send this thread queues is not complete — nor its round over — until
+  it is written).  But a pump blocked in ``sendall`` — or on a channel
+  lock held by a writer mid-stream — stops draining its own channels,
+  and two peers in that state deadlock.  So a pump writes only what a
+  socket buffer takes without
   stalling (at most one collective segment); anything larger, and
   anything to a channel that still has such a send queued (per-pair
   order is MPI's non-overtaking rule), goes to the writer, which may
@@ -499,6 +503,10 @@ class WireTransport(Transport):
         self._started = True
         for rank in self.local_ranks:
             chans = [ch for ch in self._chans if ch.rx[1] == rank]
+            if not chans:
+                # a 1-rank job: nothing to drain, and close() would wait
+                # out an empty selector's timeout
+                continue
             self._pumps.append(threading.Thread(
                 target=self._pump, args=(rank, chans),
                 name=f"repro-pump-{rank}", daemon=True))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mpijava import MPI, Op
+from repro.mpijava import MPI, MPIException, Op
 from tests.conftest import run
 
 
@@ -417,3 +417,224 @@ class TestAlgorithms:
             return True
 
         assert all(run(5, body, transport=mode_transport, args=(alg,)))
+
+
+class TestOwnershipRule:
+    """A dense commutative reduction accumulates in the result window
+    and every contribution lands where its receive says; objects and
+    rank-ordered folds travel in boxes
+    (:mod:`repro.runtime.collective.common`)."""
+
+    ALGORITHMS = ("recursive_doubling", "reduce_bcast", "ring")
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("shift", [0, 3])
+    def test_sendbuf_is_recvbuf(self, mode_transport, algorithm, shift):
+        """The same window, and windows that overlap: the send window
+        is copied in as if through a temporary."""
+        n = 40
+
+        def body(alg, d):
+            from repro.runtime.collective import algorithm_overrides
+            w = MPI.COMM_WORLD
+            buf = np.zeros(n + d)
+            buf[:n] = np.arange(n) * (w.Rank() + 1.0)
+            with algorithm_overrides(allreduce=alg):
+                w.Allreduce(buf, 0, buf, d, n, MPI.DOUBLE, MPI.SUM)
+            return buf[d:d + n].tolist()
+
+        out = run(4, body, transport=mode_transport, args=(algorithm, shift))
+        assert all(row == (np.arange(n) * 10.0).tolist() for row in out)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_vector_receive_window_keeps_its_gaps(self, mode_transport,
+                                                  algorithm):
+        def body(alg):
+            from repro.runtime.collective import algorithm_overrides
+            w = MPI.COMM_WORLD
+            vec = MPI.DOUBLE.Vector(8, 1, 2).Commit()
+            sb = np.full(16, -7.0)
+            sb[::2] = np.arange(8) + w.Rank()
+            rb = np.full(16, -1.0)
+            with algorithm_overrides(allreduce=alg):
+                w.Allreduce(sb, 0, rb, 0, 1, vec, MPI.SUM)
+            return rb[::2].tolist(), rb[1::2].tolist(), sb[1::2].tolist()
+
+        for got, gaps, sent_gaps in run(4, body, transport=mode_transport,
+                                        args=(algorithm,)):
+            assert got == (np.arange(8) * 4.0 + 6).tolist()
+            assert gaps == [-1.0] * 8 and sent_gaps == [-7.0] * 8
+
+    def test_rank_ordered_folds_still_in_rank_order(self, mode_transport):
+        """MINLOC pairs, a non-commutative user op and ``MPI.OBJECT``."""
+        def body():
+            def concat(invec, inoutvec, count, datatype):
+                # digits appended base 10: order-revealing, associative
+                for i in range(len(inoutvec)):
+                    inoutvec[i] = invec[i] * 10 + inoutvec[i] \
+                        if inoutvec[i] < 10 else \
+                        invec[i] * 10 ** len(str(inoutvec[i])) + inoutvec[i]
+            w = MPI.COMM_WORLD
+            me = w.Rank()
+            op = Op.Create(concat, commute=False)
+            digits = np.array([me + 1, me + 5], dtype=np.int64)
+            ordered = np.zeros(2, dtype=np.int64)
+            w.Allreduce(digits, 0, ordered, 0, 2, MPI.LONG, op)
+            op.Free()
+            pair = np.array([3, me], dtype=np.int32)
+            loc = np.zeros(2, dtype=np.int32)
+            w.Allreduce(pair, 0, loc, 0, 1, MPI.INT2, MPI.MINLOC)
+            objs = [None]
+            w.Allreduce([(me,)], 0, objs, 0, 1, MPI.OBJECT, MPI.SUM)
+            return ordered.tolist(), loc.tolist(), sorted(objs[0])
+
+        for ordered, loc, objs in run(4, body, transport=mode_transport):
+            assert ordered == [1234, 5678]
+            assert loc == [3, 0]
+            assert objs == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("nonblocking", [False, True],
+                             ids=["blocking", "iallreduce"])
+    def test_user_op_raising_in_round_two(self, mode_transport,
+                                          nonblocking):
+        """The op's own exception surfaces unchanged — from the blocking
+        call, through ``Wait`` from the nonblocking one: the cause of
+        the binding's ``ERR_OTHER`` under ``ERRORS_RETURN`` — and the
+        communicator is still usable."""
+        def body(nb):
+            calls = []
+
+            def flaky(invec, inoutvec, count, datatype):
+                calls.append(1)
+                if len(calls) == 2:
+                    raise ZeroDivisionError("round two")
+                inoutvec += invec
+
+            w = MPI.COMM_WORLD
+            w.Errhandler_set(MPI.ERRORS_RETURN)
+            op = Op.Create(flaky, commute=True)
+            sb, rb = np.ones(4), np.zeros(4)
+            seen = None
+            try:
+                if nb:
+                    w.Iallreduce(sb, 0, rb, 0, 4, MPI.DOUBLE, op).Wait()
+                else:
+                    w.Allreduce(sb, 0, rb, 0, 4, MPI.DOUBLE, op)
+            except MPIException as exc:
+                seen = type(exc.__cause__).__name__, str(exc.__cause__)
+            w.Allreduce(sb, 0, rb, 0, 4, MPI.DOUBLE, MPI.SUM)
+            op.Free()
+            return seen, rb.tolist()
+
+        out = run(4, body, transport=mode_transport, args=(nonblocking,))
+        assert out == [(("ZeroDivisionError", "round two"), [4.0] * 4)] * 4
+
+    @pytest.mark.parametrize("what", ["allreduce", "reduce_bcast",
+                                      "alltoall"])
+    def test_a_late_peer_never_sees_a_senders_later_writes(self, what):
+        """The in-process aliasing hazard: rank 2 arrives late at every
+        call, so what its peers send it — views of their accumulators
+        and windows, handed over by reference — goes unexpected while
+        the senders fold on, return, and scribble over both buffers.
+        Every result exact."""
+        def body(what):
+            import time
+            from repro.runtime.collective import algorithm_overrides
+            w = MPI.COMM_WORLD
+            me, p = w.Rank(), w.Size()
+            n = 16 * p
+            sb, rb = np.zeros(n), np.zeros(n)
+            bad = 0
+            alg = "reduce_bcast" if what == "reduce_bcast" \
+                else "recursive_doubling"
+            with algorithm_overrides(allreduce=alg):
+                for i in range(200 if what == "allreduce" else 60):
+                    if me == 2:
+                        time.sleep(0.005)
+                    if what == "alltoall":
+                        sb[:] = np.repeat(np.arange(p) + me * p + i, 16)
+                        w.Alltoall(sb, 0, 16, MPI.DOUBLE,
+                                   rb, 0, 16, MPI.DOUBLE)
+                        want = np.repeat(np.arange(p) * p + me + i, 16)
+                    else:
+                        sb[:] = np.arange(n) + i * (me + 1)
+                        w.Allreduce(sb, 0, rb, 0, n, MPI.DOUBLE, MPI.SUM)
+                        want = np.arange(n) * 4.0 + 10 * i
+                    bad += not np.array_equal(rb, want)
+                    sb[:] = rb[:] = -1.0
+            return bad
+
+        assert run(4, body, transport="inproc", args=(what,),
+                   timeout=120.0) == [0] * 4
+
+    def test_alltoall_from_a_read_only_send_window(self, mode_transport):
+        def body():
+            w = MPI.COMM_WORLD
+            me, p = w.Rank(), w.Size()
+            sb = np.repeat(np.arange(p) + 10.0 * me, 600)
+            keep = sb.copy()
+            sb.flags.writeable = False
+            rb = np.zeros(600 * p)
+            w.Alltoall(sb, 0, 600, MPI.DOUBLE, rb, 0, 600, MPI.DOUBLE)
+            return rb[::600].tolist(), bool(np.array_equal(sb, keep))
+
+        out = run(4, body, transport=mode_transport)
+        assert out == [([me + 10.0 * r for r in range(4)], True)
+                       for me in range(4)]
+
+    @pytest.mark.parametrize("call", ["blocking", "nonblocking"])
+    def test_a_failed_collective_lets_go_of_the_window(self, call):
+        """Rank 0's ``Alltoall`` has rank 3's block, is waiting for late
+        rank 2's, and rank 1 — not this round's peer — dies: the call
+        ends with ``ERR_PROC_FAILED`` and its receive from rank 2 stays
+        posted (a live peer's message must not sit unexpected until
+        ``Finalize``).  But that receive names rank 0's own window, and
+        the window is the caller's again once the call has raised: rank
+        2's block, arriving after all, is matched and written nowhere."""
+        import threading
+        import time
+        from repro.datatypes.primitives import DOUBLE
+        from repro.errors import ERR_PROC_FAILED
+        from repro.runtime.collective import alltoall
+        from repro.runtime.engine import RankRuntime, Universe
+        universe = Universe(4, "inproc")
+        try:
+            comms = [RankRuntime(universe, r).comm_world for r in range(4)]
+            n = 8
+            sb, rb = np.arange(4.0 * n), np.full(4 * n, -1.0)
+            args = (comms[0], sb, 0, n, DOUBLE, rb, 0, n, DOUBLE)
+            tags = [c.next_coll_tag() for c in comms[1:]]   # as rank 0's
+            assert len(set(tags)) == 1
+            comms[3].coll_send(np.full(n, 3.0), n, False, 0, tags[0])
+            raised = []
+            if call == "blocking":
+                def rank0():
+                    try:
+                        alltoall.alltoall(*args)
+                    except MPIException as exc:
+                        raised.append(exc.error_code)
+                caller = threading.Thread(target=rank0)
+                caller.start()
+            else:
+                req = alltoall.ialltoall(*args)
+            mailbox = universe.mailboxes[0]
+            deadline = time.monotonic() + 10.0
+            while mailbox.pending_counts() != (0, 1):   # parked on rank 2
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            assert rb[3 * n:].tolist() == [3.0] * n
+            universe.note_peer_failure(1, ConnectionError("gone"))
+            if call == "blocking":
+                caller.join(10.0)
+            else:
+                with pytest.raises(MPIException) as ei:
+                    req.wait()
+                raised.append(ei.value.error_code)
+            assert raised == [ERR_PROC_FAILED]
+            assert mailbox.pending_counts() == (0, 1)   # still posted
+            rb[:] = -2.0                                # the caller's again
+            comms[2].coll_send(np.full(n, 2.0), n, False, 0, tags[0])
+            assert mailbox.pending_counts() == (0, 0)   # matched, and
+            assert rb.tolist() == [-2.0] * (4 * n)      # written nowhere
+        finally:
+            universe.close()

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import mpirun
 from repro.mpijava import MPI
+from repro.runtime.collective import ALGORITHM_CHOICES
 from tests.conftest import spmd
 
 NP_OPS = {"SUM": np.sum, "PROD": np.prod, "MAX": np.max, "MIN": np.min}
@@ -124,3 +125,50 @@ def test_maxloc_finds_argmax(values):
     best = max(values)
     best_idx = values.index(best)
     assert all(o == (best, best_idx) for o in out)
+
+
+# --- the ownership rule: every allreduce algorithm, both executors ------------
+
+SIZES = (2, 3, 4, 5, 8)
+#: count as a function of p: around the chunking edge, past the direct-
+#: landing threshold and at the large-message switch-over
+COUNTS = (lambda p: 1, lambda p: p - 1, lambda p: p, lambda p: p + 1,
+          lambda p: 4097, lambda p: 32768)
+
+
+def _allreduce_both_ways(algorithm, count, seed):
+    """Blocking and ``I*`` + ``Wait`` under one override: both results,
+    and the send window afterwards (it must be untouched)."""
+    from repro.runtime.collective import algorithm_overrides
+    w = MPI.COMM_WORLD
+    rank = w.Rank()
+    # small whole numbers: every partial sum is exact in a double
+    mine = np.random.default_rng(seed + rank).integers(
+        -1000, 1000, count).astype(np.float64)
+    keep = mine.copy()
+    blocking, nonblocking = np.full(count, -1.0), np.full(count, -1.0)
+    with algorithm_overrides(allreduce=algorithm):
+        w.Allreduce(mine, 0, blocking, 0, count, MPI.DOUBLE, MPI.SUM)
+        w.Iallreduce(mine, 0, nonblocking, 0, count, MPI.DOUBLE,
+                     MPI.SUM).Wait()
+    return blocking, nonblocking, bool(np.array_equal(mine, keep))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SIZES), st.sampled_from(COUNTS),
+       st.sampled_from(["inproc", "socket"]),
+       st.sampled_from(ALGORITHM_CHOICES["allreduce"]),
+       st.integers(0, 2 ** 16))
+def test_every_allreduce_algorithm_matches_numpy(p, count_of, transport,
+                                                 algorithm, seed):
+    count = count_of(p)
+    if count == 0:
+        return
+    out = mpirun(p, spmd(_allreduce_both_ways), transport=transport,
+                 args=(algorithm, count, seed), timeout=60.0)
+    want = sum(np.random.default_rng(seed + r).integers(
+        -1000, 1000, count).astype(np.float64) for r in range(p))
+    for blocking, nonblocking, send_untouched in out:
+        assert np.array_equal(blocking, want)
+        assert np.array_equal(nonblocking, want)
+        assert send_untouched

@@ -42,23 +42,55 @@ class TestContribHandling:
         common.land_contrib(buf, 0, 2, P.OBJECT, ("obj", [1, 2]))
         assert buf == [1, 2]
 
-    def test_writable_always_copies(self):
-        arr = np.arange(3, dtype=np.int32)
-        kind, copy = common.writable(("dense", arr))
-        copy[0] = 99
-        assert arr[0] == 0
-        lst = [1, 2]
-        _, copy2 = common.writable(("obj", lst))
-        copy2.append(3)
-        assert lst == [1, 2]
+    def test_accumulator_is_the_result_window_when_it_can_be(self):
+        send = np.arange(6, dtype=np.int32)
+        recv = np.full(8, -1, dtype=np.int32)
+        (kind, accum), in_window = common.reduction_accum(
+            send, 1, recv, 2, 4, P.INT)
+        assert kind == "dense" and in_window
+        assert np.shares_memory(accum, recv)
+        assert list(recv) == [-1, -1, 1, 2, 3, 4, -1, -1]
+        assert list(send) == [0, 1, 2, 3, 4, 5]
 
-    def test_combine_is_pure(self):
+    def test_accumulator_of_overlapping_windows_copies_as_if_staged(self):
+        buf = np.arange(6, dtype=np.int32)
+        (_, accum), in_window = common.reduction_accum(
+            buf, 0, buf, 1, 4, P.INT)
+        assert in_window and list(accum) == [0, 1, 2, 3]
+        (_, same), _ = common.reduction_accum(buf, 1, buf, 1, 4, P.INT)
+        assert list(same) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("why", ["strided", "readonly"])
+    def test_accumulator_falls_back_to_a_private_gather_copy(self, why):
+        send = np.arange(8, dtype=np.int32)
+        recv = np.zeros(8, dtype=np.int32)
+        t, count = P.INT, 4
+        if why == "strided":
+            t, count = derived.vector(2, 1, 3, P.INT), 1
+            t.commit()
+        else:
+            recv.flags.writeable = False
+        (_, accum), in_window = common.reduction_accum(
+            send, 0, recv, 0, count, t)
+        assert not in_window
+        assert not np.shares_memory(accum, send)
+        assert not np.shares_memory(accum, recv)
+        assert list(accum) == ([0, 3] if why == "strided" else [0, 1, 2, 3])
+
+    def test_scratch_matches_dense_and_is_none_for_objects(self):
+        arr = np.arange(3, dtype=np.int16)
+        tmp = common.scratch(("dense", arr))
+        assert tmp.shape == arr.shape and tmp.dtype == arr.dtype
+        assert not np.shares_memory(tmp, arr)
+        assert common.scratch(("obj", [1, 2])) is None
+
+    def test_combine_folds_into_the_inout_operand_only(self):
         a = np.array([1, 2], dtype=np.int64)
         b = np.array([10, 20], dtype=np.int64)
         kind, out = common.combine(O.SUM, ("dense", a), ("dense", b),
                                    P.LONG)
-        assert list(out) == [11, 22]
-        assert list(a) == [1, 2] and list(b) == [10, 20]
+        assert out is b and list(b) == [11, 22]
+        assert list(a) == [1, 2]
 
     def test_combine_objects(self):
         kind, out = common.combine(O.MAX, ("obj", [1, 9]),
