@@ -13,6 +13,7 @@ Two tiers:
 
 import pytest
 
+from repro import config
 from repro.bench.gil_escape import (run_benchmark, run_compute,
                                     usable_cores)
 
@@ -26,6 +27,10 @@ def report():
 
 
 class TestAllBackendsExecute:
+    def test_report_is_stamped_with_its_provenance(self, report):
+        assert report["config"] == config.effective()
+        assert "git_sha" in report and "cpu_count" in report
+
     def test_checksums_agree_across_backends(self, report):
         sums = {b["checksum"] for b in report["compute"].values()}
         assert len(sums) == 1, f"backends computed different jobs: {sums}"

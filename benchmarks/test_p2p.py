@@ -8,9 +8,22 @@ not at the next person trying to reproduce the numbers.
 import json
 import pathlib
 
+from repro import config
 from repro.bench import p2p
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_a_new_report_is_stamped_with_its_provenance():
+    """Beside ``cpus``: the revision and the effective settings, which
+    the committed file (older than the stamp) lacks and still passes."""
+    row = dict(backend="threads-SM", transport="inproc", protocol="auto",
+               layout="contiguous", size_bytes=8, reps=1, one_way_us=1.0,
+               bandwidth_MBps=8.0)
+    report = p2p.build_report([row])
+    assert report["config"] == config.effective()
+    assert "git_sha" in report and "cpus" in report
+    assert p2p.validate_report(report) == []
 
 
 class TestCommittedArtifact:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
 import sys
 import time
 
@@ -112,7 +111,7 @@ def _run_job(backend: str, p: int):
 
 
 def run(log=print) -> dict:
-    from repro import config
+    from repro.bench.report import provenance
     allowed = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {max(allowed)})     # rank processes inherit it
     rows = []
@@ -133,12 +132,9 @@ def run(log=print) -> dict:
                 log(f"{backend} p={p}: {len(ranks[0][0])} cases")
     finally:
         os.sched_setaffinity(0, allowed)
-    sha = subprocess.run(["git", "describe", "--always", "--dirty"],
-                         capture_output=True, text=True).stdout.strip()
     return {"schema": SCHEMA, "created_unix": int(time.time()),
             "python": sys.version.split()[0], "cpus": os.cpu_count(),
-            "confined_to_cpus": 1, "git_sha": sha or None,
-            "config": config.effective(), "rows": rows}
+            "confined_to_cpus": 1, **provenance(), "rows": rows}
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation

@@ -36,6 +36,7 @@ import time
 import numpy as np
 
 from repro.bench.pingpong import _sweep_main
+from repro.bench.report import provenance
 from repro.executor.procrunner import ProcExecutor
 from repro.executor.runner import mpirun
 
@@ -129,6 +130,7 @@ def run_benchmark(nprocs: int = 4, iters: int = DEFAULT_ITERS,
         "iters_per_rank": iters,
         "cpu_count": os.cpu_count(),
         "cpu_affinity": usable_cores(),
+        **provenance(),
         "python": sys.version.split()[0],
         "serial_kernel_seconds": _serial_kernel(iters),
         "compute": {},

@@ -346,6 +346,7 @@ def carry_baseline(baseline: dict, rows) -> dict:
 
 def build_report(rows, quick: bool = False,
                  baseline: dict | None = None) -> dict:
+    from repro.bench.report import provenance
     from repro.transport.wire import eager_limit
     report = {
         "schema": SCHEMA,
@@ -353,6 +354,7 @@ def build_report(rows, quick: bool = False,
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "cpus": os.cpu_count(),
+        **provenance(),
         "quick": bool(quick),
         "eager_limit_default": eager_limit(),
         "results": rows,

@@ -1,6 +1,17 @@
-"""Table formatting shared by the benchmark CLIs."""
+"""Table formatting and provenance shared by the benchmark CLIs."""
 
 from __future__ import annotations
+
+import subprocess
+
+from repro import config
+
+
+def provenance() -> dict:
+    """Beside ``cpus`` in a ``BENCH_*.json``: revision and settings."""
+    sha = subprocess.run(["git", "describe", "--always", "--dirty"],
+                         capture_output=True, text=True).stdout.strip()
+    return {"git_sha": sha or None, "config": config.effective()}
 
 
 def format_table(headers: list[str], rows: list[list[str]],

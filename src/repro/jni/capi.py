@@ -60,7 +60,7 @@ class CStatus:
 
 
 def _ctx():
-    rt = current_runtime()
+    rt = try_current_runtime() or current_runtime()
     # fail fast on a poisoned job: every stub entry point observes a job
     # abort at its next MPI call, even ranks that never block (e.g. a
     # compute loop issuing only eager sends)
@@ -72,12 +72,11 @@ def _status_from_request(req, comm=None) -> CStatus:
     comm = comm or getattr(req, "source_comm", None)
     source = req.status_source_world
     if comm is not None and source >= 0:
-        source = comm.source_rank_of_world(source)
+        source = comm.peer_group.rank_of_world(source)
     dt = getattr(req, "recv_datatype", None)
-    return CStatus(source=source, tag=req.status_tag, error=req.error,
-                   count_elements=req.count_elements,
-                   cancelled=req.cancelled,
-                   is_object=bool(dt is not None and dt.base.is_object))
+    return CStatus(source, req.status_tag, req.error, req.count_elements,
+                   req.cancelled, UNDEFINED,
+                   dt is not None and dt.base.is_object)
 
 
 def _lookup_request(t, request: int) -> _requests.RequestImpl:

@@ -79,12 +79,15 @@ class HandleSpace:
         return h
 
     def lookup(self, handle: int):
-        try:
-            return self._by_handle[int(handle)]
-        except (KeyError, TypeError, ValueError):
-            raise MPIException(
-                ERR_ARG, f"invalid or null {self.name} handle "
-                         f"{handle!r}") from None
+        try:    # the handle as given first: almost always a plain int
+            return self._by_handle[handle]
+        except (KeyError, TypeError):
+            try:
+                return self._by_handle[int(handle)]
+            except (KeyError, TypeError, ValueError):
+                raise MPIException(
+                    ERR_ARG, f"invalid or null {self.name} handle "
+                             f"{handle!r}") from None
 
     def release(self, handle: int) -> None:
         if int(handle) < _FIRST_DYNAMIC_HANDLE:
@@ -99,6 +102,20 @@ class HandleSpace:
         return int(handle) in self._by_handle
 
 
+class RequestSpace(HandleSpace):
+    """Request handles: each operation is a new object registered once
+    and released once, so nothing is interned."""
+
+    def register(self, obj) -> int:
+        h = self._next
+        self._next += 1
+        self._by_handle[h] = obj
+        return h
+
+    def release(self, handle: int) -> None:
+        self._by_handle.pop(handle, None)
+
+
 class HandleTable:
     """All handle spaces for one rank."""
 
@@ -109,7 +126,7 @@ class HandleTable:
         self.datatypes = HandleSpace("datatype", dict(_PREDEF_DATATYPES))
         self.ops = HandleSpace("operation", dict(_PREDEF_OPS))
         self.groups = HandleSpace("group", {GROUP_EMPTY: EMPTY_GROUP})
-        self.requests = HandleSpace("request", {})
+        self.requests = RequestSpace("request", {})
         self.errhandlers = HandleSpace("errhandler", {
             ERRORS_ARE_FATAL: "errors_are_fatal",
             ERRORS_RETURN: "errors_return"})

@@ -5,8 +5,8 @@ compiles its regular stubs from these rows; the sanitizer's collective
 check, the verifier's models and completion rules and the profiler's
 names read them.  A new MPI call is a row plus its ``mpijava`` member.
 
-A row of the table is ``name  parameters  result  target`` under an
-``@ class context [completion]`` header:
+A row of the table is ``name  parameters  result  target  [member]``
+under an ``@ class context [completion]`` header:
 
 parameters
     Today's names in today's order (``()`` for none; ``$X`` expands a
@@ -26,6 +26,11 @@ target
     a constant argument; ``=.attr``, a property of it; ``pkg.function``,
     given every argument; on ``free`` rows ``.free``, or ``release`` where
     the object has no free semantics.  ``(hand)`` = written out in capi.
+member
+    The :mod:`repro.mpijava` member making the call, where it is not the
+    row's name capitalized (``comm_rank``: ``Rank``); class-qualified
+    where a communicator or another class has one of that name too
+    (``Group.Rank``, ``Cartcomm.Get``).  Every row's is distinct.
 class
     ``p2p.send`` | ``p2p.recv`` | ``p2p.sendrecv`` | ``p2p.init``
     (persistent) | ``coll`` (with its completion rule: who must have
@@ -73,7 +78,7 @@ class Call:
     doc: str
     #: the ``capi`` function
     stub: str
-    #: the name profilers, the sanitizer and the verifier see ("Send")
+    #: the name profilers, the sanitizer and the verifier see ("Rank")
     oo_name: str
 
     def index(self, name: str) -> Optional[int]:
@@ -108,8 +113,8 @@ init                    args=None                none        (hand)
 initialized             ()                       value       (hand)
 finalized               ()                       value       (hand)
 get_version             ()                       value       (hand)
-error_string            code                     value       errors.error_string
-error_class             code                     value       errors.error_class
+error_string            code                     value       errors.error_string  Get_error_string
+error_class             code                     value       errors.error_class  Get_error_class
 pcontrol                level *args              none        (hand)
 @ local rt
 finalize                ()                       none        (hand)
@@ -157,7 +162,7 @@ waitsome                $REQS                    value       (hand)
 testsome                $REQS                    value       (hand)
 @ local check
 cancel                  request                  none        (hand)
-request_free            request                  free        release
+request_free            request                  free        release  Request.Free
 get_count               status datatype:dtype    value       (hand)
 get_elements            status datatype:dtype    value       (hand)
 @ local none
@@ -189,82 +194,82 @@ scatter                 comm $SEND $RECV root    none        _scatter.scatter
 iscatter                comm $SEND $RECV root    request     _scatter.iscatter
 scatterv                comm sendbuf soffset scounts displs sdtype:dtype $RECV root  none        _scatter.scatterv
 @ local check
-op_create               function commute         new_op      _reduce_ops.make_user_op
-op_free                 op                       free        .free
+op_create               function commute         new_op      _reduce_ops.make_user_op  Op
+op_free                 op                       free        .free  Op.Free
 # -- groups, communicators (chapter 5) ---------------------------------------
-comm_size               comm                     value       =.size
-comm_rank               comm                     value       =.rank
-comm_compare            comm1:comm comm2:comm    value       .compare
-comm_group              comm                     new_group   =.group
-comm_remote_group       comm                     new_group   (hand)
-comm_remote_size        comm                     value       .remote_size
-comm_test_inter         comm                     value       =.is_inter
-comm_revoke             comm                     none        .revoke
-comm_is_revoked         comm                     value       .is_revoked
+comm_size               comm                     value       =.size  Size
+comm_rank               comm                     value       =.rank  Rank
+comm_compare            comm1:comm comm2:comm    value       .compare  Compare
+comm_group              comm                     new_group   =.group  Group
+comm_remote_group       comm                     new_group   (hand)  Remote_group
+comm_remote_size        comm                     value       .remote_size  Remote_size
+comm_test_inter         comm                     value       =.is_inter  Test_inter
+comm_revoke             comm                     none        .revoke  Revoke
+comm_is_revoked         comm                     value       .is_revoked  Is_revoked
 attr_put                comm keyval value        none        .attr_put
 attr_get                comm keyval              value       .attr_get
 attr_delete             comm keyval              none        .attr_delete
 errhandler_set          comm errhandler:errh     none        (hand)
 @ mgmt check
-comm_dup                comm                     new_comm    .dup
-comm_create             comm group               maybe_comm  .create
-comm_split              comm color key           maybe_comm  .split
-comm_free               comm                     free        .free
-comm_shrink             comm                     new_comm    .shrink
-comm_agree              comm flag                value       .agree
-intercomm_create        local_comm:comm local_leader peer_comm:comm remote_leader tag  new_comm    .create_intercomm
-intercomm_merge         intercomm:comm high      new_comm    .merge
+comm_dup                comm                     new_comm    .dup  Dup
+comm_create             comm group               maybe_comm  .create  Create
+comm_split              comm color key           maybe_comm  .split  Split
+comm_free               comm                     free        .free  Free
+comm_shrink             comm                     new_comm    .shrink  Shrink
+comm_agree              comm flag                value       .agree  Agree
+intercomm_create        local_comm:comm local_leader peer_comm:comm remote_leader tag  new_comm    .create_intercomm  Create_intercomm
+intercomm_merge         intercomm:comm high      new_comm    .merge  Merge
 @ local none
 keyval_create           copy_fn delete_fn extra_state  value       KEYVALS.create
 keyval_free             keyval                   none        KEYVALS.free
-request_errhandler      request                  value       (hand)
-dims_create             nnodes dims              value       _topology.dims_create
+request_errhandler      request                  value       (hand)  Request._guard
+dims_create             nnodes dims              value       _topology.dims_create  Create_dims
 @ local rt
 errhandler_get          comm                     value       (hand)
 @ local check
-group_size              group                    value       =.size
-group_rank              group                    value       (hand)
-group_translate_ranks   group1:group ranks group2:group  value       .translate_ranks
-group_compare           $PAIR                    value       .compare
-group_union             $PAIR                    new_group   .union
-group_intersection      $PAIR                    new_group   .intersection
-group_difference        $PAIR                    new_group   .difference
-group_incl              group ranks              new_group   .incl
-group_excl              group ranks              new_group   .excl
-group_range_incl        group ranges             new_group   .range_incl
-group_range_excl        group ranges             new_group   .range_excl
-group_free              group                    free        release
+group_size              group                    value       =.size  Group.Size
+group_rank              group                    value       (hand)  Group.Rank
+group_translate_ranks   group1:group ranks group2:group  value       .translate_ranks  Translate_ranks
+group_compare           $PAIR                    value       .compare  Group.Compare
+group_union             $PAIR                    new_group   .union  Union
+group_intersection      $PAIR                    new_group   .intersection  Intersection
+group_difference        $PAIR                    new_group   .difference  Difference
+group_incl              group ranks              new_group   .incl  Incl
+group_excl              group ranks              new_group   .excl  Excl
+group_range_incl        group ranges             new_group   .range_incl  Range_incl
+group_range_excl        group ranges             new_group   .range_excl  Range_excl
+group_free              group                    free        release  Group.Free
 # -- virtual topologies (chapter 6) ------------------------------------------
 @ mgmt check
-cart_create             comm dims periods reorder  maybe_comm  .cart_create
-graph_create            comm index edges reorder  maybe_comm  .graph_create
-cart_sub                comm remain_dims         maybe_comm  .cart_sub
+cart_create             comm dims periods reorder  maybe_comm  .cart_create  Create_cart
+graph_create            comm index edges reorder  maybe_comm  .graph_create  Create_graph
+cart_sub                comm remain_dims         maybe_comm  .cart_sub  Sub
 @ local check
 topo_test               comm                     value       .topo_test
-cartdim_get             comm                     value       =._require_cart().ndims
-cart_get                comm                     value       (hand)
-cart_rank               comm coords              value       ._require_cart().rank_of
-cart_coords             comm rank                value       ._require_cart().coords_of
-cart_shift              comm direction disp      value       (hand)
-cart_map                comm dims periods        value       (hand)
-graph_map               comm index edges         value       (hand)
-graphdims_get           comm                     value       (hand)
-graph_get               comm                     value       (hand)
-graph_neighbors_count   comm rank                value       ._require_graph().neighbours_count
-graph_neighbors         comm rank                value       ._require_graph().neighbours
+cartdim_get             comm                     value       =._require_cart().ndims  Dim
+cart_get                comm                     value       (hand)  Cartcomm.Get
+cart_rank               comm coords              value       ._require_cart().rank_of  Cartcomm.Rank
+cart_coords             comm rank                value       ._require_cart().coords_of  Coords
+cart_shift              comm direction disp      value       (hand)  Shift
+cart_map                comm dims periods        value       (hand)  Cartcomm.Map
+graph_map               comm index edges         value       (hand)  Graphcomm.Map
+graphdims_get           comm                     value       (hand)  Get_dims
+graph_get               comm                     value       (hand)  Graphcomm.Get
+graph_neighbors_count   comm rank                value       ._require_graph().neighbours_count  Neighbours_count
+graph_neighbors         comm rank                value       ._require_graph().neighbours  Neighbours
 # -- derived datatypes (§3.12) -----------------------------------------------
-type_contiguous         count oldtype:dtype      new_dtype   _derived.contiguous
-type_vector             count blocklength stride oldtype:dtype  new_dtype   _derived.vector
-type_hvector            count blocklength stride_bytes oldtype:dtype  new_dtype   _derived.hvector
-type_indexed            blocklengths displacements oldtype:dtype  new_dtype   _derived.indexed
-type_hindexed           blocklengths byte_displacements oldtype:dtype  new_dtype   _derived.hindexed
-type_struct             blocklengths byte_displacements types:dtypes  new_dtype   (hand)
-type_commit             datatype:dtype           none        .commit
-type_free               datatype:dtype           free        .free
-type_extent             datatype:dtype           value       .extent_bytes
-type_size               datatype:dtype           value       .size_bytes
-type_lb                 datatype:dtype           value       .lb_bytes
-type_ub                 datatype:dtype           value       .ub_bytes
+type_contiguous         count oldtype:dtype      new_dtype   _derived.contiguous  Contiguous
+type_vector             count blocklength stride oldtype:dtype  new_dtype   _derived.vector  Vector
+type_hvector            count blocklength stride_bytes oldtype:dtype  new_dtype   _derived.hvector  Hvector
+type_indexed            blocklengths displacements oldtype:dtype  new_dtype   _derived.indexed  Indexed
+type_hindexed           blocklengths byte_displacements oldtype:dtype  new_dtype   _derived.hindexed  Hindexed
+type_struct             blocklengths byte_displacements types:dtypes  new_dtype   (hand)  Struct
+type_commit             datatype:dtype           none        .commit  Commit
+type_free               datatype:dtype           free        .free  Datatype.Free
+type_extent             datatype:dtype           value       .extent_bytes  Extent
+type_size               datatype:dtype           value       .size_bytes  Datatype.Size
+type_lb                 datatype:dtype           value       .lb_bytes  Lb
+type_ub                 datatype:dtype           value       .ub_bytes  Ub
 pack_size               incount datatype:dtype   value       _packing.pack_size
 pack                    inbuf offset incount datatype:dtype outbuf position  value       _packing.pack
 unpack                  inbuf position outbuf offset outcount datatype:dtype  value       _packing.unpack
@@ -280,7 +285,7 @@ _DOCS = {
                   "member's flag, identical on all survivors.",
 }
 
-#: short name ("send") -> row; a profiler's "Send" is ``CALLS[name.lower()]``
+#: short name ("send", the stub's name after ``mpi_``) -> row
 CALLS: dict[str, Call] = {}
 
 
@@ -305,16 +310,16 @@ def _load() -> None:
             _, cls, ctx, *rule = line.split()
             completion = rule[0] if rule else None
             continue
-        name, params, result, target = re.split(r"\s{2,}", line)
+        name, params, result, target, *member = re.split(r"\s{2,}", line)
         if name in CALLS or result not in RESULTS or ctx not in CONTEXTS \
                 or completion not in (None,) + COMPLETIONS:
             raise ValueError(f"bad or duplicate row {name!r}")
-        oo_name = name.capitalize()
+        oo_name, = member or [name.capitalize()]   # at most one member
         CALLS[name] = Call(
             name, _params(params), result,
             None if target == "(hand)" else target, ctx, cls, completion,
-            _DOCS.get(name) or f"``MPI_{oo_name}`` (row ``{name}`` of "
-                               f":mod:`repro.jni.spec`).",
+            _DOCS.get(name) or f"``MPI_{name.capitalize()}`` (row "
+                               f"``{name}`` of :mod:`repro.jni.spec`).",
             "mpi_" + name, oo_name)
 
 

@@ -29,13 +29,13 @@ from typing import Optional
 from repro.jni import capi, handles as H
 from repro.mpijava.datatype import Datatype
 from repro.mpijava.errhandler import (ERRORS_ARE_FATAL, ERRORS_RETURN,
-                                      Errhandler, guarded_call)
+                                      Errhandler, guarded_call, route_error)
 from repro.mpijava.group import Group
 from repro.mpijava import profiler
 from repro.mpijava.prequest import Prequest
 from repro.mpijava.request import Request
 from repro.mpijava.status import Status
-from repro.runtime.engine import current_runtime
+from repro.runtime.engine import current_runtime, try_current_runtime
 
 
 class Comm:
@@ -64,21 +64,27 @@ class Comm:
 
         When PMPI-style profilers are attached (see
         :mod:`repro.mpijava.profiler`) the call is routed through them;
-        the common case is one falsy-list check.
+        the common case is one falsy-list check and the stub, called
+        here — the handler is looked up only once something failed.
         """
         if profiler._active:
             return profiler.dispatch(
                 self, fn, args,
-                lambda: guarded_call(
-                    lambda: capi.mpi_errhandler_get(self._handle),
-                    fn, *args))
-        return guarded_call(
-            lambda: capi.mpi_errhandler_get(self._handle), fn, *args)
+                lambda: guarded_call(self._errhandler, fn, *args))
+        try:
+            return fn(*args)
+        except Exception as exc:
+            route_error(exc, self._errhandler, fn)
+            raise
+
+    def _errhandler(self) -> int:
+        """Handle of the error handler attached now (read on error only)."""
+        return capi.mpi_errhandler_get(self._handle)
 
     @staticmethod
     def _charge(count: int, datatype: Datatype) -> None:
         """Charge the OO binding's per-call cost to the job's cost model."""
-        rt = current_runtime()
+        rt = try_current_runtime() or current_runtime()
         if rt.universe.cost_model is not None:
             rt.universe.charge_wrapper(count * datatype._cached_size())
 
@@ -300,7 +306,7 @@ class Comm:
         capi.mpi_errhandler_set(self._handle, errhandler._handle)
 
     def Errhandler_get(self) -> Errhandler:
-        h = capi.mpi_errhandler_get(self._handle)
+        h = self._errhandler()
         return ERRORS_RETURN if h == H.ERRORS_RETURN else ERRORS_ARE_FATAL
 
     # -- attribute caching ----------------------------------------------------

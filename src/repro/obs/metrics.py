@@ -76,9 +76,14 @@ class CounterGroup:
 
     def inc(self, **deltas: int) -> None:
         """Atomically add every ``key=delta`` in one critical section."""
+        self.add_each(deltas, deltas.values())
+
+    def add_each(self, keys: Iterable[str], deltas: Iterable[int]) -> None:
+        """:meth:`inc` for constant ``keys``: ``deltas`` position by
+        position, without building a dict per call."""
         with self._lock:
             values = self._values
-            for key, d in deltas.items():
+            for key, d in zip(keys, deltas):
                 values[key] = values.get(key, 0) + d
 
     def add(self, key: str, delta: int = 1) -> None:

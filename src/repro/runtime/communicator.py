@@ -104,6 +104,8 @@ class CommImpl:
         self.universe = rt.universe
         self.group = group
         self.remote_group = remote_group
+        #: what send destinations / receive sources index into
+        self.peer_group = group if remote_group is None else remote_group
         self.ctx_pt2pt = int(ctx_pt2pt)
         self.ctx_coll = int(ctx_coll)
         self.name = name
@@ -172,7 +174,8 @@ class CommImpl:
         # ULFM: every non-fault-tolerance operation on a revoked
         # communicator fails with ERR_REVOKED (Shrink/Agree/Is_revoked
         # deliberately do not come through here)
-        self.universe.check_revoked(self.ctx_pt2pt)
+        if self.universe.revoked_contexts:
+            self.universe.check_revoked(self.ctx_pt2pt)
 
     def _check_not_freed(self) -> None:
         """Liveness check for the FT trio, which must work when revoked."""
@@ -195,33 +198,29 @@ class CommImpl:
         return UNEQUAL
 
     # -- rank translation helpers -------------------------------------------------
-    def _peer_group(self) -> GroupImpl:
-        """Group that send destinations / receive sources index into."""
-        return self.remote_group if self.is_inter else self.group
-
     def _dest_world(self, dest: int) -> int:
-        peers = self._peer_group()
-        if not 0 <= dest < peers.size:
+        ranks = self.peer_group.ranks
+        if not 0 <= dest < len(ranks):
             raise MPIException(ERR_RANK,
                                f"destination rank {dest} out of range for "
-                               f"{self.name} (size {peers.size})")
-        return peers.world_rank(dest)
+                               f"{self.name} (size {len(ranks)})")
+        return ranks[dest]
 
     def _source_world(self, source: int) -> int:
         if source == ANY_SOURCE:
             return ANY_SOURCE
-        peers = self._peer_group()
-        if not 0 <= source < peers.size:
+        ranks = self.peer_group.ranks
+        if not 0 <= source < len(ranks):
             raise MPIException(ERR_RANK,
                                f"source rank {source} out of range for "
-                               f"{self.name} (size {peers.size})")
-        return peers.world_rank(source)
+                               f"{self.name} (size {len(ranks)})")
+        return ranks[source]
 
     def source_rank_of_world(self, world: int) -> int:
         """Translate an envelope's world source to a comm rank for Status."""
         if world < 0:
             return world
-        return self._peer_group().rank_of_world(world)
+        return self.peer_group.rank_of_world(world)
 
     @staticmethod
     def _check_tag(tag: int, allow_any: bool = False) -> None:
@@ -290,6 +289,10 @@ class CommImpl:
                 env.borrowed = True
         try:
             transport.send(env)
+        except (BrokenPipeError, ConnectionResetError) as exc:
+            # the peer's end is closed: this send fails with its failure;
+            # the pump declares it, behind every frame the peer completed
+            raise self.universe.peer_failure(dest_world) from exc
         finally:
             if reservation is not None:
                 rt.bsend_pool.release(reservation)
@@ -341,7 +344,7 @@ class CommImpl:
             req.complete()
             return req
         dest_world = self._dest_world(dest)
-        if self.universe.is_failed(dest_world):
+        if dest_world in self.universe.failed_ranks:
             raise self.universe.peer_failure(dest_world)
         zero_copy = self._send_takes_view(count, datatype, dest_world, mode)
         san = self.universe.sanitizer
@@ -763,7 +766,7 @@ class CommImpl:
     def _ft_obj_send(self, obj, world_dest: int, tag: int) -> None:
         """obj_send for the FT protocols: never blocks on a dead peer,
         never trips the revocation check."""
-        if self.universe.is_failed(world_dest):
+        if world_dest in self.universe.failed_ranks:
             raise self.universe.peer_failure(world_dest)
         blob = pickle.dumps(obj, protocol=4)
         self._isend_raw(blob, 1, True, world_dest, tag,
@@ -787,7 +790,7 @@ class CommImpl:
         self._check_not_freed()
         me = self.rt.world_rank
         for leader in self.group.ranks:
-            if self.universe.is_failed(leader):
+            if leader in self.universe.failed_ranks:
                 continue
             if me != leader:
                 try:
@@ -799,7 +802,7 @@ class CommImpl:
                     continue    # this leader died mid-round: the next one
             heard, lost = {me: mine()}, set()
             for w in self.group.ranks:
-                if w == me or self.universe.is_failed(w):
+                if w == me or w in self.universe.failed_ranks:
                     continue
                 try:
                     heard[w] = self.obj_recv(None, tag, world_src=w)

@@ -9,6 +9,7 @@ the current thread's runtime through :func:`current_runtime`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
@@ -40,10 +41,16 @@ _FIRST_DYNAMIC_CTX = 4
 
 _tls = threading.local()
 
+#: ``try_current_runtime()``: the calling thread's rank runtime, or None —
+#: a partial over the builtin ``getattr``, so the lookup every binding
+#: call makes runs no Python frame (:func:`current_runtime` raises)
+try_current_runtime: Callable[[], Optional["RankRuntime"]] = \
+    functools.partial(getattr, _tls, "runtime", None)
+
 
 def current_runtime() -> "RankRuntime":
     """The rank runtime bound to the calling thread (raises if unbound)."""
-    rt = getattr(_tls, "runtime", None)
+    rt = try_current_runtime()
     if rt is None:
         raise MPIException(ERR_OTHER,
                            "no MPI rank is bound to this thread; run under "
@@ -57,10 +64,6 @@ def bind_thread(rt: "RankRuntime") -> None:
 
 def unbind_thread() -> None:
     _tls.runtime = None
-
-
-def try_current_runtime() -> Optional["RankRuntime"]:
-    return getattr(_tls, "runtime", None)
 
 
 class Universe:
@@ -362,11 +365,9 @@ class Universe:
         with self._fail_lock:
             self._failure_listeners.pop(fn, None)
 
-    def is_failed(self, rank: int) -> bool:
-        return rank in self.failed_ranks
-
     def peer_failure(self, rank: int) -> ProcFailedException:
-        """Build the ERR_PROC_FAILED exception for a recorded dead peer."""
+        """Build the ERR_PROC_FAILED exception for dead peer ``rank``,
+        chained to its recorded cause if the failure plane has one."""
         exc = ProcFailedException(rank)
         cause = self.failed_ranks.get(rank)
         if cause is not None:
@@ -414,7 +415,9 @@ class RankRuntime:
                                f"rank {self.world_rank} is not hosted by "
                                f"this process (local ranks: "
                                f"{universe.local_ranks})")
-        self._seq = itertools.count(1)
+        #: ``next_seq()``: this rank's next message sequence number (a
+        #: C-level counter: safe from the rank thread and its pump alike)
+        self.next_seq = itertools.count(1).__next__
         self.bsend_pool = BsendPool(universe)
         self.initialized = False
         self.finalized = False
@@ -430,9 +433,6 @@ class RankRuntime:
         # the predefined communicators cannot be freed (MPI 1.1 §5.4.3)
         self.comm_world.permanent = True
         self.comm_self.permanent = True
-
-    def next_seq(self) -> int:
-        return next(self._seq)
 
     # -- environment (MPI 1.1 chapter 7) ------------------------------------
     def wtime(self) -> float:

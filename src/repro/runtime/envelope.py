@@ -202,10 +202,10 @@ def encode(env: Envelope, bulk: bool = False) -> tuple[bytes, object]:
         code = dtype_code_of(env.payload).encode()
     else:
         payload = env.payload
+        code = _CODE_BY_DTYPE[payload.dtype].encode()
         if not payload.flags.c_contiguous:
             payload = np.ascontiguousarray(payload)
         body = memoryview(payload).cast("B")
-        code = dtype_code_of(env.payload).encode()
     flags = (FLAG_OBJECT if env.is_object else 0) | (FLAG_BULK if bulk else 0)
     header = HEADER.pack(env.kind, env.src, env.dst, env.context, env.tag,
                          env.mode, env.seq, env.nelems, flags, code,
@@ -347,17 +347,19 @@ def decode_revoke_env(env: Envelope) -> tuple[int, tuple]:
     return env.src, contexts
 
 
-def decode(header: bytes, body) -> Envelope:
-    """Inverse of :func:`encode`.  ``body`` is any bytes-like buffer.
+def decode(header, body) -> Envelope:
+    """Inverse of :func:`encode`.  ``header`` is the packed frame header
+    or the tuple :data:`HEADER` unpacked from it (a reader that already
+    looked at the fields); ``body`` is any bytes-like buffer.
 
     This is the single choke point where wire bytes become payload
     arrays.  Landing and reduction code may mutate a received payload in
     place, so the array handed out is guaranteed *writable*: a view when
-    the buffer is writable (the pooled ``recv_into`` path), a documented
-    copy when it is not (immutable ``bytes``).
+    the buffer is writable (a channel's read buffer or the receive
+    pool), a documented copy when it is not (immutable ``bytes``).
     """
     (kind, src, dst, context, tag, mode, seq, nelems, flags, code,
-     nbytes) = HEADER.unpack(header)
+     nbytes) = header if type(header) is tuple else HEADER.unpack(header)
     is_object = bool(flags & FLAG_OBJECT)
     if kind == KIND_RTS:
         payload = None      # an RTS body is its cookie, never payload
@@ -372,9 +374,8 @@ def decode(header: bytes, body) -> Envelope:
             # read-only source buffer (e.g. bytes): copy here, once,
             # rather than handing mutation-hostile views downstream
             payload = payload.copy()
-    env = Envelope(kind=kind, src=src, dst=dst, context=context, tag=tag,
-                   mode=mode, seq=seq, payload=payload, nelems=nelems,
-                   is_object=is_object)
+    env = Envelope(kind, src, dst, context, tag, mode, seq, payload, nelems,
+                   is_object)
     if kind == KIND_RTS and code != b"--":
         env.rndv_dtype = DTYPE_CODES[code.decode()]
         env.rndv_nbytes = nelems * env.rndv_dtype.itemsize

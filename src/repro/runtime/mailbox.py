@@ -58,17 +58,18 @@ MAILBOX_METRICS = CounterGroup("mailbox", (
     "matched_posted", "matched_unexpected", "matched_direct"))
 
 
-def _note_match(rank: int, path: str, dwell: float, env: Envelope) -> None:
-    """Record one mailbox match: counter always, trace event if enabled.
+def _note_match(rank: int, counter: str, dwell: float, env: Envelope) -> None:
+    """Count one mailbox match (``matched_<path>``), trace it if enabled.
 
     ``dwell`` is how long the *later* party waited for the earlier one:
     post-to-arrival time on the posted path, arrival-to-post (unexpected
     queue) time on the unexpected path.
     """
-    MAILBOX_METRICS.add("matched_" + path)
+    MAILBOX_METRICS.add(counter)
     if TRACE.enabled:
         TRACE.instant(rank, "mailbox.match", "mailbox",
-                      {"path": path, "dwell_us": round(dwell * 1e6, 3),
+                      {"path": counter.partition("_")[2],
+                       "dwell_us": round(dwell * 1e6, 3),
                        "src": env.src, "tag": env.tag,
                        "rts": env.kind == KIND_RTS})
 
@@ -136,27 +137,27 @@ class Mailbox:
 
     # -- intake (transport callback; runs in sender / pump threads) ----------
     def deliver(self, env: Envelope) -> None:
-        if env.kind == KIND_ACK:
-            self._route_ack(env)
+        kind = env.kind
+        if kind != KIND_DATA and kind != KIND_RTS:
+            # everything that is not matched
+            if kind == KIND_ACK:
+                self._route_ack(env)
+            elif kind == KIND_ABORT:
+                self.universe.note_abort_delivery(env)
+                self.on_abort()
+            elif kind == KIND_SANITIZE:
+                san = getattr(self.universe, "sanitizer", None)
+                if san is not None:
+                    san.on_deliver(env)
+            elif kind == KIND_PEERFAIL:
+                rank, cause = decode_peerfail_env(env)
+                self.universe.note_peer_failure(rank, cause)
+            elif kind == KIND_REVOKE:
+                origin, contexts = decode_revoke_env(env)
+                self.universe.note_revoked(contexts, origin_rank=origin)
+            else:
+                raise AssertionError(f"undeliverable envelope kind {kind}")
             return
-        if env.kind == KIND_ABORT:
-            self.universe.note_abort_delivery(env)
-            self.on_abort()
-            return
-        if env.kind == KIND_SANITIZE:
-            san = getattr(self.universe, "sanitizer", None)
-            if san is not None:
-                san.on_deliver(env)
-            return
-        if env.kind == KIND_PEERFAIL:
-            rank, cause = decode_peerfail_env(env)
-            self.universe.note_peer_failure(rank, cause)
-            return
-        if env.kind == KIND_REVOKE:
-            origin, contexts = decode_revoke_env(env)
-            self.universe.note_revoked(contexts, origin_rank=origin)
-            return
-        assert env.kind in (KIND_DATA, KIND_RTS)
         key = (env.context, env.src, env.tag)
         with self._lock:
             posted = self._select_posted(env, key)
@@ -181,7 +182,7 @@ class Mailbox:
                 return
         # arrival met a receive posted earlier: the dwell is how long
         # the receive sat posted before its message showed up
-        _note_match(self.rank, "posted",
+        _note_match(self.rank, "matched_posted",
                     (TRACE.now() - posted.t_post) if TRACE.enabled
                     else 0.0, env)
         self._consume(posted, env)
@@ -256,7 +257,7 @@ class Mailbox:
             self._remove_posted(posted, key)
         # consumed by the pump pre-body: by construction the receive was
         # posted before the frame arrived (a posted-path match)
-        _note_match(self.rank, "direct",
+        _note_match(self.rank, "matched_direct",
                     (TRACE.now() - posted.t_post) if TRACE.enabled
                     else 0.0, env)
         return posted, views
@@ -268,8 +269,8 @@ class Mailbox:
         posted = PostedRecv(req, source_world, tag, context, land,
                             recv_views)
         with self._lock:
-            hit = self._match_unexpected(posted)
-            if hit is None:
+            key, dq = self._find_unexpected(posted)
+            if dq is None:
                 self._post_stamp += 1
                 posted.order = self._post_stamp
                 if TRACE.enabled:
@@ -283,24 +284,15 @@ class Mailbox:
                         dq = self._posted_exact[key] = deque()
                     dq.append(posted)
                 return
-        env, t_arrive = hit
+            _, env, t_arrive = dq.popleft()     # the earliest arrival
+            if not dq:
+                del self._unexpected[key]
         # the receive found its message waiting: the dwell is how long
         # the message sat in the unexpected queue
-        _note_match(self.rank, "unexpected",
+        _note_match(self.rank, "matched_unexpected",
                     (TRACE.now() - t_arrive) if TRACE.enabled else 0.0,
                     env)
         self._consume(posted, env)
-
-    def _match_unexpected(self, posted: PostedRecv) \
-            -> Optional[tuple[Envelope, float]]:
-        """Earliest-arrival matching (message, arrival time); lock held."""
-        key, dq = self._find_unexpected(posted)
-        if dq is None:
-            return None
-        _, env, t_arrive = dq.popleft()
-        if not dq:
-            del self._unexpected[key]
-        return env, t_arrive
 
     def _find_unexpected(self, posted: PostedRecv):
         """(key, bucket) of the earliest matching arrival, or (None, None).
@@ -385,7 +377,7 @@ class Mailbox:
                 self.universe.check_abort()
                 self.universe.check_revoked(context)
                 if source_world >= 0 \
-                        and self.universe.is_failed(source_world):
+                        and source_world in self.universe.failed_ranks:
                     raise self.universe.peer_failure(source_world)
                 _, dq = self._find_unexpected(probe)
                 if dq is not None:

@@ -232,7 +232,8 @@ class RequestImpl:
         if verify is not None:
             self.sanitize_verify_send = None
             verify()
-        self.raise_if_error()
+        if self.error != SUCCESS:
+            self.raise_if_error()
 
     def raise_if_error(self) -> None:
         if self.error != SUCCESS:

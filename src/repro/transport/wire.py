@@ -27,9 +27,14 @@ constructors that build a channel list and return this one class.
   the send side: :func:`repro.runtime.envelope.encode` returns buffer
   views, not ``tobytes()`` copies).  Noncontiguous (derived datatype)
   payloads ride the same call as a run iovec with no gather copy at
-  all.  Receives land through ``recv_into`` on a pooled, reusable
-  buffer (:class:`RecvPool`); posted strided receives land via
-  scattering ``recvmsg_into`` over the layout IR's per-run views.
+  all.  Posted strided receives land via scattering ``recvmsg_into``
+  over the layout IR's per-run views.
+* **Read buffer** — a pump reads a channel's stream up to
+  :data:`READ_BUFFER` bytes at a time into its one buffer and cuts
+  frames from it in place.  A small staged body (under half the buffer)
+  is decoded from it, ``borrowed`` until the pump reads again; a body
+  landing elsewhere (posted window, rendezvous sink, :class:`RecvPool`)
+  gets the buffered part copied in and the rest read straight into it.
 * **Eager/rendezvous protocol** — payloads at or above
   :func:`eager_limit` bytes do not travel with their header.  If the
   frame fits the pair's lane whole (``payload + HEADER_SIZE`` within its
@@ -77,8 +82,10 @@ constructors that build a channel list and return this one class.
   order is MPI's non-overtaking rule), goes to the writer, which may
   block because every channel is still being drained.
 * **One pump per local rank** (:meth:`WireTransport._pump`) — selects on
-  the rank's sockets, reads one frame at a time, and turns a peer's EOF
-  into the ``KIND_PEERFAIL`` that unblocks everything waiting on it.
+  the rank's sockets, drains each readable one (every whole frame one
+  read brought; it selects again when less than a header is left), and
+  turns a peer's EOF — behind the frames completed before it — into the
+  ``KIND_PEERFAIL`` that unblocks everything waiting on it.
   Any other exception escaping a delivery would end the thread and
   park every later receive of the rank forever, so it becomes a
   ``KIND_ABORT`` carrying that exception — delivered to this rank, then
@@ -207,14 +214,17 @@ def send_frame(sock: socket.socket, header: bytes, body=b"") -> None:
         sock.sendall(header)
         return
     sent = sock.sendmsg([header, body])
-    total = len(header) + len(body)
-    if sent < total:
-        # short vectored write (full socket buffer): finish with sendall
-        if sent < len(header):
-            sock.sendall(memoryview(header)[sent:])
-            sock.sendall(body)
-        else:
-            sock.sendall(body[sent - len(header):])
+    if sent < len(header) + len(body):
+        send_rest(sock, header, body, sent)
+
+
+def send_rest(sock: socket.socket, header: bytes, body, sent: int) -> None:
+    """Finish a ``sendmsg([header, body])`` that moved only ``sent``."""
+    if sent < len(header):
+        sock.sendall(memoryview(header)[sent:])
+        sock.sendall(body)
+    else:
+        sock.sendall(body[sent - len(header):])
 
 
 def _drive_vectored(bufs, xfer) -> None:
@@ -286,19 +296,16 @@ def recv_exact_into_views(sock: socket.socket, views) -> None:
 
 
 class RecvPool:
-    """A pump thread's reusable receive buffers (header + body).
-
-    Replaces the per-message chunk-list-and-join of ``recv`` with
-    ``recv_into`` on one preallocated buffer that grows to the largest
-    message seen.  Views handed out are valid only until the next
-    :meth:`body` call — exactly the envelope ``borrowed`` contract.
+    """A pump thread's reusable buffer for staged bodies its channels'
+    read buffers do not hold, grown on demand to the largest seen.
+    Views handed out are valid only until the next :meth:`body` call —
+    exactly the envelope ``borrowed`` contract.
     """
 
-    __slots__ = ("_buf", "header")
+    __slots__ = ("_buf",)
 
-    def __init__(self, initial: int = 64 * 1024):
-        self._buf = bytearray(initial)
-        self.header = memoryview(bytearray(ev.HEADER_SIZE))
+    def __init__(self):
+        self._buf = bytearray()
 
     def body(self, nbytes: int) -> memoryview:
         if nbytes > len(self._buf):
@@ -306,10 +313,30 @@ class RecvPool:
         return memoryview(self._buf)[:nbytes]
 
 
+#: bytes one read of a channel's stream may take (its pump's read buffer)
+READ_BUFFER = 64 * 1024
+
+
+def fill(chan) -> None:
+    """Append what the kernel holds to ``chan``'s read buffer."""
+    got = chan.recv_into(chan.rbuf[chan.rend:])
+    if not got:
+        raise ConnectionError("peer closed")
+    chan.rend += got
+
+
+def compact(chan) -> None:
+    """Move the unread tail of ``chan``'s read buffer to its front."""
+    held = chan.rend - chan.rstart
+    chan.rbuf[:held] = chan.rbuf[chan.rstart:chan.rend]
+    chan.rstart, chan.rend = 0, held
+
+
 # -- channels -----------------------------------------------------------------
 
-def framed_send(chan, header: bytes, body=b"", bulk: bool = False) -> None:
-    """One frame onto ``chan``, atomic against its other writers.
+def framed_send(chan, header: bytes, body=b"", bulk: bool = False) -> int:
+    """One frame onto ``chan``, atomic against its other writers;
+    returns the body's byte count.
 
     The channel lock exists only to keep frames whole on the stream —
     and, for a ``bulk`` frame, to keep the lane's byte order equal to
@@ -320,23 +347,39 @@ def framed_send(chan, header: bytes, body=b"", bulk: bool = False) -> None:
     # single-writer discipline: the lock is what keeps the frame whole,
     # so every write below blocks under it on purpose
     with chan.lock:
+        if type(body) is memoryview and not bulk:      # an eager frame
+            sent = chan.sendmsg([header, body])  # repro: allow(blocking-under-lock)
+            if sent < len(header) + len(body):
+                send_rest(chan, header, body, sent)  # repro: allow(blocking-under-lock)
+            return len(body)
         if not bulk:
             send_frame(chan, header, body)  # repro: allow(blocking-under-lock)
-            return
+            return body_nbytes(body)
         chan.sendall(header)  # repro: allow(blocking-under-lock)
         # fault point: the header is on the stream, the body is not in
         # the lane — a death here leaves the peer's pump in a lane read
         # that only the socket's EOF can end
         faultinject.maybe_fail("shm.ring", chan.tx[0])
         chan.lane_tx.sendall(body)  # repro: allow(blocking-under-lock)
+        return body_nbytes(body)
 
 
 def read_body(chan, flags: int, views) -> None:
     """Fill ``views`` with a frame's body: from the pair's bulk lane if
-    the header says so, else from the stream."""
+    the header says so, else from the read buffer, then the socket."""
     if flags & ev.FLAG_BULK:
         chan.lane_rx.read_views(views)
-    elif len(views) == 1:
+        return
+    for i, view in enumerate(views):
+        n = min(len(view), chan.rend - chan.rstart)
+        view[:n] = chan.rbuf[chan.rstart:chan.rstart + n]
+        chan.rstart += n
+        if n < len(view):       # the buffer ran out: the rest, from the socket
+            views = [view[n:], *views[i + 1:]]
+            break
+    else:
+        return
+    if len(views) == 1:
         recv_exact_into(chan, views[0])
     else:
         recv_exact_into_views(chan, views)
@@ -347,12 +390,15 @@ class Channel:
 
     The socket's own ``sendall`` / ``sendmsg`` / ``recv_into`` /
     ``recvmsg_into`` are re-exported as attributes, so the framing code
-    drives a channel at exactly the cost of driving the socket.
+    drives a channel at exactly the cost of driving the socket.  While
+    its pump drains it, bytes read and not yet cut into frames are
+    ``rbuf[rstart:rend]`` (the pump's read buffer); between drains they
+    are ``tail``, less than a header.
     """
 
     __slots__ = ("sock", "tx", "rx", "lock", "dead", "lane_tx", "lane_rx",
                  "cma_pid", "deferred", "sendall", "sendmsg", "recv_into",
-                 "recvmsg_into")
+                 "recvmsg_into", "rbuf", "rstart", "rend", "tail")
 
     def __init__(self, sock: socket.socket, rank: int, peer: int):
         set_nodelay(sock)
@@ -375,6 +421,9 @@ class Channel:
         self.deferred = 0
         self.sendall, self.sendmsg = sock.sendall, sock.sendmsg
         self.recv_into, self.recvmsg_into = sock.recv_into, sock.recvmsg_into
+        self.rbuf: memoryview | None = None
+        self.rstart = self.rend = 0
+        self.tail = b""
 
     def attach_lanes(self, lane_tx, lane_rx) -> None:
         """Give this pair its bulk lanes.  They share the channel's
@@ -447,6 +496,10 @@ class _RendezvousState:
         self.t0: dict[int, float] = {}         # seq -> RTS time (tracing)
 
 
+class _Role(threading.local):
+    pump = False        # set True in a pump thread; the default elsewhere
+
+
 class WireTransport(Transport):
     """The eager/rendezvous wire protocol over a table of channels.
 
@@ -471,8 +524,8 @@ class WireTransport(Transport):
         self._writer: threading.Thread | None = None
         self._closing = threading.Event()
         self._started = False
-        #: ``.pump`` is set in this transport's pump threads only
-        self._role = threading.local()
+        #: ``.pump`` is True in this transport's pump threads only
+        self._role = _Role()
         self._deferred_lock = threading.Lock()
         #: frame/byte counters for benchmarks and the zero-copy tests —
         #: a live :class:`~repro.obs.metrics.CounterGroup` registered in
@@ -545,7 +598,7 @@ class WireTransport(Transport):
             chan = self._off_table(env)
             if chan is None:
                 return
-        if hasattr(self._role, "pump") and (
+        if self._role.pump and (
                 chan.deferred or env.payload_nbytes() > PUMP_INLINE_MAX):
             # a pump must not stall in a channel write: see the module
             # docstring's writer-thread rule
@@ -623,10 +676,10 @@ class WireTransport(Transport):
                 self._send_rts(env, chan)
                 return
         header, body = ev.encode(env, bulk)
-        nbytes = body_nbytes(body)
-        framed_send(chan, header, body, bulk)
-        self._count(eager_frames=1, eager_bytes=nbytes, tx_frames=1,
-                    tx_bytes=len(header) + nbytes)
+        nbytes = framed_send(chan, header, body, bulk)
+        self.wire_stats.add_each(
+            ("eager_frames", "eager_bytes", "tx_frames", "tx_bytes"),
+            (1, nbytes, 1, len(header) + nbytes))
         if TRACE.enabled:
             TRACE.instant(env.src, "wire.eager", "wire",
                           {"dst": env.dst, "bytes": nbytes})
@@ -696,9 +749,8 @@ class WireTransport(Transport):
         chan = self._table[env.src, env.dst]
         bulk = chan.lane_tx is not None
         header, body = ev.encode(env, bulk)
-        nbytes = body_nbytes(body)
         t_flush = TRACE.now() if TRACE.enabled else 0.0
-        framed_send(chan, header, body, bulk)
+        nbytes = framed_send(chan, header, body, bulk)
         self._count(tx_frames=1, tx_bytes=len(header) + nbytes)
         if TRACE.enabled:
             TRACE.span(env.src, "wire.flush", "wire", t_flush,
@@ -745,15 +797,24 @@ class WireTransport(Transport):
         """
         self._role.pump = True
         pool = RecvPool()
+        rbuf = memoryview(bytearray(READ_BUFFER))
         sel = selectors.DefaultSelector()
         for chan in chans:
+            chan.rbuf = rbuf
             sel.register(chan.sock, selectors.EVENT_READ, chan)
         try:
             while not self._closing.is_set():
                 for key, _ in sel.select(timeout=0.2):
                     chan = key.data
                     try:
-                        self._read_frame(rank, chan, pool)
+                        # what this channel's last drain left over first
+                        chan.rend = len(chan.tail)
+                        rbuf[:chan.rend] = chan.tail
+                        chan.rstart = 0
+                        fill(chan)
+                        while chan.rend - chan.rstart >= ev.HEADER_SIZE:
+                            self._read_frame(rank, chan, pool)
+                        chan.tail = bytes(rbuf[chan.rstart:chan.rend])
                     except (ConnectionError, OSError):
                         if self._closing.is_set():
                             return
@@ -783,10 +844,11 @@ class WireTransport(Transport):
         self._deliver_local(rank, env)
 
     def _read_frame(self, rank: int, chan, pool: RecvPool) -> None:
-        """Read and dispatch exactly one frame arriving at ``rank``."""
-        recv_exact_into(chan, pool.header)
+        """Cut one frame (its header is buffered) off ``chan``; dispatch."""
+        fields = ev.HEADER.unpack_from(chan.rbuf, chan.rstart)
+        chan.rstart += ev.HEADER_SIZE
         (kind, src, dst, context, tag, mode, seq, nelems, flags, code,
-         nbytes) = ev.HEADER.unpack(pool.header)
+         nbytes) = fields
         if kind == ev.KIND_CTS:
             done = bool(flags & ev.FLAG_CMA)
             self._count(cts_frames=1)
@@ -810,9 +872,8 @@ class WireTransport(Transport):
                 and not (flags & ev.FLAG_OBJECT):
             claim = self._direct_claim[rank]
             if claim is not None:
-                peek = Envelope(kind=kind, src=src, dst=dst,
-                                context=context, tag=tag, mode=mode,
-                                seq=seq, nelems=nelems)
+                peek = Envelope(kind, src, dst, context, tag, mode, seq,
+                                None, nelems)
                 peek.rndv_dtype = ev.DTYPE_CODES[code.decode()]
                 peek.rndv_nbytes = nbytes
                 got = claim(peek)
@@ -845,16 +906,25 @@ class WireTransport(Transport):
                                         count_elements=nelems)
                     return
                 # the peek ran but no posted receive could take the
-                # bytes directly — the message stages via the pool
+                # bytes directly — the message is staged
                 self._count(eager_direct_miss=1)
                 if TRACE.enabled:
                     TRACE.instant(rank, "wire.eager_direct", "wire",
                                   {"hit": False, "src": src,
                                    "bytes": nbytes})
-        body = pool.body(nbytes) if nbytes else b""
-        if nbytes:
+        if not nbytes:
+            body = b""
+        elif flags & ev.FLAG_BULK or 2 * nbytes > len(chan.rbuf):
+            body = pool.body(nbytes)
             read_body(chan, flags, [body])
-        env = ev.decode(pool.header, body)
+        else:       # decoded where it lies (borrowed)
+            if chan.rstart + nbytes > len(chan.rbuf):
+                compact(chan)
+            while chan.rend - chan.rstart < nbytes:
+                fill(chan)
+            chan.rstart += nbytes
+            body = chan.rbuf[chan.rstart - nbytes:chan.rstart]
+        env = ev.decode(fields, body)
         env.borrowed = nbytes > 0
         if kind == ev.KIND_RTS:
             env.rndv_accept = lambda posted: self._accept_rts(rank, env,

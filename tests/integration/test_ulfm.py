@@ -138,6 +138,43 @@ def queued_receives_body():
     return f"survivor-{me}"
 
 
+#: messages the dying peer completes before it goes
+LAST_WORDS = 48
+
+
+def last_words_body():
+    """Rank 1 sends LAST_WORDS eager messages and dies (Finalize's fault
+    point) before rank 0 posts a receive.  Rank 0 waits until its pump
+    has seen the stream's EOF — only that sets the channel's ``dead``
+    flag here; the launcher's notice goes to the failure plane — and by
+    then every message the peer completed must be queued: frames ahead
+    of an EOF are delivered before it."""
+    from repro.runtime.engine import current_runtime
+    MPI.Init([])
+    w = MPI.COMM_WORLD
+    w.Errhandler_set(MPI.ERRORS_RETURN)
+    if w.Rank() == 1:
+        for k in range(LAST_WORDS):
+            w.Send(np.full(256, k, dtype=np.int32), 0, 256, MPI.INT, 0, 5)
+        MPI.Finalize()                          # the fault point
+        return "unreachable"
+    rt = current_runtime()
+    eof = rt.universe.transport._table[0, 1].dead
+    assert eof.wait(30), "the pump never saw the peer's EOF"
+    assert rt.mailbox.pending_counts() == (LAST_WORDS, 0)
+    buf = np.zeros(256, dtype=np.int32)
+    for k in range(LAST_WORDS):
+        w.Recv(buf, 0, 256, MPI.INT, 1, 5)
+        assert (buf == k).all(), (k, buf[:4])
+    try:
+        w.Recv(buf, 0, 256, MPI.INT, 1, 5)
+        raise AssertionError("a receive from the dead peer completed")
+    except MPIException as exc:
+        assert exc.error_code == ERR_PROC_FAILED, repr(exc)
+    MPI.Finalize()
+    return "drained"
+
+
 # --- survive-and-continue matrix ----------------------------------------------
 
 class TestSurviveRankDeath:
@@ -217,6 +254,86 @@ class TestQueuedReceivesOfADeadPeer:
         with pytest.raises(RankFailure) as ei:
             procrun(NPROCS, queued_receives_body, timeout=TIMEOUT)
         assert set(ei.value.failures) == {DEAD}, ei.value.failures
+
+
+class TestFramesAheadOfTheEof:
+    def test_process_backend(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT", "finalize:1")
+        monkeypatch.setenv("REPRO_HEARTBEAT_MS", "100")
+        with pytest.raises(RankFailure) as ei:
+            procrun(2, last_words_body, timeout=TIMEOUT)
+        assert set(ei.value.failures) == {1}, ei.value.failures
+
+
+class TestASendThatFindsThePeerGone:
+    """A write can meet a dead peer before the pump meets its EOF: the
+    kernel refuses it (EPIPE).  That send fails with the peer's failure,
+    not as an ``ERR_OTHER`` in user code — but only the pump declares the
+    peer dead, once it has delivered every frame ahead of the EOF."""
+
+    def test_fails_with_err_proc_failed(self):
+        import socket
+        from repro.datatypes import primitives as P
+        from repro.runtime.engine import RankRuntime, Universe
+        universe = Universe(2, "socket")
+        try:
+            comm = RankRuntime(universe, 0).comm_world
+            # rank 1's end reads no more, and rank 0's pump sees no EOF
+            universe.transport._table[1, 0].sock.shutdown(socket.SHUT_RD)
+            with pytest.raises(MPIException) as ei:
+                comm.send(np.zeros(8, dtype=np.int8), 0, 8, P.BYTE, 1, 3)
+            assert ei.value.error_code == ERR_PROC_FAILED, repr(ei.value)
+            assert ei.value.failed_rank == 1
+            assert 1 not in universe.failed_ranks
+        finally:
+            universe.close()
+
+    def test_receives_posted_before_it_still_get_their_data(self):
+        """The peer sends N messages and dies; they are still unread when
+        this rank posts N receives and then sends to the peer.  The send
+        fails, and all N receives complete with their data."""
+        import socket
+        import threading
+        from repro.datatypes import primitives as P
+        from repro.runtime.engine import RankRuntime, Universe
+        n = 16
+        universe = Universe(2, "socket")
+        transport = universe.transport
+        gate = threading.Event()
+        try:
+            me = RankRuntime(universe, 0).comm_world
+            peer = RankRuntime(universe, 1).comm_world
+            deliver = transport._deliver[0]
+
+            def held(env):          # rank 0's pump waits for the gate
+                gate.wait(30)
+                deliver(env)
+
+            transport._deliver[0] = held
+            for k in range(n):
+                peer.send(np.full(4, k, dtype=np.int32), 0, 4, P.INT, 0, 5)
+            # rank 1 dies: its end of the pair closes (its own pump, told
+            # nothing, must not declare rank 0 dead in this shared job)
+            transport._deliver[1] = None
+            transport._table[1, 0].sock.shutdown(socket.SHUT_RDWR)
+            bufs = [np.zeros(4, dtype=np.int32) for _ in range(n)]
+            reqs = [me.irecv(b, 0, 4, P.INT, 1, 5) for b in bufs]
+            with pytest.raises(MPIException) as ei:
+                me.send(np.zeros(1, dtype=np.int32), 0, 1, P.INT, 1, 6)
+            assert ei.value.error_code == ERR_PROC_FAILED, repr(ei.value)
+            gate.set()
+            for k, req in enumerate(reqs):
+                req.wait()
+                assert bufs[k].tolist() == [k] * 4, (k, bufs[k])
+            # and the EOF behind them declares the peer dead
+            deadline = time.monotonic() + 10
+            while 1 not in universe.failed_ranks \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert 1 in universe.failed_ranks
+        finally:
+            gate.set()
+            universe.close()
 
 
 class TestParkedSendsStillSubscribe:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import os
 import statistics
 import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -35,23 +36,25 @@ import pytest
 from repro.executor.runner import MPIExecutor
 from repro.mpijava import MPI, Request
 
-#: counts measured when the budget was last re-anchored (PR 17, with the
-#: post-time window check in place; its parent measured 100 / 39 / 47 /
-#: 58 without one, PR 15's parent 127 / 51 / 57 / 74, same file)
+#: counts measured when the budget was last re-anchored (each layer
+#: resolves what the one above it already had, and the pump cuts frames
+#: out of a read buffer).  Earlier anchors, newest first: 97 / 25 / 47 /
+#: 55 (a post-time window check), 100 / 39 / 47 / 58, 127 / 51 / 57 / 74
 BUDGET = {
-    "send_recv_pair": 97,       # rank thread, one Send + one Recv
-    "pump_frame": 25,           # pump thread, one eager frame
-    "irecv_window_msg": 47,     # rank thread, per message: Irecv ... Waitall
-    "isend_window_msg": 55,     # rank thread, per message: Isend ... Waitall
+    "send_recv_pair": 68,       # rank thread, one Send + one Recv
+    "pump_frame": 22,           # pump thread, one eager frame per read
+    "irecv_window_msg": 33,     # rank thread, per message: Irecv ... Waitall
+    "isend_window_msg": 40,     # rank thread, per message: Isend ... Waitall
 }
 #: rank thread, one blocking collective on 4 ranks (PR 24: the rounds run
 #: in the caller.  Its parent ran round 0 there and the rest in the pump:
 #: 102 / 128 / 163 in the rank thread beside ~180 / ~210 / ~540 in its
-#: pump, where the whole path is now this count plus 25 per frame)
+#: pump, where the whole path is now this count plus ~22 per frame.
+#: Before the stub and runtime stopped re-resolving: 144 / 178 / 205)
 COLL_BUDGET = {
-    "barrier": 144,             # 2 rounds of dissemination
-    "allreduce_8B": 178,        # 2 rounds of recursive doubling, in place
-    "allreduce_256KiB": 205,    # reduce + bcast; the tree's inner ranks
+    "barrier": 127,             # 2 rounds of dissemination
+    "allreduce_8B": 159,        # 2 rounds of recursive doubling, in place
+    "allreduce_256KiB": 187,    # reduce + bcast; the tree's inner ranks
 }
 HEADROOM = 1.10
 ITERS = 60
@@ -381,3 +384,56 @@ def test_completed_request_never_builds_a_waiter(waiters_built):
 
     with MPIExecutor(2, transport="socket") as ex:
         assert ex.run(body, timeout=60.0) == [0, 0]
+
+
+def test_a_window_already_in_the_kernel_takes_few_stream_reads():
+    """The pump drains: 64 eager 1 KiB frames written while it was busy
+    are cut out of a handful of reads of the stream (one per 64 KiB read
+    buffer), not two reads per frame (header, then body)."""
+    import queue
+    import socket
+    from repro.runtime.envelope import Envelope
+    from repro.transport import wire
+    a, b = socket.socketpair()
+    tx_end, rx_end = wire.Channel(a, 0, 1), wire.Channel(b, 1, 0)
+    tx = wire.WireTransport(2, (0,), [tx_end])
+    rx = wire.WireTransport(2, (1,), [rx_end])
+    busy, got = threading.Event(), queue.SimpleQueue()
+
+    def deliver(env):
+        if env.tag == 0:
+            busy.wait(30)       # the pump is held here ...
+        got.put(env.tag)
+
+    reads = []
+    recv_into = rx_end.recv_into
+
+    def counted(view):
+        reads.append(recv_into(view))
+        return reads[-1]
+
+    rx_end.recv_into = counted
+    tx.set_deliver(0, lambda env: None)
+    rx.set_deliver(1, deliver)
+    tx.start()
+    rx.start()
+    try:
+        def send(tag, n):
+            tx.send(Envelope(src=0, dst=1, tag=tag, seq=tag + 1,
+                             payload=np.zeros(n, dtype=np.int8), nelems=n))
+
+        send(0, 8)
+        deadline = time.monotonic() + 10
+        while not reads and time.monotonic() < deadline:
+            time.sleep(0.001)
+        for tag in range(1, WINDOW + 1):
+            send(tag, 1024)     # ... while the whole window is written
+        held = len(reads)
+        busy.set()
+        assert [got.get(timeout=10) for _ in range(WINDOW + 1)] \
+            == list(range(WINDOW + 1))
+        assert len(reads) - held <= 4, reads
+    finally:
+        busy.set()
+        tx.close()
+        rx.close()

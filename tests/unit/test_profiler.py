@@ -25,8 +25,28 @@ def _run(nprocs, body):
 class TestDisplayName:
     def test_stub_names_map_to_mpijava_names(self):
         assert CALLS["send"].oo_name == "Send"
-        assert CALLS["comm_rank"].oo_name == "Comm_rank"
+        assert CALLS["comm_rank"].oo_name == "Rank"
+        assert CALLS["comm_size"].oo_name == "Size"
+        assert CALLS["comm_group"].oo_name == "Group"
+        assert CALLS["group_rank"].oo_name == "Group.Rank"
         assert CALLS["isend"].oo_name == "Isend"
+
+    def test_every_name_is_a_member_of_the_binding_and_unique(self):
+        """A bare name is a member of some class ``repro.mpijava``
+        exports (or the export itself); a qualified one resolves as
+        written.  Two rows never report the same name."""
+        import repro.mpijava as oo
+        classes = [getattr(oo, n) for n in oo.__all__
+                   if isinstance(getattr(oo, n), type)]
+        for call in CALLS.values():
+            owner, _, member = call.oo_name.rpartition(".")
+            if owner:
+                assert hasattr(getattr(oo, owner), member), call.oo_name
+            else:
+                assert hasattr(oo, member) or any(
+                    hasattr(cls, member) for cls in classes), call.oo_name
+        names = [call.oo_name for call in CALLS.values()]
+        assert len(set(names)) == len(names)
 
     def test_names_are_cached(self):
         assert CALLS["send"].oo_name is CALLS["send"].oo_name
@@ -66,7 +86,7 @@ class TestDispatch:
 
         _run(2, body)
         c = p.counts()
-        assert c["Comm_rank"] == 2
+        assert c["Rank"] == 2
         assert c["Bcast"] == 2
 
     def test_stacking_order_outermost_is_last_attached(self):
@@ -96,13 +116,13 @@ class TestDispatch:
         MPI.attach_profiler(Spy())
         _run(1, lambda: MPI.COMM_WORLD.Rank())
         kinds, names, _ = zip(*seen)
-        assert "Comm_rank" in names
+        assert "Rank" in names
         assert all(k == "Intracomm" for k in kinds)
 
     def test_suppressing_invoke_suppresses_the_call(self):
         class Mute(CommProfiler):
             def intercept(self, comm, name, args, invoke):
-                if name == "Comm_rank":
+                if name == "Rank":
                     return 42          # never calls invoke()
                 return invoke()
 
@@ -152,7 +172,7 @@ class TestTracingProfiler:
             TRACE.disable()
             TRACE.reset()
         names = {e[3] for r in snap.values() for e in r["events"]}
-        assert "mpi.Comm_rank" in names
+        assert "mpi.Rank" in names
         assert set(snap) >= {0, 1}
 
     def test_without_tracing_it_is_transparent(self):
