@@ -46,12 +46,12 @@ def test_schema_and_stamps():
 
 
 def test_sweep_is_complete():
-    """Every backend x p x size x algorithm of allreduce / bcast, both
-    barriers, and alltoall at every size."""
+    """Every backend x p x size x algorithm of allreduce / bcast /
+    allgather, both barriers, and alltoall at every size."""
     for backend in coll.BACKENDS:
         for p in (2, 4):
             for nbytes in coll.SIZES:
-                for name in ("allreduce", "bcast"):
+                for name in ("allreduce", "bcast", "allgather"):
                     for algorithm in ALGORITHM_CHOICES[name]:
                         _row(name, algorithm, p, nbytes, backend)
                 _row("alltoall", "pairwise", p, nbytes, backend)
@@ -62,16 +62,13 @@ def test_sweep_is_complete():
 @pytest.mark.parametrize("backend", coll.BACKENDS)
 @pytest.mark.parametrize("p", [2, 4])
 def test_structure_of_the_large_allreduces(backend, p):
-    """256 KiB: the ring takes 2(p-1) rounds and sends as many messages
-    per rank, recursive doubling log2 p of each; reduce + broadcast is
-    2 log2 p deep and its busiest rank sends log2 p."""
+    """256 KiB: recursive doubling takes log2 p rounds and sends as many
+    messages per rank; reduce + broadcast is 2 log2 p deep and its
+    busiest rank sends log2 p."""
     log2p = int(math.log2(p))
     nbytes = 256 * 1024
-    ring = _row("allreduce", "ring", p, nbytes, backend)
     rd = _row("allreduce", "recursive_doubling", p, nbytes, backend)
     tree = _row("allreduce", "reduce_bcast", p, nbytes, backend)
-    assert (ring["rounds"], ring["sends_per_rank"]) == (2 * (p - 1),
-                                                        2 * (p - 1))
     assert (rd["rounds"], rd["sends_per_rank"]) == (log2p, log2p)
     assert (tree["rounds"], tree["sends_per_rank"]) == (2 * log2p, log2p)
 
@@ -82,10 +79,9 @@ def test_structure_of_the_small_collectives(p):
     assert _row("barrier", "dissemination", p, 0)["rounds"] == log2p
     assert _row("bcast", "binomial", p, 8)["rounds"] == log2p
     assert _row("alltoall", "pairwise", p, 1024)["sends_per_rank"] == p - 1
-    # one element cannot be scattered over p ranks: the ring falls back
-    # to reduce + broadcast
-    assert _row("allreduce", "ring", p, 8)["rounds"] \
-        == _row("allreduce", "reduce_bcast", p, 8)["rounds"]
+    # the allgather ring passes each block one hop per round
+    ring = _row("allgather", "ring", p, 1024)
+    assert (ring["rounds"], ring["sends_per_rank"]) == (p - 1, p - 1)
 
 
 def structure_body(nbytes):
@@ -94,8 +90,8 @@ def structure_body(nbytes):
     stay in step)."""
     from repro.datatypes.primitives import DOUBLE
     from repro.runtime import nbc, reduce_ops
-    from repro.runtime.collective import (algorithm_overrides, allreduce,
-                                          barrier, bcast)
+    from repro.runtime.collective import (algorithm_overrides, allgather,
+                                          allreduce, barrier, bcast)
     from repro.runtime.engine import current_runtime
     comm = current_runtime().comm_world
     n = nbytes // 8
@@ -104,6 +100,9 @@ def structure_body(nbytes):
         "allreduce": lambda: allreduce.plan_allreduce(
             comm, a, 0, b, 0, n, DOUBLE, reduce_ops.SUM),
         "bcast": lambda: bcast.plan_bcast(comm, a, 0, n, DOUBLE, 0),
+        "allgather": lambda: allgather.plan_allgather(
+            comm, a, 0, n // comm.size, DOUBLE, b, 0, n // comm.size,
+            DOUBLE),
         "barrier": lambda: barrier.plan_barrier(comm),
     }
     built = {}

@@ -1,6 +1,6 @@
 """Observability smoke: a traced 4-rank process-backend job.
 
-Runs a small SPMD program — one rendezvous-sized send, one segmented
+Runs a small SPMD program — one rendezvous-sized send, one large
 Bcast, an allreduce, a barrier — as real OS processes with tracing on,
 then validates the merged Chrome trace the launcher wrote.  CI runs
 this to prove the whole collection pipeline (worker rings -> control
@@ -24,7 +24,7 @@ from repro.mpijava import MPI
 from repro.obs import export
 
 BIG = 2 * 1024 * 1024       # rendezvous-sized pt2pt payload
-BCAST = 512 * 1024          # large-message (segmented) broadcast
+BCAST = 512 * 1024          # large-message (binomial) broadcast
 
 
 def body():

@@ -1,15 +1,17 @@
 """Collective latency beside its round model -> ``BENCH_COLL.json``.
 
 ``python -m repro.bench.coll`` times every ``allreduce`` / ``bcast`` /
-``barrier`` algorithm (:func:`algorithm_overrides`) and ``alltoall``, 8 B
-to 4 MiB, on 2 and 4 ranks, threads-DM and procs-DM over TCP, the whole
-sweep confined to one CPU.  Each row carries the algorithm's *structure*
-read off the schedule it built (communication rounds on the deepest
-rank, messages sent per rank) and a *model*: rounds x the one-way
-point-to-point latency at the collective's size measured in the same job
-(an overestimate where an algorithm cuts the vector into chunks or
-segments) — so the file states the factor a collective costs over its
-rounds, not just a time.  Calls go through the runtime-level entry
+``barrier`` / ``allgather`` algorithm (:func:`algorithm_overrides`) and
+``alltoall``, 8 B to 4 MiB, on 2 and 4 ranks, threads-DM and procs-DM
+over TCP, the whole sweep confined to one CPU.  ``bytes`` is the vector
+each rank passes; for ``alltoall`` and ``allgather`` that is the whole
+receive buffer, ``bytes / p`` from each rank.  Each row carries the
+algorithm's *structure* read off the schedule it built (communication
+rounds on the deepest rank, messages sent per rank) and a *model*:
+rounds x the one-way point-to-point latency at the collective's size
+measured in the same job (an overestimate where an algorithm moves only
+blocks of the vector) — so the file states the factor a collective costs
+over its rounds, not just a time.  Calls go through the runtime-level entry
 points (what ``capi`` calls; the binding adds ~8 us on either side).
 """
 
@@ -55,7 +57,8 @@ def sweep_body():
     from repro.datatypes.primitives import DOUBLE
     from repro.runtime import nbc, reduce_ops
     from repro.runtime.collective import (ALGORITHM_CHOICES, algorithm_overrides,
-                                          allreduce, alltoall, barrier, bcast)
+                                          allgather, allreduce, alltoall,
+                                          barrier, bcast)
     from repro.runtime.engine import current_runtime
     comm = current_runtime().comm_world
     rank, p = comm.rank, comm.size
@@ -81,6 +84,8 @@ def sweep_body():
                 comm, a, 0, b, 0, n, DOUBLE, reduce_ops.SUM),
             "bcast": lambda: bcast.plan_bcast(comm, a, 0, n, DOUBLE, 0),
             "alltoall": lambda: alltoall.plan_alltoall(
+                comm, a, 0, n // p, DOUBLE, b, 0, n // p, DOUBLE),
+            "allgather": lambda: allgather.plan_allgather(
                 comm, a, 0, n // p, DOUBLE, b, 0, n // p, DOUBLE),
         }
         if nbytes == SIZES[0]:

@@ -115,8 +115,8 @@ class DatatypeImpl:
 
         Compiles the layout IR here, once: commit is MPI's declared
         "optimize this type now" point, and every datapath consumer
-        (validation, copies, iovec construction, direct landing, segment
-        math) reads the cached IR from then on.
+        (validation, copies, iovec construction, direct landing) reads
+        the cached IR from then on.
         """
         self._check_alive()
         self.committed = True

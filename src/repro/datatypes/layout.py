@@ -291,40 +291,36 @@ class LayoutIR:
                                              data[:need]):
                     dst[...] = src
 
-    # -- dense-range landing (segments, partial messages) --------------------
-    def scatter_range(self, buf, offset: int, data,
-                      elem_lo: int) -> None:
-        """Land dense elements ``elem_lo..`` into the selected positions
-        — pipelined collective segments and partial trailing instances,
-        where the whole-instance block form does not apply.
+    # -- partial landing (a trailing partial instance) ----------------------
+    def scatter_range(self, buf, offset: int, data) -> None:
+        """Land all of ``data`` from element 0 — a message that ends
+        inside an instance, where the whole-instance block form of
+        :meth:`scatter` does not apply.
 
-        A run walk: sequential slice copies of the run pieces the range
-        overlaps, in serialization order, so overlapping layouts keep
+        A run walk: sequential slice copies of the run pieces ``data``
+        covers, in serialization order, so overlapping layouts keep
         fancy indexing's last-write-wins outcome.  With many tiny
-        irregular runs the index map of just the instances the range
-        touches beats that per-piece Python loop.
+        irregular runs the index map of the instances it touches beats
+        that per-piece Python loop.
         """
         n = len(data)
         if n == 0:
             return
         if self.contiguous:
             DATAPATH.add("scatter_contig")
-            buf[offset + elem_lo:offset + elem_lo + n] = data
+            buf[offset:offset + n] = data
             return
         size, ext = self.size_elems, self.extent_elems
         if not self.use_runs:
             DATAPATH.add("scatter_index")
-            first, skip = divmod(elem_lo, size)
-            idx = self.flat_indices(-(-(skip + n) // size),
-                                    offset + first * ext)
-            buf[idx[skip:skip + n]] = data
+            buf[self.flat_indices(-(-n // size), offset)[:n]] = data
             return
         DATAPATH.add("scatter_runs")
         rd, rl, rs = self.run_dense, self.run_lens, self.run_starts
         nbuf = len(buf)
         pos = 0
         while pos < n:
-            inst, de = divmod(elem_lo + pos, size)
+            inst, de = divmod(pos, size)
             k = int(np.searchsorted(rd, de, side="right")) - 1
             intra = de - int(rd[k])
             take = min(int(rl[k]) - intra, n - pos)

@@ -168,10 +168,10 @@ def _land_objects(buf, offset: int, count: int, objs) -> tuple[int, int, str]:
 
 
 def _land_elements(buf, offset: int, count: int, datatype: DatatypeImpl,
-                   data, elem_lo: int = 0) -> tuple[int, int, str]:
-    """Land dense base elements at dense positions ``elem_lo..`` of a
-    validated window of ``count`` instances.  Landing *less* than the
-    window holds is fine; more is the MPI truncation error."""
+                   data) -> tuple[int, int, str]:
+    """Land dense base elements from the start of a validated window of
+    ``count`` instances.  Landing *less* than the window holds is fine;
+    more is the MPI truncation error."""
     if data is None or data.shape[0] == 0:
         # empty messages carry no element data; the wire format encodes
         # them with a placeholder dtype, so skip the dtype agreement check
@@ -182,26 +182,25 @@ def _land_elements(buf, offset: int, count: int, datatype: DatatypeImpl,
     lay = datatype.layout()
     nelems = int(data.shape[0])
     capacity = count * lay.size_elems
-    if elem_lo + nelems > capacity:
-        return 0, ERR_TRUNCATE, (f"message of {elem_lo + nelems} elements "
+    if nelems > capacity:
+        return 0, ERR_TRUNCATE, (f"message of {nelems} elements "
                                  f"truncated to capacity {capacity}")
-    if elem_lo or nelems % lay.size_elems:
-        # a pipeline segment or a partial trailing instance
-        lay.scatter_range(buf, offset, data, elem_lo)
+    if nelems % lay.size_elems:
+        # a partial trailing instance
+        lay.scatter_range(buf, offset, data)
     else:
         lay.scatter(buf, offset, nelems // lay.size_elems, data)
     return nelems, SUCCESS, ""
 
 
 def land_dense(buf, offset: int, count: int, datatype: DatatypeImpl,
-               data, is_object: bool, elem_lo: int = 0) -> int:
+               data, is_object: bool) -> int:
     """Validate a landing window and land decoded data in it; raises.
 
     The one landing collective algorithms share: ``data`` is a list of
-    objects or a dense array of base elements (``elem_lo`` = its dense
-    position, for pipeline segments).  This is where a collective's
-    per-rank windows are checked, and unlike the mailbox path errors
-    raise — in the rank whose schedule runs the landing.
+    objects or a dense array of base elements.  This is where a
+    collective's per-rank windows are checked, and unlike the mailbox path
+    errors raise — in the rank whose schedule runs the landing.
     """
     validate_buffer(buf, offset, count, datatype)
     if datatype.base.is_object != is_object:
@@ -209,7 +208,7 @@ def land_dense(buf, offset: int, count: int, datatype: DatatypeImpl,
                                      "contribution")
     n, error, message = _land_objects(buf, offset, count, data) \
         if is_object else \
-        _land_elements(buf, offset, count, datatype, data, elem_lo)
+        _land_elements(buf, offset, count, datatype, data)
     if error != SUCCESS:
         raise MPIException(error, message)
     return n

@@ -1,8 +1,11 @@
 """``MPI_Allgather`` / ``MPI_Allgatherv`` / ``MPI_Iallgather``.
 
 Default: gather the concatenated block at rank 0, broadcast it, and land
-each segment locally.  The ring variant (``p - 1`` neighbour exchanges,
-better for large payloads on real networks) exists for the ablation bench.
+each rank's block locally.  The ring variant (``p - 1`` neighbour
+exchanges, one block each) stays because it measures faster: at p = 2 at
+every size, and at p = 4 at 4 MiB with all ranks on one CPU
+(``BENCH_COLL.json``) or from 256 KiB up with a core per rank; making it
+the large-message default is ROADMAP item 4(c)'s to decide.
 """
 
 from __future__ import annotations

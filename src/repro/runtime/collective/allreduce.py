@@ -3,23 +3,18 @@
 Default algorithm is recursive doubling for commutative operations on
 power-of-two communicators (``log2 p`` exchange rounds of the whole
 vector).  Everything else — and every large payload (size-aware): it is
-the fastest variant measured at every size from 64 KiB up, see
+the fastest variant measured at every size from 256 KiB up, see
 ``BENCH_COLL.json`` — is reduce-to-0 + broadcast, two composed
-sub-schedules with their own tags.  The *ring* (reduce-scatter +
-allgather, ``2(p-1)`` rounds, each rank moving ``2(p-1)/p`` of the
-vector instead of whole copies) is there for the ablation benchmark and
-for a box with a core per rank to re-measure.
+sub-schedules with their own tags.  Each wins measured rows, and the
+size cutoff (:data:`~.common.LARGE_MESSAGE_BYTES`) chooses between them.
 
 A dense commutative reduction accumulates in place — in the caller's
 result window when it can (:func:`~.common.reduction_accum`) — and every
-arriving partial lands in the one scratch array, or the window chunk,
-its ``Recv`` names; objects and rank-ordered (non-commutative) folds
-travel in boxes.  The ownership rule is in :mod:`.common`.
+arriving partial lands in the one scratch array its ``Recv`` names;
+objects and rank-ordered (non-commutative) folds travel in boxes.  The ownership rule is in :mod:`.common`.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.runtime.buffers import validate_buffer
 from repro.runtime.collective.common import (ALGORITHM_CHOICES, algorithm_for,
@@ -57,14 +52,6 @@ def plan_allreduce(comm, sendbuf, soffset, recvbuf, roffset, count, datatype,
     if algorithm not in ALGORITHM_CHOICES["allreduce"]:
         raise ValueError(f"unknown allreduce algorithm {algorithm!r}")
     pow2 = comm.size & (comm.size - 1) == 0
-    # the ring needs commutativity (chunk partials fold in ring order,
-    # not rank order), at least one element per rank to scatter, and a
-    # scalar base: pair types (MINLOC/MAXLOC) reduce over interleaved
-    # (value, index) units that the per-element chunk bounds would split
-    if algorithm == "ring" and not (
-            op.commute and not is_object and not datatype.is_pair
-            and count * datatype.size_elems >= comm.size > 1):
-        algorithm = "reduce_bcast"
     if algorithm == "recursive_doubling" and not (op.commute and pow2):
         algorithm = "reduce_bcast"
 
@@ -81,9 +68,7 @@ def plan_allreduce(comm, sendbuf, soffset, recvbuf, roffset, count, datatype,
             in_window = False
         accum = Box(mine)
         tag = comm.next_coll_tag()
-        if algorithm == "ring":
-            _ring(comm, sched, tag, mine[1], datatype, op)
-        elif algorithm == "recursive_doubling":
+        if algorithm == "recursive_doubling":
             _recursive_doubling(comm, sched, tag, accum, datatype, op)
         else:
             # reduce + bcast (large payloads, every fallback, the explicit
@@ -98,48 +83,6 @@ def plan_allreduce(comm, sendbuf, soffset, recvbuf, roffset, count, datatype,
                                                datatype, accum.contrib))
 
     return "Allreduce", build
-
-
-def _chunk_bounds(n: int, size: int) -> list[int]:
-    return [(c * n) // size for c in range(size + 1)]
-
-
-def _ring(comm, sched, tag, data, datatype, op) -> None:
-    """Ring allreduce of the accumulator ``data``: reduce-scatter pass,
-    then allgather pass.
-
-    The vector splits into ``p`` chunks.  Reduce-scatter round ``t``:
-    send the partial for chunk ``(rank - t) % p`` to the next rank,
-    receive the partial for chunk ``(rank - t - 1) % p`` from the
-    previous rank into the scratch chunk and fold it into the
-    accumulator's own.  After ``p-1`` rounds, rank ``r`` owns the fully
-    reduced chunk ``(r + 1) % p``; the allgather pass circulates
-    completed chunks the same way, each landing straight in its place.
-    Each rank moves ``2(p-1)/p`` of the vector total.
-
-    Every round sends one chunk and writes another, and a chunk is
-    written again only in a later round than the one that sent it — over
-    by then, so flushed (the ownership rule, :mod:`.common`).
-    """
-    rank, size = comm.rank, comm.size
-    bounds = _chunk_bounds(len(data), size)
-    nxt, prv = (rank + 1) % size, (rank - 1) % size
-
-    def chunk(c):
-        c %= size
-        return data[bounds[c]:bounds[c + 1]]
-
-    tmp = np.empty(-(-len(data) // size), dtype=data.dtype)
-    for t in range(size - 1):
-        mine, theirs = chunk(rank - t - 1), Box()
-        sched.round(Send(nxt, ("dense", chunk(rank - t)), tag, borrow=True),
-                    Recv(prv, tag, theirs, into=tmp[:len(mine)]),
-                    Compute(fold, op, theirs, Box(("dense", mine)),
-                            datatype))
-    for t in range(size - 1):
-        sched.round(Send(nxt, ("dense", chunk(rank + 1 - t)), tag,
-                         borrow=True),
-                    Recv(prv, tag, into=chunk(rank - t)))
 
 
 def _recursive_doubling(comm, sched, tag, accum, datatype, op) -> None:

@@ -6,8 +6,12 @@ here move contributions between ranks over the collective context and land
 them into user buffers.
 
 Algorithm selection: every collective has a default algorithm (see
-:data:`DEFAULT_ALGORITHMS`) that ablation benchmarks override through the
-:func:`algorithm_overrides` context manager.  Overrides are thread-local —
+:data:`DEFAULT_ALGORITHMS`), a large-message variant where
+:data:`LARGE_ALGORITHMS` names one, and the other entries of
+:data:`ALGORITHM_CHOICES`, which ablation benchmarks select through the
+:func:`algorithm_overrides` context manager.  An algorithm stays in that
+table only while a measured row (``BENCH_COLL.json``) selects it or it
+is the named baseline of an ablation.  Overrides are thread-local —
 ranks are threads here, so one rank's ablation run can never bleed
 algorithm selection into a concurrently running test.
 
@@ -56,31 +60,26 @@ from repro.runtime.buffers import (extract_send_payload, land_dense,
 
 #: per-collective algorithm choices; first entry is the default
 ALGORITHM_CHOICES = {
-    "bcast": ("binomial", "linear", "segmented"),
+    "bcast": ("binomial", "linear"),
     "reduce": ("binomial", "linear"),
-    "allreduce": ("recursive_doubling", "reduce_bcast", "ring"),
+    "allreduce": ("recursive_doubling", "reduce_bcast"),
     "barrier": ("dissemination", "linear"),
     "allgather": ("gather_bcast", "ring"),
 }
 
 DEFAULT_ALGORITHMS = {k: v[0] for k, v in ALGORITHM_CHOICES.items()}
 
-#: size-aware selection: at/above this dense payload size, collectives
-#: with a large-message variant switch to it (latency-optimal trees ->
-#: bandwidth-optimal pipelines/rings, segmented through the wire fast
-#: path).  Every rank computes the size from (count, datatype), which
-#: MPI requires to agree, so the selection agrees without negotiation.
+#: size-aware selection: at/above this dense payload size, a collective
+#: with a large-message variant switches to it.  Every rank computes the
+#: size from (count, datatype), which MPI requires to agree, so the
+#: selection agrees without negotiation.
 LARGE_MESSAGE_BYTES = 256 * 1024
 
-#: dense-element segment size for pipelined algorithms; kept below the
-#: wire eager limit so segments stream without rendezvous handshakes
-SEGMENT_BYTES = 64 * 1024
-
-#: (allreduce: what BENCH_COLL.json measures fastest from 64 KiB up — 6
-#: whole-vector messages on 4 ranks against the ring's 24 chunks — on
-#: both backends, all ranks on one CPU; ROADMAP item 4(c) re-decides on a
-#: core per rank)
-LARGE_ALGORITHMS = {"bcast": "segmented", "allreduce": "reduce_bcast"}
+#: allreduce: reduce-to-0 + bcast sends 2(p - 1) whole-vector messages
+#: per job against recursive doubling's p log2 p; BENCH_COLL.json
+#: measures it fastest from 256 KiB up with all ranks on one CPU (ROADMAP
+#: item 4(c) re-decides the cutoff on a core per rank)
+LARGE_ALGORITHMS = {"allreduce": "reduce_bcast"}
 
 _overrides = threading.local()
 
@@ -186,23 +185,10 @@ def scratch(contrib):
     return np.empty_like(data) if kind == "dense" else None
 
 
-def land_contrib(buf, offset, count, datatype, contrib,
-                 elem_lo: int = 0) -> int:
-    """Land a contribution — or one pipeline segment of a dense one, at
-    dense element ``elem_lo``, so pipelined algorithms never materialize
-    the concatenated message — in the user buffer."""
+def land_contrib(buf, offset, count, datatype, contrib) -> int:
+    """Land a contribution in the user buffer."""
     kind, data = contrib
-    return land_dense(buf, offset, count, datatype, data, kind == "obj",
-                      elem_lo)
-
-
-def segment_bounds(nelems: int, itemsize: int) -> list[int]:
-    """Element boundaries cutting ``nelems`` into SEGMENT_BYTES pieces."""
-    step = max(1, SEGMENT_BYTES // max(1, itemsize))
-    bounds = list(range(0, nelems, step)) + [nelems]
-    if len(bounds) == 1:    # empty payload: one empty segment
-        bounds = [0, 0]
-    return bounds
+    return land_dense(buf, offset, count, datatype, data, kind == "obj")
 
 
 def send_contrib(comm, contrib, dest: int, tag: int, borrow: bool = False):

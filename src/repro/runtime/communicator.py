@@ -516,7 +516,7 @@ class CommImpl:
                             stag, self.ctx_pt2pt).wait()
         rreq.wait()
         if source != PROC_NULL:
-            lay.scatter_range(buf, offset, inbox[:rreq.count_elements], 0)
+            lay.scatter_range(buf, offset, inbox[:rreq.count_elements])
         return rreq
 
     # ======================================================================

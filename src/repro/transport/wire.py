@@ -77,7 +77,7 @@ constructors that build a channel list and return this one class.
   lock held by a writer mid-stream — stops draining its own channels,
   and two peers in that state deadlock.  So a pump writes only what a
   socket buffer takes without
-  stalling (at most one collective segment); anything larger, and
+  stalling (at most :data:`PUMP_INLINE_MAX` bytes); anything larger, and
   anything to a channel that still has such a send queued (per-pair
   order is MPI's non-overtaking rule), goes to the writer, which may
   block because every channel is still being drained.
@@ -159,8 +159,11 @@ DIRECT_EAGER_MIN = 4096
 
 
 #: largest payload a pump thread writes inline (see the module
-#: docstring).  Equal to the collectives' ``SEGMENT_BYTES``: the size
-#: they already treat as "streams without stalling"
+#: docstring).  The kernel takes a write this size into a drained
+#: channel without waiting on the peer: Linux's default buffers are
+#: ~208 KiB for a Unix socket pair's sender and 128 KiB for a loopback
+#: TCP receiver.  It is also one READ_BUFFER, so the peer's pump takes
+#: the frame in a read or two
 PUMP_INLINE_MAX = 64 * 1024
 
 

@@ -465,16 +465,17 @@ def proc_get_receiver_killed_body():
     return "survived"
 
 
-def proc_segmented_bcast_body():
-    """A large Bcast runs the segmented pipeline (many schedule rounds);
-    the root is killed between rounds, mid-pipeline."""
+def proc_large_allreduce_body():
+    """A 2 MiB Allreduce runs reduce + broadcast: at rank 0, two reduce
+    rounds (from ranks 1 and 2) then one broadcast round, so rank 0 can
+    be killed between rounds with its peers mid-collective."""
     MPI.Init([])
     w = MPI.COMM_WORLD
     n = (2 * 1024 * 1024) // 8
-    buf = np.ones(n) if w.Rank() == 0 else np.zeros(n)
+    src, dst = np.ones(n), np.zeros(n)
     t0 = time.monotonic()
     try:
-        w.Bcast(buf, 0, n, MPI.DOUBLE, 0)
+        w.Allreduce(src, 0, dst, 0, n, MPI.DOUBLE, MPI.SUM)
     except AbortException:
         raise RuntimeError("unwound %.3f" % (time.monotonic() - t0))
     return "unreachable"
@@ -516,12 +517,13 @@ class TestProcHardKills:
                     timeout=PROC_TIMEOUT)
         self._assert_prompt_victims(ei.value.failures, dead=0)
 
-    def test_kill_mid_segmented_bcast(self, monkeypatch):
-        # hit 2: the root survives the first inter-round edge, dies on
-        # the next — peers already hold segment 0 and wait for more
+    def test_kill_between_rounds_of_a_large_allreduce(self, monkeypatch):
+        # hit 2: rank 0 survives the first inter-round edge, dies on the
+        # next — it already folded rank 1's vector, rank 2 already folded
+        # rank 3's, and every survivor waits on a round rank 0 never runs
         monkeypatch.setenv("REPRO_FAULT", "coll.round:0:2")
         with pytest.raises(RankFailure) as ei:
-            procrun(PROC_NPROCS, proc_segmented_bcast_body,
+            procrun(PROC_NPROCS, proc_large_allreduce_body,
                     timeout=PROC_TIMEOUT)
         self._assert_prompt_victims(ei.value.failures, dead=0)
 

@@ -6,7 +6,7 @@ one large Bcast must yield a single merged Chrome-trace JSON containing
 
 * the RTS/CTS/rendezvous span for the big send,
 * the mailbox match event with its dwell time, and
-* per-segment collective rounds from the Bcast,
+* the Bcast's collective rounds,
 
 and the file must pass the structural validator.  Workers inherit
 ``REPRO_TRACE`` from the environment, snapshot their rings at exit, and
@@ -29,7 +29,7 @@ TIMEOUT = 120.0
 #: above the 1 MiB eager limit, and too big to sit in a same-host
 #: pair's 4 MiB bulk lane whole -> rendezvous with or without lanes
 BIG = 4 * 1024 * 1024
-BCAST = 512 * 1024          # above LARGE_MESSAGE_BYTES -> segmented
+BCAST = 512 * 1024          # above LARGE_MESSAGE_BYTES, still binomial
 
 
 def traced_body():
@@ -42,7 +42,7 @@ def traced_body():
         w.Send(buf, 0, BIG, MPI.BYTE, 1, 77)
     elif rank == 1:
         w.Recv(buf, 0, BIG, MPI.BYTE, 0, 77)
-    # one large Bcast: segmented pipeline rounds on every rank
+    # one large Bcast: binomial-tree rounds on every non-root rank
     blob = np.zeros(BCAST, dtype=np.int8)
     w.Bcast(blob, 0, BCAST, MPI.BYTE, 0)
     w.Barrier()
@@ -109,15 +109,14 @@ class TestProcBackendTraceCollection:
         assert any(m["args"].get("rts") for m in matches)
         assert all(m["args"]["dwell_us"] >= 0 for m in matches)
 
-        # 3. segmented Bcast: the algorithm decision and per-segment
-        # rounds (512 KiB / 64 KiB segments -> >= 8 rounds) on a
-        # non-root rank
+        # 3. the large Bcast: the algorithm decision, and on the deepest
+        # rank (2: receives from the root, forwards to 3) log2 p
+        # communication rounds plus the landing
         algos = [e for e in named("coll.algo")
                  if e["args"]["coll"] == "bcast"]
-        assert algos and all(a["args"]["algorithm"] == "segmented"
+        assert algos and all(a["args"]["algorithm"] == "binomial"
                              for a in algos)
-        rounds = named("Bcast.round", 2)
-        assert len(rounds) >= 8
+        assert len(named("Bcast.round", 2)) == 2 + 1
 
     def test_per_rank_files_round_trip(self, trace_dir):
         procrun(NPROCS, traced_body, timeout=TIMEOUT)

@@ -2,7 +2,7 @@
 
 Covers the tentpole's instrumentation points where they are cheapest to
 drive: the rendezvous protocol on threads-DM, mailbox match accounting,
-segmented-collective rounds, and the modeled-mode determinism guarantee
+collective rounds, and the modeled-mode determinism guarantee
 (two identical VirtualClock runs emit byte-identical merged traces).
 """
 
@@ -117,24 +117,28 @@ class TestMailboxMatchTrace:
 
 
 class TestCollectiveTrace:
-    def test_large_bcast_traces_segmented_rounds(self, tracing):
+    def test_large_bcast_traces_binomial_rounds(self, tracing):
         count = 512 * 1024      # 512 KiB of bytes >= LARGE_MESSAGE_BYTES
+        nprocs = 4
 
         def body():
             buf = np.zeros(count, dtype=np.int8)
             capi.mpi_bcast(H.COMM_WORLD, buf, 0, count, H.DT_BYTE, 0)
 
-        with MPIExecutor(2) as ex:
+        with MPIExecutor(nprocs) as ex:
             ex.run(body)
         snap = TRACE.snapshot()
 
         algo = _events(snap, 0, "coll.algo")
-        assert algo and algo[0][6]["algorithm"] == "segmented"
-        # 512 KiB / 64 KiB segments -> 8 pipeline rounds on the receiver
-        rounds = _events(snap, 1, "Bcast.round")
-        assert len(rounds) >= 8, _names(snap, 1)
-        whole = _events(snap, 1, "coll.Bcast")
-        assert whole and whole[0][6]["rounds"] >= 8
+        assert algo and algo[0][6]["algorithm"] == "binomial"
+        # a large message is not cut up: the deepest rank (2 receives
+        # from the root, forwards to 3) runs log2 p communication rounds
+        # plus the landing, and no rank runs more
+        depth = {r: len(_events(snap, r, "Bcast.round"))
+                 for r in range(nprocs)}
+        assert depth[2] == max(depth.values()) == 2 + 1, depth
+        whole = _events(snap, 2, "coll.Bcast")
+        assert whole and whole[0][6]["rounds"] == 3
 
     def test_small_bcast_traces_binomial(self, tracing):
         def body():

@@ -130,8 +130,8 @@ def test_maxloc_finds_argmax(values):
 # --- the ownership rule: every allreduce algorithm, both executors ------------
 
 SIZES = (2, 3, 4, 5, 8)
-#: count as a function of p: around the chunking edge, past the direct-
-#: landing threshold and at the large-message switch-over
+#: count as a function of p: around one element per rank, past the
+#: direct-landing threshold and at the large-message switch-over
 COUNTS = (lambda p: 1, lambda p: p - 1, lambda p: p, lambda p: p + 1,
           lambda p: 4097, lambda p: 32768)
 

@@ -121,15 +121,13 @@ class TestWindow:
         assert land_dense(buf, 3, 4, P.INT, data, False) == 4
         assert list(buf) == [0, 0, 0, 0, 1, 2, 3, 0]
 
-    def test_land_dense_segment_of_a_derived_window(self):
+    def test_land_dense_partial_instance_of_a_derived_window(self):
         t = _vector()
         buf = np.full(9, -1, dtype=np.int32)
-        land_dense(buf, 0, 1, t, np.array([7, 8], dtype=np.int32), False,
-                   elem_lo=2)
-        assert list(buf) == [-1, -1, -1, -1, 7, -1, 8, -1, -1]
+        land_dense(buf, 0, 1, t, np.array([7, 8], dtype=np.int32), False)
+        assert list(buf) == [7, -1, 8, -1, -1, -1, -1, -1, -1]
         with pytest.raises(MPIException) as ei:     # past the window
-            land_dense(buf, 0, 1, t, np.zeros(3, dtype=np.int32), False,
-                       elem_lo=3)
+            land_dense(buf, 0, 1, t, np.zeros(6, dtype=np.int32), False)
         assert ei.value.error_code == ERR_TRUNCATE
 
     def test_land_dense_objects_by_reference(self):

@@ -187,3 +187,33 @@ class TestConfig:
                 capi.mpi_finalize()
 
         assert mpirun(2, body) == ["rejected", "rejected"]
+
+    def test_deleted_algorithms_fail_at_the_call(self):
+        """The chain-pipeline ``Bcast`` and the ring ``Allreduce`` are
+        gone: naming them is an error at the collective, not a fallback."""
+        from repro import mpirun
+        from repro.runtime.collective import allreduce, bcast
+
+        def body():
+            from repro.jni import capi
+            from repro.jni.handles import tables_for
+            from repro.runtime.engine import current_runtime
+            capi.mpi_init([])
+            comm = tables_for(current_runtime()).comms.lookup(1)
+            a, b = np.ones(4), np.zeros(4)
+            rejected = []
+            try:
+                for override, call in (
+                        ({"bcast": "segmented"}, lambda: bcast.bcast(
+                            comm, a, 0, 4, P.DOUBLE, 0)),
+                        ({"allreduce": "ring"}, lambda: allreduce.allreduce(
+                            comm, a, 0, b, 0, 4, P.DOUBLE, O.SUM))):
+                    with common.algorithm_overrides(**override):
+                        with pytest.raises(ValueError, match="unknown"):
+                            call()
+                    rejected.append(*override.values())
+                return rejected
+            finally:
+                capi.mpi_finalize()
+
+        assert mpirun(2, body) == [["segmented", "ring"]] * 2

@@ -237,53 +237,86 @@ def test_large_allreduce_allocates_no_array_per_round():
     assert min(peaks) <= 2 * vector + 32 * 1024, peaks
 
 
-def _allreduce_frames(in_step: threading.Barrier, algorithm: str):
-    from repro.runtime.collective import algorithm_overrides
+def _frames_per_call(in_step: threading.Barrier, call) -> list[int]:
+    """Frames the whole job sent in each of four calls of ``call``."""
     from repro.runtime.engine import current_runtime
+    stats = current_runtime().universe.transport.wire_stats
+    deltas = []
+    for _ in range(4):
+        in_step.wait(30)        # rank-threads share the counters
+        before = stats.snapshot()
+        in_step.wait(30)
+        call()
+        in_step.wait(30)
+        after = stats.snapshot()
+        deltas.append((after["tx_frames"] - before["tx_frames"],
+                       after["eager_direct_frames"]
+                       - before["eager_direct_frames"]))
+    in_step.wait(30)
+    return deltas
+
+
+def _allreduce_frames(in_step: threading.Barrier):
     MPI.Init([])
     world = MPI.COMM_WORLD
-    stats = current_runtime().universe.transport.wire_stats
     big_in, big_out = np.ones(LARGE), np.zeros(LARGE)
-    deltas = []
-    with algorithm_overrides(allreduce=algorithm):
-        for _ in range(4):
-            in_step.wait(30)    # rank-threads share the counters
-            before = stats.snapshot()
-            in_step.wait(30)
-            world.Allreduce(big_in, 0, big_out, 0, LARGE, MPI.DOUBLE,
-                            MPI.SUM)
-            in_step.wait(30)
-            after = stats.snapshot()
-            deltas.append((after["tx_frames"] - before["tx_frames"],
-                           after["eager_direct_frames"]
-                           - before["eager_direct_frames"]))
-    in_step.wait(30)
+    deltas = _frames_per_call(in_step, lambda: world.Allreduce(
+        big_in, 0, big_out, 0, LARGE, MPI.DOUBLE, MPI.SUM))
     exact = bool((big_out == world.Size()).all())
     MPI.Finalize()
     return exact, deltas
 
 
 @pytest.mark.parametrize("nprocs", [3, 4])
-@pytest.mark.parametrize("algorithm, per_job", [
-    ("reduce_bcast", lambda p: 2 * (p - 1)),    # what 256 KiB selects
-    ("ring", lambda p: p * 2 * (p - 1)),
-])
-def test_large_allreduce_frames_on_the_wire(nprocs, algorithm, per_job):
-    """A blocking 256 KiB ``Allreduce`` on ``socket`` sends exactly its
-    schedule's messages — ``p - 1`` up the tree and ``p - 1`` down it,
-    ``2(p - 1)`` per rank round the ring: no control frame, no second
-    frame for a payload — and a contribution that finds its receive
-    posted streams off the socket into the array the ``Recv`` named."""
+def test_large_allreduce_frames_on_the_wire(nprocs):
+    """A blocking 256 KiB ``Allreduce`` on ``socket`` (reduce + broadcast)
+    sends exactly its schedule's messages — ``p - 1`` up the tree and
+    ``p - 1`` down it: no control frame, no second frame for a payload —
+    and a contribution that finds its receive posted streams off the
+    socket into the array the ``Recv`` named."""
     from repro.runtime.collective.common import algorithm_for
     assert algorithm_for("allreduce", LARGE * 8) == "reduce_bcast"
     with MPIExecutor(nprocs, transport="socket") as ex:
         per_rank = ex.run(_allreduce_frames,
-                          args=(threading.Barrier(nprocs), algorithm),
-                          timeout=60.0)
+                          args=(threading.Barrier(nprocs),), timeout=60.0)
     assert all(exact for exact, _ in per_rank)
     deltas = per_rank[0][1]
-    assert [tx for tx, _ in deltas] == [per_job(nprocs)] * len(deltas)
+    assert [tx for tx, _ in deltas] == [2 * (nprocs - 1)] * len(deltas)
     assert sum(direct for _, direct in deltas) > 0, deltas
+
+
+def _large_bcast(in_step: threading.Barrier):
+    from repro.datatypes.primitives import DOUBLE
+    from repro.runtime import nbc
+    from repro.runtime.collective.bcast import plan_bcast
+    from repro.runtime.engine import current_runtime
+    MPI.Init([])
+    world = MPI.COMM_WORLD
+    buf = np.full(2 * LARGE, float(world.Rank()))
+    sched = nbc.Schedule()      # built on every rank: it draws a tag
+    plan_bcast(current_runtime().comm_world, buf, 0, 2 * LARGE, DOUBLE,
+               0)[1](sched)
+    depth = sum(any(type(op) is not nbc.Compute for op in rnd)
+                for rnd in sched.rounds)
+    deltas = _frames_per_call(in_step, lambda: world.Bcast(
+        buf, 0, 2 * LARGE, MPI.DOUBLE, 0))
+    exact = not buf.any()
+    MPI.Finalize()
+    return exact, depth, deltas
+
+
+def test_large_bcast_is_one_message_per_hop():
+    """A blocking 512 KiB ``Bcast`` on 4 ranks is the binomial tree: the
+    job sends ``p - 1`` frames, one whole message per edge, and the
+    deepest rank's schedule is ``log2 p`` communication rounds."""
+    nprocs = 4
+    with MPIExecutor(nprocs, transport="socket") as ex:
+        per_rank = ex.run(_large_bcast, args=(threading.Barrier(nprocs),),
+                          timeout=60.0)
+    assert all(exact for exact, _, _ in per_rank)
+    assert max(depth for _, depth, _ in per_rank) == 2
+    deltas = per_rank[0][2]
+    assert [tx for tx, _ in deltas] == [nprocs - 1] * len(deltas)
 
 
 def _every_blocking_collective():
