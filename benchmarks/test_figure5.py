@@ -43,10 +43,11 @@ def test_measured_mpich_path_slower(benchmark):
     fast_env = make_env("WMPI", "SM", "capi", "measured")
     slow_env = make_env("MPICH", "SM", "capi", "measured")
 
-    def both():
-        fast = run_pingpong(fast_env, sizes=(1 << 18,), reps=15)
-        slow = run_pingpong(slow_env, sizes=(1 << 18,), reps=15)
-        return fast.times[0], slow.times[0]
+    def both():     # best of 3 alternating runs: one 15-rep run is noisy
+        runs = [(run_pingpong(fast_env, sizes=(1 << 18,), reps=15).times[0],
+                 run_pingpong(slow_env, sizes=(1 << 18,), reps=15).times[0])
+                for _ in range(3)]
+        return min(f for f, _ in runs), min(s for _, s in runs)
 
     fast_t, slow_t = benchmark(both)
     assert slow_t > fast_t

@@ -29,7 +29,7 @@ def report():
 class TestAllBackendsExecute:
     def test_report_is_stamped_with_its_provenance(self, report):
         assert report["config"] == config.effective()
-        assert "git_sha" in report and "cpu_count" in report
+        assert "git_sha" in report and "cpus" in report
 
     def test_checksums_agree_across_backends(self, report):
         sums = {b["checksum"] for b in report["compute"].values()}
@@ -43,8 +43,8 @@ class TestAllBackendsExecute:
     def test_process_backend_not_slower_than_threads(self, report):
         # even on one core, process ranks must not regress materially
         # (mesh + spawn overhead is outside the measured kernel span)
-        t_threads = report["compute"]["threads-sm"]["job_seconds"]
-        t_procs = report["compute"]["procs-dm"]["job_seconds"]
+        t_threads = report["compute"]["threads-SM"]["job_seconds"]
+        t_procs = report["compute"]["procs-DM"]["job_seconds"]
         assert t_procs < t_threads * 1.5
 
 
@@ -58,5 +58,5 @@ class TestSpeedup:
 
 class TestSmallJob:
     def test_two_rank_process_job(self):
-        out = run_compute("procs-dm", 2, 200_000, timeout=60.0)
+        out = run_compute("procs-DM", 2, 200_000, timeout=60.0)
         assert len(out["per_rank_seconds"]) == 2

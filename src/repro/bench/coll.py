@@ -31,9 +31,13 @@ ROW_KEYS = ("backend", "p", "collective", "algorithm", "bytes", "us",
             "rounds", "sends_per_rank", "p2p_us", "model_us", "factor")
 
 
+def _reps(nbytes: int) -> int:
+    return 40 if nbytes <= 64 * 1024 else 8 if nbytes < 1 << 20 else 3
+
+
 def _best_us(fn, nbytes: int, sync) -> float:
     """Best of 3 passes of per-call time, every pass fenced by a barrier."""
-    reps = 40 if nbytes <= 64 * 1024 else 8 if nbytes < 1 << 20 else 3
+    reps = _reps(nbytes)
     best = float("inf")
     for _ in range(3):
         sync()
@@ -53,7 +57,9 @@ def structure_of(sched) -> tuple[int, int]:
 
 def sweep_body():
     """One job, every case: ``[(case, us, rounds, sends)]`` per rank and
-    the same-sitting pingpong (ranks 0 and 1)."""
+    the same-sitting one-way seconds per size (rank 0's; ranks 0 and 1
+    run the pingpong, the others only join its fences)."""
+    from repro.bench.pingpong import one_way
     from repro.datatypes.primitives import DOUBLE
     from repro.runtime import nbc, reduce_ops
     from repro.runtime.collective import (ALGORITHM_CHOICES, algorithm_overrides,
@@ -70,15 +76,8 @@ def sweep_body():
     for nbytes in SIZES:
         n = nbytes // 8
         a, b = np.ones(n), np.zeros(n)
-        if rank < 2:                    # one-way = half a round trip
-            def pingpong():
-                if rank == 0:
-                    comm.send(a, 0, n, DOUBLE, 1, 1)
-                    comm.recv(b, 0, n, DOUBLE, 1, 2)
-                else:
-                    comm.recv(b, 0, n, DOUBLE, 0, 1)
-                    comm.send(a, 0, n, DOUBLE, 0, 2)
-            p2p[nbytes] = _best_us(pingpong, nbytes, lambda: None) / 2
+        p2p[nbytes] = one_way("communicator", rank, np.arange(1.0, n + 1),
+                              n, DOUBLE, _reps(nbytes), trials=3)
         plans = {
             "allreduce": lambda: allreduce.plan_allreduce(
                 comm, a, 0, b, 0, n, DOUBLE, reduce_ops.SUM),
@@ -104,32 +103,24 @@ def sweep_body():
     return rows, p2p
 
 
-def _run_job(backend: str, p: int):
-    from repro import mpirun, procrun
-    if backend == "threads-DM":
-        return mpirun(p, sweep_body, transport="socket", timeout=600.0)
-    os.environ["REPRO_SHM"] = "0"
-    try:
-        return procrun(p, sweep_body, timeout=600.0)
-    finally:
-        del os.environ["REPRO_SHM"]
-
-
 def run(log=print) -> dict:
+    from repro.bench.pingpong import launch
     from repro.bench.report import provenance
     allowed = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {max(allowed)})     # rank processes inherit it
     rows = []
     try:
         for backend in BACKENDS:
+            kind, _, carrier = backend.partition(" ")
             for p in (2, 4):
-                ranks = _run_job(backend, p)
+                ranks = launch(kind, p, sweep_body, carrier=carrier or None,
+                               timeout=600.0)
                 p2p = ranks[0][1]
                 for case in zip(*(rows_of for rows_of, _ in ranks)):
                     coll, alg, nbytes = case[0][0]
                     us, rounds, sends = (max(c[k] for c in case)
                                          for k in (1, 2, 3))
-                    lat = p2p[nbytes or SIZES[0]]
+                    lat = p2p[nbytes or SIZES[0]] * 1e6
                     rows.append(dict(zip(ROW_KEYS, (
                         backend, p, coll, alg, nbytes, round(us, 1), rounds,
                         sends, round(lat, 1), round(rounds * lat, 1),
@@ -137,9 +128,8 @@ def run(log=print) -> dict:
                 log(f"{backend} p={p}: {len(ranks[0][0])} cases")
     finally:
         os.sched_setaffinity(0, allowed)
-    return {"schema": SCHEMA, "created_unix": int(time.time()),
-            "python": sys.version.split()[0], "cpus": os.cpu_count(),
-            "confined_to_cpus": 1, **provenance(), "rows": rows}
+    return {"schema": SCHEMA, **provenance(), "confined_to_cpus": 1,
+            "rows": rows}
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation

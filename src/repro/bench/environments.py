@@ -70,10 +70,6 @@ ENV_TABLE = (("WSOCK", "raw"), ("WMPI", "capi"), ("WMPI", "mpijava"),
              ("LINUX", "capi"), ("LINUX", "mpijava"))
 
 
-def timing_modes() -> tuple[str, str]:
-    return ("modeled", "measured")
-
-
 def make_env(platform: str, mode: str, api: str, timing: str) -> BenchEnv:
     return BenchEnv(model_key=f"{platform}_{mode}", api=api, timing=timing)
 

@@ -20,7 +20,7 @@ CLI (writes the BENCH json the roadmap tracks)::
         --out BENCH_GIL_ESCAPE.json
 
 Speedup claims are only meaningful when the host actually has the cores:
-the json records ``cpu_count`` (and the schedulable ``cpu_affinity``)
+the json records ``cpus`` (and the schedulable ``cpu_affinity``)
 alongside every number, and the benchmark test skips its >=2x assertion
 below 4 usable cores.
 """
@@ -35,10 +35,8 @@ import time
 
 import numpy as np
 
-from repro.bench.pingpong import _sweep_main
+from repro.bench.pingpong import BACKENDS, launch, measure
 from repro.bench.report import provenance
-from repro.executor.procrunner import ProcExecutor
-from repro.executor.runner import mpirun
 
 #: default LCG iterations per rank (~0.5 s of pure-Python compute each)
 DEFAULT_ITERS = 4_000_000
@@ -85,17 +83,8 @@ def _serial_kernel(iters: int) -> float:
 def run_compute(backend: str, nprocs: int, iters: int,
                 timeout: float = 300.0) -> dict:
     """One backend's compute job; job time = slowest rank's kernel span."""
-    if backend == "procs-dm":
-        rows = ProcExecutor(nprocs).run(compute_rank_main, args=(iters,),
-                                        timeout=timeout)
-    elif backend == "threads-sm":
-        rows = mpirun(nprocs, compute_rank_main, args=(iters,),
-                      transport="inproc", timeout=timeout)
-    elif backend == "threads-dm":
-        rows = mpirun(nprocs, compute_rank_main, args=(iters,),
-                      transport="socket", timeout=timeout)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    rows = launch(backend, nprocs, compute_rank_main, (iters,),
+                  timeout=timeout)
     checksums = {r["checksum"] for r in rows}
     if len(checksums) != 1:
         raise AssertionError(f"ranks disagree on the Allreduce checksum: "
@@ -109,14 +98,7 @@ def run_compute(backend: str, nprocs: int, iters: int,
 def run_pingpong(backend: str, sizes=PINGPONG_SIZES,
                  reps: int = PINGPONG_REPS) -> dict:
     """2-rank capi pingpong; one-way seconds per size."""
-    args = ("capi", tuple(sizes), False, reps)
-    if backend == "procs-dm":
-        rows = ProcExecutor(2).run(_sweep_main, args=args, timeout=120.0)[0]
-    elif backend == "threads-dm":
-        rows = mpirun(2, _sweep_main, args=args, transport="socket",
-                      timeout=120.0)[0]
-    else:
-        raise ValueError(f"unknown pingpong backend {backend!r}")
+    rows, _ = measure(backend, "capi", sizes, [reps] * len(sizes))
     return {"backend": backend,
             "one_way_seconds": {str(size): t for size, t in rows}}
 
@@ -128,25 +110,23 @@ def run_benchmark(nprocs: int = 4, iters: int = DEFAULT_ITERS,
         "benchmark": "gil_escape",
         "nprocs": nprocs,
         "iters_per_rank": iters,
-        "cpu_count": os.cpu_count(),
         "cpu_affinity": usable_cores(),
         **provenance(),
-        "python": sys.version.split()[0],
         "serial_kernel_seconds": _serial_kernel(iters),
         "compute": {},
         "pingpong": {},
     }
-    for backend in ("threads-sm", "threads-dm", "procs-dm"):
-        report["compute"][backend] = run_compute(backend, nprocs, iters)
-    t_threads = min(report["compute"]["threads-sm"]["job_seconds"],
-                    report["compute"]["threads-dm"]["job_seconds"])
-    t_procs = report["compute"]["procs-dm"]["job_seconds"]
+    compute = report["compute"]
+    for backend in BACKENDS:
+        compute[backend] = run_compute(backend, nprocs, iters)
+    t_threads = min(compute["threads-SM"]["job_seconds"],
+                    compute["threads-DM"]["job_seconds"])
+    t_procs = compute["procs-DM"]["job_seconds"]
     report["speedup_procs_vs_best_threads"] = t_threads / t_procs
-    report["gil_bound_threads"] = (
-        report["compute"]["threads-sm"]["job_seconds"]
-        / report["serial_kernel_seconds"])
+    report["gil_bound_threads"] = (compute["threads-SM"]["job_seconds"]
+                                   / report["serial_kernel_seconds"])
     if pingpong:
-        for backend in ("threads-dm", "procs-dm"):
+        for backend in BACKENDS[1:]:
             report["pingpong"][backend] = run_pingpong(backend)
     return report
 
@@ -167,9 +147,8 @@ def main(argv=None) -> int:
     speedup = report["speedup_procs_vs_best_threads"]
     print(f"cores={cores} nprocs={opts.nprocs} "
           f"serial={report['serial_kernel_seconds']:.2f}s "
-          f"threads-SM={report['compute']['threads-sm']['job_seconds']:.2f}s "
-          f"threads-DM={report['compute']['threads-dm']['job_seconds']:.2f}s "
-          f"procs-DM={report['compute']['procs-dm']['job_seconds']:.2f}s "
+          + "".join(f"{b}={report['compute'][b]['job_seconds']:.2f}s "
+                    for b in BACKENDS) +
           f"speedup={speedup:.2f}x")
     if cores < max(2, opts.nprocs):
         print(f"note: only {cores} schedulable core(s) — the GIL-escape "

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from repro.bench.pingpong import _pingpong_capi
-from repro.executor.runner import MPIExecutor
+from repro.bench.pingpong import measure
+from repro.bench.report import provenance
 from repro.obs.trace import TRACE
 
 SCHEMA = "repro-overhead/1"
@@ -51,19 +50,6 @@ def _leave_mode() -> None:
     TRACE.reset()
 
 
-def _one_trial(size: int, reps: int) -> float:
-    """One pingpong job; returns the one-way latency in seconds."""
-    with MPIExecutor(2, transport="inproc") as ex:
-        times = ex.run(lambda: _pingpong_capi_rank(size, reps))
-    return max(times)       # both ranks time the same loop; take the
-    # conservative reading
-
-
-def _pingpong_capi_rank(size: int, reps: int) -> float:
-    from repro.runtime.engine import current_runtime
-    return _pingpong_capi(current_runtime().world_rank, size, reps)
-
-
 def run(size: int = SIZE, reps: int = REPS, trials: int = TRIALS,
         log=print) -> list[dict]:
     """Interleaved trials; one row per mode with the best one-way time."""
@@ -71,8 +57,9 @@ def run(size: int = SIZE, reps: int = REPS, trials: int = TRIALS,
     for trial in range(trials):
         for mode in MODES:
             _enter_mode(mode)
-            try:
-                one_way = _one_trial(size, reps)
+            try:        # one threads-SM job per trial and mode
+                [(_, one_way)], _ = measure("threads-SM", "capi", (size,),
+                                            (reps,))
             finally:
                 _leave_mode()
             best[mode] = min(best[mode], one_way)
@@ -93,8 +80,9 @@ def build_report(rows: list[dict]) -> dict:
         "enabled_vs_baseline": round(
             by_mode["enabled"]["one_way_us"] / base, 4),
     }
-    return {"schema": SCHEMA, "limit_disabled": OVERHEAD_LIMIT,
-            "cpus": os.cpu_count(), "results": rows, "overhead": overhead}
+    return {"schema": SCHEMA, **provenance(),
+            "limit_disabled": OVERHEAD_LIMIT, "results": rows,
+            "overhead": overhead}
 
 
 def validate_report(report: dict) -> list[str]:

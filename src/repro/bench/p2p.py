@@ -28,7 +28,8 @@ Two buffer layouts are swept (the ``layout`` column):
 
 * ``contiguous`` — a dense byte buffer, the classic kernel;
 * ``strided``    — one ``Vector`` datatype instance per message
-  (:data:`STRIDED_BLOCK_ELEMS`-element float64 runs at 50% density),
+  (:data:`~repro.bench.pingpong.STRIDED_BLOCK_ELEMS`-element float64
+  runs at 50% density),
   proving the layout-IR datapath: derived-datatype messages ride the
   same zero-copy iovec send / direct-landing receive machinery as
   contiguous ones.
@@ -47,11 +48,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import sys
-import time
 
-import numpy as np
+from repro.bench.pingpong import BACKENDS, measure
+from repro.bench.report import provenance
 
 SCHEMA = "repro-p2p/3"
 
@@ -62,17 +62,10 @@ QUICK_SIZES = (8, 8192, 262144, 1048576)
 
 LAYOUTS = ("contiguous", "strided")
 
-#: strided sweep shape: float64 runs of STRIDED_BLOCK_ELEMS elements at
-#: a STRIDED_STRIDE_FACTOR x stride (50% density) — e.g. the rows of
-#: every other matrix column, the paper's canonical Vector use.  Sizes
-#: below are *data* bytes; the smallest implies >= 2 runs.
-STRIDED_BLOCK_ELEMS = 4096
-STRIDED_STRIDE_FACTOR = 2
+#: strided sweep sizes, in *data* bytes; the smallest implies >= 2 runs
 STRIDED_SIZES = (65536, 131072, 262144, 524288, 1048576, 2097152,
                  4194304)
 STRIDED_QUICK_SIZES = (65536, 1048576)
-
-BACKENDS = ("threads-SM", "threads-DM", "procs-DM")
 
 #: the carrier under each row (the ``transport`` column): ``inproc`` —
 #: direct handoff (threads-SM), ``tcp`` — kernel sockets (threads-DM
@@ -84,9 +77,6 @@ TRANSPORT_KINDS = ("inproc", "tcp", "shm")
 #: protocol knob -> forced eager limit (None = leave the default)
 PROTOCOLS = {"auto": None, "eager": 1 << 62, "rendezvous": 1}
 
-_PING, _PONG = 1001, 1002
-
-
 #: timed trials per (size, protocol); the best is reported, which filters
 #: scheduler noise (the box may be a single shared core)
 TRIALS = 5
@@ -95,137 +85,6 @@ TRIALS = 5
 def reps_for(size: int, quick: bool = False) -> int:
     base = max(10, min(400, (1 << 22) // max(size, 256)))
     return max(3, base // 8) if quick else base
-
-
-def _pingpong(rank: int, size: int, reps: int,
-              trials: int = TRIALS) -> float:
-    """One rank's half of the kernel; returns best one-way seconds."""
-    from repro.jni import capi, handles as H
-    buf = np.zeros(max(size, 1), dtype=np.int8)
-    best = None
-    for _ in range(trials):
-        capi.mpi_barrier(H.COMM_WORLD)
-        t0 = time.perf_counter()
-        if rank == 0:
-            for _ in range(reps):
-                capi.mpi_send(H.COMM_WORLD, buf, 0, size, H.DT_BYTE, 1,
-                              _PING)
-                capi.mpi_recv(H.COMM_WORLD, buf, 0, size, H.DT_BYTE, 1,
-                              _PONG)
-        else:
-            for _ in range(reps):
-                capi.mpi_recv(H.COMM_WORLD, buf, 0, size, H.DT_BYTE, 0,
-                              _PING)
-                capi.mpi_send(H.COMM_WORLD, buf, 0, size, H.DT_BYTE, 0,
-                              _PONG)
-        t1 = time.perf_counter()
-        capi.mpi_barrier(H.COMM_WORLD)
-        one_way = (t1 - t0) / (2 * reps)
-        best = one_way if best is None else min(best, one_way)
-    return best
-
-
-def _strided_pingpong(rank: int, data_bytes: int, reps: int,
-                      trials: int = TRIALS) -> float:
-    """One rank's half of the Vector-datatype kernel (data_bytes of
-    payload selected as 50%-density float64 runs); best one-way s."""
-    from repro.jni import capi, handles as H
-    block = STRIDED_BLOCK_ELEMS
-    stride = STRIDED_STRIDE_FACTOR * block
-    count = max(1, data_bytes // (8 * block))
-    vec = capi.mpi_type_vector(count, block, stride, H.DT_DOUBLE)
-    capi.mpi_type_commit(vec)
-    buf = np.zeros((count - 1) * stride + block, dtype=np.float64)
-    best = None
-    for _ in range(trials):
-        capi.mpi_barrier(H.COMM_WORLD)
-        t0 = time.perf_counter()
-        if rank == 0:
-            for _ in range(reps):
-                capi.mpi_send(H.COMM_WORLD, buf, 0, 1, vec, 1, _PING)
-                capi.mpi_recv(H.COMM_WORLD, buf, 0, 1, vec, 1, _PONG)
-        else:
-            for _ in range(reps):
-                capi.mpi_recv(H.COMM_WORLD, buf, 0, 1, vec, 0, _PING)
-                capi.mpi_send(H.COMM_WORLD, buf, 0, 1, vec, 0, _PONG)
-        t1 = time.perf_counter()
-        capi.mpi_barrier(H.COMM_WORLD)
-        one_way = (t1 - t0) / (2 * reps)
-        best = one_way if best is None else min(best, one_way)
-    capi.mpi_type_free(vec)
-    return best
-
-
-def _sweep_main(sizes, reps_list, eager_limit, layout="contiguous"):
-    """SPMD body (also the procs-DM child target; must stay module-level
-    and importable).  Every rank returns ``(rows, bulk_paths)``: rank
-    0's rows are [(size, one_way_seconds), ...] (None elsewhere), and
-    ``bulk_paths`` names where the rank's large payloads go per peer
-    (empty on the SM transport, which has no wire)."""
-    from repro.jni import capi, handles as H
-    from repro.runtime.engine import current_runtime
-    from repro.transport import wire
-    if eager_limit is not None:
-        wire.set_eager_limit(eager_limit)
-    capi.mpi_init([])
-    rank = capi.mpi_comm_rank(H.COMM_WORLD)
-    kernel = _pingpong if layout == "contiguous" else _strided_pingpong
-    out = []
-    for size, reps in zip(sizes, reps_list):
-        out.append((size, kernel(rank, size, reps)))
-    transport = current_runtime().universe.transport
-    paths = getattr(transport, "bulk_paths", dict)()
-    capi.mpi_finalize()
-    return (out if rank == 0 else None), paths
-
-
-def _fold(results):
-    """Per-rank ``_sweep_main`` results -> (rank 0's rows, every rank's
-    bulk paths in one dict)."""
-    paths = {}
-    for _, rank_paths in results:
-        paths.update(rank_paths)
-    return results[0][0], paths
-
-
-def _run_threads(sizes, reps_list, eager_limit, dm: bool,
-                 layout="contiguous"):
-    from repro.executor.runner import MPIExecutor
-    from repro.runtime.engine import Universe
-    from repro.transport import wire
-    from repro.transport.inproc import InprocTransport
-    from repro.transport.socket_tcp import SocketTransport
-    transport = SocketTransport(2) if dm else InprocTransport(2)
-    # thread backends share this process's eager-limit global (the rank
-    # body sets it): restore it so a forced protocol cannot leak into
-    # whatever runs after the sweep
-    prev = wire.eager_limit()
-    try:
-        with MPIExecutor(2, universe=Universe(2,
-                                              transport=transport)) as ex:
-            return _fold(ex.run(_sweep_main,
-                                args=(tuple(sizes), tuple(reps_list),
-                                      eager_limit, layout)))
-    finally:
-        wire.set_eager_limit(prev)
-
-
-def _run_procs(sizes, reps_list, eager_limit, layout="contiguous",
-               shm=True, timeout=300.0):
-    from repro.executor.procrunner import ProcExecutor
-    prev = os.environ.get("REPRO_SHM")
-    os.environ["REPRO_SHM"] = "1" if shm else "0"
-    try:
-        with ProcExecutor(2) as ex:
-            return _fold(ex.run(_sweep_main,
-                                args=(tuple(sizes), tuple(reps_list),
-                                      eager_limit, layout),
-                                timeout=timeout))
-    finally:
-        if prev is None:
-            os.environ.pop("REPRO_SHM", None)
-        else:
-            os.environ["REPRO_SHM"] = prev
 
 
 def run_sweep(sizes=FULL_SIZES, backends=BACKENDS,
@@ -245,12 +104,8 @@ def run_sweep(sizes=FULL_SIZES, backends=BACKENDS,
     for backend in backends:
         # procs-DM runs with and without the same-host bulk lanes:
         # loopback TCP alone (REPRO_SHM=0) is their baseline
-        if backend == "procs-DM":
-            transports = ("shm", "tcp")
-        elif backend == "threads-SM":
-            transports = ("inproc",)
-        else:
-            transports = ("tcp",)
+        transports = {"procs-DM": ("shm", "tcp"),
+                      "threads-SM": ("inproc",)}.get(backend, ("tcp",))
         for transport in transports:
             for layout in layouts:
                 # SM has no wire protocol: one pass, recorded as
@@ -263,18 +118,9 @@ def run_sweep(sizes=FULL_SIZES, backends=BACKENDS,
                 for protocol in backend_protocols:
                     limit = PROTOCOLS[protocol]
                     reps_list = [reps_for(s, quick) for s in lay_sizes]
-                    if backend == "threads-SM":
-                        got, paths = _run_threads(lay_sizes, reps_list,
-                                                  limit, dm=False,
-                                                  layout=layout)
-                    elif backend == "threads-DM":
-                        got, paths = _run_threads(lay_sizes, reps_list,
-                                                  limit, dm=True,
-                                                  layout=layout)
-                    else:
-                        got, paths = _run_procs(lay_sizes, reps_list, limit,
-                                                layout=layout,
-                                                shm=(transport == "shm"))
+                    got, paths = measure(backend, "capi", lay_sizes,
+                                         reps_list, layout, TRIALS, limit,
+                                         carrier=transport)
                     for (size, one_way), reps in zip(got, reps_list):
                         rows.append({
                             "backend": backend, "transport": transport,
@@ -346,14 +192,9 @@ def carry_baseline(baseline: dict, rows) -> dict:
 
 def build_report(rows, quick: bool = False,
                  baseline: dict | None = None) -> dict:
-    from repro.bench.report import provenance
     from repro.transport.wire import eager_limit
     report = {
         "schema": SCHEMA,
-        "created_unix": int(time.time()),
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-        "cpus": os.cpu_count(),
         **provenance(),
         "quick": bool(quick),
         "eager_limit_default": eager_limit(),

@@ -1,4 +1,4 @@
-"""The PingPong kernel (paper §4.2).
+"""The PingPong kernel (paper §4.2) and the launcher every producer uses.
 
     "In this program increasing sized messages are sent back and forth
      between processes ... based on standard blocking MPI_Send/MPI_Recv.
@@ -7,30 +7,52 @@
      timings are minimised the PingPong is repeated many times for each
      message size."
 
-Three code paths, matching the paper's benchmark columns:
+One timed loop, :func:`one_way`, at the binding layer the paper's columns
+name:
 
-* ``api="mpijava"`` — the OO binding (the ``-J`` columns);
-* ``api="capi"``    — direct JNI-stub calls (the ``-C`` columns);
-* ``api="raw"``     — bare transport echo, no MPI stack (the Wsock column).
+* ``api="mpijava"``      — the OO binding (the ``-J`` columns);
+* ``api="capi"``         — direct JNI-stub calls (the ``-C`` columns);
+* ``api="communicator"`` — the runtime the stubs call, below both.
 
-Timing uses ``MPI.Wtime``; under a :class:`~repro.util.clock.VirtualClock`
-(modeled mode) the measured numbers are the calibrated model's, under the
-default wall clock they are live measurements.  One *result time* is the
-one-way latency: half the averaged round-trip.
+The Wsock column has no MPI stack: its bare transport echo lives in
+:mod:`repro.bench.environments`.  :func:`sweep` is the one SPMD body
+(message sizes × a contiguous or strided layout) and :func:`launch` the
+one way to run a body on a backend (:data:`BACKENDS`).
+
+Timing uses the job's clock (``MPI.Wtime``); under a
+:class:`~repro.util.clock.VirtualClock` (modeled mode) the numbers are
+the calibrated model's, under the default wall clock they are live
+measurements.  One *result time* is the one-way latency: half the
+averaged round trip, best of the trials.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.executor.procrunner import ProcExecutor
 from repro.executor.runner import MPIExecutor
 from repro.jni import capi, handles as H
-from repro.mpijava import MPI
+from repro.mpijava import MPI, Datatype
+from repro.runtime.collective import barrier
+from repro.runtime.engine import current_runtime
+from repro.transport import wire
 
 #: message sizes of Figures 5/6: 1 B .. 1 MB in powers of two
 FIGURE_SIZES = tuple(2 ** k for k in range(0, 21))
+
+#: where a job runs: rank threads over the in-process handoff or kernel
+#: socketpairs, or one OS process per rank
+BACKENDS = ("threads-SM", "threads-DM", "procs-DM")
+
+#: the strided layout: float64 runs of STRIDED_BLOCK_ELEMS elements at a
+#: STRIDED_STRIDE_FACTOR x stride (50 % density) — e.g. the rows of every
+#: other matrix column, the paper's canonical Vector use
+STRIDED_BLOCK_ELEMS = 4096
+STRIDED_STRIDE_FACTOR = 2
 
 _PING_TAG = 1001
 _PONG_TAG = 1002
@@ -74,75 +96,154 @@ def default_reps(size: int, modeled: bool) -> int:
     return max(5, min(400, (1 << 22) // max(size, 64)))
 
 
-def _pingpong_mpijava(rank: int, size: int, reps: int) -> float:
-    buf = np.zeros(max(size, 1), dtype=np.int8)
-    release = np.zeros(1, dtype=np.int8)
-    world = MPI.COMM_WORLD
-    world.Barrier()
-    t0 = MPI.Wtime()
-    if rank == 0:
-        for _ in range(reps):
-            world.Send(buf, 0, size, MPI.BYTE, 1, _PING_TAG)
-            world.Recv(buf, 0, size, MPI.BYTE, 1, _PONG_TAG)
-        t1 = MPI.Wtime()
-        # hold rank 1 until the timestamp is taken: otherwise its next
-        # barrier token races into the shared virtual clock (modeled mode)
-        world.Send(release, 0, 0, MPI.BYTE, 1, _RELEASE_TAG)
+def one_way(api: str, rank: int, buf, count: int, datatype, reps: int,
+            trials: int = 1) -> float | None:
+    """Best one-way seconds over ``trials`` of ``reps`` round trips.
+
+    Ranks 0 and 1 exchange ``count`` elements of ``datatype`` (spelled
+    for ``api``) from ``buf``; other ranks join only the barrier that
+    opens each trial.  Rank 1 echoes from a zeroed buffer and rank 0
+    receives into another, which must equal ``buf`` once the clock has
+    stopped.  Rank 0 returns the time, the others None.
+
+    Neither the waits outside the timed loop nor the timestamps charge
+    the virtual clock: rank 1 waits for the first ping and for the
+    release in a blocking ``Probe``, so its first charged call lands
+    after rank 0's ``t0`` and its last before rank 0's ``t1``.
+    """
+    if api == "mpijava":
+        comm = MPI.COMM_WORLD
+        cls = type(comm)
+        send, recv, probe, fence = cls.Send, cls.Recv, cls.Probe, cls.Barrier
+    elif api == "capi":
+        comm = H.COMM_WORLD
+        send, recv, probe, fence = (capi.mpi_send, capi.mpi_recv,
+                                    capi.mpi_probe, capi.mpi_barrier)
+    elif api == "communicator":
+        comm = current_runtime().comm_world
+        cls = type(comm)
+        send, recv, probe, fence = cls.send, cls.recv, cls.probe, \
+            barrier.barrier
     else:
-        # idle-probe for the first ping so this rank's first charged call
-        # lands after rank 0's t0 sample (virtual-clock determinism)
-        while world.Iprobe(0, _PING_TAG) is None:
-            pass
-        for _ in range(reps):
-            world.Recv(buf, 0, size, MPI.BYTE, 0, _PING_TAG)
-            world.Send(buf, 0, size, MPI.BYTE, 0, _PONG_TAG)
-        # idle-probe (no wrapper charge) so this rank adds nothing to the
-        # shared virtual clock until rank 0 has taken its timestamp
-        while world.Iprobe(0, _RELEASE_TAG) is None:
-            pass
-        world.Recv(release, 0, 0, MPI.BYTE, 0, _RELEASE_TAG)
-        t1 = MPI.Wtime()
-    return (t1 - t0) / (2 * reps)
+        raise ValueError(f"unknown api {api!r}")
+    back = np.zeros_like(buf)
+    if rank:
+        buf = back
+    best = float("inf")
+    for _ in range(trials):
+        fence(comm)
+        t0 = capi.mpi_wtime()
+        if rank == 0:
+            for _ in range(reps):
+                send(comm, buf, 0, count, datatype, 1, _PING_TAG)
+                recv(comm, back, 0, count, datatype, 1, _PONG_TAG)
+            t1 = capi.mpi_wtime()
+            send(comm, buf, 0, 0, datatype, 1, _RELEASE_TAG)
+            best = min(best, (t1 - t0) / (2 * reps))
+        elif rank == 1:
+            probe(comm, 0, _PING_TAG)
+            for _ in range(reps):
+                recv(comm, buf, 0, count, datatype, 0, _PING_TAG)
+                send(comm, buf, 0, count, datatype, 0, _PONG_TAG)
+            probe(comm, 0, _RELEASE_TAG)
+            recv(comm, buf, 0, 0, datatype, 0, _RELEASE_TAG)
+    if rank != 0:
+        return None
+    if not np.array_equal(back, buf):
+        raise AssertionError(f"{np.count_nonzero(back != buf)} element(s) "
+                             f"came back other than rank 0 sent them")
+    return best
 
 
-def _pingpong_capi(rank: int, size: int, reps: int) -> float:
-    buf = np.zeros(max(size, 1), dtype=np.int8)
-    release = np.zeros(1, dtype=np.int8)
-    capi.mpi_barrier(H.COMM_WORLD)
-    t0 = capi.mpi_wtime()
-    if rank == 0:
-        for _ in range(reps):
-            capi.mpi_send(H.COMM_WORLD, buf, 0, size, H.DT_BYTE, 1,
-                          _PING_TAG)
-            capi.mpi_recv(H.COMM_WORLD, buf, 0, size, H.DT_BYTE, 1,
-                          _PONG_TAG)
-        t1 = capi.mpi_wtime()
-        capi.mpi_send(H.COMM_WORLD, release, 0, 0, H.DT_BYTE, 1,
-                      _RELEASE_TAG)
-    else:
-        for _ in range(reps):
-            capi.mpi_recv(H.COMM_WORLD, buf, 0, size, H.DT_BYTE, 0,
-                          _PING_TAG)
-            capi.mpi_send(H.COMM_WORLD, buf, 0, size, H.DT_BYTE, 0,
-                          _PONG_TAG)
-        capi.mpi_recv(H.COMM_WORLD, release, 0, 0, H.DT_BYTE, 0,
-                      _RELEASE_TAG)
-        t1 = capi.mpi_wtime()
-    return (t1 - t0) / (2 * reps)
+def _message(size: int, layout: str):
+    """(buffer, count, datatype handle) carrying ``size`` data bytes of
+    nonzero elements; a strided buffer's gaps are zero."""
+    if layout == "contiguous":
+        buf = (np.arange(max(size, 1)) % 127 + 1).astype(np.int8)
+        return buf, size, H.DT_BYTE
+    block = STRIDED_BLOCK_ELEMS
+    stride = STRIDED_STRIDE_FACTOR * block
+    count = max(1, size // (8 * block))
+    full = np.zeros(count * stride)
+    full.reshape(count, stride)[:, :block] = \
+        np.arange(1.0, count * block + 1).reshape(count, block)
+    vec = capi.mpi_type_vector(count, block, stride, H.DT_DOUBLE)
+    capi.mpi_type_commit(vec)
+    return full[:(count - 1) * stride + block], 1, vec
 
 
-def _sweep_main(api: str, sizes, modeled: bool, reps_override):
-    """Per-rank body of an MPI-based sweep; rank 0 returns the timings."""
+def sweep(api: str, sizes, reps, layout: str = "contiguous",
+          trials: int = 1, eager_limit: int | None = None):
+    """SPMD body (module-level: procs-DM ranks import it): :func:`one_way`
+    per ``(size, reps)`` pair, ``size`` in data bytes (a ``strided``
+    message is one Vector spanning twice that), under a forced
+    ``eager_limit`` if one is given.  Every rank returns ``(rows,
+    bulk_paths)``: rank 0's ``[(size, one_way_seconds), ...]`` (None
+    elsewhere) and where its large payloads go per peer (empty without
+    a wire)."""
+    if eager_limit is not None:
+        wire.set_eager_limit(eager_limit)
     capi.mpi_init([])
     rank = capi.mpi_comm_rank(H.COMM_WORLD)
-    kernel = _pingpong_mpijava if api == "mpijava" else _pingpong_capi
-    out = []
-    for size in sizes:
-        reps = reps_override or default_reps(size, modeled)
-        one_way = kernel(rank, size, reps)
-        out.append((size, one_way))
+    rows = []
+    for size, n in zip(sizes, reps):
+        buf, count, handle = _message(size, layout)
+        if api == "mpijava":
+            datatype = Datatype(handle)
+        elif api == "communicator":
+            datatype = H.tables_for(current_runtime()).datatypes.lookup(
+                handle)
+        else:
+            datatype = handle
+        rows.append((size, one_way(api, rank, buf, count, datatype, n,
+                                   trials)))
+        if handle != H.DT_BYTE:
+            capi.mpi_type_free(handle)
+    transport = current_runtime().universe.transport
+    paths = getattr(transport, "bulk_paths", dict)()
     capi.mpi_finalize()
-    return out if rank == 0 else None
+    return (rows if rank == 0 else None), paths
+
+
+def launch(backend: str, nprocs: int, body, args=(), carrier=None,
+           universe=None, timeout: float = 300.0) -> list:
+    """Run ``body(*args)`` as one job; returns the per-rank results.
+
+    A thread backend runs over ``universe`` if given (a modeled or
+    packetized environment) and restores the eager limit it shares with
+    the body.  A ``procs-DM`` ``carrier`` — ``shm`` (bulk paths) or
+    ``tcp`` (loopback alone) — pins ``REPRO_SHM`` for the job only."""
+    if backend == "procs-DM":
+        prev = os.environ.get("REPRO_SHM")
+        if carrier is not None:
+            os.environ["REPRO_SHM"] = "0" if carrier == "tcp" else "1"
+        try:
+            with ProcExecutor(nprocs) as ex:
+                return ex.run(body, args=args, timeout=timeout)
+        finally:
+            if prev is None:
+                os.environ.pop("REPRO_SHM", None)
+            else:
+                os.environ["REPRO_SHM"] = prev
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r} (have {BACKENDS})")
+    prev = wire.eager_limit()
+    try:
+        with MPIExecutor(nprocs, universe=universe, transport="inproc"
+                         if backend == "threads-SM" else "socket") as ex:
+            return ex.run(body, args=args, timeout=timeout)
+    finally:
+        wire.set_eager_limit(prev)
+
+
+def measure(backend: str, api: str, sizes, reps, layout="contiguous",
+            trials: int = 1, eager_limit=None, carrier=None, universe=None):
+    """:func:`sweep` as a 2-rank job: (rank 0's rows, every rank's bulk
+    paths in one dict)."""
+    ranks = launch(backend, 2, sweep, (api, tuple(sizes), tuple(reps),
+                                       layout, trials, eager_limit),
+                   carrier, universe)
+    return ranks[0][0], {k: v for _, paths in ranks for k, v in paths.items()}
 
 
 def run_pingpong(env, sizes=(1,), reps: int | None = None) \
@@ -155,12 +256,12 @@ def run_pingpong(env, sizes=(1,), reps: int | None = None) \
     from repro.bench import environments as E
     result = PingPongResult(env=env.key, api=env.api)
     if env.api == "raw":
-        for size, one_way in E.run_raw(env, sizes, reps):
-            result.add(size, one_way)
-        return result
-    with MPIExecutor(2, universe=E.build_universe(env)) as ex:
-        rows = ex.run(_sweep_main,
-                      args=(env.api, tuple(sizes), env.modeled, reps))[0]
-    for size, one_way in rows:
-        result.add(size, one_way)
+        rows = E.run_raw(env, sizes, reps)
+    else:
+        rows, _ = measure(f"threads-{env.mode}", env.api, sizes,
+                          [reps or default_reps(s, env.modeled)
+                           for s in sizes],
+                          universe=E.build_universe(env))
+    for size, one_way_s in rows:
+        result.add(size, one_way_s)
     return result

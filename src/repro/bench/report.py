@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+import os
+import platform
 import subprocess
+import sys
+import time
 
 from repro import config
 
 
 def provenance() -> dict:
-    """Beside ``cpus`` in a ``BENCH_*.json``: revision and settings."""
+    """The stamp every ``BENCH_*.json`` carries: when, on what interpreter
+    and host, at which revision, under which settings."""
     sha = subprocess.run(["git", "describe", "--always", "--dirty"],
                          capture_output=True, text=True).stdout.strip()
-    return {"git_sha": sha or None, "config": config.effective()}
+    return {"created_unix": int(time.time()),
+            "python": sys.version.split()[0],
+            "platform": platform.platform(), "cpus": os.cpu_count(),
+            "git_sha": sha or None, "config": config.effective()}
 
 
 def format_table(headers: list[str], rows: list[list[str]],
