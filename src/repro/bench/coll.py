@@ -70,7 +70,7 @@ def sweep_body():
     rank, p = comm.rank, comm.size
 
     def sync():
-        barrier.barrier(comm)
+        nbc.run(comm, *barrier.plan_barrier(comm))
 
     rows, p2p = [], {}
     for nbytes in SIZES:

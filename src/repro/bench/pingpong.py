@@ -37,7 +37,8 @@ from repro.executor.procrunner import ProcExecutor
 from repro.executor.runner import MPIExecutor
 from repro.jni import capi, handles as H
 from repro.mpijava import MPI, Datatype
-from repro.runtime.collective import barrier
+from repro.runtime import nbc
+from repro.runtime.collective.barrier import plan_barrier
 from repro.runtime.engine import current_runtime
 from repro.transport import wire
 
@@ -122,8 +123,10 @@ def one_way(api: str, rank: int, buf, count: int, datatype, reps: int,
     elif api == "communicator":
         comm = current_runtime().comm_world
         cls = type(comm)
-        send, recv, probe, fence = cls.send, cls.recv, cls.probe, \
-            barrier.barrier
+        send, recv, probe = cls.send, cls.recv, cls.probe
+
+        def fence(comm):
+            nbc.run(comm, *plan_barrier(comm))
     else:
         raise ValueError(f"unknown api {api!r}")
     back = np.zeros_like(buf)

@@ -377,7 +377,8 @@ from repro.errors import (MPIException, ERR_COMM, ERR_GROUP, ERR_OP,
                           ERR_REQUEST, ERR_TYPE)
 from repro.datatypes import derived as _derived, packing as _packing
 from repro.jni import handles as H
-from repro.runtime import reduce_ops as _reduce_ops, topology as _topology
+from repro.runtime import (nbc as _nbc, reduce_ops as _reduce_ops,
+                           topology as _topology)
 from repro.runtime.communicator import KEYVALS
 from repro.runtime.engine import current_runtime
 from repro.runtime.envelope import (MODE_BUFFERED, MODE_READY,
@@ -424,6 +425,9 @@ def _stub_source(call: Call) -> str:
         expr = f"{args[0]}{target}({', '.join(args[1:])})"
     else:
         expr = f"{target}({', '.join(args)})"
+    if call.cls == "coll":      # a plan: the row's result says run or launch
+        expr = f"_nbc.{'run' if call.blocking else 'launch'}" \
+               f"({args[0]}, *{expr})"
     if call.result == "none":
         out.append(f"    {expr}")
     elif call.result == "value":

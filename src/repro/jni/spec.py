@@ -26,6 +26,10 @@ target
     a constant argument; ``=.attr``, a property of it; ``pkg.function``,
     given every argument; on ``free`` rows ``.free``, or ``release`` where
     the object has no free semantics.  ``(hand)`` = written out in capi.
+    A ``coll`` row names its collective's ``plan_<name>`` (a blocking row
+    and its ``i`` row the same one): the stub runs the plan in the
+    calling thread (``nbc.run``) when the result is ``none`` and launches
+    it (``nbc.launch``) when it is ``request``.
 member
     The :mod:`repro.mpijava` member making the call, where it is not the
     row's name capitalized (``comm_rank``: ``Rank``); class-qualified
@@ -169,30 +173,30 @@ get_elements            status datatype:dtype    value       (hand)
 test_cancelled          status                   value       (hand)
 # -- collectives (chapter 4; the i-rows are schedule-based, libNBC-style) ----
 @ coll check all
-barrier                 comm                     none        _barrier.barrier
-ibarrier                comm                     request     _barrier.ibarrier
-allgather               comm $SEND $RECV         none        _allgather.allgather
-iallgather              comm $SEND $RECV         request     _allgather.iallgather
-allgatherv              comm $SEND $RECVV        none        _allgather.allgatherv
-alltoall                comm $SEND $RECV         none        _alltoall.alltoall
-ialltoall               comm $SEND $RECV         request     _alltoall.ialltoall
-alltoallv               comm sendbuf soffset scounts sdispls sdtype:dtype recvbuf roffset rcounts rdispls rdtype:dtype  none        _alltoall.alltoallv
-allreduce               $RED                     none        _allreduce.allreduce
-iallreduce              $RED                     request     _allreduce.iallreduce
-reduce_scatter          comm sendbuf soffset recvbuf roffset recvcounts datatype:dtype op  none        _reduce_scatter.reduce_scatter
-scan                    $RED                     none        _scan.scan
+barrier                 comm                     none        _barrier.plan_barrier
+ibarrier                comm                     request     _barrier.plan_barrier
+allgather               comm $SEND $RECV         none        _allgather.plan_allgather
+iallgather              comm $SEND $RECV         request     _allgather.plan_allgather
+allgatherv              comm $SEND $RECVV        none        _allgather.plan_allgatherv
+alltoall                comm $SEND $RECV         none        _alltoall.plan_alltoall
+ialltoall               comm $SEND $RECV         request     _alltoall.plan_alltoall
+alltoallv               comm sendbuf soffset scounts sdispls sdtype:dtype recvbuf roffset rcounts rdispls rdtype:dtype  none        _alltoall.plan_alltoallv
+allreduce               $RED                     none        _allreduce.plan_allreduce
+iallreduce              $RED                     request     _allreduce.plan_allreduce
+reduce_scatter          comm sendbuf soffset recvbuf roffset recvcounts datatype:dtype op  none        _reduce_scatter.plan_reduce_scatter
+scan                    $RED                     none        _scan.plan_scan
 @ coll check root_waits_all
-gather                  comm $SEND $RECV root    none        _gather.gather
-igather                 comm $SEND $RECV root    request     _gather.igather
-gatherv                 comm $SEND $RECVV root   none        _gather.gatherv
-reduce                  $RED root                none        _reduce.reduce
-ireduce                 $RED root                request     _reduce.ireduce
+gather                  comm $SEND $RECV root    none        _gather.plan_gather
+igather                 comm $SEND $RECV root    request     _gather.plan_gather
+gatherv                 comm $SEND $RECVV root   none        _gather.plan_gatherv
+reduce                  $RED root                none        _reduce.plan_reduce
+ireduce                 $RED root                request     _reduce.plan_reduce
 @ coll check all_wait_root
-bcast                   $MSG root                none        _bcast.bcast
-ibcast                  $MSG root                request     _bcast.ibcast
-scatter                 comm $SEND $RECV root    none        _scatter.scatter
-iscatter                comm $SEND $RECV root    request     _scatter.iscatter
-scatterv                comm sendbuf soffset scounts displs sdtype:dtype $RECV root  none        _scatter.scatterv
+bcast                   $MSG root                none        _bcast.plan_bcast
+ibcast                  $MSG root                request     _bcast.plan_bcast
+scatter                 comm $SEND $RECV root    none        _scatter.plan_scatter
+iscatter                comm $SEND $RECV root    request     _scatter.plan_scatter
+scatterv                comm sendbuf soffset scounts displs sdtype:dtype $RECV root  none        _scatter.plan_scatterv
 @ local check
 op_create               function commute         new_op      _reduce_ops.make_user_op  Op
 op_free                 op                       free        .free  Op.Free

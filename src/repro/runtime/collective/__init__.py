@@ -4,11 +4,12 @@ Every algorithm *emits a schedule* (rounds of send/recv/compute ops, see
 :mod:`repro.runtime.nbc`) executed over the runtime's point-to-point
 layer on the communicator's *collective* context, so user point-to-point
 traffic can never interfere with collective traffic (the reason MPI
-allocates a second context per communicator).  Each collective has one
+allocates a second context per communicator).  A collective *is* its
 ``plan_<name>(comm, ...)`` — argument checks and algorithm choice, then
-``(name, build)`` — and two entry points over it: the blocking one runs
-the plan in the calling thread (``nbc.run``), the ``i``-prefixed one
-hands it to the engine (``nbc.launch``) and returns the in-flight
+``(name, build)``; nothing here runs one.  The ``coll`` row of
+:mod:`repro.jni.spec` that names the plan decides: a blocking row's stub
+runs it in the calling thread (``nbc.run``), an ``i`` row's hands it to
+the engine (``nbc.launch``) and returns the in-flight
 :class:`~repro.runtime.nbc.CollRequestImpl`.
 
 Algorithm selection is configurable through

@@ -15,21 +15,7 @@ from repro.runtime.collective.common import (algorithm_for, concat,
                                              extract_contrib, land_contrib,
                                              note_algorithm, slice_contrib)
 from repro.runtime.collective import bcast as _bcast
-from repro.runtime import nbc
 from repro.runtime.nbc import Box, Compute, Recv, Send
-
-
-def allgather(comm, sendbuf, soffset, scount, sdtype,
-              recvbuf, roffset, rcount, rdtype) -> None:
-    nbc.run(comm, *plan_allgather(comm, sendbuf, soffset, scount, sdtype,
-                                  recvbuf, roffset, rcount, rdtype))
-
-
-def iallgather(comm, sendbuf, soffset, scount, sdtype,
-               recvbuf, roffset, rcount, rdtype):
-    return nbc.launch(comm, *plan_allgather(comm, sendbuf, soffset, scount,
-                                            sdtype, recvbuf, roffset, rcount,
-                                            rdtype))
 
 
 def plan_allgather(comm, sendbuf, soffset, scount, sdtype, recvbuf, roffset,
@@ -57,19 +43,6 @@ def plan_allgather(comm, sendbuf, soffset, scount, sdtype, recvbuf, roffset,
                       recvbuf, rdtype, landing)
 
     return "Allgather", build
-
-
-def allgatherv(comm, sendbuf, soffset, scount, sdtype,
-               recvbuf, roffset, rcounts, displs, rdtype) -> None:
-    nbc.run(comm, *plan_allgatherv(comm, sendbuf, soffset, scount, sdtype,
-                                   recvbuf, roffset, rcounts, displs, rdtype))
-
-
-def iallgatherv(comm, sendbuf, soffset, scount, sdtype,
-                recvbuf, roffset, rcounts, displs, rdtype):
-    return nbc.launch(comm, *plan_allgatherv(comm, sendbuf, soffset, scount,
-                                             sdtype, recvbuf, roffset, rcounts,
-                                             displs, rdtype))
 
 
 def plan_allgatherv(comm, sendbuf, soffset, scount, sdtype, recvbuf, roffset,

@@ -23,20 +23,7 @@ from repro.runtime.collective.common import (ALGORITHM_CHOICES, algorithm_for,
                                              reduction_accum, scratch)
 from repro.runtime.collective import bcast as _bcast
 from repro.runtime.collective import reduce as _reduce
-from repro.runtime import nbc
 from repro.runtime.nbc import Box, Compute, Recv, Send
-
-
-def allreduce(comm, sendbuf, soffset, recvbuf, roffset, count, datatype,
-              op) -> None:
-    nbc.run(comm, *plan_allreduce(comm, sendbuf, soffset, recvbuf, roffset,
-                                  count, datatype, op))
-
-
-def iallreduce(comm, sendbuf, soffset, recvbuf, roffset, count, datatype,
-               op):
-    return nbc.launch(comm, *plan_allreduce(comm, sendbuf, soffset, recvbuf,
-                                            roffset, count, datatype, op))
 
 
 def plan_allreduce(comm, sendbuf, soffset, recvbuf, roffset, count, datatype,

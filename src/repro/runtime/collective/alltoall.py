@@ -11,21 +11,7 @@ from __future__ import annotations
 from repro.errors import MPIException, ERR_ARG
 from repro.runtime.buffers import validate_buffer
 from repro.runtime.collective.common import (extract_contrib, land_contrib)
-from repro.runtime import nbc
 from repro.runtime.nbc import Box, Compute, Recv, Send
-
-
-def alltoall(comm, sendbuf, soffset, scount, sdtype,
-             recvbuf, roffset, rcount, rdtype) -> None:
-    nbc.run(comm, *plan_alltoall(comm, sendbuf, soffset, scount, sdtype,
-                                 recvbuf, roffset, rcount, rdtype))
-
-
-def ialltoall(comm, sendbuf, soffset, scount, sdtype,
-              recvbuf, roffset, rcount, rdtype):
-    return nbc.launch(comm, *plan_alltoall(comm, sendbuf, soffset, scount,
-                                           sdtype, recvbuf, roffset, rcount,
-                                           rdtype))
 
 
 def plan_alltoall(comm, sendbuf, soffset, scount, sdtype, recvbuf, roffset,
@@ -43,20 +29,6 @@ def plan_alltoall(comm, sendbuf, soffset, scount, sdtype, recvbuf, roffset,
 
     return "Alltoall", _pairwise(comm, sendbuf, sdtype, segment, recvbuf,
                                  rdtype, landing)
-
-
-def alltoallv(comm, sendbuf, soffset, scounts, sdispls, sdtype,
-              recvbuf, roffset, rcounts, rdispls, rdtype) -> None:
-    nbc.run(comm, *plan_alltoallv(comm, sendbuf, soffset, scounts, sdispls,
-                                  sdtype, recvbuf, roffset, rcounts, rdispls,
-                                  rdtype))
-
-
-def ialltoallv(comm, sendbuf, soffset, scounts, sdispls, sdtype,
-               recvbuf, roffset, rcounts, rdispls, rdtype):
-    return nbc.launch(comm, *plan_alltoallv(comm, sendbuf, soffset, scounts,
-                                            sdispls, sdtype, recvbuf, roffset,
-                                            rcounts, rdispls, rdtype))
 
 
 def plan_alltoallv(comm, sendbuf, soffset, scounts, sdispls, sdtype, recvbuf,

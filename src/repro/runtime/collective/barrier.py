@@ -10,16 +10,7 @@ from __future__ import annotations
 
 from repro.runtime.collective.common import (algorithm_for, empty_token,
                                              note_algorithm)
-from repro.runtime import nbc
 from repro.runtime.nbc import Recv, Send
-
-
-def barrier(comm) -> None:
-    nbc.run(comm, *plan_barrier(comm))
-
-
-def ibarrier(comm):
-    return nbc.launch(comm, *plan_barrier(comm))
 
 
 def plan_barrier(comm):

@@ -20,17 +20,7 @@ from repro.runtime.buffers import validate_buffer
 from repro.runtime.collective.common import (algorithm_for, check_root,
                                              extract_contrib, land_contrib,
                                              note_algorithm)
-from repro.runtime import nbc
 from repro.runtime.nbc import Box, Recv, Send
-
-
-def bcast(comm, buf, offset, count, datatype, root) -> None:
-    nbc.run(comm, *plan_bcast(comm, buf, offset, count, datatype, root))
-
-
-def ibcast(comm, buf, offset, count, datatype, root):
-    return nbc.launch(comm, *plan_bcast(comm, buf, offset, count, datatype,
-                                        root))
 
 
 def plan_bcast(comm, buf, offset, count, datatype, root):

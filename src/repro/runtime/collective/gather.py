@@ -9,21 +9,7 @@ from __future__ import annotations
 from repro.errors import MPIException, ERR_ARG
 from repro.runtime.collective.common import (check_root, extract_contrib,
                                              land_contrib)
-from repro.runtime import nbc
 from repro.runtime.nbc import Box, Recv, Send
-
-
-def gather(comm, sendbuf, soffset, scount, sdtype,
-           recvbuf, roffset, rcount, rdtype, root) -> None:
-    nbc.run(comm, *plan_gather(comm, sendbuf, soffset, scount, sdtype, recvbuf,
-                               roffset, rcount, rdtype, root))
-
-
-def igather(comm, sendbuf, soffset, scount, sdtype,
-            recvbuf, roffset, rcount, rdtype, root):
-    return nbc.launch(comm, *plan_gather(comm, sendbuf, soffset, scount,
-                                         sdtype, recvbuf, roffset, rcount,
-                                         rdtype, root))
 
 
 def plan_gather(comm, sendbuf, soffset, scount, sdtype, recvbuf, roffset,
@@ -38,20 +24,6 @@ def plan_gather(comm, sendbuf, soffset, scount, sdtype, recvbuf, roffset,
 
     return _build_gather(comm, "Gather", sendbuf, soffset, scount, sdtype,
                          recvbuf, rdtype, root, landing)
-
-
-def gatherv(comm, sendbuf, soffset, scount, sdtype,
-            recvbuf, roffset, rcounts, displs, rdtype, root) -> None:
-    nbc.run(comm, *plan_gatherv(comm, sendbuf, soffset, scount, sdtype,
-                                recvbuf, roffset, rcounts, displs, rdtype,
-                                root))
-
-
-def igatherv(comm, sendbuf, soffset, scount, sdtype,
-             recvbuf, roffset, rcounts, displs, rdtype, root):
-    return nbc.launch(comm, *plan_gatherv(comm, sendbuf, soffset, scount,
-                                          sdtype, recvbuf, roffset, rcounts,
-                                          displs, rdtype, root))
 
 
 def plan_gatherv(comm, sendbuf, soffset, scount, sdtype, recvbuf, roffset,

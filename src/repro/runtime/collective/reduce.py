@@ -22,20 +22,7 @@ from repro.runtime.collective.common import (algorithm_for, check_root,
                                              combine, extract_contrib, fold,
                                              land_contrib, note_algorithm,
                                              reduction_accum, scratch)
-from repro.runtime import nbc
 from repro.runtime.nbc import Box, Compute, Recv, Send
-
-
-def reduce(comm, sendbuf, soffset, recvbuf, roffset, count, datatype, op,
-           root) -> None:
-    nbc.run(comm, *plan_reduce(comm, sendbuf, soffset, recvbuf, roffset, count,
-                               datatype, op, root))
-
-
-def ireduce(comm, sendbuf, soffset, recvbuf, roffset, count, datatype, op,
-            root):
-    return nbc.launch(comm, *plan_reduce(comm, sendbuf, soffset, recvbuf,
-                                         roffset, count, datatype, op, root))
 
 
 def _algorithm(op) -> str:

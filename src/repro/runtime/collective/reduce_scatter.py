@@ -6,21 +6,7 @@ from repro.errors import MPIException, ERR_ARG
 from repro.runtime.collective import reduce as _reduce
 from repro.runtime.collective.common import (extract_contrib, land_contrib,
                                              slice_contrib)
-from repro.runtime import nbc
 from repro.runtime.nbc import Box, Recv, Send
-
-
-def reduce_scatter(comm, sendbuf, soffset, recvbuf, roffset, recvcounts,
-                   datatype, op) -> None:
-    nbc.run(comm, *plan_reduce_scatter(comm, sendbuf, soffset, recvbuf,
-                                       roffset, recvcounts, datatype, op))
-
-
-def ireduce_scatter(comm, sendbuf, soffset, recvbuf, roffset, recvcounts,
-                    datatype, op):
-    return nbc.launch(comm, *plan_reduce_scatter(comm, sendbuf, soffset,
-                                                 recvbuf, roffset, recvcounts,
-                                                 datatype, op))
 
 
 def plan_reduce_scatter(comm, sendbuf, soffset, recvbuf, roffset, recvcounts,

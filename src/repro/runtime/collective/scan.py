@@ -9,20 +9,7 @@ from __future__ import annotations
 from repro.runtime.buffers import validate_buffer
 from repro.runtime.collective.common import (extract_contrib, fold,
                                              land_contrib)
-from repro.runtime import nbc
 from repro.runtime.nbc import Box, Compute, Recv, Send
-
-
-def scan(comm, sendbuf, soffset, recvbuf, roffset, count, datatype,
-         op) -> None:
-    nbc.run(comm, *plan_scan(comm, sendbuf, soffset, recvbuf, roffset, count,
-                             datatype, op))
-
-
-def iscan(comm, sendbuf, soffset, recvbuf, roffset, count, datatype,
-          op):
-    return nbc.launch(comm, *plan_scan(comm, sendbuf, soffset, recvbuf,
-                                       roffset, count, datatype, op))
 
 
 def plan_scan(comm, sendbuf, soffset, recvbuf, roffset, count, datatype, op):

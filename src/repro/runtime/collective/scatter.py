@@ -5,21 +5,7 @@ from __future__ import annotations
 from repro.errors import MPIException, ERR_ARG
 from repro.runtime.collective.common import (check_root, extract_contrib,
                                              land_contrib)
-from repro.runtime import nbc
 from repro.runtime.nbc import Box, Recv, Send
-
-
-def scatter(comm, sendbuf, soffset, scount, sdtype,
-            recvbuf, roffset, rcount, rdtype, root) -> None:
-    nbc.run(comm, *plan_scatter(comm, sendbuf, soffset, scount, sdtype,
-                                recvbuf, roffset, rcount, rdtype, root))
-
-
-def iscatter(comm, sendbuf, soffset, scount, sdtype,
-             recvbuf, roffset, rcount, rdtype, root):
-    return nbc.launch(comm, *plan_scatter(comm, sendbuf, soffset, scount,
-                                          sdtype, recvbuf, roffset, rcount,
-                                          rdtype, root))
 
 
 def plan_scatter(comm, sendbuf, soffset, scount, sdtype, recvbuf, roffset,
@@ -34,20 +20,6 @@ def plan_scatter(comm, sendbuf, soffset, scount, sdtype, recvbuf, roffset,
 
     return _build_scatter(comm, "Scatter", sendbuf, sdtype, segment,
                           recvbuf, roffset, rcount, rdtype, root)
-
-
-def scatterv(comm, sendbuf, soffset, scounts, displs, sdtype,
-             recvbuf, roffset, rcount, rdtype, root) -> None:
-    nbc.run(comm, *plan_scatterv(comm, sendbuf, soffset, scounts, displs,
-                                 sdtype, recvbuf, roffset, rcount, rdtype,
-                                 root))
-
-
-def iscatterv(comm, sendbuf, soffset, scounts, displs, sdtype,
-              recvbuf, roffset, rcount, rdtype, root):
-    return nbc.launch(comm, *plan_scatterv(comm, sendbuf, soffset, scounts,
-                                           displs, sdtype, recvbuf, roffset,
-                                           rcount, rdtype, root))
 
 
 def plan_scatterv(comm, sendbuf, soffset, scounts, displs, sdtype, recvbuf,

@@ -489,34 +489,39 @@ class CommImpl:
                  recvbuf, roffset, rcount, rdtype, source,
                  rtag) -> RequestImpl:
         rreq = self.irecv(recvbuf, roffset, rcount, rdtype, source, rtag)
-        self.send(sendbuf, soffset, scount, sdtype, dest, stag)
+        try:
+            self.send(sendbuf, soffset, scount, sdtype, dest, stag)
+        except BaseException:
+            # the call failed, so its receive goes too: left posted it
+            # would take the next matching message into a window the
+            # caller already has back
+            self.rt.mailbox.discard_posted(rreq)
+            raise
         rreq.wait()
         return rreq
 
     def sendrecv_replace(self, buf, offset, count, datatype, dest, stag,
                          source, rtag) -> RequestImpl:
+        """``sendrecv`` from a private copy of the window into a private
+        inbox (dense, of the base type, unless ``datatype`` is objects),
+        then the inbox back into the window."""
         import numpy as np
         lay = validate_buffer(buf, offset, count, datatype)
         if lay is None:
-            tmp = list(buf[offset:offset + count])
-            out = list(tmp)
-            rreq = self.irecv(out, 0, count, datatype, source, rtag)
-            self.send(tmp, 0, count, datatype, dest, stag)
-            rreq.wait()
-            if source != PROC_NULL:
-                for i in range(count):
-                    buf[offset + i] = out[i]
-            return rreq
-        prim = _primitive_of(datatype)
-        tmp = lay.gather(buf, offset, count)
-        inbox = np.empty_like(tmp)
-        rreq = self.irecv(inbox, 0, len(inbox), prim, source, rtag)
-        if dest != PROC_NULL:
-            self._isend_raw(tmp, len(tmp), False, self._dest_world(dest),
-                            stag, self.ctx_pt2pt).wait()
-        rreq.wait()
+            tmp, n, dt = list(buf[offset:offset + count]), count, datatype
+            inbox = list(tmp)
+        else:
+            tmp = lay.gather(buf, offset, count)
+            n, dt = len(tmp), _primitive_of(datatype)
+            inbox = np.empty_like(tmp)
+        rreq = self.sendrecv(tmp, 0, n, dt, dest, stag, inbox, 0, n, dt,
+                             source, rtag)
         if source != PROC_NULL:
-            lay.scatter_range(buf, offset, inbox[:rreq.count_elements])
+            if lay is None:
+                for i in range(count):
+                    buf[offset + i] = inbox[i]
+            else:
+                lay.scatter_range(buf, offset, inbox[:rreq.count_elements])
         return rreq
 
     # ======================================================================

@@ -464,9 +464,10 @@ class RankRuntime:
         # barrier over dead peers can never complete, and ULFM requires
         # Finalize to succeed on survivors regardless of failures
         from repro.errors import ERR_PROC_FAILED, ERR_REVOKED
-        from repro.runtime.collective import barrier
+        from repro.runtime import nbc
+        from repro.runtime.collective.barrier import plan_barrier
         try:
-            barrier.barrier(self.comm_world)
+            nbc.run(self.comm_world, *plan_barrier(self.comm_world))
         except MPIException as exc:
             if exc.error_code not in (ERR_PROC_FAILED, ERR_REVOKED):
                 raise

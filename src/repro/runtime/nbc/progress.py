@@ -414,9 +414,10 @@ def launch(comm, name: str, build) -> CollRequestImpl:
 
     ``build(schedule)`` appends the rank's rounds; it runs exactly once,
     allocates its operation tags via :meth:`CommImpl.next_coll_tag`, and
-    must itself perform no communication.  Every collective entry point
-    funnels through here so tag allocation stays in call order on all
-    ranks.
+    must itself perform no communication.  Every nonblocking collective
+    stub (a ``coll`` row of :mod:`repro.jni.spec` whose result is
+    ``request``) funnels through here, every blocking one through
+    :func:`run`, so tag allocation stays in call order on all ranks.
     """
     sched = Schedule()
     build(sched)

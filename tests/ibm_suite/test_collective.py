@@ -369,7 +369,8 @@ class TestAlgorithms:
     def test_bcast_algorithms_agree(self, mode_transport, alg):
         def body(a):
             w = MPI.COMM_WORLD
-            from repro.runtime.collective import bcast as bc
+            from repro.runtime import nbc
+            from repro.runtime.collective.bcast import plan_bcast
             buf = np.full(4, w.Rank(), dtype=np.int32)
             from repro.jni.handles import tables_for
             from repro.runtime.collective import algorithm_overrides
@@ -377,7 +378,7 @@ class TestAlgorithms:
             comm = tables_for(current_runtime()).comms.lookup(1)
             from repro.datatypes import primitives as P
             with algorithm_overrides(bcast=a):
-                bc.bcast(comm, buf, 0, 4, P.INT, root=2)
+                nbc.run(comm, *plan_bcast(comm, buf, 0, 4, P.INT, root=2))
             return list(buf)
 
         out = run(5, body, transport=mode_transport, args=(alg,))
@@ -388,8 +389,9 @@ class TestAlgorithms:
         def body(a):
             from repro.jni.handles import tables_for
             from repro.runtime.engine import current_runtime
-            from repro.runtime.collective import algorithm_overrides, \
-                reduce as rd
+            from repro.runtime import nbc
+            from repro.runtime.collective import algorithm_overrides
+            from repro.runtime.collective.reduce import plan_reduce
             from repro.datatypes import primitives as P
             from repro.runtime import reduce_ops as O
             w = MPI.COMM_WORLD
@@ -397,7 +399,8 @@ class TestAlgorithms:
             sb = np.array([w.Rank() + 1], dtype=np.int64)
             rb = np.zeros(1, dtype=np.int64)
             with algorithm_overrides(reduce=a):
-                rd.reduce(comm, sb, 0, rb, 0, 1, P.LONG, O.SUM, root=0)
+                nbc.run(comm, *plan_reduce(comm, sb, 0, rb, 0, 1, P.LONG,
+                                           O.SUM, root=0))
             return int(rb[0]) if w.Rank() == 0 else None
 
         out = run(5, body, transport=mode_transport, args=(alg,))
@@ -408,12 +411,13 @@ class TestAlgorithms:
         def body(a):
             from repro.jni.handles import tables_for
             from repro.runtime.engine import current_runtime
-            from repro.runtime.collective import algorithm_overrides, \
-                barrier as br
+            from repro.runtime import nbc
+            from repro.runtime.collective import algorithm_overrides
+            from repro.runtime.collective.barrier import plan_barrier
             comm = tables_for(current_runtime()).comms.lookup(1)
             with algorithm_overrides(barrier=a):
                 for _ in range(2):
-                    br.barrier(comm)
+                    nbc.run(comm, *plan_barrier(comm))
             return True
 
         assert all(run(5, body, transport=mode_transport, args=(alg,)))
@@ -609,7 +613,8 @@ class TestOwnershipRule:
         import time
         from repro.datatypes.primitives import DOUBLE
         from repro.errors import ERR_PROC_FAILED
-        from repro.runtime.collective import alltoall
+        from repro.runtime import nbc
+        from repro.runtime.collective.alltoall import plan_alltoall
         from repro.runtime.engine import RankRuntime, Universe
         universe = Universe(4, "inproc")
         try:
@@ -624,13 +629,13 @@ class TestOwnershipRule:
             if call == "blocking":
                 def rank0():
                     try:
-                        alltoall.alltoall(*args)
+                        nbc.run(comms[0], *plan_alltoall(*args))
                     except MPIException as exc:
                         raised.append(exc.error_code)
                 caller = threading.Thread(target=rank0)
                 caller.start()
             else:
-                req = alltoall.ialltoall(*args)
+                req = nbc.launch(comms[0], *plan_alltoall(*args))
             mailbox = universe.mailboxes[0]
             deadline = time.monotonic() + 10.0
             while mailbox.pending_counts() != (0, 1):   # parked on rank 2

@@ -485,6 +485,59 @@ class TestCombined:
         out = run(2, body, transport=mode_transport)
         assert out[0] == [2, 2, 2] and out[1] == [1, 1, 1]
 
+    @pytest.mark.parametrize("call", ["Sendrecv", "Sendrecv_replace"])
+    def test_a_rejected_send_half_takes_its_receive_back(self, mode_transport,
+                                                         call):
+        """A call that raised left nothing posted: the next matching
+        message goes to the next receive, not into the failed call's
+        window (or ``Sendrecv_replace``'s hidden inbox)."""
+        def body(name):
+            w = MPI.COMM_WORLD
+            w.Errhandler_set(MPI.ERRORS_RETURN)
+            if w.Rank() == 1:
+                w.Barrier()
+                for v in (42, 43):
+                    w.Send(np.array([v], dtype=np.int32), 0, 1, MPI.INT, 0, 9)
+                return None
+            buf = np.zeros(1, dtype=np.int32)
+            args = (buf, 0, 1, MPI.INT, 5, 0) + \
+                ((buf, 0, 1, MPI.INT) if name == "Sendrecv" else ()) + (1, 9)
+            try:
+                getattr(w, name)(*args)
+                return "no error"
+            except MPIException as exc:
+                code = exc.Get_error_class()
+            w.Barrier()
+            got = []
+            while not got or got == [42]:   # 43 first: 42 was swallowed
+                w.Recv(buf, 0, 1, MPI.INT, 1, 9)
+                got.append(int(buf[0]))
+            return code, got
+
+        out = run(2, body, transport=mode_transport, args=(call,))
+        assert out[0] == (MPI.ERR_RANK, [42, 43])
+
+    @pytest.mark.parametrize("dtype", ["INT", "OBJECT"])
+    def test_sendrecv_replace_refuses_any_tag_to_send(self, mode_transport,
+                                                      dtype):
+        """``ANY_TAG`` is a receive wildcard, never a send tag: the send
+        half of ``Sendrecv_replace`` is checked like ``Send``'s, for a
+        dense buffer as for ``MPI.OBJECT``."""
+        def body(name):
+            w = MPI.COMM_WORLD
+            w.Errhandler_set(MPI.ERRORS_RETURN)
+            buf = np.zeros(1, dtype=object if name == "OBJECT" else np.int32)
+            try:
+                w.Sendrecv_replace(buf, 0, 1, getattr(MPI, name),
+                                   1 - w.Rank(), MPI.ANY_TAG,
+                                   MPI.PROC_NULL, 0)
+                return "no error"
+            except MPIException as exc:
+                return exc.Get_error_class()
+
+        out = run(2, body, transport=mode_transport, args=(dtype,))
+        assert out == [MPI.ERR_TAG] * 2
+
     def test_probe_then_sized_recv(self, mode_transport):
         def body():
             w = MPI.COMM_WORLD

@@ -9,6 +9,7 @@ of the rows.
 
 import ast
 import builtins
+import importlib
 import inspect
 import traceback
 from pathlib import Path
@@ -445,7 +446,79 @@ def test_completion_rules_are_the_verifiers():
                for c in CALLS.values())
 
 
-# -- (vi) the generated text is real source -------------------------------------
+# -- (vi) a collective is its plan; its row says run or launch ----------------
+
+COLL_ROWS = [c for c in CALLS.values() if c.cls == "coll"]
+#: what one collective module builds for another to compose
+BUILDERS = {"build_tree", "build_to_root", "linear_to_root", "folds_in_place"}
+
+
+def test_every_coll_row_names_a_plan():
+    assert len(COLL_ROWS) == 22
+    for call in COLL_ROWS:
+        module, _, name = call.target.partition(".")
+        plan = getattr(importlib.import_module(
+            "repro.runtime.collective." + module.lstrip("_")), name)
+        assert name.startswith("plan_") and inspect.isfunction(plan), \
+            call.name
+
+
+def test_a_blocking_row_and_its_i_row_name_the_same_plan():
+    nonblocking = [c for c in COLL_ROWS if not c.blocking]
+    assert len(nonblocking) == 8
+    for call in nonblocking:
+        assert call.target == CALLS[call.name[1:]].target, call.name
+
+
+def test_a_coll_stub_runs_its_plan_exactly_when_it_blocks():
+    """``_nbc.run(comm_, *plan(...))`` for a ``none`` row,
+    ``_nbc.launch(comm_, *plan(...))`` for a ``request`` row, and no
+    other stub touches the engine."""
+    stubs = {fn.name: fn for fn in ast.parse(capi.GENERATED).body
+             if isinstance(fn, ast.FunctionDef)}
+    for call in CALLS.values():
+        if call.target is None:
+            continue
+        engine = [n for n in ast.walk(stubs[call.stub])
+                  if isinstance(n, ast.Call)
+                  and isinstance(n.func, ast.Attribute)
+                  and isinstance(n.func.value, ast.Name)
+                  and n.func.value.id == "_nbc"]
+        if call.cls != "coll":
+            assert engine == [], call.name
+            continue
+        (site,) = engine
+        assert site.func.attr == {"none": "run",
+                                  "request": "launch"}[call.result]
+        comm, plan = site.args
+        assert ast.unparse(comm) == "comm_"
+        assert isinstance(plan, ast.Starred) \
+            and ast.unparse(plan.value.func) == call.target, call.name
+
+
+def test_no_collective_module_runs_or_launches():
+    """A collective module builds; what runs it is the row.  Its public
+    names are its plans and the builders other collectives compose."""
+    for path in sorted((SRC / "runtime" / "collective").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) \
+                    and (node.module or "").startswith("repro.runtime.nbc"):
+                assert not {a.name for a in node.names} & {"run", "launch"}
+            assert not (isinstance(node, ast.Attribute)
+                        and node.attr in ("run", "launch")
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "nbc"), path.name
+        if path.name in ("__init__.py", "common.py"):
+            continue
+        public = {fn.name for fn in tree.body
+                  if isinstance(fn, ast.FunctionDef)
+                  and not fn.name.startswith("_")}
+        assert public and all(n.startswith("plan_") or n in BUILDERS
+                              for n in public), (path.name, public)
+
+
+# -- (vii) the generated text is real source ----------------------------------
 
 def test_a_traceback_through_a_generated_stub_shows_its_source():
     def body():

@@ -168,7 +168,8 @@ class TestConfig:
 
     def test_unknown_algorithm_rejected(self):
         from repro import mpirun
-        from repro.runtime.collective import bcast
+        from repro.runtime import nbc
+        from repro.runtime.collective.bcast import plan_bcast
 
         def body():
             from repro.jni import capi
@@ -178,8 +179,8 @@ class TestConfig:
             comm = tables_for(current_runtime()).comms.lookup(1)
             try:
                 with common.algorithm_overrides(bcast="telepathy"):
-                    bcast.bcast(comm, np.zeros(1, dtype=np.int32), 0, 1,
-                                P.INT, 0)
+                    nbc.run(comm, *plan_bcast(
+                        comm, np.zeros(1, dtype=np.int32), 0, 1, P.INT, 0))
                 return "no error"
             except ValueError:
                 return "rejected"
@@ -192,7 +193,9 @@ class TestConfig:
         """The chain-pipeline ``Bcast`` and the ring ``Allreduce`` are
         gone: naming them is an error at the collective, not a fallback."""
         from repro import mpirun
-        from repro.runtime.collective import allreduce, bcast
+        from repro.runtime import nbc
+        from repro.runtime.collective.allreduce import plan_allreduce
+        from repro.runtime.collective.bcast import plan_bcast
 
         def body():
             from repro.jni import capi
@@ -204,13 +207,13 @@ class TestConfig:
             rejected = []
             try:
                 for override, call in (
-                        ({"bcast": "segmented"}, lambda: bcast.bcast(
+                        ({"bcast": "segmented"}, lambda: plan_bcast(
                             comm, a, 0, 4, P.DOUBLE, 0)),
-                        ({"allreduce": "ring"}, lambda: allreduce.allreduce(
+                        ({"allreduce": "ring"}, lambda: plan_allreduce(
                             comm, a, 0, b, 0, 4, P.DOUBLE, O.SUM))):
                     with common.algorithm_overrides(**override):
                         with pytest.raises(ValueError, match="unknown"):
-                            call()
+                            nbc.run(comm, *call())
                     rejected.append(*override.values())
                 return rejected
             finally:
