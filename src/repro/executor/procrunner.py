@@ -11,12 +11,14 @@ rank: as MPICH's ``hydra_pmi_proxy`` and Open MPI's ``orted`` do on each
 node, one proxy process forks the local ranks, reaps them and reports
 their exit codes to the launcher.
 
-Bootstrap rendezvous and control plane (all over loopback TCP):
+Bootstrap rendezvous and control plane:
 
-1. the launcher listens and starts **one** child per job, the *zygote*
-   (``python -m repro.executor.procworker``): it imports the runtime
-   once — never user code — dials back, registers as the zygote, and
-   forks the ``nprocs`` ranks while it still has a single thread.  It
+1. the launcher keeps **one** child, the *zygote*
+   (``python -m repro.executor.procworker``), on one end of a
+   ``socketpair``: it has imported the runtime — never user code — and
+   forks the ranks of each job it is sent while it still has a single
+   thread.  A job is one request, ``{"cmd": "job", "connect", "nprocs",
+   "cwd", "affinity"}`` with the launcher's fds 0 / 1 / 2 attached.  It
    reports ``forked {rank: pid}`` and then stays, for the job's
    lifetime, as the ranks' parent: it alone reaps them
    (``exited {rank, rc}`` per rank, ``-9`` meaning SIGKILL as in
@@ -24,9 +26,9 @@ Bootstrap rendezvous and control plane (all over loopback TCP):
    ``kill {rank}``) — only a parent knows whether a pid is still the
    child it forked.  The launcher's per-rank ``poll`` / ``kill`` /
    ``wait`` (:class:`_Zygote`) are those three messages;
-2. every rank dials back and registers its rank (its own *control
-   connection*, kept for the job's lifetime; the zygote's is not
-   inherited — ranks close it right after the fork);
+2. every rank dials the job's loopback listener and registers its rank
+   (its own *control connection*, kept for the job's lifetime; the
+   zygote's is not inherited — ranks close it right after the fork);
 3. the launcher ships each rank the job blob (target + args); ranks
    resolve the target — user modules are imported here, once per rank,
    after the fork — open their mesh listeners and report the port;
@@ -34,9 +36,8 @@ Bootstrap rendezvous and control plane (all over loopback TCP):
    the ranks form the mesh (rank *j* dials *i < j*, accepts *k > j*);
 5. ranks run the target and marshal the result — or the pickled
    exception with its traceback text — back over the control connection;
-6. the launcher's final ``exit`` message is the wire-level finalize
-   barrier: no rank tears its mesh down until every rank has reported.
-   The zygote exits when it has reaped its last rank.
+6. the launcher's final ``exit`` message is the wire finalize barrier:
+   no rank tears its mesh down until every rank has reported.
 
 EOF means teardown on every connection: a rank that loses the launcher
 poisons its universe and exits; the zygote, losing the launcher (or
@@ -46,12 +47,22 @@ launcher, losing the zygote, fails every rank that has not reported —
 they die with their parent (``PR_SET_PDEATHSIG``), so no process
 outlives the job even when the zygote itself is SIGKILLed.
 
-Why a zygote per *job*, not a fork server kept by the launcher: a job
-must start with the launcher's environment, working directory, CPU
-affinity and stdio as they are when ``run()`` is called (tests and the
-benchmark suite set ``REPRO_*`` variables and pin CPUs per job; pytest
-swaps fd 1 / 2 per test), all of which a long-lived server would serve
-stale.  And forking from the launcher itself is unsafe: it has threads.
+The zygote is resident, as the ``multiprocessing`` forkserver is: a job
+costs a fork, not an interpreter.  What a job must see as of its
+``run()`` and a resident process would serve stale, each forked rank
+re-applies from the request before it dials: the launcher's stdio
+(pytest swaps fd 1 / 2 per test), working directory and the calling
+thread's CPU affinity.  What shapes imports — the interpreter, the
+environment with its ``REPRO_*`` settings, ``sys.path`` — cannot be
+re-applied after them, so a zygote serves only jobs whose
+``(python, _child_env())`` equals the one it was started with; any
+other job closes it and starts a fresh one.  A job that fails in any
+way closes its zygote too: only one whose ranks were all reaped with
+code 0 hands it back.  An idle zygote exits on its own after
+:data:`LINGER_S`, so nothing waits on it after the last job; a request
+that meets one lingering out finds EOF instead of ``forked`` and is sent
+once more, to a fresh zygote.  Forking from the launcher itself would be
+unsafe: it has threads.
 
 Faults: a rank that *raises* poisons the job *through the mesh*
 (KIND_ABORT frames carrying errorcode + origin + pickled cause — shared
@@ -82,6 +93,7 @@ network-facing protocol.
 
 from __future__ import annotations
 
+import atexit
 import itertools
 import os
 import pickle
@@ -91,6 +103,7 @@ import socket
 import struct
 import subprocess
 import sys
+import threading
 import time
 import traceback
 from typing import Any, Callable, Sequence
@@ -118,6 +131,9 @@ KILL_GRACE = 5.0
 #: control connection (the zygote has to be scheduled and reap it)
 EXIT_NOTICE_WAIT = 1.0
 
+#: an idle zygote exits after this many seconds without a job
+LINGER_S = 1.0
+
 
 # -- control-plane framing (length-prefixed pickles) -------------------------
 
@@ -129,6 +145,25 @@ def send_msg(sock: socket.socket, obj: Any) -> None:
 def recv_msg(sock: socket.socket) -> Any:
     (n,) = _LEN.unpack(recv_exact(sock, _LEN.size))
     return pickle.loads(recv_exact(sock, n))
+
+
+def send_msg_fds(sock: socket.socket, obj: Any, fds: Sequence[int]) -> None:
+    """:func:`send_msg` with ``fds`` riding on its first bytes
+    (``SCM_RIGHTS``: an AF_UNIX socket only)."""
+    blob = pickle.dumps(obj, protocol=4)
+    frame = _LEN.pack(len(blob)) + blob
+    sent = socket.send_fds(sock, [frame], fds)
+    sock.sendall(frame[sent:])
+
+
+def recv_msg_fds(sock: socket.socket, maxfds: int) -> tuple[Any, list[int]]:
+    """Inverse of :func:`send_msg_fds`: the message and the fds it
+    carried, now this process's own."""
+    head, fds, _flags, _addr = socket.recv_fds(sock, _LEN.size, maxfds)
+    if not head:
+        raise EOFError("peer closed")
+    (n,) = _LEN.unpack(head + recv_exact(sock, _LEN.size - len(head)))
+    return pickle.loads(recv_exact(sock, n)), fds
 
 
 # -- exception marshalling ---------------------------------------------------
@@ -250,7 +285,8 @@ def _child_env() -> dict:
 
 
 class _Zygote:
-    """The job's one child process and, through it, each rank's handle.
+    """The launcher's one child process and, through it, each rank's
+    handle for the job it is serving.
 
     The ranks are the zygote's children, not the launcher's: only their
     parent knows whether a pid is still the rank it forked, so the
@@ -260,20 +296,48 @@ class _Zygote:
     (see :func:`repro.executor.procworker.main`).
     """
 
-    def __init__(self, proc: subprocess.Popen):
-        self.proc = proc
-        self.conn: socket.socket | None = None   # until it registers
+    def __init__(self, python: str, env: dict):
+        #: what shaped the zygote's imports: it serves only jobs that
+        #: would be started with the same
+        self.key = (python, env)
+        ours, theirs = socket.socketpair()
+        try:
+            self.proc = subprocess.Popen(
+                [python, "-m", "repro.executor.procworker",
+                 "--control", str(theirs.fileno())],
+                env=env, pass_fds=(theirs.fileno(),))
+        except BaseException:
+            ours.close()
+            raise
+        finally:
+            theirs.close()
+        self.conn = ours
         self.pids: dict[int, int] = {}
         self.codes: dict[int, int] = {}   # rank -> exit code, once reaped
         #: the connection is gone while ranks were still unreaped
         self.lost = False
+
+    def fork_job(self, job: dict, deadline: float) -> bool:
+        """Send one job request, with this process's fds 0 / 1 / 2, and
+        wait until the ranks are forked.  False: the zygote was gone
+        first, or ``deadline`` passed (``lost`` tells which)."""
+        self.pids, self.codes = {}, {}
+        try:
+            send_msg_fds(self.conn, job, (0, 1, 2))
+        except OSError:
+            self.lost = True
+            return False
+        while not self.pids and not self.lost \
+                and (left := deadline - time.monotonic()) > 0:
+            self.absorb(left)
+        return bool(self.pids)
 
     def absorb(self, timeout: float = 0.0) -> None:
         """Take in the notices that have arrived, waiting up to
         ``timeout`` for the first.  Never blocks on a connection with
         nothing to read, so a readiness event that an earlier
         :meth:`wait` has already consumed is harmless."""
-        while not self.lost and self.conn is not None \
+        while not self.lost \
                 and select.select([self.conn], [], [], timeout)[0]:
             timeout = 0.0
             try:
@@ -290,7 +354,7 @@ class _Zygote:
         return self.codes.get(rank)
 
     def kill(self, rank: int) -> None:
-        if rank in self.codes or self.conn is None:
+        if rank in self.codes:
             return
         try:
             send_msg(self.conn, {"cmd": "kill", "rank": rank})
@@ -302,7 +366,6 @@ class _Zygote:
         zygote to reap it; None if it has not (or nobody is left to)."""
         deadline = time.monotonic() + timeout
         while rank not in self.codes and not self.lost \
-                and self.conn is not None \
                 and (left := deadline - time.monotonic()) > 0:
             self.absorb(left)
         return self.codes.get(rank)
@@ -324,17 +387,54 @@ class _Zygote:
     def reap(self) -> None:
         """No leaked children, ever.  Dropping the connection is the
         order: the zygote takes EOF as teardown, kills and reaps what is
-        left of the job and exits.  One that does not (it never
-        registered, it is wedged) is killed, and its ranks die with
-        their parent (``PR_SET_PDEATHSIG``)."""
-        if self.conn is not None:
-            self.conn.close()
-        try:
-            self.proc.wait(timeout=KILL_GRACE if self.conn is not None
-                           else 0)
-        except subprocess.TimeoutExpired:
-            self.proc.kill()
-            self.proc.wait()
+        left of its job and exits.  One that does not (it is wedged) is
+        killed, and its ranks die with their parent
+        (``PR_SET_PDEATHSIG``)."""
+        self.conn.close()
+        if self.proc.poll() is None:
+            # Popen.wait(timeout) polls with a growing sleep; a pidfd
+            # wakes the moment the zygote is gone
+            pidfd = os.pidfd_open(self.proc.pid)
+            try:
+                if not select.select([pidfd], [], [], KILL_GRACE)[0]:
+                    self.proc.kill()
+            finally:
+                os.close(pidfd)
+        self.proc.wait()
+
+
+#: this process's idle zygote, between one job and the next
+_idle: _Zygote | None = None
+_idle_lock = threading.Lock()
+
+
+def _swap_idle(zyg: _Zygote | None) -> _Zygote | None:
+    """Put ``zyg`` in this process's idle slot; return what was there."""
+    global _idle
+    with _idle_lock:
+        zyg, _idle = _idle, zyg
+    return zyg
+
+
+def _park(zyg: _Zygote | None) -> None:
+    """Keep ``zyg`` for the next job (None: keep none) and close the
+    zygote it displaces."""
+    old = _swap_idle(zyg)
+    if old is not None:
+        old.reap()
+
+
+def _forget_idle() -> None:
+    """A forked launcher does not own its parent's zygote; holding the
+    connection open would keep the zygote from ever seeing EOF."""
+    global _idle, _idle_lock
+    if _idle is not None:
+        _idle.conn.close()
+    _idle, _idle_lock = None, threading.Lock()
+
+
+atexit.register(_park, None)
+os.register_at_fork(after_in_child=_forget_idle)
 
 
 class ProcExecutor:
@@ -371,7 +471,6 @@ class ProcExecutor:
                     else time.monotonic() + float(timeout))
         listener = socket.create_server((self.host, 0),
                                         backlog=self.nprocs + 1)
-        port = listener.getsockname()[1]
         zyg: _Zygote | None = None
         conns: dict[int, socket.socket] = {}
         # shm job identity: workers derive every segment name from this
@@ -381,15 +480,11 @@ class ProcExecutor:
         if self.nprocs > 1 and config.shm():
             shm_nonce = f"{os.getpid():x}j{next(_SHM_RUN_SEQ)}"
         try:
-            # one interpreter start per job: the zygote imports the
-            # runtime once and forks the ranks.  Per job, not kept: it
-            # starts with the launcher's environment, cwd, affinity and
-            # stdio as they are *now*
-            zyg = _Zygote(subprocess.Popen(
-                [self.python, "-m", "repro.executor.procworker",
-                 "--connect", f"{self.host}:{port}",
-                 "--nprocs", str(self.nprocs)],
-                env=_child_env()))
+            zyg = self._fork_ranks(
+                {"cmd": "job", "nprocs": self.nprocs,
+                 "connect": f"{self.host}:{listener.getsockname()[1]}",
+                 "cwd": os.getcwd(), "affinity": os.sched_getaffinity(0)},
+                deadline, timeout)
             conns = self._rendezvous(listener, zyg, deadline, timeout)
             for rank, conn in conns.items():
                 rank_args = tuple(args[rank]) if per_rank_args \
@@ -398,47 +493,7 @@ class ProcExecutor:
                                 "target": spec, "shm_nonce": shm_nonce,
                                 "args": pickle.dumps(rank_args,
                                                      protocol=4)})
-            # a rank that cannot even resolve the target reports *now*,
-            # instead of a mesh port — cancel the job before meshing up
-            # (its peers would otherwise wait on it in build_mesh)
-            book = {}
-            early_failures: dict[int, BaseException] = {}
-            for rank, conn in conns.items():
-                # the job deadline covers this phase too: a child wedged
-                # inside a blocking target import must not hang run()
-                conn.settimeout(self._step_timeout(deadline))
-                try:
-                    msg = recv_msg(conn)
-                except socket.timeout:
-                    hung = [r for r in conns if r not in book]
-                    self._cancel_bootstrap(conns, skip=hung)
-                    zyg.reap()
-                    raise JobTimeoutError(
-                        timeout if timeout is not None
-                        else BOOTSTRAP_TIMEOUT, hung,
-                        early_failures)
-                except (ConnectionError, OSError, EOFError,
-                        pickle.PickleError):
-                    msg = {"status": "error", "exc": dump_exception_chain(
-                        RuntimeError(f"rank {rank} died during bootstrap "
-                                     f"({zyg.exit_text(rank)})"))}
-                if "mesh_port" in msg:
-                    # hierarchical address book: address plus the host
-                    # identity and shm availability the per-peer
-                    # transport selection reads (same-node + shm_ok
-                    # peers get shared-memory bulk lanes beside their
-                    # socket, the rest talk over the socket alone), and
-                    # the (pid, address, value) of the rank's probe
-                    # word, which same-node peers read to learn whether
-                    # they can get its payloads in place
-                    book[rank] = (self.host, msg["mesh_port"],
-                                  msg.get("node"), msg.get("shm", False),
-                                  msg.get("cma"))
-                else:
-                    early_failures[rank] = load_exception(msg)
-            if early_failures:
-                self._cancel_bootstrap(conns, skip=early_failures)
-                raise RankFailure(early_failures)
+            book = self._mesh_ports(conns, zyg, deadline, timeout)
             for conn in conns.values():
                 send_msg(conn, {"cmd": "book", "book": book})
                 conn.settimeout(None)
@@ -452,14 +507,16 @@ class ProcExecutor:
             # brief grace for voluntary exit: workers unmap and unlink
             # their shm segments in universe.close(); the finally-block
             # reap() would SIGKILL them mid-teardown (its job on failure
-            # paths) and leave that cleanup to the launcher sweep.  The
-            # zygote exits when it has reaped its last rank
-            try:
-                zyg.proc.wait(timeout=2.0)
-            except subprocess.TimeoutExpired:
-                pass   # wedged rank: reap() handles it
+            # paths) and leave that cleanup to the launcher sweep
+            grace = time.monotonic() + 2.0
+            clean = all(zyg.wait(rank, grace - time.monotonic()) == 0
+                        for rank in range(self.nprocs))
             self._write_traces(reports)
-            return self._fold(reports, failures)
+            results = self._fold(reports, failures)
+            if clean:
+                _park(zyg)
+                zyg = None
+            return results
         finally:
             listener.close()
             for conn in conns.values():
@@ -477,7 +534,8 @@ class ProcExecutor:
                 shm_transport.unlink_job_segments(shm_nonce, self.nprocs)
 
     def close(self) -> None:
-        """Stateless between runs; provided for executor-API symmetry."""
+        """Nothing to release: the idle zygote belongs to the process,
+        not to one executor; provided for executor-API symmetry."""
 
     def __enter__(self):
         return self
@@ -486,21 +544,52 @@ class ProcExecutor:
         self.close()
 
     # -- bootstrap ---------------------------------------------------------
-    def _rendezvous(self, listener, zyg, deadline, timeout):
-        """Accept the zygote's control connection and one per rank
-        (bounded wait).
+    def _fork_ranks(self, job: dict, deadline, timeout) -> _Zygote:
+        """Have a zygote fork the job's ranks: the idle one if it was
+        started as this job's would be, else a fresh one.  A reused
+        zygote that is gone before it forks (it was lingering out) gets
+        the request once more, to a fresh one."""
+        key = (self.python, _child_env())
+        phase_deadline = deadline if deadline is not None \
+            else time.monotonic() + BOOTSTRAP_TIMEOUT
+        zyg = _swap_idle(None)
+        if zyg is not None and zyg.key != key:
+            zyg.reap()
+            zyg = None
+        while True:
+            warm = zyg is not None
+            if not warm:
+                zyg = _Zygote(*key)
+            if zyg.fork_job(job, phase_deadline):
+                return zyg
+            zyg.reap()
+            if not zyg.lost:
+                raise JobTimeoutError(
+                    timeout if timeout is not None else BOOTSTRAP_TIMEOUT,
+                    range(self.nprocs), {})
+            if not warm:
+                raise RankFailure(
+                    {r: RuntimeError(f"rank {r} never started: the job's "
+                                     f"zygote exited before forking it "
+                                     f"(exit code {zyg.proc.returncode})")
+                     for r in range(self.nprocs)})
+            zyg = None
 
-        Fails *fast* on a rank that dies before registering: the zygote
-        registers before it forks, so its ``exited`` notice for a rank
-        with no connection surfaces in milliseconds — naming the dead
-        rank(s) and exit codes — instead of burning the whole step
-        timeout waiting for a connection that can never come.
+    def _rendezvous(self, listener, zyg, deadline, timeout):
+        """Accept one control connection per rank (bounded wait).
+
+        Fails *fast* on a rank that dies before registering: the
+        zygote's ``exited`` notice for a rank with no connection
+        surfaces in milliseconds — naming the dead rank(s) and exit
+        codes — instead of burning the whole step timeout waiting for a
+        connection that can never come.
         """
         conns: dict[int, socket.socket] = {}
         phase_deadline = deadline if deadline is not None \
             else time.monotonic() + BOOTSTRAP_TIMEOUT
         with selectors.DefaultSelector() as sel:
             sel.register(listener, selectors.EVENT_READ)
+            sel.register(zyg.conn, selectors.EVENT_READ)
             while len(conns) < self.nprocs:
                 missing = [r for r in range(self.nprocs) if r not in conns]
                 dead = {r: rc for r in missing
@@ -510,8 +599,7 @@ class ProcExecutor:
                         {r: RuntimeError(f"rank {r} process exited during "
                                          f"bootstrap (exit code {rc})")
                          for r, rc in dead.items()})
-                if zyg.lost or (zyg.conn is None
-                                and zyg.proc.poll() is not None):
+                if zyg.lost:
                     rc = zyg.proc.wait(timeout=KILL_GRACE)
                     raise RankFailure(
                         {r: RuntimeError(f"rank {r} never started: the "
@@ -523,9 +611,7 @@ class ProcExecutor:
                     raise JobTimeoutError(
                         timeout if timeout is not None
                         else BOOTSTRAP_TIMEOUT, missing, {})
-                # the short tick is only for a zygote that dies before
-                # it registers; everything else wakes the selector
-                for key, _ in sel.select(timeout=min(0.2, left)):
+                for key, _ in sel.select(timeout=left):
                     if key.fileobj is not listener:
                         zyg.absorb()
                         continue
@@ -535,14 +621,67 @@ class ProcExecutor:
                     # nothing)
                     set_nodelay(conn)
                     conn.settimeout(BOOTSTRAP_TIMEOUT)
-                    hello = recv_msg(conn)
+                    conns[recv_msg(conn)["rank"]] = conn
                     conn.settimeout(None)
-                    if "zygote" in hello:
-                        zyg.conn = conn
-                        sel.register(conn, selectors.EVENT_READ)
-                    else:
-                        conns[hello["rank"]] = conn
         return conns
+
+    def _mesh_ports(self, conns, zyg, deadline, timeout) -> dict:
+        """Every rank's mesh address, in whatever order they report.
+
+        A rank that cannot even resolve the target reports *now*,
+        instead of a mesh port: the job is cancelled before meshing up
+        (its peers would otherwise wait on it in ``build_mesh``).  The
+        job deadline covers this phase too: a rank wedged inside a
+        blocking target import must not hang ``run()``, and is reported
+        hung — unlike a rank that had already failed.
+        """
+        book: dict[int, tuple] = {}
+        early_failures: dict[int, BaseException] = {}
+        phase_deadline = time.monotonic() + self._step_timeout(deadline)
+        with selectors.DefaultSelector() as sel:
+            for rank, conn in conns.items():
+                sel.register(conn, selectors.EVENT_READ, rank)
+            while len(book) + len(early_failures) < len(conns):
+                left = phase_deadline - time.monotonic()
+                ready = sel.select(timeout=max(0.0, left))
+                if not ready and left <= 0:
+                    hung = [r for r in conns
+                            if r not in book and r not in early_failures]
+                    self._cancel_bootstrap(conns, skip=hung)
+                    zyg.reap()
+                    raise JobTimeoutError(
+                        timeout if timeout is not None
+                        else BOOTSTRAP_TIMEOUT, hung, early_failures)
+                for key, _ in ready:
+                    rank, conn = key.data, key.fileobj
+                    sel.unregister(conn)
+                    conn.settimeout(self._step_timeout(deadline))
+                    try:
+                        msg = recv_msg(conn)
+                    except (ConnectionError, OSError, EOFError,
+                            pickle.PickleError):
+                        msg = {"status": "error",
+                               "exc": dump_exception_chain(RuntimeError(
+                                   f"rank {rank} died during bootstrap "
+                                   f"({zyg.exit_text(rank)})"))}
+                    if "mesh_port" not in msg:
+                        early_failures[rank] = load_exception(msg)
+                        continue
+                    # hierarchical address book: address plus the host
+                    # identity and shm availability the per-peer
+                    # transport selection reads (same-node + shm_ok
+                    # peers get shared-memory bulk lanes beside their
+                    # socket, the rest talk over the socket alone), and
+                    # the (pid, address, value) of the rank's probe
+                    # word, which same-node peers read to learn whether
+                    # they can get its payloads in place
+                    book[rank] = (self.host, msg["mesh_port"],
+                                  msg.get("node"), msg.get("shm", False),
+                                  msg.get("cma"))
+        if early_failures:
+            self._cancel_bootstrap(conns, skip=early_failures)
+            raise RankFailure(early_failures)
+        return book
 
     @staticmethod
     def _step_timeout(deadline) -> float:

@@ -1,21 +1,28 @@
 """The worker side of a process-backend job:
 ``python -m repro.executor.procworker``.
 
-Spawned by :class:`~repro.executor.procrunner.ProcExecutor`, once per
-job, never run by hand.  The process that starts here is the job's
-*zygote*: it has imported the runtime (this module's imports — never
-user code), dials the launcher, registers as the zygote, checks that it
-has a single thread, and forks the ranks.  From then on it is
-their parent and nothing else (:func:`_parent_ranks`): it tells the
-launcher ``forked {rank: pid}``, reaps each rank and reports
+Started by :class:`~repro.executor.procrunner.ProcExecutor` and kept
+between jobs, never run by hand.  The process that starts here is the
+launcher's *zygote*: it has imported the runtime (this module's imports
+— never user code) and serves job requests, one at a time, on the
+``socketpair`` end it was handed (``--control FD``).  For each request
+it checks that it has a single thread and forks the job's ranks; from
+then on it is their parent and nothing else (:func:`_parent_ranks`): it
+tells the launcher ``forked {rank: pid}``, reaps each rank and reports
 ``exited {rank, rc}``, and SIGKILLs a rank when the launcher says
 ``kill {rank}`` — the only process that ever signals a rank, because
 only the parent knows that a pid is still the child it forked.  EOF on
 its connection, in either direction, is teardown: it kills and reaps
 whatever is left and exits; a rank whose zygote dies is killed by the
-kernel (``PR_SET_PDEATHSIG``).  A zygote lives for one job, so ranks
-start with the launcher's environment, directory, affinity and stdio
-of that job.
+kernel (``PR_SET_PDEATHSIG``).  With its last rank reaped the zygote
+waits for the next request, and exits after
+:data:`~repro.executor.procrunner.LINGER_S` without one.
+
+The zygote outlives the job state of the launcher, so each forked rank
+first re-applies what the request carries (:func:`_enter_job`): the
+launcher's fds 0 / 1 / 2, its working directory and the CPU affinity of
+the thread that called ``run()``.  The environment needs nothing: the
+launcher sends a zygote only jobs it would start with the same one.
 
 Each forked rank (:func:`_rank_main`) closes the zygote's connection,
 dials the launcher itself, receives the job blob, resolves the target
@@ -38,9 +45,11 @@ without dropping its sockets.
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import os
 import pickle
+import select
 import selectors
 import signal
 import socket
@@ -50,8 +59,9 @@ import threading
 import repro.mpijava  # noqa: F401 - every rank needs it: import it once
 from repro import config
 from repro.errors import AbortException
-from repro.executor.procrunner import (dump_exception, recv_msg,
-                                       resolve_target, send_msg)
+from repro.executor.procrunner import (LINGER_S, dump_exception, recv_msg,
+                                       recv_msg_fds, resolve_target,
+                                       send_msg)
 from repro.obs.trace import TRACE
 from repro.runtime.engine import RankRuntime, Universe, bind_thread, \
     unbind_thread
@@ -154,64 +164,97 @@ def _attach_lanes(chans, rank: int, nonce, inbound: dict, book: dict) -> None:
             chan.cma_pid = advert[0]
 
 
+def _enter_job(job: dict, fds: list[int]) -> None:
+    """A freshly forked rank takes on the job's per-run state: the
+    launcher's stdio, directory and CPU affinity as of its ``run()``."""
+    for target, fd in enumerate(fds):
+        os.dup2(fd, target)
+        os.close(fd)
+    os.chdir(job["cwd"])
+    os.sched_setaffinity(0, job["affinity"])
+
+
+def _fast_exit(code: int) -> None:
+    """End a rank, or the zygote, with what a normal exit does for the
+    program — wait for its non-daemon threads, run its exit handlers,
+    flush stdio — and then ``os._exit``.  The rest of a normal exit
+    tears the imported heap down object by object: in a rank a
+    copy-on-write fault per page, ~25 ms a rank on one CPU of a 2-vCPU
+    VM.  (``multiprocessing`` ends its forked children with
+    ``os._exit`` too, without even the exit handlers.)"""
+    for thread in threading.enumerate():
+        if thread is not threading.current_thread() and not thread.daemon:
+            thread.join()
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 def main(argv=None) -> int:
-    """The zygote: register, fork the ranks, stay as their parent."""
+    """The zygote: fork each job's ranks and stay as their parent,
+    until the launcher goes or no job comes for ``LINGER_S``."""
     ap = argparse.ArgumentParser(prog="repro.executor.procworker")
-    ap.add_argument("--connect", required=True, metavar="HOST:PORT")
-    ap.add_argument("--nprocs", type=int, required=True)
-    opts = ap.parse_args(argv)
-    host, _, port = opts.connect.rpartition(":")
-    port = int(port)
-
-    ctl = socket.create_connection((host, port), timeout=BOOTSTRAP_TIMEOUT)
-    set_nodelay(ctl)
-    send_msg(ctl, {"zygote": os.getpid()})
-    ctl.settimeout(None)
-
-    # fork() copies the calling thread only: a lock some other thread
-    # held would stay locked in every rank, forever.  Nothing imported
-    # here starts a thread (pumps, heartbeat and control threads belong
-    # to a rank's job) -- checked, not assumed; it is also what keeps
-    # Python 3.12's "multi-threaded, use of fork()" warning away
-    if threading.active_count() != 1:
-        raise RuntimeError(
-            f"zygote must fork single-threaded, found "
-            f"{[t.name for t in threading.enumerate()]}")
-    sys.stdout.flush()   # what is still buffered here would be printed
-    sys.stderr.flush()   # again by every rank
-    # everything imported so far is shared with the ranks page by page
-    # until one of them writes to it; a collector pass writes to every
-    # tracked object's header.  Frozen, the imported heap is skipped by
-    # the ranks' collections, the ones at interpreter exit included
-    # (forked exit: 52 ms -> 18 ms here)
-    gc.collect()
-    gc.freeze()
+    ap.add_argument("--control", type=int, required=True, metavar="FD")
+    ctl = socket.socket(fileno=ap.parse_args(argv).control)
     zygote = os.getpid()
-    kids: dict[int, tuple[int, int]] = {}   # rank -> (pid, pidfd)
-    for rank in range(opts.nprocs):
-        pid = os.fork()
-        if pid == 0:
-            # A rank leaves main() from this block -- by return, by an
-            # exception or by os._exit, each of which ends the process --
-            # so it can never reach the reap loop below.
-            ctl.close()
-            for _pid, fd in kids.values():
-                os.close(fd)
-            cma.die_with_parent()
-            if os.getppid() != zygote:   # orphaned before the prctl
-                os._exit(1)
-            # ranks that were separate interpreters drew separate
-            # unseeded np.random streams; random reseeds itself at fork,
-            # numpy (where it is loaded at all by now) does not
-            if "numpy.random" in sys.modules:
-                sys.modules["numpy.random"].seed()
-            return _rank_main(host, port, rank, opts.nprocs)
-        kids[rank] = (pid, os.pidfd_open(pid))
-    return _parent_ranks(ctl, kids)
+
+    while select.select([ctl], [], [], LINGER_S)[0]:
+        try:
+            job, fds = recv_msg_fds(ctl, 3)
+        except (OSError, EOFError, pickle.PickleError):
+            return 0   # the launcher is gone
+        host, _, port = job["connect"].rpartition(":")
+        nprocs = job["nprocs"]
+        # fork() copies the calling thread only: a lock some other
+        # thread held would stay locked in every rank, forever.  Nothing
+        # imported here starts a thread (pumps, heartbeat and control
+        # threads belong to a rank's job) -- checked, not assumed, before
+        # every job; it is also what keeps Python 3.12's
+        # "multi-threaded, use of fork()" warning away
+        if threading.active_count() != 1:
+            raise RuntimeError(
+                f"zygote must fork single-threaded, found "
+                f"{[t.name for t in threading.enumerate()]}")
+        sys.stdout.flush()   # what is still buffered here would be
+        sys.stderr.flush()   # printed again by every rank
+        # everything imported so far is shared with the ranks page by
+        # page until one of them writes to it; a collector pass writes
+        # to every tracked object's header.  Frozen, the imported heap
+        # is skipped by the ranks' collections (and a rank ends by
+        # _fast_exit, without the teardown that would touch it all)
+        gc.collect()
+        gc.freeze()
+        kids: dict[int, tuple[int, int]] = {}   # rank -> (pid, pidfd)
+        for rank in range(nprocs):
+            pid = os.fork()
+            if pid == 0:
+                # A rank leaves main() from this block -- by _fast_exit,
+                # by an exception or by os._exit, each of which ends the
+                # process -- so it can never reach the loop below.
+                ctl.close()
+                for _pid, fd in kids.values():
+                    os.close(fd)
+                _enter_job(job, fds)
+                cma.die_with_parent()
+                if os.getppid() != zygote:   # orphaned before the prctl
+                    os._exit(1)
+                # ranks that were separate interpreters drew separate
+                # unseeded np.random streams; random reseeds itself at
+                # fork, numpy (where it is loaded at all by now) does not
+                if "numpy.random" in sys.modules:
+                    sys.modules["numpy.random"].seed()
+                _fast_exit(_rank_main(host, int(port), rank, nprocs))
+            kids[rank] = (pid, os.pidfd_open(pid))
+        for fd in fds:
+            os.close(fd)
+        if not _parent_ranks(ctl, kids):
+            return 0
+    return 0   # lingered out
 
 
 def _parent_ranks(ctl: socket.socket,
-                  kids: dict[int, tuple[int, int]]) -> int:
+                  kids: dict[int, tuple[int, int]]) -> bool:
     """The zygote after its last fork: the ranks' parent for the job's
     lifetime -- the one process that reaps them and the only one that
     may signal them (it alone knows whether a pid is still its child).
@@ -220,35 +263,40 @@ def _parent_ranks(ctl: socket.socket,
     rank.  Up go ``forked`` (once) and ``exited`` per reaped rank, with
     the code as ``subprocess`` spells it (-9: SIGKILL); down comes
     ``kill``.  EOF or an error on the connection, either way round, is
-    teardown: SIGKILL and reap whatever is left, then exit.
+    teardown: SIGKILL and reap whatever is left, and answer False.
+    True: every rank was reaped and the connection still stands.
     """
-    sel = selectors.DefaultSelector()
-    sel.register(ctl, selectors.EVENT_READ)
-    for rank, (_pid, fd) in kids.items():
-        sel.register(fd, selectors.EVENT_READ, rank)
-    try:
-        send_msg(ctl, {"cmd": "forked",
-                       "pids": {r: pid for r, (pid, _fd) in kids.items()}})
-        while kids:
-            for key, _ in sel.select():
-                rank = key.data
-                if rank is None:
-                    msg = recv_msg(ctl)
-                    if msg.get("cmd") == "kill" and msg["rank"] in kids:
-                        os.kill(kids[msg["rank"]][0], signal.SIGKILL)
-                else:
-                    pid, fd = kids.pop(rank)
-                    sel.unregister(fd)
-                    os.close(fd)
-                    rc = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    send_msg(ctl, {"cmd": "exited", "rank": rank, "rc": rc})
-    except (OSError, EOFError, pickle.PickleError):
-        pass   # the launcher is gone, or has closed the job
-    for pid, _fd in kids.values():
+    with selectors.DefaultSelector() as sel:
+        sel.register(ctl, selectors.EVENT_READ)
+        for rank, (_pid, fd) in kids.items():
+            sel.register(fd, selectors.EVENT_READ, rank)
+        try:
+            send_msg(ctl, {"cmd": "forked", "pids": {
+                r: pid for r, (pid, _fd) in kids.items()}})
+            while kids:
+                for key, _ in sel.select():
+                    rank = key.data
+                    if rank is None:
+                        msg = recv_msg(ctl)
+                        if msg.get("cmd") == "kill" and msg["rank"] in kids:
+                            os.kill(kids[msg["rank"]][0], signal.SIGKILL)
+                    else:
+                        pid, fd = kids.pop(rank)
+                        sel.unregister(fd)
+                        os.close(fd)
+                        rc = os.waitstatus_to_exitcode(
+                            os.waitpid(pid, 0)[1])
+                        send_msg(ctl, {"cmd": "exited", "rank": rank,
+                                       "rc": rc})
+            return True
+        except (OSError, EOFError, pickle.PickleError):
+            pass   # the launcher is gone, or has closed the job
+    for pid, fd in kids.values():
         os.kill(pid, signal.SIGKILL)
+        os.close(fd)
     for pid, _fd in kids.values():
         os.waitpid(pid, 0)
-    return 0
+    return False
 
 
 def _rank_main(host: str, port: int, rank: int, nprocs: int) -> int:
@@ -379,4 +427,5 @@ def _rank_main(host: str, port: int, rank: int, nprocs: int) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # only the zygote returns from main(): a rank ends in _fast_exit
+    _fast_exit(main())

@@ -827,6 +827,10 @@ class WireTransport(Transport):
                             peer = chan.rx[0]
                             self._peer_lost(rank, peer,
                                             f"rank {peer} connection lost")
+                        if not sel.get_map():
+                            # nothing is left to read: close() must not
+                            # wait out an empty selector's timeout
+                            return
         except Exception as exc:  # noqa: BLE001 - the thread's boundary
             abort = ev.encode_abort_env(rank, 1, exc)
             abort.dst = rank

@@ -24,7 +24,7 @@ import pytest
 
 from repro import procrun, ProcExecutor
 from repro.errors import AbortException
-from repro.executor.procrunner import target_spec
+from repro.executor.procrunner import LINGER_S, target_spec
 from repro.executor.runner import JobTimeoutError, RankFailure
 from repro.mpijava import MPI, Request
 from repro.mpijava.op import Op
@@ -206,6 +206,20 @@ def launch_report_body():
     MPI.Finalize()
     return (os.getpid(), os.getppid(),
             os.environ.get("REPRO_TEST_LAUNCH_MARK"), os.getcwd())
+
+
+def job_state_body():
+    """What a rank took on from its job: (parent, cwd, CPU affinity)."""
+    MPI.Init([])
+    MPI.COMM_WORLD.Barrier()
+    MPI.Finalize()
+    return os.getppid(), os.getcwd(), sorted(os.sched_getaffinity(0))
+
+
+def print_body(word):
+    """Each rank prints one line to its fd 1; returns its parent."""
+    print(f"rank {os.getpid()} says {word}", flush=True)
+    return os.getppid()
 
 
 def zygote_killer_body():
@@ -434,8 +448,8 @@ class TestEndToEnd:
 
 
 def worker_processes():
-    """Pids run as ``python -m repro.executor.procworker``: the zygote
-    and (forked from it, they share its command line) every rank of any
+    """Pids run as ``python -m repro.executor.procworker``: zygotes
+    and (forked from one, they share its command line) every rank of any
     job.  The module name must be an argument of its own — a shell whose
     script merely mentions it is not a worker."""
     found = []
@@ -451,18 +465,41 @@ def worker_processes():
     return found
 
 
+def parent_of(pid):
+    """The parent pid of ``pid``, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            # pid (comm) state ppid ...; comm may hold spaces and brackets
+            return int(f.read().rpartition(")")[2].split()[1])
+    except OSError:
+        return None
+
+
+def leaked_workers():
+    """Every worker but this process's idle zygote.  The idle zygote is
+    the one worker that is a child of this process and has no worker
+    child of its own; every rank has a worker — or nobody — as its
+    parent, so it is always a leak, and so is a zygote still holding
+    one."""
+    workers = worker_processes()
+    parents = {pid: parent_of(pid) for pid in workers}
+    idle = [pid for pid in workers if parents[pid] == os.getpid()
+            and pid not in parents.values()]
+    return [pid for pid in workers if pid not in idle[:1]]
+
+
 def assert_no_worker_survives(within=2.0):
     deadline = time.monotonic() + within
-    while worker_processes() and time.monotonic() < deadline:
+    while leaked_workers() and time.monotonic() < deadline:
         time.sleep(0.05)
-    assert not worker_processes(), "leaked zygote or rank processes"
+    assert not leaked_workers(), "leaked zygote or rank processes"
 
 
 class TestLaunchPath:
-    """One interpreter start per job: the launcher spawns a zygote, the
-    zygote forks the ranks and stays as their parent.  Everything a rank
-    inherits is the launcher's *at that job's start*, and no user code
-    runs before the fork."""
+    """A job costs a fork: the launcher keeps one zygote, which forks
+    each job's ranks and stays as their parent.  Everything a rank takes
+    on is the launcher's *at that job's start*, no user code runs before
+    the fork, and a zygote that served a failed job serves no other."""
 
     def test_ranks_share_a_parent_that_is_neither_launcher_nor_rank(self):
         rows = procrun(NPROCS, launch_report_body, timeout=20)
@@ -475,8 +512,9 @@ class TestLaunchPath:
 
     def test_each_job_sees_the_launchers_environment_and_cwd_as_of_now(
             self, monkeypatch, tmp_path):
-        """Nobody may keep a zygote across jobs: it would serve the
-        environment, directory, affinity and stdio it was started with."""
+        """The environment shapes the zygote's imports, so a job whose
+        environment differs gets a zygote started with it; the directory
+        is the launcher's as of each ``run()`` either way."""
         with ProcExecutor(2) as ex:
             for mark in ("first", "second"):
                 where = tmp_path / mark
@@ -520,6 +558,93 @@ class TestLaunchPath:
         assert all("zygote died (exit code -9)" in str(f)
                    for f in failures.values()), failures
         assert_no_worker_survives()
+
+    def test_back_to_back_jobs_share_one_zygote(self):
+        first = procrun(2, job_state_body, timeout=20)
+        second = procrun(NPROCS, job_state_body, timeout=20)
+        parents = {ppid for ppid, _, _ in first + second}
+        assert len(parents) == 1, parents
+        assert_no_worker_survives()
+
+    @pytest.mark.parametrize("failure", ["killed zygote", "bootstrap fault",
+                                         "timeout", "environment change"])
+    def test_the_job_after_a_failure_gets_a_fresh_zygote(self, failure,
+                                                         monkeypatch):
+        """Twice over, so the hard-kill matrix runs twice in one
+        session: a healthy job, the failure on the same zygote, and a
+        healthy job that must get a new zygote and succeed."""
+        if failure == "bootstrap fault":
+            # the healthy jobs' ranks 0 and 1 live; rank 3 of a 4-rank
+            # job dies where the fault puts it
+            monkeypatch.setenv("REPRO_FAULT", "bootstrap:3")
+        healthy = procrun(2, job_state_body, timeout=20)
+        for round in range(2):
+            before = healthy[0][0]
+            if failure == "killed zygote":
+                with pytest.raises(RankFailure, match="zygote died"):
+                    procrun(2, zygote_killer_body, timeout=20)
+            elif failure == "bootstrap fault":
+                with pytest.raises(RankFailure, match="exit code 86"):
+                    procrun(4, launch_report_body, timeout=20)
+            elif failure == "timeout":
+                with pytest.raises(JobTimeoutError):
+                    ProcExecutor(2).run(hang_body, args=("sleep", 3.0),
+                                        timeout=1.0)
+            else:
+                monkeypatch.setenv("REPRO_TEST_LAUNCH_MARK", str(round))
+            healthy = procrun(2, job_state_body, timeout=20)
+            assert len({ppid for ppid, _, _ in healthy}) == 1, healthy
+            assert healthy[0][0] != before, (failure, round)
+            assert_no_worker_survives()
+
+    def test_an_idle_zygote_lingers_then_exits(self):
+        procrun(2, job_state_body, timeout=20)
+        deadline = time.monotonic() + LINGER_S + 2.0
+        while worker_processes() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not worker_processes(), "the idle zygote did not exit"
+        # the next job simply starts a fresh one
+        assert len({p for p, _, _ in procrun(2, job_state_body,
+                                             timeout=20)}) == 1
+
+    def test_a_reused_zygote_serves_each_job_its_cwd_and_affinity(
+            self, monkeypatch, tmp_path):
+        allowed = os.sched_getaffinity(0)
+        rows = []
+        try:
+            for mark, cpus in (("wide", allowed), ("narrow",
+                                                   {max(allowed)})):
+                where = tmp_path / mark
+                where.mkdir()
+                monkeypatch.chdir(where)
+                os.sched_setaffinity(0, cpus)
+                got = procrun(2, job_state_body, timeout=20)
+                assert [(cwd, cpu) for _, cwd, cpu in got] \
+                    == [(str(where), sorted(cpus))] * 2
+                rows += got
+        finally:
+            os.sched_setaffinity(0, allowed)
+        assert len({ppid for ppid, _, _ in rows}) == 1, rows
+
+    def test_a_reused_zygote_prints_to_this_jobs_stdout(self, capfd,
+                                                         tmp_path):
+        """pytest swaps fd 1 per test; here the first job's fd 1 is a
+        file and the second's is the capture, on one zygote."""
+        first_out = tmp_path / "first.out"
+        saved = os.dup(1)
+        try:
+            with open(first_out, "wb") as f:
+                os.dup2(f.fileno(), 1)
+            first = procrun(2, print_body, args=("first",), timeout=20)
+        finally:
+            os.dup2(saved, 1)
+            os.close(saved)
+        second = procrun(2, print_body, args=("second",), timeout=20)
+        assert len(set(first + second)) == 1, (first, second)
+        out = capfd.readouterr().out
+        assert out.count("says second") == 2 and "first" not in out, out
+        text = first_out.read_text()
+        assert text.count("says first") == 2 and "second" not in text
 
     @pytest.mark.parametrize("victim", [0, NPROCS - 1])
     def test_rank_dead_before_its_connection_is_that_ranks_failure(
@@ -607,4 +732,33 @@ class TestTimeoutReporting:
         assert "failed before the deadline" in str(exc)
         # rank 1 sat in time.sleep, deaf to the abort: it was killed by
         # its parent, the zygote, on the launcher's teardown
+        assert_no_worker_survives()
+
+    def test_a_rank_that_failed_before_the_deadline_is_not_hung(
+            self, monkeypatch, tmp_path):
+        """The first rank to import the target fails at once; the others
+        wedge inside the import past the deadline.  Whatever the order
+        they are read in, the failed rank is a failure and only the
+        others are hung."""
+        target = tmp_path / "first_import_fails.py"
+        target.write_text(
+            "import os, time\n"
+            "try:\n"
+            "    os.close(os.open(os.environ['REPRO_TEST_MARKER'],\n"
+            "                     os.O_CREAT | os.O_EXCL))\n"
+            "except FileExistsError:\n"
+            "    time.sleep(30)\n"
+            "else:\n"
+            "    raise ImportError(f'first importer, pid {os.getpid()}')\n"
+            "def body():\n"
+            "    return 0\n")
+        monkeypatch.setenv("REPRO_TEST_MARKER", str(tmp_path / "marker"))
+        with pytest.raises(JobTimeoutError) as ei:
+            procrun(NPROCS, f"{target}:body", timeout=3.0)
+        exc = ei.value
+        assert len(exc.failures) == 1, exc.failures
+        (failed,) = exc.failures
+        assert isinstance(exc.failures[failed], ImportError)
+        assert failed not in exc.hung_ranks
+        assert exc.hung_ranks == sorted(set(range(NPROCS)) - {failed})
         assert_no_worker_survives()
