@@ -18,9 +18,9 @@ Bootstrap rendezvous and control plane:
    ``socketpair``: it has imported the runtime — never user code — and
    forks the ranks of each job it is sent while it still has a single
    thread.  A job is one request, ``{"cmd": "job", "connect", "nprocs",
-   "cwd", "affinity"}`` with the launcher's fds 0 / 1 / 2 attached.  It
-   reports ``forked {rank: pid}`` and then stays, for the job's
-   lifetime, as the ranks' parent: it alone reaps them
+   "cwd", "affinity", "shm_nonce"}`` with the launcher's fds 0 / 1 / 2
+   attached.  It reports ``forked {rank: pid}`` and then stays, for the
+   job's lifetime, as the ranks' parent: it alone reaps them
    (``exited {rank, rc}`` per rank, ``-9`` meaning SIGKILL as in
    ``subprocess``) and it alone may signal them (on the launcher's
    ``kill {rank}``) — only a parent knows whether a pid is still the
@@ -473,9 +473,11 @@ class ProcExecutor:
                                         backlog=self.nprocs + 1)
         zyg: _Zygote | None = None
         conns: dict[int, socket.socket] = {}
-        # shm job identity: workers derive every segment name from this
-        # nonce, and the launcher sweeps those names on every exit path —
-        # fault-injected workers die by os._exit and unlink nothing
+        # shm job identity: ranks derive every segment name from this
+        # nonce.  Fault-injected ranks die by os._exit and unlink
+        # nothing, so the zygote sweeps those names once it has reaped
+        # the job's ranks, and this launcher on every exit path (which
+        # covers a zygote that died)
         shm_nonce = None
         if self.nprocs > 1 and config.shm():
             shm_nonce = f"{os.getpid():x}j{next(_SHM_RUN_SEQ)}"
@@ -483,14 +485,15 @@ class ProcExecutor:
             zyg = self._fork_ranks(
                 {"cmd": "job", "nprocs": self.nprocs,
                  "connect": f"{self.host}:{listener.getsockname()[1]}",
-                 "cwd": os.getcwd(), "affinity": os.sched_getaffinity(0)},
+                 "cwd": os.getcwd(), "affinity": os.sched_getaffinity(0),
+                 "shm_nonce": shm_nonce},
                 deadline, timeout)
             conns = self._rendezvous(listener, zyg, deadline, timeout)
             for rank, conn in conns.items():
                 rank_args = tuple(args[rank]) if per_rank_args \
                     else tuple(args)
                 send_msg(conn, {"cmd": "job", "nprocs": self.nprocs,
-                                "target": spec, "shm_nonce": shm_nonce,
+                                "target": spec,
                                 "args": pickle.dumps(rank_args,
                                                      protocol=4)})
             book = self._mesh_ports(conns, zyg, deadline, timeout)
@@ -527,10 +530,9 @@ class ProcExecutor:
             if zyg is not None:
                 zyg.reap()
             if shm_nonce is not None:
-                # every worker is dead now (reported + exit, or reaped):
-                # sweep the job's /dev/shm names.  Workers that finalized
-                # cleanly already unlinked their own — this catches hard
-                # kills, aborts, and declared-dead ranks.
+                # every rank is dead now (reported + exit, or reaped):
+                # ranks that finalized unlinked their own names, and the
+                # zygote swept the rest unless it died first
                 shm_transport.unlink_job_segments(shm_nonce, self.nprocs)
 
     def close(self) -> None:
@@ -827,6 +829,11 @@ class ProcExecutor:
         hung = sorted(pending)
         pre_deadline_failures = self._merge_failures(reports, failures)
         self._broadcast_abort(conns, origin=-1)
+        # no report is read after this, nor ``exit`` sent: the EOF is
+        # what lets a rank that unwound on the abort end now, so the
+        # grace below waits only for ranks deaf to both
+        for conn in conns.values():
+            conn.close()
         t_grace = time.monotonic() + KILL_GRACE
         for rank in hung:
             zyg.wait(rank, max(0.0, t_grace - time.monotonic()))

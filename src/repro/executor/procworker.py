@@ -14,8 +14,10 @@ tells the launcher ``forked {rank: pid}``, reaps each rank and reports
 only the parent knows that a pid is still the child it forked.  EOF on
 its connection, in either direction, is teardown: it kills and reaps
 whatever is left and exits; a rank whose zygote dies is killed by the
-kernel (``PR_SET_PDEATHSIG``).  With its last rank reaped the zygote
-waits for the next request, and exits after
+kernel (``PR_SET_PDEATHSIG``).  Either way, once the job's ranks are
+reaped the zygote unlinks the job's shared-memory segments that are
+left (a rank that did not finalize unlinks nothing).  With its last
+rank reaped the zygote waits for the next request, and exits after
 :data:`~repro.executor.procrunner.LINGER_S` without one.
 
 The zygote outlives the job state of the launcher, so each forked rank
@@ -55,6 +57,11 @@ import signal
 import socket
 import sys
 import threading
+
+# numpy.random brings in OpenSSL (through ``secrets``): loaded here once
+# rather than by each rank's first use, whose initialisation after the
+# fork would cost every rank ~3 MiB of pages of its own
+import numpy.random
 
 import repro.mpijava  # noqa: F401 - every rank needs it: import it once
 from repro import config
@@ -241,14 +248,19 @@ def main(argv=None) -> int:
                     os._exit(1)
                 # ranks that were separate interpreters drew separate
                 # unseeded np.random streams; random reseeds itself at
-                # fork, numpy (where it is loaded at all by now) does not
-                if "numpy.random" in sys.modules:
-                    sys.modules["numpy.random"].seed()
-                _fast_exit(_rank_main(host, int(port), rank, nprocs))
+                # fork, numpy does not
+                numpy.random.seed()
+                _fast_exit(_rank_main(host, int(port), rank, nprocs,
+                                      job["shm_nonce"]))
             kids[rank] = (pid, os.pidfd_open(pid))
         for fd in fds:
             os.close(fd)
-        if not _parent_ranks(ctl, kids):
+        served = _parent_ranks(ctl, kids)
+        if job["shm_nonce"] is not None:
+            # with every rank reaped: what a rank that did not finalize
+            # left in /dev/shm (a killed launcher included) goes here
+            shm_transport.unlink_job_segments(job["shm_nonce"], nprocs)
+        if not served:
             return 0
     return 0   # lingered out
 
@@ -299,7 +311,8 @@ def _parent_ranks(ctl: socket.socket,
     return False
 
 
-def _rank_main(host: str, port: int, rank: int, nprocs: int) -> int:
+def _rank_main(host: str, port: int, rank: int, nprocs: int,
+               shm_nonce: str | None) -> int:
     """One rank, from the fork to its exit code."""
     # in a worker process an injected fault is a *real* death (os._exit:
     # no report, no finally blocks, just EOF on the control connection)
@@ -326,7 +339,6 @@ def _rank_main(host: str, port: int, rank: int, nprocs: int) -> int:
     # Inbound shm segments are created *before* the port report: once
     # the launcher gossips the book, every advertised segment already
     # exists, so attachers never race creation.
-    shm_nonce = job.get("shm_nonce")
     inbound = {}
     if shm_nonce is not None:
         try:

@@ -2,13 +2,13 @@
 
 On one host, procs-DM ranks talk through loopback TCP — two kernel
 crossings and two copies through socket buffers per payload byte.  This
-module gives each directed same-host pair one
-``multiprocessing.shared_memory`` segment holding a byte ring, the way
-production MPIs structure their large-message path (MPICH Nemesis' LMT,
-Open MPI sm/vader).  It holds no transport and no frame stream of its
-own: a :class:`ShmChannel` is attached to the pair's
-:class:`~repro.transport.wire.Channel`, every header still rides that
-socket, and a header flagged ``FLAG_BULK`` says its body is here.
+module gives each directed same-host pair one POSIX shared-memory
+segment holding a byte ring, the way production MPIs structure their
+large-message path (MPICH Nemesis' LMT, Open MPI sm/vader).  It holds
+no transport and no frame stream of its own: a :class:`ShmChannel` is
+attached to the pair's :class:`~repro.transport.wire.Channel`, every
+header still rides that socket, and a header flagged ``FLAG_BULK`` says
+its body is here.
 
 * **Per-direction SPSC ring** (:class:`_SpscRing`) — each directed pair
   (src -> dst) owns one segment, created by the *receiver* during
@@ -38,10 +38,29 @@ socket, and a header flagged ``FLAG_BULK`` says its body is here.
 * **No EOF** — a dead peer produces nothing on a shared ring.  The
   pair's socket stays the failure detector: the transport marks a failed
   peer's channels ``dead`` so blocked lane waits unwind with
-  ``ConnectionError``, a reader stalled on lane data peeks the socket
-  for the EOF of a sender that died between header and body, and the
-  launcher sweeps the job's segments so fault-injected runs never leak
-  ``/dev/shm`` entries.
+  ``ConnectionError``, and a reader stalled on lane data peeks the socket
+  for the EOF of a sender that died between header and body.
+* **Segment lifecycle** — a job's segment names all derive from one
+  nonce (:func:`segment_name`).  Each rank creates its inbound segments
+  (``O_EXCL``) during bootstrap, before it reports its mesh port, and
+  each sender attaches by name once the address book arrives.  Both
+  sides map the segment and close the fd (:func:`map_segment`); neither
+  registers it with ``multiprocessing``'s resource tracker, which is an
+  interpreter of its own that a process's first registration starts
+  (3.11 has no ``track=False``).  What unlinks the names instead:
+
+  - a rank that finalizes unlinks its inbound names (the owner's
+    :meth:`ShmSegment.close`); an attacher's close leaves them;
+  - a rank that dies any other way (an injected fault's ``os._exit``,
+    SIGKILL, the launcher gone) is swept by its zygote, which unlinks
+    the job's names after it has reaped the job's ranks
+    (:func:`unlink_job_segments`);
+  - a zygote that dies is swept by the launcher, which unlinks the
+    names on every way out of ``ProcExecutor.run``;
+  - an in-process world (:func:`shm_world`) unlinks when it closes.
+
+  Only a launcher killed together with its zygote leaves names in
+  ``/dev/shm``.
 
 Escape hatch: ``REPRO_SHM=0`` disables the lanes entirely (every body
 rides the socket).  The capacity is recorded in the segment header, so
@@ -63,19 +82,26 @@ avoid producer/consumer false sharing.
 
 from __future__ import annotations
 
+import errno
+import mmap
 import os
 import socket
 import struct
 import threading
 import time
-from multiprocessing import shared_memory
+
+try:
+    import _posixshmem
+except ImportError:  # pragma: no cover - not POSIX: no lanes
+    _posixshmem = None
 
 from repro.transport import cma
 from repro.transport.wire import Channel, WireTransport
 
 __all__ = ["ShmChannel", "ShmSegment", "node_id",
-           "segment_name", "create_inbound", "shm_world",
-           "unlink_job_segments", "leaked_segments"]
+           "segment_name", "map_segment", "unlink_segment",
+           "create_inbound", "shm_world", "unlink_job_segments",
+           "leaked_segments"]
 
 #: lane capacity (bytes).  Frames at or above the eager limit that fit
 #: whole skip the rendezvous handshake; larger ones stream through
@@ -116,6 +142,12 @@ def node_id() -> str:
 def segment_name(nonce: str, src: int, dst: int) -> str:
     """Name of the segment carrying src->dst traffic (owned by ``dst``)."""
     return f"repro_{nonce}_{src}t{dst}"
+
+
+def _job_names(nonce: str, nprocs: int):
+    """Every segment name a job of ``nprocs`` ranks can create."""
+    return [segment_name(nonce, src, dst) for src in range(nprocs)
+            for dst in range(nprocs) if src != dst]
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +300,39 @@ class _SpscRing:
 # segment lifecycle
 # ---------------------------------------------------------------------------
 
-def _untrack(shm) -> None:
-    """Detach an *attached* segment from this process's resource
-    tracker: the attacher does not own the name, and Python < 3.13
-    would otherwise unlink it when this process exits."""
+def map_segment(name: str, size: int | None = None) -> mmap.mmap:
+    """Map the shared segment ``name``: create it at ``size`` bytes
+    (``O_EXCL``: an existing name raises ``FileExistsError``), or attach
+    to the whole of it when ``size`` is None.
+
+    What the standard library's ``SharedMemory`` does, minus its
+    registration with the resource tracker, and without keeping the fd.
+    An ``OSError`` here (no ``/dev/shm``, no POSIX shared memory at all)
+    is what turns a rank's lanes off."""
+    if _posixshmem is None:
+        raise OSError(errno.ENOSYS, "no POSIX shared memory here")
+    flags = os.O_RDWR | (os.O_CREAT | os.O_EXCL if size is not None else 0)
+    fd = _posixshmem.shm_open("/" + name, flags, mode=0o600)
     try:
-        from multiprocessing import resource_tracker
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # noqa: BLE001 - tracker internals vary by version
-        pass
+        if size is not None:
+            os.ftruncate(fd, size)   # a new segment reads as zeros
+        return mmap.mmap(fd, 0)
+    except BaseException:
+        if size is not None:
+            unlink_segment(name)
+        raise
+    finally:
+        os.close(fd)
+
+
+def unlink_segment(name: str) -> bool:
+    """Remove ``name`` from the shared-memory namespace; mappings stay
+    valid until unmapped.  False: it was already gone."""
+    try:
+        _posixshmem.shm_unlink("/" + name)
+    except FileNotFoundError:
+        return False
+    return True
 
 
 class ShmSegment:
@@ -292,17 +348,16 @@ class ShmSegment:
         self.owner = create
         if create:
             rndv = rndv if rndv is not None else DEFAULT_RNDV_BYTES
-            self.shm = shared_memory.SharedMemory(name=name, create=True,
-                                                  size=_DATA_OFF + rndv)
-            buf = self.shm.buf
+            self._mmap = map_segment(name, _DATA_OFF + rndv)
+            buf = self._buf = memoryview(self._mmap)
             buf[0:8] = _MAGIC
             _SZ.pack_into(buf, 8, rndv)
         else:
-            self.shm = shared_memory.SharedMemory(name=name)
-            _untrack(self.shm)
-            buf = self.shm.buf
+            self._mmap = map_segment(name)
+            buf = self._buf = memoryview(self._mmap)
             if bytes(buf[0:8]) != _MAGIC:
-                self.shm.close()
+                buf.release()
+                self._mmap.close()
                 raise ValueError(f"shm segment {name} has a bad magic")
             rndv = _SZ.unpack_from(buf, 8)[0]
         self.rndv = _SpscRing(buf[:_DATA_OFF], _HEAD_OFF, _TAIL_OFF,
@@ -318,20 +373,12 @@ class ShmSegment:
         self._closed = True
         try:
             self.rndv.release()
-            self.shm.close()
+            self._buf.release()
+            self._mmap.close()
         except BufferError:  # pragma: no cover - leaked view elsewhere
             pass
         if self.owner:
-            self.unlink()
-
-    def unlink(self) -> None:
-        try:
-            self.shm.unlink()   # also unregisters from the tracker
-        except (FileNotFoundError, OSError):
-            # someone else (launcher sweep, peer tracker) removed the
-            # name first; drop our tracker entry so its shutdown scan
-            # doesn't report a phantom leak
-            _untrack(self.shm)
+            unlink_segment(self.name)
 
 
 def create_inbound(nonce: str, rank: int, nprocs: int,
@@ -358,39 +405,19 @@ def create_inbound(nonce: str, rank: int, nprocs: int,
 
 
 def unlink_job_segments(nonce: str, nprocs: int) -> list[str]:
-    """Launcher-side sweep: unlink every segment a job could have
-    created (fault-injected workers die by ``os._exit`` and clean up
-    nothing).  Returns the names that were actually removed."""
-    removed = []
-    for src in range(nprocs):
-        for dst in range(nprocs):
-            if src == dst:
-                continue
-            name = segment_name(nonce, src, dst)
-            try:
-                seg = shared_memory.SharedMemory(name=name)
-            except FileNotFoundError:
-                continue
-            except OSError:  # pragma: no cover - permission races
-                continue
-            try:
-                seg.unlink()   # unregisters the attach's tracker entry
-            except (FileNotFoundError, OSError):
-                _untrack(seg)
-            seg.close()
-            removed.append(name)
-    return removed
+    """The sweep after a job: unlink, by name, every segment the job
+    could have created (a rank that dies by ``os._exit`` or SIGKILL
+    unlinks nothing).  Returns the names that were actually removed."""
+    if _posixshmem is None:
+        return []
+    return [name for name in _job_names(nonce, nprocs)
+            if unlink_segment(name)]
 
 
 def leaked_segments(nonce: str, nprocs: int) -> list[str]:
     """Job segments still present in ``/dev/shm`` (test assertions)."""
-    out = []
-    for src in range(nprocs):
-        for dst in range(nprocs):
-            if src != dst and os.path.exists(
-                    f"/dev/shm/{segment_name(nonce, src, dst)}"):
-                out.append(segment_name(nonce, src, dst))
-    return out
+    return [name for name in _job_names(nonce, nprocs)
+            if os.path.exists(f"/dev/shm/{name}")]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ reference, like ``multiprocessing`` spawn targets).
 
 import os
 import signal
+import subprocess
 import sys
 import time
 
@@ -24,10 +25,11 @@ import pytest
 
 from repro import procrun, ProcExecutor
 from repro.errors import AbortException
-from repro.executor.procrunner import LINGER_S, target_spec
+from repro.executor.procrunner import LINGER_S, _child_env, target_spec
 from repro.executor.runner import JobTimeoutError, RankFailure
 from repro.mpijava import MPI, Request
 from repro.mpijava.op import Op
+from repro.transport.shm import leaked_segments
 
 NPROCS = int(os.environ.get("REPRO_PROC_NPROCS", "4"))
 
@@ -231,6 +233,49 @@ def zygote_killer_body():
         os.kill(os.getppid(), signal.SIGKILL)
     time.sleep(30.0)
     return "unreachable"
+
+
+def blocked_recv_body():
+    """Rank 1 waits for a message that rank 0 never sends."""
+    MPI.Init([])
+    w = MPI.COMM_WORLD
+    if w.Rank() == 1:
+        w.Recv(np.zeros(1, dtype=np.int32), 0, 1, MPI.INT, 0, 0)
+    return w.Rank()
+
+
+def lanes_and_children_body():
+    """This rank's bulk paths and child processes, mid-job."""
+    from repro.runtime.engine import current_runtime
+    MPI.Init([])
+    MPI.COMM_WORLD.Barrier()
+    paths = current_runtime().universe.transport.bulk_paths()
+    children = [int(pid) for pid in os.listdir("/proc") if pid.isdigit()
+                and parent_of(pid) == os.getpid()]
+    MPI.Finalize()
+    return paths, children
+
+
+def pids_then_sleep_body(where):
+    """Each rank leaves ``<where>/rank<r>`` = "pid zygote", then sleeps."""
+    MPI.Init([])
+    rank = MPI.COMM_WORLD.Rank()
+    MPI.COMM_WORLD.Barrier()
+    path = os.path.join(where, f"rank{rank}")
+    with open(path + ".tmp", "w") as f:
+        f.write(f"{os.getpid()} {os.getppid()}")
+    os.rename(path + ".tmp", path)
+    time.sleep(30.0)
+    return "unreachable"
+
+
+#: a launcher of its own, for a test to SIGKILL mid-job: one 2-rank
+#: job of the target named by argv[1], with argv[2] as its argument
+DOOMED_LAUNCHER = """
+import sys
+from repro import procrun
+procrun(2, sys.argv[1], args=(sys.argv[2],), timeout=60)
+"""
 
 
 #: the windowed stream: 64 messages of 128 int64 (1 KiB) per window
@@ -475,6 +520,15 @@ def parent_of(pid):
         return None
 
 
+def alive(pid):
+    """Whether ``pid`` still runs (a zombie does not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
+
+
 def leaked_workers():
     """Every worker but this process's idle zygote.  The idle zygote is
     the one worker that is a child of this process and has no worker
@@ -662,6 +716,52 @@ class TestLaunchPath:
         assert_no_worker_survives()
 
 
+class TestShmWithoutATracker:
+    """Shared-memory segments are mapped without ``multiprocessing``'s
+    resource tracker, so an shm job's ranks fork nothing, and the
+    segments of a job whose launcher was killed are unlinked by its
+    zygote."""
+
+    def test_no_rank_of_an_shm_job_has_a_child(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SHM", "1")
+        out = procrun(2, lanes_and_children_body, timeout=TIMEOUT)
+        for paths, children in out:
+            assert paths and "socket" not in paths.values(), paths
+            assert children == [], children
+
+    def test_a_killed_launcher_leaves_no_segment_and_no_worker(
+            self, tmp_path):
+        env = {**_child_env(), "REPRO_SHM": "1"}
+        env.pop("REPRO_FAULT", None)
+        launcher = subprocess.Popen(
+            [sys.executable, "-c", DOOMED_LAUNCHER,
+             f"{os.path.abspath(__file__)}:pids_then_sleep_body",
+             str(tmp_path)], env=env)
+        try:
+            deadline = time.monotonic() + TIMEOUT
+            while len(list(tmp_path.glob("rank?"))) < 2:
+                assert launcher.poll() is None, launcher.returncode
+                assert time.monotonic() < deadline, "ranks never started"
+                time.sleep(0.02)
+            pids = {int(pid) for path in tmp_path.glob("rank?")
+                    for pid in path.read_text().split()}
+            nonce = f"{launcher.pid:x}j1"   # its first job
+            assert len(leaked_segments(nonce, 2)) == 2   # the lanes are up
+            launcher.kill()
+            launcher.wait()
+            killed = time.monotonic()
+            while (leaked_segments(nonce, 2)
+                   or [pid for pid in pids if alive(pid)]) \
+                    and time.monotonic() - killed < 3.0:
+                time.sleep(0.02)
+            assert leaked_segments(nonce, 2) == []
+            assert [pid for pid in pids if alive(pid)] == []
+        finally:
+            if launcher.poll() is None:
+                launcher.kill()
+                launcher.wait()
+
+
 class TestFaultContainment:
     def test_exception_roundtrips_type_and_message(self):
         with pytest.raises(RankFailure) as ei:
@@ -732,6 +832,20 @@ class TestTimeoutReporting:
         assert "failed before the deadline" in str(exc)
         # rank 1 sat in time.sleep, deaf to the abort: it was killed by
         # its parent, the zygote, on the launcher's teardown
+        assert_no_worker_survives()
+
+    def test_a_rank_that_unwound_on_the_abort_ends_with_the_deadline(
+            self):
+        """A rank blocked in ``Recv`` unwinds on the deadline's abort;
+        closing its control connection ends it, so the job does not sit
+        out the SIGKILL grace that only wedged ranks need."""
+        deadline = 2.0
+        t0 = time.monotonic()
+        with pytest.raises(JobTimeoutError) as ei:
+            ProcExecutor(2).run(blocked_recv_body, timeout=deadline)
+        took = time.monotonic() - t0
+        assert ei.value.hung_ranks == [1]
+        assert took < deadline + 1.0, f"raised after {took:.2f} s"
         assert_no_worker_survives()
 
     def test_a_rank_that_failed_before_the_deadline_is_not_hung(

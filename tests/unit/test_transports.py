@@ -698,16 +698,33 @@ class TestShmWorld:
         assert leaked_segments(nonce, 2) == []
 
     def test_segment_attach_validates_magic(self):
-        from multiprocessing import shared_memory
-        from repro.transport.shm import ShmSegment
+        from repro.transport.shm import (ShmSegment, map_segment,
+                                         unlink_segment)
         name = _seg_name()
-        raw = shared_memory.SharedMemory(name=name, create=True, size=512)
+        raw = map_segment(name, 512)
         try:
             with pytest.raises(ValueError):
                 ShmSegment(name, create=False)
         finally:
-            raw.unlink()
             raw.close()
+            unlink_segment(name)
+
+    def test_a_name_is_created_once_and_unlinked_by_its_owner(self):
+        """Creation is exclusive, and neither a failed create nor an
+        attacher's close removes the owner's name."""
+        from repro.transport.shm import ShmSegment
+        name = _seg_name()
+        owner = ShmSegment(name, create=True, rndv=64)
+        try:
+            with pytest.raises(FileExistsError):
+                ShmSegment(name, create=True, rndv=64)
+            attached = ShmSegment(name, create=False)
+            assert attached.rndv.capacity == 64
+            attached.close()
+            assert os.path.exists(f"/dev/shm/{name}")
+        finally:
+            owner.close()
+        assert not os.path.exists(f"/dev/shm/{name}")
 
 
 #: tag of the message whose delivery wedges a ``_Rank``'s pump
