@@ -41,6 +41,30 @@ BOUND = 2.0
 #: a 4-rank job right after another may cost this many interpreter starts
 WARM_BOUND = 0.5
 
+#: CPU seconds the heavy target spends in its import
+IMPORT_BURN_S = 0.040
+
+#: a warm 4-rank job of the heavy target may cost the warm no-op job plus
+#: this many of its imports (the job's proxy imports it once; when each
+#: rank imported it, four)
+IMPORT_BOUND = 2
+
+#: a target module that burns ``IMPORT_BURN_S`` of CPU at import
+HEAVY_TARGET = f"""
+import time
+from repro.mpijava import MPI
+
+t0 = time.process_time()
+while time.process_time() - t0 < {IMPORT_BURN_S}:
+    pass
+
+
+def body():
+    MPI.Init([])
+    MPI.COMM_WORLD.Barrier()
+    MPI.Finalize()
+"""
+
 #: a warm 4-rank job with shm lanes may cost this many warm TCP jobs
 #: (its ranks create and map segments and fork nothing: 48-50 ms
 #: against 45-47 ms over TCP on one CPU; 183-235 ms while each rank
@@ -54,11 +78,11 @@ def noop_body():
     MPI.Finalize()
 
 
-def job_s(nprocs: int) -> float:
+def job_s(nprocs: int, target=noop_body) -> float:
     """Wall time of a whole job: spawn to last process reaped."""
     t0 = time.perf_counter()
     with ProcExecutor(nprocs) as ex:
-        ex.run(noop_body, timeout=60.0)
+        ex.run(target, timeout=60.0)
     return time.perf_counter() - t0
 
 
@@ -116,6 +140,31 @@ def test_a_warm_four_rank_job_costs_under_half_an_interpreter_start(
         f"a warm 4-rank job took {warm:.3f} s > {WARM_BOUND} x {start:.3f} s"
     assert shm <= SHM_BOUND * warm, \
         f"a warm 4-rank shm job took {shm:.3f} s > {SHM_BOUND} x {warm:.3f} s"
+
+
+def test_a_job_imports_its_target_once(tmp_path):
+    """The job's proxy imports the target and forks the ranks from it,
+    so a target that is slow to import costs a warm 4-rank job one
+    import, not one per rank."""
+    heavy = tmp_path / "heavy_import.py"
+    heavy.write_text(HEAVY_TARGET)
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {max(allowed)})
+    try:
+        job_s(4)    # warm the zygote
+        noop = slow = float("inf")
+        for _ in range(3):      # alternately: all see the same seconds
+            noop = min(noop, job_s(4))
+            slow = min(slow, job_s(4, f"{heavy}:body"))
+    finally:
+        os.sched_setaffinity(0, allowed)
+    extra = slow - noop
+    print(f"\nwarm 4-rank job on one CPU, best of 3: no-op "
+          f"{noop * 1e3:.0f} ms, with a {IMPORT_BURN_S * 1e3:.0f} ms "
+          f"import {slow * 1e3:.0f} ms ({extra / IMPORT_BURN_S:.1f} "
+          f"imports)")
+    assert extra < IMPORT_BOUND * IMPORT_BURN_S, \
+        f"the import cost {extra:.3f} s > {IMPORT_BOUND} x {IMPORT_BURN_S} s"
 
 
 def test_a_rank_with_no_channels_closes_at_once():

@@ -11,54 +11,74 @@ rank: as MPICH's ``hydra_pmi_proxy`` and Open MPI's ``orted`` do on each
 node, one proxy process forks the local ranks, reaps them and reports
 their exit codes to the launcher.
 
-Bootstrap rendezvous and control plane:
+Bootstrap rendezvous and control plane — the tree is launcher →
+zygote → one proxy per job → that job's ranks:
 
 1. the launcher keeps **one** child, the *zygote*
    (``python -m repro.executor.procworker``), on one end of a
-   ``socketpair``: it has imported the runtime — never user code — and
-   forks the ranks of each job it is sent while it still has a single
-   thread.  A job is one request, ``{"cmd": "job", "connect", "nprocs",
-   "cwd", "affinity", "shm_nonce"}`` with the launcher's fds 0 / 1 / 2
-   attached.  It reports ``forked {rank: pid}`` and then stays, for the
-   job's lifetime, as the ranks' parent: it alone reaps them
-   (``exited {rank, rc}`` per rank, ``-9`` meaning SIGKILL as in
-   ``subprocess``) and it alone may signal them (on the launcher's
-   ``kill {rank}``) — only a parent knows whether a pid is still the
-   child it forked.  The launcher's per-rank ``poll`` / ``kill`` /
-   ``wait`` (:class:`_Zygote`) are those three messages;
-2. every rank dials the job's loopback listener and registers its rank
+   ``socketpair``: it has imported the runtime — never user code.  A
+   job is one request, ``{"cmd": "job", "connect", "nprocs", "cwd",
+   "affinity", "shm_nonce", "target"}`` with the launcher's fds 0 / 1 /
+   2 attached.  The zygote, single-threaded, forks the job's *proxy*
+   and hands it the connection until it has reaped it;
+2. the proxy takes on the job's stdio, cwd and affinity, imports the
+   target — user modules are imported here, once per job, never in the
+   zygote — and, still single-threaded, forks the ranks (or answers
+   ``refused``, naming the threads the import left running).  It
+   reports ``forked {rank: pid}`` and then stays, for the job's
+   lifetime, as the ranks' parent: it alone reaps them (``exited {rank,
+   rc}`` per rank, ``-9`` meaning SIGKILL as in ``subprocess``) and it
+   alone may signal them (on the launcher's ``kill {rank}``) — only a
+   parent knows whether a pid is still the child it forked.  The
+   launcher's per-rank ``poll`` / ``kill`` / ``wait`` (:class:`_Zygote`)
+   are those three messages;
+3. every rank dials the job's loopback listener and registers its rank
    (its own *control connection*, kept for the job's lifetime; the
-   zygote's is not inherited — ranks close it right after the fork);
-3. the launcher ships each rank the job blob (target + args); ranks
-   resolve the target — user modules are imported here, once per rank,
-   after the fork — open their mesh listeners and report the port;
-4. once all ranks registered, the launcher gossips the address book and
+   proxy's is not inherited — ranks close it right after the fork);
+4. the launcher ships each rank its arguments; ranks resolve the target
+   (the proxy's module, inherited by the fork; a target whose import
+   raised raises again here, as each rank's own failure), open their
+   mesh listeners and report the port;
+5. once all ranks registered, the launcher gossips the address book and
    the ranks form the mesh (rank *j* dials *i < j*, accepts *k > j*);
-5. ranks run the target and marshal the result — or the pickled
+6. ranks run the target and marshal the result — or the pickled
    exception with its traceback text — back over the control connection;
-6. the launcher's final ``exit`` message is the wire finalize barrier:
+7. the launcher's final ``exit`` message is the wire finalize barrier:
    no rank tears its mesh down until every rank has reported.
 
-EOF means teardown on every connection: a rank that loses the launcher
-poisons its universe and exits; the zygote, losing the launcher (or
-being told nothing more: the launcher closes the connection to end a
-failed job), SIGKILLs and reaps whatever ranks are left and exits; the
-launcher, losing the zygote, fails every rank that has not reported —
-they die with their parent (``PR_SET_PDEATHSIG``), so no process
-outlives the job even when the zygote itself is SIGKILLed.
+Who reaps, signals and sweeps on each death:
+
+- *a rank* — its proxy reaps it and reports the code; the launcher sees
+  EOF on the rank's connection or the ``exited`` notice, whichever comes
+  first.  A rank that loses the launcher poisons its universe and exits;
+- *the proxy* — on EOF (the launcher gone, or closing the connection to
+  end a failed job) it SIGKILLs and reaps whatever ranks are left and
+  exits non-zero.  SIGKILLed itself, its ranks die with it
+  (``PR_SET_PDEATHSIG``).  Either way the zygote reaps it, unlinks the
+  job's shared-memory names that are left, and — unless the proxy
+  exited 0, every rank reaped with code 0 — exits, which is how the
+  launcher learns that the proxy died;
+- *the zygote* — SIGKILLed, the proxy dies with it and the ranks with
+  the proxy; the launcher, losing the connection, fails every rank that
+  has not reported, and sweeps the job's shm names itself (it does on
+  every exit path);
+- *the launcher* — the proxy sees EOF and tears the job down as above
+  (before the proxy has forked the ranks, the zygote sees it instead
+  and SIGKILLs the proxy: an import may never return); the zygote, with
+  no launcher to serve, exits.
 
 The zygote is resident, as the ``multiprocessing`` forkserver is: a job
-costs a fork, not an interpreter.  What a job must see as of its
-``run()`` and a resident process would serve stale, each forked rank
-re-applies from the request before it dials: the launcher's stdio
-(pytest swaps fd 1 / 2 per test), working directory and the calling
-thread's CPU affinity.  What shapes imports — the interpreter, the
-environment with its ``REPRO_*`` settings, ``sys.path`` — cannot be
-re-applied after them, so a zygote serves only jobs whose
-``(python, _child_env())`` equals the one it was started with; any
-other job closes it and starts a fresh one.  A job that fails in any
-way closes its zygote too: only one whose ranks were all reaped with
-code 0 hands it back.  An idle zygote exits on its own after
+costs two forks and one import of its target, not an interpreter.  What
+a job must see as of its ``run()`` and a resident process would serve
+stale, the proxy re-applies from the request before it imports: the
+launcher's stdio (pytest swaps fd 1 / 2 per test), working directory
+and the calling thread's CPU affinity.  What shapes imports — the
+interpreter, the environment with its ``REPRO_*`` settings,
+``sys.path`` — cannot be re-applied after them, so a zygote serves only
+jobs whose ``(python, _child_env())`` equals the one it was started
+with; any other job closes it and starts a fresh one.  A job that fails
+in any way closes its zygote too: only one whose ranks were all reaped
+with code 0 hands it back.  An idle zygote exits on its own after
 :data:`LINGER_S`, so nothing waits on it after the last job; a request
 that meets one lingering out finds EOF instead of ``forked`` and is sent
 once more, to a fresh zygote.  Forking from the launcher itself would be
@@ -68,12 +88,12 @@ Faults: a rank that *raises* poisons the job *through the mesh*
 (KIND_ABORT frames carrying errorcode + origin + pickled cause — shared
 memory is not available, so the envelope is the only carrier).  A rank
 that *dies* (hard kill, segfault) is detected by control-connection EOF
-or the zygote's ``exited`` notice, whichever comes first (the exit code
+or the proxy's ``exited`` notice, whichever comes first (the exit code
 always comes from the notice), or — for a rank that wedged without
 dropping its sockets — by missed heartbeats: every worker beats a
 ``hb`` frame home each ``REPRO_HEARTBEAT_MS`` (default 100, 0
 disables), and a rank silent for ``REPRO_HEARTBEAT_MISS`` intervals
-(default 20) is SIGKILLed (by the zygote) and declared dead.  Either
+(default 20) is SIGKILLed (by its proxy) and declared dead.  Either
 way the launcher broadcasts a ``peerfail`` notice, feeding the death
 into the survivors' ULFM failure plane:
 under ``ERRORS_RETURN`` they see ``ERR_PROC_FAILED`` and may
@@ -128,7 +148,7 @@ _SHM_RUN_SEQ = itertools.count(1)
 KILL_GRACE = 5.0
 
 #: how long a rank's ``exited`` notice may trail the EOF on its own
-#: control connection (the zygote has to be scheduled and reap it)
+#: control connection (the proxy has to be scheduled and reap it)
 EXIT_NOTICE_WAIT = 1.0
 
 #: an idle zygote exits after this many seconds without a job
@@ -261,10 +281,20 @@ def resolve_target(spec: dict) -> Callable:
     if "file" in spec:
         import importlib.util
         name = f"_repro_target_{os.path.splitext(os.path.basename(spec['file']))[0]}"
-        mspec = importlib.util.spec_from_file_location(name, spec["file"])
-        mod = importlib.util.module_from_spec(mspec)
-        sys.modules.setdefault(name, mod)
-        mspec.loader.exec_module(mod)
+        mod = sys.modules.get(name)
+        if getattr(mod, "__file__", None) != spec["file"]:
+            # not loaded yet (in a rank: not by its job's proxy).  On
+            # failure the name goes, as ``import`` does it, so the next
+            # resolver raises the error again
+            mspec = importlib.util.spec_from_file_location(name,
+                                                           spec["file"])
+            mod = importlib.util.module_from_spec(mspec)
+            sys.modules[name] = mod
+            try:
+                mspec.loader.exec_module(mod)
+            except BaseException:
+                sys.modules.pop(name, None)
+                raise
     else:
         import importlib
         mod = importlib.import_module(spec["module"])
@@ -288,12 +318,13 @@ class _Zygote:
     """The launcher's one child process and, through it, each rank's
     handle for the job it is serving.
 
-    The ranks are the zygote's children, not the launcher's: only their
-    parent knows whether a pid is still the rank it forked, so the
-    launcher never signals a rank.  ``poll`` / ``kill`` / ``wait`` keep
-    their ``subprocess.Popen`` meaning per rank and are served by the
-    zygote's ``forked`` / ``exited`` notices and its ``kill`` command
-    (see :func:`repro.executor.procworker.main`).
+    The ranks are the children of the job's proxy, which the zygote
+    forks and hands this connection for the job: only their parent
+    knows whether a pid is still the rank it forked, so the launcher
+    never signals a rank.  ``poll`` / ``kill`` / ``wait`` keep their
+    ``subprocess.Popen`` meaning per rank and are served by the proxy's
+    ``forked`` / ``exited`` notices and its ``kill`` command (see
+    :func:`repro.executor.procworker._parent_ranks`).
     """
 
     def __init__(self, python: str, env: dict):
@@ -314,20 +345,23 @@ class _Zygote:
         self.conn = ours
         self.pids: dict[int, int] = {}
         self.codes: dict[int, int] = {}   # rank -> exit code, once reaped
+        #: why the job's proxy forked no rank, if it said so
+        self.refused: str | None = None
         #: the connection is gone while ranks were still unreaped
         self.lost = False
 
     def fork_job(self, job: dict, deadline: float) -> bool:
         """Send one job request, with this process's fds 0 / 1 / 2, and
-        wait until the ranks are forked.  False: the zygote was gone
-        first, or ``deadline`` passed (``lost`` tells which)."""
+        wait until the ranks are forked.  False: the proxy refused to
+        fork them, the zygote or the proxy was gone first, or
+        ``deadline`` passed (``refused`` and ``lost`` tell which)."""
         self.pids, self.codes = {}, {}
         try:
             send_msg_fds(self.conn, job, (0, 1, 2))
         except OSError:
             self.lost = True
             return False
-        while not self.pids and not self.lost \
+        while not self.pids and self.refused is None and not self.lost \
                 and (left := deadline - time.monotonic()) > 0:
             self.absorb(left)
         return bool(self.pids)
@@ -349,6 +383,8 @@ class _Zygote:
                 self.pids = msg["pids"]
             elif msg["cmd"] == "exited":
                 self.codes[msg["rank"]] = msg["rc"]
+            elif msg["cmd"] == "refused":
+                self.refused = msg["why"]
 
     def poll(self, rank: int) -> int | None:
         return self.codes.get(rank)
@@ -359,11 +395,11 @@ class _Zygote:
         try:
             send_msg(self.conn, {"cmd": "kill", "rank": rank})
         except OSError:
-            pass  # the zygote is gone, and its ranks with it
+            pass  # the proxy is gone, and its ranks with it
 
     def wait(self, rank: int, timeout: float) -> int | None:
         """The rank's exit code, waiting up to ``timeout`` for the
-        zygote to reap it; None if it has not (or nobody is left to)."""
+        proxy to reap it; None if it has not (or nobody is left to)."""
         deadline = time.monotonic() + timeout
         while rank not in self.codes and not self.lost \
                 and (left := deadline - time.monotonic()) > 0:
@@ -372,24 +408,31 @@ class _Zygote:
 
     def exit_text(self, rank: int) -> str:
         """How a rank that is known to be dead ended, for a failure
-        text.  An EOF on the rank's own connection beats the zygote's
+        text.  An EOF on the rank's own connection beats the proxy's
         notice by the time it takes to reap a process, hence the wait."""
         rc = self.wait(rank, EXIT_NOTICE_WAIT)
         if rc is None and self.lost:
-            try:   # its sockets close a moment before it can be reaped
-                self.proc.wait(timeout=EXIT_NOTICE_WAIT)
-            except subprocess.TimeoutExpired:
-                pass
-            return (f"killed with its parent: the job's zygote died "
-                    f"(exit code {self.proc.poll()})")
+            return f"killed with its parent: {self.lost_text()}"
         return f"exit code {rc}"
+
+    def lost_text(self) -> str:
+        """Who is gone, once the connection is: the zygote closes it by
+        exiting, on its own (code 0) only after the job's proxy died
+        without serving the job."""
+        try:   # its sockets close a moment before it can be reaped
+            rc = self.proc.wait(timeout=EXIT_NOTICE_WAIT)
+        except subprocess.TimeoutExpired:
+            rc = None
+        if rc == 0:
+            return "the job's proxy died"
+        return f"the job's zygote died (exit code {rc})"
 
     def reap(self) -> None:
         """No leaked children, ever.  Dropping the connection is the
-        order: the zygote takes EOF as teardown, kills and reaps what is
-        left of its job and exits.  One that does not (it is wedged) is
-        killed, and its ranks die with their parent
-        (``PR_SET_PDEATHSIG``)."""
+        order: the proxy takes EOF as teardown, kills and reaps what is
+        left of its job and exits, and the zygote, having reaped it,
+        exits too.  One that does not (it is wedged) is killed, and its
+        proxy and ranks die with their parents (``PR_SET_PDEATHSIG``)."""
         self.conn.close()
         if self.proc.poll() is None:
             # Popen.wait(timeout) polls with a growing sleep; a pidfd
@@ -476,7 +519,7 @@ class ProcExecutor:
         # shm job identity: ranks derive every segment name from this
         # nonce.  Fault-injected ranks die by os._exit and unlink
         # nothing, so the zygote sweeps those names once it has reaped
-        # the job's ranks, and this launcher on every exit path (which
+        # the job's proxy, and this launcher on every exit path (which
         # covers a zygote that died)
         shm_nonce = None
         if self.nprocs > 1 and config.shm():
@@ -486,14 +529,13 @@ class ProcExecutor:
                 {"cmd": "job", "nprocs": self.nprocs,
                  "connect": f"{self.host}:{listener.getsockname()[1]}",
                  "cwd": os.getcwd(), "affinity": os.sched_getaffinity(0),
-                 "shm_nonce": shm_nonce},
+                 "shm_nonce": shm_nonce, "target": spec},
                 deadline, timeout)
             conns = self._rendezvous(listener, zyg, deadline, timeout)
             for rank, conn in conns.items():
                 rank_args = tuple(args[rank]) if per_rank_args \
                     else tuple(args)
                 send_msg(conn, {"cmd": "job", "nprocs": self.nprocs,
-                                "target": spec,
                                 "args": pickle.dumps(rank_args,
                                                      protocol=4)})
             book = self._mesh_ports(conns, zyg, deadline, timeout)
@@ -547,10 +589,10 @@ class ProcExecutor:
 
     # -- bootstrap ---------------------------------------------------------
     def _fork_ranks(self, job: dict, deadline, timeout) -> _Zygote:
-        """Have a zygote fork the job's ranks: the idle one if it was
-        started as this job's would be, else a fresh one.  A reused
-        zygote that is gone before it forks (it was lingering out) gets
-        the request once more, to a fresh one."""
+        """Have a zygote's proxy fork the job's ranks: the idle zygote if
+        it was started as this job's would be, else a fresh one.  A
+        reused zygote that is gone before its proxy forks (it was
+        lingering out) gets the request once more, to a fresh one."""
         key = (self.python, _child_env())
         phase_deadline = deadline if deadline is not None \
             else time.monotonic() + BOOTSTRAP_TIMEOUT
@@ -564,24 +606,29 @@ class ProcExecutor:
                 zyg = _Zygote(*key)
             if zyg.fork_job(job, phase_deadline):
                 return zyg
+            timed_out = zyg.refused is None and not zyg.lost
+            if timed_out:
+                # wedged before the proxy's fork (in the target's import,
+                # say): no rank to wind down, so no grace -- the proxy
+                # dies with the zygote
+                zyg.proc.kill()
             zyg.reap()
-            if not zyg.lost:
+            if timed_out:
                 raise JobTimeoutError(
                     timeout if timeout is not None else BOOTSTRAP_TIMEOUT,
                     range(self.nprocs), {})
-            if not warm:
-                raise RankFailure(
-                    {r: RuntimeError(f"rank {r} never started: the job's "
-                                     f"zygote exited before forking it "
-                                     f"(exit code {zyg.proc.returncode})")
-                     for r in range(self.nprocs)})
+            if zyg.refused is not None or not warm:
+                why = zyg.refused or f"{zyg.lost_text()} before forking it"
+                raise RankFailure({r: RuntimeError(
+                    f"rank {r} never started: {why}")
+                    for r in range(self.nprocs)})
             zyg = None
 
     def _rendezvous(self, listener, zyg, deadline, timeout):
         """Accept one control connection per rank (bounded wait).
 
         Fails *fast* on a rank that dies before registering: the
-        zygote's ``exited`` notice for a rank with no connection
+        proxy's ``exited`` notice for a rank with no connection
         surfaces in milliseconds — naming the dead rank(s) and exit
         codes — instead of burning the whole step timeout waiting for a
         connection that can never come.
@@ -602,11 +649,10 @@ class ProcExecutor:
                                          f"bootstrap (exit code {rc})")
                          for r, rc in dead.items()})
                 if zyg.lost:
-                    rc = zyg.proc.wait(timeout=KILL_GRACE)
+                    why = zyg.lost_text()
                     raise RankFailure(
-                        {r: RuntimeError(f"rank {r} never started: the "
-                                         f"job's zygote exited during "
-                                         f"bootstrap (exit code {rc})")
+                        {r: RuntimeError(f"rank {r} never started: {why} "
+                                         f"during bootstrap")
                          for r in missing})
                 left = phase_deadline - time.monotonic()
                 if left <= 0:
@@ -709,14 +755,14 @@ class ProcExecutor:
         """Read every rank's report; declare dead children to survivors.
 
         Three failure detectors feed the same declaration path,
-        whichever fires first: control connection EOF and the zygote's
+        whichever fires first: control connection EOF and the proxy's
         ``exited`` notice for a rank that has not reported (a process
         that actually died — the notice is where its exit code comes
         from, always), and heartbeat silence (a process that wedged with
         its sockets open — SIGSTOP, runaway C code holding the GIL).  A
         silent rank is SIGKILLed first so the declaration is *true*,
         then every survivor gets a ``peerfail`` notice for its failure
-        plane.  Losing the zygote loses every rank it had not reaped.
+        plane.  Losing the connection loses every rank not yet reaped.
         """
         sel = selectors.DefaultSelector()
         for rank, conn in conns.items():
@@ -752,7 +798,7 @@ class ProcExecutor:
                         self._timeout(conns, zyg, pending, reports,
                                       failures, timeout)
                     wait = max(0.0, min(wait, left))
-                # ranks before the zygote: a report already on a rank's
+                # ranks before the proxy: a report already on a rank's
                 # connection outranks the notice that it has exited
                 for key, _ in sorted(sel.select(timeout=wait),
                                      key=lambda ev: ev[0].data is None):
@@ -773,7 +819,8 @@ class ProcExecutor:
                     sel.unregister(key.fileobj)
                     pending.discard(rank)
                     reports[rank] = msg
-                # (a lost zygote takes every pending rank: the loop ends)
+                # (a lost connection takes every pending rank: the loop
+                # ends)
                 for rank in sorted(pending):
                     if zyg.lost or zyg.poll(rank) is not None:
                         died(rank)

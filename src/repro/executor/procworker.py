@@ -2,36 +2,53 @@
 ``python -m repro.executor.procworker``.
 
 Started by :class:`~repro.executor.procrunner.ProcExecutor` and kept
-between jobs, never run by hand.  The process that starts here is the
-launcher's *zygote*: it has imported the runtime (this module's imports
-— never user code) and serves job requests, one at a time, on the
-``socketpair`` end it was handed (``--control FD``).  For each request
-it checks that it has a single thread and forks the job's ranks; from
-then on it is their parent and nothing else (:func:`_parent_ranks`): it
+between jobs, never run by hand.  Three kinds of process run this
+module, each forked from the one before:
+
+*zygote* — the process that starts here.  It has imported the runtime
+(this module's imports — never user code) and serves job requests, one
+at a time, on the ``socketpair`` end it was handed (``--control FD``).
+For each request it checks that it has a single thread, freezes its
+heap and forks the job's *proxy*; it hands the proxy the connection
+and does not read it again until it has reaped the proxy (an EOF that
+comes before the proxy has forked the ranks — the launcher gone while
+the proxy imports — is the zygote's to act on: it SIGKILLs the proxy,
+see :func:`_reap_proxy`).  Then, whatever the proxy's exit status, it
+unlinks the job's shared-memory segment names that are left (a rank
+that did not finalize unlinks nothing, and a killed proxy leaks
+nothing either).  It serves the next
+request only if the proxy exited 0 — every rank reaped with code 0 and
+the connection still standing — and exits after
+:data:`~repro.executor.procrunner.LINGER_S` without one.  So no module
+one job imported is ever seen by the next: they lived in the proxy.
+
+*proxy* — one per job, what ``hydra_pmi_proxy`` and ``orted`` are to
+MPICH and Open MPI.  It dies with the zygote (``PR_SET_PDEATHSIG``),
+takes on the job's per-run state (:func:`_enter_job`: the launcher's
+fds 0 / 1 / 2, its working directory and the CPU affinity of the thread
+that called ``run()``), imports the target once, flushes stdio (output
+printed at import is not repeated by every rank), checks that the
+import left it single-threaded, freezes its heap and forks the ranks.
+An import that raises is swallowed here: each rank raises it again as
+its own failure.  A target whose import leaves a thread running fails
+the job before any rank exists (``refused``).  From the fork on the
+proxy is the ranks' parent and nothing else (:func:`_parent_ranks`): it
 tells the launcher ``forked {rank: pid}``, reaps each rank and reports
 ``exited {rank, rc}``, and SIGKILLs a rank when the launcher says
 ``kill {rank}`` — the only process that ever signals a rank, because
 only the parent knows that a pid is still the child it forked.  EOF on
 its connection, in either direction, is teardown: it kills and reaps
-whatever is left and exits; a rank whose zygote dies is killed by the
-kernel (``PR_SET_PDEATHSIG``).  Either way, once the job's ranks are
-reaped the zygote unlinks the job's shared-memory segments that are
-left (a rank that did not finalize unlinks nothing).  With its last
-rank reaped the zygote waits for the next request, and exits after
-:data:`~repro.executor.procrunner.LINGER_S` without one.
+whatever is left and exits non-zero.  The environment needs nothing:
+the launcher sends a zygote only jobs it would start with the same one.
 
-The zygote outlives the job state of the launcher, so each forked rank
-first re-applies what the request carries (:func:`_enter_job`): the
-launcher's fds 0 / 1 / 2, its working directory and the CPU affinity of
-the thread that called ``run()``.  The environment needs nothing: the
-launcher sends a zygote only jobs it would start with the same one.
-
-Each forked rank (:func:`_rank_main`) closes the zygote's connection,
-dials the launcher itself, receives the job blob, resolves the target
-(user modules are imported here, once per rank), joins the TCP mesh,
-hosts a single-rank view of the
-:class:`~repro.runtime.engine.Universe`, runs the target, and marshals
-the result (or exception) home over its own control connection.
+*rank* — dies with the proxy (``PR_SET_PDEATHSIG``); nothing survives
+a SIGKILLed proxy or zygote.  Each rank (:func:`_rank_main`) closes the
+inherited connection, dials the launcher itself, receives its
+arguments, resolves the target (already imported: the proxy's module,
+inherited by the fork), joins the TCP mesh, hosts a single-rank view of
+the :class:`~repro.runtime.engine.Universe`, runs the target, and
+marshals the result (or exception) home over its own control
+connection.
 
 In a rank, a dedicated control thread listens for launcher commands for
 the whole job lifetime: ``abort`` poisons the local universe (and,
@@ -172,13 +189,41 @@ def _attach_lanes(chans, rank: int, nonce, inbound: dict, book: dict) -> None:
 
 
 def _enter_job(job: dict, fds: list[int]) -> None:
-    """A freshly forked rank takes on the job's per-run state: the
-    launcher's stdio, directory and CPU affinity as of its ``run()``."""
+    """The job's proxy takes on the job's per-run state, for itself and
+    the ranks it forks: the launcher's stdio, directory and CPU affinity
+    as of its ``run()``."""
     for target, fd in enumerate(fds):
         os.dup2(fd, target)
         os.close(fd)
     os.chdir(job["cwd"])
     os.sched_setaffinity(0, job["affinity"])
+
+
+def _threads() -> list[str] | None:
+    """The names of this process's threads, if it has more than one.
+
+    fork() copies the calling thread only: a lock some other thread held
+    would stay locked in every child, forever.  So the zygote and the
+    proxy check, not assume, that they are alone before they fork (it is
+    also what keeps Python 3.12's "multi-threaded, use of fork()"
+    warning away)."""
+    if threading.active_count() == 1:
+        return None
+    return [t.name for t in threading.enumerate()]
+
+
+def _settle_heap() -> None:
+    """Ready this process's heap for forking: flush what is buffered
+    (it would be printed again by every child) and freeze what is
+    imported.  The imported heap is shared with the children page by
+    page until one of them writes to it, and a collector pass writes to
+    every tracked object's header; frozen, it is skipped by their
+    collections (and a rank ends by :func:`_fast_exit`, without the
+    teardown that would touch it all)."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    gc.collect()
+    gc.freeze()
 
 
 def _fast_exit(code: int) -> None:
@@ -199,8 +244,8 @@ def _fast_exit(code: int) -> None:
 
 
 def main(argv=None) -> int:
-    """The zygote: fork each job's ranks and stay as their parent,
-    until the launcher goes or no job comes for ``LINGER_S``."""
+    """The zygote: fork each job's proxy and reap it, until the launcher
+    goes or no job comes for ``LINGER_S``."""
     ap = argparse.ArgumentParser(prog="repro.executor.procworker")
     ap.add_argument("--control", type=int, required=True, metavar="FD")
     ctl = socket.socket(fileno=ap.parse_args(argv).control)
@@ -211,63 +256,117 @@ def main(argv=None) -> int:
             job, fds = recv_msg_fds(ctl, 3)
         except (OSError, EOFError, pickle.PickleError):
             return 0   # the launcher is gone
-        host, _, port = job["connect"].rpartition(":")
-        nprocs = job["nprocs"]
-        # fork() copies the calling thread only: a lock some other
-        # thread held would stay locked in every rank, forever.  Nothing
-        # imported here starts a thread (pumps, heartbeat and control
-        # threads belong to a rank's job) -- checked, not assumed, before
-        # every job; it is also what keeps Python 3.12's
-        # "multi-threaded, use of fork()" warning away
-        if threading.active_count() != 1:
-            raise RuntimeError(
-                f"zygote must fork single-threaded, found "
-                f"{[t.name for t in threading.enumerate()]}")
-        sys.stdout.flush()   # what is still buffered here would be
-        sys.stderr.flush()   # printed again by every rank
-        # everything imported so far is shared with the ranks page by
-        # page until one of them writes to it; a collector pass writes
-        # to every tracked object's header.  Frozen, the imported heap
-        # is skipped by the ranks' collections (and a rank ends by
-        # _fast_exit, without the teardown that would touch it all)
-        gc.collect()
-        gc.freeze()
-        kids: dict[int, tuple[int, int]] = {}   # rank -> (pid, pidfd)
-        for rank in range(nprocs):
-            pid = os.fork()
-            if pid == 0:
-                # A rank leaves main() from this block -- by _fast_exit,
-                # by an exception or by os._exit, each of which ends the
-                # process -- so it can never reach the loop below.
-                ctl.close()
-                for _pid, fd in kids.values():
-                    os.close(fd)
-                _enter_job(job, fds)
-                cma.die_with_parent()
-                if os.getppid() != zygote:   # orphaned before the prctl
-                    os._exit(1)
-                # ranks that were separate interpreters drew separate
-                # unseeded np.random streams; random reseeds itself at
-                # fork, numpy does not
-                numpy.random.seed()
-                _fast_exit(_rank_main(host, int(port), rank, nprocs,
-                                      job["shm_nonce"]))
-            kids[rank] = (pid, os.pidfd_open(pid))
+        # nothing imported here starts a thread (pumps, heartbeat and
+        # control threads belong to a rank's job)
+        threads = _threads()
+        if threads:
+            raise RuntimeError(f"zygote must fork single-threaded, "
+                               f"found {threads}")
+        _settle_heap()
+        forking, forked = os.pipe()
+        proxy = os.fork()
+        if proxy == 0:
+            # The proxy leaves main() from this block -- by os._exit or
+            # by an exception, each of which ends the process -- so it
+            # never reaches the loop.  Not _fast_exit: exit handlers and
+            # threads the target's import left behind are the ranks'.
+            os.close(forking)
+            code = _proxy_main(ctl, job, fds, zygote, forked)
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(code)
+        os.close(forked)
         for fd in fds:
             os.close(fd)
-        served = _parent_ranks(ctl, kids)
+        rc = _reap_proxy(ctl, proxy, forking)
         if job["shm_nonce"] is not None:
-            # with every rank reaped: what a rank that did not finalize
-            # left in /dev/shm (a killed launcher included) goes here
-            shm_transport.unlink_job_segments(job["shm_nonce"], nprocs)
-        if not served:
+            # what a rank that did not finalize left in /dev/shm (a
+            # killed launcher or proxy included) goes here: the ranks
+            # died with the proxy, if not before it
+            shm_transport.unlink_job_segments(job["shm_nonce"],
+                                              job["nprocs"])
+        if rc != 0:
             return 0
     return 0   # lingered out
 
 
+def _reap_proxy(ctl: socket.socket, proxy: int, forking: int) -> int:
+    """Wait for the job's proxy to end; its exit code.
+
+    ``forking`` is the read end of a pipe whose write end the proxy
+    closes once it has forked the ranks.  Before that the launcher sends
+    nothing, so the only event the connection can have is its EOF: the
+    launcher is gone, and a proxy still inside the target's import would
+    never notice, so it is SIGKILLed.  After that, EOF is the proxy's to
+    handle, and the zygote watches the proxy alone."""
+    pidfd = os.pidfd_open(proxy)
+    try:
+        watched = [pidfd, forking, ctl]
+        while pidfd not in (ready := select.select(watched, [], [])[0]):
+            if forking not in ready:
+                os.kill(proxy, signal.SIGKILL)
+            watched = [pidfd]
+    finally:
+        os.close(pidfd)
+        os.close(forking)
+    return os.waitstatus_to_exitcode(os.waitpid(proxy, 0)[1])
+
+
+def _proxy_main(ctl: socket.socket, job: dict, fds: list[int],
+                zygote: int, forked: int) -> int:
+    """One job's proxy, from the zygote's fork to its exit code: 0 when
+    every rank was reaped with code 0 and the connection still stands.
+    ``forked`` is closed once the ranks are (see :func:`_reap_proxy`)."""
+    cma.die_with_parent()
+    if os.getppid() != zygote:   # orphaned before the prctl
+        return 1
+    _enter_job(job, fds)
+    try:
+        resolve_target(job["target"])
+    except BaseException:  # noqa: BLE001 - each rank raises it again
+        pass
+    threads = _threads()
+    if threads:
+        try:
+            send_msg(ctl, {"cmd": "refused", "why": (
+                f"importing the target left the job's proxy with "
+                f"threads {threads}; ranks are forked from it and must "
+                f"be forked single-threaded")})
+        except OSError:
+            pass   # the launcher is gone
+        return 1
+    _settle_heap()   # what the import printed is printed once, here
+    proxy = os.getpid()
+    host, _, port = job["connect"].rpartition(":")
+    nprocs = job["nprocs"]
+    kids: dict[int, tuple[int, int]] = {}   # rank -> (pid, pidfd)
+    for rank in range(nprocs):
+        pid = os.fork()
+        if pid == 0:
+            # A rank leaves _proxy_main() from this block -- by
+            # _fast_exit, by an exception or by os._exit, each of which
+            # ends the process.
+            ctl.close()
+            os.close(forked)
+            for _pid, fd in kids.values():
+                os.close(fd)
+            cma.die_with_parent()
+            if os.getppid() != proxy:   # orphaned before the prctl
+                os._exit(1)
+            # ranks that were separate interpreters drew separate
+            # unseeded np.random streams; random reseeds itself at
+            # fork, numpy does not
+            numpy.random.seed()
+            _fast_exit(_rank_main(host, int(port), rank, nprocs,
+                                  job["target"], job["shm_nonce"]))
+        kids[rank] = (pid, os.pidfd_open(pid))
+    os.close(forked)
+    return 0 if _parent_ranks(ctl, kids) else 1
+
+
 def _parent_ranks(ctl: socket.socket,
                   kids: dict[int, tuple[int, int]]) -> bool:
-    """The zygote after its last fork: the ranks' parent for the job's
+    """The proxy after its last fork: the ranks' parent for the job's
     lifetime -- the one process that reaps them and the only one that
     may signal them (it alone knows whether a pid is still its child).
 
@@ -276,8 +375,10 @@ def _parent_ranks(ctl: socket.socket,
     the code as ``subprocess`` spells it (-9: SIGKILL); down comes
     ``kill``.  EOF or an error on the connection, either way round, is
     teardown: SIGKILL and reap whatever is left, and answer False.
-    True: every rank was reaped and the connection still stands.
+    True: every rank was reaped with code 0 and the connection still
+    stands.
     """
+    clean = True
     with selectors.DefaultSelector() as sel:
         sel.register(ctl, selectors.EVENT_READ)
         for rank, (_pid, fd) in kids.items():
@@ -298,9 +399,10 @@ def _parent_ranks(ctl: socket.socket,
                         os.close(fd)
                         rc = os.waitstatus_to_exitcode(
                             os.waitpid(pid, 0)[1])
+                        clean = clean and rc == 0
                         send_msg(ctl, {"cmd": "exited", "rank": rank,
                                        "rc": rc})
-            return True
+            return clean
         except (OSError, EOFError, pickle.PickleError):
             pass   # the launcher is gone, or has closed the job
     for pid, fd in kids.values():
@@ -312,7 +414,7 @@ def _parent_ranks(ctl: socket.socket,
 
 
 def _rank_main(host: str, port: int, rank: int, nprocs: int,
-               shm_nonce: str | None) -> int:
+               spec: dict, shm_nonce: str | None) -> int:
     """One rank, from the fork to its exit code."""
     # in a worker process an injected fault is a *real* death (os._exit:
     # no report, no finally blocks, just EOF on the control connection)
@@ -328,7 +430,7 @@ def _rank_main(host: str, port: int, rank: int, nprocs: int,
     # resolve the target *before* meshing up: an unimportable target
     # reports as this rank's failure, not as a wedged bootstrap
     try:
-        target = resolve_target(job["target"])
+        target = resolve_target(spec)
         args = pickle.loads(job["args"])
     except BaseException as exc:  # noqa: BLE001 - marshalled to launcher
         send_msg(ctl, {"status": "error", **dump_exception(exc)})
@@ -349,8 +451,8 @@ def _rank_main(host: str, port: int, rank: int, nprocs: int,
     if inbound:
         # sibling ranks read each other's send buffers in place; under
         # Yama ptrace_scope=1 that takes naming a common ancestor before
-        # any of them probes — the parent is the zygote, which forked
-        # every rank of the job and lives as long as they do
+        # any of them probes — the parent is the job's proxy, which
+        # forked every rank of the job and lives as long as they do
         cma.allow_tracer(os.getppid())
     send_msg(ctl, {"mesh_port": listener.getsockname()[1],
                    "node": shm_transport.node_id(),
@@ -439,5 +541,6 @@ def _rank_main(host: str, port: int, rank: int, nprocs: int,
 
 
 if __name__ == "__main__":
-    # only the zygote returns from main(): a rank ends in _fast_exit
+    # only the zygote returns from main(): a proxy ends in os._exit, a
+    # rank in _fast_exit
     _fast_exit(main())

@@ -52,9 +52,9 @@ its body is here.
   - a rank that finalizes unlinks its inbound names (the owner's
     :meth:`ShmSegment.close`); an attacher's close leaves them;
   - a rank that dies any other way (an injected fault's ``os._exit``,
-    SIGKILL, the launcher gone) is swept by its zygote, which unlinks
-    the job's names after it has reaped the job's ranks
-    (:func:`unlink_job_segments`);
+    SIGKILL, the launcher or the job's proxy gone) is swept by the
+    zygote, which unlinks the job's names after it has reaped the job's
+    proxy, whatever its exit status (:func:`unlink_job_segments`);
   - a zygote that dies is swept by the launcher, which unlinks the
     names on every way out of ``ProcExecutor.run``;
   - an in-process world (:func:`shm_world`) unlinks when it closes.

@@ -211,28 +211,51 @@ def launch_report_body():
 
 
 def job_state_body():
-    """What a rank took on from its job: (parent, cwd, CPU affinity)."""
+    """What a rank took on from its job: (zygote, cwd, CPU affinity).
+    The zygote is the rank's grandparent: its parent is the job's
+    proxy."""
     MPI.Init([])
     MPI.COMM_WORLD.Barrier()
     MPI.Finalize()
-    return os.getppid(), os.getcwd(), sorted(os.sched_getaffinity(0))
+    return (parent_of(os.getppid()), os.getcwd(),
+            sorted(os.sched_getaffinity(0)))
 
 
 def print_body(word):
-    """Each rank prints one line to its fd 1; returns its parent."""
+    """Each rank prints one line to its fd 1; returns its zygote."""
     print(f"rank {os.getpid()} says {word}", flush=True)
-    return os.getppid()
+    return parent_of(os.getppid())
 
 
-def zygote_killer_body():
-    """Rank 0 SIGKILLs the ranks' common parent once every rank is up."""
+def modules_body(name):
+    """(this rank's zygote, whether module ``name`` is loaded here)."""
+    return parent_of(os.getppid()), name in sys.modules
+
+
+def killer_body(generation):
+    """Rank 0 SIGKILLs an ancestor of the ranks once every rank is up:
+    its parent (1: the job's proxy) or grandparent (2: the zygote)."""
     MPI.Init([])
     w = MPI.COMM_WORLD
     w.Barrier()
     if w.Rank() == 0:
-        os.kill(os.getppid(), signal.SIGKILL)
+        victim = os.getppid()
+        if generation == 2:
+            victim = parent_of(victim)
+        os.kill(victim, signal.SIGKILL)
     time.sleep(30.0)
     return "unreachable"
+
+
+def zygote_killer_body():
+    """Rank 0 SIGKILLs the ranks' zygote once every rank is up."""
+    return killer_body(2)
+
+
+def proxy_killer_body():
+    """Rank 0 SIGKILLs the ranks' parent, the job's proxy, once every
+    rank is up."""
+    return killer_body(1)
 
 
 def blocked_recv_body():
@@ -257,7 +280,7 @@ def lanes_and_children_body():
 
 
 def pids_then_sleep_body(where):
-    """Each rank leaves ``<where>/rank<r>`` = "pid zygote", then sleeps."""
+    """Each rank leaves ``<where>/rank<r>`` = "pid parent", then sleeps."""
     MPI.Init([])
     rank = MPI.COMM_WORLD.Rank()
     MPI.COMM_WORLD.Barrier()
@@ -494,9 +517,9 @@ class TestEndToEnd:
 
 def worker_processes():
     """Pids run as ``python -m repro.executor.procworker``: zygotes
-    and (forked from one, they share its command line) every rank of any
-    job.  The module name must be an argument of its own — a shell whose
-    script merely mentions it is not a worker."""
+    and (forked from one, they share its command line) every proxy and
+    every rank of any job.  The module name must be an argument of its
+    own — a shell whose script merely mentions it is not a worker."""
     found = []
     for entry in os.listdir("/proc"):
         if not entry.isdigit():
@@ -532,9 +555,9 @@ def alive(pid):
 def leaked_workers():
     """Every worker but this process's idle zygote.  The idle zygote is
     the one worker that is a child of this process and has no worker
-    child of its own; every rank has a worker — or nobody — as its
-    parent, so it is always a leak, and so is a zygote still holding
-    one."""
+    child of its own; every proxy and every rank has a worker — or
+    nobody — as its parent, so it is always a leak, and so is a zygote
+    still holding one."""
     workers = worker_processes()
     parents = {pid: parent_of(pid) for pid in workers}
     idle = [pid for pid in workers if parents[pid] == os.getpid()
@@ -549,11 +572,29 @@ def assert_no_worker_survives(within=2.0):
     assert not leaked_workers(), "leaked zygote or rank processes"
 
 
+#: a target module that logs each pid importing it and reports who
+#: runs it: (pid, parent, grandparent)
+IMPORT_LOGGING_TARGET = """
+import os
+with open(os.environ['REPRO_TEST_IMPORT_LOG'], 'a') as f:
+    f.write(f'{os.getpid()}\\n')
+
+def parent_of(pid):
+    with open(f'/proc/{pid}/stat') as f:
+        return int(f.read().rpartition(')')[2].split()[1])
+
+def body():
+    return os.getpid(), os.getppid(), parent_of(os.getppid())
+"""
+
+
 class TestLaunchPath:
-    """A job costs a fork: the launcher keeps one zygote, which forks
-    each job's ranks and stays as their parent.  Everything a rank takes
-    on is the launcher's *at that job's start*, no user code runs before
-    the fork, and a zygote that served a failed job serves no other."""
+    """A job costs two forks and one import: the launcher keeps one
+    zygote, which forks a proxy per job; the proxy imports the target
+    and forks the job's ranks and stays as their parent.  Everything a
+    rank takes on is the launcher's *at that job's start*, no user code
+    runs in the zygote, and a zygote that served a failed job serves no
+    other."""
 
     def test_ranks_share_a_parent_that_is_neither_launcher_nor_rank(self):
         rows = procrun(NPROCS, launch_report_body, timeout=20)
@@ -579,23 +620,26 @@ class TestLaunchPath:
                 assert [(m, cwd) for _, _, m, cwd in rows] \
                     == [(mark, str(where))] * 2
 
-    def test_target_module_is_imported_once_per_rank_after_the_fork(
-            self, monkeypatch, tmp_path):
-        """Import side effects, and a failing import's RankFailure, are
-        each rank's own, as when every rank was its own interpreter."""
+    @pytest.mark.parametrize("spec", ["file", "module"])
+    def test_target_module_is_imported_once_per_job(
+            self, spec, monkeypatch, tmp_path):
+        """By the ranks' common parent, the job's proxy, before it forks
+        them: not by the launcher, the zygote or any rank."""
         log = tmp_path / "imports.log"
-        target = tmp_path / "side_effect_target.py"
-        target.write_text(
-            "import os\n"
-            "with open(os.environ['REPRO_TEST_IMPORT_LOG'], 'a') as f:\n"
-            "    f.write(f'{os.getpid()}\\n')\n"
-            "def body():\n"
-            "    return os.getpid(), os.getppid()\n")
+        target = tmp_path / "once_per_job_target.py"
+        target.write_text(IMPORT_LOGGING_TARGET)
         monkeypatch.setenv("REPRO_TEST_IMPORT_LOG", str(log))
-        rows = procrun(NPROCS, f"{target}:body", timeout=20)
-        importers = sorted(int(line) for line in log.read_text().split())
-        assert importers == sorted(pid for pid, _ in rows)
-        assert rows[0][1] not in importers   # not in the zygote
+        if spec == "file":
+            name = f"{target}:body"
+        else:
+            monkeypatch.syspath_prepend(str(tmp_path))
+            name = "once_per_job_target:body"
+        rows = procrun(NPROCS, name, timeout=20)
+        importers = [int(line) for line in log.read_text().split()]
+        (proxy,) = {ppid for _, ppid, _ in rows}
+        (zygote,) = {gpid for _, _, gpid in rows}
+        assert importers == [proxy], (importers, rows)
+        assert proxy not in {os.getpid(), zygote} | {p for p, _, _ in rows}
 
     def test_explicit_interpreter_still_honoured(self):
         rows = ProcExecutor(2, python=sys.executable).run(
@@ -613,12 +657,135 @@ class TestLaunchPath:
                    for f in failures.values()), failures
         assert_no_worker_survives()
 
+    @pytest.mark.parametrize("shm", ["0", "1"])
+    def test_killed_proxy_fails_every_unreported_rank_and_leaks_none(
+            self, shm, monkeypatch):
+        """The proxy SIGKILLed mid-body: its ranks die with it, the
+        zygote reaps it, sweeps the job's shm names and exits, and the
+        failure names the proxy.  The next job gets a fresh zygote."""
+        from repro.executor import procrunner
+        monkeypatch.setenv("REPRO_SHM", shm)
+        before = procrun(2, job_state_body, timeout=20)[0][0]
+        seq = 10 ** 6   # the killed job's shm nonce, known in advance
+        monkeypatch.setattr(procrunner, "_SHM_RUN_SEQ",
+                            iter(range(seq, seq + 2)))
+        t0 = time.monotonic()
+        with pytest.raises(RankFailure) as ei:
+            procrun(NPROCS, proxy_killer_body, timeout=20)
+        assert time.monotonic() - t0 < 10.0
+        failures = ei.value.failures
+        assert set(failures) == set(range(NPROCS)), failures
+        for failure in failures.values():
+            text = str(failure)
+            assert "the job's proxy died" in text, failures
+            assert "zygote" not in text, failures
+        assert_no_worker_survives()
+        assert leaked_segments(f"{os.getpid():x}j{seq}", NPROCS) == []
+        healthy = procrun(2, job_state_body, timeout=20)
+        assert len({z for z, _, _ in healthy}) == 1, healthy
+        assert healthy[0][0] != before
+        assert_no_worker_survives()
+
+    def test_a_launcher_killed_during_the_import_leaves_no_worker(
+            self, tmp_path):
+        """Until the proxy has forked the ranks, the launcher's EOF is
+        the zygote's to act on: it kills a proxy wedged in the import,
+        and exits."""
+        marker = tmp_path / "importing"
+        target = tmp_path / "wedged_import.py"
+        target.write_text(
+            "import os, time\n"
+            "path = os.environ['REPRO_TEST_MARKER']\n"
+            "with open(path + '.tmp', 'w') as f:\n"
+            "    f.write(f'{os.getpid()} {os.getppid()}')\n"
+            "os.rename(path + '.tmp', path)\n"
+            "time.sleep(30)\n"
+            "def body(arg):\n"
+            "    return arg\n")
+        env = {**_child_env(), "REPRO_TEST_MARKER": str(marker)}
+        env.pop("REPRO_FAULT", None)
+        launcher = subprocess.Popen(
+            [sys.executable, "-c", DOOMED_LAUNCHER, f"{target}:body", "x"],
+            env=env)
+        try:
+            deadline = time.monotonic() + TIMEOUT
+            while not marker.exists():
+                assert launcher.poll() is None, launcher.returncode
+                assert time.monotonic() < deadline, "no import began"
+                time.sleep(0.02)
+            proxy_and_zygote = [int(pid) for pid in
+                                marker.read_text().split()]
+            launcher.kill()
+            launcher.wait()
+            killed = time.monotonic()
+            while [pid for pid in proxy_and_zygote if alive(pid)] \
+                    and time.monotonic() - killed < 3.0:
+                time.sleep(0.02)
+            assert [pid for pid in proxy_and_zygote if alive(pid)] == []
+        finally:
+            if launcher.poll() is None:
+                launcher.kill()
+                launcher.wait()
+
     def test_back_to_back_jobs_share_one_zygote(self):
         first = procrun(2, job_state_body, timeout=20)
         second = procrun(NPROCS, job_state_body, timeout=20)
-        parents = {ppid for ppid, _, _ in first + second}
-        assert len(parents) == 1, parents
+        zygotes = {zygote for zygote, _, _ in first + second}
+        assert len(zygotes) == 1, zygotes
         assert_no_worker_survives()
+
+    def test_a_job_does_not_see_the_last_jobs_modules(self, monkeypatch,
+                                                      tmp_path):
+        """The proxy imported them, and it is gone: the zygote never
+        imports user code."""
+        log = tmp_path / "imports.log"
+        target = tmp_path / "first_job_target.py"
+        target.write_text(IMPORT_LOGGING_TARGET)
+        monkeypatch.setenv("REPRO_TEST_IMPORT_LOG", str(log))
+        first = procrun(2, f"{target}:body", timeout=20)
+        second = procrun(2, modules_body,
+                         args=("_repro_target_first_job_target",),
+                         timeout=20)
+        assert {gpid for _, _, gpid in first} \
+            == {zygote for zygote, _ in second}
+        assert [seen for _, seen in second] == [False, False]
+        assert len(log.read_text().split()) == 1
+
+    def test_output_printed_at_import_appears_once(self, capfd, tmp_path):
+        """The proxy flushes it before it forks the ranks."""
+        target = tmp_path / "noisy_target.py"
+        target.write_text("import os\n"
+                          "print(f'imported by {os.getpid()}')\n"
+                          "def body():\n"
+                          "    return 0\n")
+        capfd.readouterr()
+        assert procrun(NPROCS, f"{target}:body", timeout=20) \
+            == [0] * NPROCS
+        out = capfd.readouterr().out
+        assert out.count("imported by") == 1, out
+
+    def test_an_import_that_starts_a_thread_fails_every_rank(
+            self, tmp_path):
+        """Ranks are forked from the proxy, which must be single-threaded
+        when it forks: no rank starts, every rank's failure names the
+        thread, and nothing is left behind."""
+        target = tmp_path / "threaded_target.py"
+        target.write_text("import threading, time\n"
+                          "threading.Thread(target=time.sleep, args=(30,),\n"
+                          "                 name='import-time-sleeper')"
+                          ".start()\n"
+                          "def body():\n"
+                          "    return 0\n")
+        t0 = time.monotonic()
+        with pytest.raises(RankFailure) as ei:
+            procrun(NPROCS, f"{target}:body", timeout=20)
+        assert time.monotonic() - t0 < 10.0
+        failures = ei.value.failures
+        assert set(failures) == set(range(NPROCS)), failures
+        assert all("import-time-sleeper" in str(f)
+                   for f in failures.values()), failures
+        assert_no_worker_survives()
+        assert procrun(2, rank_report_body, timeout=20)
 
     @pytest.mark.parametrize("failure", ["killed zygote", "bootstrap fault",
                                          "timeout", "environment change"])
@@ -647,7 +814,7 @@ class TestLaunchPath:
             else:
                 monkeypatch.setenv("REPRO_TEST_LAUNCH_MARK", str(round))
             healthy = procrun(2, job_state_body, timeout=20)
-            assert len({ppid for ppid, _, _ in healthy}) == 1, healthy
+            assert len({z for z, _, _ in healthy}) == 1, healthy
             assert healthy[0][0] != before, (failure, round)
             assert_no_worker_survives()
 
@@ -678,7 +845,7 @@ class TestLaunchPath:
                 rows += got
         finally:
             os.sched_setaffinity(0, allowed)
-        assert len({ppid for ppid, _, _ in rows}) == 1, rows
+        assert len({zygote for zygote, _, _ in rows}) == 1, rows
 
     def test_a_reused_zygote_prints_to_this_jobs_stdout(self, capfd,
                                                          tmp_path):
@@ -694,7 +861,7 @@ class TestLaunchPath:
             os.dup2(saved, 1)
             os.close(saved)
         second = procrun(2, print_body, args=("second",), timeout=20)
-        assert len(set(first + second)) == 1, (first, second)
+        assert len(set(first + second)) == 1, (first, second)   # zygotes
         out = capfd.readouterr().out
         assert out.count("says second") == 2 and "first" not in out, out
         text = first_out.read_text()
@@ -831,7 +998,7 @@ class TestTimeoutReporting:
         assert "did not finish" in str(exc)
         assert "failed before the deadline" in str(exc)
         # rank 1 sat in time.sleep, deaf to the abort: it was killed by
-        # its parent, the zygote, on the launcher's teardown
+        # its parent, the job's proxy, on the launcher's teardown
         assert_no_worker_survives()
 
     def test_a_rank_that_unwound_on_the_abort_ends_with_the_deadline(
@@ -848,22 +1015,44 @@ class TestTimeoutReporting:
         assert took < deadline + 1.0, f"raised after {took:.2f} s"
         assert_no_worker_survives()
 
+    def test_an_import_that_wedges_leaves_every_rank_hung_at_the_deadline(
+            self, tmp_path):
+        """The job's proxy never gets to fork: every rank is hung, and
+        the job ends with its deadline, not a kill grace later."""
+        target = tmp_path / "wedged_import.py"
+        target.write_text("import time\n"
+                          "time.sleep(30)\n"
+                          "def body():\n"
+                          "    return 0\n")
+        deadline = 2.0
+        t0 = time.monotonic()
+        with pytest.raises(JobTimeoutError) as ei:
+            procrun(NPROCS, f"{target}:body", timeout=deadline)
+        took = time.monotonic() - t0
+        assert ei.value.hung_ranks == list(range(NPROCS))
+        assert took < deadline + 1.0, f"raised after {took:.2f} s"
+        assert_no_worker_survives()
+
     def test_a_rank_that_failed_before_the_deadline_is_not_hung(
             self, monkeypatch, tmp_path):
-        """The first rank to import the target fails at once; the others
-        wedge inside the import past the deadline.  Whatever the order
-        they are read in, the failed rank is a failure and only the
-        others are hung."""
-        target = tmp_path / "first_import_fails.py"
+        """The job's proxy imports the target first, and fails; so does
+        the first rank to import it again, at once; the others wedge
+        inside the import past the deadline.  Whatever the order they
+        are read in, the failed rank is a failure and only the others
+        are hung."""
+        target = tmp_path / "first_imports_fail.py"
         target.write_text(
             "import os, time\n"
-            "try:\n"
-            "    os.close(os.open(os.environ['REPRO_TEST_MARKER'],\n"
-            "                     os.O_CREAT | os.O_EXCL))\n"
-            "except FileExistsError:\n"
+            "def first(marker):\n"
+            "    try:\n"
+            "        os.close(os.open(marker, os.O_CREAT | os.O_EXCL))\n"
+            "    except FileExistsError:\n"
+            "        return False\n"
+            "    return True\n"
+            "if not (first(os.environ['REPRO_TEST_MARKER'] + '.proxy')\n"
+            "        or first(os.environ['REPRO_TEST_MARKER'] + '.rank')):\n"
             "    time.sleep(30)\n"
-            "else:\n"
-            "    raise ImportError(f'first importer, pid {os.getpid()}')\n"
+            "raise ImportError(f'early importer, pid {os.getpid()}')\n"
             "def body():\n"
             "    return 0\n")
         monkeypatch.setenv("REPRO_TEST_MARKER", str(tmp_path / "marker"))
