@@ -1,12 +1,16 @@
 """Start-up is paid once per launcher, not per job or per rank.
 
 ``ProcExecutor`` keeps one zygote — an interpreter that has imported the
-runtime — and has it fork each job's ranks, so a job right after another
-one costs forks, the mesh bootstrap, each rank's import of its target
-and the ranks' exit: 40-60 ms for a 4-rank no-op job over TCP on one
-CPU of a 2-vCPU VM, 0.2 interpreter starts (a bare ``python -c`` of the
-zygote's import set, 0.21-0.31 s), where a zygote per job paid about two
-starts.  What three more ranks add to a 1-rank job was 0.8-1.6 starts
+runtime — and has it fork each job's proxy, which imports the target
+once and forks the ranks, so a job right after another one costs forks,
+that import, the mesh bootstrap and the ranks' exit: 43-62 ms for a
+4-rank no-op job over TCP on one CPU of a 2-vCPU VM, 0.13-0.16
+interpreter starts (a bare ``python -c`` of the zygote's import set,
+0.28-0.38 s), where a zygote per job paid about two starts.  Of that, a
+rank spends 5-10 ms of CPU and ~940-1 000 minor page faults between its
+fork and its target (~1 340 while its first dial imported the ``idna``
+codec and a second thread beat its heartbeat); the warm-job test prints
+both.  What three more ranks add to a 1-rank job was 0.8-1.6 starts
 with a zygote per job, and three and more when every rank was its own
 ``python -m``.  All times are whole jobs measured alternately on one
 CPU, as the gate (``benchmarks/suite``) confines its jobs, so a slower
@@ -78,12 +82,30 @@ def noop_body():
     MPI.Finalize()
 
 
-def job_s(nprocs: int, target=noop_body) -> float:
-    """Wall time of a whole job: spawn to last process reaped."""
+def startup_body():
+    """The no-op job, returning what this rank spent from its fork to
+    here: (CPU seconds, minor page faults).  A forked child's counters
+    start at 0."""
+    cpu = time.process_time()
+    with open("/proc/self/stat") as f:
+        # pid (comm) state ...: minflt is field 10, the 8th after comm
+        faults = int(f.read().rpartition(")")[2].split()[7])
+    noop_body()
+    return cpu, faults
+
+
+def job(nprocs: int, target=noop_body) -> tuple[float, list]:
+    """Wall time of a whole job, spawn to last process reaped, and its
+    ranks' results."""
     t0 = time.perf_counter()
     with ProcExecutor(nprocs) as ex:
-        ex.run(target, timeout=60.0)
-    return time.perf_counter() - t0
+        out = ex.run(target, timeout=60.0)
+    return time.perf_counter() - t0, out
+
+
+def job_s(nprocs: int, target=noop_body) -> float:
+    """Wall time of a whole job: spawn to last process reaped."""
+    return job(nprocs, target)[0]
 
 
 def interpreter_start_s() -> float:
@@ -119,23 +141,34 @@ def test_a_warm_four_rank_job_costs_under_half_an_interpreter_start(
     the lanes add no process to a job."""
     allowed = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {max(allowed)})
+    startups = {"tcp": [], "shm": []}
     try:
         start = warm = shm = float("inf")
         for _ in range(3):      # alternately: all see the same seconds
             start = min(start, interpreter_start_s())
             monkeypatch.setenv("REPRO_SHM", "0")
             job_s(4)
-            warm = min(warm, job_s(4))
+            took, ranks = job(4, startup_body)
+            warm = min(warm, took)
+            startups["tcp"] += ranks
             # a change of environment starts a fresh zygote: warm it
             monkeypatch.setenv("REPRO_SHM", "1")
             job_s(4)
-            shm = min(shm, job_s(4))
+            took, ranks = job(4, startup_body)
+            shm = min(shm, took)
+            startups["shm"] += ranks
     finally:
         os.sched_setaffinity(0, allowed)
     print(f"\nwarm 4-rank no-op job on one CPU, best of 3: "
           f"{warm * 1e3:.0f} ms over TCP ({warm / start:.2f} interpreter "
           f"starts of {start:.3f} s), {shm * 1e3:.0f} ms with shm lanes "
           f"({shm / warm:.2f} x)")
+    for carrier, ranks in startups.items():
+        cpu = sorted(c * 1e3 for c, _ in ranks)
+        faults = sorted(f for _, f in ranks)
+        print(f"a rank's fork to target entry, {carrier}, {len(ranks)} "
+              f"ranks: {cpu[0]:.1f}-{cpu[-1]:.1f} ms CPU, "
+              f"{faults[0]}-{faults[-1]} minor faults")
     assert warm <= WARM_BOUND * start, \
         f"a warm 4-rank job took {warm:.3f} s > {WARM_BOUND} x {start:.3f} s"
     assert shm <= SHM_BOUND * warm, \

@@ -34,7 +34,10 @@ zygote → one proxy per job → that job's ranks:
    are those three messages;
 3. every rank dials the job's loopback listener and registers its rank
    (its own *control connection*, kept for the job's lifetime; the
-   proxy's is not inherited — ranks close it right after the fork);
+   proxy's is not inherited — ranks close it right after the fork).
+   Ranks dial by address, here and in the mesh
+   (:func:`~repro.transport.socket_tcp.connect`): after a fork nothing
+   is resolved in Python and nothing is imported;
 4. the launcher ships each rank its arguments; ranks resolve the target
    (the proxy's module, inherited by the fork; a target whose import
    raised raises again here, as each rank's own failure), open their
@@ -776,8 +779,9 @@ class ProcExecutor:
         now = time.monotonic()
         last_hb = {rank: now for rank in conns}
         # ranks that have beaten at least once: until then a generous
-        # grace applies (the first beat waits on mesh build + universe
-        # setup, which a tight test threshold must not misread as death)
+        # grace applies (a rank beats from its control thread, which
+        # starts once the mesh is built and the universe exists — a
+        # wait a tight test threshold must not misread as death)
         seen_hb: set[int] = set()
 
         def died(rank, text=None):

@@ -48,17 +48,22 @@ arguments, resolves the target (already imported: the proxy's module,
 inherited by the fork), joins the TCP mesh, hosts a single-rank view of
 the :class:`~repro.runtime.engine.Universe`, runs the target, and
 marshals the result (or exception) home over its own control
-connection.
+connection.  From its fork to its target a rank does only its own
+work: it dials by address (:func:`~repro.transport.socket_tcp.connect`
+resolves nothing in Python), imports nothing — what its settings make
+it use, the sanitizer included, the zygote imported — and starts only
+the threads its job needs.
 
-In a rank, a dedicated control thread listens for launcher commands for
-the whole job lifetime: ``abort`` poisons the local universe (and,
-through the mesh broadcast, every peer), ``peerfail`` feeds a single
-dead rank into the ULFM failure plane (survivable under
-``ERRORS_RETURN``), ``exit`` is the wire finalize barrier, and EOF — the
-launcher itself dying — tears the job down rather than orphaning the
-rank.  A second thread beats a ``hb`` frame home every
-``REPRO_HEARTBEAT_MS`` so the launcher can detect a rank that wedged
-without dropping its sockets.
+In a rank, one control thread talks to the launcher for the whole job
+lifetime, from the moment the universe exists.  It serves commands:
+``abort`` poisons the local universe (and, through the mesh broadcast,
+every peer), ``peerfail`` feeds a single dead rank into the ULFM failure
+plane (survivable under ``ERRORS_RETURN``), ``exit`` is the wire
+finalize barrier, and EOF — the launcher itself dying — tears the job
+down rather than orphaning the rank.  Between commands it beats a
+``hb`` frame home every ``REPRO_HEARTBEAT_MS``, so the launcher can
+detect a rank that wedged without dropping its sockets.  Beside the
+rank's own thread that makes three: the pump, the writer and this one.
 """
 
 from __future__ import annotations
@@ -74,6 +79,7 @@ import signal
 import socket
 import sys
 import threading
+import time
 
 # numpy.random brings in OpenSSL (through ``secrets``): loaded here once
 # rather than by each rank's first use, whose initialisation after the
@@ -92,20 +98,36 @@ from repro.runtime.engine import RankRuntime, Universe, bind_thread, \
 from repro.transport import cma, shm as shm_transport
 from repro.transport.shm import ShmChannel, ShmSegment
 from repro.transport.socket_tcp import (BOOTSTRAP_TIMEOUT, build_mesh,
-                                        mesh_channels, mesh_listener)
+                                        connect, mesh_channels,
+                                        mesh_listener)
 from repro.transport.wire import WireTransport, set_nodelay
 from repro.util import faultinject
 
 
-def _control_loop(ctl: socket.socket, universe: Universe,
-                  exit_evt: threading.Event) -> None:
-    """Serve launcher commands until ``exit`` or launcher death.
+def _control_loop(ctl: socket.socket, rank: int, universe: Universe,
+                  exit_evt: threading.Event, lock: threading.Lock,
+                  interval: float) -> None:
+    """Serve launcher commands until ``exit`` or launcher death, and
+    beat every ``interval`` seconds meanwhile (0: never; the loop then
+    just blocks on the socket).  The rank beat once before starting it.
 
-    Every way this loop can end sets ``exit_evt`` — the finished rank's
-    barrier wait below relies on that, and a silently-dead control
-    thread would otherwise strand the process.
+    A beat that cannot be sent means the launcher is gone: beating
+    stops, and the read that follows finds out.  Every way this loop
+    can end sets ``exit_evt`` — the finished rank's barrier wait below
+    relies on that, and a silently-dead control thread would otherwise
+    strand the process.
     """
+    due = time.monotonic() + interval
     while True:
+        if interval > 0:
+            wait = due - time.monotonic()
+            if wait <= 0:
+                if not _beat(ctl, rank, lock):
+                    interval = 0.0
+                due = time.monotonic() + interval
+                continue
+            if not select.select([ctl], [], [], wait)[0]:
+                continue
         try:
             msg = recv_msg(ctl)
             cmd = msg.get("cmd")
@@ -128,26 +150,18 @@ def _control_loop(ctl: socket.socket, universe: Universe,
             return
 
 
-def _heartbeat_loop(ctl: socket.socket, rank: int, interval: float,
-                    exit_evt: threading.Event,
-                    lock: threading.Lock) -> None:
-    """Beat ``hb`` frames home until the job ends or the launcher dies.
+def _beat(ctl: socket.socket, rank: int, lock: threading.Lock) -> bool:
+    """Send one ``hb`` frame home; False if the launcher is gone.
 
     ``lock`` keeps heartbeat frames atomic against the final report
     (both write the control stream; an interleaved frame would corrupt
-    the length-prefixed protocol).
-    """
-    while True:
-        # beat first: the launcher applies a generous grace until a
-        # rank's first heartbeat, so the sooner it lands the sooner the
-        # tight steady-state miss threshold protects this rank's peers
-        try:
-            with lock:
-                send_msg(ctl, {"cmd": "hb", "rank": rank})
-        except OSError:
-            return   # launcher gone; the control loop handles teardown
-        if exit_evt.wait(interval):
-            return
+    the length-prefixed protocol)."""
+    try:
+        with lock:
+            send_msg(ctl, {"cmd": "hb", "rank": rank})
+    except OSError:
+        return False
+    return True
 
 
 def _attach_lanes(chans, rank: int, nonce, inbound: dict, book: dict) -> None:
@@ -250,13 +264,17 @@ def main(argv=None) -> int:
     ap.add_argument("--control", type=int, required=True, metavar="FD")
     ctl = socket.socket(fileno=ap.parse_args(argv).control)
     zygote = os.getpid()
+    if config.sanitize():
+        # every rank's Universe installs one; the environment, and so
+        # this setting, is the same for every job this zygote serves
+        import repro.check.sanitizer  # noqa: F401
 
     while select.select([ctl], [], [], LINGER_S)[0]:
         try:
             job, fds = recv_msg_fds(ctl, 3)
         except (OSError, EOFError, pickle.PickleError):
             return 0   # the launcher is gone
-        # nothing imported here starts a thread (pumps, heartbeat and
+        # nothing imported here starts a thread (pump, writer and
         # control threads belong to a rank's job)
         threads = _threads()
         if threads:
@@ -421,7 +439,7 @@ def _rank_main(host: str, port: int, rank: int, nprocs: int,
     faultinject.set_hard_kill(True)
     faultinject.maybe_fail("bootstrap", rank)
 
-    ctl = socket.create_connection((host, port), timeout=BOOTSTRAP_TIMEOUT)
+    ctl = connect(host, port, BOOTSTRAP_TIMEOUT)
     set_nodelay(ctl)   # worker-side control plane: aborts must not Nagle
     send_msg(ctl, {"rank": rank})
     job = recv_msg(ctl)
@@ -466,15 +484,6 @@ def _rank_main(host: str, port: int, rank: int, nprocs: int,
         listener.close()
         ctl.close()
         return 1
-    exit_evt = threading.Event()
-    ctl_lock = threading.Lock()
-    hb = config.heartbeat_interval()
-    if hb > 0:
-        # start beating before the (potentially slow) mesh build so the
-        # launcher sees this rank alive as early as possible
-        threading.Thread(target=_heartbeat_loop,
-                         args=(ctl, rank, hb, exit_evt, ctl_lock),
-                         name="repro-proc-heartbeat", daemon=True).start()
     peers = build_mesh(rank, nprocs, listener, msg["book"])
 
     chans = mesh_channels(nprocs, rank, peers)
@@ -483,7 +492,17 @@ def _rank_main(host: str, port: int, rank: int, nprocs: int,
     universe = Universe(nprocs, transport=transport,
                         local_ranks=(rank,))
     ctl.settimeout(None)
-    threading.Thread(target=_control_loop, args=(ctl, universe, exit_evt),
+    exit_evt = threading.Event()
+    ctl_lock = threading.Lock()
+    hb = config.heartbeat_interval()
+    # The first beat goes from here, before the target runs.  Until a
+    # rank has beaten, the launcher allows it BOOTSTRAP_TIMEOUT (its
+    # mesh build comes first): a rank that wedged before the control
+    # thread first ran would go unnoticed that long.
+    if hb > 0:
+        _beat(ctl, rank, ctl_lock)
+    threading.Thread(target=_control_loop,
+                     args=(ctl, rank, universe, exit_evt, ctl_lock, hb),
                      name="repro-proc-control", daemon=True).start()
 
     rt = RankRuntime(universe, rank)
@@ -520,7 +539,7 @@ def _rank_main(host: str, port: int, rank: int, nprocs: int,
     try:
         # the lock is the point: a heartbeat frame interleaved into the
         # length-prefixed report would corrupt the control stream, and
-        # the beat thread never holds the lock longer than one frame
+        # the control thread never holds the lock longer than one frame
         with ctl_lock:
             send_msg(ctl, report)  # repro: allow(blocking-under-lock)
     except OSError:

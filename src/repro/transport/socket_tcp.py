@@ -57,6 +57,25 @@ def mesh_listener(host: str = "127.0.0.1") -> socket.socket:
     return socket.create_server((host, 0), backlog=64)
 
 
+def connect(host: str, port: int, timeout: float) -> socket.socket:
+    """A TCP connection to ``host:port``, its timeout ``timeout``.
+
+    Dials by address: ``connect`` takes a numeric host as it is and
+    looks a name up in C.  The standard library's connection helper
+    resolves in Python first, encoding a ``str`` host with the ``idna``
+    codec, which a forked rank would import (with ``stringprep`` and
+    ``unicodedata``) on its first dial.
+    """
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    try:
+        sock.settimeout(timeout)
+        sock.connect((host, port))
+    except BaseException:
+        sock.close()
+        raise
+    return sock
+
+
 def _dial(host: str, port: int, timeout: float) -> socket.socket:
     """Dial a mesh peer with retry + exponential backoff within ``timeout``.
 
@@ -72,8 +91,7 @@ def _dial(host: str, port: int, timeout: float) -> socket.socket:
         if remaining <= 0:
             raise socket.timeout(f"dial {host}:{port} timed out")
         try:
-            return socket.create_connection((host, port),
-                                            timeout=remaining)
+            return connect(host, port, remaining)
         except socket.timeout:
             raise
         except OSError as exc:

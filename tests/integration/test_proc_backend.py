@@ -387,13 +387,13 @@ PROBE_FAULTS = {"capable": None, "rank1-denied": "cma.probe:1::deny",
                 "rank0-denied": "cma.probe:0::deny"}
 
 
-def transport_threads_body():
-    """Names of this rank's transport threads, mid-job."""
+def threads_body():
+    """Names of this rank's threads but the one running it, mid-job."""
     import threading
     MPI.Init([])
     MPI.COMM_WORLD.Barrier()
     names = sorted(t.name for t in threading.enumerate()
-                   if t.name.startswith(("repro-pump", "repro-wire")))
+                   if t is not threading.current_thread())
     MPI.COMM_WORLD.Barrier()
     MPI.Finalize()
     return names
@@ -498,14 +498,23 @@ class TestEndToEnd:
                 assert stats["rndv_staged_frames"] == 0, (probes, stats)
 
     @pytest.mark.parametrize("shm", ["0", "1"])
-    def test_one_pump_and_one_writer_thread_per_rank(self, shm,
-                                                     monkeypatch):
+    def test_a_rank_runs_a_pump_a_writer_and_a_control_thread(
+            self, shm, monkeypatch):
         """One frame stream per pair: with or without the bulk lanes a
-        rank runs exactly one pump and one writer."""
+        rank runs exactly one pump and one writer, and one thread talks
+        to the launcher — it serves the launcher's commands and beats
+        the heartbeat both."""
         monkeypatch.setenv("REPRO_SHM", shm)
-        out = procrun(2, transport_threads_body, timeout=TIMEOUT)
-        assert out == [[f"repro-pump-{rank}", "repro-wire-writer"]
-                       for rank in range(2)]
+        out = procrun(2, threads_body, timeout=TIMEOUT)
+        assert out == [["repro-proc-control", f"repro-pump-{rank}",
+                        "repro-wire-writer"] for rank in range(2)]
+
+    def test_a_launcher_named_by_host_name_runs_a_job(self):
+        """Ranks dial the launcher and their peers by address; a name
+        is looked up by the C resolver, with no Python codec."""
+        with ProcExecutor(2, host="localhost") as ex:
+            assert [r for r, _, _ in ex.run(rank_report_body,
+                                            timeout=TIMEOUT)] == [0, 1]
 
     def test_local_function_rejected_with_clear_error(self):
         def local_body():  # pragma: no cover - must not even ship
@@ -585,6 +594,60 @@ def parent_of(pid):
 
 def body():
     return os.getpid(), os.getppid(), parent_of(os.getppid())
+"""
+
+
+#: a target module whose last line snapshots ``sys.modules``: it runs
+#: once per job, in the job's proxy, before the ranks are forked, so
+#: what ``body`` returns is what a rank imported after its fork
+FORK_IMPORTS_TARGET = """
+import sys
+
+import numpy as np
+
+from repro.mpijava import MPI, Request
+
+
+def body():
+    MPI.Init([])
+    w = MPI.COMM_WORLD
+    rank, size = w.Rank(), w.Size()
+    w.Barrier()
+    for n in (1, (2 << 20) // 8):           # 8 B and 2 MiB
+        out = np.zeros(n)
+        w.Allreduce(np.ones(n), 0, out, 0, n, MPI.DOUBLE, MPI.SUM)
+        assert out[0] == size
+    word = np.array([7 if rank == 0 else 0], dtype=np.int32)
+    w.Bcast(word, 0, 1, MPI.INT, 0)
+    assert word[0] == 7
+    got = np.zeros(size, dtype=np.int64)
+    w.Alltoall(np.full(size, rank, dtype=np.int64), 0, 1, MPI.LONG,
+               got, 0, 1, MPI.LONG)
+    assert list(got) == list(range(size))
+    if rank < 2:
+        peer = 1 - rank
+        if rank == 0:
+            w.Send([{"nested": (1, 2.5)}], 0, 1, MPI.OBJECT, peer, 1)
+        else:
+            status = w.Probe(peer, MPI.ANY_TAG)
+            box = [None]
+            w.Recv(box, 0, 1, MPI.OBJECT, peer, status.tag)
+            assert box == [{"nested": (1, 2.5)}]
+        mine, theirs = np.arange(64.0) + rank, np.zeros(64)
+        Request.Waitall([w.Irecv(theirs, 0, 64, MPI.DOUBLE, peer, 2),
+                         w.Isend(mine, 0, 64, MPI.DOUBLE, peer, 2)])
+        assert theirs[0] == peer
+    vec = MPI.DOUBLE.Vector(4, 2, 3).Commit()
+    sent, landed = np.arange(11.0) + 100 * rank, np.zeros(11)
+    w.Sendrecv(sent, 0, 1, vec, (rank + 1) % size, 3,
+               landed, 0, 1, vec, (rank - 1) % size, 3)
+    assert landed[0] == 100 * ((rank - 1) % size)
+    vec.Free()
+    MPI.Finalize()
+    return sorted(set(sys.modules) - SNAPSHOT)
+
+
+SNAPSHOT = set(sys.modules)
 """
 
 
@@ -726,6 +789,22 @@ class TestLaunchPath:
             if launcher.poll() is None:
                 launcher.kill()
                 launcher.wait()
+
+    @pytest.mark.parametrize("nprocs", [2, 4])
+    @pytest.mark.parametrize("shm", ["0", "1"])
+    def test_a_rank_imports_nothing_after_its_fork(self, shm, nprocs,
+                                                   monkeypatch, tmp_path):
+        """Between the fork and the target, and in point-to-point,
+        object, nonblocking, derived-type and collective traffic: every
+        module a rank uses was imported by the zygote or the proxy (a
+        dial that resolves its host in Python imports the ``idna``
+        codec; under ``REPRO_SANITIZE=1`` the sanitizer must come from
+        the zygote)."""
+        monkeypatch.setenv("REPRO_SHM", shm)
+        target = tmp_path / "fork_imports_target.py"
+        target.write_text(FORK_IMPORTS_TARGET)
+        assert procrun(nprocs, f"{target}:body", timeout=20) \
+            == [[]] * nprocs
 
     def test_back_to_back_jobs_share_one_zygote(self):
         first = procrun(2, job_state_body, timeout=20)
