@@ -79,9 +79,9 @@ def build_universe(env: BenchEnv) -> Universe:
     if env.modeled:
         clock = VirtualClock()
         transport = ModeledTransport(2, env.model, clock,
-                                     inner=InprocTransport(2))
-        return Universe(2, transport=transport, clock=clock,
-                        cost_model=env.model)
+                                     inner=InprocTransport(2),
+                                     wrapper=env.api == "mpijava")
+        return Universe(2, transport=transport, clock=clock)
     if env.mode == "SM":
         if env.model_key.startswith("WMPI"):
             transport = InprocTransport(2)

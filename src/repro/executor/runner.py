@@ -76,15 +76,14 @@ class JobTimeoutError(TimeoutError):
 class MPIExecutor:
     """Reusable job launcher bound to one :class:`Universe`.
 
-    Useful when benchmarks need control over the transport, clock or cost
-    model; :func:`mpirun` is the convenience wrapper for the common case.
+    Useful when benchmarks need control over the transport or clock;
+    :func:`mpirun` is the convenience wrapper for the common case.
     """
 
     def __init__(self, nprocs: int, transport="inproc", clock=None,
-                 cost_model=None, universe: Universe | None = None):
+                 universe: Universe | None = None):
         self.universe = universe or Universe(nprocs, transport=transport,
-                                             clock=clock,
-                                             cost_model=cost_model)
+                                             clock=clock)
         self.nprocs = self.universe.nprocs
 
     def run(self, main: Callable[..., Any], args: Sequence = (),
@@ -193,10 +192,8 @@ class MPIExecutor:
 
 def mpirun(nprocs: int, main: Callable[..., Any], args: Sequence = (),
            transport="inproc", per_rank_args: bool = False,
-           timeout: float | None = 120.0, clock=None,
-           cost_model=None) -> list:
+           timeout: float | None = 120.0, clock=None) -> list:
     """Run ``main`` as an SPMD job of ``nprocs`` ranks; see MPIExecutor."""
-    with MPIExecutor(nprocs, transport=transport, clock=clock,
-                     cost_model=cost_model) as ex:
+    with MPIExecutor(nprocs, transport=transport, clock=clock) as ex:
         return ex.run(main, args=args, per_rank_args=per_rank_args,
                       timeout=timeout)

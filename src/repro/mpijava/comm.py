@@ -13,9 +13,11 @@ Buffers are one-dimensional arrays of primitive element type (NumPy arrays
 here; lists of objects for ``MPI.OBJECT``), always with an explicit offset.
 
 Every member reaches the runtime through the flat JNI-stub layer
-(:mod:`repro.jni.capi`), and charges the binding's per-call wrapper cost to
-the job's cost model when one is installed (modeled benchmark mode) — the
-two halves of the paper's C-versus-Java comparison.  This layer is the
+(:mod:`repro.jni.capi`): a communication member is one stub call under the
+communicator's error handler plus the wrap of its result, and nothing
+else.  What the binding costs in the paper's ``-J`` columns is that path,
+measured; a modeled ``-J`` job charges the 1999 wrapper term per message
+in :class:`~repro.transport.modeled.ModeledTransport`.  This layer is the
 paper's public interface and is written out by hand, docstrings and all;
 the stub under each member is a row of :mod:`repro.jni.spec`, and a
 member's parameter names are its row's minus the receiver
@@ -27,7 +29,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.jni import capi, handles as H
-from repro.mpijava.datatype import Datatype
 from repro.mpijava.errhandler import (ERRORS_ARE_FATAL, ERRORS_RETURN,
                                       Errhandler, guarded_call, route_error)
 from repro.mpijava.group import Group
@@ -35,7 +36,6 @@ from repro.mpijava import profiler
 from repro.mpijava.prequest import Prequest
 from repro.mpijava.request import Request
 from repro.mpijava.status import Status
-from repro.runtime.engine import current_runtime, try_current_runtime
 
 
 class Comm:
@@ -47,7 +47,7 @@ class Comm:
         self._handle = handle
 
     # ------------------------------------------------------------------
-    # binding plumbing: error handlers + wrapper cost accounting
+    # binding plumbing: error handlers
     # ------------------------------------------------------------------
     def _guard(self, fn, *args):
         """Run a stub call under this communicator's error handler.
@@ -81,13 +81,6 @@ class Comm:
         """Handle of the error handler attached now (read on error only)."""
         return capi.mpi_errhandler_get(self._handle)
 
-    @staticmethod
-    def _charge(count: int, datatype: Datatype) -> None:
-        """Charge the OO binding's per-call cost to the job's cost model."""
-        rt = try_current_runtime() or current_runtime()
-        if rt.universe.cost_model is not None:
-            rt.universe.charge_wrapper(count * datatype._cached_size())
-
     # ------------------------------------------------------------------
     # inquiry
     # ------------------------------------------------------------------
@@ -119,31 +112,26 @@ class Comm:
     # ------------------------------------------------------------------
     def Send(self, buf, offset, count, datatype, dest, tag) -> None:
         """Standard-mode blocking send."""
-        self._charge(count, datatype)
         self._guard(capi.mpi_send, self._handle, buf, offset, count,
                     datatype._handle, dest, tag)
 
     def Bsend(self, buf, offset, count, datatype, dest, tag) -> None:
         """Buffered-mode send (requires ``MPI.Buffer_attach``)."""
-        self._charge(count, datatype)
         self._guard(capi.mpi_bsend, self._handle, buf, offset, count,
                     datatype._handle, dest, tag)
 
     def Ssend(self, buf, offset, count, datatype, dest, tag) -> None:
         """Synchronous-mode send: completes when the receive starts."""
-        self._charge(count, datatype)
         self._guard(capi.mpi_ssend, self._handle, buf, offset, count,
                     datatype._handle, dest, tag)
 
     def Rsend(self, buf, offset, count, datatype, dest, tag) -> None:
         """Ready-mode send: the matching receive must already be posted."""
-        self._charge(count, datatype)
         self._guard(capi.mpi_rsend, self._handle, buf, offset, count,
                     datatype._handle, dest, tag)
 
     def Recv(self, buf, offset, count, datatype, source, tag) -> Status:
         """Blocking receive; returns the :class:`Status`."""
-        self._charge(count, datatype)
         return Status(self._guard(capi.mpi_recv, self._handle, buf, offset,
                                   count, datatype._handle, source, tag))
 
@@ -151,31 +139,26 @@ class Comm:
     # non-blocking point-to-point
     # ------------------------------------------------------------------
     def Isend(self, buf, offset, count, datatype, dest, tag) -> Request:
-        self._charge(count, datatype)
         return Request(self._guard(capi.mpi_isend, self._handle, buf,
                                    offset, count, datatype._handle, dest,
                                    tag))
 
     def Ibsend(self, buf, offset, count, datatype, dest, tag) -> Request:
-        self._charge(count, datatype)
         return Request(self._guard(capi.mpi_ibsend, self._handle, buf,
                                    offset, count, datatype._handle, dest,
                                    tag))
 
     def Issend(self, buf, offset, count, datatype, dest, tag) -> Request:
-        self._charge(count, datatype)
         return Request(self._guard(capi.mpi_issend, self._handle, buf,
                                    offset, count, datatype._handle, dest,
                                    tag))
 
     def Irsend(self, buf, offset, count, datatype, dest, tag) -> Request:
-        self._charge(count, datatype)
         return Request(self._guard(capi.mpi_irsend, self._handle, buf,
                                    offset, count, datatype._handle, dest,
                                    tag))
 
     def Irecv(self, buf, offset, count, datatype, source, tag) -> Request:
-        self._charge(count, datatype)
         return Request(self._guard(capi.mpi_irecv, self._handle, buf,
                                    offset, count, datatype._handle, source,
                                    tag))
@@ -219,8 +202,6 @@ class Comm:
     def Sendrecv(self, sendbuf, soffset, scount, sdtype, dest, stag,
                  recvbuf, roffset, rcount, rdtype, source,
                  rtag) -> Status:
-        self._charge(scount, sdtype)
-        self._charge(rcount, rdtype)
         return Status(self._guard(capi.mpi_sendrecv, self._handle,
                                   sendbuf, soffset, scount, sdtype._handle,
                                   dest, stag, recvbuf, roffset, rcount,
@@ -228,7 +209,6 @@ class Comm:
 
     def Sendrecv_replace(self, buf, offset, count, datatype, dest, stag,
                          source, rtag) -> Status:
-        self._charge(count, datatype)
         return Status(self._guard(capi.mpi_sendrecv_replace, self._handle,
                                   buf, offset, count, datatype._handle,
                                   dest, stag, source, rtag))

@@ -18,20 +18,11 @@ from repro.jni import capi
 class Datatype:
     """Opaque datatype handle with derived-type constructors."""
 
-    __slots__ = ("_handle", "_size_bytes", "_name")
+    __slots__ = ("_handle", "_name")
 
     def __init__(self, handle: int, name: str = "derived"):
         self._handle = handle
         self._name = name
-        # lazily cached for the binding's per-call byte accounting (like
-        # the JNI wrapper caching array element sizes); predefined types
-        # are constructed at import time, before any rank is bound
-        self._size_bytes = 0 if name == "MPI.OBJECT" else None
-
-    def _cached_size(self) -> int:
-        if self._size_bytes is None:
-            self._size_bytes = capi.mpi_type_size(self._handle)
-        return self._size_bytes
 
     # -- derived-type constructors -----------------------------------------
     def Contiguous(self, count: int) -> "Datatype":
@@ -74,8 +65,6 @@ class Datatype:
     def Commit(self) -> "Datatype":
         """Make the type usable in communication; returns self."""
         capi.mpi_type_commit(self._handle)
-        if self._name != "MPI.OBJECT":
-            self._size_bytes = capi.mpi_type_size(self._handle)
         return self
 
     def Free(self) -> None:

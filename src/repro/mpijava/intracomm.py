@@ -26,55 +26,47 @@ class Intracomm(Comm):
 
     def Bcast(self, buf, offset, count, datatype, root) -> None:
         """Broadcast from ``root`` to all members."""
-        self._charge(count, datatype)
         self._guard(capi.mpi_bcast, self._handle, buf, offset, count,
                     datatype._handle, root)
 
     def Gather(self, sendbuf, soffset, scount, sdtype,
                recvbuf, roffset, rcount, rdtype, root) -> None:
-        self._charge(scount, sdtype)
         self._guard(capi.mpi_gather, self._handle, sendbuf, soffset, scount,
                     sdtype._handle, recvbuf, roffset, rcount,
                     rdtype._handle, root)
 
     def Gatherv(self, sendbuf, soffset, scount, sdtype,
                 recvbuf, roffset, rcounts, displs, rdtype, root) -> None:
-        self._charge(scount, sdtype)
         self._guard(capi.mpi_gatherv, self._handle, sendbuf, soffset,
                     scount, sdtype._handle, recvbuf, roffset, rcounts,
                     displs, rdtype._handle, root)
 
     def Scatter(self, sendbuf, soffset, scount, sdtype,
                 recvbuf, roffset, rcount, rdtype, root) -> None:
-        self._charge(rcount, rdtype)
         self._guard(capi.mpi_scatter, self._handle, sendbuf, soffset,
                     scount, sdtype._handle, recvbuf, roffset, rcount,
                     rdtype._handle, root)
 
     def Scatterv(self, sendbuf, soffset, scounts, displs, sdtype,
                  recvbuf, roffset, rcount, rdtype, root) -> None:
-        self._charge(rcount, rdtype)
         self._guard(capi.mpi_scatterv, self._handle, sendbuf, soffset,
                     scounts, displs, sdtype._handle, recvbuf, roffset,
                     rcount, rdtype._handle, root)
 
     def Allgather(self, sendbuf, soffset, scount, sdtype,
                   recvbuf, roffset, rcount, rdtype) -> None:
-        self._charge(scount, sdtype)
         self._guard(capi.mpi_allgather, self._handle, sendbuf, soffset,
                     scount, sdtype._handle, recvbuf, roffset, rcount,
                     rdtype._handle)
 
     def Allgatherv(self, sendbuf, soffset, scount, sdtype,
                    recvbuf, roffset, rcounts, displs, rdtype) -> None:
-        self._charge(scount, sdtype)
         self._guard(capi.mpi_allgatherv, self._handle, sendbuf, soffset,
                     scount, sdtype._handle, recvbuf, roffset, rcounts,
                     displs, rdtype._handle)
 
     def Alltoall(self, sendbuf, soffset, scount, sdtype,
                  recvbuf, roffset, rcount, rdtype) -> None:
-        self._charge(scount * self.Size(), sdtype)
         self._guard(capi.mpi_alltoall, self._handle, sendbuf, soffset,
                     scount, sdtype._handle, recvbuf, roffset, rcount,
                     rdtype._handle)
@@ -88,14 +80,12 @@ class Intracomm(Comm):
     def Reduce(self, sendbuf, soffset, recvbuf, roffset, count, datatype,
                op: Op, root) -> None:
         """Combine contributions with ``op``; result at ``root``."""
-        self._charge(count, datatype)
         self._guard(capi.mpi_reduce, self._handle, sendbuf, soffset,
                     recvbuf, roffset, count, datatype._handle, op._handle,
                     root)
 
     def Allreduce(self, sendbuf, soffset, recvbuf, roffset, count,
                   datatype, op: Op) -> None:
-        self._charge(count, datatype)
         self._guard(capi.mpi_allreduce, self._handle, sendbuf, soffset,
                     recvbuf, roffset, count, datatype._handle, op._handle)
 
@@ -108,7 +98,6 @@ class Intracomm(Comm):
     def Scan(self, sendbuf, soffset, recvbuf, roffset, count, datatype,
              op: Op) -> None:
         """Inclusive prefix reduction along ranks."""
-        self._charge(count, datatype)
         self._guard(capi.mpi_scan, self._handle, sendbuf, soffset, recvbuf,
                     roffset, count, datatype._handle, op._handle)
 
@@ -121,13 +110,11 @@ class Intracomm(Comm):
 
     def Ibcast(self, buf, offset, count, datatype, root) -> Request:
         """Nonblocking broadcast; ``buf`` is off-limits until complete."""
-        self._charge(count, datatype)
         return Request(self._guard(capi.mpi_ibcast, self._handle, buf,
                                    offset, count, datatype._handle, root))
 
     def Igather(self, sendbuf, soffset, scount, sdtype,
                 recvbuf, roffset, rcount, rdtype, root) -> Request:
-        self._charge(scount, sdtype)
         return Request(self._guard(capi.mpi_igather, self._handle, sendbuf,
                                    soffset, scount, sdtype._handle,
                                    recvbuf, roffset, rcount,
@@ -135,7 +122,6 @@ class Intracomm(Comm):
 
     def Iscatter(self, sendbuf, soffset, scount, sdtype,
                  recvbuf, roffset, rcount, rdtype, root) -> Request:
-        self._charge(rcount, rdtype)
         return Request(self._guard(capi.mpi_iscatter, self._handle,
                                    sendbuf, soffset, scount, sdtype._handle,
                                    recvbuf, roffset, rcount,
@@ -143,7 +129,6 @@ class Intracomm(Comm):
 
     def Iallgather(self, sendbuf, soffset, scount, sdtype,
                    recvbuf, roffset, rcount, rdtype) -> Request:
-        self._charge(scount, sdtype)
         return Request(self._guard(capi.mpi_iallgather, self._handle,
                                    sendbuf, soffset, scount, sdtype._handle,
                                    recvbuf, roffset, rcount,
@@ -151,7 +136,6 @@ class Intracomm(Comm):
 
     def Ialltoall(self, sendbuf, soffset, scount, sdtype,
                   recvbuf, roffset, rcount, rdtype) -> Request:
-        self._charge(scount * self.Size(), sdtype)
         return Request(self._guard(capi.mpi_ialltoall, self._handle,
                                    sendbuf, soffset, scount, sdtype._handle,
                                    recvbuf, roffset, rcount,
@@ -159,14 +143,12 @@ class Intracomm(Comm):
 
     def Ireduce(self, sendbuf, soffset, recvbuf, roffset, count, datatype,
                 op: Op, root) -> Request:
-        self._charge(count, datatype)
         return Request(self._guard(capi.mpi_ireduce, self._handle, sendbuf,
                                    soffset, recvbuf, roffset, count,
                                    datatype._handle, op._handle, root))
 
     def Iallreduce(self, sendbuf, soffset, recvbuf, roffset, count,
                    datatype, op: Op) -> Request:
-        self._charge(count, datatype)
         return Request(self._guard(capi.mpi_iallreduce, self._handle,
                                    sendbuf, soffset, recvbuf, roffset,
                                    count, datatype._handle, op._handle))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.jni import capi, handles as H
-from repro.mpijava.errhandler import guarded_call
+from repro.mpijava.errhandler import route_error
 from repro.mpijava.status import Status
 from repro.runtime.consts import UNDEFINED
 
@@ -28,9 +28,17 @@ class Request:
         """Run a stub call under the request's communicator's error
         handler — the completion of a nonblocking operation reports its
         failure (e.g. a user reduce op raising inside an i-collective)
-        with the same semantics the blocking call would have."""
-        return guarded_call(
-            lambda: capi.mpi_request_errhandler(self._handle), fn, *args)
+        with the same semantics the blocking call would have; the handler
+        is looked up only once something failed."""
+        try:
+            return fn(*args)
+        except Exception as exc:
+            route_error(exc, self._errhandler, fn)
+            raise
+
+    def _errhandler(self) -> int:
+        """Handle of the error handler attached now (read on error only)."""
+        return capi.mpi_request_errhandler(self._handle)
 
     # -- single-request completion ---------------------------------------
     def Wait(self) -> Status:
@@ -67,32 +75,51 @@ class Request:
 
     # -- array operations (static members, as in mpiJava) ----------------------
     @staticmethod
-    def _handles(requests: list["Request"]) -> list[int]:
-        return [r._handle for r in requests]
-
-    @staticmethod
-    def _array_guard(handles: list[int], fn, *args):
-        """Array-op error routing: lenient across mixed handlers — if any
-        involved communicator set ``ERRORS_RETURN`` the error surfaces to
-        the caller, otherwise it is fatal (poisons the job)."""
-        def errhandler_of():
-            for h in handles:
-                if capi.mpi_request_errhandler(h) == H.ERRORS_RETURN:
-                    return H.ERRORS_RETURN
-            return H.ERRORS_ARE_FATAL
-        return guarded_call(errhandler_of, fn, *args)
+    def _array_guard(fn, requests: list["Request"]):
+        """Run an array stub on the requests' handles.  Error routing is
+        lenient across mixed handlers: if any involved communicator set
+        ``ERRORS_RETURN`` the error surfaces to the caller, otherwise it
+        is fatal (poisons the job)."""
+        hs = [r._handle for r in requests]
+        try:
+            return fn(hs)
+        except Exception as exc:
+            route_error(exc, lambda: H.ERRORS_RETURN if any(
+                capi.mpi_request_errhandler(h) == H.ERRORS_RETURN
+                for h in hs) else H.ERRORS_ARE_FATAL, fn)
+            raise
 
     @staticmethod
     def _mark_done(requests: list["Request"], index: int) -> None:
         req = requests[index]
-        if not getattr(req, "_persistent", False):
+        if not req._persistent:
             req._handle = H.REQUEST_NULL
+
+    @staticmethod
+    def _all_statuses(requests: list["Request"], statuses) -> list[Status]:
+        """Waitall / Testall result: one Status per request, in order."""
+        out = []
+        for i, c in enumerate(statuses):
+            if c is not None:
+                Request._mark_done(requests, i)
+                out.append(Status(c))
+            else:
+                out.append(Status(capi.CStatus(index=i)))
+        return out
+
+    @staticmethod
+    def _some_statuses(requests: list["Request"], statuses) -> list[Status]:
+        """Waitsome / Testsome result: the completed ones, ``index`` set.
+        (The array result replaces C's output count, per paper §2.1 —
+        the count is just ``len(result)``.)"""
+        for c in statuses:
+            Request._mark_done(requests, c.index)
+        return [Status(c) for c in statuses]
 
     @staticmethod
     def Waitany(requests: list["Request"]) -> Status:
         """Wait for any request; ``status.index`` identifies which."""
-        hs = Request._handles(requests)
-        index, cstatus = Request._array_guard(hs, capi.mpi_waitany, hs)
+        index, cstatus = Request._array_guard(capi.mpi_waitany, requests)
         if index == UNDEFINED:
             return Status(capi.CStatus(index=UNDEFINED))
         Request._mark_done(requests, index)
@@ -100,8 +127,8 @@ class Request:
 
     @staticmethod
     def Testany(requests: list["Request"]) -> Optional[Status]:
-        hs = Request._handles(requests)
-        done, index, cstatus = Request._array_guard(hs, capi.mpi_testany, hs)
+        done, index, cstatus = Request._array_guard(capi.mpi_testany,
+                                                    requests)
         if not done:
             return None
         Request._mark_done(requests, index)
@@ -109,50 +136,24 @@ class Request:
 
     @staticmethod
     def Waitall(requests: list["Request"]) -> list[Status]:
-        hs = Request._handles(requests)
-        statuses = Request._array_guard(hs, capi.mpi_waitall, hs)
-        out = []
-        for i, c in enumerate(statuses):
-            if c is not None:
-                Request._mark_done(requests, i)
-                out.append(Status(c))
-            else:
-                out.append(Status(capi.CStatus(index=i)))
-        return out
+        return Request._all_statuses(
+            requests, Request._array_guard(capi.mpi_waitall, requests))
 
     @staticmethod
     def Testall(requests: list["Request"]) -> Optional[list[Status]]:
-        hs = Request._handles(requests)
-        done, statuses = Request._array_guard(hs, capi.mpi_testall, hs)
-        if not done:
-            return None
-        out = []
-        for i, c in enumerate(statuses):
-            if c is not None:
-                Request._mark_done(requests, i)
-                out.append(Status(c))
-            else:
-                out.append(Status(capi.CStatus(index=i)))
-        return out
+        done, statuses = Request._array_guard(capi.mpi_testall, requests)
+        return Request._all_statuses(requests, statuses) if done else None
 
     @staticmethod
     def Waitsome(requests: list["Request"]) -> list[Status]:
-        """Wait for at least one; returns Statuses with ``index`` set.
-        (The array result replaces C's output count, per paper §2.1 —
-        the count is just ``len(result)``.)"""
-        hs = Request._handles(requests)
-        statuses = Request._array_guard(hs, capi.mpi_waitsome, hs)
-        for c in statuses:
-            Request._mark_done(requests, c.index)
-        return [Status(c) for c in statuses]
+        """Wait for at least one; returns Statuses with ``index`` set."""
+        return Request._some_statuses(
+            requests, Request._array_guard(capi.mpi_waitsome, requests))
 
     @staticmethod
     def Testsome(requests: list["Request"]) -> list[Status]:
-        hs = Request._handles(requests)
-        statuses = Request._array_guard(hs, capi.mpi_testsome, hs)
-        for c in statuses:
-            Request._mark_done(requests, c.index)
-        return [Status(c) for c in statuses]
+        return Request._some_statuses(
+            requests, Request._array_guard(capi.mpi_testsome, requests))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "null" if self.Is_null() else f"handle={self._handle}"

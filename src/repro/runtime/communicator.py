@@ -762,8 +762,11 @@ class CommImpl:
         then completes with ``ERR_REVOKED`` on every member.
         """
         self._check_not_freed()
+        members = self.group.ranks
+        if self.remote_group is not None:
+            members += self.remote_group.ranks
         self.universe.note_revoked((self.ctx_pt2pt, self.ctx_coll),
-                                   origin_rank=self.rt.world_rank)
+                                   members, self.rt.world_rank)
 
     def is_revoked(self) -> bool:
         return self.ctx_pt2pt in self.universe.revoked_contexts

@@ -78,7 +78,7 @@ class Universe:
     """
 
     def __init__(self, nprocs: int, transport: Transport | str = "inproc",
-                 clock: Clock | None = None, cost_model=None,
+                 clock: Clock | None = None,
                  local_ranks: Iterable[int] | None = None):
         if nprocs < 1:
             raise MPIException(ERR_OTHER, f"nprocs must be >= 1, "
@@ -95,8 +95,6 @@ class Universe:
         # the tracer reads timestamps through the job clock, so modeled
         # (VirtualClock) runs emit deterministic traces
         TRACE.use_clock(self.clock)
-        #: optional NetworkModel; the OO layer charges wrapper costs to it
-        self.cost_model = cost_model
         self.world_group = GroupImpl(range(self.nprocs))
         if local_ranks is None:
             local_ranks = range(self.nprocs)
@@ -307,16 +305,20 @@ class Universe:
                 pass  # peers learn via their own transport EOF
         self._fire_failure_event(listeners)
 
-    def note_revoked(self, contexts: Iterable[int], origin_rank: int = -1,
-                     broadcast: bool = True) -> None:
-        """Record revoked context ids; re-broadcast any that are news.
+    def note_revoked(self, contexts: Iterable[int], members: Iterable[int],
+                     origin_rank: int = -1) -> None:
+        """Record revoked context ids; re-broadcast any that are news to
+        ``members``, the revoked communicator's world ranks.
 
         Reliable broadcast in the ULFM sense: every receiver of a revoke
         token forwards tokens it has not seen before, so a revoke
         initiated by a rank that dies mid-broadcast still reaches every
-        survivor (any one delivery suffices to re-flood).  Termination
-        is guaranteed because already-known contexts are never
-        re-forwarded.
+        surviving member (any one delivery suffices to re-flood).
+        Termination is guaranteed because already-known contexts are
+        never re-forwarded.  The token goes to members only: context ids
+        are unique on each member, not job-wide (a process-backend rank
+        allocates them itself), so another rank may use the same id for
+        an unrelated communicator.
         """
         contexts = tuple(int(c) for c in contexts)
         with self._fail_lock:
@@ -326,12 +328,12 @@ class Universe:
             listeners = list(self._failure_listeners)
         if not fresh:
             return
-        if broadcast:
-            try:
-                self.transport.broadcast_control(
-                    encode_revoke_env(origin_rank, contexts))
-            except Exception:
-                pass
+        members = tuple(members)
+        try:
+            self.transport.broadcast_control(
+                encode_revoke_env(origin_rank, contexts, members), members)
+        except Exception:
+            pass
         self._fire_failure_event(listeners)
 
     def _fire_failure_event(self, listeners) -> None:
@@ -379,12 +381,6 @@ class Universe:
         for ctx in contexts:
             if ctx in self.revoked_contexts:
                 raise RevokedException(ctx)
-
-    # -- cost-model hooks (modeled benchmark mode) -----------------------------
-    def charge_wrapper(self, nbytes: int) -> None:
-        """Charge the OO-binding per-call overhead to a virtual clock."""
-        if self.cost_model is not None:
-            self.clock.advance(self.cost_model.wrapper_call_time(nbytes))
 
     # -- lifecycle ---------------------------------------------------------------
     def close(self) -> None:

@@ -311,8 +311,9 @@ def decode_abort_env(env: Envelope) \
 # isolation never matters: a KIND_PEERFAIL carries the dead rank in
 # ``src`` and its classified cause chain in the payload; a KIND_REVOKE
 # carries the revoking rank in ``src`` and the revoked communicator's
-# context ids (pickled) in the payload, so every receiver can mark the
-# same contexts dead without sharing any in-memory state.
+# context ids and member world ranks (pickled) in the payload, so every
+# receiver can mark the same contexts dead, and re-flood the token to the
+# same members, without sharing any in-memory state.
 
 def encode_peerfail_env(failed_rank: int,
                         cause: BaseException | None = None) -> Envelope:
@@ -331,20 +332,22 @@ def decode_peerfail_env(env: Envelope) -> tuple[int, BaseException | None]:
     return env.src, cause
 
 
-def encode_revoke_env(origin_rank: int, contexts) -> Envelope:
-    """Build the KIND_REVOKE token naming the revoked context ids."""
-    payload = pickle.dumps(tuple(int(c) for c in contexts), protocol=4)
+def encode_revoke_env(origin_rank: int, contexts, members) -> Envelope:
+    """Build the KIND_REVOKE token naming the revoked context ids and
+    the world ranks of the communicator's members."""
+    payload = pickle.dumps((tuple(int(c) for c in contexts),
+                            tuple(int(m) for m in members)), protocol=4)
     return Envelope(kind=KIND_REVOKE, src=int(origin_rank),
                     payload=payload, is_object=True)
 
 
-def decode_revoke_env(env: Envelope) -> tuple[int, tuple]:
-    """(origin_rank, context_ids) from a KIND_REVOKE envelope."""
+def decode_revoke_env(env: Envelope) -> tuple[int, tuple, tuple]:
+    """(origin_rank, context_ids, members) from a KIND_REVOKE envelope."""
     try:
-        contexts = tuple(pickle.loads(bytes(env.payload)))
+        contexts, members = pickle.loads(bytes(env.payload))
     except Exception:
-        contexts = ()
-    return env.src, contexts
+        contexts = members = ()
+    return env.src, contexts, members
 
 
 def decode(header, body) -> Envelope:

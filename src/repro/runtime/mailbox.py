@@ -153,8 +153,8 @@ class Mailbox:
                 rank, cause = decode_peerfail_env(env)
                 self.universe.note_peer_failure(rank, cause)
             elif kind == KIND_REVOKE:
-                origin, contexts = decode_revoke_env(env)
-                self.universe.note_revoked(contexts, origin_rank=origin)
+                origin, contexts, members = decode_revoke_env(env)
+                self.universe.note_revoked(contexts, members, origin)
             else:
                 raise AssertionError(f"undeliverable envelope kind {kind}")
             return

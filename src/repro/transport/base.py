@@ -56,8 +56,10 @@ class Transport:
         """Feed the transport's internal wait states (if it has any)
         into the sanitizer's wait-for graph.  Default: nothing to arm."""
 
-    def broadcast_control(self, env: Envelope) -> None:
-        """Deliver a control envelope (e.g. abort) to every rank.
+    def broadcast_control(self, env: Envelope, dsts=None) -> None:
+        """Deliver a control envelope (e.g. abort) to every rank, or to
+        the world ranks ``dsts`` (a revoke token goes to its
+        communicator's members only).
 
         The payload must survive the fan-out: abort envelopes carry the
         errorcode and pickled root cause (see ``envelope.encode_abort_env``),
@@ -67,7 +69,7 @@ class Transport:
         error is re-raised once the fan-out is complete.
         """
         first = None
-        for dst in range(self.nprocs):
+        for dst in range(self.nprocs) if dsts is None else dsts:
             ctl = Envelope(kind=env.kind, src=env.src, dst=dst,
                            context=env.context, tag=env.tag, seq=env.seq,
                            payload=env.payload, nelems=env.nelems,

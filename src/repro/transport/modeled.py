@@ -1,9 +1,13 @@
 """Cost-charging transport for *modeled* benchmark mode.
 
 Wraps a real transport (in-process by default), and charges
-``model.message_time(payload bytes)`` to the universe's
-:class:`~repro.util.clock.VirtualClock` for every data message.  Control
-messages (sync ACKs) are charged the per-message software overhead only.
+``model.predict_time(payload bytes, wrapper)`` to the universe's
+:class:`~repro.util.clock.VirtualClock` for every data message: the C
+path's message time, plus the OO binding's per-message wrapper term when
+the job models an mpiJava (``-J``) column.  That term covers one Send
+call and one Recv call, so a message is its whole one-way cost and the
+binding itself charges nothing.  Control messages (sync ACKs) are
+charged the per-message software overhead only.
 
 In a strictly alternating exchange (PingPong) at most one message is in
 flight, so a single global virtual clock accumulates exactly the per-
@@ -25,10 +29,11 @@ class ModeledTransport(Transport):
     """Charge a calibrated cost model; deliver via an inner transport."""
 
     def __init__(self, nprocs: int, model: NetworkModel, clock: Clock,
-                 inner: Transport | None = None):
+                 inner: Transport | None = None, wrapper: bool = False):
         super().__init__(nprocs)
         self.model = model
         self.clock = clock
+        self.wrapper = wrapper  # charge the -J wrapper term per message
         self.inner = inner or InprocTransport(nprocs)
         self.mode = self.inner.mode  # matching semantics follow the carrier
         self.messages = 0
@@ -51,7 +56,7 @@ class ModeledTransport(Transport):
     def send(self, env: Envelope) -> None:
         if env.kind == KIND_DATA:
             nbytes = env.payload_nbytes()
-            self.clock.advance(self.model.message_time(nbytes))
+            self.clock.advance(self.model.predict_time(nbytes, self.wrapper))
             self.messages += 1
             self.bytes_charged += nbytes
         else:

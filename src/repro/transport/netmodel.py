@@ -22,7 +22,10 @@ The J-wrapper model is ``wrap_const + wrap_perbyte * min(n, wrap_cap)``:
 a fixed JNI/JVM entry cost plus a per-byte pinned-array copy charge that
 stops growing once the JNI implementation switches to zero-copy access for
 large arrays — the combination that matches both the Table 1 deltas and
-the figures' convergence behaviour.
+the figures' convergence behaviour.  A one-way message crosses the binding
+twice (Send and Recv), and the term covers both crossings: a modeled
+``-J`` job's :class:`~repro.transport.modeled.ModeledTransport` charges
+it once per data message.
 
 Linux columns are "-" in the paper (JDK 1.2 was not yet out, §3.3); we
 ship *projected* parameters (flagged) so the harness can optionally print
@@ -74,11 +77,6 @@ class NetworkModel:
         """Extra one-way time added by the OO binding (send + recv side)."""
         return self.wrap_const + self.wrap_perbyte * min(nbytes,
                                                          self.wrap_cap)
-
-    def wrapper_call_time(self, nbytes: int) -> float:
-        """Per-OO-call charge: half the per-message wrapper delta, since a
-        one-way message crosses the binding twice (Send and Recv)."""
-        return 0.5 * self.wrapper_message_time(nbytes)
 
     # -- analytic predictions used by the harness/tests ------------------------
     def predict_time(self, nbytes: int, wrapper: bool) -> float:

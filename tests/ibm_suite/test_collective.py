@@ -476,6 +476,7 @@ class TestOwnershipRule:
             rb = np.full(16, -1.0)
             with algorithm_overrides(allreduce=alg):
                 w.Allreduce(sb, 0, rb, 0, 1, vec, MPI.SUM)
+            vec.Free()
             return rb[::2].tolist(), rb[1::2].tolist(), sb[1::2].tolist()
 
         for got, gaps, sent_gaps in run(4, body, transport=mode_transport,

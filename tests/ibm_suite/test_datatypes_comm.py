@@ -15,9 +15,11 @@ class TestDerivedInComm:
             if w.Rank() == 0:
                 mat = np.arange(20, dtype=np.int32)
                 w.Send(mat, 2, 1, col, 1, 0)         # column 2
+                col.Free()
                 return None
             out = np.full(20, -1, dtype=np.int32)
             w.Recv(out, 0, 1, col, 0, 0)             # land as column 0
+            col.Free()
             return [int(out[i * 5]) for i in range(4)]
 
         assert run(2, body, transport=mode_transport)[1] == [2, 7, 12, 17]
@@ -29,6 +31,7 @@ class TestDerivedInComm:
                 vec = MPI.DOUBLE.Vector(3, 1, 4).Commit()
                 data = np.arange(12, dtype=np.float64)
                 w.Send(data, 0, 1, vec, 1, 0)
+                vec.Free()
                 return None
             out = np.zeros(3, dtype=np.float64)
             st = w.Recv(out, 0, 3, MPI.DOUBLE, 0, 0)
@@ -44,9 +47,11 @@ class TestDerivedInComm:
             if w.Rank() == 0:
                 data = np.arange(8, dtype=np.int32)
                 w.Ssend(data, 0, 1, idx, 1, 0)
+                idx.Free()
                 return None
             out = np.full(8, -1, dtype=np.int32)
             w.Recv(out, 0, 1, idx, 0, 0)
+            idx.Free()
             return list(out)
 
         assert run(2, body, transport=mode_transport)[1] == \
@@ -60,9 +65,11 @@ class TestDerivedInComm:
             if w.Rank() == 0:
                 data = np.arange(6, dtype=np.int32)
                 w.Send(data, 0, 1, st, 1, 0)
+                st.Free()
                 return None
             out = np.full(6, -1, dtype=np.int32)
             w.Recv(out, 0, 1, st, 0, 0)
+            st.Free()
             return list(out)
 
         assert run(2, body, transport=mode_transport)[1] == \
@@ -75,11 +82,14 @@ class TestDerivedInComm:
             # so two contiguous copies select elements 0,2 and 3,5
             v = MPI.INT.Vector(2, 1, 2)
             c = v.Contiguous(2).Commit()
+            v.Free()
             if w.Rank() == 0:
                 w.Send(np.arange(8, dtype=np.int32), 0, 1, c, 1, 0)
+                c.Free()
                 return None
             out = np.full(8, -1, dtype=np.int32)
             w.Recv(out, 0, 1, c, 0, 0)
+            c.Free()
             return list(out)
 
         assert run(2, body, transport=mode_transport)[1] == \
@@ -95,9 +105,11 @@ class TestDerivedInComm:
                     w.Send(np.zeros(4, dtype=np.int32), 0, 1, vec, 1, 0)
                     return "no error"
                 except MPIException as exc:
+                    vec.Free()
                     w.Send(np.zeros(1, dtype=np.int32), 0, 1, MPI.INT, 1,
                            0)
                     return exc.Get_error_class()
+            vec.Free()
             buf = np.zeros(4, dtype=np.int32)
             w.Recv(buf, 0, 4, MPI.INT, 0, 0)
             return None
@@ -233,8 +245,10 @@ class TestPackThroughComm:
     def test_inquiry_through_oo_api(self, mode_transport):
         def body():
             vec = MPI.DOUBLE.Vector(3, 2, 4)
-            return (vec.Size(), vec.Extent(), vec.Lb(), vec.Ub(),
-                    MPI.INT.Size(), MPI.INT.Extent())
+            out = (vec.Size(), vec.Extent(), vec.Lb(), vec.Ub(),
+                   MPI.INT.Size(), MPI.INT.Extent())
+            vec.Free()
+            return out
 
         out = run(2, body, transport=mode_transport)[0]
         # 6 doubles = 48 bytes data; extent 10 doubles = 80 bytes

@@ -180,6 +180,7 @@ class TestDatatypeReuse:
                     out[:] = 0
                     w.Recv(out, 0, 1, t, 0, i)
                     ok = ok and list(out[::2]) == [0, 2, 4, 6]
+            t.Free()
             return ok
 
         assert all(run(2, body, transport=mode_transport))
@@ -211,17 +212,19 @@ def _code(call):
 
 def window_body(case: str, vector: bool):
     MPI.Init([])
+    window = _window(vector)
     try:
-        return _window_case(case, vector)
+        return _window_case(case, vector, *window)
     finally:
+        if vector:
+            window[0].Free()
         MPI.Finalize()
 
 
-def _window_case(case: str, vector: bool):
+def _window_case(case: str, vector: bool, t, count: int, need: int):
     w = MPI.COMM_WORLD
     w.Errhandler_set(MPI.ERRORS_RETURN)
     rank = w.Rank()
-    t, count, need = _window(vector)
     short, full = np.zeros(5), np.arange(float(need))
     go = np.zeros(1, dtype=np.int8)
     if case == "send":
@@ -259,9 +262,10 @@ def _window_case(case: str, vector: bool):
         if rank == 0:
             seen = _code(lambda: w.Send(buf, 1, 1, back, 1, 1))
             w.Send(buf, 2, 1, back, 1, 1)
-            return seen
-        seen = _code(lambda: w.Recv(buf, 1, 1, back, 0, 1))
-        w.Recv(buf, 2, 1, back, 0, 1)
+        else:
+            seen = _code(lambda: w.Recv(buf, 1, 1, back, 0, 1))
+            w.Recv(buf, 2, 1, back, 0, 1)
+        back.Free()
         return seen
     assert case == "gatherv"
     # the root's last displacement lands one instance past its buffer

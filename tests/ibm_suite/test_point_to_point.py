@@ -126,7 +126,9 @@ class TestBlocking:
                 return None
             st = w.Recv(np.zeros(4, dtype=np.int32), 0, 4, MPI.INT, 0, 0)
             empty = MPI.INT.Contiguous(0).Commit()
-            return st.Get_count(empty), st.Get_count(MPI.INT)
+            out = st.Get_count(empty), st.Get_count(MPI.INT)
+            empty.Free()
+            return out
 
         assert run(2, body, transport=mode_transport)[1] == (0, 4)
 

@@ -13,13 +13,13 @@ from repro.transport.netmodel import ENVIRONMENTS
 from repro.util.clock import VirtualClock
 
 
-def modeled_universe(key="WMPI_SM", nprocs=2, with_wrapper=True):
+def modeled_universe(key="WMPI_SM", nprocs=2, wrapper=True):
     clock = VirtualClock()
     model = ENVIRONMENTS[key]
     transport = ModeledTransport(nprocs, model, clock,
-                                 inner=InprocTransport(nprocs))
-    return Universe(nprocs, transport=transport, clock=clock,
-                    cost_model=model if with_wrapper else None)
+                                 inner=InprocTransport(nprocs),
+                                 wrapper=wrapper)
+    return Universe(nprocs, transport=transport, clock=clock)
 
 
 class TestVirtualWtime:
@@ -77,45 +77,45 @@ class TestVirtualWtime:
         assert one_run() == pytest.approx(one_run(), rel=1e-12)
 
 
+def _oo_pingpong_body():
+    MPI.Init([])
+    w = MPI.COMM_WORLD
+    buf = np.zeros(8, dtype=np.int8)
+    if w.Rank() == 0:
+        w.Send(buf, 0, 8, MPI.BYTE, 1, 0)
+        w.Recv(buf, 0, 8, MPI.BYTE, 1, 0)
+    else:
+        w.Recv(buf, 0, 8, MPI.BYTE, 0, 0)
+        w.Send(buf, 0, 8, MPI.BYTE, 0, 0)
+    MPI.Finalize()
+
+
 class TestWrapperCharging:
-    def test_oo_layer_charges_capi_does_not(self):
-        """Only the OO binding pays the wrapper cost — the heart of the
-        C-vs-J comparison."""
-        def send_body_oo():
-            MPI.Init([])
-            w = MPI.COMM_WORLD
-            buf = np.zeros(8, dtype=np.int8)
-            if w.Rank() == 0:
-                w.Send(buf, 0, 8, MPI.BYTE, 1, 0)
-            else:
-                w.Recv(buf, 0, 8, MPI.BYTE, 0, 0)
-            MPI.Finalize()
+    """The ``-J`` wrapper term is charged by the transport, per data
+    message: the binding itself charges nothing."""
 
-        def send_body_c():
-            capi.mpi_init([])
-            rank = capi.mpi_comm_rank(H.COMM_WORLD)
-            buf = np.zeros(8, dtype=np.int8)
-            if rank == 0:
-                capi.mpi_send(H.COMM_WORLD, buf, 0, 8, H.DT_BYTE, 1, 0)
-            else:
-                capi.mpi_recv(H.COMM_WORLD, buf, 0, 8, H.DT_BYTE, 0, 0)
-            capi.mpi_finalize()
+    @staticmethod
+    def _run(wrapper):
+        universe = modeled_universe(wrapper=wrapper)
+        with MPIExecutor(2, universe=universe) as ex:
+            ex.run(_oo_pingpong_body)
+        return universe.clock.now(), universe.transport.messages
 
-        def total(body):
-            universe = modeled_universe()
-            with MPIExecutor(2, universe=universe) as ex:
-                ex.run(body)
-            return universe.clock.now()
-
-        t_oo = total(send_body_oo)
-        t_c = total(send_body_c)
+    def test_j_universe_pays_the_wrapper_once_per_message(self):
+        """The heart of the C-vs-J comparison: the same program, the
+        same messages, and one ``wrapper_message_time`` more for each
+        (the two 8-byte pingpong messages; Finalize's barrier messages
+        carry nothing)."""
+        t_j, n_j = self._run(wrapper=True)
+        t_c, n_c = self._run(wrapper=False)
+        assert n_j == n_c > 2
         model = ENVIRONMENTS["WMPI_SM"]
-        # the OO run pays exactly two wrapper calls (Send + Recv) extra
-        assert t_oo - t_c == pytest.approx(2 * model.wrapper_call_time(8),
-                                           rel=1e-9)
+        extra = 2 * model.wrapper_message_time(8) \
+            + (n_j - 2) * model.wrapper_message_time(0)
+        assert t_j - t_c == pytest.approx(extra, rel=1e-9)
 
-    def test_no_cost_model_means_no_charge(self):
-        universe = modeled_universe(with_wrapper=False)
+    def test_c_universe_charges_messages_only(self):
+        universe = modeled_universe(wrapper=False)
 
         def body():
             MPI.Init([])
@@ -132,8 +132,8 @@ class TestWrapperCharging:
         model = ENVIRONMENTS["WMPI_SM"]
         with MPIExecutor(2, universe=universe) as ex:
             ex.run(body)
-        # transport charges only: 1 data message + barrier traffic; no
-        # wrapper term despite going through the OO layer
+        # 1 data message + barrier traffic; no wrapper term despite
+        # going through the OO layer
         total = universe.clock.now()
         n_messages = universe.transport.messages
         expected = sum([model.message_time(1)]

@@ -192,8 +192,7 @@ class TestModeledDeterminism:
         model = ENVIRONMENTS["WMPI_SM"]
         transport = ModeledTransport(1, model, clock,
                                      inner=InprocTransport(1))
-        universe = Universe(1, transport=transport, clock=clock,
-                            cost_model=model)
+        universe = Universe(1, transport=transport, clock=clock)
 
         def body():
             capi.mpi_init([])

@@ -18,7 +18,6 @@ SPMD bodies are module-level so the process backend can import them by
 reference.
 """
 
-import os
 import time
 
 import numpy as np
@@ -89,6 +88,29 @@ def fatal_mode_body():
         assert exc.origin_rank == DEAD, exc.origin_rank
         raise RuntimeError("unwound %.3f" % dt)
     return "unreachable"
+
+
+def revoke_scope_body():
+    """Rank 0 revokes a Dup of its half of the world.  The other half's
+    Dup may have the same context ids (on the process backend each rank
+    allocates them itself), and it must stay usable."""
+    MPI.Init([])
+    w = MPI.COMM_WORLD
+    rank = w.Rank()
+    half = w.Split(rank // 2, rank)
+    dup = half.Dup()
+    dup.Errhandler_set(MPI.ERRORS_RETURN)
+    if rank == 0:
+        dup.Revoke()
+    w.Barrier()
+    w.Barrier()
+    try:
+        dup.Barrier()
+        out = "ok"
+    except MPIException as exc:
+        out = type(exc).__name__
+    MPI.Finalize()
+    return out
 
 
 def queued_receives_body():
@@ -256,6 +278,22 @@ class TestQueuedReceivesOfADeadPeer:
         assert set(ei.value.failures) == {DEAD}, ei.value.failures
 
 
+class TestRevokeReachesMembersOnly:
+    """A revoke token goes to the revoked communicator's members, not
+    to every rank that happens to know the same context ids."""
+
+    WANT = ["RevokedException", "RevokedException", "ok", "ok"]
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_thread_backends(self, transport):
+        assert mpirun(NPROCS, revoke_scope_body, transport=transport,
+                      timeout=TIMEOUT) == self.WANT
+
+    def test_process_backend(self):
+        assert procrun(NPROCS, revoke_scope_body,
+                       timeout=TIMEOUT) == self.WANT
+
+
 class TestFramesAheadOfTheEof:
     def test_process_backend(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT", "finalize:1")
@@ -365,8 +403,7 @@ class TestParkedSendsStillSubscribe:
                 universe.note_peer_failure(1, ConnectionError("gone"))
                 want = ERR_PROC_FAILED
             else:
-                universe.note_revoked((comm.ctx_pt2pt,), origin_rank=1,
-                                      broadcast=False)
+                universe.note_revoked((comm.ctx_pt2pt,), (), origin_rank=1)
                 want = ERR_REVOKED
             assert req.done and req.error == want
             assert len(universe._failure_listeners) == 0

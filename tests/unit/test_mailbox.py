@@ -341,8 +341,8 @@ def _fire(event, universe, comm):
     if event == "death":
         universe.note_peer_failure(DEAD, ConnectionError("rank 1 lost"))
     else:
-        universe.note_revoked((comm.ctx_pt2pt, comm.ctx_coll),
-                              origin_rank=LIVE, broadcast=False)
+        universe.note_revoked((comm.ctx_pt2pt, comm.ctx_coll), (),
+                              origin_rank=LIVE)
 
 
 def _assert_failed_once(req, completions, event, kind, universe, comm):

@@ -74,11 +74,6 @@ class TestShapes:
                   for n in (1, 64, 1024)]
         assert max(deltas) - min(deltas) < 3e-6
 
-    def test_wrapper_call_is_half_message_delta(self):
-        m = ENVIRONMENTS["MPICH_SM"]
-        assert m.wrapper_call_time(100) == \
-            pytest.approx(m.wrapper_message_time(100) / 2)
-
     def test_linux_marked_projected(self):
         assert ENVIRONMENTS["LINUX_SM"].projected
         assert ENVIRONMENTS["LINUX_DM"].projected

@@ -4,8 +4,9 @@ Small messages are bound by interpreter path length, not bytes (ROADMAP
 item 1), so the budget is counted, not timed: ``sys.setprofile`` ``call``
 events (Python functions entered; C calls are not events of that kind)
 on threads-DM, per blocking ``Send``/``Recv`` in the rank thread, per
-frame in the pump thread, and per message of an ``Isend``/``Irecv``/
-``Waitall`` window of 64.  The counts are deterministic up to which side
+frame in the pump thread, per ``Isend().Wait()`` + ``Irecv().Wait()``
+pair, and per message of an ``Isend``/``Irecv``/``Waitall`` window of
+64.  The counts are deterministic up to which side
 of a match arrives first, so each is the median over iterations and the
 budget has 10 % headroom — enough for that, far too little for a
 per-message ``threading.Event`` (≈ 10 calls) or a failure-plane
@@ -36,15 +37,18 @@ import pytest
 from repro.executor.runner import MPIExecutor
 from repro.mpijava import MPI, Request
 
-#: counts measured when the budget was last re-anchored (each layer
-#: resolves what the one above it already had, and the pump cuts frames
-#: out of a read buffer).  Earlier anchors, newest first: 97 / 25 / 47 /
-#: 55 (a post-time window check), 100 / 39 / 47 / 58, 127 / 51 / 57 / 74
+#: counts measured when the budget was last re-anchored (an mpiJava
+#: member is one guarded stub call, and a request's error handler is
+#: looked up only on error).  Earlier anchors, newest first: 68 / 22 / 33
+#: / 40 and 95 for the wait pair (each member also called a cost-model
+#: hook), 97 / 25 / 47 / 55 (a post-time window check), 100 / 39 / 47 /
+#: 58, 127 / 51 / 57 / 74
 BUDGET = {
-    "send_recv_pair": 68,       # rank thread, one Send + one Recv
+    "send_recv_pair": 66,       # rank thread, one Send + one Recv
     "pump_frame": 22,           # pump thread, one eager frame per read
-    "irecv_window_msg": 33,     # rank thread, per message: Irecv ... Waitall
-    "isend_window_msg": 40,     # rank thread, per message: Isend ... Waitall
+    "irecv_window_msg": 32,     # rank thread, per message: Irecv ... Waitall
+    "isend_window_msg": 39,     # rank thread, per message: Isend ... Waitall
+    "isend_irecv_wait_pair": 91,  # rank thread, Isend().Wait() + Irecv().Wait()
 }
 #: rank thread, one blocking collective on 4 ranks (PR 24: the rounds run
 #: in the caller.  Its parent ran round 0 there and the rest in the pump:
@@ -52,11 +56,12 @@ BUDGET = {
 #: pump, where the whole path is now this count plus ~22 per frame.
 #: Before the stub and runtime stopped re-resolving: 144 / 178 / 205.
 #: Before the stub called ``nbc.run`` on the plan itself, through a
-#: one-line wrapper per collective: 127 / 160 / 187)
+#: one-line wrapper per collective: 127 / 160 / 187.  Before the
+#: members stopped calling a cost-model hook: 126 / 159 / 186)
 COLL_BUDGET = {
     "barrier": 126,             # 2 rounds of dissemination
-    "allreduce_8B": 159,        # 2 rounds of recursive doubling, in place
-    "allreduce_256KiB": 186,    # reduce + bcast; the tree's inner ranks
+    "allreduce_8B": 158,        # 2 rounds of recursive doubling, in place
+    "allreduce_256KiB": 185,    # reduce + bcast; the tree's inner ranks
 }
 HEADROOM = 1.10
 ITERS = 60
@@ -94,8 +99,20 @@ def _pingpong(counter: CallCounter):
         if i >= 10:                         # warm: caches, lazy imports
             per_iter.append(counter.calls[me] - c0)
             pump.append(counter.calls[f"repro-pump-{rank}"] - p0)
+    waited = []
+    for i in range(ITERS + 10):
+        c0 = counter.calls[me]
+        if rank == 0:
+            world.Isend(buf, 0, 8, MPI.BYTE, peer, 3).Wait()
+            world.Irecv(buf, 0, 8, MPI.BYTE, peer, 4).Wait()
+        else:
+            world.Irecv(buf, 0, 8, MPI.BYTE, peer, 3).Wait()
+            world.Isend(buf, 0, 8, MPI.BYTE, peer, 4).Wait()
+        if i >= 10:
+            waited.append(counter.calls[me] - c0)
     MPI.Finalize()
-    return statistics.median(per_iter), statistics.median(pump)
+    return (statistics.median(per_iter), statistics.median(pump),
+            statistics.median(waited))
 
 
 def _windows(counter: CallCounter):
@@ -175,9 +192,10 @@ def _check(name: str, measured: float, budget=BUDGET) -> None:
 
 @unsanitized
 def test_blocking_pingpong_path_length():
-    (pair0, pump0), (pair1, pump1) = _counted(_pingpong)
+    (pair0, pump0, wait0), (pair1, pump1, wait1) = _counted(_pingpong)
     _check("send_recv_pair", max(pair0, pair1))
     _check("pump_frame", max(pump0, pump1))
+    _check("isend_irecv_wait_pair", max(wait0, wait1))
 
 
 @unsanitized

@@ -283,15 +283,19 @@ class TestTCPMesh:
 
 
 class TestModeled:
-    def test_charges_clock(self):
+    @pytest.mark.parametrize("wrapper", (False, True), ids=("C", "J"))
+    def test_charges_clock(self, wrapper):
+        """A ``-J`` universe's transport adds the wrapper term to each
+        data message; a ``-C`` one charges the message alone."""
         clock = VirtualClock()
         model = ENVIRONMENTS["WMPI_SM"]
-        tr = ModeledTransport(2, model, clock)
+        tr = ModeledTransport(2, model, clock, wrapper=wrapper)
         collect(tr, 1)
         tr.send(Envelope(src=0, dst=1,
                          payload=np.zeros(1000, dtype=np.int8),
                          nelems=1000, kind=KIND_DATA))
-        assert clock.now() == pytest.approx(model.message_time(1000))
+        extra = model.wrapper_message_time(1000) if wrapper else 0.0
+        assert clock.now() == pytest.approx(model.message_time(1000) + extra)
         assert tr.messages == 1
         assert tr.bytes_charged == 1000
 
