@@ -2,16 +2,17 @@
 
 ``ProcExecutor`` keeps one zygote — an interpreter that has imported the
 runtime — and has it fork each job's proxy, which imports the target
-once and forks the ranks, so a job right after another one costs forks,
-that import, the mesh bootstrap and the ranks' exit: 43-62 ms for a
-4-rank no-op job over TCP on one CPU of a 2-vCPU VM, 0.13-0.16
+once, wires the job and forks the ranks, so a job right after another
+one costs forks, that import, the wiring and the ranks' exit: 43-62 ms
+for a 4-rank no-op job over TCP on one CPU of a 2-vCPU VM, 0.13-0.16
 interpreter starts (a bare ``python -c`` of the zygote's import set,
 0.28-0.38 s), where a zygote per job paid about two starts.  Of that, a
-rank spends 5-10 ms of CPU and ~940-1 000 minor page faults between its
-fork and its target (~1 340 while its first dial imported the ``idna``
-codec and a second thread beat its heartbeat); the warm-job test prints
-both.  What three more ranks add to a 1-rank job was 0.8-1.6 starts
-with a zygote per job, and three and more when every rank was its own
+rank spends 4-7 ms of CPU and ~860-1 020 minor page faults between its
+fork and its target (~950-1 090 while it dialed the launcher and its
+peers itself, ~1 340 while its first dial imported the ``idna`` codec
+and a second thread beat its heartbeat); the warm-job test prints both.
+What three more ranks add to a 1-rank job was 0.8-1.6 starts with a
+zygote per job, and three and more when every rank was its own
 ``python -m``.  All times are whole jobs measured alternately on one
 CPU, as the gate (``benchmarks/suite``) confines its jobs, so a slower
 box — or a slow few seconds of this one — moves both sides and not the

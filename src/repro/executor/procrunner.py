@@ -11,42 +11,38 @@ rank: as MPICH's ``hydra_pmi_proxy`` and Open MPI's ``orted`` do on each
 node, one proxy process forks the local ranks, reaps them and reports
 their exit codes to the launcher.
 
-Bootstrap rendezvous and control plane — the tree is launcher →
-zygote → one proxy per job → that job's ranks:
+Bootstrap and control plane — the tree is launcher → zygote → one
+proxy per job → that job's ranks:
 
 1. the launcher keeps **one** child, the *zygote*
    (``python -m repro.executor.procworker``), on one end of a
    ``socketpair``: it has imported the runtime — never user code.  A
-   job is one request, ``{"cmd": "job", "connect", "nprocs", "cwd",
-   "affinity", "shm_nonce", "target"}`` with the launcher's fds 0 / 1 /
-   2 attached.  The zygote, single-threaded, forks the job's *proxy*
-   and hands it the connection until it has reaped it;
-2. the proxy takes on the job's stdio, cwd and affinity, imports the
-   target — user modules are imported here, once per job, never in the
-   zygote — and, still single-threaded, forks the ranks (or answers
-   ``refused``, naming the threads the import left running).  It
-   reports ``forked {rank: pid}`` and then stays, for the job's
-   lifetime, as the ranks' parent: it alone reaps them (``exited {rank,
-   rc}`` per rank, ``-9`` meaning SIGKILL as in ``subprocess``) and it
-   alone may signal them (on the launcher's ``kill {rank}``) — only a
-   parent knows whether a pid is still the child it forked.  The
-   launcher's per-rank ``poll`` / ``kill`` / ``wait`` (:class:`_Zygote`)
-   are those three messages;
-3. every rank dials the job's loopback listener and registers its rank
-   (its own *control connection*, kept for the job's lifetime; the
-   proxy's is not inherited — ranks close it right after the fork).
-   Ranks dial by address, here and in the mesh
-   (:func:`~repro.transport.socket_tcp.connect`): after a fork nothing
-   is resolved in Python and nothing is imported;
-4. the launcher ships each rank its arguments; ranks resolve the target
-   (the proxy's module, inherited by the fork; a target whose import
-   raised raises again here, as each rank's own failure), open their
-   mesh listeners and report the port;
-5. once all ranks registered, the launcher gossips the address book and
-   the ranks form the mesh (rank *j* dials *i < j*, accepts *k > j*);
-6. ranks run the target and marshal the result — or the pickled
+   job is one request, ``{"cmd": "job", "nprocs", "cwd", "affinity",
+   "env", "shm_nonce", "target", "args"}`` (``args``: per rank,
+   pickled), carrying the launcher's fds 0 / 1 / 2 and one end of a
+   fresh ``socketpair`` per rank: that rank's *control connection*.
+   The zygote, single-threaded, forks the job's *proxy* and hands it
+   the connection until it has reaped it;
+2. the proxy takes on the job's stdio, cwd, environment and affinity,
+   imports the target — user modules are imported here, once per job,
+   never in the zygote — and, still single-threaded, wires the job (a
+   loopback TCP pair per rank pair,
+   :func:`~repro.transport.socket_tcp.mesh`) and forks the ranks (or
+   answers ``refused``, naming the threads the import left running or
+   the fd limit the mesh would pass).  It reports ``forked {rank:
+   pid}`` and stays, for the job's lifetime, as the ranks' parent: it
+   alone reaps them (``exited {rank, rc}`` per rank, ``-9`` meaning
+   SIGKILL as in ``subprocess``) and it alone may signal them (on the
+   launcher's ``kill {rank}``) — only a parent knows whether a pid is
+   still the child it forked.  The launcher's per-rank ``poll`` /
+   ``kill`` / ``wait`` (:class:`_Zygote`) are those three messages;
+3. each rank keeps its own row of the mesh and its own control end,
+   resolves the target (a target whose import raised raises again
+   here, as each rank's own failure) and beats once when its universe
+   is up: a rank that dies before that died *during bootstrap*;
+4. ranks run the target and marshal the result — or the pickled
    exception with its traceback text — back over the control connection;
-7. the launcher's final ``exit`` message is the wire finalize barrier:
+5. the launcher's final ``exit`` message is the wire finalize barrier:
    no rank tears its mesh down until every rank has reported.
 
 Who reaps, signals and sweeps on each death:
@@ -74,12 +70,13 @@ The zygote is resident, as the ``multiprocessing`` forkserver is: a job
 costs two forks and one import of its target, not an interpreter.  What
 a job must see as of its ``run()`` and a resident process would serve
 stale, the proxy re-applies from the request before it imports: the
-launcher's stdio (pytest swaps fd 1 / 2 per test), working directory
-and the calling thread's CPU affinity.  What shapes imports — the
-interpreter, the environment with its ``REPRO_*`` settings,
-``sys.path`` — cannot be re-applied after them, so a zygote serves only
-jobs whose ``(python, _child_env())`` equals the one it was started
-with; any other job closes it and starts a fresh one.  A job that fails
+launcher's stdio (pytest swaps fd 1 / 2 per test), working directory,
+environment and the calling thread's CPU affinity.  What shapes imports
+— the interpreter, and the part of the environment that
+:data:`_IMPORT_ENV` names (``sys.path`` and the ``REPRO_*`` settings
+among it) — cannot be re-applied after them, so a zygote serves only
+jobs whose :func:`_zygote_key` equals the one it was started with; any
+other job closes it and starts a fresh one.  A job that fails
 in any way closes its zygote too: only one whose ranks were all reaped
 with code 0 hands it back.  An idle zygote exits on its own after
 :data:`LINGER_S`, so nothing waits on it after the last job; a request
@@ -138,8 +135,7 @@ from repro.obs.metrics import REGISTRY
 from repro.runtime.envelope import (dump_exception_chain,
                                     load_exception_chain)
 from repro.transport import shm as shm_transport
-from repro.transport.socket_tcp import BOOTSTRAP_TIMEOUT
-from repro.transport.wire import recv_exact, set_nodelay
+from repro.transport.wire import recv_exact
 
 _LEN = struct.Struct("!I")
 
@@ -156,6 +152,14 @@ EXIT_NOTICE_WAIT = 1.0
 
 #: an idle zygote exits after this many seconds without a job
 LINGER_S = 1.0
+
+#: bound on the wait for a job's proxy to fork its ranks when the job
+#: has no deadline, and on the wait for a rank's first beat
+BOOTSTRAP_TIMEOUT = 30.0
+
+#: most fds one ``SCM_RIGHTS`` message carries (Linux's ``SCM_MAX_FD``):
+#: a job request's fds 0 / 1 / 2 and one control end per rank
+SCM_MAX_FD = 253
 
 
 # -- control-plane framing (length-prefixed pickles) -------------------------
@@ -182,7 +186,12 @@ def send_msg_fds(sock: socket.socket, obj: Any, fds: Sequence[int]) -> None:
 def recv_msg_fds(sock: socket.socket, maxfds: int) -> tuple[Any, list[int]]:
     """Inverse of :func:`send_msg_fds`: the message and the fds it
     carried, now this process's own."""
-    head, fds, _flags, _addr = socket.recv_fds(sock, _LEN.size, maxfds)
+    head, fds, flags, _addr = socket.recv_fds(sock, _LEN.size, maxfds)
+    if flags & socket.MSG_CTRUNC:
+        for fd in fds:
+            os.close(fd)
+        raise OSError(f"a message came with more than {maxfds} fds; "
+                      f"the kernel dropped the rest")
     if not head:
         raise EOFError("peer closed")
     (n,) = _LEN.unpack(head + recv_exact(sock, _LEN.size - len(head)))
@@ -317,6 +326,31 @@ def _child_env() -> dict:
     return env
 
 
+#: the variables a zygote's imports can depend on, by prefix (and
+#: ``*_NUM_THREADS``): it serves only jobs that agree with it on each.
+#: The job's proxy sets the rest (``procworker._enter_job``).
+#:
+#: - ``PYTHON``: where modules are found (``PYTHONPATH`` carries the
+#:   launcher's live ``sys.path``) and how the interpreter loads them;
+#: - ``REPRO_``: the runtime's settings, which decide what the zygote
+#:   imports (``REPRO_SANITIZE`` the sanitizer) and how its ranks run;
+#: - ``OMP_``, ``OPENBLAS_``, ``MKL_`` and ``*_NUM_THREADS``: read from C
+#:   by numpy's BLAS once, when the zygote imports numpy;
+#: - ``LD_``, ``GLIBC_TUNABLES``, ``LC_`` and ``LANG``: read only as an
+#:   interpreter starts, by the loader (where C extensions are found) and
+#:   by Python (its locale and stdio encoding).
+_IMPORT_ENV = ("PYTHON", "REPRO_", "OMP_", "OPENBLAS_", "MKL_", "LD_",
+               "GLIBC_TUNABLES", "LC_", "LANG")
+
+
+def _zygote_key(python: str, env: dict) -> tuple:
+    """What a zygote started with ``python`` and ``env`` has imports
+    for: the jobs it may serve are those with the same key."""
+    return python, tuple(sorted(
+        (name, value) for name, value in env.items()
+        if name.startswith(_IMPORT_ENV) or name.endswith("_NUM_THREADS")))
+
+
 class _Zygote:
     """The launcher's one child process and, through it, each rank's
     handle for the job it is serving.
@@ -333,7 +367,7 @@ class _Zygote:
     def __init__(self, python: str, env: dict):
         #: what shaped the zygote's imports: it serves only jobs that
         #: would be started with the same
-        self.key = (python, env)
+        self.key = _zygote_key(python, env)
         ours, theirs = socket.socketpair()
         try:
             self.proc = subprocess.Popen(
@@ -353,14 +387,16 @@ class _Zygote:
         #: the connection is gone while ranks were still unreaped
         self.lost = False
 
-    def fork_job(self, job: dict, deadline: float) -> bool:
-        """Send one job request, with this process's fds 0 / 1 / 2, and
-        wait until the ranks are forked.  False: the proxy refused to
-        fork them, the zygote or the proxy was gone first, or
-        ``deadline`` passed (``refused`` and ``lost`` tell which)."""
+    def fork_job(self, job: dict, ctl_fds: Sequence[int],
+                 deadline: float) -> bool:
+        """Send one job request, with this process's fds 0 / 1 / 2 and
+        the ranks' control ends, and wait until the ranks are forked.
+        False: the proxy refused to fork them, the zygote or the proxy
+        was gone first, or ``deadline`` passed (``refused`` and ``lost``
+        tell which)."""
         self.pids, self.codes = {}, {}
         try:
-            send_msg_fds(self.conn, job, (0, 1, 2))
+            send_msg_fds(self.conn, job, (0, 1, 2, *ctl_fds))
         except OSError:
             self.lost = True
             return False
@@ -495,13 +531,16 @@ class ProcExecutor:
     depends on shared memory.
     """
 
-    def __init__(self, nprocs: int, python: str | None = None,
-                 host: str = "127.0.0.1"):
+    def __init__(self, nprocs: int, python: str | None = None):
         if nprocs < 1:
             raise ValueError(f"nprocs must be >= 1, got {nprocs}")
+        if 3 + nprocs > SCM_MAX_FD:
+            raise ValueError(
+                f"nprocs must be <= {SCM_MAX_FD - 3}, got {nprocs}: a job "
+                f"request carries 3 + nprocs fds, and one SCM_RIGHTS "
+                f"message at most {SCM_MAX_FD}")
         self.nprocs = int(nprocs)
         self.python = python or sys.executable
-        self.host = host
 
     # -- public API --------------------------------------------------------
     def run(self, target, args: Sequence = (), per_rank_args: bool = False,
@@ -513,10 +552,14 @@ class ProcExecutor:
         bootstrap included.
         """
         spec = target_spec(target)
+        if per_rank_args:
+            rank_args = [pickle.dumps(tuple(args[rank]), protocol=4)
+                         for rank in range(self.nprocs)]
+        else:
+            rank_args = [pickle.dumps(tuple(args), protocol=4)] \
+                * self.nprocs
         deadline = (None if timeout is None
                     else time.monotonic() + float(timeout))
-        listener = socket.create_server((self.host, 0),
-                                        backlog=self.nprocs + 1)
         zyg: _Zygote | None = None
         conns: dict[int, socket.socket] = {}
         # shm job identity: ranks derive every segment name from this
@@ -528,23 +571,12 @@ class ProcExecutor:
         if self.nprocs > 1 and config.shm():
             shm_nonce = f"{os.getpid():x}j{next(_SHM_RUN_SEQ)}"
         try:
-            zyg = self._fork_ranks(
+            zyg, conns = self._fork_ranks(
                 {"cmd": "job", "nprocs": self.nprocs,
-                 "connect": f"{self.host}:{listener.getsockname()[1]}",
                  "cwd": os.getcwd(), "affinity": os.sched_getaffinity(0),
-                 "shm_nonce": shm_nonce, "target": spec},
+                 "shm_nonce": shm_nonce, "target": spec,
+                 "args": rank_args},
                 deadline, timeout)
-            conns = self._rendezvous(listener, zyg, deadline, timeout)
-            for rank, conn in conns.items():
-                rank_args = tuple(args[rank]) if per_rank_args \
-                    else tuple(args)
-                send_msg(conn, {"cmd": "job", "nprocs": self.nprocs,
-                                "args": pickle.dumps(rank_args,
-                                                     protocol=4)})
-            book = self._mesh_ports(conns, zyg, deadline, timeout)
-            for conn in conns.values():
-                send_msg(conn, {"cmd": "book", "book": book})
-                conn.settimeout(None)
             reports, failures = self._collect(conns, zyg, deadline,
                                               timeout)
             for conn in conns.values():
@@ -566,12 +598,8 @@ class ProcExecutor:
                 zyg = None
             return results
         finally:
-            listener.close()
             for conn in conns.values():
-                try:
-                    conn.close()
-                except OSError:
-                    pass
+                conn.close()
             if zyg is not None:
                 zyg.reap()
             if shm_nonce is not None:
@@ -591,24 +619,41 @@ class ProcExecutor:
         self.close()
 
     # -- bootstrap ---------------------------------------------------------
-    def _fork_ranks(self, job: dict, deadline, timeout) -> _Zygote:
+    def _fork_ranks(self, job: dict, deadline, timeout) \
+            -> tuple[_Zygote, dict[int, socket.socket]]:
         """Have a zygote's proxy fork the job's ranks: the idle zygote if
         it was started as this job's would be, else a fresh one.  A
         reused zygote that is gone before its proxy forks (it was
-        lingering out) gets the request once more, to a fresh one."""
-        key = (self.python, _child_env())
+        lingering out) gets the request once more, to a fresh one.
+
+        Returns the zygote and, by rank, the launcher's ends of the
+        control connections, fresh for each request."""
+        env = job["env"] = _child_env()
         phase_deadline = deadline if deadline is not None \
             else time.monotonic() + BOOTSTRAP_TIMEOUT
         zyg = _swap_idle(None)
-        if zyg is not None and zyg.key != key:
+        if zyg is not None and zyg.key != _zygote_key(self.python, env):
             zyg.reap()
             zyg = None
         while True:
             warm = zyg is not None
             if not warm:
-                zyg = _Zygote(*key)
-            if zyg.fork_job(job, phase_deadline):
-                return zyg
+                zyg = _Zygote(self.python, env)
+            pairs = [socket.socketpair() for _ in range(self.nprocs)]
+            try:
+                forked = zyg.fork_job(job, [theirs.fileno()
+                                            for _, theirs in pairs],
+                                      phase_deadline)
+            finally:
+                # the ranks hold these now: a rank's death must read as
+                # EOF on this side's end
+                for _, theirs in pairs:
+                    theirs.close()
+            if forked:
+                return zyg, {rank: ours for rank, (ours, _)
+                             in enumerate(pairs)}
+            for ours, _ in pairs:
+                ours.close()
             timed_out = zyg.refused is None and not zyg.lost
             if timed_out:
                 # wedged before the proxy's fork (in the target's import,
@@ -626,132 +671,6 @@ class ProcExecutor:
                     f"rank {r} never started: {why}")
                     for r in range(self.nprocs)})
             zyg = None
-
-    def _rendezvous(self, listener, zyg, deadline, timeout):
-        """Accept one control connection per rank (bounded wait).
-
-        Fails *fast* on a rank that dies before registering: the
-        proxy's ``exited`` notice for a rank with no connection
-        surfaces in milliseconds — naming the dead rank(s) and exit
-        codes — instead of burning the whole step timeout waiting for a
-        connection that can never come.
-        """
-        conns: dict[int, socket.socket] = {}
-        phase_deadline = deadline if deadline is not None \
-            else time.monotonic() + BOOTSTRAP_TIMEOUT
-        with selectors.DefaultSelector() as sel:
-            sel.register(listener, selectors.EVENT_READ)
-            sel.register(zyg.conn, selectors.EVENT_READ)
-            while len(conns) < self.nprocs:
-                missing = [r for r in range(self.nprocs) if r not in conns]
-                dead = {r: rc for r in missing
-                        if (rc := zyg.poll(r)) is not None}
-                if dead:
-                    raise RankFailure(
-                        {r: RuntimeError(f"rank {r} process exited during "
-                                         f"bootstrap (exit code {rc})")
-                         for r, rc in dead.items()})
-                if zyg.lost:
-                    why = zyg.lost_text()
-                    raise RankFailure(
-                        {r: RuntimeError(f"rank {r} never started: {why} "
-                                         f"during bootstrap")
-                         for r in missing})
-                left = phase_deadline - time.monotonic()
-                if left <= 0:
-                    raise JobTimeoutError(
-                        timeout if timeout is not None
-                        else BOOTSTRAP_TIMEOUT, missing, {})
-                for key, _ in sel.select(timeout=left):
-                    if key.fileobj is not listener:
-                        zyg.absorb()
-                        continue
-                    conn, _addr = listener.accept()
-                    # control frames are tiny and latency-sensitive
-                    # (abort/exit must not sit in Nagle's buffer behind
-                    # nothing)
-                    set_nodelay(conn)
-                    conn.settimeout(BOOTSTRAP_TIMEOUT)
-                    conns[recv_msg(conn)["rank"]] = conn
-                    conn.settimeout(None)
-        return conns
-
-    def _mesh_ports(self, conns, zyg, deadline, timeout) -> dict:
-        """Every rank's mesh address, in whatever order they report.
-
-        A rank that cannot even resolve the target reports *now*,
-        instead of a mesh port: the job is cancelled before meshing up
-        (its peers would otherwise wait on it in ``build_mesh``).  The
-        job deadline covers this phase too: a rank wedged inside a
-        blocking target import must not hang ``run()``, and is reported
-        hung — unlike a rank that had already failed.
-        """
-        book: dict[int, tuple] = {}
-        early_failures: dict[int, BaseException] = {}
-        phase_deadline = time.monotonic() + self._step_timeout(deadline)
-        with selectors.DefaultSelector() as sel:
-            for rank, conn in conns.items():
-                sel.register(conn, selectors.EVENT_READ, rank)
-            while len(book) + len(early_failures) < len(conns):
-                left = phase_deadline - time.monotonic()
-                ready = sel.select(timeout=max(0.0, left))
-                if not ready and left <= 0:
-                    hung = [r for r in conns
-                            if r not in book and r not in early_failures]
-                    self._cancel_bootstrap(conns, skip=hung)
-                    zyg.reap()
-                    raise JobTimeoutError(
-                        timeout if timeout is not None
-                        else BOOTSTRAP_TIMEOUT, hung, early_failures)
-                for key, _ in ready:
-                    rank, conn = key.data, key.fileobj
-                    sel.unregister(conn)
-                    conn.settimeout(self._step_timeout(deadline))
-                    try:
-                        msg = recv_msg(conn)
-                    except (ConnectionError, OSError, EOFError,
-                            pickle.PickleError):
-                        msg = {"status": "error",
-                               "exc": dump_exception_chain(RuntimeError(
-                                   f"rank {rank} died during bootstrap "
-                                   f"({zyg.exit_text(rank)})"))}
-                    if "mesh_port" not in msg:
-                        early_failures[rank] = load_exception(msg)
-                        continue
-                    # hierarchical address book: address plus the host
-                    # identity and shm availability the per-peer
-                    # transport selection reads (same-node + shm_ok
-                    # peers get shared-memory bulk lanes beside their
-                    # socket, the rest talk over the socket alone), and
-                    # the (pid, address, value) of the rank's probe
-                    # word, which same-node peers read to learn whether
-                    # they can get its payloads in place
-                    book[rank] = (self.host, msg["mesh_port"],
-                                  msg.get("node"), msg.get("shm", False),
-                                  msg.get("cma"))
-        if early_failures:
-            self._cancel_bootstrap(conns, skip=early_failures)
-            raise RankFailure(early_failures)
-        return book
-
-    @staticmethod
-    def _step_timeout(deadline) -> float:
-        if deadline is None:
-            return BOOTSTRAP_TIMEOUT
-        return max(0.05, min(BOOTSTRAP_TIMEOUT,
-                             deadline - time.monotonic()))
-
-    @staticmethod
-    def _cancel_bootstrap(conns, skip=()) -> None:
-        """Tell ranks still in the bootstrap handshake to exit cleanly
-        (``skip``: ranks that are dead or wedged and cannot read it)."""
-        for rank, conn in conns.items():
-            if rank in skip:
-                continue
-            try:
-                send_msg(conn, {"cmd": "cancel"})
-            except OSError:
-                pass
 
     # -- result collection -------------------------------------------------
     def _collect(self, conns, zyg, deadline, timeout):
@@ -778,18 +697,19 @@ class ProcExecutor:
         silent_after = hb * config.heartbeat_miss() if hb > 0 else None
         now = time.monotonic()
         last_hb = {rank: now for rank in conns}
-        # ranks that have beaten at least once: until then a generous
-        # grace applies (a rank beats from its control thread, which
-        # starts once the mesh is built and the universe exists — a
-        # wait a tight test threshold must not misread as death)
+        # ranks that have beaten, as each does once its universe exists:
+        # until then a rank is in its bootstrap, and a generous grace
+        # applies (a wait a tight test threshold must not misread)
         seen_hb: set[int] = set()
 
         def died(rank, text=None):
             sel.unregister(conns[rank])
             pending.discard(rank)
+            when = "died before reporting" if rank in seen_hb \
+                else "exited during bootstrap"
             self._declare_dead(
                 rank, RuntimeError(text or (
-                    f"rank {rank} process died before reporting "
+                    f"rank {rank} process {when} "
                     f"({zyg.exit_text(rank)})")),
                 conns, zyg, failures, last_hb, hb)
 

@@ -25,34 +25,36 @@ one job imported is ever seen by the next: they lived in the proxy.
 *proxy* — one per job, what ``hydra_pmi_proxy`` and ``orted`` are to
 MPICH and Open MPI.  It dies with the zygote (``PR_SET_PDEATHSIG``),
 takes on the job's per-run state (:func:`_enter_job`: the launcher's
-fds 0 / 1 / 2, its working directory and the CPU affinity of the thread
-that called ``run()``), imports the target once, flushes stdio (output
-printed at import is not repeated by every rank), checks that the
-import left it single-threaded, freezes its heap and forks the ranks.
-An import that raises is swallowed here: each rank raises it again as
-its own failure.  A target whose import leaves a thread running fails
-the job before any rank exists (``refused``).  From the fork on the
+fds 0 / 1 / 2, its working directory, its environment and the CPU
+affinity of the thread that called ``run()``), imports the target once,
+flushes stdio (output printed at import is not repeated by every rank),
+checks that the import left it single-threaded, wires the job (a
+loopback TCP pair per rank pair), freezes its heap and forks the ranks,
+then closes the wiring.  An import that raises is swallowed here: each
+rank raises it again as its own failure.  A target whose import leaves
+a thread running, or a mesh past the fd limit, fails the job before any
+rank exists (``refused``).  From the fork on the
 proxy is the ranks' parent and nothing else (:func:`_parent_ranks`): it
 tells the launcher ``forked {rank: pid}``, reaps each rank and reports
 ``exited {rank, rc}``, and SIGKILLs a rank when the launcher says
 ``kill {rank}`` — the only process that ever signals a rank, because
 only the parent knows that a pid is still the child it forked.  EOF on
 its connection, in either direction, is teardown: it kills and reaps
-whatever is left and exits non-zero.  The environment needs nothing:
-the launcher sends a zygote only jobs it would start with the same one.
+whatever is left and exits non-zero.
 
 *rank* — dies with the proxy (``PR_SET_PDEATHSIG``); nothing survives
-a SIGKILLed proxy or zygote.  Each rank (:func:`_rank_main`) closes the
-inherited connection, dials the launcher itself, receives its
-arguments, resolves the target (already imported: the proxy's module,
-inherited by the fork), joins the TCP mesh, hosts a single-rank view of
-the :class:`~repro.runtime.engine.Universe`, runs the target, and
-marshals the result (or exception) home over its own control
-connection.  From its fork to its target a rank does only its own
-work: it dials by address (:func:`~repro.transport.socket_tcp.connect`
-resolves nothing in Python), imports nothing — what its settings make
-it use, the sanitizer included, the zygote imported — and starts only
-the threads its job needs.
+a SIGKILLed proxy or zygote.  A rank is born connected: it keeps its
+own row of the mesh and its own control end and closes every other
+rank's and the proxy's connection, so a dead peer's EOF and a dead
+rank's control EOF still arrive; only then does it reach the
+``bootstrap`` fault site.  Then (:func:`_rank_main`) it resolves the
+target (the proxy's module, inherited by the fork), trades lane hellos
+with its peers (:func:`_attach_lanes`), hosts a single-rank view of the
+:class:`~repro.runtime.engine.Universe`, runs the target, and marshals
+the result (or exception) home over its control connection.
+From its fork to its target a rank dials nothing, imports nothing —
+what its settings make it use, the sanitizer included, the zygote
+imported — and starts only the threads its job needs.
 
 In a rank, one control thread talks to the launcher for the whole job
 lifetime, from the moment the universe exists.  It serves commands:
@@ -73,10 +75,12 @@ import atexit
 import gc
 import os
 import pickle
+import resource
 import select
 import selectors
 import signal
 import socket
+import struct
 import sys
 import threading
 import time
@@ -89,7 +93,8 @@ import numpy.random
 import repro.mpijava  # noqa: F401 - every rank needs it: import it once
 from repro import config
 from repro.errors import AbortException
-from repro.executor.procrunner import (LINGER_S, dump_exception, recv_msg,
+from repro.executor.procrunner import (LINGER_S, SCM_MAX_FD,
+                                       dump_exception, recv_msg,
                                        recv_msg_fds, resolve_target,
                                        send_msg)
 from repro.obs.trace import TRACE
@@ -97,11 +102,14 @@ from repro.runtime.engine import RankRuntime, Universe, bind_thread, \
     unbind_thread
 from repro.transport import cma, shm as shm_transport
 from repro.transport.shm import ShmChannel, ShmSegment
-from repro.transport.socket_tcp import (BOOTSTRAP_TIMEOUT, build_mesh,
-                                        connect, mesh_channels,
-                                        mesh_listener)
-from repro.transport.wire import WireTransport, set_nodelay
+from repro.transport.socket_tcp import Row, mesh, mesh_channels, tcp_pair
+from repro.transport.wire import WireTransport, recv_exact
 from repro.util import faultinject
+
+#: what a rank of a job with shm lanes tells each peer on the pair's
+#: socket before the first frame: whether its inbound segments exist, and
+#: the ``(pid, address, value)`` of its probe word (:func:`cma.advert`)
+HELLO = struct.Struct("!?qQQ")
 
 
 def _control_loop(ctl: socket.socket, rank: int, universe: Universe,
@@ -164,30 +172,51 @@ def _beat(ctl: socket.socket, rank: int, lock: threading.Lock) -> bool:
     return True
 
 
-def _attach_lanes(chans, rank: int, nonce, inbound: dict, book: dict) -> None:
-    """Give the mesh channels to same-host peers their bulk lanes, and
-    find out which of those peers this rank can read in place.
+def _attach_lanes(chans, rank: int, nonce: str, row: Row) -> None:
+    """Give the mesh channels their bulk lanes, and find out which peers
+    this rank can read in place.
 
-    A peer is an shm peer when the book says it shares this host's node
-    identity *and* its inbound segments exist.  Inbound segments for
-    non-shm peers (remote hosts, ranks whose /dev/shm failed) are
-    unlinked right here.  Each direction stands alone — the sender marks
-    the frames whose body it put in a lane — so an outbound attach
-    failure only leaves that direction on the socket: the lanes are an
-    optimization, the mesh is the contract.  The single-copy get is
-    likewise observed per endpoint, never agreed on: one real 8-byte
-    read of the word the peer advertised in the book
-    (:func:`repro.transport.cma.probe`) decides whether this rank
-    offers and takes gets on that pair.
+    This rank's inbound segments come first and its hellos second, so
+    every segment a hello names exists when a peer reads it: attachers
+    never race creation.  A peer is an shm peer when its hello says its
+    inbound segments exist; inbound segments for the others (ranks whose
+    /dev/shm failed, or dead) are unlinked right here.  Each direction
+    stands alone — the sender marks the frames whose body it put in a
+    lane — so an outbound attach failure only leaves that direction on
+    the socket: the lanes are an optimization, the mesh is the contract.
+    The single-copy get is likewise observed per endpoint, never agreed
+    on: one real 8-byte read of the word the peer advertised in its
+    hello (:func:`repro.transport.cma.probe`) decides whether this rank
+    offers and takes gets on that pair.  A peer whose socket gives EOF
+    or an error before its hello is dead: it gets no lanes, and the
+    pump reports it as it would mid-job.
     """
-    my_node = shm_transport.node_id()
+    try:
+        inbound = shm_transport.create_inbound(nonce, rank, len(row) + 1)
+    except OSError:
+        inbound = {}   # /dev/shm unavailable: this rank rides TCP
+    if inbound:
+        # sibling ranks read each other's send buffers in place; under
+        # Yama ptrace_scope=1 that takes naming a common ancestor before
+        # any of them probes — the parent is the job's proxy, which
+        # forked every rank of the job and lives as long as they do
+        cma.allow_tracer(os.getppid())
+    mine = HELLO.pack(bool(inbound), *cma.advert())
+    for sock in row.values():
+        try:
+            sock.sendall(mine)
+        except OSError:
+            pass   # its read below fails too
     for chan in chans:
         peer = chan.tx[1]
+        try:   # every hello is read: none may be taken for a frame
+            ok, *advert = HELLO.unpack(recv_exact(row[peer], HELLO.size))
+        except OSError:
+            ok = False
         seg = inbound.get((peer, rank))
-        entry = book[peer]
         if seg is None:
             continue
-        if len(entry) < 4 or not entry[3] or entry[2] != my_node:
+        if not ok:
             seg.close()   # owner close unlinks the unused segment
             continue
         try:
@@ -197,19 +226,20 @@ def _attach_lanes(chans, rank: int, nonce, inbound: dict, book: dict) -> None:
         except (OSError, ValueError):
             out = None
         chan.attach_lanes(out, ShmChannel(seg, peer, rank))
-        advert = entry[4] if len(entry) > 4 else None
-        if advert and cma.probe(rank, *advert):
+        if cma.probe(rank, *advert):
             chan.cma_pid = advert[0]
 
 
-def _enter_job(job: dict, fds: list[int]) -> None:
+def _enter_job(job: dict, stdio: list[int]) -> None:
     """The job's proxy takes on the job's per-run state, for itself and
-    the ranks it forks: the launcher's stdio, directory and CPU affinity
-    as of its ``run()``."""
-    for target, fd in enumerate(fds):
+    the ranks it forks: the launcher's stdio, directory, environment and
+    CPU affinity as of its ``run()``."""
+    for target, fd in enumerate(stdio):
         os.dup2(fd, target)
         os.close(fd)
     os.chdir(job["cwd"])
+    os.environ.clear()
+    os.environ.update(job["env"])
     os.sched_setaffinity(0, job["affinity"])
 
 
@@ -271,7 +301,7 @@ def main(argv=None) -> int:
 
     while select.select([ctl], [], [], LINGER_S)[0]:
         try:
-            job, fds = recv_msg_fds(ctl, 3)
+            job, fds = recv_msg_fds(ctl, SCM_MAX_FD)
         except (OSError, EOFError, pickle.PickleError):
             return 0   # the launcher is gone
         # nothing imported here starts a thread (pump, writer and
@@ -338,48 +368,82 @@ def _proxy_main(ctl: socket.socket, job: dict, fds: list[int],
     cma.die_with_parent()
     if os.getppid() != zygote:   # orphaned before the prctl
         return 1
-    _enter_job(job, fds)
+    _enter_job(job, fds[:3])
+    ctl_fds = fds[3:]
+    # only the hard fd limit may refuse the mesh (the ranks inherit it)
+    hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+    resource.setrlimit(resource.RLIMIT_NOFILE, (hard, hard))
     try:
         resolve_target(job["target"])
     except BaseException:  # noqa: BLE001 - each rank raises it again
         pass
-    threads = _threads()
-    if threads:
+    why = _refusal(job["nprocs"])
+    if why:
         try:
-            send_msg(ctl, {"cmd": "refused", "why": (
-                f"importing the target left the job's proxy with "
-                f"threads {threads}; ranks are forked from it and must "
-                f"be forked single-threaded")})
+            send_msg(ctl, {"cmd": "refused", "why": why})
         except OSError:
             pass   # the launcher is gone
         return 1
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        rows = mesh(job["nprocs"], lambda: tcp_pair(listener))
     _settle_heap()   # what the import printed is printed once, here
     proxy = os.getpid()
-    host, _, port = job["connect"].rpartition(":")
-    nprocs = job["nprocs"]
     kids: dict[int, tuple[int, int]] = {}   # rank -> (pid, pidfd)
-    for rank in range(nprocs):
+    for rank, row in enumerate(rows):
         pid = os.fork()
         if pid == 0:
             # A rank leaves _proxy_main() from this block -- by
             # _fast_exit, by an exception or by os._exit, each of which
-            # ends the process.
+            # ends the process.  An injected fault is a *real* death
+            # here (no report, no finally blocks, just EOF on its fds).
+            faultinject.set_hard_kill(True)
             ctl.close()
             os.close(forked)
             for _pid, fd in kids.values():
                 os.close(fd)
+            _close_wiring(rows, ctl_fds, keep=rank)
             cma.die_with_parent()
             if os.getppid() != proxy:   # orphaned before the prctl
                 os._exit(1)
+            # the rank's first act of its own: a rank stopped here holds
+            # nothing of the proxy's, its siblings' or the zygote's
+            faultinject.maybe_fail("bootstrap", rank)
             # ranks that were separate interpreters drew separate
             # unseeded np.random streams; random reseeds itself at
             # fork, numpy does not
             numpy.random.seed()
-            _fast_exit(_rank_main(host, int(port), rank, nprocs,
-                                  job["target"], job["shm_nonce"]))
+            _fast_exit(_rank_main(
+                socket.socket(fileno=ctl_fds[rank]), rank, row, job))
         kids[rank] = (pid, os.pidfd_open(pid))
     os.close(forked)
+    _close_wiring(rows, ctl_fds)
     return 0 if _parent_ranks(ctl, kids) else 1
+
+
+def _close_wiring(rows: list[Row], ctl_fds: list[int], keep=None) -> None:
+    """Close every rank's mesh row and control end but rank ``keep``'s:
+    a copy left open anywhere keeps its EOF from ever arriving."""
+    for rank, (row, fd) in enumerate(zip(rows, ctl_fds)):
+        if rank != keep:
+            os.close(fd)
+            for sock in row.values():
+                sock.close()
+
+
+def _refusal(nprocs: int) -> str | None:
+    """Why the proxy must not wire and fork this job, if it must not."""
+    threads = _threads()
+    if threads:
+        return (f"importing the target left the job's proxy with "
+                f"threads {threads}; ranks are forked from it and must "
+                f"be forked single-threaded")
+    limit = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
+    need = nprocs * (nprocs - 1) + len(os.listdir("/proc/self/fd"))
+    if limit != resource.RLIM_INFINITY and need > limit:
+        return (f"its {nprocs * (nprocs - 1)} mesh sockets would take the "
+                f"job's proxy to {need} fds, over its hard RLIMIT_NOFILE "
+                f"of {limit}")
+    return None
 
 
 def _parent_ranks(ctl: socket.socket,
@@ -431,76 +495,32 @@ def _parent_ranks(ctl: socket.socket,
     return False
 
 
-def _rank_main(host: str, port: int, rank: int, nprocs: int,
-               spec: dict, shm_nonce: str | None) -> int:
-    """One rank, from the fork to its exit code."""
-    # in a worker process an injected fault is a *real* death (os._exit:
-    # no report, no finally blocks, just EOF on the control connection)
-    faultinject.set_hard_kill(True)
-    faultinject.maybe_fail("bootstrap", rank)
-
-    ctl = connect(host, port, BOOTSTRAP_TIMEOUT)
-    set_nodelay(ctl)   # worker-side control plane: aborts must not Nagle
-    send_msg(ctl, {"rank": rank})
-    job = recv_msg(ctl)
-    assert job["cmd"] == "job" and job["nprocs"] == nprocs
-
-    # resolve the target *before* meshing up: an unimportable target
-    # reports as this rank's failure, not as a wedged bootstrap
+def _rank_main(ctl: socket.socket, rank: int, row: Row, job: dict) -> int:
+    """One rank, from its own wiring to its exit code."""
+    nprocs, nonce = job["nprocs"], job["shm_nonce"]
+    # resolve the target before anything else: an unimportable target
+    # reports as this rank's failure, before its peers wait on it
     try:
-        target = resolve_target(spec)
-        args = pickle.loads(job["args"])
+        target = resolve_target(job["target"])
+        args = pickle.loads(job["args"][rank])
     except BaseException as exc:  # noqa: BLE001 - marshalled to launcher
         send_msg(ctl, {"status": "error", **dump_exception(exc)})
         ctl.close()
         return 1
 
-    listener = mesh_listener(host=host or "127.0.0.1")
-    # Inbound shm segments are created *before* the port report: once
-    # the launcher gossips the book, every advertised segment already
-    # exists, so attachers never race creation.
-    inbound = {}
-    if shm_nonce is not None:
-        try:
-            inbound = shm_transport.create_inbound(shm_nonce, rank,
-                                                   nprocs)
-        except OSError:
-            inbound = {}   # /dev/shm unavailable: this rank rides TCP
-    if inbound:
-        # sibling ranks read each other's send buffers in place; under
-        # Yama ptrace_scope=1 that takes naming a common ancestor before
-        # any of them probes — the parent is the job's proxy, which
-        # forked every rank of the job and lives as long as they do
-        cma.allow_tracer(os.getppid())
-    send_msg(ctl, {"mesh_port": listener.getsockname()[1],
-                   "node": shm_transport.node_id(),
-                   "shm": bool(inbound),
-                   "cma": cma.advert() if inbound else None})
-    msg = recv_msg(ctl)
-    if msg.get("cmd") != "book":
-        # launcher cancelled the job (a peer failed before meshing up)
-        for seg in inbound.values():
-            seg.close()
-        listener.close()
-        ctl.close()
-        return 1
-    peers = build_mesh(rank, nprocs, listener, msg["book"])
-
-    chans = mesh_channels(nprocs, rank, peers)
-    _attach_lanes(chans, rank, shm_nonce, inbound, msg["book"])
+    chans = mesh_channels(nprocs, rank, row)
+    if nonce is not None:
+        _attach_lanes(chans, rank, nonce, row)
     transport = WireTransport(nprocs, (rank,), chans)
     universe = Universe(nprocs, transport=transport,
                         local_ranks=(rank,))
-    ctl.settimeout(None)
     exit_evt = threading.Event()
     ctl_lock = threading.Lock()
     hb = config.heartbeat_interval()
-    # The first beat goes from here, before the target runs.  Until a
-    # rank has beaten, the launcher allows it BOOTSTRAP_TIMEOUT (its
-    # mesh build comes first): a rank that wedged before the control
-    # thread first ran would go unnoticed that long.
-    if hb > 0:
-        _beat(ctl, rank, ctl_lock)
+    # The first beat goes from here, before the target runs, whatever
+    # the interval: it ends this rank's bootstrap for the launcher, which
+    # allows a rank that has not beaten BOOTSTRAP_TIMEOUT of silence.
+    _beat(ctl, rank, ctl_lock)
     threading.Thread(target=_control_loop,
                      args=(ctl, rank, universe, exit_evt, ctl_lock, hb),
                      name="repro-proc-control", daemon=True).start()
@@ -552,10 +572,7 @@ def _rank_main(host: str, port: int, rank: int, nprocs: int,
     # deadline path SIGKILLs stragglers.
     exit_evt.wait()
     universe.close()
-    try:
-        ctl.close()
-    except OSError:
-        pass
+    ctl.close()
     return 0 if report["status"] == "ok" else 1
 
 

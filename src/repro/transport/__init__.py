@@ -11,14 +11,16 @@
   :func:`~repro.transport.socket_tcp.SocketTransport` (every rank in one
   process, a kernel socketpair per pair),
   :func:`~repro.transport.socket_tcp.TCPMeshTransport` (one rank of a
-  process-per-rank job — the paper's real ``mpirun`` model — over a full
-  TCP mesh bootstrapped by :mod:`repro.executor.procrunner`),
+  process-per-rank job — the paper's real ``mpirun`` model — over its
+  row of the loopback TCP mesh the job's proxy builds before forking
+  the ranks, :mod:`repro.executor.procworker`),
   :func:`~repro.transport.shm.shm_world` (every rank in one process,
   a socketpair per pair plus a shared-memory bulk lane per direction),
-  and the process worker, which takes its mesh sockets and — for
-  same-host peers in the bootstrap address book — attaches a
-  :class:`~repro.transport.shm.ShmChannel` lane each way and probes
-  whether it can read the peer's memory (:mod:`repro.transport.cma`).
+  and the process worker, which takes its row of mesh sockets and — in
+  a job with shm lanes, after one hello per pair on its socket —
+  attaches a :class:`~repro.transport.shm.ShmChannel` lane each way and
+  probes whether it can read the peer's memory
+  (:mod:`repro.transport.cma`).
   Every frame header rides the pair's socket; a payload at or above the
   eager limit is read by the receiver straight out of the sender's
   memory where the probe passed (one copy), and goes through the lane

@@ -77,7 +77,7 @@ os.register_at_fork(after_in_child=_draw_word)
 
 def advert() -> tuple[int, int, int]:
     """``(pid, address, value)`` of this process's probe word, for the
-    bootstrap book."""
+    peers' bootstrap hello."""
     return os.getpid(), _word.ctypes.data, int(_word[0])
 
 

@@ -42,8 +42,8 @@ its body is here.
   for the EOF of a sender that died between header and body.
 * **Segment lifecycle** — a job's segment names all derive from one
   nonce (:func:`segment_name`).  Each rank creates its inbound segments
-  (``O_EXCL``) during bootstrap, before it reports its mesh port, and
-  each sender attaches by name once the address book arrives.  Both
+  (``O_EXCL``) during bootstrap, before it sends its peers its hello,
+  and each sender attaches by name once it has read that hello.  Both
   sides map the segment and close the fd (:func:`map_segment`); neither
   registers it with ``multiprocessing``'s resource tracker, which is an
   interpreter of its own that a process's first registration starts
@@ -96,9 +96,10 @@ except ImportError:  # pragma: no cover - not POSIX: no lanes
     _posixshmem = None
 
 from repro.transport import cma
+from repro.transport.socket_tcp import mesh
 from repro.transport.wire import Channel, WireTransport
 
-__all__ = ["ShmChannel", "ShmSegment", "node_id",
+__all__ = ["ShmChannel", "ShmSegment",
            "segment_name", "map_segment", "unlink_segment",
            "create_inbound", "shm_world", "unlink_job_segments",
            "leaked_segments"]
@@ -121,22 +122,6 @@ _DATA_OFF = 192
 _SPIN_YIELDS = 64
 _SLEEP_BASE = 50e-6
 _SLEEP_MAX = 500e-6
-
-
-def node_id() -> str:
-    """Host identity carried in the bootstrap address book.
-
-    Two ranks share memory iff their node ids match.  The boot id
-    disambiguates hostname collisions across machines (containers
-    cloned from one image all think they are ``localhost``).
-    """
-    boot = ""
-    try:
-        with open("/proc/sys/kernel/random/boot_id") as f:
-            boot = f.read().strip()
-    except OSError:
-        pass
-    return f"{socket.gethostname()}:{boot}"
 
 
 def segment_name(nonce: str, src: int, dst: int) -> str:
@@ -386,9 +371,9 @@ def create_inbound(nonce: str, rank: int, nprocs: int,
         -> dict[tuple[int, int], ShmSegment]:
     """Create this rank's inbound segments (one per possible sender).
 
-    Runs during bootstrap *before* the rank reports its mesh port, so
-    by the time the launcher gossips the book every advertised segment
-    exists — attachers never race creation.
+    Runs during bootstrap *before* the rank sends its peers its hello,
+    so every segment a hello advertises exists — attachers never race
+    creation.
     """
     segs: dict[tuple[int, int], ShmSegment] = {}
     try:
@@ -576,27 +561,22 @@ def shm_world(nprocs: int, nonce: str | None = None,
         nonce = f"w{os.getpid():x}{int(time.monotonic_ns()) & 0xffffff:x}"
     segs: dict[tuple[int, int], ShmSegment] = {}
     try:
-        for src in range(nprocs):
-            for dst in range(nprocs):
-                if src != dst:
-                    segs[src, dst] = ShmSegment(
-                        segment_name(nonce, src, dst), create=True, rndv=rndv)
+        for dst in range(nprocs):
+            segs.update(create_inbound(nonce, dst, nprocs, rndv))
     except Exception:
         for seg in segs.values():
             seg.close()
         raise
     chans = []
     pid, address, value = cma.advert()
-    for i in range(nprocs):
-        for j in range(i + 1, nprocs):
-            a, b = socket.socketpair()
+    for me, row in enumerate(mesh(nprocs, socket.socketpair)):
+        for peer, sock in row.items():
             # two views of each segment, as in two processes: each
             # endpoint's lanes carry that endpoint's ``dead`` flag
-            for sock, me, peer in ((a, i, j), (b, j, i)):
-                chan = Channel(sock, me, peer)
-                chan.attach_lanes(ShmChannel(segs[me, peer], me, peer),
-                                  ShmChannel(segs[peer, me], peer, me))
-                if cma.probe(me, pid, address, value):
-                    chan.cma_pid = pid
-                chans.append(chan)
+            chan = Channel(sock, me, peer)
+            chan.attach_lanes(ShmChannel(segs[me, peer], me, peer),
+                              ShmChannel(segs[peer, me], peer, me))
+            if cma.probe(me, pid, address, value):
+                chan.cma_pid = pid
+            chans.append(chan)
     return WireTransport(nprocs, range(nprocs), chans)

@@ -11,8 +11,10 @@ Several specs may be armed at once, comma-separated
 Instrumented sites (each a single :func:`maybe_fail` call on a hot
 protocol edge, compiled out to one dict lookup when unarmed):
 
-* ``bootstrap`` — worker process startup, before it dials the launcher
-  (process backend only): exercises the launcher's rendezvous fail-fast;
+* ``bootstrap`` — a rank's first act of its own after its fork, once it
+  has closed the fds that are not its own and set its death signal
+  (process backend only): exercises the launcher's fail-fast on a rank
+  that dies before it is up;
 * ``rendezvous.cts`` — a sender that just shipped an RTS and will never
   answer the CTS (the receiver is left matched to a dead sender — and,
   on a pair that reads payloads in place, holding a cookie into memory

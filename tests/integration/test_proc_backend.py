@@ -16,6 +16,7 @@ reference, like ``multiprocessing`` spawn targets).
 
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -25,7 +26,8 @@ import pytest
 
 from repro import procrun, ProcExecutor
 from repro.errors import AbortException
-from repro.executor.procrunner import LINGER_S, _child_env, target_spec
+from repro.executor.procrunner import (LINGER_S, _child_env, recv_msg_fds,
+                                       send_msg_fds, target_spec)
 from repro.executor.runner import JobTimeoutError, RankFailure
 from repro.mpijava import MPI, Request
 from repro.mpijava.op import Op
@@ -208,6 +210,57 @@ def launch_report_body():
     MPI.Finalize()
     return (os.getpid(), os.getppid(),
             os.environ.get("REPRO_TEST_LAUNCH_MARK"), os.getcwd())
+
+
+def unrelated_env_body():
+    """(zygote, ``TEST_UNRELATED_MARK`` as this rank sees it)."""
+    return parent_of(os.getppid()), os.environ.get("TEST_UNRELATED_MARK")
+
+
+def fd_links(pid):
+    """fd -> what ``/proc/<pid>/fd`` says it is, stdio left out."""
+    links = {}
+    for name in os.listdir(f"/proc/{pid}/fd"):
+        if int(name) > 2:
+            try:
+                links[int(name)] = os.readlink(f"/proc/{pid}/fd/{name}")
+            except OSError:
+                pass   # the listing's own fd, closed by now
+    return links
+
+
+def own_fds_body():
+    """What this rank holds beyond stdio, mid-job: its AF_INET sockets
+    (fd -> TCP_NODELAY set), the fds of its mesh channels, its AF_UNIX
+    sockets, the sockets it shares with its parent (the job's proxy),
+    every socket it holds, the ``/dev/shm`` names it has open and
+    anything else."""
+    from repro.runtime.engine import current_runtime
+    MPI.Init([])
+    MPI.COMM_WORLD.Barrier()
+    mine = fd_links(os.getpid())
+    proxy = set(fd_links(os.getppid()).values())
+    inet, unix, shm, other = {}, [], [], []
+    for fd, link in mine.items():
+        if link.startswith("socket:"):
+            with socket.socket(fileno=os.dup(fd)) as sock:
+                if sock.family == socket.AF_INET:
+                    inet[fd] = bool(sock.getsockopt(socket.IPPROTO_TCP,
+                                                    socket.TCP_NODELAY))
+                else:
+                    unix.append(link)
+        elif link.startswith("/dev/shm/"):
+            shm.append(link.rpartition("_")[2])
+        else:
+            other.append(link)
+    chans = sorted(chan.sock.fileno() for chan
+                   in current_runtime().universe.transport._chans)
+    MPI.COMM_WORLD.Barrier()
+    MPI.Finalize()
+    sockets = [link for link in mine.values() if link.startswith("socket:")]
+    return {"inet": inet, "chans": chans, "unix": unix,
+            "shared with proxy": sorted(proxy & set(sockets)),
+            "sockets": sockets, "shm": sorted(shm), "other": other}
 
 
 def job_state_body():
@@ -509,12 +562,28 @@ class TestEndToEnd:
         assert out == [["repro-proc-control", f"repro-pump-{rank}",
                         "repro-wire-writer"] for rank in range(2)]
 
-    def test_a_launcher_named_by_host_name_runs_a_job(self):
-        """Ranks dial the launcher and their peers by address; a name
-        is looked up by the C resolver, with no Python codec."""
-        with ProcExecutor(2, host="localhost") as ex:
-            assert [r for r, _, _ in ex.run(rank_report_body,
-                                            timeout=TIMEOUT)] == [0, 1]
+    @pytest.mark.parametrize("shm", ["0", "1"])
+    def test_a_rank_owns_only_its_own_fds(self, shm, monkeypatch):
+        """The proxy wires every rank's mesh row and control end before
+        it forks them; each rank keeps its own and nothing else, or a
+        dead peer's EOF would never arrive."""
+        monkeypatch.setenv("REPRO_SHM", shm)
+        nprocs = 4
+        out = procrun(nprocs, own_fds_body, timeout=TIMEOUT)
+        for rank, fds in enumerate(out):
+            assert len(fds["inet"]) == nprocs - 1, fds
+            assert all(fds["inet"].values()), f"Nagle left on: {fds}"
+            assert sorted(fds["inet"]) == fds["chans"], fds
+            assert len(fds["unix"]) == 1, fds   # the control end
+            assert fds["shared with proxy"] == [], fds
+            lanes = sorted(f"{src}t{dst}" for src in range(nprocs)
+                           for dst in range(nprocs)
+                           if src != dst and rank in (src, dst))
+            assert fds["shm"] == (lanes if shm == "1" else []), fds
+            # the pump's selector
+            assert set(fds["other"]) <= {"anon_inode:[eventpoll]"}, fds
+        held = [link for fds in out for link in fds["sockets"]]
+        assert len(held) == len(set(held)), "a rank holds a sibling's socket"
 
     def test_local_function_rejected_with_clear_error(self):
         def local_body():  # pragma: no cover - must not even ship
@@ -651,6 +720,25 @@ SNAPSHOT = set(sys.modules)
 """
 
 
+#: a launcher whose soft fd limit (argument 0) or also hard fd limit
+#: (argument 1) is too low for a 9-rank mesh; prints how many ranks ran,
+#: or the failed ranks and rank 0's failure
+LOW_FD_LIMIT_LAUNCHER = """
+import resource
+import sys
+from repro import procrun
+from repro.executor.runner import RankFailure
+hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+resource.setrlimit(resource.RLIMIT_NOFILE,
+                   (64, 64 if sys.argv[1] == "1" else hard))
+try:
+    print(len(set(procrun(9, "os:getpid", timeout=20))), "ranks ran")
+except RankFailure as exc:
+    ranks = sorted(exc.failures)
+    print(f"{ranks[0]}-{ranks[-1]}", exc.failures[0])
+"""
+
+
 class TestLaunchPath:
     """A job costs two forks and one import: the launcher keeps one
     zygote, which forks a proxy per job; the proxy imports the target
@@ -703,6 +791,75 @@ class TestLaunchPath:
         (zygote,) = {gpid for _, _, gpid in rows}
         assert importers == [proxy], (importers, rows)
         assert proxy not in {os.getpid(), zygote} | {p for p, _, _ in rows}
+
+    def test_an_unrelated_variable_does_not_cost_a_zygote(self,
+                                                           monkeypatch,
+                                                           tmp_path):
+        """Only what can shape imports keys the zygote; two jobs whose
+        environments differ in anything else share it, and each rank
+        sees its own job's value — or, unset, none.  A library search
+        path is read by the loader only when an interpreter starts, so a
+        changed one gets a fresh zygote."""
+        rows = []
+        for mark in ("first", "second", None):
+            if mark is None:
+                monkeypatch.delenv("TEST_UNRELATED_MARK")
+            else:
+                monkeypatch.setenv("TEST_UNRELATED_MARK", mark)
+            got = procrun(2, unrelated_env_body, timeout=20)
+            assert [m for _, m in got] == [mark] * 2, got
+            rows += got
+        assert len({zygote for zygote, _ in rows}) == 1, rows
+        monkeypatch.setenv("LD_LIBRARY_PATH", os.pathsep.join(
+            filter(None, (os.environ.get("LD_LIBRARY_PATH"),
+                          str(tmp_path)))))
+        after = procrun(2, unrelated_env_body, timeout=20)
+        assert {zygote for zygote, _ in after}.isdisjoint(
+            zygote for zygote, _ in rows), (rows, after)
+
+    def test_a_job_too_big_for_one_request_is_refused_up_front(self):
+        """Fds 0 / 1 / 2 and one control end per rank ride one
+        ``SCM_RIGHTS`` message, which carries at most 253."""
+        with pytest.raises(ValueError, match="SCM_RIGHTS message at most 253"):
+            ProcExecutor(251)
+        assert ProcExecutor(250).nprocs == 250
+
+    def test_fds_past_the_receivers_bound_raise_rather_than_vanish(self):
+        a, b = socket.socketpair()
+        sent = [os.open(os.devnull, os.O_RDONLY) for _ in range(4)]
+        try:
+            send_msg_fds(a, {"cmd": "job"}, sent)
+            before = len(os.listdir("/proc/self/fd"))
+            with pytest.raises(OSError, match="more than 2 fds"):
+                recv_msg_fds(b, 2)
+            # the two that did arrive are closed again
+            assert len(os.listdir("/proc/self/fd")) == before
+        finally:
+            for fd in sent:
+                os.close(fd)
+            a.close()
+            b.close()
+
+    @pytest.mark.parametrize("hard", [False, True],
+                             ids=["soft limit", "hard limit"])
+    def test_a_mesh_past_the_fd_limit_is_refused_naming_it(self, hard):
+        """9 ranks take 72 mesh sockets in their proxy.  The proxy
+        raises its soft fd limit to the hard one, so a soft limit of 64
+        stops nothing; with 64 fds as the hard limit, the proxy says so
+        instead of failing mid-build."""
+        env = _child_env()
+        env.pop("REPRO_FAULT", None)
+        out = subprocess.run(
+            [sys.executable, "-c", LOW_FD_LIMIT_LAUNCHER, str(int(hard))],
+            env=env, capture_output=True, text=True, timeout=TIMEOUT)
+        assert out.returncode == 0, out.stderr
+        if not hard:
+            assert out.stdout.strip() == "9 ranks ran", out.stdout
+            return
+        ranks, text = out.stdout.split(" ", 1)
+        assert ranks == "0-8", out.stdout
+        assert "never started" in text and "RLIMIT_NOFILE of 64" in text, text
+        assert_no_worker_survives()
 
     def test_explicit_interpreter_still_honoured(self):
         rows = ProcExecutor(2, python=sys.executable).run(
@@ -945,6 +1102,23 @@ class TestLaunchPath:
         assert out.count("says second") == 2 and "first" not in out, out
         text = first_out.read_text()
         assert text.count("says first") == 2 and "second" not in text
+
+    @pytest.mark.parametrize("victim,shm", [(0, "0"), (NPROCS - 1, "1")])
+    def test_a_rank_stopped_at_bootstrap_leaves_no_process(
+            self, victim, shm, monkeypatch):
+        """A rank that stops itself at its first act has closed every fd
+        that is not its own and dies with its proxy, so the teardown
+        leaves no process behind.  Over sockets alone the others finish
+        and it alone is hung at the deadline; with lanes the others wait
+        for its hello and are hung too."""
+        monkeypatch.setenv("REPRO_FAULT", f"bootstrap:{victim}::stop")
+        monkeypatch.setenv("REPRO_SHM", shm)
+        with pytest.raises(JobTimeoutError) as ei:
+            procrun(NPROCS, "os:getpid", timeout=2.0)
+        hung = [victim] if shm == "0" else list(range(NPROCS))
+        assert ei.value.hung_ranks == hung, ei.value
+        assert not ei.value.failures, ei.value.failures
+        assert_no_worker_survives()
 
     @pytest.mark.parametrize("victim", [0, NPROCS - 1])
     def test_rank_dead_before_its_connection_is_that_ranks_failure(

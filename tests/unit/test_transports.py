@@ -157,29 +157,62 @@ class TestSocket:
 
 
 class TestTCPMesh:
-    """The process-backend carrier, exercised in-process: two 'ranks' of
-    one job mesh up through the real rendezvous helpers."""
+    """The process-backend carrier, exercised in-process: the ranks of
+    one job over the mesh its proxy builds before forking them."""
 
     @staticmethod
-    def _make_pair(n=2):
-        from repro.transport.socket_tcp import (TCPMeshTransport,
-                                                build_mesh, mesh_listener)
-        listeners = [mesh_listener() for _ in range(n)]
-        book = {r: listeners[r].getsockname()[:2] for r in range(n)}
-        out = [None] * n
+    def _rows(n):
+        from repro.transport.socket_tcp import mesh, tcp_pair
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            return mesh(n, lambda: tcp_pair(listener))
 
-        def boot(rank):
-            peers = build_mesh(rank, n, listeners[rank], book)
-            out[rank] = TCPMeshTransport(n, rank, peers)
+    @classmethod
+    def _make_pair(cls, n=2):
+        from repro.transport.socket_tcp import TCPMeshTransport
+        return [TCPMeshTransport(n, rank, row)
+                for rank, row in enumerate(cls._rows(n))]
 
-        threads = [threading.Thread(target=boot, args=(r,))
-                   for r in range(n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-        assert all(out), "mesh bootstrap failed"
-        return out
+    def test_each_pair_is_connected_end_to_end_without_nagle(self):
+        rows = self._rows(4)
+        try:
+            for rank, row in enumerate(rows):
+                assert sorted(row) == [r for r in range(4) if r != rank]
+                for peer, sock in row.items():
+                    assert sock.getpeername() \
+                        == rows[peer][rank].getsockname()
+                    assert sock.getsockopt(socket.IPPROTO_TCP,
+                                           socket.TCP_NODELAY)
+                    assert sock.getblocking()
+        finally:
+            for row in rows:
+                for sock in row.values():
+                    sock.close()
+
+    def test_a_stray_connection_is_not_taken_as_a_pair(self):
+        """Anything local may connect to the builder's listener; what
+        it accepts is one end of a pair only if the far end is the
+        builder's own dialer."""
+        from repro.transport.socket_tcp import mesh, tcp_pair
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            stray = socket.create_connection(listener.getsockname())
+            rows = mesh(3, lambda: tcp_pair(listener))
+        try:
+            ours = {sock.getsockname() for row in rows
+                    for sock in row.values()}
+            assert stray.getsockname() not in {
+                sock.getpeername() for row in rows for sock in row.values()}
+            for rank, row in enumerate(rows):
+                for peer, sock in row.items():
+                    assert sock.getpeername() in ours
+                    assert sock.getpeername() \
+                        == rows[peer][rank].getsockname()
+            stray.settimeout(5)
+            assert stray.recv(1) == b"", "the stray was not closed"
+        finally:
+            stray.close()
+            for row in rows:
+                for sock in row.values():
+                    sock.close()
 
     def test_frames_cross_the_mesh(self):
         t0, t1 = self._make_pair()
