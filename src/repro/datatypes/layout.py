@@ -259,12 +259,12 @@ class LayoutIR:
         strided block copies (:meth:`_blocks`).
         """
         if self.contiguous:
-            DATAPATH.add("gather_contig")
+            DATAPATH.shard.counts["gather_contig"] += 1
             return buf[offset:offset + count * self.size_elems].copy()
         if not self.use_runs:
-            DATAPATH.add("gather_index")
+            DATAPATH.shard.counts["gather_index"] += 1
             return buf[self.flat_indices(count, offset)]
-        DATAPATH.add("gather_runs")
+        DATAPATH.shard.counts["gather_runs"] += 1
         out = np.empty(count * self.size_elems, dtype=buf.dtype)
         if count:
             for src, dst in self._blocks(buf, offset, count, out):
@@ -279,13 +279,13 @@ class LayoutIR:
         whose last-write-wins order is the reference."""
         need = count * self.size_elems
         if self.contiguous:
-            DATAPATH.add("scatter_contig")
+            DATAPATH.shard.counts["scatter_contig"] += 1
             buf[offset:offset + need] = data[:need]
         elif not (self.use_runs and self.scatter_safe(count)):
-            DATAPATH.add("scatter_index")
+            DATAPATH.shard.counts["scatter_index"] += 1
             buf[self.flat_indices(count, offset)] = data[:need]
         else:
-            DATAPATH.add("scatter_runs")
+            DATAPATH.shard.counts["scatter_runs"] += 1
             if count:
                 for dst, src in self._blocks(buf, offset, count,
                                              data[:need]):
@@ -307,15 +307,15 @@ class LayoutIR:
         if n == 0:
             return
         if self.contiguous:
-            DATAPATH.add("scatter_contig")
+            DATAPATH.shard.counts["scatter_contig"] += 1
             buf[offset:offset + n] = data
             return
         size, ext = self.size_elems, self.extent_elems
         if not self.use_runs:
-            DATAPATH.add("scatter_index")
+            DATAPATH.shard.counts["scatter_index"] += 1
             buf[self.flat_indices(-(-n // size), offset)[:n]] = data
             return
-        DATAPATH.add("scatter_runs")
+        DATAPATH.shard.counts["scatter_runs"] += 1
         rd, rl, rs = self.run_dense, self.run_lens, self.run_starts
         nbuf = len(buf)
         pos = 0

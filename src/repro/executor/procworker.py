@@ -437,6 +437,10 @@ def _refusal(nprocs: int) -> str | None:
         return (f"importing the target left the job's proxy with "
                 f"threads {threads}; ranks are forked from it and must "
                 f"be forked single-threaded")
+    # the proxy holds all p(p-1) mesh ends at once; a rank keeps only its
+    # p-1, plus with shm lanes the 2(p-1) segment fds mmap keeps: 3(p-1)
+    # and a few, which the proxy's count already bounds for p >= 3 (at
+    # p = 2 the proxy's 2 + its open fds cover a rank's 3 + its few)
     limit = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
     need = nprocs * (nprocs - 1) + len(os.listdir("/proc/self/fd"))
     if limit != resource.RLIM_INFINITY and need > limit:

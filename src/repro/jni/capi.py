@@ -69,14 +69,8 @@ def _ctx():
 
 
 def _status_from_request(req, comm=None) -> CStatus:
-    comm = comm or getattr(req, "source_comm", None)
-    source = req.status_source_world
-    if comm is not None and source >= 0:
-        source = comm.peer_group.rank_of_world(source)
-    dt = getattr(req, "recv_datatype", None)
-    return CStatus(source, req.status_tag, req.error, req.count_elements,
-                   req.cancelled, UNDEFINED,
-                   dt is not None and dt.base.is_object)
+    return CStatus(*req.status_fields(
+        comm or getattr(req, "source_comm", None)))
 
 
 def _lookup_request(t, request: int) -> _requests.RequestImpl:
@@ -433,7 +427,7 @@ def _stub_source(call: Call) -> str:
     elif call.result == "value":
         out.append(f"    return {expr}")
     elif call.result == "status":
-        out.append(f"    return _status_from_request({expr}, {args[0]})")
+        out.append(f"    return CStatus(*{expr})")
     elif call.result == "free":
         handle = call.params[0]
         space, err = _SPACES[handle.role]

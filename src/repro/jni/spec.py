@@ -15,8 +15,8 @@ parameters
     ``requests`` are lists of handles.  Any other parameter's role is its
     own name (``buf offset count root tag`` …).
 result
-    ``none`` | ``value`` (returned as is) | ``status`` (of the returned
-    request) | ``request`` | ``new_comm`` | ``maybe_comm`` (``COMM_NULL``
+    ``none`` | ``value`` (returned as is) | ``status`` (built from the
+    status fields the call returns) | ``request`` | ``new_comm`` | ``maybe_comm`` (``COMM_NULL``
     for ``None``) | ``new_group`` | ``new_dtype`` | ``new_op`` (registered
     in that handle space) | ``free`` (validate, refuse a predefined
     handle, free, release).
@@ -343,6 +343,6 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--dump"]:
         sys.exit("usage: python -m repro.jni.spec --dump")
     sys.stdout.write("# generated by repro.jni.capi from repro.jni.spec\n"
-                     "from repro.jni.capi import (_ctx, _lookup_request,\n"
-                     "                            _status_from_request)\n"
+                     "from repro.jni.capi import (CStatus, _ctx,\n"
+                     "                            _lookup_request)\n"
                      + capi.GENERATED)

@@ -5,11 +5,10 @@ The runtime grew its instrumentation ad hoc — the wire protocol kept a
 bare ``packets_staged`` integer.  This module replaces both with one
 vocabulary:
 
-* :class:`CounterGroup` — a named family of monotonic counters sharing
-  one lock (``inc(eager_frames=1, tx_bytes=n)`` is a single atomic
-  batch, the exact discipline ``wire_stats`` already used).  Read a
-  group through :meth:`CounterGroup.snapshot` — one consistent cut, a
-  plain dict.
+* :class:`CounterGroup` — a named family of monotonic counters, one
+  lock-free shard per bumping thread (a hot path bumps
+  ``group.shard.counts[key]`` in place).  :meth:`CounterGroup.snapshot`
+  sums the shards into a plain dict.
 * :class:`Gauge` — a last-value-wins measurement (queue depths, ring
   occupancy).
 * :class:`MetricsRegistry` — the process-wide index.  Instance-scoped
@@ -21,8 +20,8 @@ vocabulary:
 
 The profiling tools in 1999's MPI ecosystem (mpiP, Vampir's counter
 streams) kept exactly this split: cheap always-on counters, separate
-from the event trace.  Counters here are always on — one lock-protected
-integer add per batch — while event tracing (:mod:`repro.obs.trace`)
+from the event trace.  Counters here are always on — a dict add in the
+bumping thread's own shard — while event tracing (:mod:`repro.obs.trace`)
 is off unless requested.
 """
 
@@ -57,47 +56,64 @@ class Gauge:
         return f"Gauge({self.name}={self.value!r})"
 
 
-class CounterGroup:
-    """A named family of monotonic counters under one lock.
+class _Shard(threading.local):
+    """One thread's ``counts`` of a group, enrolled on its first touch;
+    the shards of threads that have ended fold into the ``None`` one."""
 
-    ``keys`` pre-declares counters (so a snapshot shows zeros rather
-    than missing keys); unknown keys passed to :meth:`inc` are created
-    on first use.  :meth:`snapshot` takes the lock for a consistent cut.
+    def __init__(self, keys, shards: dict, lock):
+        self.counts = dict.fromkeys(keys, 0)
+        with lock:
+            for thread in [t for t in shards if t and not t.is_alive()]:
+                retired = shards[None]
+                for key, n in shards.pop(thread).items():
+                    retired[key] = retired.get(key, 0) + n
+            shards[threading.current_thread()] = self.counts
+
+
+class CounterGroup:
+    """A named family of monotonic counters, one shard per thread.
+
+    ``keys`` pre-declares counters (so a snapshot shows zeros, and a hot
+    path may bump a shard in place); others are created on first use.
+    Only its thread writes a shard, so no bump takes a lock;
+    :meth:`snapshot` sums the shards.
     """
 
     def __init__(self, name: str, keys: Iterable[str] = (),
                  registry: "MetricsRegistry | _NoRegistry | None" = None):
         self.name = name
         self._lock = threading.Lock()
-        self._values: dict[str, int] = {k: 0 for k in keys}
+        self._shards: dict = {None: {}}
+        #: this thread's shard: ``shard.counts[key] += n`` for a declared key
+        self.shard = _Shard(tuple(keys), self._shards, self._lock)
         reg = REGISTRY if registry is None else registry
         if reg is not None:
             reg.register_group(self)
 
     def inc(self, **deltas: int) -> None:
-        """Atomically add every ``key=delta`` in one critical section."""
-        self.add_each(deltas, deltas.values())
-
-    def add_each(self, keys: Iterable[str], deltas: Iterable[int]) -> None:
-        """:meth:`inc` for constant ``keys``: ``deltas`` position by
-        position, without building a dict per call."""
-        with self._lock:
-            values = self._values
-            for key, d in zip(keys, deltas):
-                values[key] = values.get(key, 0) + d
+        """Add every ``key=delta`` to this thread's shard."""
+        values = self.shard.counts
+        for key, d in deltas.items():
+            values[key] = values.get(key, 0) + d
 
     def add(self, key: str, delta: int = 1) -> None:
-        with self._lock:
-            self._values[key] = self._values.get(key, 0) + delta
+        values = self.shard.counts
+        values[key] = values.get(key, 0) + delta
 
     def snapshot(self) -> dict[str, int]:
+        total: dict[str, int] = {}
         with self._lock:
-            return dict(self._values)
+            for counts in list(self._shards.values()):
+                for key, n in counts.copy().items():
+                    total[key] = total.get(key, 0) + n
+        return total
 
     def reset(self) -> None:
+        """Zero every shard in place (meant for a quiet group: a bump in
+        flight in another thread may survive it)."""
         with self._lock:
-            for key in self._values:
-                self._values[key] = 0
+            for counts in self._shards.values():
+                counts.update(dict.fromkeys(counts, 0))
 
     def __repr__(self) -> str:
         return f"CounterGroup({self.name}, {self.snapshot()!r})"

@@ -113,14 +113,14 @@ def extract_send_payload(buf, offset: int, count: int,
     n = count * lay.size_elems
     if allow_view:
         if lay.contiguous:
-            DATAPATH.add("send_view")
+            DATAPATH.shard.counts["send_view"] += 1
             return buf[offset:offset + n], n, False
         if lay.wire_friendly(n) and buf.flags.c_contiguous:
-            DATAPATH.add("send_iovec")
+            DATAPATH.shard.counts["send_iovec"] += 1
             return (IOVecPayload(lay.byte_views(buf, offset, n),
                                  datatype.base.np_dtype, n * lay.itemsize),
                     n, False)
-        DATAPATH.add("send_gather")
+        DATAPATH.shard.counts["send_gather"] += 1
     return lay.gather(buf, offset, count), n, False
 
 
@@ -153,7 +153,8 @@ def recv_byte_views(buf, offset: int, count: int, datatype: DatatypeImpl,
             and buf.flags.c_contiguous and buf.flags.writeable:
         views = [memoryview(buf[offset:offset + nelems]).cast("B")] \
             if lay.contiguous else lay.byte_views(buf, offset, nelems)
-    DATAPATH.add("recv_direct" if views is not None else "recv_refused")
+    DATAPATH.shard.counts["recv_direct" if views is not None
+                          else "recv_refused"] += 1
     return views
 
 
@@ -212,6 +213,28 @@ def land_dense(buf, offset: int, count: int, datatype: DatatypeImpl,
     if error != SUCCESS:
         raise MPIException(error, message)
     return n
+
+
+def window_lander(buf, offset: int, count: int, datatype: DatatypeImpl,
+                  lay: LayoutIR | None):
+    """The mailbox ``land`` callback of a validated window: a dense
+    message of its base type that fits a contiguous window is one slice
+    copy; anything else is :func:`land_payload`'s, errors and all."""
+    window = buf[offset:offset + count * lay.size_elems] \
+        if lay is not None and lay.contiguous else None
+    shard = DATAPATH.shard
+
+    def land(env):
+        data = env.payload
+        if window is not None and type(data) is np.ndarray \
+                and data.dtype == window.dtype \
+                and 0 < data.shape[0] <= window.shape[0]:
+            window[:data.shape[0]] = data
+            shard.counts["scatter_contig"] += 1
+            return data.shape[0], SUCCESS, ""
+        return land_payload(buf, offset, count, datatype, env)
+
+    return land
 
 
 def land_payload(buf, offset: int, count: int, datatype: DatatypeImpl,

@@ -21,8 +21,8 @@ from repro.errors import (MPIException, RevokedException, SUCCESS, ERR_ARG,
                           ERR_COMM, ERR_INTERN, ERR_OTHER, ERR_PROC_FAILED,
                           ERR_RANK, ERR_TAG)
 from repro.datatypes.base import DatatypeImpl
-from repro.runtime.buffers import extract_send_payload, land_payload, \
-    recv_byte_views, validate_buffer
+from repro.runtime.buffers import extract_send_payload, recv_byte_views, \
+    validate_buffer, window_lander
 from repro.runtime.consts import (ANY_SOURCE, ANY_TAG, CART, CONGRUENT,
                                   GRAPH, IDENT, PROC_NULL, SIMILAR, TAG_UB,
                                   UNDEFINED, UNEQUAL)
@@ -31,6 +31,8 @@ from repro.runtime.envelope import (Envelope, MODE_BUFFERED, MODE_READY,
 from repro.runtime.groups import GroupImpl
 from repro.runtime.requests import RequestImpl
 from repro.runtime.topology import CartTopology, GraphTopology
+from repro.obs.trace import TRACE
+from repro.transport import wire as _wire
 
 # --- internal tags used on the collective context ------------------------------
 TAG_CTX_AGREE = 1
@@ -165,7 +167,10 @@ class CommImpl:
                                f"{what} is not defined on "
                                f"intercommunicators in MPI 1.1")
 
-    def _check_alive(self) -> None:
+    def _check_alive(self, tag: int | None = None,
+                     any_tag: bool = False) -> None:
+        """The communicator is usable by this rank; so is ``tag``, if
+        given (``ANY_TAG`` too where ``any_tag``)."""
         if self.freed:
             raise MPIException(ERR_COMM, f"{self.name} was freed")
         if self.my_rank == UNDEFINED:
@@ -176,6 +181,10 @@ class CommImpl:
         # deliberately do not come through here)
         if self.universe.revoked_contexts:
             self.universe.check_revoked(self.ctx_pt2pt)
+        if tag is not None and not 0 <= tag <= TAG_UB \
+                and not (any_tag and tag == ANY_TAG):
+            raise MPIException(ERR_TAG, f"tag {tag} out of range [0,"
+                                        f" {TAG_UB}]")
 
     def _check_not_freed(self) -> None:
         """Liveness check for the FT trio, which must work when revoked."""
@@ -222,22 +231,16 @@ class CommImpl:
             return world
         return self.peer_group.rank_of_world(world)
 
-    @staticmethod
-    def _check_tag(tag: int, allow_any: bool = False) -> None:
-        if tag == ANY_TAG and allow_any:
-            return
-        if not 0 <= tag <= TAG_UB:
-            raise MPIException(ERR_TAG, f"tag {tag} out of range [0,"
-                                        f" {TAG_UB}]")
-
     # ======================================================================
     # point-to-point
     # ======================================================================
     def _isend_raw(self, payload, nelems: int, is_object: bool,
                    dest_world: int, tag: int, ctx: int,
-                   mode: int = MODE_STANDARD,
-                   zero_copy: bool = False) -> RequestImpl:
-        """Ship a dense payload; returns the (possibly completed) request.
+                   mode: int = MODE_STANDARD, zero_copy: bool = False,
+                   track: bool = True) -> RequestImpl | None:
+        """Ship a dense payload; returns the (possibly completed) request,
+        or None under ``track=False``: a standard-mode payload out of the
+        caller's hands once the transport returns (see :meth:`isend`).
 
         ``zero_copy=True`` marks a payload that *views* storage its
         owner will write again (the user buffer, a collective's
@@ -249,7 +252,8 @@ class CommImpl:
         delivery copies it (:meth:`Envelope.claim`).
         """
         rt = self.rt
-        req = RequestImpl(self.universe, RequestImpl.KIND_SEND)
+        req = RequestImpl(self.universe, RequestImpl.KIND_SEND) \
+            if track else None
         seq = rt.next_seq()
         env = Envelope(src=rt.world_rank, dst=dest_world, context=ctx,
                        tag=tag, mode=mode, seq=seq, payload=payload,
@@ -296,6 +300,8 @@ class CommImpl:
         finally:
             if reservation is not None:
                 rt.bsend_pool.release(reservation)
+        if req is None:
+            return None
         if mode != MODE_SYNCHRONOUS and not (zero_copy and wire):
             req.complete()
         elif not req.done and dest_world != rt.world_rank:
@@ -332,13 +338,18 @@ class CommImpl:
         if not self._dm:
             return False
         lay = datatype.layout()
-        return lay.wire_friendly(count * lay.size_elems)
+        n = count * lay.size_elems
+        return n > 0 and (lay.contiguous or lay.wire_friendly(n))
 
     def isend(self, buf, offset: int, count: int, datatype: DatatypeImpl,
-              dest: int, tag: int,
-              mode: int = MODE_STANDARD) -> RequestImpl:
-        self._check_alive()
-        self._check_tag(tag)
+              dest: int, tag: int, mode: int = MODE_STANDARD,
+              blocking: bool = False) -> RequestImpl | None:
+        """``blocking`` (:meth:`send`): a standard-mode payload out of the
+        caller's hands when the transport returns — an eager frame
+        written inline, an in-process handoff — builds no request and
+        returns None, as Open MPI's ``sendi``, unless the sanitizer or
+        the tracer watch: they see requests."""
+        self._check_alive(tag)
         if dest == PROC_NULL:
             req = RequestImpl(self.universe, RequestImpl.KIND_SEND)
             req.complete()
@@ -352,50 +363,61 @@ class CommImpl:
             if san is not None else None
         payload, nelems, is_object = extract_send_payload(
             buf, offset, count, datatype, allow_view=zero_copy)
+        inline = blocking and mode == MODE_STANDARD and verify is None \
+            and not TRACE.enabled \
+            and not (zero_copy and payload.nbytes >= _wire.eager_limit())
         req = self._isend_raw(payload, nelems, is_object,
-                              dest_world, tag, self.ctx_pt2pt,
-                              mode, zero_copy=zero_copy)
+                              dest_world, tag, self.ctx_pt2pt, mode,
+                              zero_copy and not inline, track=not inline)
         if verify is not None:
             req.sanitize_verify_send = verify
         return req
 
     def send(self, buf, offset, count, datatype, dest, tag,
              mode: int = MODE_STANDARD) -> None:
-        self.isend(buf, offset, count, datatype, dest, tag, mode).wait()
+        req = self.isend(buf, offset, count, datatype, dest, tag, mode,
+                         blocking=True)
+        if req is not None:
+            req.wait()
+
+    def _recv_args(self, buf, offset: int, count: int,
+                   datatype: DatatypeImpl, source: int, tag: int):
+        """``irecv``'s and ``recv``'s checks and mailbox callbacks:
+        ``(source_world, land, recv_views)``, None for ``PROC_NULL``."""
+        self._check_alive(tag, any_tag=True)
+        if source == PROC_NULL:
+            return None
+        lay = validate_buffer(buf, offset, count, datatype)
+        return (self._source_world(source),
+                window_lander(buf, offset, count, datatype, lay),
+                lambda env: recv_byte_views(buf, offset, count, datatype,
+                                            env))
 
     def irecv(self, buf, offset: int, count: int, datatype: DatatypeImpl,
               source: int, tag: int) -> RequestImpl:
-        self._check_alive()
-        self._check_tag(tag, allow_any=True)
+        args = self._recv_args(buf, offset, count, datatype, source, tag)
         req = RequestImpl(self.universe, RequestImpl.KIND_RECV)
         req.source_comm = self
-        if source == PROC_NULL:
+        if args is None:
             req.complete(source_world=PROC_NULL, tag=ANY_TAG,
                          count_elements=0)
             return req
-        validate_buffer(buf, offset, count, datatype)
         req.recv_datatype = datatype
+        source_world, land, recv_views = args
         san = self.universe.sanitizer
-        source_world = self._source_world(source)
-        if san is not None and source_world != ANY_SOURCE \
-                and source_world != self.rt.world_rank:
-            # specific-source receive: a wait-for edge for the
-            # sanitizer's deadlock detection (ANY_SOURCE posts none —
-            # any sender could complete it)
-            req.sanitize_block = (self.rt.world_rank, source_world,
-                                  self.ctx_pt2pt, tag, "Recv")
+        if san is not None:
+            if source_world != ANY_SOURCE \
+                    and source_world != self.rt.world_rank:
+                # specific-source receive: a wait-for edge for the
+                # sanitizer's deadlock detection (ANY_SOURCE posts none
+                # — any sender could complete it)
+                req.sanitize_block = (self.rt.world_rank, source_world,
+                                      self.ctx_pt2pt, tag, "Recv")
+            landed = land
 
-        def land(env):
-            if san is not None:
+            def land(env):
                 mismatch = san.check_signature(env, datatype, count)
-                if mismatch is not None:
-                    return mismatch
-            return land_payload(buf, offset, count, datatype, env)
-
-        def recv_views(env):
-            # direct-landing fast path: writable per-run windows for
-            # recv_into straight off the socket (contiguous or strided)
-            return recv_byte_views(buf, offset, count, datatype, env)
+                return landed(env) if mismatch is None else mismatch
 
         self._post_recv(req, source_world, tag, self.ctx_pt2pt, land,
                         recv_views)
@@ -424,16 +446,45 @@ class CommImpl:
         if u.failed_ranks or u.revoked_contexts:
             req.fail_if_affected()
 
-    def recv(self, buf, offset, count, datatype, source, tag) -> RequestImpl:
-        req = self.irecv(buf, offset, count, datatype, source, tag)
-        req.wait()
-        return req
+    def recv(self, buf, offset, count, datatype, source, tag) -> tuple:
+        """Blocking receive; returns its status fields (see
+        :meth:`RequestImpl.status_fields`).  Unless the sanitizer or the
+        tracer watch, a message already here lands with no request
+        (:meth:`Mailbox.take`) and one still to come is waited for on the
+        rank's :class:`~repro.runtime.requests.Gate`."""
+        u, rt = self.universe, self.rt
+        if u.sanitizer is not None or TRACE.enabled:
+            req = self.irecv(buf, offset, count, datatype, source, tag)
+            req.wait()
+            return req.status_fields(self)
+        args = self._recv_args(buf, offset, count, datatype, source, tag)
+        if args is None:
+            return PROC_NULL, ANY_TAG, SUCCESS, 0, False, UNDEFINED, False
+        world, land, recv_views = args
+        got = rt.mailbox.take(world, tag, self.ctx_pt2pt, land)
+        if got is None:
+            req = RequestImpl(u, RequestImpl.KIND_RECV)
+            rt.gate.arm(req)
+            self._post_recv(req, world, tag, self.ctx_pt2pt, land,
+                            recv_views)
+            rt.gate.park()
+            if not req.done:
+                u.check_abort()     # woken by the abort
+            if req.error != SUCCESS:
+                req.raise_if_error()
+            got = req.status_source_world, req.status_tag, \
+                req.count_elements, SUCCESS, ""
+        world, tag, n, error, message = got
+        if error != SUCCESS:
+            raise MPIException(error, message)
+        return (self.source_rank_of_world(world) if source == ANY_SOURCE
+                else source), tag, SUCCESS, n, False, UNDEFINED, \
+            datatype.base.is_object
 
     # -- persistent requests ---------------------------------------------------
     def send_init(self, buf, offset, count, datatype, dest, tag,
                   mode: int = MODE_STANDARD) -> RequestImpl:
-        self._check_alive()
-        self._check_tag(tag)
+        self._check_alive(tag)
         req = RequestImpl(self.universe, RequestImpl.KIND_SEND)
         req.make_persistent(lambda: self.isend(buf, offset, count, datatype,
                                                dest, tag, mode))
@@ -441,8 +492,7 @@ class CommImpl:
 
     def recv_init(self, buf, offset, count, datatype, source,
                   tag) -> RequestImpl:
-        self._check_alive()
-        self._check_tag(tag, allow_any=True)
+        self._check_alive(tag, any_tag=True)
         if source != PROC_NULL:
             validate_buffer(buf, offset, count, datatype)
         req = RequestImpl(self.universe, RequestImpl.KIND_RECV)
@@ -460,15 +510,13 @@ class CommImpl:
                          nbytes=env.payload_nbytes())
 
     def iprobe(self, source: int, tag: int) -> Optional[ProbeInfo]:
-        self._check_alive()
-        self._check_tag(tag, allow_any=True)
+        self._check_alive(tag, any_tag=True)
         env = self.rt.mailbox.iprobe(self._source_world(source), tag,
                                      self.ctx_pt2pt)
         return None if env is None else self._probe_env_info(env)
 
     def probe(self, source: int, tag: int) -> ProbeInfo:
-        self._check_alive()
-        self._check_tag(tag, allow_any=True)
+        self._check_alive(tag, any_tag=True)
         env = self.rt.mailbox.probe(self._source_world(source), tag,
                                     self.ctx_pt2pt)
         return self._probe_env_info(env)
@@ -487,7 +535,7 @@ class CommImpl:
     # -- combined send/recv ----------------------------------------------------------
     def sendrecv(self, sendbuf, soffset, scount, sdtype, dest, stag,
                  recvbuf, roffset, rcount, rdtype, source,
-                 rtag) -> RequestImpl:
+                 rtag) -> tuple:
         rreq = self.irecv(recvbuf, roffset, rcount, rdtype, source, rtag)
         try:
             self.send(sendbuf, soffset, scount, sdtype, dest, stag)
@@ -498,10 +546,10 @@ class CommImpl:
             self.rt.mailbox.discard_posted(rreq)
             raise
         rreq.wait()
-        return rreq
+        return rreq.status_fields(self)
 
     def sendrecv_replace(self, buf, offset, count, datatype, dest, stag,
-                         source, rtag) -> RequestImpl:
+                         source, rtag) -> tuple:
         """``sendrecv`` from a private copy of the window into a private
         inbox (dense, of the base type, unless ``datatype`` is objects),
         then the inbox back into the window."""
@@ -514,15 +562,15 @@ class CommImpl:
             tmp = lay.gather(buf, offset, count)
             n, dt = len(tmp), _primitive_of(datatype)
             inbox = np.empty_like(tmp)
-        rreq = self.sendrecv(tmp, 0, n, dt, dest, stag, inbox, 0, n, dt,
-                             source, rtag)
+        status = self.sendrecv(tmp, 0, n, dt, dest, stag, inbox, 0, n, dt,
+                               source, rtag)
         if source != PROC_NULL:
             if lay is None:
                 for i in range(count):
                     buf[offset + i] = inbox[i]
             else:
-                lay.scatter_range(buf, offset, inbox[:rreq.count_elements])
-        return rreq
+                lay.scatter_range(buf, offset, inbox[:status[3]])
+        return status
 
     # ======================================================================
     # internal dense/object messaging for collectives and management

@@ -58,18 +58,19 @@ MAILBOX_METRICS = CounterGroup("mailbox", (
     "matched_posted", "matched_unexpected", "matched_direct"))
 
 
-def _note_match(rank: int, counter: str, dwell: float, env: Envelope) -> None:
-    """Count one mailbox match (``matched_<path>``), trace it if enabled.
+#: this thread's match counts (bumped in place: no call, no lock)
+_MATCHES = MAILBOX_METRICS.shard
 
-    ``dwell`` is how long the *later* party waited for the earlier one:
-    post-to-arrival time on the posted path, arrival-to-post (unexpected
-    queue) time on the unexpected path.
-    """
-    MAILBOX_METRICS.add(counter)
+
+def _trace_match(rank: int, path: str, since: float, env: Envelope) -> None:
+    """Trace one mailbox match.  The dwell is how long the *later* party
+    waited for the earlier one (``since`` its arrival): post-to-arrival
+    time on the posted path, arrival-to-post (unexpected queue) time on
+    the unexpected path."""
     if TRACE.enabled:
+        dwell = TRACE.now() - since
         TRACE.instant(rank, "mailbox.match", "mailbox",
-                      {"path": counter.partition("_")[2],
-                       "dwell_us": round(dwell * 1e6, 3),
+                      {"path": path, "dwell_us": round(dwell * 1e6, 3),
                        "src": env.src, "tag": env.tag,
                        "rts": env.kind == KIND_RTS})
 
@@ -182,9 +183,9 @@ class Mailbox:
                 return
         # arrival met a receive posted earlier: the dwell is how long
         # the receive sat posted before its message showed up
-        _note_match(self.rank, "matched_posted",
-                    (TRACE.now() - posted.t_post) if TRACE.enabled
-                    else 0.0, env)
+        _MATCHES.counts["matched_posted"] += 1
+        if TRACE.enabled:
+            _trace_match(self.rank, "posted", posted.t_post, env)
         self._consume(posted, env)
 
     def _route_ack(self, env: Envelope) -> None:
@@ -257,9 +258,9 @@ class Mailbox:
             self._remove_posted(posted, key)
         # consumed by the pump pre-body: by construction the receive was
         # posted before the frame arrived (a posted-path match)
-        _note_match(self.rank, "matched_direct",
-                    (TRACE.now() - posted.t_post) if TRACE.enabled
-                    else 0.0, env)
+        _MATCHES.counts["matched_direct"] += 1
+        if TRACE.enabled:
+            _trace_match(self.rank, "direct", posted.t_post, env)
         return posted, views
 
     # -- receives --------------------------------------------------------------
@@ -268,9 +269,13 @@ class Mailbox:
                   recv_views: RecvViewsFn | None = None) -> None:
         posted = PostedRecv(req, source_world, tag, context, land,
                             recv_views)
+        key = (context, source_world, tag)
         with self._lock:
-            key, dq = self._find_unexpected(posted)
-            if dq is None:
+            if posted.wildcard:
+                key, dq = self._find_unexpected(posted)
+            else:
+                dq = self._unexpected.get(key)
+            if not dq:
                 self._post_stamp += 1
                 posted.order = self._post_stamp
                 if TRACE.enabled:
@@ -278,7 +283,6 @@ class Mailbox:
                 if posted.wildcard:
                     self._posted_wild.append(posted)
                 else:
-                    key = (context, source_world, tag)
                     dq = self._posted_exact.get(key)
                     if dq is None:
                         dq = self._posted_exact[key] = deque()
@@ -289,10 +293,33 @@ class Mailbox:
                 del self._unexpected[key]
         # the receive found its message waiting: the dwell is how long
         # the message sat in the unexpected queue
-        _note_match(self.rank, "matched_unexpected",
-                    (TRACE.now() - t_arrive) if TRACE.enabled else 0.0,
-                    env)
+        _MATCHES.counts["matched_unexpected"] += 1
+        if TRACE.enabled:
+            _trace_match(self.rank, "unexpected", t_arrive, env)
         self._consume(posted, env)
+
+    def take(self, source_world: int, tag: int, context: int,
+             land: LandFn):
+        """A blocking receive's first look: land the earliest arrival it
+        matches now, under the lock, with no request, and return
+        ``(src, tag, count, error, message)``; None if none (or an RTS:
+        the receive's post takes that)."""
+        key = (context, source_world, tag)
+        with self._lock:
+            if source_world == ANY_SOURCE or tag == ANY_TAG:
+                key, dq = self._find_unexpected(PostedRecv(
+                    None, source_world, tag, context, land))
+            else:
+                dq = self._unexpected.get(key)
+            if not dq or dq[0][1].kind == KIND_RTS:
+                return None
+            env = dq.popleft()[1]
+            if not dq:
+                del self._unexpected[key]
+            outcome = land(env)
+        _MATCHES.counts["matched_unexpected"] += 1
+        env.notify_matched()
+        return (env.src, env.tag, *outcome)
 
     def _find_unexpected(self, posted: PostedRecv):
         """(key, bucket) of the earliest matching arrival, or (None, None).

@@ -19,6 +19,7 @@ from typing import Callable, Optional, Sequence
 from repro.errors import (MPIException, ProcFailedException,
                           RevokedException, ERR_PENDING, ERR_PROC_FAILED,
                           ERR_REQUEST, ERR_REVOKED, SUCCESS)
+from repro.runtime.consts import UNDEFINED
 
 
 class Waiter:
@@ -59,6 +60,40 @@ class Waiter:
             return False
         self._gate.release()
         return True
+
+
+class Gate:
+    """A rank thread's one reusable sleep for a blocking receive: armed
+    with its request before the post, it opens once, on that request's
+    completion or the job's abort (subscribed once).  The armed request
+    is the generation check: a wakeup left from an earlier wait names
+    another request and is dropped."""
+
+    __slots__ = ("_gate", "_guard", "_armed", "_aborted")
+
+    def __init__(self, universe):
+        self._gate, self._guard = threading.Lock(), threading.Lock()
+        self._gate.acquire()
+        self._armed, self._aborted = None, False
+        universe.add_abort_listener(self.wake)
+
+    def arm(self, req: "RequestImpl") -> None:
+        """Make ``req``'s completion the next wakeup (one thread a rank)."""
+        req._listeners = [self.wake]
+        self._armed = req
+
+    def wake(self, req: "RequestImpl | None" = None) -> None:
+        with self._guard:
+            self._aborted = self._aborted or req is None
+            if self._armed is None or req not in (None, self._armed):
+                return
+            self._armed = None
+        self._gate.release()
+
+    def park(self) -> None:
+        if self._aborted:
+            self.wake()         # the abort came before the arming
+        self._gate.acquire()
 
 
 class RequestImpl:
@@ -234,6 +269,17 @@ class RequestImpl:
             verify()
         if self.error != SUCCESS:
             self.raise_if_error()
+
+    def status_fields(self, comm=None) -> tuple:
+        """``(source, tag, error, count, cancelled, index, is_object)``:
+        this request's status, its source a rank of ``comm``."""
+        source = self.status_source_world
+        if comm is not None and source >= 0:
+            source = comm.peer_group.rank_of_world(source)
+        dt = getattr(self, "recv_datatype", None)
+        return (source, self.status_tag, self.error, self.count_elements,
+                self.cancelled, UNDEFINED,
+                dt is not None and dt.base.is_object)
 
     def raise_if_error(self) -> None:
         if self.error != SUCCESS:

@@ -291,7 +291,9 @@ def map_segment(name: str, size: int | None = None) -> mmap.mmap:
     to the whole of it when ``size`` is None.
 
     What the standard library's ``SharedMemory`` does, minus its
-    registration with the resource tracker, and without keeping the fd.
+    registration with the resource tracker.  The fd opened here is
+    closed, but ``mmap`` keeps a dup of it for the mapping's lifetime,
+    so each mapped segment holds one fd.
     An ``OSError`` here (no ``/dev/shm``, no POSIX shared memory at all)
     is what turns a rank's lanes off."""
     if _posixshmem is None:

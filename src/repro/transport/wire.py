@@ -81,9 +81,10 @@ constructors that build a channel list and return this one class.
   anything to a channel that still has such a send queued (per-pair
   order is MPI's non-overtaking rule), goes to the writer, which may
   block because every channel is still being drained.
-* **One pump per local rank** (:meth:`WireTransport._pump`) — selects on
-  the rank's sockets, drains each readable one (every whole frame one
-  read brought; it selects again when less than a header is left), and
+* **One pump per local rank** (:meth:`WireTransport._pump`) — polls
+  the rank's sockets (one ``epoll``, an fd -> channel dict), drains each
+  readable one (every whole frame one read brought; it polls again when
+  less than a header is left), and
   turns a peer's EOF — behind the frames completed before it — into the
   ``KIND_PEERFAIL`` that unblocks everything waiting on it.
   Any other exception escaping a delivery would end the thread and
@@ -103,7 +104,7 @@ from __future__ import annotations
 
 import errno
 import queue
-import selectors
+import select
 import socket
 import threading
 
@@ -141,15 +142,6 @@ def set_eager_limit(nbytes: int) -> int:
     prev = _eager_limit
     _eager_limit = int(nbytes)
     return prev
-
-
-def wants_rendezvous(env: Envelope) -> bool:
-    """Should this envelope take the RTS/CTS path on a wire transport?"""
-    return (env.kind == ev.KIND_DATA
-            and not env.is_object
-            and env.payload is not None
-            and env.payload.nbytes >= _eager_limit
-            and env.mode in (ev.MODE_STANDARD, ev.MODE_SYNCHRONOUS))
 
 
 #: below this payload size the pump skips the header-peek direct-landing
@@ -561,7 +553,7 @@ class WireTransport(Transport):
             chans = [ch for ch in self._chans if ch.rx[1] == rank]
             if not chans:
                 # a 1-rank job: nothing to drain, and close() would wait
-                # out an empty selector's timeout
+                # out an empty poll's timeout
                 continue
             self._pumps.append(threading.Thread(
                 target=self._pump, args=(rank, chans),
@@ -667,11 +659,15 @@ class WireTransport(Transport):
     def _wire_send(self, env: Envelope, chan) -> None:
         """Ship one envelope src->dst (rank thread; never blocks on CTS)."""
         bulk = False
-        if wants_rendezvous(env):
-            # a capable pair has one policy: announce, and let the peer
-            # read in place.  Otherwise a frame that fits the lane whole
-            # stays eager, body in the lane; anything else (always, on a
-            # plain socket) handshakes
+        payload = env.payload
+        if not env.is_object and payload is not None \
+                and payload.nbytes >= _eager_limit \
+                and env.kind == ev.KIND_DATA \
+                and env.mode in (ev.MODE_STANDARD, ev.MODE_SYNCHRONOUS):
+            # rendezvous.  A capable pair has one policy: announce, and
+            # let the peer read in place.  Otherwise a frame that fits
+            # the lane whole stays eager, body in the lane; anything else
+            # (always, on a plain socket) handshakes
             lane = chan.lane_tx
             bulk = chan.cma_pid is None and lane is not None and \
                 env.payload.nbytes + ev.HEADER_SIZE <= lane.capacity
@@ -680,9 +676,11 @@ class WireTransport(Transport):
                 return
         header, body = ev.encode(env, bulk)
         nbytes = framed_send(chan, header, body, bulk)
-        self.wire_stats.add_each(
-            ("eager_frames", "eager_bytes", "tx_frames", "tx_bytes"),
-            (1, nbytes, 1, len(header) + nbytes))
+        counts = self.wire_stats.shard.counts
+        counts["eager_frames"] += 1
+        counts["eager_bytes"] += nbytes
+        counts["tx_frames"] += 1
+        counts["tx_bytes"] += len(header) + nbytes
         if TRACE.enabled:
             TRACE.instant(env.src, "wire.eager", "wire",
                           {"dst": env.dst, "bytes": nbytes})
@@ -801,14 +799,17 @@ class WireTransport(Transport):
         self._role.pump = True
         pool = RecvPool()
         rbuf = memoryview(bytearray(READ_BUFFER))
-        sel = selectors.DefaultSelector()
+        poller = select.epoll()
+        by_fd = {}
         for chan in chans:
             chan.rbuf = rbuf
-            sel.register(chan.sock, selectors.EVENT_READ, chan)
+            by_fd[chan.sock.fileno()] = chan
+            poller.register(chan.sock.fileno(), select.EPOLLIN)
         try:
             while not self._closing.is_set():
-                for key, _ in sel.select(timeout=0.2):
-                    chan = key.data
+                # maxevents: the default sizes a 12 KiB buffer per call
+                for fd, _ in poller.poll(0.2, len(by_fd)):
+                    chan = by_fd[fd]
                     try:
                         # what this channel's last drain left over first
                         chan.rend = len(chan.tail)
@@ -822,14 +823,15 @@ class WireTransport(Transport):
                         if self._closing.is_set():
                             return
                         chan.dead.set()
-                        sel.unregister(chan.sock)
+                        poller.unregister(fd)
+                        del by_fd[fd]
                         if self._deliver[rank] is not None:
                             peer = chan.rx[0]
                             self._peer_lost(rank, peer,
                                             f"rank {peer} connection lost")
-                        if not sel.get_map():
+                        if not by_fd:
                             # nothing is left to read: close() must not
-                            # wait out an empty selector's timeout
+                            # wait out an empty poll's timeout
                             return
         except Exception as exc:  # noqa: BLE001 - the thread's boundary
             abort = ev.encode_abort_env(rank, 1, exc)
@@ -841,7 +843,7 @@ class WireTransport(Transport):
             except Exception:  # noqa: BLE001 - best effort while dying
                 pass
         finally:
-            sel.close()
+            poller.close()
 
     def _peer_lost(self, rank: int, peer: int, why: str) -> None:
         """This transport classified ``peer`` as dead: tell ``rank``'s

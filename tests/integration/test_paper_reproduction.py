@@ -198,6 +198,51 @@ class TestMeasuredShape:
                            ("WMPI", "SM", "mpijava"),
                            size=1, reps=300) > 0
 
+    def test_counted_layer_order_sm(self):
+        """The exact sibling of the sign test above: Python calls per
+        1-byte round trip of ``bench.pingpong.one_way`` on threads-SM, in
+        rank 0's thread.  Each layer wraps the one below, so the binding
+        costs more calls than the stubs, and the stubs more than the
+        runtime — whatever the box's speed."""
+        import threading
+        from repro.bench.pingpong import one_way
+        from repro.datatypes.primitives import BYTE
+        from repro.executor.runner import MPIExecutor
+        from repro.jni import handles as H
+        from repro.mpijava import MPI
+        reps = 50
+        calls = {}
+
+        def body():
+            MPI.Init([])
+            rank = MPI.COMM_WORLD.Rank()
+            me = threading.current_thread().name
+            buf = np.zeros(1, dtype=np.int8)
+            counts = {}
+            for api, dt in (("mpijava", MPI.BYTE), ("capi", H.DT_BYTE),
+                            ("communicator", BYTE)):
+                calls[me] = 0
+                one_way(api, rank, buf, 1, dt, reps)
+                counts[api] = calls[me] / reps
+            MPI.Finalize()
+            return counts
+
+        def profile(frame, event, arg):
+            if event == "call":
+                name = threading.current_thread().name
+                if name in calls:
+                    calls[name] += 1
+
+        threading.setprofile(profile)
+        try:
+            with MPIExecutor(2, transport="inproc") as ex:
+                per_rank = ex.run(body, timeout=60.0)
+        finally:
+            threading.setprofile(None)
+        counts = per_rank[0]
+        assert counts["mpijava"] > counts["capi"] > counts["communicator"], \
+            counts
+
     def test_measured_dm_slower_than_sm(self):
         assert _median_gap(("WMPI", "SM", "capi"),
                            ("WMPI", "DM", "capi"),

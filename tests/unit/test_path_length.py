@@ -3,7 +3,8 @@
 Small messages are bound by interpreter path length, not bytes (ROADMAP
 item 1), so the budget is counted, not timed: ``sys.setprofile`` ``call``
 events (Python functions entered; C calls are not events of that kind)
-on threads-DM, per blocking ``Send``/``Recv`` in the rank thread, per
+on threads-DM (and threads-SM for the blocking pair), per blocking
+``Send``/``Recv`` in the rank thread, per
 frame in the pump thread, per ``Isend().Wait()`` + ``Irecv().Wait()``
 pair, and per message of an ``Isend``/``Irecv``/``Waitall`` window of
 64.  The counts are deterministic up to which side
@@ -12,9 +13,10 @@ budget has 10 % headroom — enough for that, far too little for a
 per-message ``threading.Event`` (≈ 10 calls) or a failure-plane
 subscription (≈ 8) to come back unnoticed.
 
-The two structural facts behind the budget are asserted directly: posted
-receives subscribe to nothing, and a request that completes before it is
-waited on never builds a waiter.
+The structural facts behind the budget are asserted directly: posted
+receives subscribe to nothing, a request that completes before it is
+waited on never builds a waiter, a blocking eager ``Send`` builds no
+request and a blocking ``Recv`` builds no waiter.
 
 Collectives get the same treatment on 4 rank-threads: a blocking
 collective runs its rounds in the calling thread, so its whole path is
@@ -37,15 +39,19 @@ import pytest
 from repro.executor.runner import MPIExecutor
 from repro.mpijava import MPI, Request
 
-#: counts measured when the budget was last re-anchored (an mpiJava
-#: member is one guarded stub call, and a request's error handler is
-#: looked up only on error).  Earlier anchors, newest first: 68 / 22 / 33
-#: / 40 and 95 for the wait pair (each member also called a cost-model
+#: counts measured when the budget was last re-anchored (a blocking
+#: eager ``Send`` builds no request, a blocking ``Recv`` parks on the
+#: rank's reusable gate, the pump polls a raw epoll and lands a small
+#: frame with one slice copy: 49 / 13 measured).  Earlier anchors, newest
+#: first: 66 / 22 (an mpiJava member is one guarded stub call, and a
+#: request's error handler is looked up only on error), 68 / 22 / 33 /
+#: 40 and 95 for the wait pair (each member also called a cost-model
 #: hook), 97 / 25 / 47 / 55 (a post-time window check), 100 / 39 / 47 /
 #: 58, 127 / 51 / 57 / 74
 BUDGET = {
-    "send_recv_pair": 66,       # rank thread, one Send + one Recv
-    "pump_frame": 22,           # pump thread, one eager frame per read
+    "send_recv_pair": 50,       # rank thread, one Send + one Recv
+    "send_recv_pair_sm": 55,    # the same on threads-SM (it lands too)
+    "pump_frame": 17,           # pump thread, one eager frame per read
     "irecv_window_msg": 32,     # rank thread, per message: Irecv ... Waitall
     "isend_window_msg": 39,     # rank thread, per message: Isend ... Waitall
     "isend_irecv_wait_pair": 91,  # rank thread, Isend().Wait() + Irecv().Wait()
@@ -168,11 +174,11 @@ def _collectives(counter: CallCounter):
     return medians
 
 
-def _counted(body, nprocs: int = 2):
+def _counted(body, nprocs: int = 2, transport: str = "socket"):
     counter = CallCounter()
     threading.setprofile(counter)
     try:
-        with MPIExecutor(nprocs, transport="socket") as ex:
+        with MPIExecutor(nprocs, transport=transport) as ex:
             return ex.run(body, args=(counter,), timeout=120.0)
     finally:
         threading.setprofile(None)
@@ -196,6 +202,13 @@ def test_blocking_pingpong_path_length():
     _check("send_recv_pair", max(pair0, pair1))
     _check("pump_frame", max(pump0, pump1))
     _check("isend_irecv_wait_pair", max(wait0, wait1))
+
+
+@unsanitized
+def test_blocking_pingpong_path_length_sm():
+    """On threads-SM the sender's thread also matches and lands."""
+    (pair0, _, _), (pair1, _, _) = _counted(_pingpong, transport="inproc")
+    _check("send_recv_pair_sm", max(pair0, pair1))
 
 
 @unsanitized
@@ -436,6 +449,76 @@ def test_completed_request_never_builds_a_waiter(waiters_built):
         return n
 
     with MPIExecutor(2, transport="socket") as ex:
+        assert ex.run(body, timeout=60.0) == [0, 0]
+
+
+@unsanitized
+@pytest.mark.parametrize("transport", ["inproc", "socket"])
+def test_a_blocking_eager_send_builds_no_request(transport, monkeypatch):
+    """A standard-mode ``Send`` whose payload leaves inline never
+    constructs a ``RequestImpl``; the ``Ssend`` after it (the control)
+    does."""
+    from repro.runtime import requests
+    built = []
+    init = requests.RequestImpl.__init__
+
+    def counting(self, universe, kind):
+        built.append((threading.current_thread().name, kind))
+        init(self, universe, kind)
+
+    monkeypatch.setattr(requests.RequestImpl, "__init__", counting)
+
+    def body():
+        MPI.Init([])
+        world = MPI.COMM_WORLD
+        me = threading.current_thread().name
+        buf = np.zeros(8, dtype=np.int8)
+        if world.Rank() == 0:
+            mark = len(built)
+            for _ in range(20):
+                world.Send(buf, 0, 8, MPI.BYTE, 1, 1)
+            sends = [k for t, k in built[mark:] if t == me]
+            world.Ssend(buf, 0, 8, MPI.BYTE, 1, 2)
+            ssends = [k for t, k in built[mark:] if t == me]
+        else:
+            for tag in [1] * 20 + [2]:
+                world.Recv(buf, 0, 8, MPI.BYTE, 0, tag)
+            sends = ssends = None
+        MPI.Finalize()
+        return sends, ssends
+
+    with MPIExecutor(2, transport=transport) as ex:
+        (sends, ssends), _ = ex.run(body, timeout=60.0)
+    assert sends == [] and ssends == ["send"]
+
+
+@unsanitized
+@pytest.mark.parametrize("transport", ["inproc", "socket"])
+def test_repeated_blocking_receives_build_no_waiter(transport,
+                                                    waiters_built):
+    """Rank 0's blocking ``Recv`` waits for each reply on its rank's one
+    gate: 50 round trips, each with a receive posted before its message,
+    build no ``Waiter``."""
+    both_counted = threading.Barrier(2)
+
+    def body():
+        MPI.Init([])
+        world = MPI.COMM_WORLD
+        rank = world.Rank()
+        buf = np.zeros(8, dtype=np.int8)
+        for _ in range(50):
+            if rank == 0:
+                world.Send(buf, 0, 8, MPI.BYTE, 1, 1)
+                world.Recv(buf, 0, 8, MPI.BYTE, 1, 2)
+            else:
+                world.Recv(buf, 0, 8, MPI.BYTE, 0, 1)
+                world.Send(buf, 0, 8, MPI.BYTE, 0, 2)
+        n = len(waiters_built)
+        both_counted.wait(30)     # Finalize's barrier sleeps, legitimately
+        MPI.Finalize()
+        return n
+
+    with MPIExecutor(2, transport=transport) as ex:
         assert ex.run(body, timeout=60.0) == [0, 0]
 
 
