@@ -68,11 +68,6 @@ def _ctx():
     return rt, tables_for(rt)
 
 
-def _status_from_request(req, comm=None) -> CStatus:
-    return CStatus(*req.status_fields(
-        comm or getattr(req, "source_comm", None)))
-
-
 def _lookup_request(t, request: int) -> _requests.RequestImpl:
     if request == H.REQUEST_NULL:
         raise MPIException(ERR_REQUEST, "null request handle")
@@ -136,7 +131,7 @@ def mpi_pcontrol(level: int, *args) -> None:
 def _finish(t, handle, req, index=UNDEFINED) -> CStatus:
     """Status of a completed request, which is then retired: a
     persistent one goes inactive, any other gives up its handle."""
-    status = _status_from_request(req)
+    status = CStatus(*req.status_fields())
     status.index = index
     if req.persistent:
         req.deactivate()

@@ -29,7 +29,7 @@ from repro.runtime.consts import (ANY_SOURCE, ANY_TAG, CART, CONGRUENT,
 from repro.runtime.envelope import (Envelope, MODE_BUFFERED, MODE_READY,
                                     MODE_STANDARD, MODE_SYNCHRONOUS)
 from repro.runtime.groups import GroupImpl
-from repro.runtime.requests import RequestImpl
+from repro.runtime.requests import Gate, RequestImpl
 from repro.runtime.topology import CartTopology, GraphTopology
 from repro.obs.trace import TRACE
 from repro.transport import wire as _wire
@@ -380,31 +380,22 @@ class CommImpl:
         if req is not None:
             req.wait()
 
-    def _recv_args(self, buf, offset: int, count: int,
-                   datatype: DatatypeImpl, source: int, tag: int):
-        """``irecv``'s and ``recv``'s checks and mailbox callbacks:
-        ``(source_world, land, recv_views)``, None for ``PROC_NULL``."""
-        self._check_alive(tag, any_tag=True)
-        if source == PROC_NULL:
-            return None
-        lay = validate_buffer(buf, offset, count, datatype)
-        return (self._source_world(source),
-                window_lander(buf, offset, count, datatype, lay),
-                lambda env: recv_byte_views(buf, offset, count, datatype,
-                                            env))
-
     def irecv(self, buf, offset: int, count: int, datatype: DatatypeImpl,
-              source: int, tag: int) -> RequestImpl:
-        args = self._recv_args(buf, offset, count, datatype, source, tag)
+              source: int, tag: int, gate: Gate | None = None) -> RequestImpl:
+        """``gate`` (:meth:`recv`): armed with the request before the
+        post, it is what the blocking receive sleeps on."""
+        self._check_alive(tag, any_tag=True)
         req = RequestImpl(self.universe, RequestImpl.KIND_RECV)
         req.source_comm = self
-        if args is None:
+        if source == PROC_NULL:
             req.complete(source_world=PROC_NULL, tag=ANY_TAG,
                          count_elements=0)
             return req
+        lay = validate_buffer(buf, offset, count, datatype)
         req.recv_datatype = datatype
-        source_world, land, recv_views = args
+        land = window_lander(buf, offset, count, datatype, lay)
         san = self.universe.sanitizer
+        source_world = self._source_world(source)
         if san is not None:
             if source_world != ANY_SOURCE \
                     and source_world != self.rt.world_rank:
@@ -419,6 +410,13 @@ class CommImpl:
                 mismatch = san.check_signature(env, datatype, count)
                 return landed(env) if mismatch is None else mismatch
 
+        def recv_views(env):
+            # direct-landing fast path: writable per-run windows for
+            # recv_into straight off the socket (contiguous or strided)
+            return recv_byte_views(buf, offset, count, datatype, env)
+
+        if gate is not None:
+            gate.arm(req)
         self._post_recv(req, source_world, tag, self.ctx_pt2pt, land,
                         recv_views)
         return req
@@ -449,37 +447,21 @@ class CommImpl:
     def recv(self, buf, offset, count, datatype, source, tag) -> tuple:
         """Blocking receive; returns its status fields (see
         :meth:`RequestImpl.status_fields`).  Unless the sanitizer or the
-        tracer watch, a message already here lands with no request
-        (:meth:`Mailbox.take`) and one still to come is waited for on the
-        rank's :class:`~repro.runtime.requests.Gate`."""
-        u, rt = self.universe, self.rt
-        if u.sanitizer is not None or TRACE.enabled:
-            req = self.irecv(buf, offset, count, datatype, source, tag)
+        tracer watch, it sleeps on its mailbox's reusable
+        :class:`~repro.runtime.requests.Gate`, not on a fresh waiter."""
+        u = self.universe
+        gate = None if source == PROC_NULL or u.sanitizer is not None \
+            or TRACE.enabled else self.rt.mailbox.gate
+        req = self.irecv(buf, offset, count, datatype, source, tag, gate)
+        if gate is None:
             req.wait()
-            return req.status_fields(self)
-        args = self._recv_args(buf, offset, count, datatype, source, tag)
-        if args is None:
-            return PROC_NULL, ANY_TAG, SUCCESS, 0, False, UNDEFINED, False
-        world, land, recv_views = args
-        got = rt.mailbox.take(world, tag, self.ctx_pt2pt, land)
-        if got is None:
-            req = RequestImpl(u, RequestImpl.KIND_RECV)
-            rt.gate.arm(req)
-            self._post_recv(req, world, tag, self.ctx_pt2pt, land,
-                            recv_views)
-            rt.gate.park()
+        else:
+            gate.park()
             if not req.done:
                 u.check_abort()     # woken by the abort
             if req.error != SUCCESS:
                 req.raise_if_error()
-            got = req.status_source_world, req.status_tag, \
-                req.count_elements, SUCCESS, ""
-        world, tag, n, error, message = got
-        if error != SUCCESS:
-            raise MPIException(error, message)
-        return (self.source_rank_of_world(world) if source == ANY_SOURCE
-                else source), tag, SUCCESS, n, False, UNDEFINED, \
-            datatype.base.is_object
+        return req.status_fields()
 
     # -- persistent requests ---------------------------------------------------
     def send_init(self, buf, offset, count, datatype, dest, tag,
@@ -546,7 +528,7 @@ class CommImpl:
             self.rt.mailbox.discard_posted(rreq)
             raise
         rreq.wait()
-        return rreq.status_fields(self)
+        return rreq.status_fields()
 
     def sendrecv_replace(self, buf, offset, count, datatype, dest, stag,
                          source, rtag) -> tuple:

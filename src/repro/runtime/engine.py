@@ -24,7 +24,6 @@ from repro.runtime.envelope import (Envelope, decode_abort_env,
                                     encode_revoke_env)
 from repro.runtime.groups import GroupImpl
 from repro.runtime.mailbox import Mailbox
-from repro.runtime.requests import Gate
 from repro.util.clock import Clock, WallClock
 
 if TYPE_CHECKING:
@@ -416,8 +415,6 @@ class RankRuntime:
         #: C-level counter: safe from the rank thread and its pump alike)
         self.next_seq = itertools.count(1).__next__
         self.bsend_pool = BsendPool(universe)
-        #: the rank thread's one sleep for a blocking receive
-        self.gate = Gate(universe)
         self.initialized = False
         self.finalized = False
         self.attached_buffer_hint = 0

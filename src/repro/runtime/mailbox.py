@@ -49,7 +49,7 @@ from repro.runtime.envelope import (Envelope, KIND_ABORT, KIND_ACK,
                                     KIND_DATA, KIND_PEERFAIL, KIND_REVOKE,
                                     KIND_RTS, KIND_SANITIZE, MODE_READY,
                                     decode_peerfail_env, decode_revoke_env)
-from repro.runtime.requests import RequestImpl
+from repro.runtime.requests import Gate, RequestImpl
 
 #: process-wide match counters (all mailboxes): how often the receive
 #: was already posted when the message arrived vs how often the message
@@ -135,6 +135,8 @@ class Mailbox:
         #: seq -> callback, for synchronous sends over wire transports
         self._pending_acks: dict[int, Callable[[], None]] = {}
         self.ready_mode_errors: list[Envelope] = []
+        #: the rank thread's one sleep for a blocking receive
+        self.gate = Gate()
 
     # -- intake (transport callback; runs in sender / pump threads) ----------
     def deliver(self, env: Envelope) -> None:
@@ -269,13 +271,9 @@ class Mailbox:
                   recv_views: RecvViewsFn | None = None) -> None:
         posted = PostedRecv(req, source_world, tag, context, land,
                             recv_views)
-        key = (context, source_world, tag)
         with self._lock:
-            if posted.wildcard:
-                key, dq = self._find_unexpected(posted)
-            else:
-                dq = self._unexpected.get(key)
-            if not dq:
+            key, dq = self._find_unexpected(posted)
+            if dq is None:
                 self._post_stamp += 1
                 posted.order = self._post_stamp
                 if TRACE.enabled:
@@ -283,6 +281,7 @@ class Mailbox:
                 if posted.wildcard:
                     self._posted_wild.append(posted)
                 else:
+                    key = (context, source_world, tag)
                     dq = self._posted_exact.get(key)
                     if dq is None:
                         dq = self._posted_exact[key] = deque()
@@ -297,29 +296,6 @@ class Mailbox:
         if TRACE.enabled:
             _trace_match(self.rank, "unexpected", t_arrive, env)
         self._consume(posted, env)
-
-    def take(self, source_world: int, tag: int, context: int,
-             land: LandFn):
-        """A blocking receive's first look: land the earliest arrival it
-        matches now, under the lock, with no request, and return
-        ``(src, tag, count, error, message)``; None if none (or an RTS:
-        the receive's post takes that)."""
-        key = (context, source_world, tag)
-        with self._lock:
-            if source_world == ANY_SOURCE or tag == ANY_TAG:
-                key, dq = self._find_unexpected(PostedRecv(
-                    None, source_world, tag, context, land))
-            else:
-                dq = self._unexpected.get(key)
-            if not dq or dq[0][1].kind == KIND_RTS:
-                return None
-            env = dq.popleft()[1]
-            if not dq:
-                del self._unexpected[key]
-            outcome = land(env)
-        _MATCHES.counts["matched_unexpected"] += 1
-        env.notify_matched()
-        return (env.src, env.tag, *outcome)
 
     def _find_unexpected(self, posted: PostedRecv):
         """(key, bucket) of the earliest matching arrival, or (None, None).
@@ -415,6 +391,7 @@ class Mailbox:
         """Wake every thread blocked on this mailbox (job poisoned)."""
         with self._arrival:
             self._arrival.notify_all()
+        self.gate.wake()
 
     def on_failure_event(self) -> None:
         """A peer died or a context was revoked: wake blocked probes so

@@ -65,22 +65,24 @@ class Waiter:
 class Gate:
     """A rank thread's one reusable sleep for a blocking receive: armed
     with its request before the post, it opens once, on that request's
-    completion or the job's abort (subscribed once).  The armed request
-    is the generation check: a wakeup left from an earlier wait names
-    another request and is dropped."""
+    completion or the job's abort (:meth:`Mailbox.on_abort`).  The armed
+    request is the generation check: a wakeup left from an earlier wait
+    names another request and is dropped, and arming closes a gate such
+    a wait left open (it raised between its post and its park)."""
 
     __slots__ = ("_gate", "_guard", "_armed", "_aborted")
 
-    def __init__(self, universe):
+    def __init__(self):
         self._gate, self._guard = threading.Lock(), threading.Lock()
         self._gate.acquire()
         self._armed, self._aborted = None, False
-        universe.add_abort_listener(self.wake)
 
     def arm(self, req: "RequestImpl") -> None:
         """Make ``req``'s completion the next wakeup (one thread a rank)."""
         req._listeners = [self.wake]
-        self._armed = req
+        with self._guard:
+            self._gate.acquire(False)
+            self._armed = req
 
     def wake(self, req: "RequestImpl | None" = None) -> None:
         with self._guard:
@@ -270,10 +272,12 @@ class RequestImpl:
         if self.error != SUCCESS:
             self.raise_if_error()
 
-    def status_fields(self, comm=None) -> tuple:
+    def status_fields(self) -> tuple:
         """``(source, tag, error, count, cancelled, index, is_object)``:
-        this request's status, its source a rank of ``comm``."""
+        this request's status, its source a rank of the communicator it
+        received on."""
         source = self.status_source_world
+        comm = getattr(self, "source_comm", None)
         if comm is not None and source >= 0:
             source = comm.peer_group.rank_of_world(source)
         dt = getattr(self, "recv_datatype", None)

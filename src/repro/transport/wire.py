@@ -82,7 +82,7 @@ constructors that build a channel list and return this one class.
   order is MPI's non-overtaking rule), goes to the writer, which may
   block because every channel is still being drained.
 * **One pump per local rank** (:meth:`WireTransport._pump`) — polls
-  the rank's sockets (one ``epoll``, an fd -> channel dict), drains each
+  the rank's sockets (one ``poll``, an fd -> channel dict), drains each
   readable one (every whole frame one read brought; it polls again when
   less than a header is left), and
   turns a peer's EOF — behind the frames completed before it — into the
@@ -799,16 +799,15 @@ class WireTransport(Transport):
         self._role.pump = True
         pool = RecvPool()
         rbuf = memoryview(bytearray(READ_BUFFER))
-        poller = select.epoll()
+        poller = select.poll()
         by_fd = {}
         for chan in chans:
             chan.rbuf = rbuf
             by_fd[chan.sock.fileno()] = chan
-            poller.register(chan.sock.fileno(), select.EPOLLIN)
+            poller.register(chan.sock.fileno(), select.POLLIN)
         try:
             while not self._closing.is_set():
-                # maxevents: the default sizes a 12 KiB buffer per call
-                for fd, _ in poller.poll(0.2, len(by_fd)):
+                for fd, _ in poller.poll(200):
                     chan = by_fd[fd]
                     try:
                         # what this channel's last drain left over first
@@ -842,8 +841,6 @@ class WireTransport(Transport):
                 self.broadcast_control(abort)
             except Exception:  # noqa: BLE001 - best effort while dying
                 pass
-        finally:
-            poller.close()
 
     def _peer_lost(self, rank: int, peer: int, why: str) -> None:
         """This transport classified ``peer`` as dead: tell ``rank``'s

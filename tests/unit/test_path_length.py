@@ -40,9 +40,10 @@ from repro.executor.runner import MPIExecutor
 from repro.mpijava import MPI, Request
 
 #: counts measured when the budget was last re-anchored (a blocking
-#: eager ``Send`` builds no request, a blocking ``Recv`` parks on the
-#: rank's reusable gate, the pump polls a raw epoll and lands a small
-#: frame with one slice copy: 49 / 13 measured).  Earlier anchors, newest
+#: eager ``Send`` builds no request, a blocking ``Recv`` parks on its
+#: mailbox's reusable gate, the pump polls one ``poll`` object and lands
+#: a small frame with one slice copy: 51 (56 on threads-SM) / 13
+#: measured, inside the +10 % headroom).  Earlier anchors, newest
 #: first: 66 / 22 (an mpiJava member is one guarded stub call, and a
 #: request's error handler is looked up only on error), 68 / 22 / 33 /
 #: 40 and 95 for the wait pair (each member also called a cost-model

@@ -7,8 +7,8 @@ import pytest
 
 from repro.errors import MPIException, ERR_PENDING, ERR_REQUEST, \
     ERR_TRUNCATE
-from repro.runtime.requests import RequestImpl, wait_all, wait_any, \
-    wait_some
+from repro.runtime.requests import Gate, RequestImpl, wait_all, \
+    wait_any, wait_some
 from repro.runtime.requests import test_all as req_test_all
 from repro.runtime.requests import test_some as req_test_some
 
@@ -558,3 +558,50 @@ class TestOneWaiterForMany:
         with pytest.raises(AbortException):
             _run_bounded(lambda: wait_all(rs, uni), 10.0)
         assert not rs[1]._listeners and not rs[2]._listeners
+
+
+class TestGate:
+    """A blocking receive's reusable sleep: only the armed request's
+    completion, or the abort, ends a park."""
+
+    @staticmethod
+    def _parks(gate, seconds=0.2) -> bool:
+        """Did a park end within ``seconds``?  (A park left hanging is
+        ended by arming and completing a fresh request.)"""
+        t = threading.Thread(target=gate.park, daemon=True)
+        t.start()
+        t.join(seconds)
+        if t.is_alive():
+            r = RequestImpl(FakeUniverse(), RequestImpl.KIND_RECV)
+            gate.arm(r)
+            r.complete()
+            t.join(10)
+            return False
+        return True
+
+    def test_a_stale_completion_does_not_end_a_later_wait(self, uni):
+        gate = Gate()
+        old, new = req(uni), req(uni)
+        gate.arm(old)
+        gate.arm(new)       # the wait on ``old`` raised before its park
+        gate.wake(old)      # ``old`` completes late
+        assert not self._parks(gate)
+        gate.arm(new)
+        new.complete()
+        assert self._parks(gate)
+
+    def test_arming_closes_a_gate_a_wait_left_open(self, uni):
+        gate = Gate()
+        first = req(uni)
+        gate.arm(first)
+        first.complete()    # opened, but its wait raised before the park
+        gate.arm(req(uni))
+        assert not self._parks(gate)
+
+    def test_an_abort_ends_a_park_armed_before_or_after_it(self, uni):
+        gate = Gate()
+        gate.wake()         # the abort, before any arming
+        gate.arm(req(uni))
+        assert self._parks(gate)
+        gate.arm(req(uni))
+        assert self._parks(gate)        # the job stays aborted
